@@ -137,28 +137,40 @@ let of_string s =
            String.sub l (i + 1) (String.length l - i - 1)
          | _ -> failwith (Printf.sprintf "expected %s field" name)
        in
+       (* every malformed input must surface as [Error]: callers treat
+          [Error] as "re-solve", and any other exception escapes them *)
+       let rat s =
+         try Rat.of_string s
+         with Division_by_zero -> failwith ("zero denominator in " ^ s)
+       in
+       let count name =
+         let n = int_of_string (field name) in
+         if n < 0 then failwith (Printf.sprintf "negative %s count" name);
+         n
+       in
        let direction =
          match field "direction" with
          | "max" -> Lp_problem.Maximize
          | "min" -> Lp_problem.Minimize
          | d -> failwith ("bad direction " ^ d)
        in
-       let bound = Rat.of_string (field "bound") in
-       let dual_bound = Rat.of_string (field "dual-bound") in
+       let bound = rat (field "bound") in
+       let dual_bound = rat (field "dual-bound") in
        let digest = field "digest" in
-       let nw = int_of_string (field "witness") in
+       let nw = count "witness" in
        let witness =
          List.init nw (fun _ ->
              let l = next () in
              match String.rindex_opt l ' ' with
              | Some i ->
                ( String.sub l 0 i,
-                 Rat.of_string
-                   (String.sub l (i + 1) (String.length l - i - 1)) )
+                 rat (String.sub l (i + 1) (String.length l - i - 1)) )
              | None -> failwith "bad witness line")
        in
-       let nd = int_of_string (field "duals") in
-       let duals = Array.init nd (fun _ -> Rat.of_string (next ())) in
+       let nd = count "duals" in
+       (* built as a list so a huge claimed count runs out of lines before
+          it can allocate *)
+       let duals = Array.of_list (List.init nd (fun _ -> rat (next ()))) in
        if next () <> "end" then failwith "missing end marker";
        (* strict: nothing may follow the end marker but the final newline *)
        (match !rest with

@@ -18,6 +18,8 @@ let normalize sign mag =
 
 let of_int i =
   if i = 0 then zero
+  else if i > - base && i < base then
+    { sign = (if i < 0 then -1 else 1); mag = [| Stdlib.abs i |] }
   else begin
     (* native ints are 63-bit, so the magnitude always fits in an Int64 *)
     let sign = if i < 0 then -1 else 1 in

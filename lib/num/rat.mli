@@ -1,8 +1,16 @@
-(** Exact rational numbers over {!Bigint}.
+(** Exact rational numbers.
 
     Values are kept normalized: the denominator is strictly positive and
     coprime with the numerator. This is the scalar field of the simplex
-    solver, so every arithmetic operation is exact. *)
+    solver and of the certificate checker, so every arithmetic operation is
+    exact.
+
+    A value whose numerator and denominator both have magnitude at most
+    [2^30] is held as two native ints and computed on with native
+    arithmetic; any other value is held over {!Bigint}. Which of the two
+    holds a value depends on the value alone, so no result (in particular
+    no printed form) depends on how a value was reached. Only {!floor},
+    {!ceil}, {!of_bigint}, {!make}, {!num} and {!den} deal in {!Bigint}. *)
 
 type t
 

@@ -126,6 +126,35 @@ let test_roundtrip () =
         (match Cert.of_string s with Error _ -> true | Ok _ -> false))
     [ ""; "garbage"; "ipet-cert v1"; Cert.to_string c ^ "\ntrailing" ]
 
+(* Fields that parse as numbers but fault later (a zero denominator, a
+   negative or absurd count) must come back as [Error], never as an
+   exception: callers re-solve on [Error] and let anything else escape. *)
+let test_parse_faults () =
+  let good = Cert.to_string (solve_and_certify textbook_max) in
+  let replace_field name value =
+    String.split_on_char '\n' good
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:(name ^ " ") l then name ^ " " ^ value
+           else l)
+    |> String.concat "\n"
+  in
+  List.iter
+    (fun (what, s) ->
+      check_bool
+        (Printf.sprintf "of_string rejects %s" what)
+        true
+        (match Cert.of_string s with
+         | Error _ -> true
+         | Ok _ -> false
+         | exception e ->
+           Alcotest.failf "%s raised %s" what (Printexc.to_string e)))
+    [ ("bound 1/0", replace_field "bound" "1/0");
+      ("dual-bound 3/0", replace_field "dual-bound" "3/0");
+      ("witness -1", replace_field "witness" "-1");
+      ("duals -2", replace_field "duals" "-2");
+      ("duals 1000000000000", replace_field "duals" "1000000000000");
+      ("witness x", replace_field "witness" "x") ]
+
 let test_json_export () =
   let c = solve_and_certify textbook_max in
   match J.parse (Cert.to_json_string c) with
@@ -263,5 +292,6 @@ let suite =
     ("serialization round trip", `Quick, test_roundtrip);
     ("JSON export", `Quick, test_json_export);
     ("all 13 benchmarks certify at --jobs 1", `Slow, certified_suite 1);
-    ("all 13 benchmarks certify at --jobs 4", `Slow, certified_suite 4) ]
+    ("all 13 benchmarks certify at --jobs 4", `Slow, certified_suite 4);
+    ("malformed fields are parse errors", `Quick, test_parse_faults) ]
   @ props

@@ -145,6 +145,73 @@ let test_rat_compare () =
   check_bool "min" true (Q.equal (Q.min (q 1 3) (q 1 2)) (q 1 3));
   check_bool "max" true (Q.equal (Q.max (q 1 3) (q 1 2)) (q 1 2))
 
+let test_rat_int_edges () =
+  let s = Q.to_string in
+  check_str "of_int max_int" (string_of_int max_int) (s (Q.of_int max_int));
+  check_str "of_int min_int" (string_of_int min_int) (s (Q.of_int min_int));
+  check_int "to_int max_int" max_int (Q.to_int (Q.of_int max_int));
+  check_int "to_int min_int" min_int (Q.to_int (Q.of_int min_int));
+  check_str "neg min_int leaves int" "4611686018427387904"
+    (s (Q.neg (Q.of_int min_int)));
+  check_str "of_ints min_int (-1)" "4611686018427387904"
+    (s (q min_int (-1)));
+  check_str "of_ints min_int min_int" "1" (s (q min_int min_int));
+  check_str "of_ints 1 min_int" "-1/4611686018427387904" (s (q 1 min_int));
+  check_str "of_ints max_int min_int" "-4611686018427387903/4611686018427387904"
+    (s (q max_int min_int))
+
+let test_rat_boundary () =
+  (* 2^30 is the last native magnitude; one past it lives in a Bigint *)
+  let lim = 1 lsl 30 in
+  List.iter
+    (fun v ->
+      let x = Q.of_int v in
+      check_bool (Printf.sprintf "neg %d" v) true
+        (Q.equal (Q.neg x) (Q.of_string (string_of_int (- v))));
+      check_bool (Printf.sprintf "abs %d" v) true
+        (Q.equal (Q.abs x) (Q.of_bigint (B.abs (B.of_int v))));
+      check_bool (Printf.sprintf "neg neg %d" v) true
+        (Q.equal (Q.neg (Q.neg x)) x))
+    [ lim - 1; lim; lim + 1; - lim + 1; - lim; - lim - 1 ];
+  (* a product that leaves the native range and a quotient that comes back *)
+  let big = Q.mul (q lim 3) (q (lim + 3) 5) in
+  check_str "promoted product" "1152921507828072448/15" (Q.to_string big);
+  check_bool "demoted quotient equals the native value" true
+    (Q.equal (Q.div big (q (lim + 3) 5)) (q lim 3));
+  check_bool "demoted difference is zero" true
+    (Q.is_zero (Q.sub big (Q.of_string "1152921507828072448/15")));
+  check_bool "inverse of a promoted value stays exact" true
+    (Q.equal (Q.inv (Q.inv big)) big)
+
+let test_rat_floor_ceil_negative () =
+  let fl a b = B.to_string (Q.floor (q a b))
+  and ce a b = B.to_string (Q.ceil (q a b)) in
+  check_str "floor -1/3" "-1" (fl (-1) 3);
+  check_str "ceil -1/3" "0" (ce (-1) 3);
+  check_str "floor -5/3" "-2" (fl (-5) 3);
+  check_str "ceil -5/3" "-1" (ce (-5) 3);
+  check_str "floor -(2^30+1)/2" "-536870913" (fl (-(1 lsl 30) - 1) 2);
+  check_str "ceil -(2^30+1)/2" "-536870912" (ce (-(1 lsl 30) - 1) 2);
+  check_str "floor -(2^40+1)/2" "-549755813889" (fl (-(1 lsl 40) - 1) 2);
+  check_str "ceil -(2^40+1)/2" "-549755813888" (ce (-(1 lsl 40) - 1) 2);
+  check_str "floor -6/3" "-2" (fl (-6) 3);
+  check_str "ceil -6/3" "-2" (ce (-6) 3)
+
+let test_rat_to_int_promoted () =
+  (* integers past the native range but inside int still convert *)
+  check_int "2^40" (1 lsl 40) (Q.to_int (Q.of_int (1 lsl 40)));
+  check_int "2^30 * 4" (1 lsl 32)
+    (Q.to_int (Q.mul (Q.of_int (1 lsl 30)) (Q.of_int 4)));
+  check_int "2^50 / 2" (1 lsl 49) (Q.to_int (q (1 lsl 50) 2));
+  check_int "(2^30+1)^2 / (2^30+1)" ((1 lsl 30) + 1)
+    (Q.to_int (Q.div (Q.mul (Q.of_int ((1 lsl 30) + 1)) (Q.of_int ((1 lsl 30) + 1)))
+                 (Q.of_int ((1 lsl 30) + 1))));
+  Alcotest.check_raises "2^70 overflows" (Failure "Bigint.to_int: overflow")
+    (fun () -> ignore (Q.to_int (Q.of_string "1180591620717411303424")));
+  Alcotest.check_raises "a fraction is not an int"
+    (Failure "Rat.to_int: not an integer")
+    (fun () -> ignore (Q.to_int (q (1 lsl 40) 3)))
+
 (* --- Rat properties ---------------------------------------------------- *)
 
 let rat_gen =
@@ -180,11 +247,148 @@ let prop_rat_string_roundtrip =
   QCheck.Test.make ~name:"rat string roundtrip" ~count:300 rat_gen
     (fun a -> Q.equal a (Q.of_string (Q.to_string a)))
 
+(* --- Rat against a reference on normalized Bigint pairs ----------------- *)
+
+(* Rat keeps small values as native ints and the rest as Bigints; this
+   reference does everything on normalized Bigint pairs (d > 0, coprime),
+   the representation Rat had before the native fast path. The checker's
+   arithmetic is Rat's, so these properties are what guard the fast path. *)
+module Ref = struct
+  let make n d =
+    if B.is_zero d then raise Division_by_zero;
+    let n, d = if B.sign d < 0 then (B.neg n, B.neg d) else (n, d) in
+    let g = B.gcd n d in
+    (B.div n g, B.div d g)
+
+  let add (an, ad) (bn, bd) = make (B.add (B.mul an bd) (B.mul bn ad)) (B.mul ad bd)
+  let sub a (bn, bd) = add a (B.neg bn, bd)
+  let mul (an, ad) (bn, bd) = make (B.mul an bn) (B.mul ad bd)
+  let inv (n, d) = make d n
+  let div a b = mul a (inv b)
+  let compare (an, ad) (bn, bd) = B.compare (B.mul an bd) (B.mul bn ad)
+
+  let floor (n, d) =
+    let q, r = B.divmod n d in
+    if B.sign r < 0 then B.sub q B.one else q
+
+  let ceil (n, d) =
+    let q, r = B.divmod n d in
+    if B.sign r > 0 then B.add q B.one else q
+
+  let to_string (n, d) =
+    if B.equal d B.one then B.to_string n
+    else B.to_string n ^ "/" ^ B.to_string d
+end
+
+let lim = 1 lsl 30
+
+(* integers at and around the edge of Rat's native range, the edges of
+   int itself, and ordinary small values *)
+let edge_int =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl
+              [ 0; 1; -1; 2; -2; 3; 6; lim - 1; lim; lim + 1; - lim + 1; - lim;
+                - lim - 1; 2 * lim; (1 lsl 31) - 1; 1 lsl 31; 1 lsl 60;
+                max_int; max_int - 1; min_int; min_int + 1 ]);
+        (3, int_range (-1000) 1000);
+        (2, map2 (fun b k -> b + k) (oneofl [ lim; - lim; lim / 2 ]) (int_range (-4) 4));
+        (1, int) ])
+
+(* Bigint numerators and denominators: mostly single ints, sometimes a
+   product of two so operands also start out past the int range *)
+let edge_big =
+  QCheck.Gen.(
+    frequency
+      [ (5, map B.of_int edge_int);
+        (1, map2 (fun a b -> B.mul (B.of_int a) (B.of_int b)) edge_int edge_int) ])
+
+(* numerator and denominator both near one power of two from 2^29 to 2^32:
+   when two such operands meet, their cross products sit right at the edge
+   of int, which is where a too-wide native range would overflow *)
+let near_power =
+  QCheck.Gen.(
+    map
+      (fun (e, k1, k2, negative) ->
+        let n = (1 lsl e) + k1 and d = (1 lsl e) + k2 in
+        (B.of_int (if negative then - n else n), B.of_int d))
+      (quad (int_range 29 32) (int_range (-3) 3) (int_range (-3) 3) bool))
+
+let print_operand (n, d) = B.to_string n ^ "/" ^ B.to_string d
+
+let operand =
+  QCheck.make ~print:print_operand
+    QCheck.Gen.(
+      frequency
+        [ (2, map2 (fun n d -> (n, if B.is_zero d then B.one else d))
+                edge_big edge_big);
+          (1, map (fun n -> (n, B.one)) edge_big);
+          (1, near_power) ])
+
+(* [q] holds exactly the normalized value [r], in canonical form: it equals
+   the same value built along every other path into Rat *)
+let agrees q ((n, d) as r) =
+  B.equal (Q.num q) n && B.equal (Q.den q) d
+  && Q.equal q (Q.make n d)
+  && String.equal (Q.to_string q) (Ref.to_string r)
+  && (match B.to_int_opt n, B.to_int_opt d with
+      | Some n, Some d -> Q.equal q (Q.of_ints n d)
+      | _ -> true)
+
+let ref_or_zero_div f = try Some (f ()) with Division_by_zero -> None
+
+let matches_reference ((an, ad), (bn, bd)) =
+  let ra = Ref.make an ad and rb = Ref.make bn bd in
+  let a = Q.make an ad and b = Q.make bn bd in
+  let ref_neg = Ref.sub (B.zero, B.one) ra in
+  let same_div q r =
+    match ref_or_zero_div q, ref_or_zero_div r with
+    | Some q, Some r -> agrees q r
+    | None, None -> true
+    | _ -> false
+  in
+  agrees a ra && agrees b rb
+  && agrees (Q.add a b) (Ref.add ra rb)
+  && agrees (Q.sub a b) (Ref.sub ra rb)
+  && agrees (Q.mul a b) (Ref.mul ra rb)
+  && same_div (fun () -> Q.div a b) (fun () -> Ref.div ra rb)
+  && same_div (fun () -> Q.inv b) (fun () -> Ref.inv rb)
+  && agrees (Q.neg a) ref_neg
+  && agrees (Q.abs a) (if B.sign (fst ra) < 0 then ref_neg else ra)
+  && Q.compare a b = Ref.compare ra rb
+  && Q.equal a b = (Ref.compare ra rb = 0)
+  && B.equal (Q.floor a) (Ref.floor ra)
+  && B.equal (Q.ceil a) (Ref.ceil ra)
+  && Q.equal (Q.of_string (Q.to_string a)) a
+
+let prop_rat_differential =
+  QCheck.Test.make ~name:"rat operations match the Bigint-pair reference"
+    ~count:1000 (QCheck.pair operand operand) matches_reference
+
+(* both operands near the same powers of two, so that pairs whose every
+   cross product is close to 2^62 come up often *)
+let prop_rat_differential_edge =
+  QCheck.Test.make ~name:"rat matches the reference where int products overflow"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_operand a ^ ", " ^ print_operand b)
+       (QCheck.Gen.pair near_power near_power))
+    matches_reference
+
+let prop_rat_canonical =
+  QCheck.Test.make ~name:"rat (a*b)/b = a and (a+b)-b = a, whatever a*b is"
+    ~count:1000 (QCheck.pair operand operand)
+    (fun ((an, ad), (bn, bd)) ->
+      let a = Q.make an ad and b = Q.make bn bd in
+      Q.equal (Q.sub (Q.add a b) b) a
+      && (Q.is_zero b || Q.equal (Q.div (Q.mul a b) b) a))
+
 let props = List.map QCheck_alcotest.to_alcotest
     [ prop_add_matches_int; prop_mul_matches_int; prop_divmod_matches_int;
       prop_string_roundtrip; prop_mul_div_roundtrip; prop_compare_total;
       prop_rat_add_assoc; prop_rat_mul_distrib; prop_rat_inverse;
-      prop_rat_floor_le; prop_rat_string_roundtrip ]
+      prop_rat_floor_le; prop_rat_string_roundtrip; prop_rat_differential;
+      prop_rat_differential_edge; prop_rat_canonical ]
 
 let suite =
   [ ("bigint int roundtrip", `Quick, test_of_to_int);
@@ -198,5 +402,10 @@ let suite =
     ("rat arithmetic", `Quick, test_rat_arith);
     ("rat floor/ceil", `Quick, test_rat_floor_ceil);
     ("rat of_string", `Quick, test_rat_of_string);
-    ("rat compare/min/max", `Quick, test_rat_compare) ]
+    ("rat compare/min/max", `Quick, test_rat_compare);
+    ("rat int edges", `Quick, test_rat_int_edges);
+    ("rat native range boundary", `Quick, test_rat_boundary);
+    ("rat floor/ceil of negative fractions", `Quick,
+     test_rat_floor_ceil_negative);
+    ("rat to_int of promoted integers", `Quick, test_rat_to_int_promoted) ]
   @ props

@@ -381,10 +381,12 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let test_cert_self_heal () =
-  let cache =
-    Cache.create ~dir:(tmp_dir "serve-cert-heal") ~cap_bytes:(16 * 1024 * 1024)
-  in
+(* Fills a cache, checks that warm hits re-prove their certificates, then
+   applies [rewrite] to the WCET certificate of one cached entry: the engine
+   must notice, drop the entry, and re-solve — never serve a bound it cannot
+   re-prove *)
+let cert_self_heal ~name rewrite =
+  let cache = Cache.create ~dir:(tmp_dir name) ~cap_bytes:(16 * 1024 * 1024) in
   let spec = edit_spec (edit_source 3) in
   let cold_rep, cold = Incr.analyze ~cache spec in
   check_int "cold run proves every bound it computed"
@@ -397,8 +399,6 @@ let test_cert_self_heal () =
   check_int "warm run rejects nothing" 0 warm.Incr.certs_rejected;
   check_string "warm report is byte-identical" (J.to_string cold_rep)
     (J.to_string warm_rep);
-  (* tamper with one cached certificate: the engine must notice, drop the
-     entry, and re-solve — never serve a bound it cannot re-prove *)
   let dir = Cache.dir cache in
   let entry =
     Sys.readdir dir |> Array.to_list
@@ -416,7 +416,7 @@ let test_cert_self_heal () =
                  J.Obj
                    (List.map
                       (function
-                        | "cert", J.Str _ -> ("cert", J.Str "tampered")
+                        | "cert", J.Str c -> ("cert", J.Str (rewrite c))
                         | kv -> kv)
                       wf) )
              | kv -> kv)
@@ -433,6 +433,18 @@ let test_cert_self_heal () =
     healed.Incr.units_solved;
   check_string "the healed report is byte-identical" (J.to_string cold_rep)
     (J.to_string healed_rep)
+
+let test_cert_self_heal () =
+  cert_self_heal ~name:"serve-cert-heal" (fun _ -> "tampered")
+
+(* a certificate that parses up to an arithmetic fault (a zero denominator)
+   must be rejected like any other, not escape the cache-hit check *)
+let test_cert_zero_denominator_heals () =
+  cert_self_heal ~name:"serve-cert-zero-den" (fun c ->
+      String.split_on_char '\n' c
+      |> List.map (fun l ->
+             if String.starts_with ~prefix:"bound " l then "bound 1/0" else l)
+      |> String.concat "\n")
 
 let test_tmp_sweep () =
   (* a writer that dies between open and rename leaves "*.tmp" files the
@@ -1001,6 +1013,9 @@ let suite =
       test_tmp_sweep;
     Alcotest.test_case "certificates: warm hits re-prove, tampering heals"
       `Quick test_cert_self_heal;
+    Alcotest.test_case
+      "certificates: a zero denominator in a cached certificate heals" `Quick
+      test_cert_zero_denominator_heals;
     Alcotest.test_case "protocol: every failure is a structured error" `Quick
       test_protocol_errors;
     Alcotest.test_case "protocol: hello, analyze, shutdown" `Quick
