@@ -8,12 +8,14 @@
      table3       estimated vs measured bound, total pessimism
      stats        the Section VI solver observations (LP calls, first-LP
                   integrality)
-     bechamel     micro-benchmarks (one Bechamel test per table)
+
+   plus ablations, the extended suite, [export DIR] and the synthetic LP
+   scaling tiers ([lp], [lp-check]). Timings of the analysis, the daemon
+   and the simulator come from the ledger ([ledger/]), not from here.
 
    Run with no argument to produce everything in order. *)
 
 module P = Ipet_isa.Prog
-module V = Ipet_isa.Value
 module Frontend = Ipet_lang.Frontend
 module Compile = Ipet_lang.Compile
 module Interp = Ipet_sim.Interp
@@ -22,15 +24,12 @@ module Structural = Ipet.Structural
 module Report = Ipet.Report
 module E = Ipet_suite.Experiments
 module Bspec = Ipet_suite.Bspec
-module Obs = Ipet_obs.Obs
 module Pool = Ipet_par.Pool
 module Rat = Ipet_num.Rat
 module Lp = Ipet_lp.Lp_problem
 module Linexpr = Ipet_lp.Linexpr
 module Sparse = Ipet_lp.Sparse
 module Revised = Ipet_lp.Revised
-
-let domains_available () = Ipet_par.Par_compat.recommended_domain_count ()
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -402,274 +401,7 @@ let ablation_compile () =
     \  optimizer shrinks both the WCET and the measured time, while an
     \  8-register file adds spill traffic that both numbers track."
 
-(* --- machine-readable perf snapshot ------------------------------------- *)
-
-(* Writes BENCH_ipet.json: per-benchmark wall time of the full analysis with
-   and without presolve, LP calls, and the presolve variable/constraint
-   reductions (WCET and BCET stats summed) — a perf trajectory future
-   changes can be compared against. Per-benchmark analyses use the default
-   pool (--jobs), and a suite-level probe records the parallel speedup:
-   wall time of analyzing the whole suite sharded across the pool vs
-   sequentially. *)
-let json () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Obs.enable ();
-  let entries =
-    List.map
-      (fun (bench : Bspec.t) ->
-        let spec = Bspec.spec bench in
-        let run presolve =
-          Obs.reset ();
-          time (fun () ->
-            Analysis.analyze { spec with Analysis.presolve })
-        in
-        let with_pre, t_pre = run true in
-        (* phase wall times of the presolve run, from the span engine *)
-        let phase name =
-          match List.assoc_opt name (Obs.span_totals ()) with
-          | Some (_count, us) -> float_of_int us /. 1e6
-          | None -> 0.0
-        in
-        let t_prepare = phase "analysis.prepare" in
-        let t_wcet = phase "analysis.wcet" in
-        let t_bcet = phase "analysis.bcet" in
-        let _, t_plain = run false in
-        let sum f =
-          f with_pre.Analysis.wcet_stats + f with_pre.Analysis.bcet_stats
-        in
-        let vars_before = sum (fun s -> s.Analysis.presolve_vars_before) in
-        let vars_after = sum (fun s -> s.Analysis.presolve_vars_after) in
-        let reduction =
-          if vars_before = 0 then 0.0
-          else float_of_int (vars_before - vars_after) /. float_of_int vars_before
-        in
-        ( bench.Bspec.name,
-          Printf.sprintf
-            "    { \"name\": %S, \"wall_s_presolve\": %.4f, \
-             \"wall_s_no_presolve\": %.4f, \"phase_prepare_s\": %.4f, \
-             \"phase_wcet_s\": %.4f, \"phase_bcet_s\": %.4f, \
-             \"lp_calls\": %d, \
-             \"vars_before\": %d, \"vars_after\": %d, \
-             \"constrs_before\": %d, \"constrs_after\": %d, \
-             \"var_reduction\": %.3f }"
-            bench.Bspec.name t_pre t_plain t_prepare t_wcet t_bcet
-            (sum (fun s -> s.Analysis.lp_calls))
-            vars_before vars_after
-            (sum (fun s -> s.Analysis.presolve_constrs_before))
-            (sum (fun s -> s.Analysis.presolve_constrs_after))
-            reduction,
-          reduction, t_pre, t_plain ))
-      Ipet_suite.Suite.all
-  in
-  Obs.disable ();
-  Obs.reset ();
-  (* suite-level parallel speedup probe: analyze every benchmark, sharded
-     across the pool, vs strictly sequentially *)
-  let suite_analyze pool =
-    ignore
-      (Pool.map_list pool
-         (fun b -> ignore (Analysis.analyze ~pool (Bspec.spec b)))
-         Ipet_suite.Suite.all)
-  in
-  let jobs = Pool.jobs (Pool.default ()) in
-  let (), wall_seq =
-    let seq = Pool.create ~jobs:1 in
-    time (fun () -> suite_analyze seq)
-  in
-  let (), wall_par =
-    if jobs <= 1 then ((), wall_seq)
-    else time (fun () -> suite_analyze (Pool.default ()))
-  in
-  let reductions =
-    List.sort compare (List.map (fun (_, _, r, _, _) -> r) entries)
-  in
-  let median = List.nth reductions (List.length reductions / 2) in
-  let total f = List.fold_left (fun acc e -> acc +. f e) 0.0 entries in
-  let out =
-    Printf.sprintf
-      "{\n  \"suite\": \"ipet\",\n  \"benchmarks\": [\n%s\n  ],\n  \
-       \"median_var_reduction\": %.3f,\n  \"total_wall_s_presolve\": %.4f,\n  \
-       \"total_wall_s_no_presolve\": %.4f,\n  \"jobs\": %d,\n  \
-       \"domains_available\": %d,\n  \
-       \"suite_wall_s_jobs1\": %.4f,\n  \"suite_wall_s_jobsN\": %.4f,\n  \
-       \"suite_speedup\": %.2f\n}\n"
-      (String.concat ",\n" (List.map (fun (_, j, _, _, _) -> j) entries))
-      median
-      (total (fun (_, _, _, t, _) -> t))
-      (total (fun (_, _, _, _, t) -> t))
-      jobs (domains_available ()) wall_seq wall_par
-      (if wall_par > 0.0 then wall_seq /. wall_par else 1.0)
-  in
-  let oc = open_out "BENCH_ipet.json" in
-  output_string oc out;
-  close_out oc;
-  Printf.printf "wrote BENCH_ipet.json (%d benchmarks, median variable \
-                 reduction %.0f%%)\n"
-    (List.length entries) (100.0 *. median)
-
-(* Writes BENCH_sim.json: the cycle-level simulator throughput probe —
-   repeated worst-case runs of the three largest benchmarks, reporting wall
-   time, simulated instruction count and Minstr/s per benchmark.  The
-   numbers trace the simulator's perf trajectory the same way
-   BENCH_ipet.json traces the ILP side's. *)
-let sim_bench () =
-  let repeats = 50 in
-  let probe name =
-    let bench = Ipet_suite.Suite.find name in
-    let compiled = Bspec.compile bench in
-    let m = Interp.create compiled.Compile.prog ~init:compiled.Compile.init_data in
-    let d = List.hd bench.Bspec.worst_data in
-    (* one warmup run keeps decode/GC noise out of the measurement *)
-    d.Bspec.setup m;
-    Interp.flush_cache m;
-    ignore (Interp.call m bench.Bspec.root d.Bspec.args);
-    let t0 = Unix.gettimeofday () in
-    let instrs = ref 0 in
-    for _ = 1 to repeats do
-      Interp.reset_stats m;
-      Interp.reset_memory m ~init:compiled.Compile.init_data;
-      d.Bspec.setup m;
-      Interp.flush_cache m;
-      ignore (Interp.call m bench.Bspec.root d.Bspec.args);
-      instrs := !instrs + Interp.instructions m
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    (name, !instrs, wall, float_of_int !instrs /. wall /. 1e6)
-  in
-  let probes = List.map probe [ "fullsearch"; "whetstone"; "des" ] in
-  let total_instrs = List.fold_left (fun a (_, i, _, _) -> a + i) 0 probes in
-  let total_wall = List.fold_left (fun a (_, _, w, _) -> a +. w) 0.0 probes in
-  let out =
-    Printf.sprintf
-      "{\n  \"suite\": \"ipet-sim\",\n  \"repeats\": %d,\n  \
-       \"benchmarks\": [\n%s\n  ],\n  \"total_instructions\": %d,\n  \
-       \"total_wall_s\": %.4f,\n  \"minstr_per_s\": %.2f\n}\n"
-      repeats
-      (String.concat ",\n"
-         (List.map
-            (fun (name, instrs, wall, rate) ->
-              Printf.sprintf
-                "    { \"name\": %S, \"instructions\": %d, \
-                 \"wall_s\": %.4f, \"minstr_per_s\": %.2f }"
-                name instrs wall rate)
-            probes))
-      total_instrs total_wall
-      (float_of_int total_instrs /. total_wall /. 1e6)
-  in
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc out;
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_sim.json (%d instructions in %.2fs, %.2f Minstr/s)\n"
-    total_instrs total_wall
-    (float_of_int total_instrs /. total_wall /. 1e6)
-
-(* Regression guard for the simulator's instrumentation-disabled hot path:
-   re-measure throughput with a few repeats and compare against the
-   committed BENCH_sim.json baseline. CI machines differ wildly from the
-   one that wrote the baseline, so the default floor is a generous ratio
-   (override with SIM_CHECK_RATIO); the point is to catch the simulator
-   accidentally paying for profiling it was not asked for. *)
-let sim_check () =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    content
-  in
-  let baseline =
-    let content =
-      try read_file "BENCH_sim.json"
-      with Sys_error _ ->
-        prerr_endline "sim-check: BENCH_sim.json not found (run 'sim' first)";
-        exit 1
-    in
-    (* the total rate is the last "minstr_per_s" in the document *)
-    let key = "\"minstr_per_s\":" in
-    let rec last_occurrence from acc =
-      match
-        if from > String.length content - String.length key then None
-        else if String.sub content from (String.length key) = key then
-          Some from
-        else None
-      with
-      | Some at -> last_occurrence (at + 1) (Some at)
-      | None ->
-        if from >= String.length content - String.length key then acc
-        else last_occurrence (from + 1) acc
-    in
-    match last_occurrence 0 None with
-    | None ->
-      prerr_endline "sim-check: no minstr_per_s in BENCH_sim.json";
-      exit 1
-    | Some at ->
-      let start = at + String.length key in
-      let stop = ref start in
-      while
-        !stop < String.length content
-        && (match content.[!stop] with
-            | '0' .. '9' | '.' | ' ' | '-' -> true
-            | _ -> false)
-      do incr stop done;
-      float_of_string (String.trim (String.sub content start (!stop - start)))
-  in
-  let ratio_floor =
-    match Sys.getenv_opt "SIM_CHECK_RATIO" with
-    | Some s -> float_of_string s
-    | None -> 0.5
-  in
-  let repeats = 10 in
-  let measure name =
-    let bench = Ipet_suite.Suite.find name in
-    let compiled = Bspec.compile bench in
-    let m = Interp.create compiled.Compile.prog ~init:compiled.Compile.init_data in
-    let d = List.hd bench.Bspec.worst_data in
-    d.Bspec.setup m;
-    Interp.flush_cache m;
-    ignore (Interp.call m bench.Bspec.root d.Bspec.args);
-    let t0 = Unix.gettimeofday () in
-    let instrs = ref 0 in
-    for _ = 1 to repeats do
-      Interp.reset_stats m;
-      Interp.reset_memory m ~init:compiled.Compile.init_data;
-      d.Bspec.setup m;
-      Interp.flush_cache m;
-      ignore (Interp.call m bench.Bspec.root d.Bspec.args);
-      instrs := !instrs + Interp.instructions m
-    done;
-    (!instrs, Unix.gettimeofday () -. t0)
-  in
-  let instrs, wall =
-    List.fold_left
-      (fun (ai, aw) name ->
-        let i, w = measure name in
-        (ai + i, aw +. w))
-      (0, 0.0)
-      [ "fullsearch"; "whetstone"; "des" ]
-  in
-  let rate = float_of_int instrs /. wall /. 1e6 in
-  Printf.printf
-    "sim-check: %.2f Minstr/s measured, %.2f baseline (floor ratio %.2f)\n"
-    rate baseline ratio_floor;
-  if rate < ratio_floor *. baseline then begin
-    if domains_available () <= 1 then
-      (* baselines are written on multi-core machines; a single-core CI
-         container measuring below the floor tells us nothing about the
-         simulator, so report the numbers but do not fail *)
-      print_endline "sim-check: below floor, skipped (single core available)"
-    else begin
-      Printf.printf
-        "sim-check: FAIL — throughput fell below %.0f%% of the baseline\n"
-        (100.0 *. ratio_floor);
-      exit 1
-    end
-  end
-  else print_endline "sim-check: ok"
+(* --- suite export ----------------------------------------------------------- *)
 
 (* Writes each paper benchmark as a standalone NAME.mc + NAME.ann pair so
    the cinderella CLI can be driven over the whole suite from the shell
@@ -722,307 +454,6 @@ let export dir =
   Printf.printf "exported %d benchmarks to %s\n"
     (List.length Ipet_suite.Suite.all) dir
 
-(* --- serve load generator ------------------------------------------------ *)
-
-module J = Ipet_serve.Json
-
-(* One analyze request line per paper benchmark (loop bounds only, like
-   [export]: the functional-constraint DSL has no textual serialization).
-   [tag] becomes the request's trace id prefix, so the daemon-side trace
-   shows every pass/benchmark pair as its own track. *)
-let serve_requests ~tag ~use_cache =
-  List.map
-    (fun (bench : Bspec.t) ->
-      ( bench.Bspec.name,
-        J.to_string
-          (J.Obj
-             [ ("v", J.Int Ipet_serve.Protocol.version);
-               ("op", J.Str "analyze");
-               ("id", J.Str bench.Bspec.name);
-               ("trace", J.Str (tag ^ ":" ^ bench.Bspec.name));
-               ("source", J.Str bench.Bspec.source);
-               ("annotations", J.Str (render_ann bench));
-               ("options", J.Obj [ ("use_cache", J.Bool use_cache) ]) ]) ))
-    Ipet_suite.Suite.all
-
-(* client-side latency quantiles go through the same histogram the daemon
-   uses — one estimator, no ad-hoc sorting to disagree with it *)
-module M = Ipet_obs.Metrics
-
-let latency_quantiles latencies =
-  let reg = M.create () in
-  let h = M.histogram reg "latency_ms" in
-  List.iter (fun ms -> M.observe h ms) latencies;
-  (M.quantile h 0.50, M.quantile h 0.99)
-
-(* One client process: drive the whole request list sequentially over a
-   single connection, appending "name ms" latency lines to [out]. *)
-let serve_client ~socket ~out requests =
-  let t = Ipet_serve.Client.connect socket in
-  let oc = open_out out in
-  List.iter
-    (fun (name, line) ->
-      let t0 = Unix.gettimeofday () in
-      match Ipet_serve.Client.request t line with
-      | Some response ->
-        let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        let ok =
-          match J.parse response with
-          | Ok j -> (match J.member "ok" j with
-                     | Some (J.Bool true) -> true
-                     | _ -> false)
-          | Error _ -> false
-        in
-        if not ok then begin
-          Printf.eprintf "serve bench: %s failed: %s\n%!" name response;
-          exit 1
-        end;
-        Printf.fprintf oc "%s %.3f\n" name ms
-      | None ->
-        Printf.eprintf "serve bench: server hung up on %s\n%!" name;
-        exit 1)
-    requests;
-  close_out oc;
-  Ipet_serve.Client.close t
-
-(* Run one pass: [clients] forked client processes, each sending the full
-   suite concurrently. Returns (wall seconds, latencies in ms). *)
-let serve_pass ~socket ~dir ~clients ~pass requests =
-  let t0 = Unix.gettimeofday () in
-  let pids =
-    List.init clients (fun i ->
-        let out = Filename.concat dir (Printf.sprintf "%s_%d.lat" pass i) in
-        match Unix.fork () with
-        | 0 ->
-          (try serve_client ~socket ~out requests
-           with e ->
-             Printf.eprintf "serve bench client: %s\n%!" (Printexc.to_string e);
-             Unix._exit 1);
-          Unix._exit 0
-        | pid -> (pid, out))
-  in
-  List.iter
-    (fun (pid, _) ->
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _ ->
-        prerr_endline "serve bench: a client failed";
-        exit 1)
-    pids;
-  let wall = Unix.gettimeofday () -. t0 in
-  let latencies =
-    List.concat_map
-      (fun (_, out) ->
-        let ic = open_in out in
-        let rec lines acc =
-          match input_line ic with
-          | line ->
-            (match String.split_on_char ' ' line with
-             | [ _; ms ] -> lines (float_of_string ms :: acc)
-             | _ -> lines acc)
-          | exception End_of_file -> acc
-        in
-        let l = lines [] in
-        close_in ic;
-        l)
-      pids
-  in
-  (wall, latencies)
-
-let pass_json name wall latencies =
-  let n = List.length latencies in
-  let rps = float_of_int n /. wall in
-  let p50, p99 = latency_quantiles latencies in
-  Printf.printf
-    "%s: %d analyses in %.2fs (%.1f/s), p50 %.1fms, p99 %.1fms\n" name n wall
-    rps p50 p99;
-  Printf.sprintf
-    "  \"%s\": { \"analyses\": %d, \"wall_s\": %.4f, \"per_s\": %.2f, \
-     \"p50_ms\": %.3f, \"p99_ms\": %.3f }"
-    name n wall rps p50 p99
-
-(* Load-test the daemon: fork it (before any domain is spawned in this
-   process — OCaml 5 domains and fork do not mix), run a cold pass with an
-   empty cache and a warm pass over the identical requests, and report the
-   cold-vs-warm throughput ratio. With [check], enforce a floor on that
-   ratio (override with SERVE_CHECK_RATIO) — the regression this guards is
-   the cache silently losing its hits. *)
-let bench_serve ~jobs ~check =
-  let clients =
-    match Sys.getenv_opt "SERVE_CLIENTS" with
-    | Some s -> max 1 (int_of_string s)
-    | None -> 4
-  in
-  let dir =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "cinderella-serve-bench-%d" (Unix.getpid ()))
-    in
-    if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-    d
-  in
-  let socket = Filename.concat dir "serve.sock" in
-  match Unix.fork () with
-  | 0 ->
-    (* daemon child: safe to spawn domains now *)
-    Pool.set_default ~jobs;
-    Ipet_obs.Obs.enable ();
-    (try
-       Ipet_serve.Server.run
-         { Ipet_serve.Server.socket_path = socket;
-           pool = Some (Pool.default ());
-           cache =
-             Some
-               (Ipet_serve.Cache.create ~dir:(Filename.concat dir "cache")
-                  ~cap_bytes:(64 * 1024 * 1024));
-           default_timeout_ms = None;
-           max_request_bytes = 16 * 1024 * 1024;
-           access_log = None;
-           access_log_cap = 8 * 1024 * 1024;
-           flight_cap = 512;
-           flight_dump = None };
-       (* per-request tracks, one row per pass:benchmark trace id *)
-       let oc = open_out "BENCH_serve_trace.json" in
-       output_string oc
-         (Ipet_obs.Obs.Trace_event.to_string
-            ~track_names:(Ipet_obs.Obs.track_names ())
-            (Ipet_obs.Obs.spans ()));
-       close_out oc
-     with e ->
-       Printf.eprintf "serve bench daemon: %s\n%!" (Printexc.to_string e);
-       Unix._exit 1);
-    Unix._exit 0
-  | daemon ->
-    let rec await tries =
-      if Sys.file_exists socket then ()
-      else if tries = 0 then begin
-        prerr_endline "serve bench: daemon socket never appeared";
-        exit 1
-      end
-      else begin
-        ignore (Unix.select [] [] [] 0.1);
-        await (tries - 1)
-      end
-    in
-    await 100;
-    (* cold: every request solves from scratch (cache bypassed — with N
-       clients sending the same suite, later duplicates would otherwise
-       ride on earlier clients' cache fills and understate the cold cost);
-       fill (untimed): one sequential pass populates the cache;
-       warm: every request is a cache hit *)
-    let cold_wall, cold_lat =
-      serve_pass ~socket ~dir ~clients ~pass:"cold"
-        (serve_requests ~tag:"cold" ~use_cache:false)
-    in
-    let _, fill_lat =
-      serve_pass ~socket ~dir ~clients:1 ~pass:"fill"
-        (serve_requests ~tag:"fill" ~use_cache:true)
-    in
-    let warm_wall, warm_lat =
-      serve_pass ~socket ~dir ~clients ~pass:"warm"
-        (serve_requests ~tag:"warm" ~use_cache:true)
-    in
-    (* cross-check: the daemon's own latency histogram must agree with
-       what the clients measured. The daemon times only the handler, the
-       clients also see queueing behind the single-threaded loop, so
-       daemon p99 <= client p99 modulo bucket width and wire overhead. *)
-    let daemon_p99_ms =
-      match
-        Ipet_serve.Client.one_shot ~socket
-          (J.to_string
-             (J.Obj
-                [ ("v", J.Int Ipet_serve.Protocol.version);
-                  ("op", J.Str "metrics") ]))
-      with
-      | None | exception Unix.Unix_error _ -> None
-      | Some response ->
-        (match J.parse response with
-         | Error _ -> None
-         | Ok j ->
-           Option.bind
-             (Option.bind
-                (Option.bind (J.member "metrics" j) (J.member "metrics"))
-                J.to_list)
-             (fun items ->
-               List.find_map
-                 (fun m ->
-                   match
-                     ( Option.bind (J.member "name" m) J.to_str,
-                       Option.bind
-                         (Option.bind (J.member "labels" m) (J.member "op"))
-                         J.to_str )
-                   with
-                   | Some "serve.latency_seconds", Some "analyze" ->
-                     (match J.member "p99" m with
-                      | Some (J.Float s) -> Some (s *. 1000.0)
-                      | Some (J.Int s) -> Some (float_of_int s *. 1000.0)
-                      | _ -> None)
-                   | _ -> None)
-                 items))
-    in
-    ignore
-      (Ipet_serve.Client.one_shot ~socket
-         (J.to_string
-            (J.Obj
-               [ ("v", J.Int Ipet_serve.Protocol.version);
-                 ("op", J.Str "shutdown") ])));
-    ignore (Unix.waitpid [] daemon);
-    let _, client_p99_ms =
-      latency_quantiles (cold_lat @ fill_lat @ warm_lat)
-    in
-    (match daemon_p99_ms with
-     | None ->
-       prerr_endline "serve bench: daemon metrics op returned no analyze p99";
-       exit 1
-     | Some d_p99 ->
-       Printf.printf "analyze p99: daemon-side %.1fms, client-side %.1fms\n"
-         d_p99 client_p99_ms;
-       if not (d_p99 > 0.0 && d_p99 <= (client_p99_ms *. 1.5) +. 5.0) then begin
-         Printf.printf
-           "serve bench: FAIL — daemon-side p99 %.1fms inconsistent with \
-            client-side %.1fms\n"
-           d_p99 client_p99_ms;
-         exit 1
-       end);
-    let speedup = cold_wall /. warm_wall in
-    let cold_json = pass_json "cold" cold_wall cold_lat in
-    let warm_json = pass_json "warm" warm_wall warm_lat in
-    Printf.printf "warm-cache speedup: %.1fx\n" speedup;
-    let oc = open_out "BENCH_serve.json" in
-    Printf.fprintf oc
-      "{\n  \"clients\": %d,\n  \"benchmarks\": %d,\n%s,\n%s,\n  \
-       \"warm_speedup\": %.2f\n}\n"
-      clients
-      (List.length Ipet_suite.Suite.all)
-      cold_json warm_json speedup;
-    close_out oc;
-    print_endline "wrote BENCH_serve.json";
-    if check then begin
-      let floor =
-        match Sys.getenv_opt "SERVE_CHECK_RATIO" with
-        | Some s -> float_of_string s
-        | None -> 3.0
-      in
-      if speedup < floor then begin
-        if domains_available () <= 1 then
-          (* on a single-core box the cold pass is serialized too, which
-             compresses the ratio; the numbers are still written to
-             BENCH_serve.json, only the assertion is waived *)
-          Printf.printf
-            "serve-check: %.1fx below the %.1fx floor, skipped (single \
-             core available)\n"
-            speedup floor
-        else begin
-          Printf.printf
-            "serve-check: FAIL — warm-cache speedup %.1fx below the %.1fx \
-             floor\n"
-            speedup floor;
-          exit 1
-        end
-      end
-      else Printf.printf "serve-check: ok (floor %.1fx)\n" floor
-    end
-
 (* --- LP scaling benchmark ------------------------------------------------ *)
 
 (* Fuzz-generated programs at multiples of the fuzzing default size
@@ -1034,11 +465,14 @@ let bench_serve ~jobs ~check =
    child problems — the parent with one structural variable's upper
    bound tightened below its optimal value — both cold from scratch and
    warm from the parent basis via the dual simplex. Results are written
-   to BENCH_lp.json; [lp-check] enforces an LP_CHECK_RATIO floor
-   (default 5x) on the revised-vs-dense ratio of the largest
-   dense-measured tier. *)
+   to BENCH_lp.json; [lp-check] enforces a [lp_check_floor] on the
+   revised-vs-dense ratio of the largest dense-measured tier. *)
 
 let lp_seed = 7
+
+(* deliberately slack: it guards against the revised solver losing its
+   asymptotic edge, not against machine-to-machine jitter *)
+let lp_check_floor = 5.0
 
 (* (name, stmt budget, dense measured?): budgets sized so the largest
    dense-measured tier stays within tens of seconds of dense tableau
@@ -1156,37 +590,6 @@ let lp_warm_probe problem =
     Some !acc
 
 let lp_bench ~check () =
-  (* LP_SIZES_ONLY=1: print tier dimensions without solving (used to
-     calibrate stmt budgets when retuning the tiers); LP_TIERS=a,b
-     restricts the run to the named tiers (CI uses this to keep the
-     nightly check within its time budget); LP_BUDGETS=name=N,...
-     replaces the tier list entirely with ad-hoc revised-only tiers,
-     for calibration runs *)
-  let sizes_only = Sys.getenv_opt "LP_SIZES_ONLY" <> None in
-  let tiers =
-    match Sys.getenv_opt "LP_BUDGETS" with
-    | Some spec ->
-      List.map
-        (fun entry ->
-          match String.index_opt entry '=' with
-          | Some i ->
-            let name = String.sub entry 0 i in
-            let budget =
-              int_of_string
-                (String.sub entry (i + 1) (String.length entry - i - 1))
-            in
-            (name, budget, false)
-          | None ->
-            Printf.eprintf "bench lp: bad LP_BUDGETS entry %S\n" entry;
-            exit 1)
-        (String.split_on_char ',' spec)
-    | None ->
-      (match Sys.getenv_opt "LP_TIERS" with
-       | None -> lp_tiers
-       | Some names ->
-         let wanted = String.split_on_char ',' names in
-         List.filter (fun (n, _, _) -> List.mem n wanted) lp_tiers)
-  in
   let entries =
     List.map
       (fun (name, stmt_budget, measure_dense) ->
@@ -1203,15 +606,11 @@ let lp_bench ~check () =
             (fun acc p -> acc + List.length p.Lp.constraints)
             0 problems
         in
-        if sizes_only then
-          Printf.printf "%-5s budget %6d: %6d vars %6d constrs (%d sets)\n%!"
-            name stmt_budget nvars nconstrs (List.length problems);
         let revised, revised_wall =
-          if sizes_only then ([], 0.0)
-          else lp_time (fun () -> List.map Ipet_lp.Simplex.solve problems)
+          lp_time (fun () -> List.map Ipet_lp.Simplex.solve problems)
         in
         let dense_wall =
-          if not measure_dense || sizes_only then None
+          if not measure_dense then None
           else begin
             let dense, wall =
               lp_time (fun () -> List.map Ipet_lp.Dense.solve problems)
@@ -1251,7 +650,7 @@ let lp_bench ~check () =
            which is exactly what's intractable at jumbo sizes — warm-start
            numbers come from the dense-measured tiers *)
         let warm =
-          if sizes_only || not measure_dense then None
+          if not measure_dense then None
           else Option.bind largest lp_warm_probe
         in
         let speedup =
@@ -1259,13 +658,12 @@ let lp_bench ~check () =
           | Some d when revised_wall > 0.0 -> d /. revised_wall
           | _ -> 0.0
         in
-        if not sizes_only then
-          Printf.printf
-            "%-5s %6d vars %6d constrs: revised %7.3fs%s\n%!" name nvars
-            nconstrs revised_wall
-            (match dense_wall with
-             | Some d -> Printf.sprintf ", dense %8.3fs (%.1fx)" d speedup
-             | None -> ", dense skipped");
+        Printf.printf
+          "%-5s %6d vars %6d constrs: revised %7.3fs%s\n%!" name nvars
+          nconstrs revised_wall
+          (match dense_wall with
+           | Some d -> Printf.sprintf ", dense %8.3fs (%.1fx)" d speedup
+           | None -> ", dense skipped");
         (match warm with
          | Some w when w.children > 0 ->
            Printf.printf
@@ -1277,7 +675,7 @@ let lp_bench ~check () =
          | _ -> ());
         (name, stmt_budget, nvars, nconstrs, dense_wall, revised_wall,
          speedup, warm))
-      tiers
+      lp_tiers
   in
   let tier_json
       (name, budget, nvars, nconstrs, dense_wall, revised_wall, speedup, warm)
@@ -1321,11 +719,6 @@ let lp_bench ~check () =
   close_out oc;
   print_endline "wrote BENCH_lp.json";
   if check then begin
-    let floor =
-      match Sys.getenv_opt "LP_CHECK_RATIO" with
-      | Some s -> float_of_string s
-      | None -> 5.0
-    in
     (* the regression this guards — the revised solver losing its edge
        over the dense tableau — is core-count independent, so no
        single-core waiver is needed *)
@@ -1343,74 +736,26 @@ let lp_bench ~check () =
       prerr_endline "lp-check: no dense-measured tier";
       exit 1
     | Some (name, _, _, _, _, _, speedup, _) ->
-      if speedup < floor then begin
+      if speedup < lp_check_floor then begin
         Printf.printf
           "lp-check: FAIL — %.1fx revised-vs-dense on tier %s, below the \
            %.1fx floor\n"
-          speedup name floor;
+          speedup name lp_check_floor;
         exit 1
       end
       else
         Printf.printf "lp-check: ok (%.1fx on tier %s, floor %.1fx)\n"
-          speedup name floor
+          speedup name lp_check_floor
   end
-
-(* --- bechamel micro-benchmarks ------------------------------------------ *)
-
-let bechamel () =
-  header "Bechamel micro-benchmarks (one per table)";
-  let open Bechamel in
-  let check_data = Ipet_suite.Suite.find "check_data" in
-  let table1_work () =
-    (* Table I content: constraint-set construction (DNF + pruning) *)
-    List.iter
-      (fun (b : Bspec.t) ->
-        ignore
-          (Ipet.Functional.prune_null_sets (Ipet.Functional.dnf b.Bspec.functional)))
-      Ipet_suite.Suite.all
-  in
-  let table2_work () =
-    (* Table II content: one full ILP analysis *)
-    ignore (Analysis.analyze (Bspec.spec check_data))
-  in
-  let table3_work () =
-    (* Table III content: one cycle-accurate worst-case simulation *)
-    let compiled = Bspec.compile check_data in
-    let m = Interp.create compiled.Compile.prog ~init:compiled.Compile.init_data in
-    (match check_data.Bspec.worst_data with
-     | d :: _ -> d.Bspec.setup m
-     | [] -> ());
-    Interp.flush_cache m;
-    ignore (Interp.call m check_data.Bspec.root [])
-  in
-  let tests =
-    Test.make_grouped ~name:"tables"
-      [ Test.make ~name:"table1:constraint-sets" (Staged.stage table1_work);
-        Test.make ~name:"table2:ilp-analysis" (Staged.stage table2_work);
-        Test.make ~name:"table3:cycle-simulation" (Staged.stage table3_work) ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-32s %14.0f ns/run\n" name est
-      | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
-    results
 
 (* --- driver -------------------------------------------------------------- *)
 
 let usage () =
   print_endline
-    "usage: main.exe [--jobs N] \
-     [fig1|..|fig6|table1|table2|table3|stats|ablation-cache|ablation-refine|\
-      bechamel|json|sim|sim-check|lp|lp-check|serve|serve-check|export DIR|\
-      all]"
+    "usage: main.exe [--jobs N] [--mach ID] \
+     [fig1|..|fig6|table1|table2|table3|stats|table-extra|ablation-cache|\
+      ablation-refine|ablation-compile|ablation-dcache|lp|lp-check|\
+      export DIR|all]"
 
 let rec run_target = function
   | "fig1" -> fig1 ()
@@ -1428,17 +773,13 @@ let rec run_target = function
   | "ablation-compile" -> ablation_compile ()
   | "ablation-dcache" -> ablation_dcache ()
   | "table-extra" -> table_extra ()
-  | "json" -> json ()
-  | "sim" -> sim_bench ()
-  | "sim-check" -> sim_check ()
   | "lp" -> lp_bench ~check:false ()
   | "lp-check" -> lp_bench ~check:true ()
-  | "bechamel" -> bechamel ()
   | "all" ->
     List.iter run_target
       [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "table1"; "table2";
         "table3"; "stats"; "table-extra"; "ablation-cache"; "ablation-refine";
-        "ablation-compile"; "ablation-dcache"; "bechamel" ]
+        "ablation-compile"; "ablation-dcache" ]
   | other ->
     Printf.printf "unknown target %s\n" other;
     usage ();
@@ -1474,17 +815,11 @@ let parse_jobs argv =
 
 let () =
   let jobs, args = parse_jobs Sys.argv in
+  Pool.set_default ~jobs;
   match args with
-  (* the serve targets fork the daemon, so they must run before this
-     process spawns any domain — the daemon child sets up its own pool *)
-  | [ "serve" ] -> bench_serve ~jobs ~check:false
-  | [ "serve-check" ] -> bench_serve ~jobs ~check:true
+  | [] -> run_target "all"
+  | [ "export"; dir ] -> export dir
+  | [ target ] -> run_target target
   | _ ->
-    Pool.set_default ~jobs;
-    (match args with
-     | [] -> run_target "all"
-     | [ "export"; dir ] -> export dir
-     | [ target ] -> run_target target
-     | _ ->
-       usage ();
-       exit 1)
+    usage ();
+    exit 1

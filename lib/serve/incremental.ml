@@ -408,6 +408,7 @@ let monolithic ~pool ~cache ~deadline counter (spec : A.spec) =
     | None -> fail "monolithic analysis produced no %s certificate" what
     | Some c ->
       counter.cert_checks <- counter.cert_checks + 1;
+      Obs.add "serve.cert.checked" 1;
       (match c.A.verdict with
        | Checker.Valid _ -> Cert.to_string c.A.cert
        | Checker.Invalid reasons ->

@@ -654,20 +654,88 @@ let test_observability_ops () =
         | Some (J.List _) -> true
         | _ -> false));
   (* stats: uniform totals, flight occupancy and cache placeholder *)
-  match J.parse (handle {|{"v":1,"op":"stats"}|}) with
-  | Error _ -> Alcotest.fail "unparsable stats response"
-  | Ok j ->
-    let int name = Option.bind (J.member name j) J.to_int in
-    check_bool "stats counts every request including itself" true
-      (match int "requests" with Some n -> n >= 4 | None -> false);
-    check_bool "stats counts errors" true
-      (match int "errors" with Some n -> n >= 1 | None -> false);
-    check_bool "stats reports flight occupancy" true
-      (match int "flight_recorded" with Some n -> n >= 3 | None -> false);
-    check_bool "stats reports cert counters" true
-      (int "certs_checked" = Some 0 && int "certs_rejected" = Some 0);
-    check_bool "cache is null when disabled" true
-      (J.member "cache" j = Some J.Null)
+  (match J.parse (handle {|{"v":1,"op":"stats"}|}) with
+   | Error _ -> Alcotest.fail "unparsable stats response"
+   | Ok j ->
+     let int name = Option.bind (J.member name j) J.to_int in
+     check_bool "stats counts every request including itself" true
+       (match int "requests" with Some n -> n >= 4 | None -> false);
+     check_bool "stats counts errors" true
+       (match int "errors" with Some n -> n >= 1 | None -> false);
+     check_bool "stats reports flight occupancy" true
+       (match int "flight_recorded" with Some n -> n >= 3 | None -> false);
+     check_bool "stats reports cert counters" true
+       (int "certs_checked" = Some 0 && int "certs_rejected" = Some 0);
+     check_bool "cache is null when disabled" true
+       (J.member "cache" j = Some J.Null));
+  (* the daemon's metrics agree with what its responses report. The
+     registry is process-global, so every comparison is a delta *)
+  let metric ?op name field =
+    match J.parse (handle {|{"v":1,"op":"metrics"}|}) with
+    | Error _ -> Alcotest.fail "unparsable metrics response"
+    | Ok j ->
+      let items =
+        Option.value ~default:[]
+          (Option.bind
+             (Option.bind (J.member "metrics" j) (J.member "metrics"))
+             J.to_list)
+      in
+      let wanted m =
+        J.member "name" m = Some (J.Str name)
+        && (match op with
+            | None -> true
+            | Some op ->
+              Option.bind (J.member "labels" m) (J.member "op")
+              = Some (J.Str op))
+      in
+      (match Option.bind (List.find_opt wanted items) (J.member field) with
+       | Some (J.Int n) -> float_of_int n
+       | Some (J.Float f) -> f
+       | _ -> 0.0)
+  in
+  let source = "int main() {\n  return 1;\n}\n" in
+  let analyze options =
+    analyze_request source
+      ~extra:[ ("root", J.Str "main"); ("options", J.Obj options) ]
+  in
+  (* a first-miss request takes the whole-program fallback, whose fresh
+     solve checks both certificates *)
+  let checked_before = metric "serve.cert.checked" "value" in
+  let certs_checked =
+    match J.parse (handle (analyze [ ("first_miss", J.Bool true) ])) with
+    | Error _ -> Alcotest.fail "unparsable analyze response"
+    | Ok j ->
+      Option.get
+        (Option.bind (Option.bind (J.member "stats" j) (J.member "certs_checked"))
+           J.to_int)
+  in
+  check_int "the fallback checks both certificates" 2 certs_checked;
+  check_int "serve.cert.checked grows by the response's certs_checked"
+    certs_checked
+    (int_of_float (metric "serve.cert.checked" "value" -. checked_before));
+  (* the daemon times only its handler, so its analyze p99 cannot exceed
+     the slowest round trip a client saw, give or take one histogram
+     bucket. Earlier analyses in this process may have been slower than
+     any of these, so the histogram starts empty *)
+  Ipet_obs.Metrics.reset Ipet_obs.Obs.metrics;
+  let n = 20 in
+  let slowest =
+    List.fold_left
+      (fun acc _ ->
+        let t0 = Unix.gettimeofday () in
+        check_string "analyze succeeds" "ok" (response_code (handle (analyze [])));
+        Float.max acc (Unix.gettimeofday () -. t0))
+      0.0 (List.init n Fun.id)
+  in
+  check_int "the analyze latency histogram counts every request" n
+    (int_of_float (metric ~op:"analyze" "serve.latency_seconds" "count"));
+  let p99 = metric ~op:"analyze" "serve.latency_seconds" "p99" in
+  let bucket = slowest *. (Float.pow 2.0 (1.0 /. 16.0) -. 1.0) in
+  check_bool
+    (Printf.sprintf "daemon p99 %.6fs within the slowest round trip %.6fs"
+       p99 slowest)
+    true
+    (p99 > 0.0 && p99 <= slowest +. bucket)
 
 (* --- flight recorder -------------------------------------------------------- *)
 
