@@ -210,28 +210,26 @@ let refined_wcet_objective spec insts =
         acc inst.Structural.func.P.blocks)
     L.zero insts
 
-let wcet_objective spec =
-  objective spec (instances spec) ~select:(fun b -> b.Cost.worst)
-
-(* aggregate a solver assignment into per-(func, block) counts *)
-let counts_of_assignment insts assignment =
+(* aggregate a witness (as a lookup, absent variables zero) into
+   per-(func, block) counts *)
+let block_counts insts env =
   let table = Hashtbl.create 32 in
   List.iter
     (fun (inst : Structural.instance) ->
       let fname = inst.Structural.func.P.name in
       Array.iter
         (fun (b : P.block) ->
-          let name =
-            Flowvar.name
-              (Flowvar.Block
-                 { ctx = inst.Structural.ctx; func = fname; block = b.P.id })
+          let v =
+            env
+              (Flowvar.name
+                 (Flowvar.Block
+                    { ctx = inst.Structural.ctx; func = fname; block = b.P.id }))
           in
-          match List.assoc_opt name assignment with
-          | Some v when not (Rat.is_zero v) ->
+          if not (Rat.is_zero v) then begin
             let key = (fname, b.P.id) in
             let cur = Option.value ~default:0 (Hashtbl.find_opt table key) in
             Hashtbl.replace table key (cur + Rat.to_int v)
-          | Some _ | None -> ())
+          end)
         inst.Structural.func.P.blocks)
     insts;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] |> List.sort compare
@@ -239,18 +237,25 @@ let counts_of_assignment insts assignment =
 (* constraints with zero slack at the optimum, excluding plain flow
    equations: these are the loop bounds and path facts that actually
    determine the reported extreme *)
-let binding_constraints constraints assignment =
-  let env = Ipet_lp.Simplex.assignment_env assignment in
+let binding_constraints constraints env =
   List.filter_map
     (fun (c : Lp.constr) ->
       match c.Lp.rel with
       | Lp.Eq -> None
       | Lp.Le | Lp.Ge ->
-        if c.Lp.origin <> "" && Rat.is_zero (Ipet_lp.Linexpr.eval env c.Lp.expr)
+        if c.Lp.origin <> "" && Rat.is_zero (L.eval env c.Lp.expr)
         then Some c.Lp.origin
         else None)
     constraints
   |> List.sort_uniq compare
+
+(* an extreme as reported: the optimum, the witness's block counts, and
+   the constraints the witness makes tight *)
+let extreme_of_witness insts (problem : Lp.t) ~bound witness =
+  let env = Ipet_lp.Simplex.assignment_env witness in
+  { cycles = Rat.to_int bound;
+    counts = block_counts insts env;
+    binding = binding_constraints problem.Lp.constraints env }
 
 (* A canonical optimal witness: re-solve the winning ILP restricted to its
    optimal face (objective pinned to the optimal value) with a fixed
@@ -299,13 +304,7 @@ let certify_extreme ~dir_label problem value assignment =
       1;
     { cert; verdict; emit_seconds; check_seconds }
 
-let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
-    ~certify =
-  let obj =
-    if spec.first_miss_refinement && direction = Lp.Maximize then
-      refined_wcet_objective spec insts
-    else objective spec insts ~select
-  in
+let solve_extreme spec insts problems ~direction ~pool ~certify =
   let better a b =
     match direction with
     | Lp.Maximize -> Rat.compare a b > 0
@@ -342,29 +341,21 @@ let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
       pc_before := !pc_before + nc;
       pc_after := !pc_after + nc
   in
-  (* Solving one set is pure: build the ILP, solve it, return everything
-     the accumulation needs. Sets fan out over the pool — disjunctive DNF
-     sets are independent problems — and the fold below walks the results
-     in set order, so the incumbent choice, the statistics and the
-     surfaced error are those of a sequential run whatever the job
-     count. *)
-  let solve_set set =
-    let set_constraints =
-      List.map
-        (fun atom -> Functional.atom_to_constr spec.prog insts ~root:spec.root atom)
-        set
-    in
-    let all_constraints = set_constraints @ base_constraints in
-    let problem = Lp.make direction obj all_constraints in
-    (problem, all_constraints, Ilp.solve ~presolve:spec.presolve ~pool problem)
+  (* Solving one set is pure: solve its ILP, return everything the
+     accumulation needs. Sets fan out over the pool — disjunctive DNF sets
+     are independent problems — and the fold below walks the results in set
+     order, so the incumbent choice, the statistics and the surfaced error
+     are those of a sequential run whatever the job count. *)
+  let solve_set problem =
+    (problem, Ilp.solve ~presolve:spec.presolve ~pool problem)
   in
-  let run_set (i, set) =
-    if not (Obs.enabled ()) then solve_set set
+  let run_set (i, problem) =
+    if not (Obs.enabled ()) then solve_set problem
     else
       Obs.span "ilp.solve"
         ~args:[ ("solver", dir_label); ("set", string_of_int i) ]
         (fun () ->
-          let r, dt = Obs.timed (fun () -> solve_set set) in
+          let r, dt = Obs.timed (fun () -> solve_set problem) in
           Obs.observe
             ~labels:
               [ ("solver", dir_label);
@@ -373,10 +364,10 @@ let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
           r)
   in
   let results =
-    Pool.map_list pool run_set (List.mapi (fun i set -> (i, set)) sets)
+    Pool.map_list pool run_set (List.mapi (fun i p -> (i, p)) problems)
   in
   List.iter
-    (fun (problem, all_constraints, result) ->
+    (fun (problem, result) ->
       incr solved;
       match result with
       | Ilp.Optimal { value; assignment; stats } ->
@@ -389,9 +380,8 @@ let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
         record_presolve problem stats;
         if not stats.Ilp.first_lp_integral then all_first := false;
         (match !best with
-         | Some (v, _, _, _) when not (better value v) -> ()
-         | Some _ | None ->
-           best := Some (value, assignment, all_constraints, problem))
+         | Some (v, _, _) when not (better value v) -> ()
+         | Some _ | None -> best := Some (value, assignment, problem))
       | Ilp.Infeasible stats ->
         lp_calls := !lp_calls + stats.Ilp.lp_calls;
         nodes := !nodes + stats.Ilp.nodes;
@@ -409,7 +399,7 @@ let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
     results;
   match !best with
   | None -> fail "every functionality constraint set is infeasible"
-  | Some (value, assignment, constraints, problem) ->
+  | Some (value, assignment, problem) ->
     let assignment = canonical_witness ~pool problem value assignment in
     let certificate =
       if certify then Some (certify_extreme ~dir_label problem value assignment)
@@ -433,15 +423,13 @@ let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
         presolve_constrs_after = !pc_after;
         presolve_rounds = !p_rounds }
     in
-    ( { cycles = Rat.to_int value;
-        counts = counts_of_assignment insts assignment;
-        binding = binding_constraints constraints assignment },
+    ( extreme_of_witness insts problem ~bound:value assignment,
       stats,
       certificate )
 
-let prepare spec =
-  Obs.span "analysis.prepare" ~args:[ ("root", spec.root) ] (fun () ->
-  let insts = instances spec in
+(* the structural and loop-bound constraints of a set of instances — the
+   whole program's, or one function's in isolation *)
+let flow_constraints spec insts =
   let structural = Structural.constraints spec.prog insts in
   let loop_cs, unbounded = Annotation.constraints spec.prog insts spec.loop_bounds in
   (match unbounded with
@@ -456,19 +444,25 @@ let prepare spec =
            u.Annotation.header_block
      in
      fail "missing loop bounds for: %s" (String.concat ", " (List.map render us)));
+  structural @ loop_cs
+
+let prepare spec =
+  Obs.span "analysis.prepare" ~args:[ ("root", spec.root) ] (fun () ->
+  let insts = instances spec in
+  let base = flow_constraints spec insts in
   let sets = Functional.dnf spec.functional in
   let total = List.length sets in
   let sets, pruned = Functional.prune_null_sets sets in
   if sets = [] then fail "all %d functionality constraint sets are null" total;
-  (insts, structural @ loop_cs, sets, total, pruned))
+  (insts, base, sets, total, pruned))
 
-let problems spec ~direction =
-  let insts, base, sets, _, _ = prepare spec in
+(* the ILPs of one direction, one per surviving conjunctive set *)
+let set_problems spec insts base sets direction =
   let obj =
     match direction with
-    | Lp.Maximize ->
-      if spec.first_miss_refinement then refined_wcet_objective spec insts
-      else objective spec insts ~select:(fun b -> b.Cost.worst)
+    | Lp.Maximize when spec.first_miss_refinement ->
+      refined_wcet_objective spec insts
+    | Lp.Maximize -> objective spec insts ~select:(fun b -> b.Cost.worst)
     | Lp.Minimize -> objective spec insts ~select:(fun b -> b.Cost.best)
   in
   List.map
@@ -481,21 +475,33 @@ let problems spec ~direction =
       Lp.make direction obj (cs @ base))
     sets
 
-let wcet_problems spec = problems spec ~direction:Lp.Maximize
-let bcet_problems spec = problems spec ~direction:Lp.Minimize
+let problems spec =
+  let insts, base, sets, _, _ = prepare spec in
+  ( insts,
+    set_problems spec insts base sets Lp.Maximize,
+    set_problems spec insts base sets Lp.Minimize )
+
+let direction_problems spec direction =
+  let insts, base, sets, _, _ = prepare spec in
+  set_problems spec insts base sets direction
+
+let wcet_problems spec = direction_problems spec Lp.Maximize
+let bcet_problems spec = direction_problems spec Lp.Minimize
 
 let analyze ?pool ?(certify = false) spec =
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let insts, base, sets, total, pruned = prepare spec in
+  let extreme direction =
+    solve_extreme spec insts (set_problems spec insts base sets direction)
+      ~direction ~pool ~certify
+  in
   let wcet, wstats, wcet_cert =
     Obs.span "analysis.wcet" ~args:[ ("root", spec.root) ] (fun () ->
-      solve_extreme spec insts base sets ~direction:Lp.Maximize
-        ~select:(fun b -> b.Cost.worst) ~pool ~certify)
+      extreme Lp.Maximize)
   in
   let bcet, bstats, bcet_cert =
     Obs.span "analysis.bcet" ~args:[ ("root", spec.root) ] (fun () ->
-      solve_extreme spec insts base sets ~direction:Lp.Minimize
-        ~select:(fun b -> b.Cost.best) ~pool ~certify)
+      extreme Lp.Minimize)
   in
   { wcet;
     bcet;
@@ -518,7 +524,7 @@ type sensitivity_row = {
    annotation at a time (the exact discrete analogue of a shadow price) *)
 let wcet_sensitivity ?pool spec =
   let base = (analyze ?pool spec).wcet.cycles in
-  List.filteri (fun _ _ -> true) spec.loop_bounds
+  spec.loop_bounds
   |> List.map (fun (ann : Annotation.t) ->
     let tightened_wcet =
       if ann.Annotation.hi <= ann.Annotation.lo then base

@@ -153,9 +153,6 @@ val wcet_sensitivity : ?pool:Ipet_par.Pool.t -> spec -> sensitivity_row list
 val structural_constraints : spec -> Ipet_lp.Lp_problem.constr list
 val instances : spec -> Structural.instance list
 
-val wcet_objective : spec -> Ipet_lp.Linexpr.t
-(** The expression (1): [Σ c_i·x_i] with worst-case costs. *)
-
 val wcet_problems : spec -> Ipet_lp.Lp_problem.t list
 (** The complete ILPs the WCET computation solves, one per surviving
     conjunctive constraint set — exportable with {!Ipet_lp.Lp_format}.
@@ -163,6 +160,31 @@ val wcet_problems : spec -> Ipet_lp.Lp_problem.t list
 
 val bcet_problems : spec -> Ipet_lp.Lp_problem.t list
 (** The minimization counterparts of {!wcet_problems}. *)
+
+val problems :
+  spec ->
+  Structural.instance list
+  * Ipet_lp.Lp_problem.t list
+  * Ipet_lp.Lp_problem.t list
+(** The instances with {!wcet_problems} and {!bcet_problems}, built from
+    one preparation of the spec. *)
+
+val flow_constraints :
+  spec -> Structural.instance list -> Ipet_lp.Lp_problem.constr list
+(** Structural and loop-bound constraints of the given instances — the
+    whole program's expansion, or one function in isolation.
+    @raise Analysis_error when a loop of these instances lacks a bound. *)
+
+val extreme_of_witness :
+  Structural.instance list ->
+  Ipet_lp.Lp_problem.t ->
+  bound:Ipet_num.Rat.t ->
+  (string * Ipet_num.Rat.t) list ->
+  extreme
+(** The extreme an optimal witness of [problem] reports: [bound] as the
+    cycles, the witness's block counts summed over [instances], and the
+    origins of the inequalities it makes tight. A certificate's witness
+    yields exactly the extreme {!analyze} reported with it. *)
 
 val block_costs : spec -> func:string -> Ipet_machine.Cost.bounds array
 (** Per-block cost bounds used for the objective. *)

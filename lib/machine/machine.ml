@@ -50,9 +50,11 @@ type t = (module MACHINE)
 
 (* --- e32: the i960KB-style core the repository grew up on ------------- *)
 
-(* Delegates verbatim to {!Timing}/{!Pipeline}: the default machine must
-   be byte-identical to the historical hard-wired model on every report,
-   witness, golden table and certificate. *)
+(* The numbers play the role of the "hardware manual" of Section IV: a
+   4-stage pipelined RISC in the spirit of the i960KB, with single-cycle
+   ALU operations, a multi-cycle multiplier/divider, a slow FPU, uncached
+   data memory with a fixed access time, and expensive call/return (the
+   i960 spills its register cache on call). *)
 module E32 = struct
   let id = "e32"
   let description =
@@ -60,14 +62,50 @@ module E32 = struct
 
   let fetch = Icache.i960kb
 
+  (* loads on the uncached path pay [load_base + flat_memory_latency];
+     with a data cache the latency term is replaced by hit/miss timing *)
+  let load_base = 2
+  let flat_memory_latency = 1
+
   let issue ~dcache instr =
     match instr with
-    | I.Load _ when dcache -> Timing.load_base
-    | _ -> Timing.issue instr
+    | I.Alu ((I.Add | I.Sub | I.And | I.Or | I.Xor | I.Shl | I.Shr), _, _, _)
+      -> 1
+    | I.Alu (I.Mul, _, _, _) -> 4
+    | I.Alu ((I.Div | I.Rem), _, _, _) -> 18
+    | I.Fpu ((I.Fadd | I.Fsub), _, _, _) -> 4
+    | I.Fpu (I.Fmul, _, _, _) -> 6
+    | I.Fpu (I.Fdiv, _, _, _) -> 20
+    | I.Icmp _ -> 1
+    | I.Fcmp _ -> 3
+    | I.Mov _ -> 1
+    | I.Itof _ | I.Ftoi _ -> 3
+    | I.Load _ -> if dcache then load_base else load_base + flat_memory_latency
+    | I.Store _ -> 2
+    | I.Call _ -> 8
 
-  let term_bounds = Timing.term_bounds
-  let term_actual = Timing.term_actual
-  let stall_after = Pipeline.stall_after
+  let term_bounds = function
+    | I.Jump _ -> (2, 2)
+    | I.Branch _ -> (1, 3) (* not taken 1, taken 3 (refill) *)
+    | I.Return _ -> (7, 7)
+
+  let term_actual term ~taken =
+    match term with
+    | I.Jump _ -> 2
+    | I.Branch _ -> if taken then 3 else 1
+    | I.Return _ -> 7
+
+  (* the only modelled hazard is the load-use interlock (Section IV: "for
+     each assembly instruction ... we analyze its adjacent instructions
+     within the basic block"); it depends on the instruction sequence, not
+     on data, so best and worst case pay it alike *)
+  let load_use_stall = 1
+
+  let stall_after prev cur =
+    match prev with
+    | I.Load (dst, _) -> if List.mem dst (I.uses cur) then load_use_stall else 0
+    | I.Alu _ | I.Fpu _ | I.Icmp _ | I.Fcmp _ | I.Mov _ | I.Itof _ | I.Ftoi _
+    | I.Store _ | I.Call _ -> 0
 
   (* the exact predicate the refinement used before machines existed:
      the loop's code fits in the cache, so after one full iteration

@@ -7,12 +7,10 @@
     predicate used by the first-miss refinement.
 
     Two instances ship: {!e32}, the i960KB-style core this repository
-    grew up on (delegating verbatim to {!Timing}/{!Pipeline}, so the
-    default machine is byte-identical to the historical model), and
-    {!m7}, an ARMv7-M-style core whose instruction fetch is wait-state
-    flash behind a one-line prefetch buffer — the degenerate
-    direct-mapped cache with [size_bytes = line_bytes], which the shared
-    {!Icache}/{!Cost} machinery models soundly unchanged. *)
+    grew up on, and {!m7}, an ARMv7-M-style core whose instruction fetch
+    is wait-state flash behind a one-line prefetch buffer — the
+    degenerate direct-mapped cache with [size_bytes = line_bytes], which
+    the shared {!Icache}/{!Cost} machinery models soundly unchanged. *)
 
 module type MACHINE = sig
   val id : string
@@ -63,12 +61,11 @@ val of_string : string -> (t, string) result
 
 val issue_table : t -> ?dcache:bool -> Ipet_isa.Instr.t array -> int array
 (** Per-instruction issue cycles of a block body, precomputable at
-    decode time (generalizes {!Timing.issue_table}). *)
+    decode time. *)
 
 val stall_table : t -> Ipet_isa.Instr.t array -> int array
-(** Per-instruction deterministic stalls (generalizes
-    {!Pipeline.stall_table}). *)
+(** Per-instruction deterministic stalls: entry [i] is the stall of
+    instruction [i] after instruction [i-1] (entry 0 is 0). *)
 
 val block_stalls : t -> Ipet_isa.Instr.t array -> int
-(** Total deterministic stalls of a block body (generalizes
-    {!Pipeline.block_stalls}). *)
+(** Total deterministic stalls of a block body. *)

@@ -6,7 +6,6 @@ module Machine = Ipet_machine.Machine
 module L = Ipet_lp.Linexpr
 module Lp = Ipet_lp.Lp_problem
 module Ilp = Ipet_lp.Ilp
-module Simplex = Ipet_lp.Simplex
 module Rat = Ipet_num.Rat
 module A = Ipet.Analysis
 module Obs = Ipet_obs.Obs
@@ -43,158 +42,138 @@ let check_deadline = function
   | Some t when Unix.gettimeofday () > t -> raise Timeout
   | Some _ | None -> ()
 
-(* one per-function extreme: per-entry cycles, per-entry witness block
-   counts (zero counts omitted), origins of the binding constraints, and
-   the serialized duality certificate proving the cycles *)
-type extreme_pe = {
-  cycles_pe : int;
-  counts_pe : (int * int) list;
-  binding_pe : string list;
-  cert_pe : string;
+(* one analysis unit, ready to run: its WCET and BCET problems (a single
+   problem per direction for a function; one per surviving constraint set
+   for the whole program), the instances its witness counts are read from,
+   and how to produce fresh certificates when the cache cannot serve it *)
+type work = {
+  name : string;
+  key : string;
+  insts : Ipet.Structural.instance list;
+  wcet_problems : Lp.t list;
+  bcet_problems : Lp.t list;
+  solve : unit -> Cert.t * Cert.t;
 }
 
-type unit_result = { key : string; wcet : extreme_pe; bcet : extreme_pe }
+type unit_result = { key : string; wcet : A.extreme; bcet : A.extreme }
 
-(* --- JSON (de)serialization of cached unit results ----------------------- *)
+(* --- the cache entry: schema and the two certificates --------------------- *)
 
-let extreme_to_json e =
-  Json.Obj
-    [ ("cycles", Json.Int e.cycles_pe);
-      ( "counts",
-        Json.List
-          (List.map
-             (fun (b, c) -> Json.List [ Json.Int b; Json.Int c ])
-             e.counts_pe) );
-      ("binding", Json.List (List.map (fun o -> Json.Str o) e.binding_pe));
-      ("cert", Json.Str e.cert_pe) ]
-
-let extreme_of_json j =
-  match
-    ( Option.bind (Json.member "cycles" j) Json.to_int,
-      Option.bind (Json.member "counts" j) Json.to_list,
-      Option.bind (Json.member "binding" j) Json.to_list,
-      Option.bind (Json.member "cert" j) Json.to_str )
-  with
-  | Some cycles_pe, Some counts, Some binding, Some cert_pe ->
-    let count = function
-      | Json.List [ Json.Int b; Json.Int c ] -> Some (b, c)
-      | _ -> None
-    in
-    let origin = function Json.Str s -> Some s | _ -> None in
-    let counts_pe = List.filter_map count counts in
-    let binding_pe = List.filter_map origin binding in
-    if List.length counts_pe = List.length counts
-       && List.length binding_pe = List.length binding
-    then Some { cycles_pe; counts_pe; binding_pe; cert_pe }
-    else None
-  | _ -> None
-
-let unit_to_json u =
+let entry_to_json wcet bcet =
   Json.Obj
     [ ("schema", Json.Int Key.schema);
-      ("wcet", extreme_to_json u.wcet);
-      ("bcet", extreme_to_json u.bcet) ]
+      ("wcet", Json.Str (Cert.to_string wcet));
+      ("bcet", Json.Str (Cert.to_string bcet)) ]
 
-let unit_of_json key j =
+let entry_of_json j =
   match
     ( Option.bind (Json.member "schema" j) Json.to_int,
-      Option.bind (Json.member "wcet" j) extreme_of_json,
-      Option.bind (Json.member "bcet" j) extreme_of_json )
+      Option.bind (Json.member "wcet" j) Json.to_str,
+      Option.bind (Json.member "bcet" j) Json.to_str )
   with
-  | Some s, Some wcet, Some bcet when s = Key.schema -> Some { key; wcet; bcet }
+  | Some s, Some wcet, Some bcet when s = Key.schema -> Some (wcet, bcet)
   | _ -> None
 
 (* --- certificate validation ----------------------------------------------- *)
 
-(* a fresh solve must come with a checkable proof before it is cached or
-   reported; a cached entry must still carry one that checks against the
-   problem this request would solve — either way the trusted checker, not
-   the solver, has the last word on every bound the daemon hands out *)
-let checked_cert ~counter ~what problem cert =
+(* the one validator, for stored and fresh certificates alike: the trusted
+   checker, not the solver, has the last word on every bound the daemon
+   hands out. A certificate is checked against the problem whose digest it
+   names (a lone problem is handed to the checker directly, which compares
+   the digest itself); the result is that problem *)
+let validate ~counter problems (cert : (Cert.t, string) result) =
   counter.cert_checks <- counter.cert_checks + 1;
   Obs.add "serve.cert.checked" 1;
-  match Checker.check problem cert with
-  | Checker.Valid _ -> ()
-  | Checker.Invalid reasons ->
-    counter.cert_rejects <- counter.cert_rejects + 1;
-    Obs.add "serve.cert.rejected" 1;
-    fail "%s certificate rejected by the checker: %s" what
-      (String.concat "; " reasons)
-
-(* validation of a cached extreme: parse the stored certificate, require it
-   to certify exactly the cached cycle count, and check it against the
-   problem rebuilt for this request. Failure is not fatal — the entry is
-   dropped and re-solved *)
-let cached_extreme_valid ~counter problem (e : extreme_pe) =
-  counter.cert_checks <- counter.cert_checks + 1;
-  Obs.add "serve.cert.checked" 1;
-  let ok =
-    match Cert.of_string e.cert_pe with
-    | Error _ -> false
+  let verdict =
+    match cert with
+    | Error m -> Error m
     | Ok cert ->
-      Rat.equal cert.Cert.bound (Rat.of_int e.cycles_pe)
-      && (match Checker.check problem cert with
-          | Checker.Valid _ -> true
-          | Checker.Invalid _ -> false)
+      let named =
+        match problems with
+        | [ p ] -> Some p
+        | ps ->
+          List.find_opt
+            (fun p -> String.equal (Cert.digest_problem p) cert.Cert.digest)
+            ps
+      in
+      (match named with
+       | None -> Error "the digest names no problem of this request"
+       | Some p ->
+         (match Checker.check p cert with
+          | Checker.Valid _ -> Ok (p, cert)
+          | Checker.Invalid reasons -> Error (String.concat "; " reasons)))
   in
-  if not ok then begin
+  if Result.is_error verdict then begin
     counter.cert_rejects <- counter.cert_rejects + 1;
     Obs.add "serve.cert.rejected" 1
   end;
-  ok
+  verdict
 
-(* --- one per-function solve ---------------------------------------------- *)
+(* --- the unit loop --------------------------------------------------------- *)
 
-let solve_unit ~pool ~counter ~deadline (spec : A.spec) problem (func : P.func)
-    =
-  check_deadline deadline;
+(* Read the entry, validate both stored certificates, solve when either
+   fails, and read the extremes off the certificates' witnesses — fresh
+   and cached results take the same last step, so a warm report is the
+   cold one by construction. An entry that does not validate is dropped
+   and the unit re-solved: a cache can be corrupted or tampered with, the
+   proof obligation cannot *)
+let run_unit ~cache ~counter ~deadline (w : work) =
+  let entry = Option.bind cache (fun c -> Cache.get c w.key) in
+  let stored =
+    match Option.bind entry entry_of_json with
+    | None -> None
+    | Some (wcet, bcet) ->
+      let check problems s =
+        Result.to_option (validate ~counter problems (Cert.of_string s))
+      in
+      Option.bind (check w.wcet_problems wcet) (fun wv ->
+          Option.map (fun bv -> (wv, bv)) (check w.bcet_problems bcet))
+  in
+  if Option.is_some entry && Option.is_none stored then
+    Option.iter (fun c -> Cache.remove c w.key) cache;
+  let (wp, wc), (bp, bc) =
+    match stored with
+    | Some v ->
+      counter.cached <- counter.cached + 1;
+      v
+    | None ->
+      check_deadline deadline;
+      counter.solved <- counter.solved + 1;
+      let wcet, bcet = w.solve () in
+      let fresh what problems cert =
+        match validate ~counter problems (Ok cert) with
+        | Ok v -> v
+        | Error m ->
+          fail "%s %s certificate rejected by the checker: %s" w.name what m
+      in
+      let v =
+        (fresh "wcet" w.wcet_problems wcet, fresh "bcet" w.bcet_problems bcet)
+      in
+      Option.iter (fun c -> Cache.put c w.key (entry_to_json wcet bcet)) cache;
+      v
+  in
+  let extreme p (c : Cert.t) =
+    A.extreme_of_witness w.insts p ~bound:c.Cert.bound c.Cert.witness
+  in
+  { key = w.key; wcet = extreme wp wc; bcet = extreme bp bc }
+
+(* --- the two kinds of unit ------------------------------------------------- *)
+
+(* one per-function ILP: solved once, certified on the solver's own witness *)
+let solve_problem ~pool ~counter (spec : A.spec) name problem =
   counter.solves <- counter.solves + 1;
   Obs.add "serve.ilp.solves" 1;
   match Ilp.solve ~presolve:spec.A.presolve ?pool problem with
   | Ilp.Optimal { value; assignment; stats } ->
     counter.warm <- counter.warm + stats.Ilp.warm_hits;
     counter.pivots <- counter.pivots + stats.Ilp.pivots;
-    let env = Simplex.assignment_env assignment in
-    let counts_pe =
-      Array.to_list func.P.blocks
-      |> List.filter_map (fun (b : P.block) ->
-        let v =
-          L.eval env
-            (Ipet.Flowvar.var
-               (Ipet.Flowvar.Block
-                  { ctx = Ipet.Flowvar.root_ctx;
-                    func = func.P.name;
-                    block = b.P.id }))
-        in
-        let c = Rat.to_int v in
-        if c = 0 then None else Some (b.P.id, c))
-    in
-    let binding_pe =
-      List.filter_map
-        (fun (c : Lp.constr) ->
-          match c.Lp.rel with
-          | Lp.Eq -> None
-          | Lp.Le | Lp.Ge ->
-            if c.Lp.origin <> "" && Rat.is_zero (L.eval env c.Lp.expr) then
-              Some c.Lp.origin
-            else None)
-        problem.Lp.constraints
-    in
-    let cert =
-      match Certify.certify problem ~witness:assignment ~bound:value with
-      | Ok c -> c
-      | Error m ->
-        fail "%s certificate production failed: %s" func.P.name m
-    in
-    checked_cert ~counter ~what:func.P.name problem cert;
-    { cycles_pe = Rat.to_int value;
-      counts_pe;
-      binding_pe;
-      cert_pe = Cert.to_string cert }
-  | Ilp.Infeasible _ -> fail "per-entry ILP for %s is infeasible" func.P.name
-  | Ilp.Unbounded _ -> fail "per-entry ILP for %s is unbounded" func.P.name
+    (match Certify.certify problem ~witness:assignment ~bound:value with
+     | Ok c -> c
+     | Error m -> fail "%s certificate production failed: %s" name m)
+  | Ilp.Infeasible _ -> fail "per-entry ILP for %s is infeasible" name
+  | Ilp.Unbounded _ -> fail "per-entry ILP for %s is unbounded" name
 
-let analyze_func ~pool ~counter ~deadline (spec : A.spec) layout
+let func_unit ~pool ~counter (spec : A.spec) layout
     (done_units : (string, unit_result) Hashtbl.t) (func : P.func) =
   let costs =
     Cost.func_bounds ~mach:spec.A.mach ?dcache:spec.A.dcache ~prog:spec.A.prog
@@ -208,7 +187,7 @@ let analyze_func ~pool ~counter ~deadline (spec : A.spec) layout
       List.map
         (fun g ->
           let u = Hashtbl.find done_units g in
-          (g, u.wcet.cycles_pe, u.bcet.cycles_pe))
+          (g, u.wcet.A.cycles, u.bcet.A.cycles))
         (P.calls_of_block b))
   in
   let key =
@@ -224,24 +203,7 @@ let analyze_func ~pool ~counter ~deadline (spec : A.spec) layout
   let inst =
     { Ipet.Structural.ctx = Ipet.Flowvar.root_ctx; func; sites = [] }
   in
-  let structural = Ipet.Structural.instance_constraints inst ~is_root:true in
-  let loop_cs, unbounded =
-    Ipet.Annotation.constraints spec.A.prog [ inst ] spec.A.loop_bounds
-  in
-  (match unbounded with
-   | [] -> ()
-   | us ->
-     let render (u : Ipet.Annotation.unbounded) =
-       if u.Ipet.Annotation.header_line > 0 then
-         Printf.sprintf "%s (header at line %d)" u.Ipet.Annotation.ufunc
-           u.Ipet.Annotation.header_line
-       else
-         Printf.sprintf "%s (header block %d)" u.Ipet.Annotation.ufunc
-           u.Ipet.Annotation.header_block
-     in
-     fail "missing loop bounds for: %s"
-       (String.concat ", " (List.map render us)));
-  let constraints = structural @ loop_cs in
+  let constraints = A.flow_constraints spec [ inst ] in
   let objective select_cost select_callee =
     Array.fold_left
       (fun acc (b : P.block) ->
@@ -265,69 +227,91 @@ let analyze_func ~pool ~counter ~deadline (spec : A.spec) layout
   in
   let wcet_problem =
     Lp.make Lp.Maximize
-      (objective (fun c -> c.Cost.worst) (fun u -> u.wcet.cycles_pe))
+      (objective (fun c -> c.Cost.worst) (fun u -> u.wcet.A.cycles))
       constraints
   in
   let bcet_problem =
     Lp.make Lp.Minimize
-      (objective (fun c -> c.Cost.best) (fun u -> u.bcet.cycles_pe))
+      (objective (fun c -> c.Cost.best) (fun u -> u.bcet.A.cycles))
       constraints
   in
   let solve () =
-    let wcet = solve_unit ~pool ~counter ~deadline spec wcet_problem func in
-    let bcet = solve_unit ~pool ~counter ~deadline spec bcet_problem func in
-    { key; wcet; bcet }
+    let solve = solve_problem ~pool ~counter spec func.P.name in
+    (solve wcet_problem, solve bcet_problem)
   in
-  (key, (wcet_problem, bcet_problem), solve)
+  { name = func.P.name; key; insts = [ inst ];
+    wcet_problems = [ wcet_problem ]; bcet_problems = [ bcet_problem ]; solve }
+
+(* functionality constraints and the first-miss refinement couple flow
+   variables across functions, so such a request is one whole-program unit:
+   the monolithic ILPs, solved and certified by {!A.analyze} *)
+let program_unit ~pool ~counter (spec : A.spec) =
+  let insts, wcet_problems, bcet_problems = A.problems spec in
+  let key =
+    Key.program_key ~mach:(Machine.id spec.A.mach) ~cache:spec.A.cache
+      ~dcache:spec.A.dcache ~root:spec.A.root
+      ~annotations:spec.A.loop_bounds ~functional:spec.A.functional spec.A.prog
+  in
+  let solve () =
+    let r = A.analyze ?pool ~certify:true spec in
+    let sets = r.A.wcet_stats.A.sets_solved + r.A.bcet_stats.A.sets_solved in
+    counter.solves <- counter.solves + sets;
+    counter.warm <-
+      counter.warm + r.A.wcet_stats.A.warm_hits + r.A.bcet_stats.A.warm_hits;
+    counter.pivots <-
+      counter.pivots + r.A.wcet_stats.A.simplex_pivots
+      + r.A.bcet_stats.A.simplex_pivots;
+    Obs.add "serve.ilp.solves" sets;
+    (* [~certify:true] always attaches both certificates *)
+    let cert c = (Option.get c).A.cert in
+    (cert r.A.wcet_cert, cert r.A.bcet_cert)
+  in
+  { name = spec.A.root; key; insts; wcet_problems; bcet_problems; solve }
 
 (* --- aggregation --------------------------------------------------------- *)
 
-(* scale each function's per-entry witness by the entry count its callers'
-   witnesses induce, callers first; root enters once *)
+(* scale each unit's per-entry witness by the entry count its callers'
+   witnesses induce, callers first; root enters once. A program unit is the
+   one-unit case: its witness already counts every instance, and the calls
+   it makes lead to no further unit *)
 let aggregate prog root topo (units : (string, unit_result) Hashtbl.t) select =
   let entries = Hashtbl.create 8 in
   Hashtbl.replace entries root 1;
+  let entries_of f = Option.value ~default:0 (Hashtbl.find_opt entries f) in
   List.iter
     (fun fname ->
-      match Hashtbl.find_opt entries fname with
-      | None | Some 0 -> ()
-      | Some e ->
-        let u = select (Hashtbl.find units fname) in
-        let func = P.find_func prog fname in
+      match entries_of fname with
+      | 0 -> ()
+      | e ->
         List.iter
-          (fun (b, c) ->
+          (fun ((f, b), c) ->
             List.iter
-              (fun g ->
-                Hashtbl.replace entries g
-                  ((match Hashtbl.find_opt entries g with
-                    | Some n -> n
-                    | None -> 0)
-                   + (e * c)))
-              (P.calls_of_block func.P.blocks.(b)))
-          u.counts_pe)
+              (fun g -> Hashtbl.replace entries g (entries_of g + (e * c)))
+              (P.calls_of_block (P.find_func prog f).P.blocks.(b)))
+          (select (Hashtbl.find units fname)).A.counts)
     (List.rev topo);
   let counts =
     List.concat_map
       (fun fname ->
-        match Hashtbl.find_opt entries fname with
-        | None | Some 0 -> []
-        | Some e ->
+        match entries_of fname with
+        | 0 -> []
+        | e ->
           List.map
-            (fun (b, c) -> ((fname, b), e * c))
-            (select (Hashtbl.find units fname)).counts_pe)
+            (fun (fb, c) -> (fb, e * c))
+            (select (Hashtbl.find units fname)).A.counts)
       topo
     |> List.sort compare
   in
   let binding =
     List.concat_map
       (fun fname ->
-        match Hashtbl.find_opt entries fname with
-        | None | Some 0 -> []
-        | Some _ -> (select (Hashtbl.find units fname)).binding_pe)
+        match entries_of fname with
+        | 0 -> []
+        | _ -> (select (Hashtbl.find units fname)).A.binding)
       topo
     |> List.sort_uniq compare
   in
-  (counts, binding, entries)
+  (counts, binding, entries_of)
 
 (* --- report JSON --------------------------------------------------------- *)
 
@@ -362,138 +346,6 @@ let unit_row ~name ~key ~bcet_pe ~wcet_pe ~bcet_entries ~wcet_entries =
       ("bcet_entries", Json.Int bcet_entries);
       ("wcet_entries", Json.Int wcet_entries) ]
 
-(* --- whole-program fallback ---------------------------------------------- *)
-
-(* a cached whole-program extreme is validated by rebuilding the monolithic
-   ILPs (one per surviving conjunctive set) and checking the stored
-   certificate against the set whose digest it names — the winning set of
-   the run that produced the entry *)
-let monolithic_extreme_valid ~counter problems (e : extreme_pe) =
-  counter.cert_checks <- counter.cert_checks + 1;
-  Obs.add "serve.cert.checked" 1;
-  let ok =
-    match Cert.of_string e.cert_pe with
-    | Error _ -> false
-    | Ok cert ->
-      Rat.equal cert.Cert.bound (Rat.of_int e.cycles_pe)
-      && List.exists
-           (fun p ->
-             String.equal (Cert.digest_problem p) cert.Cert.digest
-             && (match Checker.check p cert with
-                 | Checker.Valid _ -> true
-                 | Checker.Invalid _ -> false))
-           problems
-  in
-  if not ok then begin
-    counter.cert_rejects <- counter.cert_rejects + 1;
-    Obs.add "serve.cert.rejected" 1
-  end;
-  ok
-
-let monolithic ~pool ~cache ~deadline counter (spec : A.spec) =
-  check_deadline deadline;
-  let key =
-    Key.program_key ~mach:(Machine.id spec.A.mach) ~cache:spec.A.cache
-      ~dcache:spec.A.dcache ~root:spec.A.root
-      ~annotations:spec.A.loop_bounds ~functional:spec.A.functional spec.A.prog
-  in
-  let prog_extreme (e : A.extreme) cert_pe =
-    { cycles_pe = e.A.cycles;
-      counts_pe = [];
-      binding_pe = e.A.binding;
-      cert_pe }
-  in
-  let cert_string what (c : A.certificate option) =
-    match c with
-    | None -> fail "monolithic analysis produced no %s certificate" what
-    | Some c ->
-      counter.cert_checks <- counter.cert_checks + 1;
-      Obs.add "serve.cert.checked" 1;
-      (match c.A.verdict with
-       | Checker.Valid _ -> Cert.to_string c.A.cert
-       | Checker.Invalid reasons ->
-         counter.cert_rejects <- counter.cert_rejects + 1;
-         Obs.add "serve.cert.rejected" 1;
-         fail "%s certificate rejected by the checker: %s" what
-           (String.concat "; " reasons))
-  in
-  let cached = Option.bind cache (fun c -> Cache.get c key) in
-  let validated =
-    match Option.bind cached (unit_of_json key) with
-    | Some u
-      when monolithic_extreme_valid ~counter (A.wcet_problems spec) u.wcet
-           && monolithic_extreme_valid ~counter (A.bcet_problems spec) u.bcet
-      ->
-      Some u
-    | Some _ ->
-      (match cache with Some c -> Cache.remove c key | None -> ());
-      None
-    | None -> None
-  in
-  let u, counts =
-    match validated with
-    | Some u ->
-      counter.cached <- counter.cached + 1;
-      (* whole-program counts round-trip through a side field *)
-      let counts ext =
-        match Option.bind cached (Json.member ext) with
-        | Some j ->
-          Option.value ~default:[]
-            (Option.map
-               (List.filter_map (function
-                 | Json.List [ Json.Str f; Json.Int b; Json.Int c ] ->
-                   Some ((f, b), c)
-                 | _ -> None))
-               (Json.to_list j))
-        | None -> []
-      in
-      (u, (counts "wcet_counts", counts "bcet_counts"))
-    | None ->
-      counter.solved <- counter.solved + 1;
-      let r = A.analyze ?pool ~certify:true spec in
-      counter.solves <-
-        counter.solves + r.A.wcet_stats.A.sets_solved
-        + r.A.bcet_stats.A.sets_solved;
-      counter.warm <-
-        counter.warm + r.A.wcet_stats.A.warm_hits
-        + r.A.bcet_stats.A.warm_hits;
-      counter.pivots <-
-        counter.pivots + r.A.wcet_stats.A.simplex_pivots
-        + r.A.bcet_stats.A.simplex_pivots;
-      Obs.add "serve.ilp.solves"
-        (r.A.wcet_stats.A.sets_solved + r.A.bcet_stats.A.sets_solved);
-      let u =
-        { key;
-          wcet = prog_extreme r.A.wcet (cert_string "wcet" r.A.wcet_cert);
-          bcet = prog_extreme r.A.bcet (cert_string "bcet" r.A.bcet_cert) }
-      in
-      let counts = (r.A.wcet.A.counts, r.A.bcet.A.counts) in
-      (match cache with
-       | Some c ->
-         let with_counts =
-           match unit_to_json u with
-           | Json.Obj fields ->
-             Json.Obj
-               (fields
-                @ [ ("wcet_counts", counts_json (fst counts));
-                    ("bcet_counts", counts_json (snd counts)) ])
-           | j -> j
-         in
-         Cache.put c key with_counts
-       | None -> ());
-      (u, counts)
-  in
-  let wcet_counts, bcet_counts = counts in
-  let rep =
-    report ~root:spec.A.root ~unit_kind:"program" ~bcet:u.bcet.cycles_pe
-      ~wcet:u.wcet.cycles_pe ~wcet_counts ~wcet_binding:u.wcet.binding_pe
-      ~bcet_counts ~bcet_binding:u.bcet.binding_pe
-      ~units:
-        [ unit_row ~name:spec.A.root ~key ~bcet_pe:u.bcet.cycles_pe
-            ~wcet_pe:u.wcet.cycles_pe ~bcet_entries:1 ~wcet_entries:1 ]
-  in
-  rep
-
 (* --- entry point --------------------------------------------------------- *)
 
 let analyze ?pool ?cache ?deadline (spec : A.spec) =
@@ -501,14 +353,14 @@ let analyze ?pool ?cache ?deadline (spec : A.spec) =
     { cached = 0; solved = 0; solves = 0; warm = 0; pivots = 0;
       cert_checks = 0; cert_rejects = 0 }
   in
-  let rep =
+  let prog = spec.A.prog in
+  if not (Array.exists (fun (f : P.func) -> f.P.name = spec.A.root) prog.P.funcs)
+  then fail "unknown root function %s" spec.A.root;
+  (* the units in solve order, and how to build one from the units before *)
+  let unit_kind, topo, work_of =
     if spec.A.functional <> [] || spec.A.first_miss_refinement then
-      monolithic ~pool ~cache ~deadline counter spec
+      ("program", [ spec.A.root ], fun _ _ -> program_unit ~pool ~counter spec)
     else begin
-      let prog = spec.A.prog in
-      if not (Array.exists (fun (f : P.func) -> f.P.name = spec.A.root)
-                prog.P.funcs)
-      then fail "unknown root function %s" spec.A.root;
       let layout = Layout.make prog in
       let cg = Callgraph.of_program prog in
       let reach = Hashtbl.create 8 in
@@ -520,66 +372,37 @@ let analyze ?pool ?cache ?deadline (spec : A.spec) =
       in
       mark spec.A.root;
       (* callees first; restricted to functions reachable from the root *)
-      let topo =
-        List.filter (Hashtbl.mem reach) (Callgraph.topological_order cg)
-      in
-      let units : (string, unit_result) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun fname ->
-          let func = P.find_func prog fname in
-          let key, (wcet_problem, bcet_problem), solve =
-            analyze_func ~pool ~counter ~deadline spec layout units func
-          in
-          let u =
-            match
-              Option.bind
-                (Option.bind cache (fun c -> Cache.get c key))
-                (unit_of_json key)
-            with
-            | Some u
-              when cached_extreme_valid ~counter wcet_problem u.wcet
-                   && cached_extreme_valid ~counter bcet_problem u.bcet ->
-              counter.cached <- counter.cached + 1;
-              u
-            | cached_u ->
-              (* an entry whose certificate no longer checks is dropped and
-                 the unit re-solved — a cache can be corrupted or tampered
-                 with; the proof obligation cannot *)
-              (match (cached_u, cache) with
-               | Some _, Some c -> Cache.remove c key
-               | _ -> ());
-              counter.solved <- counter.solved + 1;
-              let u = solve () in
-              (match cache with
-               | Some c -> Cache.put c key (unit_to_json u)
-               | None -> ());
-              u
-          in
-          Hashtbl.replace units fname u)
-        topo;
-      let root_unit = Hashtbl.find units spec.A.root in
-      let wcet_counts, wcet_binding, wcet_entries =
-        aggregate prog spec.A.root topo units (fun u -> u.wcet)
-      in
-      let bcet_counts, bcet_binding, bcet_entries =
-        aggregate prog spec.A.root topo units (fun u -> u.bcet)
-      in
-      let entries tbl f =
-        match Hashtbl.find_opt tbl f with Some n -> n | None -> 0
-      in
-      report ~root:spec.A.root ~unit_kind:"func"
-        ~bcet:root_unit.bcet.cycles_pe ~wcet:root_unit.wcet.cycles_pe
-        ~wcet_counts ~wcet_binding ~bcet_counts ~bcet_binding
-        ~units:
-          (List.map
-             (fun fname ->
-               let u = Hashtbl.find units fname in
-               unit_row ~name:fname ~key:u.key ~bcet_pe:u.bcet.cycles_pe
-                 ~wcet_pe:u.wcet.cycles_pe
-                 ~bcet_entries:(entries bcet_entries fname)
-                 ~wcet_entries:(entries wcet_entries fname))
-             topo)
+      ( "func",
+        List.filter (Hashtbl.mem reach) (Callgraph.topological_order cg),
+        fun units fname ->
+          func_unit ~pool ~counter spec layout units (P.find_func prog fname) )
     end
+  in
+  let units : (string, unit_result) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun name ->
+      Hashtbl.replace units name
+        (run_unit ~cache ~counter ~deadline (work_of units name)))
+    topo;
+  let root_unit = Hashtbl.find units spec.A.root in
+  let wcet_counts, wcet_binding, wcet_entries =
+    aggregate prog spec.A.root topo units (fun u -> u.wcet)
+  in
+  let bcet_counts, bcet_binding, bcet_entries =
+    aggregate prog spec.A.root topo units (fun u -> u.bcet)
+  in
+  let rep =
+    report ~root:spec.A.root ~unit_kind ~bcet:root_unit.bcet.A.cycles
+      ~wcet:root_unit.wcet.A.cycles ~wcet_counts ~wcet_binding ~bcet_counts
+      ~bcet_binding
+      ~units:
+        (List.map
+           (fun fname ->
+             let u = Hashtbl.find units fname in
+             unit_row ~name:fname ~key:u.key ~bcet_pe:u.bcet.A.cycles
+               ~wcet_pe:u.wcet.A.cycles ~bcet_entries:(bcet_entries fname)
+               ~wcet_entries:(wcet_entries fname))
+           topo)
   in
   ( rep,
     { units_total = counter.cached + counter.solved;

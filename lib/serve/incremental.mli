@@ -4,7 +4,9 @@
     solves one whole-program ILP — the right shape for a one-shot CLI run,
     the wrong shape for a daemon asked to re-analyze a program after a
     one-function edit. This module decomposes the analysis into {e units}
-    keyed by {!Key} and persists each unit's result in a {!Cache}:
+    keyed by {!Key} and persists each unit's result in a {!Cache}. A unit
+    has a name, a key, its WCET and BCET problems, and a way to solve them;
+    there are two kinds:
 
     - {b per-function units} (the common case): every function reachable
       from the root is solved in isolation with its entry edge pinned to 1,
@@ -17,10 +19,18 @@
       monolithic ILP decomposes by instance (empirically: on the whole
       benchmark suite the two agree). A request that edits one function
       re-solves only the units whose keys changed — typically exactly one.
-    - {b one whole-program unit} (fallback): functionality constraints and
-      the first-miss refinement couple flow variables across functions, so
-      those requests run the monolithic analysis and cache it as a single
-      unit keyed by {!Key.program_key}.
+    - {b one program unit}: functionality constraints and the first-miss
+      refinement couple flow variables across functions, so those requests
+      are a single unit keyed by {!Key.program_key}, with one problem per
+      surviving constraint set, solved by the monolithic analysis.
+
+    Both kinds run through one loop: read the cache entry, validate each
+    stored certificate against the problem whose digest it names, solve
+    when either fails, and write the entry back. An entry is nothing but
+    its schema and the two certificates; cycles, witness counts and
+    binding constraints are read off each certificate's witness, for
+    cached and fresh results alike, so no stored field can change what is
+    served without the checker noticing.
 
     Witness counts are aggregated callers-first: a function's per-entry
     witness counts are scaled by the number of entries its callers'

@@ -3,8 +3,8 @@ module Instr = Ipet_isa.Instr
 module Icache = Ipet_machine.Icache
 module Cost = Ipet_machine.Cost
 
-(* v3: the machine id joined the cost model (machine-parametric analysis) *)
-let schema = 3
+(* v4: a cache entry is nothing but its two certificates *)
+let schema = 4
 
 let add_cache buf (c : Icache.config) =
   Buffer.add_string buf

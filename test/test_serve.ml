@@ -276,27 +276,6 @@ let test_functional_fallback () =
   check_bool "analyzed as a single program unit" true
     (J.member "unit" rep = Some (J.Str "program") && stats.Incr.units_total = 1)
 
-(* --- cold/warm cache behavior -------------------------------------------- *)
-
-let test_cold_warm_identical () =
-  let spec = Bspec.spec (Ipet_suite.Suite.find "des") in
-  let spec = { spec with A.functional = [] } in
-  let cache =
-    Cache.create ~dir:(tmp_dir "serve-coldwarm") ~cap_bytes:(16 * 1024 * 1024)
-  in
-  let uncached, _ = Incr.analyze spec in
-  let cold, cold_stats = Incr.analyze ~cache spec in
-  let warm, warm_stats = Incr.analyze ~cache spec in
-  check_string "cached report is byte-identical to the uncached one"
-    (J.to_string uncached) (J.to_string cold);
-  check_string "warm report is byte-identical to the cold one"
-    (J.to_string cold) (J.to_string warm);
-  check_bool "cold run solved every unit" true
-    (cold_stats.Incr.units_solved = cold_stats.Incr.units_total
-     && cold_stats.Incr.ilp_solves > 0);
-  check_int "warm run solved nothing" 0 warm_stats.Incr.units_solved;
-  check_int "warm run invoked no solver" 0 warm_stats.Incr.ilp_solves
-
 (* a two-function program whose leaf we can edit without changing its
    per-entry interval (addition costs the same whatever the immediate) *)
 let edit_source imm =
@@ -324,6 +303,40 @@ let edit_spec source =
     A.spec
       ~loop_bounds:[ Ipet.Annotation.loop ~func:"main" ~line ~lo:8 ~hi:8 ]
       ~root:"main" compiled.Compile.prog
+
+(* --- cold/warm cache behavior -------------------------------------------- *)
+
+(* one request per unit kind: per-function units, and the program unit
+   under functionality constraints and under the first-miss refinement *)
+let cache_specs () =
+  [ ("func", edit_spec (edit_source 3));
+    ("functional", Bspec.spec (Ipet_suite.Suite.find "check_data"));
+    ( "first-miss",
+      { (edit_spec (edit_source 3)) with A.first_miss_refinement = true } ) ]
+
+let test_cold_warm_identical () =
+  List.iter
+    (fun (name, spec) ->
+      let cache =
+        Cache.create ~dir:(tmp_dir ("serve-coldwarm-" ^ name))
+          ~cap_bytes:(16 * 1024 * 1024)
+      in
+      let uncached, _ = Incr.analyze spec in
+      let cold, cold_stats = Incr.analyze ~cache spec in
+      let warm, warm_stats = Incr.analyze ~cache spec in
+      check_string (name ^ ": cached report is byte-identical to the uncached one")
+        (J.to_string uncached) (J.to_string cold);
+      check_string (name ^ ": warm report is byte-identical to the cold one")
+        (J.to_string cold) (J.to_string warm);
+      check_bool (name ^ ": cold run solved every unit") true
+        (cold_stats.Incr.units_solved = cold_stats.Incr.units_total
+         && cold_stats.Incr.ilp_solves > 0);
+      check_int (name ^ ": warm run solved nothing") 0
+        warm_stats.Incr.units_solved;
+      check_int (name ^ ": warm run invoked no solver") 0
+        warm_stats.Incr.ilp_solves)
+    (("des", { (Bspec.spec (Ipet_suite.Suite.find "des")) with A.functional = [] })
+     :: cache_specs ())
 
 let test_one_function_edit () =
   let cache =
@@ -385,9 +398,8 @@ let write_file path s =
    applies [rewrite] to the WCET certificate of one cached entry: the engine
    must notice, drop the entry, and re-solve — never serve a bound it cannot
    re-prove *)
-let cert_self_heal ~name rewrite =
+let cert_self_heal ~name ~spec rewrite =
   let cache = Cache.create ~dir:(tmp_dir name) ~cap_bytes:(16 * 1024 * 1024) in
-  let spec = edit_spec (edit_source 3) in
   let cold_rep, cold = Incr.analyze ~cache spec in
   check_int "cold run proves every bound it computed"
     (2 * cold.Incr.units_solved) cold.Incr.certs_checked;
@@ -411,14 +423,7 @@ let cert_self_heal ~name rewrite =
       J.Obj
         (List.map
            (function
-             | ("wcet", J.Obj wf) ->
-               ( "wcet",
-                 J.Obj
-                   (List.map
-                      (function
-                        | "cert", J.Str c -> ("cert", J.Str (rewrite c))
-                        | kv -> kv)
-                      wf) )
+             | "wcet", J.Str c -> ("wcet", J.Str (rewrite c))
              | kv -> kv)
            fields)
     | _ -> Alcotest.fail "cache entry is not an object"
@@ -435,16 +440,91 @@ let cert_self_heal ~name rewrite =
     (J.to_string healed_rep)
 
 let test_cert_self_heal () =
-  cert_self_heal ~name:"serve-cert-heal" (fun _ -> "tampered")
+  List.iter
+    (fun (name, spec) ->
+      cert_self_heal ~name:("serve-cert-heal-" ^ name) ~spec (fun _ ->
+          "tampered"))
+    (cache_specs ())
 
 (* a certificate that parses up to an arithmetic fault (a zero denominator)
    must be rejected like any other, not escape the cache-hit check *)
 let test_cert_zero_denominator_heals () =
-  cert_self_heal ~name:"serve-cert-zero-den" (fun c ->
-      String.split_on_char '\n' c
-      |> List.map (fun l ->
-             if String.starts_with ~prefix:"bound " l then "bound 1/0" else l)
-      |> String.concat "\n")
+  List.iter
+    (fun (name, spec) ->
+      cert_self_heal ~name:("serve-cert-zero-den-" ^ name) ~spec (fun c ->
+          String.split_on_char '\n' c
+          |> List.map (fun l ->
+                 if String.starts_with ~prefix:"bound " l then "bound 1/0"
+                 else l)
+          |> String.concat "\n"))
+    (cache_specs ())
+
+(* every single-leaf damage of a JSON value, with its path: an integer
+   plus one, a string replaced, a list without its last element *)
+let rec mutations path =
+  let inside l label rebuild =
+    List.concat
+      (List.mapi
+         (fun i x ->
+           List.map
+             (fun (p, x') ->
+               (p, rebuild (List.mapi (fun j y -> if i = j then x' else y) l)))
+             (mutations (label i) x))
+         l)
+  in
+  function
+  | J.Int n -> [ (path, J.Int (n + 1)) ]
+  | J.Str _ -> [ (path, J.Str "tampered") ]
+  | J.List l ->
+    (match List.rev l with
+     | [] -> []
+     | _ :: rest -> [ (path ^ "[-1]", J.List (List.rev rest)) ])
+    @ inside l (Printf.sprintf "%s[%d]" path) (fun l -> J.List l)
+  | J.Obj fields ->
+    let keys = List.map fst fields in
+    inside (List.map snd fields)
+      (fun i -> path ^ "." ^ List.nth keys i)
+      (fun vs -> J.Obj (List.combine keys vs))
+  | J.Null | J.Bool _ | J.Float _ -> []
+
+(* a cached entry is only ever a claim the checker re-proves: whatever one
+   leaf of it says, the warm report is the cold one *)
+let test_no_entry_field_changes_the_report () =
+  List.iter
+    (fun (name, spec) ->
+      let cache =
+        Cache.create ~dir:(tmp_dir ("serve-entry-tamper-" ^ name))
+          ~cap_bytes:(16 * 1024 * 1024)
+      in
+      let cold, _ = Incr.analyze ~cache spec in
+      let keys =
+        match Option.bind (J.member "units" cold) J.to_list with
+        | Some rows ->
+          List.filter_map (fun r -> Option.bind (J.member "key" r) J.to_str) rows
+        | None -> Alcotest.fail "report lacks its unit table"
+      in
+      List.iter
+        (fun key ->
+          let entry =
+            match Cache.get cache key with
+            | Some e -> e
+            | None -> Alcotest.failf "%s: unit %s was not cached" name key
+          in
+          let store v =
+            Cache.remove cache key;
+            Cache.put cache key v
+          in
+          List.iter
+            (fun (path, tampered) ->
+              store tampered;
+              let warm, _ = Incr.analyze ~cache spec in
+              check_string
+                (Printf.sprintf "%s: report with %s damaged" name path)
+                (J.to_string cold) (J.to_string warm);
+              store entry)
+            (mutations "entry" entry))
+        keys)
+    (cache_specs ())
 
 let test_tmp_sweep () =
   (* a writer that dies between open and rename leaves "*.tmp" files the
@@ -1073,6 +1153,8 @@ let suite =
       `Quick test_functional_fallback;
     Alcotest.test_case "cold and warm reports are byte-identical" `Quick
       test_cold_warm_identical;
+    Alcotest.test_case "no field of a cached entry changes the report" `Quick
+      test_no_entry_field_changes_the_report;
     Alcotest.test_case "a one-function edit re-solves one function" `Quick
       test_one_function_edit;
     Alcotest.test_case "cache: LRU eviction and restart" `Quick
