@@ -24,7 +24,6 @@ module Structural = Ipet.Structural
 module Report = Ipet.Report
 module E = Ipet_suite.Experiments
 module Bspec = Ipet_suite.Bspec
-module Pool = Ipet_par.Pool
 module Rat = Ipet_num.Rat
 module Lp = Ipet_lp.Lp_problem
 module Linexpr = Ipet_lp.Linexpr
@@ -434,23 +433,17 @@ let render_ann (bench : Bspec.t) =
 
 let export dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  (* render in parallel (pure), write sequentially in suite order *)
-  let rendered =
-    Pool.map_list (Pool.default ())
-      (fun (bench : Bspec.t) ->
-        (bench.Bspec.name, bench.Bspec.source, render_ann bench))
-      Ipet_suite.Suite.all
-  in
   List.iter
-    (fun (name, source, ann) ->
+    (fun (bench : Bspec.t) ->
+      let name = bench.Bspec.name in
       let write path content =
         let oc = open_out path in
         output_string oc content;
         close_out oc
       in
-      write (Filename.concat dir (name ^ ".mc")) source;
-      write (Filename.concat dir (name ^ ".ann")) ann)
-    rendered;
+      write (Filename.concat dir (name ^ ".mc")) bench.Bspec.source;
+      write (Filename.concat dir (name ^ ".ann")) (render_ann bench))
+    Ipet_suite.Suite.all;
   Printf.printf "exported %d benchmarks to %s\n"
     (List.length Ipet_suite.Suite.all) dir
 
@@ -752,7 +745,7 @@ let lp_bench ~check () =
 
 let usage () =
   print_endline
-    "usage: main.exe [--jobs N] [--mach ID] \
+    "usage: main.exe [--mach ID] \
      [fig1|..|fig6|table1|table2|table3|stats|table-extra|ablation-cache|\
       ablation-refine|ablation-compile|ablation-dcache|lp|lp-check|\
       export DIR|all]"
@@ -785,38 +778,21 @@ let rec run_target = function
     usage ();
     exit 1
 
-(* strip --jobs N / -j N and --mach ID anywhere on the command line; the
-   remaining arguments dispatch as before *)
-let parse_jobs argv =
-  let jobs = ref (Ipet_par.Par_compat.recommended_domain_count ()) in
-  let rest = ref [] in
-  let rec go i =
-    if i < Array.length argv then begin
-      (match argv.(i) with
-       | "--jobs" | "-j" when i + 1 < Array.length argv ->
-         (match int_of_string_opt argv.(i + 1) with
-          | Some n when n >= 1 -> jobs := n
-          | Some _ | None ->
-            prerr_endline "--jobs expects a positive integer";
-            exit 2);
-         go (i + 2) |> ignore
-       | "--mach" when i + 1 < Array.length argv ->
-         (match Ipet_machine.Machine.of_string argv.(i + 1) with
-          | Ok m -> table_mach := m
-          | Error msg ->
-            prerr_endline msg;
-            exit 2);
-         go (i + 2) |> ignore
-       | a -> rest := a :: !rest; go (i + 1) |> ignore)
-    end
-  in
-  go 1;
-  (!jobs, List.rev !rest)
+(* strip --mach ID anywhere on the command line; the remaining arguments
+   dispatch as before *)
+let rec parse_mach = function
+  | "--mach" :: id :: rest ->
+    (match Ipet_machine.Machine.of_string id with
+     | Ok m -> table_mach := m
+     | Error msg ->
+       prerr_endline msg;
+       exit 2);
+    parse_mach rest
+  | a :: rest -> a :: parse_mach rest
+  | [] -> []
 
 let () =
-  let jobs, args = parse_jobs Sys.argv in
-  Pool.set_default ~jobs;
-  match args with
+  match parse_mach (List.tl (Array.to_list Sys.argv)) with
   | [] -> run_target "all"
   | [ "export"; dir ] -> export dir
   | [ target ] -> run_target target

@@ -22,7 +22,6 @@ module Icache = Ipet_machine.Icache
 module Machine = Ipet_machine.Machine
 module Obs = Ipet_obs.Obs
 module Diag = Ipet_obs.Diag
-module Pool = Ipet_par.Pool
 
 let read_file path =
   let ic = open_in_bin path in
@@ -35,15 +34,11 @@ let has_suffix ~suffix path =
   let np = String.length path and ns = String.length suffix in
   np >= ns && String.sub path (np - ns) ns = suffix
 
-(* --- observability and parallelism plumbing ------------------------------ *)
+(* --- observability plumbing ------------------------------------------------ *)
 
 (* Writing the sinks from [at_exit] means a run that dies through
-   [Diag.fail] still flushes whatever spans and metrics it collected.
-   Handlers run in reverse registration order, so the pool gauges
-   (registered second) are recorded before the sinks (registered first)
-   render the registry. *)
-let setup_obs (trace_out, metrics_out, jobs) =
-  Pool.set_default ~jobs;
+   [Diag.fail] still flushes whatever spans and metrics it collected. *)
+let setup_obs (trace_out, metrics_out) =
   if trace_out <> None || metrics_out <> None then begin
     Obs.enable ();
     at_exit (fun () ->
@@ -58,13 +53,7 @@ let setup_obs (trace_out, metrics_out, jobs) =
             Obs.Sink.write_file path
               (Obs.Sink.metrics_json ~span_totals:(Obs.span_totals ())
                  Obs.metrics))
-          metrics_out);
-    at_exit (fun () ->
-        let pool = Pool.default () in
-        let s = Pool.stats pool in
-        Obs.set_gauge_int "par.jobs" (Pool.jobs pool);
-        Obs.set_gauge_int "par.tasks" s.Pool.tasks;
-        Obs.set_gauge_int "par.steal_count" s.Pool.steals)
+          metrics_out)
   end
 
 (* MC source is compiled; an .s file is parsed as an E32 listing (the
@@ -587,17 +576,9 @@ let metrics_out_arg =
        & info [ "metrics-out" ] ~docv:"FILE"
            ~doc:"Write the run's metrics and span totals as JSON.")
 
-let jobs_arg =
-  Arg.(value
-       & opt int (Ipet_par.Par_compat.recommended_domain_count ())
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the parallel analysis (default: the \
-                 machine's recommended domain count; 1 disables \
-                 parallelism). Results are bit-identical at any value.")
-
 let obs_term =
-  Term.(const (fun trace metrics jobs -> (trace, metrics, jobs))
-        $ trace_out_arg $ metrics_out_arg $ jobs_arg)
+  Term.(const (fun trace metrics -> (trace, metrics))
+        $ trace_out_arg $ metrics_out_arg)
 
 let certify_arg =
   Arg.(value & flag
@@ -703,7 +684,7 @@ let serve_cmd obs socket cache_dir no_cache cache_cap timeout_ms access_log
   in
   let config =
     { Ipet_serve.Server.socket_path = socket;
-      pool = Some (Pool.default ());
+      pool = None;
       cache;
       default_timeout_ms = timeout_ms;
       max_request_bytes = 16 * 1024 * 1024;

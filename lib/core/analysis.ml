@@ -8,7 +8,6 @@ module Lp = Ipet_lp.Lp_problem
 module Ilp = Ipet_lp.Ilp
 module Rat = Ipet_num.Rat
 module Obs = Ipet_obs.Obs
-module Pool = Ipet_par.Pool
 
 exception Analysis_error of string
 
@@ -265,7 +264,7 @@ let extreme_of_witness insts (problem : Lp.t) ~bound witness =
    re-solve makes the reported witness a function of the problem and its
    optimal value only, so block counts are identical however the optimum
    was found (in particular, with and without presolve). *)
-let canonical_witness ~pool problem value fallback =
+let canonical_witness problem value fallback =
   Obs.span "ilp.witness" (fun () ->
     let face =
       Lp.make problem.Lp.direction problem.Lp.objective
@@ -273,7 +272,7 @@ let canonical_witness ~pool problem value fallback =
          @ [ Lp.eq ~origin:"optimal-face" problem.Lp.objective
                (L.const value) ])
     in
-    match Ilp.solve ~presolve:true ~pool face with
+    match Ilp.solve ~presolve:true face with
     | Ilp.Optimal { assignment; _ } -> assignment
     | Ilp.Infeasible _ | Ilp.Unbounded _ -> fallback)
 
@@ -294,17 +293,9 @@ let certify_extreme ~dir_label problem value assignment =
     let verdict, check_seconds =
       Obs.timed (fun () -> Ipet_cert.Checker.check problem cert)
     in
-    let labels = [ ("solver", dir_label) ] in
-    Obs.observe ~labels "cert.emit_seconds" emit_seconds;
-    Obs.observe ~labels "cert.check_seconds" check_seconds;
-    Obs.add ~labels
-      (match verdict with
-       | Ipet_cert.Checker.Valid _ -> "cert.valid"
-       | Ipet_cert.Checker.Invalid _ -> "cert.invalid")
-      1;
     { cert; verdict; emit_seconds; check_seconds }
 
-let solve_extreme spec insts problems ~direction ~pool ~certify =
+let solve_extreme spec insts problems ~direction ~certify =
   let better a b =
     match direction with
     | Lp.Maximize -> Rat.compare a b > 0
@@ -341,31 +332,18 @@ let solve_extreme spec insts problems ~direction ~pool ~certify =
       pc_before := !pc_before + nc;
       pc_after := !pc_after + nc
   in
-  (* Solving one set is pure: solve its ILP, return everything the
-     accumulation needs. Sets fan out over the pool — disjunctive DNF sets
-     are independent problems — and the fold below walks the results in set
-     order, so the incumbent choice, the statistics and the surfaced error
-     are those of a sequential run whatever the job count. *)
-  let solve_set problem =
-    (problem, Ilp.solve ~presolve:spec.presolve ~pool problem)
-  in
-  let run_set (i, problem) =
-    if not (Obs.enabled ()) then solve_set problem
+  let solve_set i problem =
+    let solve () = (problem, Ilp.solve ~presolve:spec.presolve problem) in
+    if not (Obs.enabled ()) then solve ()
     else
       Obs.span "ilp.solve"
         ~args:[ ("solver", dir_label); ("set", string_of_int i) ]
         (fun () ->
-          let r, dt = Obs.timed (fun () -> solve_set problem) in
-          Obs.observe
-            ~labels:
-              [ ("solver", dir_label);
-                ("domain", string_of_int (Ipet_par.Par_compat.domain_id ())) ]
-            "lp.solve_seconds" dt;
+          let r, dt = Obs.timed solve in
+          Obs.observe ~labels:[ ("solver", dir_label) ] "lp.solve_seconds" dt;
           r)
   in
-  let results =
-    Pool.map_list pool run_set (List.mapi (fun i p -> (i, p)) problems)
-  in
+  let results = List.mapi solve_set problems in
   List.iter
     (fun (problem, result) ->
       incr solved;
@@ -400,7 +378,7 @@ let solve_extreme spec insts problems ~direction ~pool ~certify =
   match !best with
   | None -> fail "every functionality constraint set is infeasible"
   | Some (value, assignment, problem) ->
-    let assignment = canonical_witness ~pool problem value assignment in
+    let assignment = canonical_witness problem value assignment in
     let certificate =
       if certify then Some (certify_extreme ~dir_label problem value assignment)
       else None
@@ -488,12 +466,11 @@ let direction_problems spec direction =
 let wcet_problems spec = direction_problems spec Lp.Maximize
 let bcet_problems spec = direction_problems spec Lp.Minimize
 
-let analyze ?pool ?(certify = false) spec =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
+let analyze ?(certify = false) spec =
   let insts, base, sets, total, pruned = prepare spec in
   let extreme direction =
     solve_extreme spec insts (set_problems spec insts base sets direction)
-      ~direction ~pool ~certify
+      ~direction ~certify
   in
   let wcet, wstats, wcet_cert =
     Obs.span "analysis.wcet" ~args:[ ("root", spec.root) ] (fun () ->
@@ -510,8 +487,8 @@ let analyze ?pool ?(certify = false) spec =
     wcet_cert;
     bcet_cert }
 
-let estimated_bound ?pool spec =
-  let r = analyze ?pool spec in
+let estimated_bound spec =
+  let r = analyze spec in
   (r.bcet.cycles, r.wcet.cycles)
 
 type sensitivity_row = {
@@ -522,8 +499,8 @@ type sensitivity_row = {
 
 (* how much each loop bound is worth: re-solve the WCET with hi-1 for one
    annotation at a time (the exact discrete analogue of a shadow price) *)
-let wcet_sensitivity ?pool spec =
-  let base = (analyze ?pool spec).wcet.cycles in
+let wcet_sensitivity spec =
+  let base = (analyze spec).wcet.cycles in
   spec.loop_bounds
   |> List.map (fun (ann : Annotation.t) ->
     let tightened_wcet =
@@ -536,7 +513,7 @@ let wcet_sensitivity ?pool spec =
               else a)
             spec.loop_bounds
         in
-        match analyze ?pool { spec with loop_bounds } with
+        match analyze { spec with loop_bounds } with
         | r -> r.wcet.cycles
         | exception Analysis_error _ -> base
       end

@@ -119,20 +119,19 @@ type result = {
   bcet_cert : certificate option;
 }
 
-val analyze : ?pool:Ipet_par.Pool.t -> ?certify:bool -> spec -> result
-(** [pool] (default {!Ipet_par.Pool.default}) fans the disjunctive
-    constraint sets out across domains and parallelizes each set's
-    branch-and-bound ({!Ipet_lp.Ilp.solve}). The result — bounds,
-    witnesses, and every statistic — is bit-identical for any pool size.
+val analyze : ?certify:bool -> spec -> result
+(** Solves one ILP ({!Ipet_lp.Ilp.solve}) per surviving disjunctive
+    constraint set, in set order, and keeps the extreme optimum.
     [certify] (default [false]) additionally emits an exact duality
     certificate per extreme (see {!Ipet_cert.Certify}) and validates it
-    with the trusted checker; check time and verdicts are surfaced as
-    [cert.*] observability metrics.
+    with the trusted checker; the verdicts and emit/check times are in
+    the result ({!Report.record_lp_metrics} turns them into [cert.*]
+    gauges).
     @raise Analysis_error when a loop lacks a bound annotation, a
     functionality constraint does not resolve, every constraint set is
     infeasible, the ILP is unbounded, or certificate production fails. *)
 
-val estimated_bound : ?pool:Ipet_par.Pool.t -> spec -> int * int
+val estimated_bound : spec -> int * int
 (** [(bcet, wcet)] — the paper's estimated bound [[t_min, t_max]]. *)
 
 type sensitivity_row = {
@@ -141,7 +140,7 @@ type sensitivity_row = {
   tightened_wcet : int;  (** WCET with this loop's [hi] reduced by one *)
 }
 
-val wcet_sensitivity : ?pool:Ipet_par.Pool.t -> spec -> sensitivity_row list
+val wcet_sensitivity : spec -> sensitivity_row list
 (** The discrete shadow price of each loop-bound annotation: how much the
     WCET drops if the bound is tightened by one iteration. Zero-impact
     bounds are off the critical path; the largest drop tells the user which

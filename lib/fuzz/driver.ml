@@ -1,5 +1,4 @@
 module Ast = Ipet_lang.Ast
-module Pool = Ipet_par.Pool
 
 type failure_report = {
   case_seed : int;
@@ -37,56 +36,24 @@ let shrink_case ~mach ~(case : Gen.case) ~(failure : Oracle.failure)
 
 let replay_hint seed = Printf.sprintf "replay: cinderella fuzz --seed %d --iters 1" seed
 
-let run ?(log = null_log) ?(shrink = true) ?(shrink_attempts = 2000) ?pool
+let run ?(log = null_log) ?(shrink = true) ?(shrink_attempts = 2000)
     ?(mach = Ipet_machine.Machine.e32) ~seed ~iters () =
-  let pool =
-    match pool with Some p -> p | None -> Ipet_par.Pool.default ()
-  in
-  (* Seeds are sharded across the pool. The smallest failing index seen so
-     far is published so workers holding larger seeds can stop early —
-     exactly the cases the sequential loop would never have run. The skip
-     is conservative: an index below the final minimum always evaluates,
-     because published failures only ever exceed it. *)
-  let min_fail = Atomic.make max_int in
-  let eval i =
-    if i > Atomic.get min_fail then None
-    else begin
-      let case = Gen.case (seed + i) in
-      let r = check_case ~mach case in
-      (match r with
-       | Oracle.Fail _ ->
-         let rec publish () =
-           let cur = Atomic.get min_fail in
-           if i < cur && not (Atomic.compare_and_set min_fail cur i) then
-             publish ()
-         in
-         publish ()
-       | Oracle.Pass _ -> ());
-      Some (case, r)
-    end
-  in
-  let results = Pool.map_array pool eval (Array.init iters (fun i -> i)) in
-  (* Fold in seed order: outcome, log stream and the shrink run are those
-     of the sequential loop whatever the job count. *)
   let passed = ref 0 in
   let worst_wcet = ref 0 in
-  let rec fold i =
+  let rec loop i =
     if i >= iters then
       { iters_run = iters; passed = !passed; worst_wcet = !worst_wcet;
         report = None }
     else
-      match results.(i) with
-      | None ->
-        (* skipped ⇒ a smaller index failed ⇒ the fold returned before
-           reaching this one *)
-        assert false
-      | Some (_, Oracle.Pass stats) ->
+      let case = Gen.case (seed + i) in
+      match check_case ~mach case with
+      | Oracle.Pass stats ->
         incr passed;
         if stats.Oracle.wcet > !worst_wcet then worst_wcet := stats.Oracle.wcet;
         if (i + 1) mod 50 = 0 then
           log (Printf.sprintf "%d/%d cases passed" (i + 1) iters);
-        fold (i + 1)
-      | Some (case, Oracle.Fail failure) ->
+        loop (i + 1)
+      | Oracle.Fail failure ->
         let case_seed = seed + i in
         log
           (Printf.sprintf "seed %d: %s: %s" case_seed
@@ -114,7 +81,7 @@ let run ?(log = null_log) ?(shrink = true) ?(shrink_attempts = 2000) ?pool
                 shrunk_source;
                 shrink_attempts = attempts } }
   in
-  fold 0
+  loop 0
 
 let pp_report ppf (r : failure_report) =
   let cache = r.cache in

@@ -24,7 +24,6 @@ val run :
   ?log:(string -> unit) ->
   ?shrink:bool ->
   ?shrink_attempts:int ->
-  ?pool:Ipet_par.Pool.t ->
   ?mach:Ipet_machine.Machine.t ->
   seed:int ->
   iters:int ->
@@ -32,13 +31,9 @@ val run :
   outcome
 (** Run [iters] cases starting at [seed]; stop at the first failure
     (shrinking it when [shrink], default true). [log] receives progress
-    lines. [pool] (default {!Ipet_par.Pool.default}) shards the seeds
-    across domains; the outcome — including which seed is reported when
-    several fail, the pass/worst-WCET tallies, and the log stream — is
-    that of the sequential loop at any job count. [mach] (default
-    {!Ipet_machine.Machine.e32}) is the machine model every case —
-    including the shrink runs — is checked against; the generated cache
-    geometry still varies per case. *)
+    lines. [mach] (default {!Ipet_machine.Machine.e32}) is the machine
+    model every case — including the shrink runs — is checked against;
+    the generated cache geometry still varies per case. *)
 
 val replay_hint : int -> string
 (** The command line that replays one case. *)

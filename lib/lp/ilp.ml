@@ -18,26 +18,12 @@
    value is <= the incumbent objective cannot improve it (the objective
    need not be integral in general, so we prune on <=, not on floor).
 
-   Parallelism is speculative. The search itself is a sequential replay
-   that visits nodes in exactly the order the single-threaded solver
-   would, so node counts, pruning decisions, warm-start accounting, the
-   incumbent trajectory and the returned witness are bit-identical at any
-   --jobs. What runs on other domains is only the expensive part of each
-   visit: node solves are pre-computed ahead of the replay, keyed by the
-   node's tree path, gated by a snapshot of the best incumbent (so
-   speculation prunes roughly where the replay will) and by a node
-   budget. The replay awaits the pre-solved node when one exists and
-   solves inline otherwise; speculative results the replay never asks for
-   are simply discarded.
-
    By default the problem first goes through {!Presolve}, which eliminates
    the variables pinned down by flow-conservation equalities and tightens
    the rest; the branch and bound then runs on the reduced problem and the
    winning assignment is mapped back through the postsolve closure. *)
 
 open Ipet_num
-module Pool = Ipet_par.Pool
-module Lock = Ipet_par.Par_compat.Lock
 module IMap = Map.Make (Int)
 
 type stats = {
@@ -74,10 +60,7 @@ type node_sol = {
 
 type node_res = NOptimal of node_sol | NInfeasible | NUnbounded
 
-type warm_kind = Root | Hit | Miss
-
-let solve_raw ?pool ~max_nodes problem =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
+let solve_raw ~max_nodes problem =
   let maximize = problem.Lp_problem.direction = Lp_problem.Maximize in
   (* normalize to maximization so that bounding logic is uniform *)
   let base = { problem with
@@ -127,7 +110,7 @@ let solve_raw ?pool ~max_nodes problem =
   (* cold re-solve with the node's bounds as explicit rows — the
      historical behaviour, kept as the fallback when a warm start cannot
      be completed *)
-  let solve_fallback (lom, upm) piv refs =
+  let solve_fallback (lom, upm) =
     let extra = ref [] in
     for j = nstruct - 1 downto 0 do
       (match IMap.find_opt j upm with
@@ -148,20 +131,22 @@ let solve_raw ?pool ~max_nodes problem =
     let node_problem =
       { base with Lp_problem.constraints = !extra @ base.Lp_problem.constraints }
     in
-    match Simplex.solve ~vars ~pivots:piv ~refactors:refs node_problem with
+    match
+      Simplex.solve ~vars ~pivots:pivot_count ~refactors:refactor_count
+        node_problem
+    with
     | Simplex.Optimal { value; assignment } ->
       NOptimal { nvalue = value; nassign = assignment; nsnap = None }
     | Simplex.Infeasible -> NInfeasible
     | Simplex.Unbounded -> NUnbounded
   in
-  (* A node's result together with the work it took; every path is
-     deterministic, so the tuple is a pure function of the node and
-     identical whichever domain computes it. *)
+  (* one node's LP, warm from the parent's basis when there is one; the
+     work it took goes into the solve's counters *)
   let solve_node ~warm bounds =
     let lom, upm = bounds in
-    let piv = ref 0 and refs = ref 0 in
     let of_run (run : Revised.run) =
-      Simplex.record ~pivots:piv ~refactors:refs run;
+      pivot_count := !pivot_count + run.Revised.pivots;
+      refactor_count := !refactor_count + run.Revised.refactors;
       match run.Revised.verdict with
       | Revised.Infeasible -> NInfeasible
       | Revised.Unbounded -> NUnbounded
@@ -171,42 +156,26 @@ let solve_raw ?pool ~max_nodes problem =
             nassign = assignment_of_xstruct sol.Revised.xstruct;
             nsnap = Some sol.Revised.snapshot }
     in
-    let res, kind =
-      match warm with
-      | Some snap ->
-        let lower = Array.make nstruct Rat.zero in
-        IMap.iter (fun j l -> lower.(j) <- l) lom;
-        let upper = Array.make nstruct None in
-        IMap.iter (fun j u -> upper.(j) <- Some u) upm;
-        (try
-           (of_run (Revised.solve_dual inst ~cost ~lower ~upper ~warm:snap),
-            Hit)
-         with Revised.Stuck -> (solve_fallback bounds piv refs, Miss))
-      | None ->
-        if IMap.is_empty lom && IMap.is_empty upm then
-          (of_run (Revised.solve_primal inst ~cost), Root)
-        else (solve_fallback bounds piv refs, Miss)
-    in
-    (res, !piv, !refs, kind)
-  in
-  let speculating = Pool.parallel pool in
-  (* shared state read by speculative tasks; written only as hints, never
-     as results, so races cost work but not correctness *)
-  let best_known : Rat.t option Atomic.t = Atomic.make None in
-  let budget = Atomic.make max_nodes in
-  let memo : (string, (node_res * int * int * warm_kind) Pool.future) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let memo_lock = Lock.create () in
-  let memo_find key =
-    Lock.with_lock memo_lock (fun () -> Hashtbl.find_opt memo key)
-  in
-  (* first submission wins; a racing duplicate burns one LP solve and is
-     dropped, the replay only ever sees the memoized future *)
-  let memo_add key fut =
-    Lock.with_lock memo_lock (fun () ->
-        if Hashtbl.mem memo key then false
-        else begin Hashtbl.add memo key fut; true end)
+    match warm with
+    | Some snap ->
+      let lower = Array.make nstruct Rat.zero in
+      IMap.iter (fun j l -> lower.(j) <- l) lom;
+      let upper = Array.make nstruct None in
+      IMap.iter (fun j u -> upper.(j) <- Some u) upm;
+      (match Revised.solve_dual inst ~cost ~lower ~upper ~warm:snap with
+       | run ->
+         incr warm_hits;
+         of_run run
+       | exception Revised.Stuck ->
+         incr warm_misses;
+         solve_fallback bounds)
+    | None ->
+      if IMap.is_empty lom && IMap.is_empty upm then
+        of_run (Revised.solve_primal inst ~cost)
+      else begin
+        incr warm_misses;
+        solve_fallback bounds
+      end
   in
   let branch bounds v x =
     let lom, upm = bounds in
@@ -226,51 +195,14 @@ let solve_raw ?pool ~max_nodes problem =
     in
     (left, right)
   in
-  let rec speculate key bounds warm =
-    if Atomic.fetch_and_add budget (-1) > 0 then begin
-      let fut =
-        Pool.submit pool (fun () ->
-            let (res, _, _, _) as cell = solve_node ~warm bounds in
-            (match res with
-             | NOptimal sol ->
-               let dominated =
-                 match Atomic.get best_known with
-                 | Some best -> Rat.compare sol.nvalue best <= 0
-                 | None -> false
-               in
-               if not dominated then begin
-                 match fractional_var sol.nassign with
-                 | None -> ()
-                 | Some (v, x) ->
-                   let left, right = branch bounds v x in
-                   speculate (key ^ "l") left sol.nsnap;
-                   speculate (key ^ "r") right sol.nsnap
-               end
-             | NInfeasible | NUnbounded -> ());
-            cell)
-      in
-      ignore (memo_add key fut)
-    end
-  in
   let unbounded = ref false in
-  let rec explore key bounds warm depth =
+  let rec explore bounds warm depth =
     if !unbounded then ()
     else begin
       incr nodes;
       if !nodes > max_nodes then raise Node_limit_exceeded;
       incr lp_calls;
-      let res, piv, refs, kind =
-        match (if speculating then memo_find key else None) with
-        | Some fut -> Pool.await pool fut
-        | None -> solve_node ~warm bounds
-      in
-      pivot_count := !pivot_count + piv;
-      refactor_count := !refactor_count + refs;
-      (match kind with
-       | Hit -> incr warm_hits
-       | Miss -> incr warm_misses
-       | Root -> ());
-      match res with
+      match solve_node ~warm bounds with
       | NInfeasible -> ()
       | NUnbounded ->
         (* The relaxation being unbounded at the root means the ILP is
@@ -285,22 +217,15 @@ let solve_raw ?pool ~max_nodes problem =
         else begin
           match fractional_var sol.nassign with
           | None ->
-            if better sol.nvalue then begin
-              incumbent := Some (sol.nvalue, sol.nassign);
-              Atomic.set best_known (Some sol.nvalue)
-            end
+            if better sol.nvalue then incumbent := Some (sol.nvalue, sol.nassign)
           | Some (v, x) ->
             let left, right = branch bounds v x in
-            if speculating then begin
-              speculate (key ^ "l") left sol.nsnap;
-              speculate (key ^ "r") right sol.nsnap
-            end;
-            explore (key ^ "l") left sol.nsnap (depth + 1);
-            explore (key ^ "r") right sol.nsnap (depth + 1)
+            explore left sol.nsnap (depth + 1);
+            explore right sol.nsnap (depth + 1)
         end
     end
   in
-  explore "" (IMap.empty, IMap.empty) None 0;
+  explore (IMap.empty, IMap.empty) None 0;
   if !unbounded then Unbounded (stats ())
   else
     match !incumbent with
@@ -309,8 +234,8 @@ let solve_raw ?pool ~max_nodes problem =
       let value = if maximize then value else Rat.neg value in
       Optimal { value; assignment; stats = stats () }
 
-let solve ?(max_nodes = 100_000) ?(presolve = true) ?pool problem =
-  if not presolve then solve_raw ?pool ~max_nodes problem
+let solve ?(max_nodes = 100_000) ?(presolve = true) ?pool:_ problem =
+  if not presolve then solve_raw ~max_nodes problem
   else
     match Presolve.run ~integer:true problem with
     | Presolve.Proved_infeasible { stats; reason = _ } ->
@@ -319,7 +244,7 @@ let solve ?(max_nodes = 100_000) ?(presolve = true) ?pool problem =
           warm_hits = 0; warm_misses = 0; first_lp_integral = false;
           presolve = Some stats }
     | Presolve.Reduced { problem = reduced; postsolve; stats = pstats } ->
-      (match solve_raw ?pool ~max_nodes reduced with
+      (match solve_raw ~max_nodes reduced with
        | Optimal { value; assignment; stats } ->
          Optimal
            { value;

@@ -58,10 +58,6 @@ val solve :
     split. The root relaxation is solved cold and pivot-for-pivot
     identically to the historical dense solver.
 
-    [pool] (default {!Ipet_par.Pool.default}) supplies domains for
-    speculative parallel branch-and-bound: node LP relaxations are
-    pre-solved ahead of a deterministic sequential replay. The result
-    {e and} the {!stats} are bit-identical whatever the pool size — a
-    parallel solve visits the same nodes, performs the same per-node
-    pivots and returns the same witness as a sequential one.
+    The search is a sequential depth-first branch and bound. [pool] is
+    kept for ledger/, no other caller; it is accepted and ignored.
     @raise Node_limit_exceeded if the bound is hit. *)

@@ -17,8 +17,7 @@
       needed. Variable bounds never become explicit rows.
 
     All pivot selection is deterministic, so both entry points are pure
-    functions of their arguments — the property the speculative parallel
-    branch-and-bound relies on. *)
+    functions of their arguments. *)
 
 open Ipet_num
 

@@ -19,25 +19,6 @@ let assignment_env assignment =
   fun name ->
     match Hashtbl.find_opt tbl name with Some v -> v | None -> Rat.zero
 
-(* process-cumulative tallies across all domains; per-solve counts are
-   folded in once at the end of each solve, so concurrent solves never
-   interleave deltas *)
-let total_pivots = Atomic.make 0
-let total_refactors = Atomic.make 0
-
-let pivots () = Atomic.get total_pivots
-let refactorizations () = Atomic.get total_refactors
-
-let record ?pivots:pivot_count ?refactors:refactor_count (run : Revised.run) =
-  ignore (Atomic.fetch_and_add total_pivots run.Revised.pivots);
-  ignore (Atomic.fetch_and_add total_refactors run.Revised.refactors);
-  (match pivot_count with
-   | Some r -> r := !r + run.Revised.pivots
-   | None -> ());
-  (match refactor_count with
-   | Some r -> r := !r + run.Revised.refactors
-   | None -> ())
-
 let direction_cost inst problem =
   let obj =
     match problem.Lp_problem.direction with
@@ -66,7 +47,8 @@ let solve ?vars ?pivots:pivot_count ?refactors:refactor_count problem =
   let inst = Sparse.build ~vars problem in
   let cost, obj = direction_cost inst problem in
   let run = Revised.solve_primal inst ~cost in
-  record ?pivots:pivot_count ?refactors:refactor_count run;
+  Option.iter (fun r -> r := !r + run.Revised.pivots) pivot_count;
+  Option.iter (fun r -> r := !r + run.Revised.refactors) refactor_count;
   match run.Revised.verdict with
   | Revised.Infeasible -> Infeasible
   | Revised.Unbounded -> Unbounded

@@ -30,29 +30,10 @@ val solve :
 
     [pivots], when given, is incremented by the number of simplex pivots
     (basis changes) this call performed (phase 1 and 2 combined);
-    [refactors] likewise by the number of basis refactorizations. This is
-    the domain-safe way to attribute solver effort to one solve: reading
-    a before/after delta of {!pivots} counts other domains' concurrent
-    work. *)
+    [refactors] likewise by the number of basis refactorizations. *)
 
 val assignment_env : (string * Rat.t) list -> string -> Rat.t
 (** Turn an assignment into a total environment (absent variables are 0).
     Backed by a hash table built once, so lookups are O(1) — this closure
     is hot in postsolve and witness checking. *)
 
-val record : ?pivots:int ref -> ?refactors:int ref -> Revised.run -> unit
-(** Fold a {!Revised} run's pivot/refactorization counts into the global
-    counters (and the per-solve refs, when given). {!solve} does this
-    itself; callers that drive {!Revised} directly — {!Ilp.solve}'s
-    warm-started branch-and-bound nodes — must call it once per run so
-    {!pivots} keeps counting every pivot in the process. *)
-
-val pivots : unit -> int
-(** Cumulative simplex pivots performed by this process across all
-    domains, phase 1 and 2 combined. Updated once per solve, after the
-    fact; for per-solve attribution pass [?pivots] to {!solve} instead of
-    reading deltas. *)
-
-val refactorizations : unit -> int
-(** Cumulative basis refactorizations, with the same accounting contract
-    as {!pivots}. *)

@@ -1,5 +1,3 @@
-module Lock = Ipet_par.Par_compat.Lock
-
 type event = {
   time : float;
   id : string;
@@ -18,7 +16,6 @@ type event = {
 }
 
 type t = {
-  lock : Lock.t;
   ring_cap : int;
   buf : event option array;
   mutable total : int;
@@ -26,26 +23,24 @@ type t = {
 
 let create ?(cap = 256) () =
   let cap = max 1 cap in
-  { lock = Lock.create (); ring_cap = cap; buf = Array.make cap None; total = 0 }
+  { ring_cap = cap; buf = Array.make cap None; total = 0 }
 
 let cap t = t.ring_cap
 
 let record t e =
-  Lock.with_lock t.lock (fun () ->
-      t.buf.(t.total mod t.ring_cap) <- Some e;
-      t.total <- t.total + 1)
+  t.buf.(t.total mod t.ring_cap) <- Some e;
+  t.total <- t.total + 1
 
-let total t = Lock.with_lock t.lock (fun () -> t.total)
+let total t = t.total
 
 let recent ?(n = max_int) t =
-  Lock.with_lock t.lock (fun () ->
-      let available = min t.total t.ring_cap in
-      let n = max 0 (min n available) in
-      List.init n (fun i ->
-          let seq = t.total - 1 - i in
-          match t.buf.(seq mod t.ring_cap) with
-          | Some e -> (seq, e)
-          | None -> assert false (* slots below [total] are always filled *)))
+  let available = min t.total t.ring_cap in
+  let n = max 0 (min n available) in
+  List.init n (fun i ->
+      let seq = t.total - 1 - i in
+      match t.buf.(seq mod t.ring_cap) with
+      | Some e -> (seq, e)
+      | None -> assert false (* slots below [total] are always filled *))
 
 let event_json (seq, e) =
   Jsonw.obj

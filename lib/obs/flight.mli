@@ -3,7 +3,7 @@
     The daemon records one compact structured {!event} for {e every}
     request it handles — independent of whether span tracing is enabled —
     so the last [cap] requests before a crash or shutdown are always
-    reconstructible. A write is O(1) (one lock, one array store); the ring
+    reconstructible. A write is O(1) (one array store); the ring
     never allocates after {!create} beyond the event records themselves.
 
     Events carry a monotonically increasing sequence number starting at 0;

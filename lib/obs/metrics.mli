@@ -16,11 +16,7 @@
 
     Registries are deterministic: {!items} orders by (name, labels), so a
     rendered registry is stable across identical runs modulo the observed
-    values themselves.
-
-    Registries are domain-safe: the table is lock-guarded, counters and
-    gauges are atomic, histograms take a per-cell lock, so handles may be
-    updated concurrently from any {!Ipet_par.Pool} worker. *)
+    values themselves. *)
 
 type t
 

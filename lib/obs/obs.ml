@@ -1,55 +1,19 @@
-module Pc = Ipet_par.Par_compat
-
 let on = ref false
 
 let clock = ref Unix.gettimeofday
-
-(* One span engine per domain, created lazily on first use and sharing one
-   origin so all timestamps live on a common axis. Each engine is touched
-   only by its own domain (enter/exit are not synchronized); the table
-   itself is the only shared structure and is lock-guarded. *)
-let lock = Pc.Lock.create ()
-let engines : (int, Span.t) Hashtbl.t = Hashtbl.create 8
 let origin = ref (!clock ())
 
-(* Named tracks are extra span engines living in the same table under
-   synthetic tids (>= 1000, far above any real domain id), so they render
-   as their own rows in the trace export. While a track is active on a
-   domain, [overrides] redirects that domain's spans into the track's
-   engine — that is how the daemon lands each request's span tree on a
-   per-request row. *)
+let engine tid = Span.create ~origin:!origin ~tid ~clock:(fun () -> !clock ()) ()
+
+(* The process's span engine (tid 0), plus named tracks: extra engines
+   under synthetic tids (>= 1000) that render as their own rows in the
+   trace export. While a track is active, [current] points at its engine
+   instead of the main one — that is how the daemon lands each request's
+   span tree on a per-request row. *)
 let track_base = 1000
-let track_tids : (string, int) Hashtbl.t = Hashtbl.create 8
-let next_track = ref track_base
-let overrides : (int, Span.t) Hashtbl.t = Hashtbl.create 8
-
-let engine_for_tid tid =
-  match Hashtbl.find_opt engines tid with
-  | Some e -> e
-  | None ->
-    let e = Span.create ~origin:!origin ~tid ~clock:(fun () -> !clock ()) () in
-    Hashtbl.add engines tid e;
-    e
-
-let engine_for_caller () =
-  let tid = Pc.domain_id () in
-  Pc.Lock.with_lock lock (fun () ->
-      match Hashtbl.find_opt overrides tid with
-      | Some e -> e
-      | None -> engine_for_tid tid)
-
-let track_engine name =
-  Pc.Lock.with_lock lock (fun () ->
-      let tid =
-        match Hashtbl.find_opt track_tids name with
-        | Some tid -> tid
-        | None ->
-          let tid = !next_track in
-          incr next_track;
-          Hashtbl.add track_tids name tid;
-          tid
-      in
-      engine_for_tid tid)
+let main = ref (engine 0)
+let current = ref !main
+let tracks : (string, int * Span.t) Hashtbl.t = Hashtbl.create 8
 
 let metrics = Metrics.create ()
 
@@ -58,12 +22,10 @@ let enable () = on := true
 let disable () = on := false
 
 let reset () =
-  Pc.Lock.with_lock lock (fun () ->
-      Hashtbl.reset engines;
-      Hashtbl.reset track_tids;
-      Hashtbl.reset overrides;
-      next_track := track_base;
-      origin := !clock ());
+  origin := !clock ();
+  main := engine 0;
+  current := !main;
+  Hashtbl.reset tracks;
   Metrics.reset metrics
 
 let set_clock c =
@@ -73,70 +35,52 @@ let set_clock c =
 let span ?args name f =
   if not !on then f ()
   else begin
-    let engine = engine_for_caller () in
-    Span.enter engine ?args name;
+    let e = !current in
+    Span.enter e ?args name;
     match f () with
     | v ->
-      Span.exit_ engine;
+      Span.exit_ e;
       v
-    | exception e ->
-      Span.exit_ engine;
-      raise e
+    | exception ex ->
+      Span.exit_ e;
+      raise ex
   end
+
+let track_engine name =
+  match Hashtbl.find_opt tracks name with
+  | Some (_, e) -> e
+  | None ->
+    let tid = track_base + Hashtbl.length tracks in
+    let e = engine tid in
+    Hashtbl.add tracks name (tid, e);
+    e
 
 let with_track name f =
   if not !on then f ()
   else begin
-    let did = Pc.domain_id () in
-    let e = track_engine name in
-    let prev =
-      Pc.Lock.with_lock lock (fun () ->
-          let p = Hashtbl.find_opt overrides did in
-          Hashtbl.replace overrides did e;
-          p)
-    in
-    let restore () =
-      Pc.Lock.with_lock lock (fun () ->
-          match prev with
-          | Some p -> Hashtbl.replace overrides did p
-          | None -> Hashtbl.remove overrides did)
-    in
-    match f () with
-    | v ->
-      restore ();
-      v
-    | exception ex ->
-      restore ();
-      raise ex
+    let prev = !current in
+    current := track_engine name;
+    Fun.protect ~finally:(fun () -> current := prev) f
   end
 
 let track_names () =
-  Pc.Lock.with_lock lock (fun () ->
-      Hashtbl.fold (fun name tid acc -> (tid, name) :: acc) track_tids [])
+  Hashtbl.fold (fun name (tid, _) acc -> (tid, name) :: acc) tracks []
   |> List.sort compare
 
 let track_spans name =
-  Pc.Lock.with_lock lock (fun () ->
-      match Hashtbl.find_opt track_tids name with
-      | None -> []
-      | Some tid ->
-        (match Hashtbl.find_opt engines tid with
-         | Some e -> Span.completed e
-         | None -> []))
+  match Hashtbl.find_opt tracks name with
+  | Some (_, e) -> Span.completed e
+  | None -> []
 
 let timed f =
   let t0 = !clock () in
   let v = f () in
   (v, !clock () -. t0)
 
-(* engines grouped by domain id, each engine's spans in completion order;
-   with a single domain this is exactly the engine's completion order *)
+(* the main engine's spans, then each track's in ascending tid order *)
 let spans () =
-  let per_engine =
-    Pc.Lock.with_lock lock (fun () ->
-        Hashtbl.fold (fun tid e acc -> (tid, e) :: acc) engines [])
-  in
-  List.sort (fun (a, _) (b, _) -> compare (a : int) b) per_engine
+  Hashtbl.fold (fun _ te acc -> te :: acc) tracks [ (0, !main) ]
+  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
   |> List.concat_map (fun (_, e) -> Span.completed e)
 
 let span_totals () = Span.totals (spans ())

@@ -6,13 +6,11 @@
     it when [--trace-out]/[--metrics-out] is given; benchmarks enable it
     to harvest phase timings.
 
-    One span engine {e per domain} (created lazily, all sharing one time
-    origin) and one global metrics registry serve the whole process —
-    instrumentation points in the libraries write here without any
-    plumbing, and the sinks read from here at exit. Spans carry the domain
-    id as their [tid]; metrics cells are atomic or lock-guarded, so
-    parallel analyses ({!Ipet_par.Pool}) can record freely from any
-    domain. {!reset} restarts everything (used per-benchmark and by
+    One span engine (tid 0) plus any named tracks, and one global metrics
+    registry, serve the whole process — instrumentation points in the
+    libraries write here without any plumbing, and the sinks read from
+    here at exit. The process is single-threaded, so nothing here is
+    synchronized. {!reset} restarts everything (used per-benchmark and by
     tests).
 
     The clock is injectable ({!set_clock}) so tests can drive spans
@@ -34,7 +32,7 @@ val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
     when disabled it is [f ()]. *)
 
 val with_track : string -> (unit -> 'a) -> 'a
-(** [with_track name f] runs [f] with the calling domain's spans redirected
+(** [with_track name f] runs [f] with spans redirected
     to the named track — a dedicated span engine rendered as its own
     thread row (tid >= 1000) in the trace export, labeled [name] via
     {!track_names}. Tracks nest (the previous redirection is restored on
@@ -55,9 +53,8 @@ val timed : (unit -> 'a) -> 'a * float
     (works whether or not observability is enabled). *)
 
 val spans : unit -> Span.completed list
-(** Completed spans so far: engines grouped by ascending domain id, each
-    engine's spans in completion order. With a single domain this is plain
-    completion order. *)
+(** Completed spans so far: the main engine's (tid 0), then each track's
+    in ascending tid order, each engine's spans in completion order. *)
 
 val span_totals : unit -> (string * (int * int)) list
 (** {!Span.totals} of {!spans}. *)

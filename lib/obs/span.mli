@@ -17,7 +17,7 @@ type completed = {
   start_us : int;                 (** microseconds since the engine origin *)
   dur_us : int;
   depth : int;                    (** 0 for top-level spans *)
-  tid : int;                      (** the engine's thread/domain id *)
+  tid : int;                      (** the engine's trace row id *)
 }
 
 type t
@@ -25,10 +25,9 @@ type t
 val create : ?origin:float -> ?tid:int -> clock:(unit -> float) -> unit -> t
 (** [clock] returns seconds (any epoch; only differences are used).
     [origin] (default [clock ()]) anchors timestamp zero — {!Obs} passes
-    one shared origin to every per-domain engine so their spans line up on
-    a common axis. [tid] (default [0]) stamps this engine's completed
-    spans. An engine is single-owner: only the domain that entered a span
-    may exit it. *)
+    one shared origin to its main engine and every track engine so their
+    spans line up on a common axis. [tid] (default [0]) stamps this
+    engine's completed spans. *)
 
 val origin : t -> float
 

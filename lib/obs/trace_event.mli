@@ -3,10 +3,10 @@
     Renders completed spans as the JSON Trace Event Format that
     [chrome://tracing] and {{:https://ui.perfetto.dev}Perfetto} load
     directly: one complete ("ph":"X") event per span with microsecond
-    [ts]/[dur] on the thread row of the domain that recorded it, plus
-    process/thread metadata events (one thread row per domain id present).
+    [ts]/[dur] on the thread row of the engine that recorded it, plus
+    process/thread metadata events (one thread row per tid present).
     Events are sorted by start timestamp, which is non-decreasing per
-    domain by construction (see {!Span}). *)
+    engine by construction (see {!Span}). *)
 
 val to_string :
   ?process_name:string ->

@@ -1,62 +1,3 @@
-(** Build-time feature detection for shared-memory parallelism.
-
-    The implementation behind this interface is selected by the build (see
-    the dune rules): on OCaml 5 it wraps [Domain], the stdlib [Mutex] and
-    [Condition]; on OCaml 4 every primitive degrades to its sequential
-    meaning ([spawn] runs the thunk immediately, locks are no-ops). The
-    degradation is sound because without domains there is no concurrency to
-    guard against — a {!Pool} built on this shim simply runs everything on
-    the calling thread, byte-identical to a [--jobs 1] run. *)
-
-val available : bool
-(** [true] when [spawn] creates a real domain; [false] on the sequential
-    fallback. *)
-
 val recommended_domain_count : unit -> int
-(** [Domain.recommended_domain_count ()], or [1] on the fallback. *)
-
-val domain_id : unit -> int
-(** A small integer identifying the calling domain ([0] on the fallback).
-    Used to label spans, metrics and worker queues. *)
-
-type 'a handle
-
-val spawn : (unit -> 'a) -> 'a handle
-(** Run a thunk on a fresh domain. On the fallback the thunk runs
-    immediately on the calling thread and [join] returns its result. *)
-
-val join : 'a handle -> 'a
-(** Wait for a spawned thunk and return its result, re-raising its
-    exception if it raised. *)
-
-val cpu_relax : unit -> unit
-
-(** A mutual-exclusion lock. On the fallback it is free (and safe: no
-    concurrency exists without domains). *)
-module Lock : sig
-  type t
-
-  val create : unit -> t
-
-  val with_lock : t -> (unit -> 'a) -> 'a
-  (** Run the thunk holding the lock; always releases, even on raise. *)
-end
-
-(** A broadcast wakeup channel: generation-counted so sleepers never miss a
-    signal sent between deciding to sleep and sleeping. *)
-module Waiter : sig
-  type t
-
-  val create : unit -> t
-
-  val generation : t -> int
-  (** Read the current generation {e before} the final work re-check; pass
-      it to {!wait}. *)
-
-  val wait : t -> gen:int -> unit
-  (** Block until {!signal} bumps the generation past [gen]. Returns
-      immediately if it already has. *)
-
-  val signal : t -> unit
-  (** Bump the generation and wake every waiter. *)
-end
+(** Kept for ledger/, no other caller: the host's recommended domain
+    count on OCaml 5, [1] on OCaml 4. *)

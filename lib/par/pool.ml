@@ -1,199 +1,3 @@
-module Pc = Par_compat
+type t = unit
 
-type task = unit -> unit
-
-(* one queue per worker; guarded by its own lock. Workers pop their own
-   queue first and steal from siblings in ring order when it is empty. *)
-type deque = { dlock : Pc.Lock.t; q : task Queue.t }
-
-type t = {
-  deques : deque array;  (* [||] for a sequential pool *)
-  owners : int array;    (* domain id of each worker, written at startup *)
-  mutable workers : unit Pc.handle array;
-  waiter : Pc.Waiter.t;
-  stop : bool Atomic.t;
-  n_tasks : int Atomic.t;
-  n_steals : int Atomic.t;
-  rr : int Atomic.t;     (* round-robin slot for external submissions *)
-}
-
-type stats = { tasks : int; steals : int }
-
-let parallel t = Array.length t.deques > 0
-let jobs t = if parallel t then Array.length t.deques else 1
-let stats t = { tasks = Atomic.get t.n_tasks; steals = Atomic.get t.n_steals }
-
-(* --- futures -------------------------------------------------------------- *)
-
-type 'a state =
-  | Pending of (unit -> 'a)
-  | Running
-  | Done of 'a
-  | Raised of exn
-
-type 'a future = 'a state Atomic.t
-
-(* Run the future's thunk if nobody else has claimed it. Exactly one
-   claimant transitions Pending -> Running, so the thunk runs once. *)
-let force t (fut : 'a future) =
-  match Atomic.get fut with
-  | Pending f as prev ->
-    if Atomic.compare_and_set fut prev Running then begin
-      (match f () with
-       | v -> Atomic.set fut (Done v)
-       | exception e -> Atomic.set fut (Raised e));
-      if parallel t then Pc.Waiter.signal t.waiter
-    end
-  | Running | Done _ | Raised _ -> ()
-
-(* --- queues --------------------------------------------------------------- *)
-
-let my_worker_index t =
-  let id = Pc.domain_id () in
-  let n = Array.length t.owners in
-  let rec find i = if i >= n then None else if t.owners.(i) = id then Some i else find (i + 1) in
-  find 0
-
-let push t slot task =
-  let d = t.deques.(slot) in
-  Pc.Lock.with_lock d.dlock (fun () -> Queue.push task d.q);
-  Pc.Waiter.signal t.waiter
-
-let try_pop t slot =
-  let d = t.deques.(slot) in
-  Pc.Lock.with_lock d.dlock (fun () -> Queue.take_opt d.q)
-
-(* [me = Some i]: worker i (own queue first, then steal in ring order).
-   [me = None]: an outsider helping during await (every take is a steal). *)
-let take_task t ~me =
-  let n = Array.length t.deques in
-  let own, start =
-    match me with
-    | Some i -> (try_pop t i, i + 1)
-    | None -> (None, Atomic.get t.rr)
-  in
-  match own with
-  | Some _ as task -> task
-  | None ->
-    let skip = match me with Some i -> i | None -> -1 in
-    let rec scan k =
-      if k >= n then None
-      else
-        let slot = (start + k) mod n in
-        if slot = skip then scan (k + 1)
-        else
-          match try_pop t slot with
-          | Some _ as task ->
-            Atomic.incr t.n_steals;
-            task
-          | None -> scan (k + 1)
-    in
-    scan 0
-
-let worker_loop t i () =
-  t.owners.(i) <- Pc.domain_id ();
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else
-      match take_task t ~me:(Some i) with
-      | Some task -> task (); loop ()
-      | None ->
-        (* re-check under a fresh generation so a signal sent between the
-           last empty scan and the wait is never missed *)
-        let gen = Pc.Waiter.generation t.waiter in
-        (match take_task t ~me:(Some i) with
-         | Some task -> task (); loop ()
-         | None ->
-           if Atomic.get t.stop then ()
-           else begin
-             Pc.Waiter.wait t.waiter ~gen;
-             loop ()
-           end)
-  in
-  loop ()
-
-(* --- lifecycle ------------------------------------------------------------ *)
-
-let create ~jobs:n =
-  let n = if n >= 2 && Pc.available then n else 1 in
-  let t =
-    { deques =
-        (if n <= 1 then [||]
-         else Array.init n (fun _ -> { dlock = Pc.Lock.create (); q = Queue.create () }));
-      owners = Array.make n (-1);
-      workers = [||];
-      waiter = Pc.Waiter.create ();
-      stop = Atomic.make false;
-      n_tasks = Atomic.make 0;
-      n_steals = Atomic.make 0;
-      rr = Atomic.make 0 }
-  in
-  if n > 1 then t.workers <- Array.init n (fun i -> Pc.spawn (worker_loop t i));
-  t
-
-let shutdown t =
-  if Array.length t.workers > 0 then begin
-    Atomic.set t.stop true;
-    Pc.Waiter.signal t.waiter;
-    Array.iter Pc.join t.workers;
-    t.workers <- [||]
-  end
-
-(* --- submission and await ------------------------------------------------- *)
-
-let submit t f =
-  let fut = Atomic.make (Pending f) in
-  Atomic.incr t.n_tasks;
-  if parallel t then begin
-    let slot =
-      match my_worker_index t with
-      | Some i -> i
-      | None ->
-        (Atomic.fetch_and_add t.rr 1) mod Array.length t.deques
-    in
-    push t slot (fun () -> force t fut)
-  end;
-  fut
-
-let rec await t fut =
-  match Atomic.get fut with
-  | Done v -> v
-  | Raised e -> raise e
-  | Pending _ ->
-    force t fut;
-    await t fut
-  | Running ->
-    (* someone else is computing it: help with other queued work, and only
-       sleep when there is none *)
-    let gen = Pc.Waiter.generation t.waiter in
-    (match Atomic.get fut with
-     | Done v -> v
-     | Raised e -> raise e
-     | Pending _ | Running ->
-       (match take_task t ~me:(my_worker_index t) with
-        | Some task -> task ()
-        | None -> Pc.Waiter.wait t.waiter ~gen);
-       await t fut)
-
-let map_array t f arr =
-  if not (parallel t) || Array.length arr <= 1 then Array.map f arr
-  else begin
-    let futures = Array.map (fun x -> submit t (fun () -> f x)) arr in
-    (* awaiting by index makes results — and the surfaced exception, if
-       any — independent of completion order *)
-    Array.map (fun fut -> await t fut) futures
-  end
-
-let map_list t f xs = Array.to_list (map_array t f (Array.of_list xs))
-
-(* --- default pool --------------------------------------------------------- *)
-
-let current_default = ref (create ~jobs:1)
-
-let default () = !current_default
-
-let set_default ~jobs =
-  shutdown !current_default;
-  current_default := create ~jobs
-
-let () = at_exit (fun () -> shutdown !current_default)
+let create ~jobs:_ = ()

@@ -1,82 +1,6 @@
-(** A work-stealing futures executor over OCaml 5 domains.
-
-    A pool owns [jobs] worker domains, each with its own task queue;
-    workers drain their own queue first and steal from siblings when it
-    runs dry. Tasks may submit further tasks ({!map_array} nests freely),
-    and {!await} {e helps}: a caller blocked on an unfinished future
-    executes other queued tasks instead of sleeping, so nested fan-out
-    cannot deadlock the pool.
-
-    {b Determinism.} Results are delivered by position, never by completion
-    order: [map_array pool f a] returns exactly [Array.map f a] whatever
-    the interleaving, and if several [f x] raise, the exception of the
-    smallest index is re-raised — the same one a sequential run would have
-    surfaced. Everything layered on the pool (the ILP solver, the analysis
-    fan-out, suite sharding) is built to keep that property end to end.
-
-    {b Sequential mode.} With [jobs <= 1], or on OCaml 4 (see
-    {!Par_compat.available}), no domains are spawned and futures become
-    memoized thunks forced at {!await} — submission costs an allocation,
-    and execution order is exactly the await order of the caller. Code
-    written against the pool therefore needs no sequential special case. *)
+(** Kept for ledger/, no other caller: a token the ledger still passes
+    around. The analysis is sequential and ignores it. *)
 
 type t
 
 val create : jobs:int -> t
-(** [create ~jobs] spawns [jobs] worker domains when [jobs >= 2] and
-    domains are available; otherwise returns a sequential pool. *)
-
-val jobs : t -> int
-(** Effective parallelism: the worker count, or [1] for a sequential
-    pool. *)
-
-val parallel : t -> bool
-(** [jobs t > 1] — real domains are running. *)
-
-val shutdown : t -> unit
-(** Stop and join the workers. Futures still queued are not executed by
-    workers, but remain valid: {!await} forces them inline. Idempotent;
-    a no-op on sequential pools. *)
-
-(** {1 Futures} *)
-
-type 'a future
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Schedule a thunk. On a parallel pool it is pushed on the submitting
-    worker's queue (round-robin from outside the pool); on a sequential
-    pool it is held unevaluated until awaited. *)
-
-val await : t -> 'a future -> 'a
-(** The thunk's result, re-raising its exception. Helps execute other
-    queued tasks while waiting; forces the thunk inline if no worker has
-    started it. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Deterministic parallel map: same results, same exception behavior as
-    [Array.map], in any interleaving. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** {1 Default pool}
-
-    One process-wide pool shared by every [--jobs]-aware entry point, so
-    nested parallel layers (suite sharding over constraint-set fan-out
-    over branch-and-bound) share one set of domains instead of
-    oversubscribing the machine. *)
-
-val set_default : jobs:int -> unit
-(** Replace the default pool (shutting the previous one down). Called once
-    at CLI startup from [--jobs]. *)
-
-val default : unit -> t
-(** The current default pool; sequential until {!set_default}. *)
-
-(** {1 Introspection} *)
-
-type stats = {
-  tasks : int;   (** futures submitted over the pool's lifetime *)
-  steals : int;  (** tasks taken from a queue the taker does not own *)
-}
-
-val stats : t -> stats

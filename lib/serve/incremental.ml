@@ -160,10 +160,10 @@ let run_unit ~cache ~counter ~deadline (w : work) =
 (* --- the two kinds of unit ------------------------------------------------- *)
 
 (* one per-function ILP: solved once, certified on the solver's own witness *)
-let solve_problem ~pool ~counter (spec : A.spec) name problem =
+let solve_problem ~counter (spec : A.spec) name problem =
   counter.solves <- counter.solves + 1;
   Obs.add "serve.ilp.solves" 1;
-  match Ilp.solve ~presolve:spec.A.presolve ?pool problem with
+  match Ilp.solve ~presolve:spec.A.presolve problem with
   | Ilp.Optimal { value; assignment; stats } ->
     counter.warm <- counter.warm + stats.Ilp.warm_hits;
     counter.pivots <- counter.pivots + stats.Ilp.pivots;
@@ -173,7 +173,7 @@ let solve_problem ~pool ~counter (spec : A.spec) name problem =
   | Ilp.Infeasible _ -> fail "per-entry ILP for %s is infeasible" name
   | Ilp.Unbounded _ -> fail "per-entry ILP for %s is unbounded" name
 
-let func_unit ~pool ~counter (spec : A.spec) layout
+let func_unit ~counter (spec : A.spec) layout
     (done_units : (string, unit_result) Hashtbl.t) (func : P.func) =
   let costs =
     Cost.func_bounds ~mach:spec.A.mach ?dcache:spec.A.dcache ~prog:spec.A.prog
@@ -236,7 +236,7 @@ let func_unit ~pool ~counter (spec : A.spec) layout
       constraints
   in
   let solve () =
-    let solve = solve_problem ~pool ~counter spec func.P.name in
+    let solve = solve_problem ~counter spec func.P.name in
     (solve wcet_problem, solve bcet_problem)
   in
   { name = func.P.name; key; insts = [ inst ];
@@ -245,7 +245,7 @@ let func_unit ~pool ~counter (spec : A.spec) layout
 (* functionality constraints and the first-miss refinement couple flow
    variables across functions, so such a request is one whole-program unit:
    the monolithic ILPs, solved and certified by {!A.analyze} *)
-let program_unit ~pool ~counter (spec : A.spec) =
+let program_unit ~counter (spec : A.spec) =
   let insts, wcet_problems, bcet_problems = A.problems spec in
   let key =
     Key.program_key ~mach:(Machine.id spec.A.mach) ~cache:spec.A.cache
@@ -253,7 +253,7 @@ let program_unit ~pool ~counter (spec : A.spec) =
       ~annotations:spec.A.loop_bounds ~functional:spec.A.functional spec.A.prog
   in
   let solve () =
-    let r = A.analyze ?pool ~certify:true spec in
+    let r = A.analyze ~certify:true spec in
     let sets = r.A.wcet_stats.A.sets_solved + r.A.bcet_stats.A.sets_solved in
     counter.solves <- counter.solves + sets;
     counter.warm <-
@@ -348,7 +348,7 @@ let unit_row ~name ~key ~bcet_pe ~wcet_pe ~bcet_entries ~wcet_entries =
 
 (* --- entry point --------------------------------------------------------- *)
 
-let analyze ?pool ?cache ?deadline (spec : A.spec) =
+let analyze ?cache ?deadline (spec : A.spec) =
   let counter =
     { cached = 0; solved = 0; solves = 0; warm = 0; pivots = 0;
       cert_checks = 0; cert_rejects = 0 }
@@ -359,7 +359,7 @@ let analyze ?pool ?cache ?deadline (spec : A.spec) =
   (* the units in solve order, and how to build one from the units before *)
   let unit_kind, topo, work_of =
     if spec.A.functional <> [] || spec.A.first_miss_refinement then
-      ("program", [ spec.A.root ], fun _ _ -> program_unit ~pool ~counter spec)
+      ("program", [ spec.A.root ], fun _ _ -> program_unit ~counter spec)
     else begin
       let layout = Layout.make prog in
       let cg = Callgraph.of_program prog in
@@ -375,7 +375,7 @@ let analyze ?pool ?cache ?deadline (spec : A.spec) =
       ( "func",
         List.filter (Hashtbl.mem reach) (Callgraph.topological_order cg),
         fun units fname ->
-          func_unit ~pool ~counter spec layout units (P.find_func prog fname) )
+          func_unit ~counter spec layout units (P.find_func prog fname) )
     end
   in
   let units : (string, unit_result) Hashtbl.t = Hashtbl.create 8 in

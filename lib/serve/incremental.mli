@@ -62,7 +62,6 @@ type stats = {
 }
 
 val analyze :
-  ?pool:Ipet_par.Pool.t ->
   ?cache:Cache.t ->
   ?deadline:float ->
   Ipet.Analysis.spec ->

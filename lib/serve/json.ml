@@ -124,7 +124,14 @@ let parse s =
   in
   let hex4 () =
     if !pos + 4 > n then error "at byte %d: truncated \\u escape" !pos;
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit i =
+      match s.[!pos + i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | c -> error "at byte %d: bad hex digit '%c' in \\u escape" (!pos + i) c
+    in
+    let v = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
     pos := !pos + 4;
     v
   in

@@ -14,7 +14,6 @@ type totals = {
 }
 
 type config = {
-  pool : Ipet_par.Pool.t option;
   cache : Cache.t option;
   default_timeout_ms : int option;
   flight : Flight.t;
@@ -22,9 +21,8 @@ type config = {
   totals : totals;
 }
 
-let make ?pool ?cache ?default_timeout_ms ?access ?(flight_cap = 512) () =
-  { pool;
-    cache;
+let make ?cache ?default_timeout_ms ?access ?(flight_cap = 512) () =
+  { cache;
     default_timeout_ms;
     flight = Flight.create ~cap:flight_cap ();
     access;
@@ -244,7 +242,7 @@ let analyze config ~req_id ~(note : note) req =
     match
       Obs.with_track track (fun () ->
           Obs.span "serve.analyze" ~args:[ ("root", root) ] (fun () ->
-              Incremental.analyze ?pool:config.pool ?cache ?deadline spec))
+              Incremental.analyze ?cache ?deadline spec))
     with
     | result -> result
     | exception Incremental.Timeout ->

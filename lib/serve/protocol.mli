@@ -53,7 +53,6 @@ type totals = {
 }
 
 type config = {
-  pool : Ipet_par.Pool.t option;  (** shared solver pool *)
   cache : Cache.t option;         (** [None]: caching disabled *)
   default_timeout_ms : int option;
       (** applied to analyze requests that don't set [timeout_ms] *)
@@ -63,7 +62,6 @@ type config = {
 }
 
 val make :
-  ?pool:Ipet_par.Pool.t ->
   ?cache:Cache.t ->
   ?default_timeout_ms:int ->
   ?access:Access_log.t ->

@@ -71,7 +71,7 @@ let protocol_config config =
       (fun path -> Access_log.open_ ~path ~cap_bytes:config.access_log_cap)
       config.access_log
   in
-  Protocol.make ?pool:config.pool ?cache:config.cache
+  Protocol.make ?cache:config.cache
     ?default_timeout_ms:config.default_timeout_ms ?access
     ~flight_cap:config.flight_cap ()
 

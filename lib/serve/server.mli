@@ -2,8 +2,7 @@
     unix-domain socket, speaking {!Protocol} version 1.
 
     Requests on one connection are served in order; connections are
-    multiplexed, so a slow analysis on one connection delays others (the
-    solver itself still fans out across the shared domain pool). A
+    multiplexed, so a slow analysis on one connection delays others. A
     malformed or failing request produces an error response on its own
     connection and nothing else — the daemon never dies with a client.
 
@@ -19,6 +18,7 @@
 type config = {
   socket_path : string;
   pool : Ipet_par.Pool.t option;
+      (** kept for ledger/, no other caller; accepted and ignored *)
   cache : Cache.t option;
   default_timeout_ms : int option;
   max_request_bytes : int;

@@ -45,26 +45,18 @@ let no_setup (_ : Ipet_sim.Interp.t) = ()
 
 let dataset ?(setup = no_setup) ?(args = []) dname = { dname; setup; args }
 
-(* memo shared by every caller, including pool workers compiling
-   different benchmarks concurrently, hence the lock; compilation is
-   deterministic, so a racing duplicate would be harmless but the lock
-   also keeps the Hashtbl's internals consistent *)
-let cache_lock = Ipet_par.Par_compat.Lock.create ()
+(* memo shared by every caller; compilation is deterministic *)
 let cache_table : (string, Ipet_lang.Compile.t) Hashtbl.t = Hashtbl.create 16
 
 let compile t =
-  match
-    Ipet_par.Par_compat.Lock.with_lock cache_lock (fun () ->
-        Hashtbl.find_opt cache_table t.name)
-  with
+  match Hashtbl.find_opt cache_table t.name with
   | Some c -> c
   | None ->
     let c =
       try Ipet_lang.Frontend.compile_string_exn t.source with
       | Failure msg -> failwith (Printf.sprintf "benchmark %s: %s" t.name msg)
     in
-    Ipet_par.Par_compat.Lock.with_lock cache_lock (fun () ->
-        Hashtbl.replace cache_table t.name c);
+    Hashtbl.replace cache_table t.name c;
     c
 
 let spec ?mach ?cache ?dcache t =

@@ -61,10 +61,10 @@ let calculated_cost spec counts ~select =
     (fun acc ((func, block), count) -> acc + (count * select (costs func).(block)))
     0 counts
 
-let run ?mach ?cache ?dcache ?pool (bench : Bspec.t) =
+let run ?mach ?cache ?dcache (bench : Bspec.t) =
   let compiled = Bspec.compile bench in
   let spec = Bspec.spec ?mach ?cache ?dcache bench in
-  let result = Analysis.analyze ?pool spec in
+  let result = Analysis.analyze spec in
   let worst_runs =
     List.map
       (fun d ->
@@ -113,17 +113,8 @@ let run ?mach ?cache ?dcache ?pool (bench : Bspec.t) =
       result.Analysis.wcet_stats.Analysis.all_first_lp_integral
       && result.Analysis.bcet_stats.Analysis.all_first_lp_integral }
 
-(* Benchmarks are sharded across the pool; each shard's analysis reuses
-   the same pool for its inner fan-outs (helping awaits make the nesting
-   safe). Results come back in suite order regardless of completion
-   order, so the row list is identical at any job count. *)
-let run_all ?mach ?cache ?dcache ?pool () =
-  let pool =
-    match pool with Some p -> p | None -> Ipet_par.Pool.default ()
-  in
-  Ipet_par.Pool.map_list pool
-    (fun b -> run ?mach ?cache ?dcache ~pool b)
-    Suite.all
+let run_all ?mach ?cache ?dcache () =
+  List.map (run ?mach ?cache ?dcache) Suite.all
 
 (* --- table rendering ------------------------------------------------------ *)
 

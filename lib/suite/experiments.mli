@@ -33,24 +33,20 @@ val run :
   ?mach:Ipet_machine.Machine.t ->
   ?cache:Ipet_machine.Icache.config ->
   ?dcache:Ipet_machine.Icache.config ->
-  ?pool:Ipet_par.Pool.t ->
   Bspec.t ->
   row
 (** Analyze, simulate and measure one benchmark; [mach] selects the
     machine model for both the analysis and the simulation (default
     {!Ipet_machine.Machine.e32}); [dcache] enables the data-cache model
-    in both. [pool] (default {!Ipet_par.Pool.default}) parallelizes the
-    analysis. *)
+    in both. *)
 
 val run_all :
   ?mach:Ipet_machine.Machine.t ->
   ?cache:Ipet_machine.Icache.config ->
   ?dcache:Ipet_machine.Icache.config ->
-  ?pool:Ipet_par.Pool.t ->
   unit ->
   row list
-(** Every suite benchmark, sharded across [pool]; the row list is in
-    suite order and identical at any job count. *)
+(** Every suite benchmark, in suite order. *)
 
 (** {1 Table rendering}
 

@@ -1,7 +1,6 @@
 (* Proof-carrying bounds: the trusted checker against hand-built LPs,
    QCheck mutation properties (a perturbed certificate is rejected),
-   serialization round trips, and full-suite certificate validation at
-   two pool sizes. *)
+   serialization round trips, and full-suite certificate validation. *)
 
 open Ipet_num
 module L = Ipet_lp.Linexpr
@@ -11,7 +10,6 @@ module Cert = Ipet_cert.Certificate
 module Checker = Ipet_cert.Checker
 module Certify = Ipet_cert.Certify
 module A = Ipet.Analysis
-module Pool = Ipet_par.Pool
 module Bspec = Ipet_suite.Bspec
 module J = Ipet_serve.Json
 
@@ -248,36 +246,31 @@ let prop_mutated_coefficient =
       in
       Checker.check { p with P.constraints } c)
 
-(* --- the whole suite, certified, at two pool sizes ------------------------ *)
+(* --- the whole suite, certified ------------------------------------------- *)
 
-let certified_suite jobs () =
-  let pool = Pool.create ~jobs in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      List.iter
-        (fun (b : Bspec.t) ->
-          let name = b.Bspec.name in
-          let r = A.analyze ~pool ~certify:true (Bspec.spec b) in
-          let side what cycles = function
-            | None -> Alcotest.failf "%s: no %s certificate" name what
-            | Some (c : A.certificate) ->
-              check_bool
-                (Printf.sprintf "%s: %s certificate valid" name what)
-                true (valid c.A.verdict);
-              check_bool
-                (Printf.sprintf "%s: %s gap closed" name what)
-                true
-                (Checker.gap_closed c.A.verdict);
-              check_bool
-                (Printf.sprintf "%s: %s certificate certifies the bound" name
-                   what)
-                true
-                (Rat.equal c.A.cert.Cert.bound (Rat.of_int cycles))
-          in
-          side "wcet" r.A.wcet.A.cycles r.A.wcet_cert;
-          side "bcet" r.A.bcet.A.cycles r.A.bcet_cert)
-        Ipet_suite.Suite.all)
+let certified_suite () =
+  List.iter
+    (fun (b : Bspec.t) ->
+      let name = b.Bspec.name in
+      let r = A.analyze ~certify:true (Bspec.spec b) in
+      let side what cycles = function
+        | None -> Alcotest.failf "%s: no %s certificate" name what
+        | Some (c : A.certificate) ->
+          check_bool
+            (Printf.sprintf "%s: %s certificate valid" name what)
+            true (valid c.A.verdict);
+          check_bool
+            (Printf.sprintf "%s: %s gap closed" name what)
+            true
+            (Checker.gap_closed c.A.verdict);
+          check_bool
+            (Printf.sprintf "%s: %s certificate certifies the bound" name what)
+            true
+            (Rat.equal c.A.cert.Cert.bound (Rat.of_int cycles))
+      in
+      side "wcet" r.A.wcet.A.cycles r.A.wcet_cert;
+      side "bcet" r.A.bcet.A.cycles r.A.bcet_cert)
+    Ipet_suite.Suite.all
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -291,7 +284,6 @@ let suite =
     ("checker rejects every tampering", `Quick, test_checker_rejects_tampering);
     ("serialization round trip", `Quick, test_roundtrip);
     ("JSON export", `Quick, test_json_export);
-    ("all 13 benchmarks certify at --jobs 1", `Slow, certified_suite 1);
-    ("all 13 benchmarks certify at --jobs 4", `Slow, certified_suite 4);
+    ("all 13 benchmarks certify at --jobs 1", `Slow, certified_suite);
     ("malformed fields are parse errors", `Quick, test_parse_faults) ]
   @ props

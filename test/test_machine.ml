@@ -523,22 +523,6 @@ let test_m7_certify_gap_closed () =
           ("bcet", result.Ipet.Analysis.bcet_cert) ])
     Suite.all
 
-let test_jobs_differential_both_machines () =
-  (* analysis results are bit-identical at any job count, per machine *)
-  let p1 = Ipet_par.Pool.create ~jobs:1 in
-  let p4 = Ipet_par.Pool.create ~jobs:4 in
-  List.iter
-    (fun mach ->
-      List.iter
-        (fun name ->
-          let b = Suite.find name in
-          check_bool
-            (Printf.sprintf "%s on %s: jobs 1 = jobs 4" name (Machine.id mach))
-            true
-            (E.run ~mach ~pool:p1 b = E.run ~mach ~pool:p4 b))
-        [ "des"; "fft" ])
-    Machine.all
-
 let suite =
   suite
   @ [ ("machine of_string", `Quick, test_machine_of_string);
@@ -555,6 +539,4 @@ let suite =
       ("m7 enclosure on all benchmarks", `Slow, test_m7_enclosure_all_benchmarks);
       ("extended set: explicit e32 = default", `Slow,
        test_extended_e32_explicit_matches_default);
-      ("m7 certificates gap-closed", `Slow, test_m7_certify_gap_closed);
-      ("jobs 1 vs 4 differential on both machines", `Slow,
-       test_jobs_differential_both_machines) ]
+      ("m7 certificates gap-closed", `Slow, test_m7_certify_gap_closed) ]

@@ -21,7 +21,6 @@ let () =
       ("edge", Test_edge.suite);
       ("obs", Test_obs.suite);
       ("fuzz", Test_fuzz.suite);
-      ("par", Test_par.suite);
       ("solver_oracle", Test_solver_oracle.suite);
       ("serve", Test_serve.suite);
       ("golden", Test_golden.suite) ]

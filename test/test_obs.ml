@@ -439,7 +439,7 @@ let test_request_tracks () =
       check_int "one track per distinct name" 2 (List.length names);
       List.iter
         (fun (tid, _) ->
-          check_bool "track tids live above the domain tids" true (tid >= 1000))
+          check_bool "track tids live above the main engine's tid" true (tid >= 1000))
         names;
       check_bool "both names registered" true
         (List.sort compare (List.map snd names) = [ "req:a"; "req:b" ]);
@@ -601,6 +601,81 @@ let test_attribution_report () =
     check_int "unexecuted block sim count" 0 second.Ipet.Report.sim_count
   | _ -> Alcotest.fail "expected 2 rows"
 
+(* --- the CLI's sinks under every analyze reporting flag ---------------- *)
+
+(* [cinderella analyze] on a suite program with --metrics-out and
+   --trace-out, once per subset of the flags that add to the report: every
+   run must exit 0 and leave two valid JSON documents. *)
+let test_analyze_sinks_every_flag_combination () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../bin/cinderella.exe"
+  in
+  let b = Ipet_suite.Suite.find "check_data" in
+  let dir = Filename.temp_file "obs-cli" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path name = Filename.concat dir name in
+  let write name text =
+    let oc = open_out_bin (path name) in
+    output_string oc text;
+    close_out oc
+  in
+  let read name =
+    let ic = open_in_bin (path name) in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    text
+  in
+  write "p.mc" b.Ipet_suite.Bspec.source;
+  write "p.ann"
+    (String.concat ""
+       (Printf.sprintf "root %s\n" b.Ipet_suite.Bspec.root
+        :: List.filter_map
+             (fun (a : Ipet.Annotation.t) ->
+               match a.Ipet.Annotation.header with
+               | `Line l ->
+                 Some
+                   (Printf.sprintf "loop %s %d %d %d\n" a.Ipet.Annotation.func
+                      l a.Ipet.Annotation.lo a.Ipet.Annotation.hi)
+               | `Block _ -> None)
+             b.Ipet_suite.Bspec.loop_bounds));
+  let flags =
+    [ [ "--certify" ]; [ "--cert-out"; path "c.json" ]; [ "--lp-stats" ];
+      [ "--sensitivity" ]; [ "--verbose" ]; [ "--no-presolve" ] ]
+  in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | f :: rest ->
+      let without = subsets rest in
+      without @ List.map (fun s -> f @ s) without
+  in
+  List.iter
+    (fun extra ->
+      let what = String.concat " " ("analyze" :: extra) in
+      List.iter
+        (fun f -> if Sys.file_exists (path f) then Sys.remove (path f))
+        [ "m.json"; "t.json" ];
+      let args =
+        [ exe; "analyze"; path "p.mc"; "-a"; path "p.ann";
+          "--metrics-out"; path "m.json"; "--trace-out"; path "t.json" ]
+        @ extra
+      in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let pid =
+        Unix.create_process exe (Array.of_list args) devnull devnull devnull
+      in
+      Unix.close devnull;
+      let _, status = Unix.waitpid [] pid in
+      check_bool (what ^ ": exit 0") true (status = Unix.WEXITED 0);
+      List.iter
+        (fun f ->
+          match parse_json (read f) with
+          | _ -> ()
+          | exception Bad_json msg -> Alcotest.failf "%s: %s: %s" what f msg)
+        [ "m.json"; "t.json" ])
+    (subsets flags)
+
 let suite =
   [ ("span nesting and ordering", `Quick, test_span_nesting);
     ("span monotonic clamp", `Quick, test_span_monotonic_clamp);
@@ -616,4 +691,6 @@ let suite =
     ("trace-event track labels", `Quick, test_trace_event_track_labels);
     ("diagnostics rendering", `Quick, test_diag_rendering);
     ("profiled simulator attribution", `Quick, test_profile_attribution_exact);
-    ("attribution report", `Quick, test_attribution_report) ]
+    ("attribution report", `Quick, test_attribution_report);
+    ("analyze sinks under every reporting flag", `Slow,
+     test_analyze_sinks_every_flag_combination) ]

@@ -83,7 +83,7 @@ let test_json_errors () =
   List.iter
     (fun s -> check_bool (Printf.sprintf "rejects %S" s) true (rejects s))
     [ ""; "nul"; "{"; "[1,]"; "{\"a\":}"; "\"unterminated"; "1 2";
-      "{\"a\":1}garbage"; "\"\\q\""; "\"\xc3"; "\"\\ud800\"";
+      "{\"a\":1}garbage"; "\"\\q\""; "\"\xc3"; "\"\\ud800\""; "\"\\uzz00\"";
       String.make 600 '[' ^ String.make 600 ']' ]
 
 let json_gen =
@@ -116,6 +116,52 @@ let json_gen =
 let prop_json_roundtrip =
   QCheck.Test.make ~name:"random values survive a print/parse round trip"
     ~count:200 (QCheck.make json_gen) roundtrip
+
+(* Hostile input: random bytes, truncations and single-byte mutations of
+   printed values must come back as [Ok] or [Error], never as an exception;
+   nesting far past the parser's depth cap must be an [Error] (not a
+   [Stack_overflow]). The flag marks inputs that must be rejected. *)
+let hostile_json_gen =
+  let open QCheck.Gen in
+  let printed = map J.to_string json_gen in
+  let nested =
+    map2
+      (fun depth obj ->
+        let opener, closer = if obj then ({|{"k":|}, "}") else ("[", "]") in
+        let buf = Buffer.create (depth * 6) in
+        for _ = 1 to depth do Buffer.add_string buf opener done;
+        Buffer.add_char buf '0';
+        for _ = 1 to depth do Buffer.add_string buf closer done;
+        (Buffer.contents buf, true))
+      (int_range 1_000 100_000) bool
+  in
+  frequency
+    [ (4, map (fun s -> (s, false)) (string_size ~gen:char (int_bound 64)));
+      (4,
+       printed >>= fun s ->
+       map (fun k -> (String.sub s 0 k, false)) (int_bound (String.length s)));
+      (4,
+       printed >>= fun s ->
+       map2
+         (fun i c ->
+           (String.mapi (fun j d -> if j = i then c else d) s, false))
+         (int_bound (max 0 (String.length s - 1)))
+         char);
+      (1, nested) ]
+
+let prop_json_parse_total =
+  QCheck.Test.make ~name:"json: hostile input is Ok or Error, never raises"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (s, _) ->
+         Printf.sprintf "%S" (if String.length s > 200 then String.sub s 0 200 else s))
+       hostile_json_gen)
+    (fun (s, must_fail) ->
+      match J.parse s with
+      | Ok _ -> not must_fail
+      | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "parse raised %s" (Printexc.to_string e))
 
 (* --- cache keys ----------------------------------------------------------- *)
 
@@ -949,7 +995,7 @@ let test_socket_e2e () =
   let pid =
     Unix.create_process exe
       [| exe; "serve"; "--socket"; socket; "--cache-dir";
-         Filename.concat dir "cache"; "-j"; "1" |]
+         Filename.concat dir "cache" |]
       devnull devnull devnull
   in
   Unix.close devnull;
@@ -995,7 +1041,7 @@ let test_socket_both_machines () =
   let pid =
     Unix.create_process exe
       [| exe; "serve"; "--socket"; socket; "--cache-dir";
-         Filename.concat dir "cache"; "-j"; "1" |]
+         Filename.concat dir "cache" |]
       devnull devnull devnull
   in
   Unix.close devnull;
@@ -1082,7 +1128,7 @@ let test_sigterm_flush () =
   let pid =
     Unix.create_process exe
       [| exe; "serve"; "--socket"; socket; "--cache-dir";
-         Filename.concat dir "cache"; "-j"; "1"; "--trace-out"; trace_out;
+         Filename.concat dir "cache"; "--trace-out"; trace_out;
          "--metrics-out"; metrics_out; "--access-log"; access;
          "--flight-dump"; flight |]
       devnull devnull devnull
@@ -1182,4 +1228,5 @@ let suite =
     Alcotest.test_case "daemon: both machines in one session" `Quick
       test_socket_both_machines;
     Alcotest.test_case "daemon: SIGTERM flushes every sink" `Quick
-      test_sigterm_flush ]
+      test_sigterm_flush;
+    QCheck_alcotest.to_alcotest prop_json_parse_total ]

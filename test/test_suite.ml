@@ -78,6 +78,35 @@ let exact_names =
   [ "check_data"; "piksrt"; "line"; "jpeg_fdct_islow"; "jpeg_idct_islow";
     "recon"; "fullsearch"; "whetstone"; "dhry"; "matgen"; "des" ]
 
+(* In-process repeatability: the observable report of every benchmark —
+   bound summary plus the full solver statistics — rendered twice in one
+   process must be byte-identical; the second pass compiles through the
+   {!Bspec} memo. *)
+
+let render_suite mach =
+  List.map
+    (fun (b : Bspec.t) ->
+      let r = Ipet.Analysis.analyze (Bspec.spec ~mach b) in
+      (b.Bspec.name, Ipet.Report.bound_summary r ^ "\n" ^ Ipet.Report.lp_stats r))
+    (Ipet_suite.Suite.all @ Ipet_suite.Suite.extended)
+
+let check_same_renders ~what reference got =
+  List.iter2
+    (fun (name, ref_render) (name', render) ->
+      Alcotest.(check string) (what ^ ": benchmark order " ^ name) name name';
+      Alcotest.(check string) (what ^ ": report of " ^ name) ref_render render)
+    reference got
+
+let test_repeat_in_process () =
+  List.iter
+    (fun mach ->
+      let first = render_suite mach in
+      check_int "the whole 21-benchmark suite" 21 (List.length first);
+      check_same_renders
+        ~what:(Ipet_machine.Machine.id mach ^ " pass 2 vs pass 1")
+        first (render_suite mach))
+    Ipet_machine.Machine.all
+
 let suite =
   [ ("13 benchmarks present", `Quick, test_all_benchmarks_present) ]
   @ List.map invariant_test
@@ -85,4 +114,6 @@ let suite =
          (Ipet_suite.Suite.all @ Ipet_suite.Suite.extended))
   @ List.map exact_test exact_names
   @ [ ("dhry 8->3 pruning", `Slow, test_dhry_pruning);
-      ("check_data 2 sets", `Slow, test_check_data_sets) ]
+      ("check_data 2 sets", `Slow, test_check_data_sets);
+      ("21 benchmarks render identically twice in one process", `Slow,
+       test_repeat_in_process) ]
