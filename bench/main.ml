@@ -29,6 +29,7 @@ module Lp = Ipet_lp.Lp_problem
 module Linexpr = Ipet_lp.Linexpr
 module Sparse = Ipet_lp.Sparse
 module Revised = Ipet_lp.Revised
+module J = Ipet_obs.Json
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -676,39 +677,35 @@ let lp_bench ~check () =
     let warm_json =
       match warm with
       | Some w when w.children > 0 ->
-        Printf.sprintf
-          ",\n      \"warm_children\": %d, \"warm_cold_wall_s\": %.4f, \
-           \"warm_wall_s\": %.4f, \"warm_speedup\": %.2f, \
-           \"warm_hits\": %d, \"warm_misses\": %d, \"warm_hit_rate\": %.3f"
-          w.children w.cold_wall w.warm_wall
-          (if w.warm_wall > 0.0 then w.cold_wall /. w.warm_wall else 0.0)
-          w.hits w.misses
-          (float_of_int w.hits /. float_of_int w.children)
-      | _ -> ""
+        [ ("warm_children", J.Int w.children);
+          ("warm_cold_wall_s", J.Float w.cold_wall);
+          ("warm_wall_s", J.Float w.warm_wall);
+          ( "warm_speedup",
+            J.Float (if w.warm_wall > 0.0 then w.cold_wall /. w.warm_wall else 0.0) );
+          ("warm_hits", J.Int w.hits);
+          ("warm_misses", J.Int w.misses);
+          ("warm_hit_rate", J.Float (float_of_int w.hits /. float_of_int w.children)) ]
+      | _ -> []
     in
-    Printf.sprintf
-      "    { \"tier\": %S, \"stmt_budget\": %d, \"vars\": %d, \
-       \"constrs\": %d,\n      \"dense_wall_s\": %s, \
-       \"revised_wall_s\": %.4f, \"speedup\": %s%s }"
-      name budget nvars nconstrs
-      (match dense_wall with
-       | Some d -> Printf.sprintf "%.4f" d
-       | None -> "null")
-      revised_wall
-      (match dense_wall with
-       | Some _ -> Printf.sprintf "%.2f" speedup
-       | None -> "null")
-      warm_json
-  in
-  let out =
-    Printf.sprintf
-      "{\n  \"suite\": \"ipet-lp\",\n  \"seed\": %d,\n  \
-       \"presolve\": false,\n  \"tiers\": [\n%s\n  ]\n}\n"
-      lp_seed
-      (String.concat ",\n" (List.map tier_json entries))
+    J.Obj
+      ([ ("tier", J.Str name);
+         ("stmt_budget", J.Int budget);
+         ("vars", J.Int nvars);
+         ("constrs", J.Int nconstrs);
+         ("dense_wall_s", Option.fold ~none:J.Null ~some:(fun d -> J.Float d) dense_wall);
+         ("revised_wall_s", J.Float revised_wall);
+         ("speedup", if dense_wall = None then J.Null else J.Float speedup) ]
+       @ warm_json)
   in
   let oc = open_out "BENCH_lp.json" in
-  output_string oc out;
+  output_string oc
+    (J.to_string
+       (J.Obj
+          [ ("suite", J.Str "ipet-lp");
+            ("seed", J.Int lp_seed);
+            ("presolve", J.Bool false);
+            ("tiers", J.List (List.map tier_json entries)) ])
+     ^ "\n");
   close_out oc;
   print_endline "wrote BENCH_lp.json";
   if check then begin

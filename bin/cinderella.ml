@@ -22,6 +22,7 @@ module Icache = Ipet_machine.Icache
 module Machine = Ipet_machine.Machine
 module Obs = Ipet_obs.Obs
 module Diag = Ipet_obs.Diag
+module J = Ipet_obs.Json
 
 let read_file path =
   let ic = open_in_bin path in
@@ -29,6 +30,23 @@ let read_file path =
   let content = really_input_string ic len in
   close_in ic;
   content
+
+(* Every output file the CLI writes goes through here, so an unwritable
+   path is one input diagnostic (exit 2), not a stray Sys_error. *)
+let write_output path content =
+  match
+    let oc = open_out path in
+    output_string oc content;
+    close_out oc
+  with
+  | () -> ()
+  | exception Sys_error msg ->
+    (* open errors name the path already; write and close errors do not *)
+    let msg =
+      if String.starts_with ~prefix:(path ^ ": ") msg then msg
+      else path ^ ": " ^ msg
+    in
+    Diag.fail ~code:Diag.exit_input "cannot write %s" msg
 
 let has_suffix ~suffix path =
   let np = String.length path and ns = String.length suffix in
@@ -44,15 +62,17 @@ let setup_obs (trace_out, metrics_out) =
     at_exit (fun () ->
         Option.iter
           (fun path ->
-            Obs.Sink.write_file path
+            write_output path
               (Obs.Trace_event.to_string ~track_names:(Obs.track_names ())
                  (Obs.spans ())))
           trace_out;
         Option.iter
           (fun path ->
-            Obs.Sink.write_file path
-              (Obs.Sink.metrics_json ~span_totals:(Obs.span_totals ())
-                 Obs.metrics))
+            write_output path
+              (J.to_string
+                 (Obs.Sink.metrics_json ~span_totals:(Obs.span_totals ())
+                    Obs.metrics)
+               ^ "\n"))
           metrics_out)
   end
 
@@ -133,27 +153,12 @@ let finish_certificates ?cert_out (result : Ipet.Analysis.result) =
     [ ("wcet", result.Ipet.Analysis.wcet_cert);
       ("bcet", result.Ipet.Analysis.bcet_cert) ]
   in
-  (match cert_out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     let field (side, c) =
-       match c with
-       | None -> None
-       | Some (c : Ipet.Analysis.certificate) ->
-         Some
-           (Printf.sprintf "\"%s\":{\"valid\":%b,\"gap_closed\":%b,\"certificate\":%s}"
-              side
-              (match c.Ipet.Analysis.verdict with
-               | Ipet_cert.Checker.Valid _ -> true
-               | Ipet_cert.Checker.Invalid _ -> false)
-              (Ipet_cert.Checker.gap_closed c.Ipet.Analysis.verdict)
-              (Ipet_cert.Certificate.to_json_string c.Ipet.Analysis.cert))
-     in
-     output_string oc
-       ("{" ^ String.concat "," (List.filter_map field sides) ^ "}\n");
-     close_out oc;
-     Printf.printf "certificates written to %s\n" path);
+  Option.iter
+    (fun path ->
+      write_output path
+        (J.to_string (Ipet.Report.certificates_json result) ^ "\n");
+      Printf.printf "certificates written to %s\n" path)
+    cert_out;
   List.iter
     (fun (side, c) ->
       match c with
@@ -196,18 +201,17 @@ let analyze_cmd obs source_path annot_path root_flag mach cache_size line_size
   in
   (match dump_lp with
    | Some path ->
-     let oc = open_out path in
      let dump kind problems =
-       List.iteri
+       List.mapi
          (fun i problem ->
-           output_string oc
-             (Ipet_lp.Lp_format.to_string
-                ~name:(Printf.sprintf "%s %s set %d" root kind i) problem))
+           Ipet_lp.Lp_format.to_string
+             ~name:(Printf.sprintf "%s %s set %d" root kind i) problem)
          problems
      in
-     dump "wcet" (Ipet.Analysis.wcet_problems spec);
-     dump "bcet" (Ipet.Analysis.bcet_problems spec);
-     close_out oc;
+     write_output path
+       (String.concat ""
+          (dump "wcet" (Ipet.Analysis.wcet_problems spec)
+           @ dump "bcet" (Ipet.Analysis.bcet_problems spec)));
      Printf.printf "ILPs written to %s\n" path
    | None -> ());
   print_string (Ipet.Report.annotated_source ~source:src prog ~func:root);
@@ -700,11 +704,25 @@ let serve_cmd obs socket cache_dir no_cache cache_cap timeout_ms access_log
      | None -> "disabled");
   Ipet_serve.Server.run config
 
-module J = Ipet_serve.Json
+(* a request line: {"v":1,"op":OP}, the trace id when given, then
+   [fields] *)
+let request ?trace ?(fields = []) op =
+  J.to_string
+    (J.Obj
+       ([ ("v", J.Int Ipet_serve.Protocol.version); ("op", J.Str op) ]
+        @ (match trace with Some id -> [ ("trace", J.Str id) ] | None -> [])
+        @ fields))
 
-let trace_fields = function
-  | None -> []
-  | Some id -> [ ("trace", J.Str id) ]
+(* send one request line; the daemon's response line *)
+let exchange ~socket line =
+  match Ipet_serve.Client.one_shot ~socket line with
+  | exception Unix.Unix_error (e, _, _) ->
+    Diag.fail ~code:Diag.exit_input "cannot reach server at %s: %s" socket
+      (Unix.error_message e)
+  | None ->
+    Diag.fail ~code:Diag.exit_analysis
+      "server closed the connection without replying"
+  | Some response -> response
 
 let query_request ?trace ~want_spans source_path annot_path root mach
     timeout_ms no_cache =
@@ -721,56 +739,30 @@ let query_request ?trace ~want_spans source_path annot_path root mach
          | Some ms -> [ ("timeout_ms", J.Int ms) ]
          | None -> [])
     in
-    J.to_string
-      (J.Obj
-         ([ ("v", J.Int Ipet_serve.Protocol.version);
-            ("op", J.Str "analyze") ]
-          @ trace_fields trace
-          @ [ ("mach", J.Str (Machine.id mach));
-              ("lang", J.Str lang); ("source", J.Str source) ]
-          @ (match annot_path with
-             | Some p -> [ ("annotations", J.Str (read_file p)) ]
-             | None -> [])
-          @ (match root with Some r -> [ ("root", J.Str r) ] | None -> [])
-          @ (if options = [] then [] else [ ("options", J.Obj options) ])))
+    request ?trace "analyze"
+      ~fields:
+        ([ ("mach", J.Str (Machine.id mach));
+           ("lang", J.Str lang); ("source", J.Str source) ]
+         @ (match annot_path with
+            | Some p -> [ ("annotations", J.Str (read_file p)) ]
+            | None -> [])
+         @ (match root with Some r -> [ ("root", J.Str r) ] | None -> [])
+         @ (if options = [] then [] else [ ("options", J.Obj options) ]))
 
 (* pull the request's span tree out of an analyze response and write it as
    a Perfetto-loadable trace-event file (all spans on one track: the
    daemon ran them on this request's track) *)
-let span_of_json j =
-  match
-    ( Option.bind (J.member "name" j) J.to_str,
-      Option.bind (J.member "start_us" j) J.to_int,
-      Option.bind (J.member "dur_us" j) J.to_int,
-      Option.bind (J.member "depth" j) J.to_int )
-  with
-  | Some name, Some start_us, Some dur_us, Some depth ->
-    let args =
-      match J.member "args" j with
-      | Some (J.Obj fields) ->
-        List.filter_map
-          (fun (k, v) -> Option.map (fun s -> (k, s)) (J.to_str v))
-          fields
-      | _ -> []
-    in
-    Some { Ipet_obs.Span.name; args; start_us; dur_us; depth; tid = 0 }
-  | _ -> None
-
 let write_query_trace ~trace path response =
-  match J.parse response with
-  | Error _ -> ()
-  | Ok j ->
-    let spans =
-      match Option.bind (J.member "trace_spans" j) J.to_list with
-      | Some l -> List.filter_map span_of_json l
-      | None -> []
-    in
-    let track_names =
-      match trace with Some id -> [ (0, "req:" ^ id) ] | None -> []
-    in
-    Obs.Sink.write_file path (Obs.Trace_event.to_string ~track_names spans);
-    Printf.eprintf "trace written to %s (%d spans)\n%!" path
-      (List.length spans)
+  let spans =
+    match Option.bind (J.member "trace_spans" response) J.to_list with
+    | Some l -> List.filter_map Ipet_obs.Span.of_json l
+    | None -> []
+  in
+  let track_names =
+    match trace with Some id -> [ (0, "req:" ^ id) ] | None -> []
+  in
+  write_output path (Obs.Trace_event.to_string ~track_names spans);
+  Printf.eprintf "trace written to %s (%d spans)\n%!" path (List.length spans)
 
 let rec pp_pretty ?(indent = 0) j =
   match j with
@@ -786,42 +778,34 @@ let rec pp_pretty ?(indent = 0) j =
   | J.List items -> List.iter (fun v -> pp_pretty ~indent v) items
   | _ -> Printf.printf "%*s%s\n" indent "" (J.to_string j)
 
-let number_field name j =
-  match J.member name j with
-  | Some (J.Float f) -> Some f
-  | Some (J.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let pretty_response response =
-  match J.parse response with
-  | Error _ -> print_endline response
-  | Ok j ->
-    (match Option.bind (J.member "op" j) J.to_str with
-     | Some "metrics" ->
-       (match Option.bind (J.member "prometheus" j) J.to_str with
-        | Some text -> print_string text
-        | None -> pp_pretty j)
-     | Some "recent" ->
-       (match Option.bind (J.member "events" j) J.to_list with
-        | Some events ->
-          Printf.printf "%6s  %-24s  %-8s  %9s  %s\n" "seq" "id" "op" "ms"
-            "status";
-          List.iter
-            (fun e ->
-              Printf.printf "%6d  %-24s  %-8s  %9.3f  %s\n"
-                (Option.value ~default:0
-                   (Option.bind (J.member "seq" e) J.to_int))
-                (Option.value ~default:"?"
-                   (Option.bind (J.member "id" e) J.to_str))
-                (Option.value ~default:"?"
-                   (Option.bind (J.member "op" e) J.to_str))
-                (Option.value ~default:0.0 (number_field "latency_ms" e))
-                (match Option.bind (J.member "error" e) J.to_str with
-                 | Some code -> "error:" ^ code
-                 | None -> "ok"))
-            events
-        | None -> pp_pretty j)
-     | _ -> pp_pretty j)
+let pretty_response j =
+  match Option.bind (J.member "op" j) J.to_str with
+  | Some "metrics" ->
+    (match Option.bind (J.member "prometheus" j) J.to_str with
+     | Some text -> print_string text
+     | None -> pp_pretty j)
+  | Some "recent" ->
+    (match Option.bind (J.member "events" j) J.to_list with
+     | Some events ->
+       Printf.printf "%6s  %-24s  %-8s  %9s  %s\n" "seq" "id" "op" "ms"
+         "status";
+       List.iter
+         (fun e ->
+           Printf.printf "%6d  %-24s  %-8s  %9.3f  %s\n"
+             (Option.value ~default:0
+                (Option.bind (J.member "seq" e) J.to_int))
+             (Option.value ~default:"?"
+                (Option.bind (J.member "id" e) J.to_str))
+             (Option.value ~default:"?"
+                (Option.bind (J.member "op" e) J.to_str))
+             (Option.value ~default:0.0
+                (Option.bind (J.member "latency_ms" e) J.to_float))
+             (match Option.bind (J.member "error" e) J.to_str with
+              | Some code -> "error:" ^ code
+              | None -> "ok"))
+         events
+     | None -> pp_pretty j)
+  | _ -> pp_pretty j
 
 let query_cmd socket source_path annot_path root mach raw op timeout_ms
     no_cache pretty trace_id trace_out =
@@ -838,41 +822,36 @@ let query_cmd socket source_path annot_path root mach raw op timeout_ms
     | Some s, _ -> s
     | None, Some (("hello" | "stats" | "shutdown" | "metrics" | "recent") as op)
       ->
-      J.to_string
-        (J.Obj
-           ([ ("v", J.Int Ipet_serve.Protocol.version); ("op", J.Str op) ]
-            @ trace_fields trace))
+      request ?trace op
     | None, Some op -> Diag.fail ~code:Diag.exit_input "unknown op %s" op
     | None, None ->
       query_request ?trace ~want_spans:(trace_out <> None) source_path
         annot_path root mach timeout_ms no_cache
   in
-  match Ipet_serve.Client.one_shot ~socket line with
-  | exception Unix.Unix_error (e, _, _) ->
-    Diag.fail ~code:Diag.exit_input "cannot reach server at %s: %s" socket
-      (Unix.error_message e)
-  | None ->
-    Diag.fail ~code:Diag.exit_analysis
-      "server closed the connection without replying"
-  | Some response ->
-    if pretty then pretty_response response else print_endline response;
-    Option.iter (fun path -> write_query_trace ~trace path response) trace_out;
-    let failure_code =
-      match J.parse response with
-      | Ok j ->
-        (match J.member "ok" j with
-         | Some (J.Bool true) -> None
-         | _ ->
-           (match
-              Option.bind
-                (Option.bind (J.member "error" j) (J.member "code"))
-                J.to_str
-            with
-            | Some ("proto" | "input") -> Some Diag.exit_input
-            | Some _ | None -> Some Diag.exit_analysis))
-      | Error _ -> Some Diag.exit_analysis
-    in
-    Option.iter exit failure_code
+  let response = exchange ~socket line in
+  let parsed = J.parse response in
+  (match parsed with
+   | Ok j when pretty -> pretty_response j
+   | _ -> print_endline response);
+  (match (parsed, trace_out) with
+   | Ok j, Some path -> write_query_trace ~trace path j
+   | _ -> ());
+  let failure_code =
+    match parsed with
+    | Ok j ->
+      (match J.member "ok" j with
+       | Some (J.Bool true) -> None
+       | _ ->
+         (match
+            Option.bind
+              (Option.bind (J.member "error" j) (J.member "code"))
+              J.to_str
+          with
+          | Some ("proto" | "input") -> Some Diag.exit_input
+          | Some _ | None -> Some Diag.exit_analysis))
+    | Error _ -> Some Diag.exit_analysis
+  in
+  Option.iter exit failure_code
 
 (* --- top ------------------------------------------------------------------ *)
 
@@ -881,22 +860,10 @@ let query_cmd socket source_path annot_path root mach raw op timeout_ms
    metrics op *)
 let top_cmd socket interval iters plain =
   let send op =
-    let line =
-      J.to_string
-        (J.Obj [ ("v", J.Int Ipet_serve.Protocol.version); ("op", J.Str op) ])
-    in
-    match Ipet_serve.Client.one_shot ~socket line with
-    | exception Unix.Unix_error (e, _, _) ->
-      Diag.fail ~code:Diag.exit_input "cannot reach server at %s: %s" socket
-        (Unix.error_message e)
-    | None ->
-      Diag.fail ~code:Diag.exit_analysis
-        "server closed the connection without replying"
-    | Some response ->
-      (match J.parse response with
-       | Ok j -> j
-       | Error msg ->
-         Diag.fail ~code:Diag.exit_analysis "bad response from server: %s" msg)
+    match J.parse (exchange ~socket (request op)) with
+    | Ok j -> j
+    | Error msg ->
+      Diag.fail ~code:Diag.exit_analysis "bad response from server: %s" msg
   in
   let prev = ref None in
   let latency_rows metrics =
@@ -921,8 +888,10 @@ let top_cmd socket interval iters plain =
               ( op,
                 Option.value ~default:0
                   (Option.bind (J.member "count" m) J.to_int),
-                Option.value ~default:0.0 (number_field "p50" m),
-                Option.value ~default:0.0 (number_field "p99" m) )
+                Option.value ~default:0.0
+                  (Option.bind (J.member "p50" m) J.to_float),
+                Option.value ~default:0.0
+                  (Option.bind (J.member "p99" m) J.to_float) )
           | _ -> None)
         items
   in

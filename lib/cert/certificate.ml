@@ -56,46 +56,6 @@ let dir_tag = function
   | Lp_problem.Maximize -> "max"
   | Lp_problem.Minimize -> "min"
 
-let to_json_string t =
-  let buf = Buffer.create 1024 in
-  let str s =
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-  in
-  Buffer.add_string buf "{\"version\":1,\"direction\":";
-  str (dir_tag t.direction);
-  Buffer.add_string buf ",\"bound\":";
-  str (Rat.to_string t.bound);
-  Buffer.add_string buf ",\"dual_bound\":";
-  str (Rat.to_string t.dual_bound);
-  Buffer.add_string buf ",\"digest\":";
-  str t.digest;
-  Buffer.add_string buf ",\"witness\":{";
-  List.iteri
-    (fun i (v, x) ->
-      if i > 0 then Buffer.add_char buf ',';
-      str v;
-      Buffer.add_char buf ':';
-      str (Rat.to_string x))
-    t.witness;
-  Buffer.add_string buf "},\"duals\":[";
-  Array.iteri
-    (fun i y ->
-      if i > 0 then Buffer.add_char buf ',';
-      str (Rat.to_string y))
-    t.duals;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
-
 (* Line-oriented round-trip format. Variable names contain no whitespace
    (they are flow-variable atoms), so space-separated fields suffice. *)
 let to_string t =

@@ -37,9 +37,8 @@ val witness_of_assignment : (string * Rat.t) list -> (string * Rat.t) list
 (** Drop zeros, sort by name: the canonical witness form stored in a
     certificate. *)
 
-val to_json_string : t -> string
-(** Render as a single-line JSON object (rationals as strings), for
-    [--cert-out] export and log artifacts. *)
+val dir_tag : Lp_problem.direction -> string
+(** ["max"] or ["min"], the direction in every serialization. *)
 
 val to_string : t -> string
 (** Compact line-oriented serialization, round-tripped by {!of_string};

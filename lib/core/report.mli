@@ -17,6 +17,13 @@ val record_lp_metrics : Ipet_obs.Metrics.t -> Analysis.result -> unit
 (** Publish the solver statistics of both extremes into a metrics registry
     as [lp.*] gauges labelled [solver=wcet|bcet]. *)
 
+val certificates_json : Analysis.result -> Ipet_obs.Json.t
+(** The [--cert-out] document: per extreme that carries a certificate
+    (["wcet"], then ["bcet"]), its checker verdict ([valid],
+    [gap_closed]) and the certificate itself as [{"version":1,
+    "direction":"max"|"min","bound","dual_bound","digest","witness":
+    {var: value},"duals":[...]}], every rational a decimal string. *)
+
 val lp_stats : Analysis.result -> string
 (** Detailed solver statistics for both extremes rendered through the
     metrics registry, one [name{labels} value] line per statistic

@@ -46,8 +46,9 @@ val recent : ?n:int -> t -> (int * event) list
 (** The newest [n] (default: all retained) events, newest first, each with
     its sequence number. *)
 
-val event_json : int * event -> string
-(** One event as a single-line JSON object (the JSONL dump row). *)
+val event_json : int * event -> Json.t
+(** One event with its sequence number as a JSON object: a row of the
+    JSONL dump and an element of the daemon's [recent] response. *)
 
 val dump : t -> string
 (** The retained events as JSONL, oldest first. *)

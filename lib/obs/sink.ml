@@ -33,38 +33,36 @@ let human ?(filter = fun _ -> true) registry =
   Buffer.contents buf
 
 let json_value registry name labels = function
-  | Metrics.Counter n ->
-    [ ("type", Jsonw.str "counter"); ("value", string_of_int n) ]
-  | Metrics.Gauge g -> [ ("type", Jsonw.str "gauge"); ("value", Jsonw.num g) ]
+  | Metrics.Counter n -> [ ("type", Json.Str "counter"); ("value", Json.Int n) ]
+  | Metrics.Gauge g -> [ ("type", Json.Str "gauge"); ("value", Json.Float g) ]
   | Metrics.Histogram { count; sum; min; max } ->
     let h = Metrics.histogram registry ~labels name in
-    [ ("type", Jsonw.str "histogram");
-      ("count", string_of_int count);
-      ("sum", Jsonw.num sum);
-      ("min", Jsonw.num min);
-      ("max", Jsonw.num max);
-      ("p50", Jsonw.num (Metrics.quantile h 0.5));
-      ("p90", Jsonw.num (Metrics.quantile h 0.9));
-      ("p99", Jsonw.num (Metrics.quantile h 0.99)) ]
+    [ ("type", Json.Str "histogram");
+      ("count", Json.Int count);
+      ("sum", Json.Float sum);
+      ("min", Json.Float min);
+      ("max", Json.Float max);
+      ("p50", Json.Float (Metrics.quantile h 0.5));
+      ("p90", Json.Float (Metrics.quantile h 0.9));
+      ("p99", Json.Float (Metrics.quantile h 0.99)) ]
 
 let metrics_json ?(span_totals = []) registry =
   let metric (name, labels, value) =
-    Jsonw.obj
-      (( "name", Jsonw.str name )
-       :: ( "labels",
-            Jsonw.obj (List.map (fun (k, v) -> (k, Jsonw.str v)) labels) )
+    Json.Obj
+      (("name", Json.Str name)
+       :: ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels))
        :: json_value registry name labels value)
   in
   let span (name, (count, total_us)) =
-    Jsonw.obj
-      [ ("name", Jsonw.str name);
-        ("count", string_of_int count);
-        ("total_us", string_of_int total_us) ]
+    Json.Obj
+      [ ("name", Json.Str name);
+        ("count", Json.Int count);
+        ("total_us", Json.Int total_us) ]
   in
-  Printf.sprintf
-    "{\n  \"version\": 1,\n  \"metrics\": [\n    %s\n  ],\n  \"spans\": [\n    %s\n  ]\n}\n"
-    (String.concat ",\n    " (List.map metric (Metrics.items registry)))
-    (String.concat ",\n    " (List.map span span_totals))
+  Json.Obj
+    [ ("version", Json.Int 1);
+      ("metrics", Json.List (List.map metric (Metrics.items registry)));
+      ("spans", Json.List (List.map span span_totals)) ]
 
 (* --- Prometheus text exposition format ----------------------------------- *)
 
@@ -141,8 +139,3 @@ let prometheus registry =
         sample (pname ^ "_count") labels (string_of_int count))
     (Metrics.items registry);
   Buffer.contents buf
-
-let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc

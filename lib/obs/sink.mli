@@ -5,11 +5,12 @@
     - {!human} — one [name{label=v,...} value] line per metric, sorted,
       for terminal output ([--lp-stats] and friends); histograms include
       p50/p90/p99 quantile estimates (see {!Metrics.quantile});
-    - {!metrics_json} — a versioned JSON document with every metric and
+    - {!metrics_json} — a versioned JSON value with every metric and
       optional per-span-name duration aggregates, written by
-      [--metrics-out]. Keys are emitted in sorted order, so two runs of
-      the same workload produce documents that differ only in the observed
-      values (and not at all under a deterministic clock);
+      [--metrics-out] and served by the daemon's [metrics] op. Metrics
+      come in sorted order, so two runs of the same workload produce
+      documents that differ only in the observed values (and not at all
+      under a deterministic clock);
     - {!prometheus} — the Prometheus text exposition format, served by the
       daemon's [metrics] op for scraping. Dotted names map to underscores;
       histograms render as summaries (quantile-labeled samples plus
@@ -20,15 +21,15 @@ val human : ?filter:(string -> bool) -> Metrics.t -> string
     (default: all). *)
 
 val metrics_json :
-  ?span_totals:(string * (int * int)) list -> Metrics.t -> string
-(** The machine document: [{"version": 1, "metrics": [...], "spans": [...]}].
-    [span_totals] is {!Span.totals} output: per-name completion counts and
-    total microseconds. *)
+  ?span_totals:(string * (int * int)) list -> Metrics.t -> Json.t
+(** The machine document:
+    [{"version":1,"metrics":[...],"spans":[...]}], one object per metric
+    (name, labels, type, and the value or histogram fields) and per span
+    name. [span_totals] is {!Span.totals} output: per-name completion
+    counts and total microseconds. [--metrics-out] writes it through
+    {!Json.to_string}; the daemon's [metrics] op embeds the value. *)
 
 val prometheus : Metrics.t -> string
 (** Render the registry in the Prometheus text exposition format: a
     [# TYPE] line per metric family (counter/gauge/summary) followed by
     its samples, in registry (sorted) order. *)
-
-val write_file : string -> string -> unit
-(** Create/truncate a file with the given content. *)

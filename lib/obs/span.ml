@@ -71,3 +71,31 @@ let totals spans =
     spans;
   Hashtbl.fold (fun name acc l -> (name, acc) :: l) table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let to_json s =
+  Json.Obj
+    ([ ("name", Json.Str s.name);
+       ("start_us", Json.Int s.start_us);
+       ("dur_us", Json.Int s.dur_us);
+       ("depth", Json.Int s.depth) ]
+     @
+     if s.args = [] then []
+     else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.args)) ])
+
+let of_json j =
+  let int name = Option.bind (Json.member name j) Json.to_int in
+  match
+    ( Option.bind (Json.member "name" j) Json.to_str,
+      int "start_us", int "dur_us", int "depth" )
+  with
+  | Some name, Some start_us, Some dur_us, Some depth ->
+    let args =
+      match Json.member "args" j with
+      | Some (Json.Obj fields) ->
+        List.filter_map
+          (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
+          fields
+      | _ -> []
+    in
+    Some { name; args; start_us; dur_us; depth; tid = 0 }
+  | _ -> None

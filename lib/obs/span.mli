@@ -52,3 +52,12 @@ val completed : t -> completed list
 val totals : completed list -> (string * (int * int)) list
 (** Aggregate by span name: [(name, (count, total_us))], sorted by name.
     Nested self-recursion counts each completion separately. *)
+
+val to_json : completed -> Json.t
+(** The wire form of a span in the daemon's [trace_spans]:
+    [{"name","start_us","dur_us","depth"}], plus ["args"] when there are
+    any; the tid is not sent. *)
+
+val of_json : Json.t -> completed option
+(** Inverse of {!to_json}, with [tid] 0; [None] when a required field is
+    missing or mistyped. Non-string argument values are dropped. *)

@@ -1,26 +1,23 @@
+let args_json kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)
+
 let event (s : Span.completed) =
-  let args =
-    match s.Span.args with
-    | [] -> []
-    | kvs -> [ ("args", Jsonw.obj (List.map (fun (k, v) -> (k, Jsonw.str v)) kvs)) ]
-  in
-  Jsonw.obj
-    ([ ("name", Jsonw.str s.Span.name);
-       ("cat", Jsonw.str "ipet");
-       ("ph", Jsonw.str "X");
-       ("pid", "1");
-       ("tid", string_of_int s.Span.tid);
-       ("ts", string_of_int s.Span.start_us);
-       ("dur", string_of_int s.Span.dur_us) ]
-     @ args)
+  Json.Obj
+    ([ ("name", Json.Str s.Span.name);
+       ("cat", Json.Str "ipet");
+       ("ph", Json.Str "X");
+       ("pid", Json.Int 1);
+       ("tid", Json.Int s.Span.tid);
+       ("ts", Json.Int s.Span.start_us);
+       ("dur", Json.Int s.Span.dur_us) ]
+     @ if s.Span.args = [] then [] else [ ("args", args_json s.Span.args) ])
 
 let metadata ?(tid = 0) name value =
-  Jsonw.obj
-    [ ("name", Jsonw.str name);
-      ("ph", Jsonw.str "M");
-      ("pid", "1");
-      ("tid", string_of_int tid);
-      ("args", Jsonw.obj [ ("name", Jsonw.str value) ]) ]
+  Json.Obj
+    [ ("name", Json.Str name);
+      ("ph", Json.Str "M");
+      ("pid", Json.Int 1);
+      ("tid", Json.Int tid);
+      ("args", args_json [ ("name", value) ]) ]
 
 let to_string ?(process_name = "cinderella") ?(track_names = []) spans =
   let sorted =
@@ -32,9 +29,7 @@ let to_string ?(process_name = "cinderella") ?(track_names = []) spans =
     List.sort_uniq compare (List.map (fun (s : Span.completed) -> s.Span.tid) sorted)
   in
   let track_name tid =
-    match List.assoc_opt tid track_names with
-    | Some name -> name
-    | None -> Printf.sprintf "domain-%d" tid
+    Option.value ~default:"main" (List.assoc_opt tid track_names)
   in
   let thread_names =
     List.map (fun tid -> metadata ~tid "thread_name" (track_name tid)) tids
@@ -42,6 +37,7 @@ let to_string ?(process_name = "cinderella") ?(track_names = []) spans =
   let events =
     (metadata "process_name" process_name :: thread_names) @ List.map event sorted
   in
-  "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n  "
-  ^ String.concat ",\n  " events
-  ^ "\n]}\n"
+  Json.to_string
+    (Json.Obj
+       [ ("displayTimeUnit", Json.Str "ms"); ("traceEvents", Json.List events) ])
+  ^ "\n"

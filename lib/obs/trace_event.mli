@@ -13,7 +13,9 @@ val to_string :
   ?track_names:(int * string) list ->
   Span.completed list ->
   string
-(** The full trace document: [{"displayTimeUnit": ..., "traceEvents": [...]}].
+(** The full trace document, [{"displayTimeUnit":...,"traceEvents":[...]}],
+    printed by {!Json.to_string} on one line plus a final newline.
     [track_names] overrides the thread-row label for the given tids —
     {!Obs.track_names} supplies the per-request track labels; unlisted
-    tids keep the default ["domain-N"]. *)
+    tids (in practice the single main engine, tid 0) are labelled
+    ["main"]. *)

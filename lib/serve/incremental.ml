@@ -9,6 +9,7 @@ module Ilp = Ipet_lp.Ilp
 module Rat = Ipet_num.Rat
 module A = Ipet.Analysis
 module Obs = Ipet_obs.Obs
+module Json = Ipet_obs.Json
 module Cert = Ipet_cert.Certificate
 module Checker = Ipet_cert.Checker
 module Certify = Ipet_cert.Certify

@@ -5,6 +5,7 @@ module Machine = Ipet_machine.Machine
 module P = Ipet_isa.Prog
 module Obs = Ipet_obs.Obs
 module Flight = Ipet_obs.Flight
+module Json = Ipet_obs.Json
 
 type totals = {
   mutable requests : int;
@@ -36,25 +37,21 @@ exception Reject of string * string  (* code, message *)
 
 let reject code fmt = Printf.ksprintf (fun m -> raise (Reject (code, m))) fmt
 
-let trace_field = function
-  | None -> []
-  | Some t -> [ ("trace", Json.Str t) ]
+(* every response: the request's id and trace echoed first *)
+let response ?id ?trace fields =
+  Json.Obj
+    ((match id with Some id -> [ ("id", id) ] | None -> [])
+     @ (match trace with Some t -> [ ("trace", Json.Str t) ] | None -> [])
+     @ fields)
 
 let error_response ?id ?trace code message =
-  Json.Obj
-    ((match id with Some id -> [ ("id", id) ] | None -> [])
-     @ trace_field trace
-     @ [ ("ok", Json.Bool false);
-         ( "error",
-           Json.Obj
-             [ ("code", Json.Str code); ("message", Json.Str message) ] ) ])
+  response ?id ?trace
+    [ ("ok", Json.Bool false);
+      ( "error",
+        Json.Obj [ ("code", Json.Str code); ("message", Json.Str message) ] ) ]
 
 let ok_response ?id ?trace op fields =
-  Json.Obj
-    ((match id with Some id -> [ ("id", id) ] | None -> [])
-     @ trace_field trace
-     @ [ ("ok", Json.Bool true); ("op", Json.Str op) ]
-     @ fields)
+  response ?id ?trace (("ok", Json.Bool true) :: ("op", Json.Str op) :: fields)
 
 (* --- request field access ------------------------------------------------ *)
 
@@ -170,19 +167,6 @@ let parse_annotations req =
      | exception Ipet.Constraint_parser.Parse_error msg ->
        reject "input" "%s" msg)
 
-let span_json (s : Ipet_obs.Span.completed) =
-  Json.Obj
-    ([ ("name", Json.Str s.Ipet_obs.Span.name);
-       ("start_us", Json.Int s.Ipet_obs.Span.start_us);
-       ("dur_us", Json.Int s.Ipet_obs.Span.dur_us);
-       ("depth", Json.Int s.Ipet_obs.Span.depth) ]
-     @
-     match s.Ipet_obs.Span.args with
-     | [] -> []
-     | args ->
-       [ ( "args",
-           Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args) ) ])
-
 let analyze config ~req_id ~(note : note) req =
   let source = require_str req "source" in
   let lang = Option.value ~default:"mc" (str_field req "lang") in
@@ -277,7 +261,7 @@ let analyze config ~req_id ~(note : note) req =
          that share an id *)
       let all = Obs.track_spans track in
       let fresh = List.filteri (fun i _ -> i >= spans_before) all in
-      [ ("trace_spans", Json.List (List.map span_json fresh)) ]
+      [ ("trace_spans", Json.List (List.map Ipet_obs.Span.to_json fresh)) ]
     end
   in
   [ ("report", report);
@@ -325,39 +309,14 @@ let stats_fields config =
     ("cache", cache_stats_json config.cache) ]
 
 let metrics_fields () =
-  let doc =
-    Obs.Sink.metrics_json ~span_totals:(Obs.span_totals ()) Obs.metrics
-  in
-  let parsed = match Json.parse doc with Ok j -> j | Error _ -> Json.Null in
-  [ ("metrics", parsed);
+  [ ("metrics",
+     Obs.Sink.metrics_json ~span_totals:(Obs.span_totals ()) Obs.metrics);
     ("prometheus", Json.Str (Obs.Sink.prometheus Obs.metrics)) ]
-
-let flight_event_json (seq, (e : Flight.event)) =
-  Json.Obj
-    ([ ("seq", Json.Int seq);
-       ("time", Json.Float e.Flight.time);
-       ("id", Json.Str e.Flight.id);
-       ("op", Json.Str e.Flight.op) ]
-     @ (if e.Flight.root = "" then []
-        else [ ("root", Json.Str e.Flight.root) ])
-     @ [ ( "digests",
-           Json.List (List.map (fun d -> Json.Str d) e.Flight.digests) );
-         ("units_total", Json.Int e.Flight.units_total);
-         ("units_cached", Json.Int e.Flight.units_cached);
-         ("units_solved", Json.Int e.Flight.units_solved);
-         ("warm_lp_hits", Json.Int e.Flight.warm_hits);
-         ("pivots", Json.Int e.Flight.pivots);
-         ("certs_checked", Json.Int e.Flight.certs_checked);
-         ("certs_rejected", Json.Int e.Flight.certs_rejected);
-         ("latency_ms", Json.Float e.Flight.latency_ms) ]
-     @ (match e.Flight.error with
-        | None -> []
-        | Some code -> [ ("error", Json.Str code) ]))
 
 let recent_fields config req =
   let n = Option.value ~default:50 (opt_int req "n") in
   [ ( "events",
-      Json.List (List.map flight_event_json (Flight.recent ~n config.flight)) ) ]
+      Json.List (List.map Flight.event_json (Flight.recent ~n config.flight)) ) ]
 
 let handle_request config ~trace ~req_id ~note req =
   match Json.member "v" req with

@@ -78,5 +78,11 @@ val handle_line : config -> string -> string * outcome
     newline) and whether the server should keep going. Total: every
     exception is mapped to an error response. *)
 
+val error_response :
+  ?id:Ipet_obs.Json.t -> ?trace:string -> string -> string -> Ipet_obs.Json.t
+(** [error_response code message]: the failure response
+    [{"ok":false,"error":{"code","message"}}], with ["id"] and ["trace"]
+    first when given. *)
+
 val version : int
 (** Protocol version this server speaks. *)

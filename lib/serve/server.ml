@@ -1,4 +1,5 @@
 module Obs = Ipet_obs.Obs
+module Json = Ipet_obs.Json
 
 type config = {
   socket_path : string;
@@ -85,15 +86,8 @@ let serve_conn config pconfig conns conn =
     if lines = [] && Buffer.length conn.buf > config.max_request_bytes then begin
       let line =
         Json.to_string
-          (Json.Obj
-             [ ("ok", Json.Bool false);
-               ( "error",
-                 Json.Obj
-                   [ ("code", Json.Str "proto");
-                     ( "message",
-                       Json.Str
-                         (Printf.sprintf "request exceeds %d bytes"
-                            config.max_request_bytes) ) ] ) ])
+          (Protocol.error_response "proto"
+             (Printf.sprintf "request exceeds %d bytes" config.max_request_bytes))
       in
       ignore (send conns conn line);
       close_conn conns conn

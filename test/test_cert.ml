@@ -11,7 +11,7 @@ module Checker = Ipet_cert.Checker
 module Certify = Ipet_cert.Certify
 module A = Ipet.Analysis
 module Bspec = Ipet_suite.Bspec
-module J = Ipet_serve.Json
+module J = Ipet_obs.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -154,13 +154,18 @@ let test_parse_faults () =
       ("witness x", replace_field "witness" "x") ]
 
 let test_json_export () =
-  let c = solve_and_certify textbook_max in
-  match J.parse (Cert.to_json_string c) with
+  let r = A.analyze ~certify:true (Bspec.spec (Ipet_suite.Suite.find "check_data")) in
+  let c = (Option.get r.A.wcet_cert).A.cert in
+  match J.parse (J.to_string (Ipet.Report.certificates_json r)) with
   | Error m -> Alcotest.failf "exported JSON does not parse: %s" m
-  | Ok j ->
+  | Ok doc ->
+    let side name = Option.bind (J.member name doc) (J.member "certificate") in
+    let j = Option.get (side "wcet") in
     check_bool "direction" true (J.member "direction" j = Some (J.Str "max"));
+    check_bool "bcet direction" true
+      (Option.bind (side "bcet") (J.member "direction") = Some (J.Str "min"));
     check_bool "bound is a decimal string" true
-      (J.member "bound" j = Some (J.Str "8"));
+      (J.member "bound" j = Some (J.Str (string_of_int r.A.wcet.A.cycles)));
     check_bool "digest round-trips" true
       (J.member "digest" j = Some (J.Str c.Cert.digest));
     check_bool "witness is an object" true

@@ -9,6 +9,7 @@ module Metrics = Ipet_obs.Metrics
 module Sink = Ipet_obs.Sink
 module Trace_event = Ipet_obs.Trace_event
 module Diag = Ipet_obs.Diag
+module J = Ipet_obs.Json
 module Frontend = Ipet_lang.Frontend
 module Compile = Ipet_lang.Compile
 module Interp = Ipet_sim.Interp
@@ -17,130 +18,14 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
-(* --- a minimal JSON reader, enough to validate the exported documents --- *)
+(* a field of a parsed document that the test requires to be there *)
+let get name j = Option.get (J.member name j)
+let list j = Option.get (J.to_list j)
+let str j = Option.get (J.to_str j)
+let int j = Option.get (J.to_int j)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos >= n then '\000' else s.[!pos] in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word value =
-    String.iter expect word;
-    value
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | 'n' -> Buffer.add_char buf '\n'; advance ()
-         | 't' -> Buffer.add_char buf '\t'; advance ()
-         | 'r' -> Buffer.add_char buf '\r'; advance ()
-         | 'b' | 'f' -> advance ()
-         | 'u' ->
-           advance ();
-           for _ = 1 to 4 do advance () done;
-           Buffer.add_char buf '?'
-         | c -> Buffer.add_char buf c; advance ());
-        go ()
-      | '\000' -> fail "unterminated string"
-      | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while num_char (peek ()) do advance () done;
-    if !pos = start then fail "expected number";
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | 'n' -> literal "null" Jnull
-    | 't' -> literal "true" (Jbool true)
-    | 'f' -> literal "false" (Jbool false)
-    | '"' -> Jstr (parse_string ())
-    | '0' .. '9' | '-' -> Jnum (parse_number ())
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then (advance (); Jarr [])
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); items (v :: acc)
-          | ']' -> advance (); List.rev (v :: acc)
-          | _ -> fail "expected , or ]"
-        in
-        Jarr (items [])
-      end
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then (advance (); Jobj [])
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ((key, v) :: acc)
-          | '}' -> advance (); List.rev ((key, v) :: acc)
-          | _ -> fail "expected , or }"
-        in
-        Jobj (members [])
-      end
-    | _ -> fail "expected a value"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
-
-let field name = function
-  | Jobj members ->
-    (match List.assoc_opt name members with
-     | Some v -> v
-     | None -> Alcotest.failf "missing field %s" name)
-  | _ -> Alcotest.fail "not an object"
-
-let as_arr = function Jarr l -> l | _ -> Alcotest.fail "not an array"
-let as_num = function Jnum f -> f | _ -> Alcotest.fail "not a number"
-let as_str = function Jstr s -> s | _ -> Alcotest.fail "not a string"
+let parse text =
+  match J.parse text with Ok j -> j | Error m -> Alcotest.failf "bad JSON: %s" m
 
 (* --- span engine --------------------------------------------------------- *)
 
@@ -228,26 +113,26 @@ let test_trace_event_document () =
   t := 0.00005;
   Span.exit_ engine;
   let doc = Trace_event.to_string (Span.completed engine) in
-  let json = parse_json doc in
-  let events = as_arr (field "traceEvents" json) in
+  let json = parse doc in
+  let events = list (get "traceEvents" json) in
   let xs =
-    List.filter (fun e -> as_str (field "ph" e) = "X") events
+    List.filter (fun e -> str (get "ph" e) = "X") events
   in
   check_int "one X event per span" 2 (List.length xs);
   (* sorted by start: outer (0) before inner (10) *)
-  let names = List.map (fun e -> as_str (field "name" e)) xs in
+  let names = List.map (fun e -> str (get "name" e)) xs in
   check_bool "sorted by start time" true (names = [ "outer"; "inner" ]);
-  let ts = List.map (fun e -> as_num (field "ts" e)) xs in
+  let ts = List.map (fun e -> int (get "ts" e)) xs in
   check_bool "timestamps non-decreasing" true (List.sort compare ts = ts);
   List.iter
     (fun e ->
-      check_bool "dur non-negative" true (as_num (field "dur" e) >= 0.0))
+      check_bool "dur non-negative" true (int (get "dur" e) >= 0))
     xs;
   (* metadata events identify the process for the viewer *)
   check_bool "has process_name metadata" true
     (List.exists
        (fun e ->
-         as_str (field "ph" e) = "M" && as_str (field "name" e) = "process_name")
+         str (get "ph" e) = "M" && str (get "name" e) = "process_name")
        events)
 
 (* --- metrics ------------------------------------------------------------- *)
@@ -289,14 +174,14 @@ let test_metrics_json_schema_stable () =
     Sink.metrics_json ~span_totals:[ ("analysis.wcet", (1, 250)) ] r
   in
   let doc1 = run () and doc2 = run () in
-  check_str "identical documents" doc1 doc2;
-  let json = parse_json doc1 in
-  check_int "version" 1 (int_of_float (as_num (field "version" json)));
+  check_str "identical documents" (J.to_string doc1) (J.to_string doc2);
+  let json = parse (J.to_string doc1) in
+  check_int "version" 1 (int (get "version" json));
   let names =
-    List.map (fun m -> as_str (field "name" m)) (as_arr (field "metrics" json))
+    List.map (fun m -> str (get "name" m)) (list (get "metrics" json))
   in
   check_bool "metrics sorted by name" true (List.sort compare names = names);
-  let spans = as_arr (field "spans" json) in
+  let spans = list (get "spans" json) in
   check_int "span totals present" 1 (List.length spans)
 
 let test_histogram_quantiles () =
@@ -482,14 +367,14 @@ let test_trace_event_track_labels () =
   let doc =
     Trace_event.to_string ~track_names:[ (1000, "req:a") ] (Span.completed e)
   in
-  let events = as_arr (field "traceEvents" (parse_json doc)) in
+  let events = list (get "traceEvents" (parse doc)) in
   let thread_label =
     List.find_map
       (fun ev ->
-        if as_str (field "ph" ev) = "M"
-           && as_str (field "name" ev) = "thread_name"
-           && int_of_float (as_num (field "tid" ev)) = 1000
-        then Some (as_str (field "name" (field "args" ev)))
+        if str (get "ph" ev) = "M"
+           && str (get "name" ev) = "thread_name"
+           && int (get "tid" ev) = 1000
+        then Some (str (get "name" (get "args" ev)))
         else None)
       events
   in
@@ -601,16 +486,14 @@ let test_attribution_report () =
     check_int "unexecuted block sim count" 0 second.Ipet.Report.sim_count
   | _ -> Alcotest.fail "expected 2 rows"
 
-(* --- the CLI's sinks under every analyze reporting flag ---------------- *)
+(* --- the CLI's output files ---------------------------------------------- *)
 
-(* [cinderella analyze] on a suite program with --metrics-out and
-   --trace-out, once per subset of the flags that add to the report: every
-   run must exit 0 and leave two valid JSON documents. *)
-let test_analyze_sinks_every_flag_combination () =
-  let exe =
-    Filename.concat (Filename.dirname Sys.executable_name)
-      "../bin/cinderella.exe"
-  in
+let cinderella =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/cinderella.exe"
+
+(* a scratch directory holding check_data as p.mc/p.ann; returns the path
+   and read functions for files in it *)
+let cli_fixture () =
   let b = Ipet_suite.Suite.find "check_data" in
   let dir = Filename.temp_file "obs-cli" "" in
   Sys.remove dir;
@@ -640,6 +523,26 @@ let test_analyze_sinks_every_flag_combination () =
                       l a.Ipet.Annotation.lo a.Ipet.Annotation.hi)
                | `Block _ -> None)
              b.Ipet_suite.Bspec.loop_bounds));
+  (path, read)
+
+(* run [cinderella analyze p.mc -a p.ann extra], stdout discarded, stderr
+   into [stderr_to]; the exit status *)
+let run_analyze path ~stderr_to extra =
+  let args = [ cinderella; "analyze"; path "p.mc"; "-a"; path "p.ann" ] @ extra in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let err =
+    Unix.openfile stderr_to [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let pid = Unix.create_process cinderella (Array.of_list args) devnull devnull err in
+  Unix.close devnull;
+  Unix.close err;
+  snd (Unix.waitpid [] pid)
+
+(* [cinderella analyze] on a suite program with --metrics-out and
+   --trace-out, once per subset of the flags that add to the report: every
+   run must exit 0 and leave two valid JSON documents. *)
+let test_analyze_sinks_every_flag_combination () =
+  let path, read = cli_fixture () in
   let flags =
     [ [ "--certify" ]; [ "--cert-out"; path "c.json" ]; [ "--lp-stats" ];
       [ "--sensitivity" ]; [ "--verbose" ]; [ "--no-presolve" ] ]
@@ -656,25 +559,36 @@ let test_analyze_sinks_every_flag_combination () =
       List.iter
         (fun f -> if Sys.file_exists (path f) then Sys.remove (path f))
         [ "m.json"; "t.json" ];
-      let args =
-        [ exe; "analyze"; path "p.mc"; "-a"; path "p.ann";
-          "--metrics-out"; path "m.json"; "--trace-out"; path "t.json" ]
-        @ extra
+      let status =
+        run_analyze path ~stderr_to:"/dev/null"
+          ([ "--metrics-out"; path "m.json"; "--trace-out"; path "t.json" ]
+           @ extra)
       in
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-      let pid =
-        Unix.create_process exe (Array.of_list args) devnull devnull devnull
-      in
-      Unix.close devnull;
-      let _, status = Unix.waitpid [] pid in
       check_bool (what ^ ": exit 0") true (status = Unix.WEXITED 0);
       List.iter
         (fun f ->
-          match parse_json (read f) with
-          | _ -> ()
-          | exception Bad_json msg -> Alcotest.failf "%s: %s: %s" what f msg)
+          match J.parse (read f) with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "%s: %s: %s" what f msg)
         [ "m.json"; "t.json" ])
     (subsets flags)
+
+(* every output flag pointed into a missing directory: an input error
+   (exit 2) whose only output on stderr is one diagnostic, never an
+   uncaught exception *)
+let test_unwritable_outputs () =
+  let path, read = cli_fixture () in
+  let target = path "missing/out" in
+  List.iter
+    (fun flag ->
+      let status = run_analyze path ~stderr_to:(path "err") [ flag; target ] in
+      check_bool (flag ^ ": exit 2") true (status = Unix.WEXITED 2);
+      check_str (flag ^ ": stderr")
+        (Printf.sprintf
+           "cinderella: error: cannot write %s: No such file or directory\n"
+           target)
+        (read "err"))
+    [ "--cert-out"; "--dump-lp"; "--metrics-out"; "--trace-out" ]
 
 let suite =
   [ ("span nesting and ordering", `Quick, test_span_nesting);
@@ -693,4 +607,6 @@ let suite =
     ("profiled simulator attribution", `Quick, test_profile_attribution_exact);
     ("attribution report", `Quick, test_attribution_report);
     ("analyze sinks under every reporting flag", `Slow,
-     test_analyze_sinks_every_flag_combination) ]
+     test_analyze_sinks_every_flag_combination);
+    ("unwritable output paths are input errors", `Quick,
+     test_unwritable_outputs) ]
