@@ -9,7 +9,9 @@ open Ipet_lp
 let row_flipped (c : Lp_problem.constr) =
   Rat.sign (Rat.neg (Linexpr.constant c.Lp_problem.expr)) < 0
 
-let certify ?refactor_every (problem : Lp_problem.t) ~witness ~bound =
+type emitted = { cert : Certificate.t; pivots : int; from_witness : bool }
+
+let emit (problem : Lp_problem.t) ~witness ~bound =
   let vars = Lp_problem.variables problem in
   let maximize = problem.Lp_problem.direction = Lp_problem.Maximize in
   let inst = Sparse.build ~vars problem in
@@ -22,34 +24,46 @@ let certify ?refactor_every (problem : Lp_problem.t) ~witness ~bound =
         if maximize then c else Rat.neg c)
       inst.Sparse.vars
   in
-  match (Revised.solve_primal ?refactor_every inst ~cost).Revised.verdict with
+  let given = Hashtbl.create (2 * Array.length inst.Sparse.vars + 1) in
+  List.iter (fun (v, x) -> Hashtbl.replace given v x) witness;
+  let start =
+    Array.map
+      (fun v -> Option.value (Hashtbl.find_opt given v) ~default:Rat.zero)
+      inst.Sparse.vars
+  in
+  let solved = Revised.solve_at inst ~cost ~start in
+  match solved.Revised.run.Revised.verdict with
   | Revised.Infeasible -> Error "LP relaxation infeasible"
   | Revised.Unbounded -> Error "LP relaxation unbounded"
-  | Revised.Optimal sol ->
-    (match Revised.duals inst ~cost sol.Revised.snapshot with
-     | exception Basis.Singular -> Error "final basis singular"
-     | y ->
-       let duals =
-         Array.of_list
-           (List.mapi
-              (fun i c ->
-                let yi = if row_flipped c then Rat.neg y.(i) else y.(i) in
-                if maximize then yi else Rat.neg yi)
-              problem.Lp_problem.constraints)
-       in
-       let dual_bound =
-         List.fold_left
-           (fun acc (i, (c : Lp_problem.constr)) ->
-             Rat.add acc
-               (Rat.mul duals.(i)
-                  (Rat.neg (Linexpr.constant c.Lp_problem.expr))))
-           (Linexpr.constant problem.Lp_problem.objective)
-           (List.mapi (fun i c -> (i, c)) problem.Lp_problem.constraints)
-       in
-       Ok
-         { Certificate.direction = problem.Lp_problem.direction;
-           bound;
-           dual_bound;
-           duals;
-           witness = Certificate.witness_of_assignment witness;
-           digest = Certificate.digest_problem problem })
+  | Revised.Optimal _ ->
+    let y = solved.Revised.prices in
+    let duals =
+      Array.of_list
+        (List.mapi
+           (fun i c ->
+             let yi = if row_flipped c then Rat.neg y.(i) else y.(i) in
+             if maximize then yi else Rat.neg yi)
+           problem.Lp_problem.constraints)
+    in
+    let dual_bound =
+      List.fold_left
+        (fun acc (i, (c : Lp_problem.constr)) ->
+          Rat.add acc
+            (Rat.mul duals.(i)
+               (Rat.neg (Linexpr.constant c.Lp_problem.expr))))
+        (Linexpr.constant problem.Lp_problem.objective)
+        (List.mapi (fun i c -> (i, c)) problem.Lp_problem.constraints)
+    in
+    Ok
+      { cert =
+          { Certificate.direction = problem.Lp_problem.direction;
+            bound;
+            dual_bound;
+            duals;
+            witness = Certificate.witness_of_assignment witness;
+            digest = Certificate.digest_problem problem };
+        pivots = solved.Revised.run.Revised.pivots;
+        from_witness = solved.Revised.started }
+
+let certify problem ~witness ~bound =
+  Result.map (fun e -> e.cert) (emit problem ~witness ~bound)

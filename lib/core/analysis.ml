@@ -61,6 +61,8 @@ type certificate = {
   cert : Ipet_cert.Certificate.t;
   verdict : Ipet_cert.Checker.verdict;
   emit_seconds : float;
+  emit_pivots : int;
+  emit_from_witness : bool;
   check_seconds : float;
 }
 
@@ -276,8 +278,9 @@ let canonical_witness problem value fallback =
     | Ilp.Optimal { assignment; _ } -> assignment
     | Ilp.Infeasible _ | Ilp.Unbounded _ -> fallback)
 
-(* Certify the winning bound: one un-presolved LP re-solve recovers exact
-   dual multipliers for the original constraint set (Certify), then the
+(* Certify the winning bound: one un-presolved LP solve, started at the
+   witness, recovers exact dual multipliers for the original constraint
+   set (Certify), then the
    trusted checker validates the whole package. Production failure is an
    analysis error — the ILP was just solved to optimality, so its LP
    relaxation cannot be infeasible or unbounded — while a rejected
@@ -285,15 +288,16 @@ let canonical_witness problem value fallback =
 let certify_extreme ~dir_label problem value assignment =
   let produced, emit_seconds =
     Obs.timed (fun () ->
-        Ipet_cert.Certify.certify problem ~witness:assignment ~bound:value)
+        Ipet_cert.Certify.emit problem ~witness:assignment ~bound:value)
   in
   match produced with
   | Error e -> fail "certificate production failed (%s): %s" dir_label e
-  | Ok cert ->
+  | Ok { Ipet_cert.Certify.cert; pivots; from_witness } ->
     let verdict, check_seconds =
       Obs.timed (fun () -> Ipet_cert.Checker.check problem cert)
     in
-    { cert; verdict; emit_seconds; check_seconds }
+    { cert; verdict; emit_seconds; emit_pivots = pivots;
+      emit_from_witness = from_witness; check_seconds }
 
 let solve_extreme spec insts problems ~direction ~certify =
   let better a b =

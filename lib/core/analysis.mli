@@ -106,7 +106,13 @@ type certificate = {
           ILP — the problem the reported bound came from *)
   verdict : Ipet_cert.Checker.verdict;
       (** the trusted checker's validation, run eagerly at production *)
-  emit_seconds : float;  (** certificate production time (one LP re-solve) *)
+  emit_seconds : float;
+      (** certificate production time: one un-presolved LP solve, started
+          at the witness *)
+  emit_pivots : int;     (** simplex pivots of that solve *)
+  emit_from_witness : bool;
+      (** [false] when the witness was not a feasible vertex and the
+          solve fell back to the cold start *)
   check_seconds : float; (** trusted-checker validation time *)
 }
 

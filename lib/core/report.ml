@@ -68,11 +68,13 @@ let bound_summary (r : Analysis.result) =
   let cert_line side (c : Analysis.certificate) =
     Buffer.add_string buf
       (Format.asprintf
-         "%s certificate: %a; %d duals, %d witness vars (emit %.1f ms, check %.2f ms)\n"
+         "%s certificate: %a; %d duals, %d witness vars (emit %.1f ms, %d pivots from %s; check %.2f ms)\n"
          side Ipet_cert.Checker.pp_verdict c.Analysis.verdict
          (Array.length c.Analysis.cert.Ipet_cert.Certificate.duals)
          (List.length c.Analysis.cert.Ipet_cert.Certificate.witness)
          (1000. *. c.Analysis.emit_seconds)
+         c.Analysis.emit_pivots
+         (if c.Analysis.emit_from_witness then "the witness" else "cold")
          (1000. *. c.Analysis.check_seconds))
   in
   Option.iter (cert_line "wcet") r.Analysis.wcet_cert;
@@ -119,6 +121,7 @@ let record_lp_metrics registry (r : Analysis.result) =
         (if Ipet_cert.Checker.gap_closed c.Analysis.verdict then 1 else 0);
       set "cert.emit_micros"
         (int_of_float (1e6 *. c.Analysis.emit_seconds));
+      set "cert.emit_pivots" c.Analysis.emit_pivots;
       set "cert.check_micros"
         (int_of_float (1e6 *. c.Analysis.check_seconds))
   in

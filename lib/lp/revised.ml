@@ -243,23 +243,32 @@ let full_cost inst cost =
   Array.blit cost 0 cost_full 0 inst.Sparse.nstruct;
   cost_full
 
-let solve_primal ?upper ?refactor_every inst ~cost =
-  let m = inst.Sparse.nrows and ncols = inst.Sparse.ncols in
-  let nstruct = inst.Sparse.nstruct in
-  let lo = Array.make ncols Rat.zero in
+(* the all-slack/artificial identity basis, every nonbasic column at 0 *)
+let cold_state ?upper ?refactor_every inst =
+  let ncols = inst.Sparse.ncols in
   let up = Array.make ncols None in
-  (match upper with Some u -> Array.blit u 0 up 0 nstruct | None -> ());
+  (match upper with
+   | Some u -> Array.blit u 0 up 0 inst.Sparse.nstruct
+   | None -> ());
   let status = Array.make ncols Lower in
   let basis = Array.copy inst.Sparse.row_basis in
   Array.iter (fun j -> status.(j) <- Basic) basis;
-  let st =
-    make_state ?refactor_every inst ~lo ~up ~status ~basis
-      ~beta:(Array.copy inst.Sparse.rhs)
-  in
-  let cost_full = full_cost inst cost in
-  let finish verdict =
-    { verdict; pivots = st.npivots; refactors = st.nrefactors }
-  in
+  make_state ?refactor_every inst ~lo:(Array.make ncols Rat.zero) ~up ~status
+    ~basis ~beta:(Array.copy inst.Sparse.rhs)
+
+(* phase 2 from a feasible basis whose artificials are nonbasic or sit at
+   zero in redundant rows; on [Optimal], [st.y] holds the final basis's
+   row prices, the pricing vector of the last iteration *)
+let phase2 st ~cost_full =
+  let art_start = st.inst.Sparse.art_start in
+  match phase st ~cost:cost_full ~allowed:(fun j -> j < art_start) with
+  | `Unbounded -> Unbounded
+  | `Optimal -> Optimal (extract st ~cost:cost_full)
+
+(* phase 1 from the identity basis, then [drive_out] and phase 2 *)
+let cold st ~cost_full =
+  let inst = st.inst in
+  let m = inst.Sparse.nrows and ncols = inst.Sparse.ncols in
   let art_start = inst.Sparse.art_start in
   let feasible =
     if art_start = ncols then true
@@ -284,28 +293,106 @@ let solve_primal ?upper ?refactor_every inst ~cost =
       end
     end
   in
-  if not feasible then finish Infeasible
-  else
-    match phase st ~cost:cost_full ~allowed:(fun j -> j < art_start) with
-    | `Unbounded -> finish Unbounded
-    | `Optimal -> finish (Optimal (extract st ~cost:cost_full))
+  if feasible then phase2 st ~cost_full else Infeasible
 
-(* Row prices of a finished solve: y = B^-T c_B for the snapshot's basis,
-   one refactorization plus one BTRAN. This is the dual recovery the
-   certificate producer uses; it never runs during the solve itself. *)
-let duals inst ~cost (snap : snapshot) =
-  let m = inst.Sparse.nrows in
-  let fac = Basis.create m in
-  Basis.refactor fac
-    ~col_of:(fun j -> inst.Sparse.cols.(j))
-    ~basis:snap.sbasis;
-  let cost_full = full_cost inst cost in
-  let y = Array.make m Rat.zero in
-  for i = 0 to m - 1 do
-    y.(i) <- cost_full.(snap.sbasis.(i))
+let finish st verdict =
+  { verdict; pivots = st.npivots; refactors = st.nrefactors }
+
+let solve_primal ?upper ?refactor_every inst ~cost =
+  let st = cold_state ?upper ?refactor_every inst in
+  finish st (cold st ~cost_full:(full_cost inst cost))
+
+(* The basis of the vertex [start] (structural values), built on the
+   identity basis without pricing or ratio tests: every positive column,
+   structural or slack/surplus, is pivoted into a row whose basic column
+   is zero at [start], rows still held by an artificial first. Then
+   [beta = B^-1 b] is recomputed and checked rather than trusted, and the
+   artificials left basic at zero are swapped out by [drive_out].
+   @raise Stuck when [start] is negative, violates a row, or its positive
+   columns are linearly dependent (a point that is not a vertex). *)
+let vertex_state inst ~start =
+  let m = inst.Sparse.nrows and ncols = inst.Sparse.ncols in
+  let nstruct = inst.Sparse.nstruct and art_start = inst.Sparse.art_start in
+  if Array.length start <> nstruct then invalid_arg "Revised.solve_at";
+  let x = Array.make ncols Rat.zero in
+  let act = Array.make m Rat.zero in
+  Array.iteri
+    (fun j v ->
+      let s = Rat.sign v in
+      if s < 0 then raise Stuck;
+      if s > 0 then begin
+        x.(j) <- v;
+        let c = inst.Sparse.cols.(j) in
+        for k = 0 to Array.length c.Sparse.rows - 1 do
+          let r = c.Sparse.rows.(k) in
+          act.(r) <- Rat.add act.(r) (Rat.mul v c.Sparse.vals.(k))
+        done
+      end)
+    start;
+  (* a slack/surplus is a unit column that takes up its row's residual; a
+     row without one must hold with equality *)
+  let has_slack = Array.make m false in
+  for j = nstruct to art_start - 1 do
+    let c = inst.Sparse.cols.(j) in
+    let r = c.Sparse.rows.(0) in
+    let v = Rat.div (Rat.sub inst.Sparse.rhs.(r) act.(r)) c.Sparse.vals.(0) in
+    if Rat.sign v < 0 then raise Stuck;
+    x.(j) <- v;
+    has_slack.(r) <- true
   done;
-  Basis.btran fac y;
-  y
+  for r = 0 to m - 1 do
+    if (not has_slack.(r)) && not (Rat.equal act.(r) inst.Sparse.rhs.(r)) then
+      raise Stuck
+  done;
+  let st = cold_state inst in
+  let zero_at j = Rat.is_zero x.(j) in
+  for q = 0 to art_start - 1 do
+    if (not (zero_at q)) && st.status.(q) <> Basic then begin
+      Array.fill st.alpha 0 m Rat.zero;
+      load_col st st.alpha q;
+      Basis.ftran st.fac st.alpha;
+      let r = ref (-1) in
+      for i = 0 to m - 1 do
+        let bi = st.basis.(i) in
+        if zero_at bi && (not (Rat.is_zero st.alpha.(i)))
+           && (!r < 0 || (bi >= art_start && st.basis.(!r) < art_start))
+        then r := i
+      done;
+      if !r < 0 then raise Stuck;
+      let r = !r in
+      st.status.(st.basis.(r)) <- Lower;
+      st.basis.(r) <- q;
+      st.status.(q) <- Basic;
+      (* no refactorization here: these etas already are a product-form
+         factorization of the vertex basis, one per column, and rebuilding
+         them every [refactor_every] pivots costs more than it saves *)
+      Basis.append st.fac ~pivot_row:r ~alpha:st.alpha;
+      st.npivots <- st.npivots + 1
+    end
+  done;
+  (* every nonbasic column sits at 0, so x_B = B^-1 b *)
+  Array.blit inst.Sparse.rhs 0 st.beta 0 m;
+  Basis.ftran st.fac st.beta;
+  for i = 0 to m - 1 do
+    if Rat.sign st.beta.(i) < 0
+       || (st.basis.(i) >= art_start && not (Rat.is_zero st.beta.(i)))
+    then raise Stuck
+  done;
+  drive_out st;
+  st
+
+type priced = { run : run; prices : Rat.t array; started : bool }
+
+let solve_at inst ~cost ~start =
+  let cost_full = full_cost inst cost in
+  let priced st verdict ~started =
+    { run = finish st verdict; prices = Array.copy st.y; started }
+  in
+  match vertex_state inst ~start with
+  | st -> priced st (phase2 st ~cost_full) ~started:true
+  | exception Stuck ->
+    let st = cold_state inst in
+    priced st (cold st ~cost_full) ~started:false
 
 let solve_dual ?refactor_every ?max_iters inst ~cost ~lower ~upper ~warm =
   let m = inst.Sparse.nrows and ncols = inst.Sparse.ncols in
@@ -356,9 +443,6 @@ let solve_dual ?refactor_every ?max_iters inst ~cost ~lower ~upper ~warm =
     done;
     Basis.ftran st.fac st.beta;
     let cost_full = full_cost inst cost in
-    let finish verdict =
-      { verdict; pivots = st.npivots; refactors = st.nrefactors }
-    in
     let rec loop iter =
       if iter > max_iters then raise Stuck;
       (* leaving: most Bland-like deterministic choice — among rows whose
@@ -378,7 +462,7 @@ let solve_dual ?refactor_every ?max_iters inst ~cost ~lower ~upper ~warm =
           leaves_above := above
         end
       done;
-      if !r = -1 then finish (Optimal (extract st ~cost:cost_full))
+      if !r = -1 then finish st (Optimal (extract st ~cost:cost_full))
       else begin
         let r = !r in
         let above = !leaves_above in
@@ -427,7 +511,7 @@ let solve_dual ?refactor_every ?max_iters inst ~cost ~lower ~upper ~warm =
         match !best with
         | None ->
           (* the violated row cannot be repaired: primal infeasible *)
-          finish Infeasible
+          finish st Infeasible
         | Some (_, q, arq) ->
           Array.fill st.alpha 0 m Rat.zero;
           load_col st st.alpha q;

@@ -1,6 +1,6 @@
 (** Revised simplex over the sparse instance form, in exact rationals.
 
-    Two entry points:
+    Three entry points:
 
     - {!solve_primal}: two-phase bounded-variable primal simplex from the
       all-slack/artificial basis. With no upper bounds it replays the
@@ -15,6 +15,12 @@
       only change from the parent is tightened variable bounds: the
       parent's optimal basis stays dual feasible, so no phase 1 is
       needed. Variable bounds never become explicit rows.
+
+    - {!solve_at}: primal simplex started at a caller-supplied feasible
+      point (a solver's witness) instead of from the all-artificial
+      basis, returning the row prices of its final basis; for the
+      certificate producer, whose witness is already an optimal vertex
+      of the LP it proves.
 
     All pivot selection is deterministic, so both entry points are pure
     functions of their arguments. *)
@@ -57,13 +63,32 @@ val solve_primal :
     [nstruct] and supplies finite upper bounds for structural variables
     (handled in the ratio test, never as rows); lower bounds are 0. *)
 
-val duals :
-  Sparse.t -> cost:Rat.t array -> snapshot -> Rat.t array
-(** Row prices [y = B⁻ᵀ c_B] of the basis in the snapshot, in row order
-    of the instance — the dual multipliers of a finished {!solve_primal}
-    run, recovered with one refactorization and one BTRAN. [cost] is the
-    structural objective, as for {!solve_primal}.
-    @raise Basis.Singular if the snapshot's basis is not a basis. *)
+type priced = {
+  run : run;
+  prices : Rat.t array;
+      (** [y = B⁻ᵀc_B] of the final basis, in row order of the instance;
+          meaningful only when [run.verdict] is [Optimal] *)
+  started : bool;
+      (** [true] when the solve began at the given point, [false] when
+          it fell back to the cold {!solve_primal} route *)
+}
+
+val solve_at : Sparse.t -> cost:Rat.t array -> start:Rat.t array -> priced
+(** Maximize [cost] (as for {!solve_primal}, no upper bounds) starting at
+    [start], the value of each structural column (length [nstruct]).
+    The basis of [start] is built on the identity basis without pricing
+    or ratio tests: each positive column (structural or slack) is
+    pivoted into a row whose basic column is zero at [start], [B⁻¹b] is
+    recomputed and checked non-negative, and the artificials left basic
+    at zero are swapped for zero-valued columns. The Bland phase 2 of
+    {!solve_primal} then finishes from there; the row prices are the
+    pricing vector of its last iteration, so they cost no extra BTRAN.
+
+    When [start] is negative, violates a row, or is not a vertex (its
+    positive columns are linearly dependent), the solve falls back to
+    the cold {!solve_primal} route and [started] is [false]. [pivots]
+    and [refactors] count the route that finished. The result is a pure
+    function of the arguments either way. *)
 
 val solve_dual :
   ?refactor_every:int ->

@@ -251,6 +251,101 @@ let prop_mutated_coefficient =
       in
       Checker.check { p with P.constraints } c)
 
+(* --- the solve started at the witness ------------------------------------ *)
+
+module Revised = Ipet_lp.Revised
+module Sparse = Ipet_lp.Sparse
+
+let emit p ~witness ~bound =
+  match Certify.emit p ~witness ~bound with
+  | Ok e -> e
+  | Error m -> Alcotest.failf "certificate production failed: %s" m
+
+(* max x + y  s.t.  x + y <= 2: (1, 1) is optimal but not a vertex — its
+   two positive columns share the one row — so the solve cannot start
+   there and falls back to the cold start *)
+let test_non_vertex_witness () =
+  let open L.Infix in
+  let p = P.make P.Maximize (v "x" + v "y") [ P.le (v "x" + v "y") (int 2) ] in
+  let e =
+    emit p ~witness:[ ("x", Rat.one); ("y", Rat.one) ] ~bound:(Rat.of_int 2)
+  in
+  check_bool "fell back to the cold start" false e.Certify.from_witness;
+  let verdict = Checker.check p e.Certify.cert in
+  check_bool "valid" true (valid verdict);
+  check_bool "gap closed" true (Checker.gap_closed verdict)
+
+(* a witness outside the polytope falls back too; the checker then rejects
+   the witness, but the duals still prove the LP optimum *)
+let test_row_breaking_witness () =
+  let bad = [ ("x", Rat.of_int 5); ("y", Rat.of_int 3) ] in (* x <= 4 *)
+  let e = emit textbook_max ~witness:bad ~bound:(Rat.of_int 11) in
+  check_bool "fell back to the cold start" false e.Certify.from_witness;
+  check_bool "the broken witness is rejected" false
+    (valid (Checker.check textbook_max e.Certify.cert));
+  let optimal = [ ("x", Rat.of_int 2); ("y", Rat.of_int 3) ] in
+  let verdict =
+    Checker.check textbook_max
+      { e.Certify.cert with
+        Cert.witness = Cert.witness_of_assignment optimal;
+        bound = Rat.of_int 8 }
+  in
+  check_bool "its duals prove the optimum" true (Checker.gap_closed verdict)
+
+(* the LP optimum of [p] from the cold primal simplex, in [p]'s direction *)
+let cold_lp_optimum (p : P.t) =
+  let maximize = p.P.direction = P.Maximize in
+  let inst = Sparse.build ~vars:(P.variables p) p in
+  let cost =
+    Array.map
+      (fun x ->
+        let c = L.coeff p.P.objective x in
+        if maximize then c else Rat.neg c)
+      inst.Sparse.vars
+  in
+  match (Revised.solve_primal inst ~cost).Revised.verdict with
+  | Revised.Optimal s ->
+    Rat.add (L.constant p.P.objective)
+      (if maximize then s.Revised.value else Rat.neg s.Revised.value)
+  | Revised.Infeasible | Revised.Unbounded ->
+    Alcotest.fail "cold LP relaxation not optimal"
+
+(* every ILP of a generated program on both machines: the certificate
+   started at the solver's witness checks with the gap closed, never falls
+   back, and agrees with the cold solve on everything but the duals *)
+let prop_gen_witness_start =
+  QCheck.Test.make ~name:"generated programs certify from the witness"
+    ~count:25 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let case = Ipet_fuzz.Gen.case seed in
+      let source = Ipet_fuzz.Render.program case.Ipet_fuzz.Gen.prog in
+      let ast, _ = Ipet_lang.Frontend.parse_and_check source in
+      let prog =
+        (Ipet_lang.Frontend.compile_string_exn source).Ipet_lang.Compile.prog
+      in
+      List.for_all
+        (fun mach ->
+          let spec =
+            A.spec ~mach ~cache:case.Ipet_fuzz.Gen.cache
+              ~loop_bounds:(Ipet.Autobound.infer ast) ~root:"main" prog
+          in
+          List.for_all
+            (fun p ->
+              match Ilp.solve p with
+              | Ilp.Infeasible _ -> true
+              | Ilp.Unbounded _ -> Alcotest.fail "generated ILP unbounded"
+              | Ilp.Optimal { value; assignment; _ } ->
+                let e = emit p ~witness:assignment ~bound:value in
+                let c = e.Certify.cert in
+                e.Certify.from_witness
+                && Checker.gap_closed (Checker.check p c)
+                && Rat.equal c.Cert.bound value
+                && Rat.equal c.Cert.dual_bound (cold_lp_optimum p)
+                && c.Cert.witness = Cert.witness_of_assignment assignment
+                && c.Cert.digest = Cert.digest_problem p)
+            (A.wcet_problems spec @ A.bcet_problems spec))
+        Ipet_machine.Machine.[ e32; m7 ])
+
 (* --- the whole suite, certified ------------------------------------------- *)
 
 let certified_suite () =
@@ -261,6 +356,9 @@ let certified_suite () =
       let side what cycles = function
         | None -> Alcotest.failf "%s: no %s certificate" name what
         | Some (c : A.certificate) ->
+          check_bool
+            (Printf.sprintf "%s: %s solve started at the witness" name what)
+            true c.A.emit_from_witness;
           check_bool
             (Printf.sprintf "%s: %s certificate valid" name what)
             true (valid c.A.verdict);
@@ -279,7 +377,8 @@ let certified_suite () =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_mutated_dual; prop_mutated_witness; prop_mutated_coefficient ]
+    [ prop_mutated_dual; prop_mutated_witness; prop_mutated_coefficient;
+      prop_gen_witness_start ]
 
 let suite =
   [ ("checker accepts a maximization certificate", `Quick,
@@ -290,5 +389,9 @@ let suite =
     ("serialization round trip", `Quick, test_roundtrip);
     ("JSON export", `Quick, test_json_export);
     ("all 13 benchmarks certify at --jobs 1", `Slow, certified_suite);
-    ("malformed fields are parse errors", `Quick, test_parse_faults) ]
+    ("malformed fields are parse errors", `Quick, test_parse_faults);
+    ("a non-vertex witness falls back to the cold start", `Quick,
+     test_non_vertex_witness);
+    ("a row-breaking witness falls back to the cold start", `Quick,
+     test_row_breaking_witness) ]
   @ props
