@@ -26,9 +26,6 @@ module E = Ipet_suite.Experiments
 module Bspec = Ipet_suite.Bspec
 module Rat = Ipet_num.Rat
 module Lp = Ipet_lp.Lp_problem
-module Linexpr = Ipet_lp.Linexpr
-module Sparse = Ipet_lp.Sparse
-module Revised = Ipet_lp.Revised
 module J = Ipet_obs.Json
 
 let header title =
@@ -455,12 +452,9 @@ let export dir =
    dimensions reach the solver. Per tier, every WCET ILP relaxation is
    solved by the historical dense tableau ({!Ipet_lp.Dense}) and by the
    sparse revised simplex ({!Ipet_lp.Simplex}), checking the optima
-   agree; the branch-and-bound warm-start path is probed by re-solving
-   child problems — the parent with one structural variable's upper
-   bound tightened below its optimal value — both cold from scratch and
-   warm from the parent basis via the dual simplex. Results are written
-   to BENCH_lp.json; [lp-check] enforces a [lp_check_floor] on the
-   revised-vs-dense ratio of the largest dense-measured tier. *)
+   agree. Results are written to BENCH_lp.json; [lp-check] enforces a
+   [lp_check_floor] on the revised-vs-dense ratio of the largest
+   dense-measured tier. *)
 
 let lp_seed = 7
 
@@ -497,91 +491,6 @@ let lp_spec_of_case (c : Ipet_fuzz.Gen.case) =
   in
   Analysis.spec ~cache:c.Ipet_fuzz.Gen.cache ~loop_bounds:bounds
     ~presolve:false ~root:"main" compiled.Compile.prog
-
-(* Build the same sparse instance and direction-normalized cost vector
-   the production solver uses, exposing the snapshot for warm starts. *)
-let lp_instance problem =
-  let vars = Lp.variables problem in
-  let inst = Sparse.build ~vars problem in
-  let obj =
-    match problem.Lp.direction with
-    | Lp.Maximize -> problem.Lp.objective
-    | Lp.Minimize -> Linexpr.neg problem.Lp.objective
-  in
-  let cost = Array.make inst.Sparse.nstruct Rat.zero in
-  Array.iteri (fun i v -> cost.(i) <- Linexpr.coeff obj v) inst.Sparse.vars;
-  (inst, cost)
-
-type lp_warm = {
-  children : int;
-  cold_wall : float;
-  warm_wall : float;
-  hits : int;
-  misses : int;
-}
-
-(* Branch-and-bound-style children of [problem]: tighten one positive
-   structural variable's upper bound to (its optimal value - 1), which
-   forces a re-optimization exactly like an [Ilp.solve] branch. *)
-let lp_warm_probe problem =
-  let inst, cost = lp_instance problem in
-  match (Revised.solve_primal inst ~cost).Revised.verdict with
-  | Revised.Infeasible | Revised.Unbounded -> None
-  | Revised.Optimal sol ->
-    let nstruct = inst.Sparse.nstruct in
-    let candidates = ref [] in
-    for j = nstruct - 1 downto 0 do
-      if Rat.compare sol.Revised.xstruct.(j) Rat.one >= 0 then
-        candidates := j :: !candidates
-    done;
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: tl -> x :: take (n - 1) tl
-    in
-    let children = take 32 !candidates in
-    let zeros = Array.make nstruct Rat.zero in
-    let acc = ref { children = List.length children; cold_wall = 0.0;
-                    warm_wall = 0.0; hits = 0; misses = 0 } in
-    List.iter
-      (fun j ->
-        let upper = Array.make nstruct None in
-        upper.(j) <- Some (Rat.sub sol.Revised.xstruct.(j) Rat.one);
-        let cold, cold_t =
-          lp_time (fun () -> Revised.solve_primal ~upper inst ~cost)
-        in
-        let warm, warm_t =
-          lp_time (fun () ->
-            match
-              Revised.solve_dual inst ~cost ~lower:zeros ~upper
-                ~warm:sol.Revised.snapshot
-            with
-            | run -> Some run
-            | exception Revised.Stuck -> None)
-        in
-        let a = !acc in
-        let hit, miss =
-          match warm with Some _ -> (1, 0) | None -> (0, 1)
-        in
-        (match (warm, cold.Revised.verdict) with
-         | Some { Revised.verdict = Revised.Optimal w; _ },
-           Revised.Optimal c ->
-           if not (Rat.equal w.Revised.value c.Revised.value) then begin
-             Printf.eprintf
-               "bench lp: warm/cold divergence on child %d: %s vs %s\n" j
-               (Rat.to_string w.Revised.value) (Rat.to_string c.Revised.value);
-             exit 1
-           end
-         | Some { Revised.verdict = Revised.Infeasible; _ }, Revised.Infeasible
-         | None, _ -> ()
-         | Some _, _ ->
-           Printf.eprintf "bench lp: warm/cold verdict mismatch on child %d\n" j;
-           exit 1);
-        acc := { a with cold_wall = a.cold_wall +. cold_t;
-                        warm_wall = a.warm_wall +. warm_t;
-                        hits = a.hits + hit; misses = a.misses + miss })
-      children;
-    Some !acc
 
 let lp_bench ~check () =
   let entries =
@@ -630,23 +539,6 @@ let lp_bench ~check () =
             Some wall
           end
         in
-        let largest =
-          List.fold_left
-            (fun acc p ->
-              match acc with
-              | Some best
-                when List.length (Lp.variables best)
-                     >= List.length (Lp.variables p) -> acc
-              | _ -> Some p)
-            None problems
-        in
-        (* the probe's cold-solve arm re-solves each child from scratch,
-           which is exactly what's intractable at jumbo sizes — warm-start
-           numbers come from the dense-measured tiers *)
-        let warm =
-          if not measure_dense then None
-          else Option.bind largest lp_warm_probe
-        in
         let speedup =
           match dense_wall with
           | Some d when revised_wall > 0.0 -> d /. revised_wall
@@ -658,44 +550,19 @@ let lp_bench ~check () =
           (match dense_wall with
            | Some d -> Printf.sprintf ", dense %8.3fs (%.1fx)" d speedup
            | None -> ", dense skipped");
-        (match warm with
-         | Some w when w.children > 0 ->
-           Printf.printf
-             "      warm-start: %d children, cold %.3fs, warm %.3fs \
-              (%.1fx), %d hits / %d misses\n%!"
-             w.children w.cold_wall w.warm_wall
-             (if w.warm_wall > 0.0 then w.cold_wall /. w.warm_wall else 0.0)
-             w.hits w.misses
-         | _ -> ());
         (name, stmt_budget, nvars, nconstrs, dense_wall, revised_wall,
-         speedup, warm))
+         speedup))
       lp_tiers
   in
-  let tier_json
-      (name, budget, nvars, nconstrs, dense_wall, revised_wall, speedup, warm)
-      =
-    let warm_json =
-      match warm with
-      | Some w when w.children > 0 ->
-        [ ("warm_children", J.Int w.children);
-          ("warm_cold_wall_s", J.Float w.cold_wall);
-          ("warm_wall_s", J.Float w.warm_wall);
-          ( "warm_speedup",
-            J.Float (if w.warm_wall > 0.0 then w.cold_wall /. w.warm_wall else 0.0) );
-          ("warm_hits", J.Int w.hits);
-          ("warm_misses", J.Int w.misses);
-          ("warm_hit_rate", J.Float (float_of_int w.hits /. float_of_int w.children)) ]
-      | _ -> []
-    in
+  let tier_json (name, budget, nvars, nconstrs, dense_wall, revised_wall, speedup) =
     J.Obj
-      ([ ("tier", J.Str name);
-         ("stmt_budget", J.Int budget);
-         ("vars", J.Int nvars);
-         ("constrs", J.Int nconstrs);
-         ("dense_wall_s", Option.fold ~none:J.Null ~some:(fun d -> J.Float d) dense_wall);
-         ("revised_wall_s", J.Float revised_wall);
-         ("speedup", if dense_wall = None then J.Null else J.Float speedup) ]
-       @ warm_json)
+      [ ("tier", J.Str name);
+        ("stmt_budget", J.Int budget);
+        ("vars", J.Int nvars);
+        ("constrs", J.Int nconstrs);
+        ("dense_wall_s", Option.fold ~none:J.Null ~some:(fun d -> J.Float d) dense_wall);
+        ("revised_wall_s", J.Float revised_wall);
+        ("speedup", if dense_wall = None then J.Null else J.Float speedup) ]
   in
   let oc = open_out "BENCH_lp.json" in
   output_string oc
@@ -714,10 +581,10 @@ let lp_bench ~check () =
        single-core waiver is needed *)
     let largest_measured =
       List.fold_left
-        (fun acc ((_, _, nvars, _, dense_wall, _, _, _) as e) ->
+        (fun acc ((_, _, nvars, _, dense_wall, _, _) as e) ->
           match (dense_wall, acc) with
           | None, _ -> acc
-          | Some _, Some (_, _, best, _, _, _, _, _) when best >= nvars -> acc
+          | Some _, Some (_, _, best, _, _, _, _) when best >= nvars -> acc
           | Some _, _ -> Some e)
         None entries
     in
@@ -725,7 +592,7 @@ let lp_bench ~check () =
     | None ->
       prerr_endline "lp-check: no dense-measured tier";
       exit 1
-    | Some (name, _, _, _, _, _, speedup, _) ->
+    | Some (name, _, _, _, _, _, speedup) ->
       if speedup < lp_check_floor then begin
         Printf.printf
           "lp-check: FAIL — %.1fx revised-vs-dense on tier %s, below the \

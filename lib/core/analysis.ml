@@ -41,8 +41,6 @@ type solver_stats = {
   bnb_nodes : int;
   simplex_pivots : int;
   refactorizations : int;
-  warm_hits : int;
-  warm_misses : int;
   all_first_lp_integral : bool;
   presolve_vars_before : int;
   presolve_vars_after : int;
@@ -313,8 +311,6 @@ let solve_extreme spec insts problems ~direction ~certify =
   let nodes = ref 0 in
   let pivots = ref 0 in
   let refactors = ref 0 in
-  let whits = ref 0 in
-  let wmisses = ref 0 in
   let infeasible = ref 0 in
   let all_first = ref true in
   let solved = ref 0 in
@@ -357,8 +353,6 @@ let solve_extreme spec insts problems ~direction ~certify =
         nodes := !nodes + stats.Ilp.nodes;
         pivots := !pivots + stats.Ilp.pivots;
         refactors := !refactors + stats.Ilp.refactorizations;
-        whits := !whits + stats.Ilp.warm_hits;
-        wmisses := !wmisses + stats.Ilp.warm_misses;
         record_presolve problem stats;
         if not stats.Ilp.first_lp_integral then all_first := false;
         (match !best with
@@ -369,8 +363,6 @@ let solve_extreme spec insts problems ~direction ~certify =
         nodes := !nodes + stats.Ilp.nodes;
         pivots := !pivots + stats.Ilp.pivots;
         refactors := !refactors + stats.Ilp.refactorizations;
-        whits := !whits + stats.Ilp.warm_hits;
-        wmisses := !wmisses + stats.Ilp.warm_misses;
         record_presolve problem stats;
         incr infeasible
       | Ilp.Unbounded _ ->
@@ -396,8 +388,6 @@ let solve_extreme spec insts problems ~direction ~certify =
         bnb_nodes = !nodes;
         simplex_pivots = !pivots;
         refactorizations = !refactors;
-        warm_hits = !whits;
-        warm_misses = !wmisses;
         all_first_lp_integral = !all_first;
         presolve_vars_before = !pv_before;
         presolve_vars_after = !pv_after;

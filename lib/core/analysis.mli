@@ -69,10 +69,6 @@ type solver_stats = {
   refactorizations : int;
       (** basis refactorizations over all LP calls (the revised simplex
           rebuilds its eta-file factorization periodically) *)
-  warm_hits : int;
-      (** branch-and-bound children re-optimized from the parent basis by
-          the dual simplex *)
-  warm_misses : int;     (** children that needed a cold fallback solve *)
   all_first_lp_integral : bool;
       (** the paper's observation: every first relaxation was integral *)
   presolve_vars_before : int;

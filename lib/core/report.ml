@@ -96,8 +96,6 @@ let record_lp_metrics registry (r : Analysis.result) =
     set "lp.bnb_nodes" s.Analysis.bnb_nodes;
     set "lp.simplex_pivots" s.Analysis.simplex_pivots;
     set "lp.refactorizations" s.Analysis.refactorizations;
-    set "lp.warm_hits" s.Analysis.warm_hits;
-    set "lp.warm_misses" s.Analysis.warm_misses;
     set "lp.first_integral" (if s.Analysis.all_first_lp_integral then 1 else 0);
     set "lp.presolve_vars_before" s.Analysis.presolve_vars_before;
     set "lp.presolve_vars_after" s.Analysis.presolve_vars_after;

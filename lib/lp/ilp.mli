@@ -20,11 +20,9 @@ type stats = {
   pivots : int;            (** simplex pivots over all relaxations *)
   refactorizations : int;  (** basis refactorizations over all relaxations *)
   warm_hits : int;
-      (** non-root nodes re-optimized from the parent basis by the dual
-          simplex, skipping phase 1 *)
   warm_misses : int;
-      (** non-root nodes that fell back to a cold solve (dual gave up, or
-          the parent itself was solved cold) *)
+      (** always 0: every node is solved cold. Both are kept only for
+          ledger/, which still reads them. *)
   first_lp_integral : bool;
       (** the root relaxation was already integer-valued *)
   presolve : Presolve.stats option;
@@ -51,12 +49,10 @@ val solve :
     value, and the witness assignment modulo alternative optima, do not
     depend on [presolve].
 
-    Branching tightens variable bounds on one shared sparse instance
-    rather than adding constraint rows, and each child node warm-starts
-    from its parent's optimal basis via the dual simplex
-    ({!Revised.solve_dual}); {!stats} reports the resulting hit/miss
-    split. The root relaxation is solved cold and pivot-for-pivot
-    identically to the historical dense solver.
+    Every node, the root included, is one cold {!Simplex.solve} of the
+    problem plus the node's branching bounds as rows, so the root
+    relaxation is solved pivot-for-pivot identically to the historical
+    dense solver.
 
     The search is a sequential depth-first branch and bound. [pool] is
     kept for ledger/, no other caller; it is accepted and ignored.

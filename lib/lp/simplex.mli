@@ -24,9 +24,10 @@ val solve :
   ?vars:string list -> ?pivots:int ref -> ?refactors:int ref ->
   Lp_problem.t -> result
 (** [vars], when given, must be {!Lp_problem.variables} of the problem (or
-    a sorted superset of it); callers that solve many closely related
-    problems — {!Ilp.solve}'s branch-and-bound nodes — pass it to avoid
-    recomputing the sort-dedup per LP call.
+    a sorted superset of it); {!Ilp.solve} solves every branch-and-bound
+    node, each the base problem plus its branching rows, through this
+    function and passes the base problem's [vars] to avoid recomputing
+    the sort-dedup per node.
 
     [pivots], when given, is incremented by the number of simplex pivots
     (basis changes) this call performed (phase 1 and 2 combined);

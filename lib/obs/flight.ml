@@ -7,7 +7,6 @@ type event = {
   units_total : int;
   units_cached : int;
   units_solved : int;
-  warm_hits : int;
   pivots : int;
   certs_checked : int;
   certs_rejected : int;
@@ -53,7 +52,6 @@ let event_json (seq, e) =
          ("units_total", Json.Int e.units_total);
          ("units_cached", Json.Int e.units_cached);
          ("units_solved", Json.Int e.units_solved);
-         ("warm_lp_hits", Json.Int e.warm_hits);
          ("pivots", Json.Int e.pivots);
          ("certs_checked", Json.Int e.certs_checked);
          ("certs_rejected", Json.Int e.certs_rejected);

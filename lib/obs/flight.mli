@@ -21,7 +21,6 @@ type event = {
   units_total : int;
   units_cached : int;
   units_solved : int;
-  warm_hits : int;          (** warm-started LP solves *)
   pivots : int;             (** simplex pivots spent on this request *)
   certs_checked : int;
   certs_rejected : int;
@@ -48,7 +47,11 @@ val recent : ?n:int -> t -> (int * event) list
 
 val event_json : int * event -> Json.t
 (** One event with its sequence number as a JSON object: a row of the
-    JSONL dump and an element of the daemon's [recent] response. *)
+    JSONL dump and an element of the daemon's [recent] response. Its keys
+    are, in order, [seq], [time], [id], [op], [root] (omitted when
+    empty), [digests], [units_total], [units_cached], [units_solved],
+    [pivots], [certs_checked], [certs_rejected], [latency_ms] and
+    [error] (omitted on success). *)
 
 val dump : t -> string
 (** The retained events as JSONL, oldest first. *)

@@ -21,7 +21,6 @@ type stats = {
   units_cached : int;
   units_solved : int;
   ilp_solves : int;
-  warm_lp_hits : int;
   simplex_pivots : int;
   certs_checked : int;
   certs_rejected : int;
@@ -31,7 +30,6 @@ type counter = {
   mutable cached : int;
   mutable solved : int;
   mutable solves : int;
-  mutable warm : int;
   mutable pivots : int;
   mutable cert_checks : int;
   mutable cert_rejects : int;
@@ -166,7 +164,6 @@ let solve_problem ~counter (spec : A.spec) name problem =
   Obs.add "serve.ilp.solves" 1;
   match Ilp.solve ~presolve:spec.A.presolve problem with
   | Ilp.Optimal { value; assignment; stats } ->
-    counter.warm <- counter.warm + stats.Ilp.warm_hits;
     counter.pivots <- counter.pivots + stats.Ilp.pivots;
     (match Certify.certify problem ~witness:assignment ~bound:value with
      | Ok c -> c
@@ -257,8 +254,6 @@ let program_unit ~counter (spec : A.spec) =
     let r = A.analyze ~certify:true spec in
     let sets = r.A.wcet_stats.A.sets_solved + r.A.bcet_stats.A.sets_solved in
     counter.solves <- counter.solves + sets;
-    counter.warm <-
-      counter.warm + r.A.wcet_stats.A.warm_hits + r.A.bcet_stats.A.warm_hits;
     counter.pivots <-
       counter.pivots + r.A.wcet_stats.A.simplex_pivots
       + r.A.bcet_stats.A.simplex_pivots;
@@ -351,7 +346,7 @@ let unit_row ~name ~key ~bcet_pe ~wcet_pe ~bcet_entries ~wcet_entries =
 
 let analyze ?cache ?deadline (spec : A.spec) =
   let counter =
-    { cached = 0; solved = 0; solves = 0; warm = 0; pivots = 0;
+    { cached = 0; solved = 0; solves = 0; pivots = 0;
       cert_checks = 0; cert_rejects = 0 }
   in
   let prog = spec.A.prog in
@@ -410,7 +405,6 @@ let analyze ?cache ?deadline (spec : A.spec) =
       units_cached = counter.cached;
       units_solved = counter.solved;
       ilp_solves = counter.solves;
-      warm_lp_hits = counter.warm;
       simplex_pivots = counter.pivots;
       certs_checked = counter.cert_checks;
       certs_rejected = counter.cert_rejects } )

@@ -46,9 +46,6 @@ type stats = {
   units_cached : int;  (** served from the cache *)
   units_solved : int;  (** actually (re-)solved *)
   ilp_solves : int;    (** ILP solver invocations performed *)
-  warm_lp_hits : int;
-      (** branch-and-bound nodes re-optimized from a parent basis across
-          those solves (0 on a fully cached request) *)
   simplex_pivots : int;
       (** simplex pivots spent on this request's fresh solves *)
   certs_checked : int;

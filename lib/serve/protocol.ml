@@ -76,7 +76,6 @@ type note = {
   mutable n_units_total : int;
   mutable n_units_cached : int;
   mutable n_units_solved : int;
-  mutable n_warm : int;
   mutable n_pivots : int;
   mutable n_certs_checked : int;
   mutable n_certs_rejected : int;
@@ -88,7 +87,6 @@ let fresh_note () =
     n_units_total = 0;
     n_units_cached = 0;
     n_units_solved = 0;
-    n_warm = 0;
     n_pivots = 0;
     n_certs_checked = 0;
     n_certs_rejected = 0 }
@@ -246,7 +244,6 @@ let analyze config ~req_id ~(note : note) req =
   note.n_units_total <- stats.Incremental.units_total;
   note.n_units_cached <- stats.Incremental.units_cached;
   note.n_units_solved <- stats.Incremental.units_solved;
-  note.n_warm <- stats.Incremental.warm_lp_hits;
   note.n_pivots <- stats.Incremental.simplex_pivots;
   note.n_certs_checked <- stats.Incremental.certs_checked;
   note.n_certs_rejected <- stats.Incremental.certs_rejected;
@@ -271,7 +268,6 @@ let analyze config ~req_id ~(note : note) req =
           ("units_cached", Json.Int stats.Incremental.units_cached);
           ("units_solved", Json.Int stats.Incremental.units_solved);
           ("ilp_solves", Json.Int stats.Incremental.ilp_solves);
-          ("warm_lp_hits", Json.Int stats.Incremental.warm_lp_hits);
           ("simplex_pivots", Json.Int stats.Incremental.simplex_pivots);
           ("certs_checked", Json.Int stats.Incremental.certs_checked);
           ("certs_rejected", Json.Int stats.Incremental.certs_rejected);
@@ -403,7 +399,6 @@ let handle_line config line =
       units_total = note.n_units_total;
       units_cached = note.n_units_cached;
       units_solved = note.n_units_solved;
-      warm_hits = note.n_warm;
       pivots = note.n_pivots;
       certs_checked = note.n_certs_checked;
       certs_rejected = note.n_certs_rejected;

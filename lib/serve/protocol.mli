@@ -22,7 +22,11 @@
       fetch configuration — the paper's i960KB cache for [e32]),
       [trace_spans] (default false — when true and span tracing is
       enabled on the server, the response carries the request's completed
-      span tree as ["trace_spans"]);
+      span tree as ["trace_spans"]). The response carries ["report"] and
+      ["stats"], whose keys are, in order, the {!Incremental.stats}
+      fields [units_total], [units_cached], [units_solved], [ilp_solves],
+      [simplex_pivots], [certs_checked], [certs_rejected], then
+      [wall_ms];
     - [stats] — server totals (requests, errors, certificate checks and
       rejections, flight-recorder event count) and cache occupancy
       (entries, bytes, cap, hits, misses, evictions, eviction bytes);

@@ -701,7 +701,14 @@ let test_protocol_requests () =
    | Ok j ->
      let report = Option.get (J.member "report" j) in
      check_bool "report has a positive wcet" true
-       (match bounds_of_report report with b, w -> b > 0 && w >= b)
+       (match bounds_of_report report with b, w -> b > 0 && w >= b);
+     check_bool "stats carry exactly the documented keys" true
+       (match J.member "stats" j with
+        | Some (J.Obj kvs) ->
+          List.map fst kvs
+          = [ "units_total"; "units_cached"; "units_solved"; "ilp_solves";
+              "simplex_pivots"; "certs_checked"; "certs_rejected"; "wall_ms" ]
+        | _ -> false)
    | Error _ -> Alcotest.fail "unparsable analyze response");
   let _, outcome = handle {|{"v":1,"op":"shutdown"}|} in
   check_bool "shutdown stops the server" true (outcome = Protocol.Shutdown)
@@ -890,7 +897,6 @@ let flight_event i =
     units_total = 2;
     units_cached = 1;
     units_solved = 1;
-    warm_hits = 3;
     pivots = 40;
     certs_checked = 2;
     certs_rejected = 0;
@@ -911,6 +917,21 @@ let test_flight_ring_wrap () =
     ((List.hd recent |> snd).Flight.id = "req-9");
   check_bool "recent ~n clips" true
     (List.map fst (Flight.recent ~n:2 t) = [ 9; 8 ]);
+  let keys ev =
+    match Flight.event_json ev with
+    | J.Obj kvs -> List.map fst kvs
+    | _ -> Alcotest.fail "an event is not a JSON object"
+  in
+  let common =
+    [ "seq"; "time"; "id"; "op"; "root"; "digests"; "units_total";
+      "units_cached"; "units_solved"; "pivots"; "certs_checked";
+      "certs_rejected"; "latency_ms" ]
+  in
+  check_bool "a failed event carries exactly the documented keys" true
+    (keys (9, flight_event 9) = common @ [ "error" ]);
+  check_bool "a rootless success omits root and error" true
+    (keys (0, { (flight_event 0) with Flight.root = "" })
+     = List.filter (( <> ) "root") common);
   (* the dump is oldest-first JSONL, one parseable object per line *)
   let lines =
     Flight.dump t |> String.split_on_char '\n'

@@ -255,8 +255,6 @@ let prop_ilp_matches_box_enumeration =
 
 (* --- hand-picked solver stress cases ------------------------------------ *)
 
-module Sparse = Ipet_lp.Sparse
-module Revised = Ipet_lp.Revised
 module Dense = Ipet_lp.Dense
 
 let rat a b = Rat.of_ints a b
@@ -354,76 +352,6 @@ let test_empty_column () =
    | S.Unbounded -> ()
    | _ -> Alcotest.fail "empty-column: favourable free column not unbounded")
 
-(* --- warm-started dual vs cold primal on random B&B children ------------ *)
-
-(* The branch-and-bound handshake in one property: solve a random problem
-   cold, then for each branching-style child (one variable's upper bound
-   tightened below its optimal value) check the dual simplex warm-started
-   from the parent basis agrees verdict-for-verdict and value-for-value
-   with a cold bounded primal solve. *)
-let prop_warm_dual_matches_cold_primal =
-  QCheck.Test.make ~name:"warm dual re-solve agrees with cold primal"
-    ~count:150
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let rng = Random.State.make [| seed; 0xd0a1 |] in
-      let shape = gen_problem rng in
-      (* normalize to maximization the way Simplex.solve does *)
-      let problem = shape.problem in
-      let vars = P.variables problem in
-      let inst = Sparse.build ~vars problem in
-      let obj =
-        match problem.P.direction with
-        | P.Maximize -> problem.P.objective
-        | P.Minimize -> L.neg problem.P.objective
-      in
-      let nstruct = inst.Sparse.nstruct in
-      let cost = Array.make nstruct Rat.zero in
-      Array.iteri (fun i v -> cost.(i) <- L.coeff obj v) inst.Sparse.vars;
-      match (Revised.solve_primal inst ~cost).Revised.verdict with
-      | Revised.Infeasible -> true  (* no parent basis to warm-start from *)
-      | Revised.Unbounded ->
-        QCheck.Test.fail_report "unbounded on a box-bounded problem"
-      | Revised.Optimal parent ->
-        let zeros = Array.make nstruct Rat.zero in
-        let check_child j =
-          if Rat.compare parent.Revised.xstruct.(j) Rat.one < 0 then true
-          else begin
-            let upper = Array.make nstruct None in
-            upper.(j) <-
-              Some (Rat.of_bigint (Rat.floor
-                      (Rat.sub parent.Revised.xstruct.(j) Rat.one)));
-            let cold = Revised.solve_primal ~upper inst ~cost in
-            let warm =
-              match
-                Revised.solve_dual inst ~cost ~lower:zeros ~upper
-                  ~warm:parent.Revised.snapshot
-              with
-              | run -> Some run.Revised.verdict
-              | exception Revised.Stuck -> None
-            in
-            match (warm, cold.Revised.verdict) with
-            | None, _ ->
-              (* dual gave up; the production fallback re-solves cold *)
-              true
-            | Some (Revised.Optimal w), Revised.Optimal c ->
-              Rat.equal w.Revised.value c.Revised.value
-              || QCheck.Test.fail_report
-                   (Printf.sprintf "child %d: warm %s, cold %s" j
-                      (Rat.to_string w.Revised.value)
-                      (Rat.to_string c.Revised.value))
-            | Some Revised.Infeasible, Revised.Infeasible -> true
-            | Some _, _ ->
-              QCheck.Test.fail_report
-                (Printf.sprintf "child %d: warm/cold verdict mismatch" j)
-          end
-        in
-        let ok = ref true in
-        for j = 0 to nstruct - 1 do
-          ok := !ok && check_child j
-        done;
-        !ok)
-
 (* The rewritten solver must match the historical dense tableau not just
    in value but in the witness assignment — the trajectory-parity claim
    golden reports rest on. *)
@@ -450,7 +378,7 @@ let prop_revised_matches_dense =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_simplex_matches_vertex_enumeration; prop_ilp_matches_box_enumeration;
-      prop_warm_dual_matches_cold_primal; prop_revised_matches_dense ]
+      prop_revised_matches_dense ]
   @ [ Alcotest.test_case "Beale degenerate LP terminates (Bland)" `Quick
         test_beale_degenerate;
       Alcotest.test_case "redundant rows are harmless" `Quick

@@ -36,8 +36,8 @@ let assert_invariants name =
   check_bool (Printf.sprintf "%s: measured.lo <= measured.hi" name) true
     (m.E.lo <= m.E.hi);
   (* the Section VI first-LP-integral observation is the paper's, about its
-     own benchmark set; extended benchmarks may legitimately branch (ludcmp's
-     triangular-loop constraints do) *)
+     own benchmark set; extended benchmarks may legitimately branch
+     (ludcmp's triangular-loop BCET ILP does, but only without presolve) *)
   if List.mem name paper_benchmarks then
     check_bool (name ^ ": first LP integral (paper section VI)") true
       r.E.all_first_lp_integral
