@@ -4,7 +4,11 @@ Usage: python3 check_cert.py REPORT.txt CERT.json
 
 Both certificates must be valid with the gap closed, and each
 certificate's bound must equal its side of the report's
-`estimated bound: [bcet, wcet] cycles` line.
+`estimated bound: [bcet, wcet] cycles` line. Each side's
+`wcet certificate:` / `bcet certificate:` report line must say its LP
+solve pivoted `from the witness`: the reported witness is the ILP's own
+postsolved optimum, so a `cold` fallback means it was not an optimal
+vertex of the certified LP.
 """
 import json
 import re
@@ -12,7 +16,8 @@ import sys
 
 report, cert_file = sys.argv[1], sys.argv[2]
 with open(report) as f:
-    m = re.search(r"^estimated bound: \[(\d+), (\d+)\] cycles$", f.read(), re.M)
+    text = f.read()
+m = re.search(r"^estimated bound: \[(\d+), (\d+)\] cycles$", text, re.M)
 if m is None:
     sys.exit(f"{report}: no estimated bound line")
 with open(cert_file) as f:
@@ -22,6 +27,15 @@ for side, bound in (("bcet", m.group(1)), ("wcet", m.group(2))):
     c = certs[side]
     if not (c["valid"] and c["gap_closed"]):
         print(f"{cert_file}: {side} certificate not valid with the gap closed")
+        failed = True
+    line = re.search(rf"^{side} certificate: .* pivots from ([^;]*);",
+                     text, re.M)
+    if line is None:
+        print(f"{report}: no {side} certificate line")
+        failed = True
+    elif line.group(1) != "the witness":
+        print(f"{report}: {side} certificate solved from "
+              f"{line.group(1)}, not from the witness")
         failed = True
     if c["certificate"]["bound"] != bound:
         print(f"{cert_file}: {side} bound {c['certificate']['bound']} "

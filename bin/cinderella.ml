@@ -968,7 +968,7 @@ let fuzz_cmd obs seed iters no_shrink shrink_attempts quiet mach =
 let seed_arg =
   Arg.(value & opt int 1
        & info [ "seed" ] ~docv:"N"
-           ~doc:"Base seed; case $(i)i$(i) uses seed N+i, so a failing seed \
+           ~doc:"Base seed; case $(i,i) uses seed N+i, so a failing seed \
                  replays alone with $(b,--seed) N+i $(b,--iters) 1.")
 
 let iters_arg =

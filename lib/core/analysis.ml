@@ -256,26 +256,6 @@ let extreme_of_witness insts (problem : Lp.t) ~bound witness =
     counts = block_counts insts env;
     binding = binding_constraints problem.Lp.constraints env }
 
-(* A canonical optimal witness: re-solve the winning ILP restricted to its
-   optimal face (objective pinned to the optimal value) with a fixed
-   pipeline. Optima of these flow systems are often degenerate — symmetric
-   branches of equal cost admit several optimal vertices — and which one a
-   simplex run lands on depends on incidental pivoting order. The face
-   re-solve makes the reported witness a function of the problem and its
-   optimal value only, so block counts are identical however the optimum
-   was found (in particular, with and without presolve). *)
-let canonical_witness problem value fallback =
-  Obs.span "ilp.witness" (fun () ->
-    let face =
-      Lp.make problem.Lp.direction problem.Lp.objective
-        (problem.Lp.constraints
-         @ [ Lp.eq ~origin:"optimal-face" problem.Lp.objective
-               (L.const value) ])
-    in
-    match Ilp.solve ~presolve:true face with
-    | Ilp.Optimal { assignment; _ } -> assignment
-    | Ilp.Infeasible _ | Ilp.Unbounded _ -> fallback)
-
 (* Certify the winning bound: one un-presolved LP solve, started at the
    witness, recovers exact dual multipliers for the original constraint
    set (Certify), then the
@@ -374,7 +354,6 @@ let solve_extreme spec insts problems ~direction ~certify =
   match !best with
   | None -> fail "every functionality constraint set is infeasible"
   | Some (value, assignment, problem) ->
-    let assignment = canonical_witness problem value assignment in
     let certificate =
       if certify then Some (certify_extreme ~dir_label problem value assignment)
       else None

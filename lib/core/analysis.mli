@@ -39,8 +39,9 @@ type spec = {
           of per iteration. Off by default (the paper's baseline model). *)
   presolve : bool;
       (** run {!Ipet_lp.Presolve} on every ILP before the branch and bound
-          (on by default); semantics-preserving, only affects solve time
-          and the reduction statistics *)
+          (on by default); semantics-preserving: it leaves the bounds
+          unchanged, and affects solve time, the reduction statistics and,
+          among alternate optima, which witness is reported *)
 }
 
 val spec :
@@ -85,11 +86,10 @@ type extreme = {
   cycles : int;
   counts : ((string * int) * int) list;
       (** witness execution counts per (function, block), aggregated over
-          instances; zero counts omitted. The witness is canonical: the
-          winning ILP is re-solved on its optimal face with a fixed
-          pipeline, so among alternate optima the reported counts depend
-          only on the problem and the extreme value — not on solver
-          configuration such as {!spec.presolve} *)
+          instances; zero counts omitted. The witness is the postsolved
+          assignment the winning ILP's solve returned. Among alternate
+          optima it may depend on solver configuration such as
+          {!spec.presolve}; the cycles do not *)
   binding : string list;
       (** origins of the inequality constraints that are tight at the
           optimum — the loop bounds and path facts that determine this

@@ -525,18 +525,25 @@ let cli_fixture () =
              b.Ipet_suite.Bspec.loop_bounds));
   (path, read)
 
-(* run [cinderella analyze p.mc -a p.ann extra], stdout discarded, stderr
-   into [stderr_to]; the exit status *)
-let run_analyze path ~stderr_to extra =
-  let args = [ cinderella; "analyze"; path "p.mc"; "-a"; path "p.ann" ] @ extra in
+(* run [cinderella args], stdout discarded, stderr into [stderr_to]; the
+   exit status *)
+let run_cinderella ~stderr_to args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let err =
     Unix.openfile stderr_to [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
-  let pid = Unix.create_process cinderella (Array.of_list args) devnull devnull err in
+  let pid =
+    Unix.create_process cinderella (Array.of_list (cinderella :: args)) devnull
+      devnull err
+  in
   Unix.close devnull;
   Unix.close err;
   snd (Unix.waitpid [] pid)
+
+(* [cinderella analyze p.mc -a p.ann extra] *)
+let run_analyze path ~stderr_to extra =
+  run_cinderella ~stderr_to
+    ([ "analyze"; path "p.mc"; "-a"; path "p.ann" ] @ extra)
 
 (* [cinderella analyze] on a suite program with --metrics-out and
    --trace-out, once per subset of the flags that add to the report: every
@@ -590,6 +597,21 @@ let test_unwritable_outputs () =
         (read "err"))
     [ "--cert-out"; "--dump-lp"; "--metrics-out"; "--trace-out" ]
 
+(* every subcommand's manual renders: cmdliner reports a malformed doc
+   string on stderr but still exits 0, so the stderr check is the one
+   that catches it *)
+let test_subcommand_help () =
+  let path, read = cli_fixture () in
+  List.iter
+    (fun cmd ->
+      let status =
+        run_cinderella ~stderr_to:(path "err") [ cmd; "--help=plain" ]
+      in
+      check_bool (cmd ^ " --help: exit 0") true (status = Unix.WEXITED 0);
+      check_str (cmd ^ " --help: stderr") "" (read "err"))
+    [ "analyze"; "asm"; "attribute"; "cfg"; "fuzz"; "listing"; "query";
+      "serve"; "sim"; "top" ]
+
 let suite =
   [ ("span nesting and ordering", `Quick, test_span_nesting);
     ("span monotonic clamp", `Quick, test_span_monotonic_clamp);
@@ -609,4 +631,5 @@ let suite =
     ("analyze sinks under every reporting flag", `Slow,
      test_analyze_sinks_every_flag_combination);
     ("unwritable output paths are input errors", `Quick,
-     test_unwritable_outputs) ]
+     test_unwritable_outputs);
+    ("every subcommand's --help is clean", `Quick, test_subcommand_help) ]

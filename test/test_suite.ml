@@ -107,6 +107,34 @@ let test_repeat_in_process () =
         first (render_suite mach))
     Ipet_machine.Machine.all
 
+(* The reported witness is the ILP's own optimum: pricing its block counts
+   with the objective's per-block costs gives back the reported bound,
+   worst costs for the WCET and best costs for the BCET (the default spec
+   has no first-miss refinement, so every block costs a constant). *)
+let test_witness_prices_to_bound () =
+  List.iter
+    (fun mach ->
+      List.iter
+        (fun (b : Bspec.t) ->
+          let spec = Bspec.spec ~mach b in
+          let r = Ipet.Analysis.analyze spec in
+          let price cost (e : Ipet.Analysis.extreme) =
+            List.fold_left
+              (fun acc ((func, block), count) ->
+                let costs = Ipet.Analysis.block_costs spec ~func in
+                acc + (count * cost costs.(block)))
+              0 e.Ipet.Analysis.counts
+          in
+          let what = b.Bspec.name ^ " " ^ Ipet_machine.Machine.id mach in
+          check_int (what ^ ": witness prices to the WCET")
+            r.Ipet.Analysis.wcet.Ipet.Analysis.cycles
+            (price (fun c -> c.Ipet_machine.Cost.worst) r.Ipet.Analysis.wcet);
+          check_int (what ^ ": witness prices to the BCET")
+            r.Ipet.Analysis.bcet.Ipet.Analysis.cycles
+            (price (fun c -> c.Ipet_machine.Cost.best) r.Ipet.Analysis.bcet))
+        Ipet_suite.Suite.all)
+    [ Ipet_machine.Machine.e32; Ipet_machine.Machine.m7 ]
+
 let suite =
   [ ("13 benchmarks present", `Quick, test_all_benchmarks_present) ]
   @ List.map invariant_test
@@ -116,4 +144,6 @@ let suite =
   @ [ ("dhry 8->3 pruning", `Slow, test_dhry_pruning);
       ("check_data 2 sets", `Slow, test_check_data_sets);
       ("21 benchmarks render identically twice in one process", `Slow,
-       test_repeat_in_process) ]
+       test_repeat_in_process);
+      ("witness prices to the bound on e32 and m7", `Slow,
+       test_witness_prices_to_bound) ]
