@@ -78,11 +78,6 @@ let instances spec = Structural.instances spec.prog ~root:spec.root
 let structural_constraints spec =
   Structural.constraints spec.prog (instances spec)
 
-let block_costs spec ~func =
-  let layout = Layout.make spec.prog in
-  Cost.func_bounds ~mach:spec.mach ?dcache:spec.dcache ~prog:spec.prog
-    spec.cache layout (P.find_func spec.prog func)
-
 (* The Section IV refinement: inside a loop whose code provably stays
    resident (region fits the cache, hence no self-conflicts, and the loop
    makes no calls), a block's lines can miss at most once per loop entry.
@@ -125,88 +120,85 @@ let refinement_plan spec layout (func : P.func) =
     eligible_loops;
   (cfg, plan)
 
-(* objective: sum of cost * x over all blocks of all instances *)
-let objective spec insts ~select =
-  let layout = Layout.make spec.prog in
-  let cost_table = Hashtbl.create 16 in
-  let costs_for fname =
-    match Hashtbl.find_opt cost_table fname with
-    | Some c -> c
-    | None ->
-      let c =
-        Cost.func_bounds ~mach:spec.mach ?dcache:spec.dcache ~prog:spec.prog
-          spec.cache layout (P.find_func spec.prog fname)
-      in
-      Hashtbl.replace cost_table fname c;
-      c
-  in
-  List.fold_left
-    (fun acc (inst : Structural.instance) ->
-      let fname = inst.Structural.func.P.name in
-      let costs = costs_for fname in
-      Array.fold_left
-        (fun acc (b : P.block) ->
-          let c = select costs.(b.P.id) in
-          if c = 0 then acc
-          else
-            L.add acc
-              (L.var ~coeff:(Rat.of_int c)
-                 (Flowvar.name
-                    (Flowvar.Block
-                       { ctx = inst.Structural.ctx; func = fname; block = b.P.id }))))
-        acc inst.Structural.func.P.blocks)
-    L.zero insts
+(* One analysis's cost table: per function, the block cost bounds and —
+   only when a first-miss WCET objective asks for it — the refinement
+   plan, both computed once over one layout *)
+type func_costs = {
+  bounds : Cost.bounds array;
+  plan : (Ipet_cfg.Cfg.t * Ipet_cfg.Loops.loop option array) Lazy.t;
+}
 
-(* worst-case objective with the first-miss refinement enabled *)
-let refined_wcet_objective spec insts =
-  let layout = Layout.make spec.prog in
-  let table = Hashtbl.create 16 in
-  let for_func fname =
-    match Hashtbl.find_opt table fname with
-    | Some v -> v
-    | None ->
-      let func = P.find_func spec.prog fname in
-      let costs =
-        Cost.func_bounds ~mach:spec.mach ?dcache:spec.dcache ~prog:spec.prog
-          spec.cache layout func
-      in
-      let cfg, plan = refinement_plan spec layout func in
-      let v = (func, costs, cfg, plan) in
-      Hashtbl.replace table fname v;
-      v
-  in
+type costs = {
+  spec : spec;
+  layout : Layout.t;
+  funcs : (string, func_costs) Hashtbl.t;
+}
+
+let costs spec =
+  { spec; layout = Layout.make spec.prog; funcs = Hashtbl.create 16 }
+
+let func_costs t (func : P.func) =
+  match Hashtbl.find_opt t.funcs func.P.name with
+  | Some c -> c
+  | None ->
+    let spec = t.spec in
+    let c =
+      { bounds =
+          Cost.func_bounds ~mach:spec.mach ?dcache:spec.dcache ~prog:spec.prog
+            spec.cache t.layout func;
+        plan = lazy (refinement_plan spec t.layout func) }
+    in
+    Hashtbl.replace t.funcs func.P.name c;
+    c
+
+let block_costs spec ~func =
+  (func_costs (costs spec) (P.find_func spec.prog func)).bounds
+
+(* the objective: Σ c_i·x_i over the blocks of the instances, each block
+   also charged [callee g] per call it makes to [g]. Under the first-miss
+   refinement, a WCET block inside a resident loop is charged its warm
+   cost per execution plus one full line fill per entry of that loop *)
+let objective ?(callee = fun _ -> 0) t insts direction =
+  let refine = direction = Lp.Maximize && t.spec.first_miss_refinement in
   List.fold_left
     (fun acc (inst : Structural.instance) ->
-      let fname = inst.Structural.func.P.name in
-      let ctx = inst.Structural.ctx in
-      let _, costs, cfg, plan = for_func fname in
+      let func = inst.Structural.func in
+      let fname = func.P.name and ctx = inst.Structural.ctx in
+      let fc = func_costs t func in
       Array.fold_left
         (fun acc (b : P.block) ->
-          let x =
-            Flowvar.var (Flowvar.Block { ctx; func = fname; block = b.P.id })
+          let c = fc.bounds.(b.P.id) in
+          let charge =
+            List.fold_left (fun n g -> n + callee g) 0 (P.calls_of_block b)
           in
-          match plan.(b.P.id) with
-          | None ->
-            L.add acc (L.scale (Rat.of_int costs.(b.P.id).Cost.worst) x)
-          | Some l ->
-            (* warm cost per execution, plus a full line fill per entry of
-               the resident loop *)
-            let warm =
-              L.scale (Rat.of_int costs.(b.P.id).Cost.worst_warm) x
-            in
-            let fill =
-              costs.(b.P.id).Cost.worst - costs.(b.P.id).Cost.worst_warm
-            in
+          let x coeff =
+            L.var ~coeff:(Rat.of_int coeff)
+              (Flowvar.name (Flowvar.Block { ctx; func = fname; block = b.P.id }))
+          in
+          (* the entry edges of the resident loop holding the block, if
+             this objective refines it *)
+          let resident =
+            if not refine then None
+            else
+              let cfg, plan = Lazy.force fc.plan in
+              Option.map (Ipet_cfg.Loops.entry_edges cfg) plan.(b.P.id)
+          in
+          match direction, resident with
+          | Lp.Minimize, _ -> L.add acc (x (c.Cost.best + charge))
+          | Lp.Maximize, None -> L.add acc (x (c.Cost.worst + charge))
+          | Lp.Maximize, Some edges ->
             let entries =
               List.fold_left
                 (fun e (src, dst) ->
                   L.add e
                     (Flowvar.var (Flowvar.Edge { ctx; func = fname; src; dst })))
-                L.zero
-                (Ipet_cfg.Loops.entry_edges cfg l)
+                L.zero edges
             in
-            L.add acc (L.add warm (L.scale (Rat.of_int fill) entries)))
-        acc inst.Structural.func.P.blocks)
+            let fill = c.Cost.worst - c.Cost.worst_warm in
+            L.add acc
+              (L.add (x (c.Cost.worst_warm + charge))
+                 (L.scale (Rat.of_int fill) entries)))
+        acc func.P.blocks)
     L.zero insts
 
 (* aggregate a witness (as a lookup, absent variables zero) into
@@ -277,7 +269,12 @@ let certify_extreme ~dir_label problem value assignment =
     { cert; verdict; emit_seconds; emit_pivots = pivots;
       emit_from_witness = from_witness; check_seconds }
 
-let solve_extreme spec insts problems ~direction ~certify =
+let solve_extreme ?(certify = false) spec insts problems =
+  let direction =
+    match problems with
+    | p :: _ -> p.Lp.direction
+    | [] -> fail "no constraint set to solve"
+  in
   let better a b =
     match direction with
     | Lp.Maximize -> Rat.compare a b > 0
@@ -359,7 +356,7 @@ let solve_extreme spec insts problems ~direction ~certify =
       else None
     in
     let stats =
-      { sets_total = 0;  (* filled by caller *)
+      { sets_total = !solved;  (* [analyze] reports the DNF's counts *)
         sets_pruned = 0;
         sets_solved = !solved;
         sets_infeasible = !infeasible;
@@ -408,14 +405,8 @@ let prepare spec =
   (insts, base, sets, total, pruned))
 
 (* the ILPs of one direction, one per surviving conjunctive set *)
-let set_problems spec insts base sets direction =
-  let obj =
-    match direction with
-    | Lp.Maximize when spec.first_miss_refinement ->
-      refined_wcet_objective spec insts
-    | Lp.Maximize -> objective spec insts ~select:(fun b -> b.Cost.worst)
-    | Lp.Minimize -> objective spec insts ~select:(fun b -> b.Cost.best)
-  in
+let set_problems spec costs insts base sets direction =
+  let obj = objective costs insts direction in
   List.map
     (fun set ->
       let cs =
@@ -428,22 +419,24 @@ let set_problems spec insts base sets direction =
 
 let problems spec =
   let insts, base, sets, _, _ = prepare spec in
+  let costs = costs spec in
   ( insts,
-    set_problems spec insts base sets Lp.Maximize,
-    set_problems spec insts base sets Lp.Minimize )
+    set_problems spec costs insts base sets Lp.Maximize,
+    set_problems spec costs insts base sets Lp.Minimize )
 
 let direction_problems spec direction =
   let insts, base, sets, _, _ = prepare spec in
-  set_problems spec insts base sets direction
+  set_problems spec (costs spec) insts base sets direction
 
 let wcet_problems spec = direction_problems spec Lp.Maximize
 let bcet_problems spec = direction_problems spec Lp.Minimize
 
 let analyze ?(certify = false) spec =
   let insts, base, sets, total, pruned = prepare spec in
+  let costs = costs spec in
   let extreme direction =
-    solve_extreme spec insts (set_problems spec insts base sets direction)
-      ~direction ~certify
+    solve_extreme ~certify spec insts
+      (set_problems spec costs insts base sets direction)
   in
   let wcet, wstats, wcet_cert =
     Obs.span "analysis.wcet" ~args:[ ("root", spec.root) ] (fun () ->

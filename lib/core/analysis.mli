@@ -32,11 +32,14 @@ type spec = {
   loop_bounds : Annotation.t list;
   functional : Functional.t list;
   first_miss_refinement : bool;
-      (** Section IV's proposed refinement: inside a loop whose code
-          provably stays cache-resident (its address range fits the cache
-          and it makes no calls), charge each block its all-hit worst cost
-          per execution plus one full line fill per {e loop entry} instead
-          of per iteration. Off by default (the paper's baseline model). *)
+      (** Section IV's proposed refinement of the WCET objective: inside a
+          loop whose code provably stays cache-resident (its address range
+          fits the cache and it makes no calls), charge each block its
+          all-hit worst cost per execution plus one full line fill per
+          {e loop entry} instead of per iteration. It touches only each
+          instance's own block and loop-entry edge variables, so it is a
+          per-function objective ({!objective}). Off by default (the
+          paper's baseline model). *)
   presolve : bool;
       (** run {!Ipet_lp.Presolve} on every ILP before the branch and bound
           (on by default); semantics-preserving: it leaves the bounds
@@ -168,7 +171,44 @@ val problems :
   * Ipet_lp.Lp_problem.t list
   * Ipet_lp.Lp_problem.t list
 (** The instances with {!wcet_problems} and {!bcet_problems}, built from
-    one preparation of the spec. *)
+    one preparation of the spec and one cost table. *)
+
+(** {1 Building and solving ILPs} {!analyze} is {!objective} over all
+    instances plus {!flow_constraints} and the functionality constraints,
+    solved by {!solve_extreme}; the daemon's per-function units use the
+    same pieces. *)
+
+type costs
+(** One analysis's per-function cost table over one code layout: block
+    cost bounds and, when a first-miss objective needs it, the refinement
+    plan. Filled on demand, each function once. *)
+
+val costs : spec -> costs
+
+val objective :
+  ?callee:(string -> int) ->
+  costs ->
+  Structural.instance list ->
+  Ipet_lp.Lp_problem.direction ->
+  Ipet_lp.Linexpr.t
+(** [Σ c_i·x_i] over every block of the instances: best-case costs when
+    minimizing, worst-case costs when maximizing, refined by
+    {!spec.first_miss_refinement} when it is on. [callee g] is added to a
+    block's coefficient once per call the block makes to [g]: zero (the
+    default) in the monolithic ILP, whose callee instances carry their
+    own cost; [g]'s per-entry extreme for a function solved alone. *)
+
+val solve_extreme :
+  ?certify:bool ->
+  spec ->
+  Structural.instance list ->
+  Ipet_lp.Lp_problem.t list ->
+  extreme * solver_stats * certificate option
+(** One direction (read off the problems): one ILP per problem, keeping
+    the extreme optimum as an extreme of the instances. [certify]
+    (default [false]) emits the winner's certificate and checks it once.
+    [sets_total] counts the problems and [sets_pruned] is 0.
+    @raise Analysis_error as {!analyze}. *)
 
 val flow_constraints :
   spec -> Structural.instance list -> Ipet_lp.Lp_problem.constr list

@@ -55,9 +55,11 @@ let bound_summary (r : Analysis.result) =
        "constraint sets: %d total, %d pruned as null, %d solved (%d infeasible)\n"
        s.Analysis.sets_total s.Analysis.sets_pruned s.Analysis.sets_solved
        s.Analysis.sets_infeasible);
+  let b = r.Analysis.bcet_stats in
   Buffer.add_string buf
     (Printf.sprintf "LP calls: %d; first relaxation integral in every ILP: %b\n"
-       s.Analysis.lp_calls s.Analysis.all_first_lp_integral);
+       (s.Analysis.lp_calls + b.Analysis.lp_calls)
+       (s.Analysis.all_first_lp_integral && b.Analysis.all_first_lp_integral));
   if s.Analysis.presolve_vars_before > s.Analysis.presolve_vars_after then
     Buffer.add_string buf
       (Printf.sprintf "presolve: %d -> %d variables, %d -> %d constraints\n"

@@ -1,18 +1,12 @@
 module P = Ipet_isa.Prog
-module Layout = Ipet_isa.Layout
 module Callgraph = Ipet_cfg.Callgraph
-module Cost = Ipet_machine.Cost
 module Machine = Ipet_machine.Machine
-module L = Ipet_lp.Linexpr
 module Lp = Ipet_lp.Lp_problem
-module Ilp = Ipet_lp.Ilp
-module Rat = Ipet_num.Rat
 module A = Ipet.Analysis
 module Obs = Ipet_obs.Obs
 module Json = Ipet_obs.Json
 module Cert = Ipet_cert.Certificate
 module Checker = Ipet_cert.Checker
-module Certify = Ipet_cert.Certify
 
 exception Timeout
 
@@ -43,15 +37,14 @@ let check_deadline = function
 
 (* one analysis unit, ready to run: its WCET and BCET problems (a single
    problem per direction for a function; one per surviving constraint set
-   for the whole program), the instances its witness counts are read from,
-   and how to produce fresh certificates when the cache cannot serve it *)
+   for the whole program) and the instances its witness counts are read
+   from *)
 type work = {
   name : string;
   key : string;
   insts : Ipet.Structural.instance list;
   wcet_problems : Lp.t list;
   bcet_problems : Lp.t list;
-  solve : unit -> Cert.t * Cert.t;
 }
 
 type unit_result = { key : string; wcet : A.extreme; bcet : A.extreme }
@@ -75,48 +68,73 @@ let entry_of_json j =
 
 (* --- certificate validation ----------------------------------------------- *)
 
-(* the one validator, for stored and fresh certificates alike: the trusted
-   checker, not the solver, has the last word on every bound the daemon
-   hands out. A certificate is checked against the problem whose digest it
-   names (a lone problem is handed to the checker directly, which compares
-   the digest itself); the result is that problem *)
-let validate ~counter problems (cert : (Cert.t, string) result) =
+(* every trusted-checker verdict the request relies on, stored or fresh,
+   is counted here: the checker, not the solver, has the last word on
+   every bound the daemon hands out *)
+let record_check ~counter verdict =
   counter.cert_checks <- counter.cert_checks + 1;
   Obs.add "serve.cert.checked" 1;
-  let verdict =
-    match cert with
-    | Error m -> Error m
-    | Ok cert ->
-      let named =
-        match problems with
-        | [ p ] -> Some p
-        | ps ->
-          List.find_opt
-            (fun p -> String.equal (Cert.digest_problem p) cert.Cert.digest)
-            ps
-      in
-      (match named with
-       | None -> Error "the digest names no problem of this request"
-       | Some p ->
-         (match Checker.check p cert with
-          | Checker.Valid _ -> Ok (p, cert)
-          | Checker.Invalid reasons -> Error (String.concat "; " reasons)))
-  in
   if Result.is_error verdict then begin
     counter.cert_rejects <- counter.cert_rejects + 1;
     Obs.add "serve.cert.rejected" 1
   end;
   verdict
 
+(* a stored certificate is checked against the problem whose digest it
+   names (a lone problem is handed to the checker directly, which compares
+   the digest itself); the result is that problem *)
+let validate ~counter problems (cert : (Cert.t, string) result) =
+  record_check ~counter
+    (match cert with
+     | Error m -> Error m
+     | Ok cert ->
+       let named =
+         match problems with
+         | [ p ] -> Some p
+         | ps ->
+           List.find_opt
+             (fun p -> String.equal (Cert.digest_problem p) cert.Cert.digest)
+             ps
+       in
+       (match named with
+        | None -> Error "the digest names no problem of this request"
+        | Some p ->
+          (match Checker.check p cert with
+           | Checker.Valid _ -> Ok (p, cert)
+           | Checker.Invalid reasons -> Error (String.concat "; " reasons))))
+
 (* --- the unit loop --------------------------------------------------------- *)
 
+(* one direction of a unit, solved by the monolithic analysis's own solve
+   and certified on the winning witness; the certificate is checked once,
+   at production *)
+let solve_direction ~counter spec (w : work) what problems =
+  let extreme, stats, cert =
+    A.solve_extreme ~certify:true spec w.insts problems
+  in
+  counter.solves <- counter.solves + stats.A.sets_solved;
+  counter.pivots <- counter.pivots + stats.A.simplex_pivots;
+  Obs.add "serve.ilp.solves" stats.A.sets_solved;
+  (* [~certify:true] always attaches the certificate *)
+  let c = Option.get cert in
+  let verdict =
+    match c.A.verdict with
+    | Checker.Valid _ -> Ok ()
+    | Checker.Invalid reasons -> Error (String.concat "; " reasons)
+  in
+  match record_check ~counter verdict with
+  | Ok () -> (extreme, c.A.cert)
+  | Error m ->
+    fail "%s %s certificate rejected by the checker: %s" w.name what m
+
 (* Read the entry, validate both stored certificates, solve when either
-   fails, and read the extremes off the certificates' witnesses — fresh
-   and cached results take the same last step, so a warm report is the
-   cold one by construction. An entry that does not validate is dropped
-   and the unit re-solved: a cache can be corrupted or tampered with, the
-   proof obligation cannot *)
-let run_unit ~cache ~counter ~deadline (w : work) =
+   fails, and write the entry back. A cached extreme is read off its
+   certificate's witness, which yields exactly the extreme the fresh
+   solve reported with it ({!A.extreme_of_witness}), so a warm report is
+   the cold one. An entry that does not validate is dropped and the unit
+   re-solved: a cache can be corrupted or tampered with, the proof
+   obligation cannot *)
+let run_unit ~cache ~counter ~deadline spec (w : work) =
   let entry = Option.bind cache (fun c -> Cache.get c w.key) in
   let stored =
     match Option.bind entry entry_of_json with
@@ -130,139 +148,62 @@ let run_unit ~cache ~counter ~deadline (w : work) =
   in
   if Option.is_some entry && Option.is_none stored then
     Option.iter (fun c -> Cache.remove c w.key) cache;
-  let (wp, wc), (bp, bc) =
-    match stored with
-    | Some v ->
-      counter.cached <- counter.cached + 1;
-      v
-    | None ->
-      check_deadline deadline;
-      counter.solved <- counter.solved + 1;
-      let wcet, bcet = w.solve () in
-      let fresh what problems cert =
-        match validate ~counter problems (Ok cert) with
-        | Ok v -> v
-        | Error m ->
-          fail "%s %s certificate rejected by the checker: %s" w.name what m
-      in
-      let v =
-        (fresh "wcet" w.wcet_problems wcet, fresh "bcet" w.bcet_problems bcet)
-      in
-      Option.iter (fun c -> Cache.put c w.key (entry_to_json wcet bcet)) cache;
-      v
-  in
-  let extreme p (c : Cert.t) =
-    A.extreme_of_witness w.insts p ~bound:c.Cert.bound c.Cert.witness
-  in
-  { key = w.key; wcet = extreme wp wc; bcet = extreme bp bc }
+  match stored with
+  | Some ((wp, wc), (bp, bc)) ->
+    counter.cached <- counter.cached + 1;
+    let extreme p (c : Cert.t) =
+      A.extreme_of_witness w.insts p ~bound:c.Cert.bound c.Cert.witness
+    in
+    { key = w.key; wcet = extreme wp wc; bcet = extreme bp bc }
+  | None ->
+    check_deadline deadline;
+    counter.solved <- counter.solved + 1;
+    let solve = solve_direction ~counter spec w in
+    let wcet, wc = solve "wcet" w.wcet_problems in
+    let bcet, bc = solve "bcet" w.bcet_problems in
+    Option.iter (fun c -> Cache.put c w.key (entry_to_json wc bc)) cache;
+    { key = w.key; wcet; bcet }
 
 (* --- the two kinds of unit ------------------------------------------------- *)
 
-(* one per-function ILP: solved once, certified on the solver's own witness *)
-let solve_problem ~counter (spec : A.spec) name problem =
-  counter.solves <- counter.solves + 1;
-  Obs.add "serve.ilp.solves" 1;
-  match Ilp.solve ~presolve:spec.A.presolve problem with
-  | Ilp.Optimal { value; assignment; stats } ->
-    counter.pivots <- counter.pivots + stats.Ilp.pivots;
-    (match Certify.certify problem ~witness:assignment ~bound:value with
-     | Ok c -> c
-     | Error m -> fail "%s certificate production failed: %s" name m)
-  | Ilp.Infeasible _ -> fail "per-entry ILP for %s is infeasible" name
-  | Ilp.Unbounded _ -> fail "per-entry ILP for %s is unbounded" name
-
-let func_unit ~counter (spec : A.spec) layout
+(* one function in isolation, entered once: the monolithic objective over
+   its own instance, each call charged the callee's per-entry extreme. The
+   unit's two ILPs are built eagerly — a cache hit needs them too, to
+   validate the stored certificates against exactly the problems this
+   request would otherwise solve. A hit implies the same annotations that
+   previously solved (they are part of the key), so the missing-bound
+   check cannot newly fire on the warm path *)
+let func_unit (spec : A.spec) costs
     (done_units : (string, unit_result) Hashtbl.t) (func : P.func) =
-  let costs =
-    Cost.func_bounds ~mach:spec.A.mach ?dcache:spec.A.dcache ~prog:spec.A.prog
-      spec.A.cache layout func
-  in
-  (* direct callees in call order (duplicates kept: the key only needs to be
-     a deterministic function of everything the solve reads) *)
-  let callees =
-    Array.to_list func.P.blocks
-    |> List.concat_map (fun b ->
-      List.map
-        (fun g ->
-          let u = Hashtbl.find done_units g in
-          (g, u.wcet.A.cycles, u.bcet.A.cycles))
-        (P.calls_of_block b))
-  in
-  let key =
-    Key.func_key ~mach:(Machine.id spec.A.mach) ~cache:spec.A.cache
-      ~dcache:spec.A.dcache ~costs ~annotations:spec.A.loop_bounds ~callees
-      func
-  in
-  (* the unit's two ILPs are built eagerly — a cache hit needs them too,
-     to validate the stored certificates against exactly the problems this
-     request would otherwise solve. A hit implies the same annotations that
-     previously solved (they are part of the key), so the missing-bound
-     check cannot newly fire on the warm path *)
   let inst =
     { Ipet.Structural.ctx = Ipet.Flowvar.root_ctx; func; sites = [] }
   in
+  let objective direction select =
+    A.objective costs [ inst ] direction ~callee:(fun g ->
+        (select (Hashtbl.find done_units g)).A.cycles)
+  in
+  let wcet = objective Lp.Maximize (fun u -> u.wcet) in
+  let bcet = objective Lp.Minimize (fun u -> u.bcet) in
+  let key =
+    Key.func_key ~mach:(Machine.id spec.A.mach)
+      ~annotations:spec.A.loop_bounds ~wcet ~bcet func
+  in
   let constraints = A.flow_constraints spec [ inst ] in
-  let objective select_cost select_callee =
-    Array.fold_left
-      (fun acc (b : P.block) ->
-        let c =
-          List.fold_left
-            (fun acc g ->
-              acc + select_callee (Hashtbl.find done_units g))
-            (select_cost costs.(b.P.id))
-            (P.calls_of_block b)
-        in
-        if c = 0 then acc
-        else
-          L.add acc
-            (L.var ~coeff:(Rat.of_int c)
-               (Ipet.Flowvar.name
-                  (Ipet.Flowvar.Block
-                     { ctx = Ipet.Flowvar.root_ctx;
-                       func = func.P.name;
-                       block = b.P.id }))))
-      L.zero func.P.blocks
-  in
-  let wcet_problem =
-    Lp.make Lp.Maximize
-      (objective (fun c -> c.Cost.worst) (fun u -> u.wcet.A.cycles))
-      constraints
-  in
-  let bcet_problem =
-    Lp.make Lp.Minimize
-      (objective (fun c -> c.Cost.best) (fun u -> u.bcet.A.cycles))
-      constraints
-  in
-  let solve () =
-    let solve = solve_problem ~counter spec func.P.name in
-    (solve wcet_problem, solve bcet_problem)
-  in
   { name = func.P.name; key; insts = [ inst ];
-    wcet_problems = [ wcet_problem ]; bcet_problems = [ bcet_problem ]; solve }
+    wcet_problems = [ Lp.make Lp.Maximize wcet constraints ];
+    bcet_problems = [ Lp.make Lp.Minimize bcet constraints ] }
 
-(* functionality constraints and the first-miss refinement couple flow
-   variables across functions, so such a request is one whole-program unit:
-   the monolithic ILPs, solved and certified by {!A.analyze} *)
-let program_unit ~counter (spec : A.spec) =
+(* functionality constraints couple flow variables across functions, so
+   such a request is one whole-program unit: the monolithic ILPs *)
+let program_unit (spec : A.spec) =
   let insts, wcet_problems, bcet_problems = A.problems spec in
   let key =
     Key.program_key ~mach:(Machine.id spec.A.mach) ~cache:spec.A.cache
-      ~dcache:spec.A.dcache ~root:spec.A.root
-      ~annotations:spec.A.loop_bounds ~functional:spec.A.functional spec.A.prog
+      ~dcache:spec.A.dcache ~first_miss:spec.A.first_miss_refinement
+      ~root:spec.A.root ~annotations:spec.A.loop_bounds
+      ~functional:spec.A.functional spec.A.prog
   in
-  let solve () =
-    let r = A.analyze ~certify:true spec in
-    let sets = r.A.wcet_stats.A.sets_solved + r.A.bcet_stats.A.sets_solved in
-    counter.solves <- counter.solves + sets;
-    counter.pivots <-
-      counter.pivots + r.A.wcet_stats.A.simplex_pivots
-      + r.A.bcet_stats.A.simplex_pivots;
-    Obs.add "serve.ilp.solves" sets;
-    (* [~certify:true] always attaches both certificates *)
-    let cert c = (Option.get c).A.cert in
-    (cert r.A.wcet_cert, cert r.A.bcet_cert)
-  in
-  { name = spec.A.root; key; insts; wcet_problems; bcet_problems; solve }
+  { name = spec.A.root; key; insts; wcet_problems; bcet_problems }
 
 (* --- aggregation --------------------------------------------------------- *)
 
@@ -354,10 +295,10 @@ let analyze ?cache ?deadline (spec : A.spec) =
   then fail "unknown root function %s" spec.A.root;
   (* the units in solve order, and how to build one from the units before *)
   let unit_kind, topo, work_of =
-    if spec.A.functional <> [] || spec.A.first_miss_refinement then
-      ("program", [ spec.A.root ], fun _ _ -> program_unit ~counter spec)
+    if spec.A.functional <> [] then
+      ("program", [ spec.A.root ], fun _ _ -> program_unit spec)
     else begin
-      let layout = Layout.make prog in
+      let costs = A.costs spec in
       let cg = Callgraph.of_program prog in
       let reach = Hashtbl.create 8 in
       let rec mark f =
@@ -370,15 +311,14 @@ let analyze ?cache ?deadline (spec : A.spec) =
       (* callees first; restricted to functions reachable from the root *)
       ( "func",
         List.filter (Hashtbl.mem reach) (Callgraph.topological_order cg),
-        fun units fname ->
-          func_unit ~counter spec layout units (P.find_func prog fname) )
+        fun units fname -> func_unit spec costs units (P.find_func prog fname) )
     end
   in
   let units : (string, unit_result) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun name ->
       Hashtbl.replace units name
-        (run_unit ~cache ~counter ~deadline (work_of units name)))
+        (run_unit ~cache ~counter ~deadline spec (work_of units name)))
     topo;
   let root_unit = Hashtbl.find units spec.A.root in
   let wcet_counts, wcet_binding, wcet_entries =

@@ -5,32 +5,40 @@
     the wrong shape for a daemon asked to re-analyze a program after a
     one-function edit. This module decomposes the analysis into {e units}
     keyed by {!Key} and persists each unit's result in a {!Cache}. A unit
-    has a name, a key, its WCET and BCET problems, and a way to solve them;
-    there are two kinds:
+    has a name, a key, and its WCET and BCET problems, built and solved
+    by {!Ipet.Analysis} itself ({!Ipet.Analysis.objective},
+    {!Ipet.Analysis.solve_extreme}); there are two kinds:
 
     - {b per-function units} (the common case): every function reachable
       from the root is solved in isolation with its entry edge pinned to 1,
-      callees before callers; a call block's objective coefficient folds in
-      the callee's per-entry extreme, so the root's per-entry bound is the
-      whole-program bound. Because loop-bound constraints are homogeneous
-      in the entry count ([lo·e ≤ iter ≤ hi·e]), the per-entry polytope of
-      a function instance is the projection of the monolithic one — the
+      callees before callers, on the monolithic objective over its own
+      instance with each call charged the callee's per-entry extreme, so
+      the root's per-entry bound is the whole-program bound. The
+      first-miss refinement is part of that objective: it touches only
+      the function's own block and loop-entry edge variables. Because
+      loop-bound constraints are homogeneous in the entry count
+      ([lo·e ≤ iter ≤ hi·e]), the per-entry polytope of a function
+      instance is the projection of the monolithic one — the
       decomposition reproduces the monolithic bounds exactly whenever the
-      monolithic ILP decomposes by instance (empirically: on the whole
-      benchmark suite the two agree). A request that edits one function
-      re-solves only the units whose keys changed — typically exactly one.
-    - {b one program unit}: functionality constraints and the first-miss
-      refinement couple flow variables across functions, so those requests
-      are a single unit keyed by {!Key.program_key}, with one problem per
-      surviving constraint set, solved by the monolithic analysis.
+      monolithic ILP decomposes by instance (tested on the whole
+      benchmark suite on both machines, first-miss off and on, and on
+      generated programs). A unit is keyed by the two objectives it
+      solves ({!Key.func_key}). A request that edits one function
+      re-solves only the units whose keys changed — typically exactly
+      one.
+    - {b one program unit}, for functionality constraints only: they
+      couple flow variables across functions, so such a request is a
+      single unit keyed by {!Key.program_key}, with one problem per
+      surviving constraint set ({!Ipet.Analysis.problems}).
 
     Both kinds run through one loop: read the cache entry, validate each
     stored certificate against the problem whose digest it names, solve
     when either fails, and write the entry back. An entry is nothing but
-    its schema and the two certificates; cycles, witness counts and
-    binding constraints are read off each certificate's witness, for
-    cached and fresh results alike, so no stored field can change what is
-    served without the checker noticing.
+    its schema and the two certificates. A cached unit's cycles, witness
+    counts and binding constraints are read off each certificate's
+    witness, which yields exactly the extreme the fresh solve reported
+    with it, so no stored field can change what is served without the
+    checker noticing.
 
     Witness counts are aggregated callers-first: a function's per-entry
     witness counts are scaled by the number of entries its callers'
@@ -50,8 +58,9 @@ type stats = {
       (** simplex pivots spent on this request's fresh solves *)
   certs_checked : int;
       (** trusted-checker validations run — two per fresh solve (one per
-          extreme) and two per cache hit: every bound the engine returns
-          was just proven, whether it was computed or recalled *)
+          extreme, at production) and two per cache hit: every bound the
+          engine returns was just proven, whether it was computed or
+          recalled *)
   certs_rejected : int;
       (** validations that failed. A rejected fresh certificate aborts the
           request ({!Ipet.Analysis.Analysis_error}); a rejected cached one

@@ -1,10 +1,9 @@
 module P = Ipet_isa.Prog
 module Instr = Ipet_isa.Instr
 module Icache = Ipet_machine.Icache
-module Cost = Ipet_machine.Cost
 
-(* v4: a cache entry is nothing but its two certificates *)
-let schema = 4
+(* v5: a function unit is keyed by the two objectives it solves *)
+let schema = 5
 
 let add_cache buf (c : Icache.config) =
   Buffer.add_string buf
@@ -35,14 +34,6 @@ let add_func buf (f : P.func) =
         (Format.asprintf "  term %a\n" Instr.pp_terminator b.P.term))
     f.P.blocks
 
-let add_costs buf (costs : Cost.bounds array) =
-  Array.iteri
-    (fun i (c : Cost.bounds) ->
-      Buffer.add_string buf
-        (Printf.sprintf "c%d %d %d %d\n" i c.Cost.best c.Cost.worst
-           c.Cost.worst_warm))
-    costs
-
 let add_annotations buf fname (annotations : Ipet.Annotation.t list) =
   let mine =
     List.filter (fun (a : Ipet.Annotation.t) -> a.Ipet.Annotation.func = fname)
@@ -60,33 +51,41 @@ let add_annotations buf fname (annotations : Ipet.Annotation.t list) =
   (* several sound bounds on one loop intersect; their order is immaterial *)
   List.iter (Buffer.add_string buf) (List.sort compare (List.map render mine))
 
-let add_callees buf callees =
-  List.iter
-    (fun (name, wcet_pe, bcet_pe) ->
-      Buffer.add_string buf
-        (Printf.sprintf "callee %s [%d,%d]\n" name bcet_pe wcet_pe))
-    callees
+(* the two objectives the unit solves: costs, callee charges and the
+   first-miss refinement plan, as the ILP reads them *)
+let add_objectives buf ~wcet ~bcet =
+  let add label e =
+    Buffer.add_string buf label;
+    Ipet_lp.Linexpr.fold_terms
+      (fun x c () ->
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (Ipet_num.Rat.to_string c);
+        Buffer.add_char buf '*';
+        Buffer.add_string buf x)
+      e ();
+    Buffer.add_char buf '\n'
+  in
+  add "wcet" wcet;
+  add "bcet" bcet
 
-let func_bytes ~mach ~cache ~dcache ~costs ~annotations ~callees (f : P.func) =
+let func_bytes ~mach ~annotations ~wcet ~bcet (f : P.func) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "ipet-serve-key v%d unit=func\n" schema);
-  add_cost_model buf ~mach ~cache ~dcache;
+  Buffer.add_string buf (Printf.sprintf "mach %s\n" mach);
   add_func buf f;
-  add_costs buf costs;
   add_annotations buf f.P.name annotations;
-  add_callees buf callees;
+  add_objectives buf ~wcet ~bcet;
   Buffer.contents buf
 
-let func_key ~mach ~cache ~dcache ~costs ~annotations ~callees f =
-  Digest.to_hex
-    (Digest.string
-       (func_bytes ~mach ~cache ~dcache ~costs ~annotations ~callees f))
+let func_key ~mach ~annotations ~wcet ~bcet f =
+  Digest.to_hex (Digest.string (func_bytes ~mach ~annotations ~wcet ~bcet f))
 
-let program_key ~mach ~cache ~dcache ~root ~annotations ~functional
-    (prog : P.t) =
+let program_key ~mach ~cache ~dcache ~first_miss ~root ~annotations
+    ~functional (prog : P.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Printf.sprintf "ipet-serve-key v%d unit=program root=%s\n" schema root);
+    (Printf.sprintf "ipet-serve-key v%d unit=program root=%s first_miss=%b\n"
+       schema root first_miss);
   add_cost_model buf ~mach ~cache ~dcache;
   Array.iter
     (fun (f : P.func) ->

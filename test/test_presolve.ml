@@ -281,6 +281,31 @@ let test_suite_analysis_equivalence () =
      @ [ ("ludcmp e32", ludcmp Ipet_machine.Machine.e32, true);
          ("ludcmp m7", ludcmp Ipet_machine.Machine.m7, true) ])
 
+(* the summary's solver line covers every ILP of both extremes: without
+   presolve ludcmp's BCET ILP branches (3 LP calls, a fractional first
+   relaxation) while its WCET ILP is solved by one integral relaxation *)
+let test_summary_counts_both_extremes () =
+  List.iter
+    (fun mach ->
+      let spec =
+        { (Bspec.spec ~mach (Ipet_suite.Suite.find "ludcmp")) with
+          Analysis.presolve = false }
+      in
+      let r = Analysis.analyze spec in
+      let w = r.Analysis.wcet_stats and b = r.Analysis.bcet_stats in
+      let line =
+        Printf.sprintf "LP calls: %d; first relaxation integral in every ILP: %b"
+          (w.Analysis.lp_calls + b.Analysis.lp_calls)
+          (w.Analysis.all_first_lp_integral && b.Analysis.all_first_lp_integral)
+      in
+      let name = "ludcmp on " ^ Ipet_machine.Machine.id mach in
+      check_bool (name ^ ": the BCET side branches") false
+        b.Analysis.all_first_lp_integral;
+      check_bool (name ^ ": the summary reads " ^ line) true
+        (List.mem line
+           (String.split_on_char '\n' (Ipet.Report.bound_summary r))))
+    [ Ipet_machine.Machine.e32; Ipet_machine.Machine.m7 ]
+
 let suite =
   [ ("substitution chain", `Quick, test_substitution_chain);
     ("substitution keeps x >= 0", `Quick, test_substitution_keeps_nonnegativity);
@@ -292,4 +317,5 @@ let suite =
     ("integer-infeasible fix", `Quick, test_infeasible_integer_fix);
     ("propagated infeasibility", `Quick, test_infeasible_propagated);
     ("suite ILP equivalence", `Slow, test_suite_problem_equivalence);
-    ("suite analysis equivalence", `Slow, test_suite_analysis_equivalence) ]
+    ("suite analysis equivalence", `Slow, test_suite_analysis_equivalence);
+    ("summary counts both extremes", `Quick, test_summary_counts_both_extremes) ]

@@ -220,17 +220,25 @@ let record_key bytes key =
    | None -> Hashtbl.add seen_keys key bytes);
   key
 
-let func_key_checked ~cache ~costs f =
-  let bytes =
-    Key.func_bytes ~mach:"e32" ~cache ~dcache:None ~costs ~annotations:[]
-      ~callees:[] f
+(* a function's two unit objectives, as the incremental engine builds
+   them: the function alone, each call charged [callee] *)
+let unit_objectives ?callee costs (f : P.func) =
+  let inst =
+    { Ipet.Structural.ctx = Ipet.Flowvar.root_ctx; func = f; sites = [] }
   in
-  record_key bytes
-    (Key.func_key ~mach:"e32" ~cache ~dcache:None ~costs ~annotations:[]
-       ~callees:[] f)
+  ( A.objective ?callee costs [ inst ] Ipet_lp.Lp_problem.Maximize,
+    A.objective ?callee costs [ inst ] Ipet_lp.Lp_problem.Minimize )
+
+let func_key_checked ?(mach = "e32") (wcet, bcet) f =
+  record_key
+    (Key.func_bytes ~mach ~annotations:[] ~wcet ~bcet f)
+    (Key.func_key ~mach ~annotations:[] ~wcet ~bcet f)
+
+let case_costs ~cache prog = A.costs (A.spec ~cache ~root:"main" prog)
 
 (* the single-edit property: changing one immediate in one function changes
-   that function's key and nobody else's *)
+   that function's key and nobody else's — even when, as here, the edited
+   function's ILP (its objectives) is held unchanged *)
 let prop_single_edit_invalidation =
   QCheck.Test.make
     ~name:"an immediate edit invalidates exactly the edited function's key"
@@ -238,64 +246,47 @@ let prop_single_edit_invalidation =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let cache, prog = compile_case seed in
-      let layout = Layout.make prog in
-      let costs f = Cost.func_bounds ~prog cache layout f in
+      let costs = case_costs ~cache prog in
       let keys =
         Array.map
-          (fun f -> (f, func_key_checked ~cache ~costs:(costs f) f))
+          (fun f ->
+            let objs = unit_objectives costs f in
+            (f, objs, func_key_checked objs f))
           prog.P.funcs
       in
       match List.find_map mutate_imm (Array.to_list prog.P.funcs) with
       | None -> true (* no immediate anywhere: nothing to edit *)
       | Some mutated ->
         Array.for_all
-          (fun ((f : P.func), key) ->
+          (fun ((f : P.func), objs, key) ->
             if f.P.name = mutated.P.name then
-              (* same block structure, same costs — only the compiled
-                 bytes change the key *)
-              func_key_checked ~cache ~costs:(costs f) mutated <> key
-            else func_key_checked ~cache ~costs:(costs f) f = key)
+              (* same objectives — only the compiled bytes change the key *)
+              func_key_checked objs mutated <> key
+            else func_key_checked objs f = key)
           keys)
 
 (* changing only the machine id changes every digest the run hashes —
-   holding the program, costs, cache geometry, annotations and callees
-   fixed — so two machines can never share a cache entry even when their
-   timings happen to agree on the program at hand *)
+   holding the program, objectives, cache geometry, annotations and
+   constraints fixed — so two machines can never share a cache entry even
+   when their timings happen to agree on the program at hand *)
 let prop_mach_changes_every_key =
   QCheck.Test.make
     ~name:"changing only the machine id changes every key" ~count:25
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let cache, prog = compile_case seed in
-      let layout = Layout.make prog in
-      let func_key ~mach (f : P.func) =
-        let costs = Cost.func_bounds ~prog cache layout f in
-        Key.func_key ~mach ~cache ~dcache:None ~costs ~annotations:[]
-          ~callees:[] f
-      in
+      let costs = case_costs ~cache prog in
       let program_key ~mach =
-        Key.program_key ~mach ~cache ~dcache:None ~root:"main"
-          ~annotations:[] ~functional:[] prog
+        Key.program_key ~mach ~cache ~dcache:None ~first_miss:false
+          ~root:"main" ~annotations:[] ~functional:[] prog
       in
       Array.for_all
-        (fun f -> func_key ~mach:"e32" f <> func_key ~mach:"m7" f)
+        (fun f ->
+          let objs = unit_objectives costs f in
+          func_key_checked ~mach:"e32" objs f
+          <> func_key_checked ~mach:"m7" objs f)
         prog.P.funcs
       && program_key ~mach:"e32" <> program_key ~mach:"m7")
-
-let test_key_callee_interval () =
-  let _, prog = compile_case 3 in
-  let cache = Icache.i960kb in
-  let layout = Layout.make prog in
-  let f = prog.P.funcs.(0) in
-  let costs = Cost.func_bounds ~prog cache layout f in
-  let key callees =
-    Key.func_key ~mach:"e32" ~cache ~dcache:None ~costs ~annotations:[]
-      ~callees f
-  in
-  check_bool "callee interval is part of the key" true
-    (key [ ("g", 10, 2) ] <> key [ ("g", 11, 2) ]);
-  check_bool "same callee intervals, same key" true
-    (key [ ("g", 10, 2) ] = key [ ("g", 10, 2) ])
 
 (* --- incremental vs monolithic ------------------------------------------- *)
 
@@ -307,22 +298,72 @@ let bounds_of_report rep =
   | Some b, Some w -> (b, w)
   | _ -> Alcotest.fail "report lacks integer bcet/wcet"
 
+(* the per-function decomposition on the whole suite, both machines,
+   first-miss off and on: the benchmarks' functionality constraints are
+   dropped, so every request is decomposed per function *)
 let test_matches_monolithic () =
   List.iter
-    (fun name ->
-      let spec = Bspec.spec (Ipet_suite.Suite.find name) in
-      (* the per-function decomposition path: these benchmarks carry no
-         functionality constraints *)
-      let spec = { spec with A.functional = [] } in
-      let mono = A.estimated_bound spec in
-      let rep, stats = Incr.analyze spec in
-      Alcotest.(check (pair int int))
-        (name ^ ": incremental bounds equal the monolithic analysis")
-        mono (bounds_of_report rep);
-      check_bool (name ^ ": decomposed per function") true
-        (stats.Incr.units_total > 0
-         && J.member "unit" rep = Some (J.Str "func")))
-    [ "circle"; "line"; "des"; "recon" ]
+    (fun mach ->
+      List.iter
+        (fun (b : Bspec.t) ->
+          List.iter
+            (fun first_miss_refinement ->
+              let spec =
+                { (Bspec.spec ~mach b) with
+                  A.functional = [];
+                  first_miss_refinement }
+              in
+              let name =
+                Printf.sprintf "%s on %s, first-miss %b" b.Bspec.name
+                  (Ipet_machine.Machine.id mach) first_miss_refinement
+              in
+              let rep, stats = Incr.analyze spec in
+              Alcotest.(check (pair int int))
+                (name ^ ": incremental bounds equal the monolithic analysis")
+                (A.estimated_bound spec) (bounds_of_report rep);
+              check_bool (name ^ ": decomposed per function") true
+                (stats.Incr.units_total > 0
+                 && J.member "unit" rep = Some (J.Str "func")))
+            [ false; true ])
+        Ipet_suite.Suite.all)
+    [ Ipet_machine.Machine.e32; Ipet_machine.Machine.m7 ]
+
+(* the same on generated programs, each with its own cache geometry and
+   the loop bounds the fuzzing oracle infers *)
+let prop_incremental_matches_monolithic =
+  QCheck.Test.make
+    ~name:"incremental bounds equal the monolithic analysis on generated programs"
+    ~count:25
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let case = Gen.case seed in
+      let source = Render.program case.Gen.prog in
+      let ast, _ = Frontend.parse_and_check source in
+      let prog =
+        (Frontend.compile_string_exn ~optimize:false source).Compile.prog
+      in
+      let loop_bounds = Ipet.Autobound.infer ast in
+      List.for_all
+        (fun mach ->
+          List.for_all
+            (fun first_miss_refinement ->
+              let spec =
+                A.spec ~mach ~cache:case.Gen.cache ~loop_bounds
+                  ~first_miss_refinement ~root:"main" prog
+              in
+              let mono = A.estimated_bound spec in
+              let rep, _ = Incr.analyze spec in
+              let incr = bounds_of_report rep in
+              if mono = incr && J.member "unit" rep = Some (J.Str "func") then
+                true
+              else
+                QCheck.Test.fail_reportf
+                  "seed %d on %s, first-miss %b: monolithic [%d, %d], \
+                   incremental [%d, %d]"
+                  seed (Ipet_machine.Machine.id mach) first_miss_refinement
+                  (fst mono) (snd mono) (fst incr) (snd incr))
+            [ false; true ])
+        [ Ipet_machine.Machine.e32; Ipet_machine.Machine.m7 ])
 
 let test_functional_fallback () =
   (* check_data's functionality constraints couple functions, so the
@@ -365,10 +406,82 @@ let edit_spec source =
       ~loop_bounds:[ Ipet.Annotation.loop ~func:"main" ~line ~lo:8 ~hi:8 ]
       ~root:"main" compiled.Compile.prog
 
+(* the caller's key hashes its objectives, which charge each call its
+   callee's per-entry extreme: a callee interval that changes the
+   caller's objective changes the caller's key *)
+let test_key_callee_interval () =
+  let spec = edit_spec (edit_source 3) in
+  let costs = A.costs spec in
+  let main = P.find_func spec.A.prog "main" in
+  let key charge =
+    let objs = unit_objectives ~callee:(fun _ -> charge) costs main in
+    (fst objs, func_key_checked objs main)
+  in
+  let w10, k10 = key 10 and w11, k11 = key 11 in
+  check_bool "the callee's extreme is in the caller's objective" false
+    (Ipet_lp.Linexpr.equal w10 w11);
+  check_bool "a callee interval change changes the caller's key" true
+    (k10 <> k11);
+  check_string "same callee intervals, same key" k10 (snd (key 10))
+
+(* main's loop makes no calls and fits the cache, so the first-miss
+   refinement applies to it; leaf has no loop *)
+let first_miss_source =
+  {|int buf[32];
+
+int leaf(int x) {
+  return (x + 1);
+}
+
+int main() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 32; i = i + 1)
+    s = s + buf[i];
+  return leaf(s);
+}
+|}
+
+let test_first_miss_key () =
+  let prog = (Frontend.compile_string_exn first_miss_source).Compile.prog in
+  let line = Bspec.line_containing ~source:first_miss_source "for (i = 0" in
+  let spec first_miss_refinement =
+    A.spec
+      ~loop_bounds:[ Ipet.Annotation.loop ~func:"main" ~line ~lo:32 ~hi:32 ]
+      ~first_miss_refinement ~root:"main" prog
+  in
+  let run first_miss =
+    let rep, _ = Incr.analyze (spec first_miss) in
+    let keys =
+      List.map
+        (fun r ->
+          ( Option.get (Option.bind (J.member "name" r) J.to_str),
+            Option.get (Option.bind (J.member "key" r) J.to_str) ))
+        (Option.get (Option.bind (J.member "units" rep) J.to_list))
+    in
+    (snd (bounds_of_report rep), keys)
+  in
+  let plain_wcet, plain = run false and refined_wcet, refined = run true in
+  check_bool "the refinement tightens main's WCET" true
+    (refined_wcet < plain_wcet);
+  check_int "the refined WCET is the monolithic one"
+    (snd (A.estimated_bound (spec true))) refined_wcet;
+  check_bool "first-miss changes the key of the function with the loop" true
+    (List.assoc "main" plain <> List.assoc "main" refined);
+  check_string "a function with no eligible loop keeps its key"
+    (List.assoc "leaf" plain) (List.assoc "leaf" refined);
+  let program_key first_miss =
+    Key.program_key ~mach:"e32" ~cache:Icache.i960kb ~dcache:None ~first_miss
+      ~root:"main" ~annotations:[] ~functional:[] prog
+  in
+  check_bool "first-miss changes the program unit's key" true
+    (program_key false <> program_key true)
+
 (* --- cold/warm cache behavior -------------------------------------------- *)
 
-(* one request per unit kind: per-function units, and the program unit
-   under functionality constraints and under the first-miss refinement *)
+(* one request per unit kind — per-function units, and the program unit
+   under functionality constraints — plus per-function units under the
+   first-miss refinement *)
 let cache_specs () =
   [ ("func", edit_spec (edit_source 3));
     ("functional", Bspec.spec (Ipet_suite.Suite.find "check_data"));
@@ -845,18 +958,25 @@ let test_observability_ops () =
     analyze_request source
       ~extra:[ ("root", J.Str "main"); ("options", J.Obj options) ]
   in
-  (* a first-miss request takes the whole-program fallback, whose fresh
-     solve checks both certificates *)
+  (* a request with a functionality constraint takes the whole-program
+     unit, whose fresh solve checks each of its two certificates once *)
   let checked_before = metric "serve.cert.checked" "value" in
   let certs_checked =
-    match J.parse (handle (analyze [ ("first_miss", J.Bool true) ])) with
+    match
+      J.parse
+        (handle
+           (analyze_request source
+              ~extra:
+                [ ("root", J.Str "main");
+                  ("annotations", J.Str "constr main x0 = 1") ]))
+    with
     | Error _ -> Alcotest.fail "unparsable analyze response"
     | Ok j ->
       Option.get
         (Option.bind (Option.bind (J.member "stats" j) (J.member "certs_checked"))
            J.to_int)
   in
-  check_int "the fallback checks both certificates" 2 certs_checked;
+  check_int "the program unit checks both certificates" 2 certs_checked;
   check_int "serve.cert.checked grows by the response's certs_checked"
     certs_checked
     (int_of_float (metric "serve.cert.checked" "value" -. checked_before));
@@ -1228,8 +1348,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mach_changes_every_key;
     Alcotest.test_case "key: callee intervals are hashed" `Quick
       test_key_callee_interval;
+    Alcotest.test_case "key: first-miss changes the refined function's key"
+      `Quick test_first_miss_key;
     Alcotest.test_case "incremental bounds match the monolithic analysis"
       `Quick test_matches_monolithic;
+    QCheck_alcotest.to_alcotest prop_incremental_matches_monolithic;
     Alcotest.test_case "functionality constraints fall back to one unit"
       `Quick test_functional_fallback;
     Alcotest.test_case "cold and warm reports are byte-identical" `Quick
