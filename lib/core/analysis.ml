@@ -269,12 +269,41 @@ let certify_extreme ~dir_label problem value assignment =
     { cert; verdict; emit_seconds; emit_pivots = pivots;
       emit_from_witness = from_witness; check_seconds }
 
-let solve_extreme ?(certify = false) spec insts problems =
-  let direction =
-    match problems with
-    | p :: _ -> p.Lp.direction
-    | [] -> fail "no constraint set to solve"
-  in
+(* A unit's ILPs: each conjunctive set's constraints, built once, and
+   the two objectives. A set's presolve fixpoint is computed by the first
+   direction that solves the set and shared by the other *)
+type constraint_set = {
+  constraints : Lp.constr list;
+  fixpoint : Ipet_lp.Presolve.fixpoint Lazy.t;
+}
+
+type system = {
+  sets : constraint_set list;
+  wcet_objective : L.t;
+  bcet_objective : L.t;
+}
+
+let system ~wcet ~bcet sets =
+  { sets =
+      List.map
+        (fun constraints ->
+          { constraints;
+            fixpoint = lazy (Ipet_lp.Presolve.fixpoint ~integer:true constraints) })
+        sets;
+    wcet_objective = wcet;
+    bcet_objective = bcet }
+
+let system_objective system = function
+  | Lp.Maximize -> system.wcet_objective
+  | Lp.Minimize -> system.bcet_objective
+
+let system_problems system direction =
+  let obj = system_objective system direction in
+  List.map (fun set -> Lp.make direction obj set.constraints) system.sets
+
+let solve_extreme ?(certify = false) spec insts system direction =
+  (match system.sets with [] -> fail "no constraint set to solve" | _ :: _ -> ());
+  let objective = system_objective system direction in
   let better a b =
     match direction with
     | Lp.Maximize -> Rat.compare a b > 0
@@ -309,8 +338,15 @@ let solve_extreme ?(certify = false) spec insts problems =
       pc_before := !pc_before + nc;
       pc_after := !pc_after + nc
   in
-  let solve_set i problem =
-    let solve () = (problem, Ilp.solve ~presolve:spec.presolve problem) in
+  let solve_set i set =
+    let problem = Lp.make direction objective set.constraints in
+    let solve () =
+      ( problem,
+        if spec.presolve then
+          Ilp.solve_presolved
+            (Ipet_lp.Presolve.emit (Lazy.force set.fixpoint) direction objective)
+        else Ilp.solve ~presolve:false problem )
+    in
     if not (Obs.enabled ()) then solve ()
     else
       Obs.span "ilp.solve"
@@ -320,7 +356,7 @@ let solve_extreme ?(certify = false) spec insts problems =
           Obs.observe ~labels:[ ("solver", dir_label) ] "lp.solve_seconds" dt;
           r)
   in
-  let results = List.mapi solve_set problems in
+  let results = List.mapi solve_set system.sets in
   List.iter
     (fun (problem, result) ->
       incr solved;
@@ -404,40 +440,40 @@ let prepare spec =
   if sets = [] then fail "all %d functionality constraint sets are null" total;
   (insts, base, sets, total, pruned))
 
-(* the ILPs of one direction, one per surviving conjunctive set *)
-let set_problems spec costs insts base sets direction =
-  let obj = objective costs insts direction in
+(* the constraints of each surviving conjunctive set: its functionality
+   atoms, then the flow constraints *)
+let set_constraints spec insts base sets =
   List.map
     (fun set ->
-      let cs =
-        List.map
-          (fun atom -> Functional.atom_to_constr spec.prog insts ~root:spec.root atom)
-          set
-      in
-      Lp.make direction obj (cs @ base))
+      List.map
+        (fun atom -> Functional.atom_to_constr spec.prog insts ~root:spec.root atom)
+        set
+      @ base)
     sets
 
-let problems spec =
-  let insts, base, sets, _, _ = prepare spec in
+let build_system spec insts base sets =
   let costs = costs spec in
-  ( insts,
-    set_problems spec costs insts base sets Lp.Maximize,
-    set_problems spec costs insts base sets Lp.Minimize )
+  system
+    ~wcet:(objective costs insts Lp.Maximize)
+    ~bcet:(objective costs insts Lp.Minimize)
+    (set_constraints spec insts base sets)
+
+let program_system spec =
+  let insts, base, sets, _, _ = prepare spec in
+  (insts, build_system spec insts base sets)
 
 let direction_problems spec direction =
   let insts, base, sets, _, _ = prepare spec in
-  set_problems spec (costs spec) insts base sets direction
+  let obj = objective (costs spec) insts direction in
+  List.map (Lp.make direction obj) (set_constraints spec insts base sets)
 
 let wcet_problems spec = direction_problems spec Lp.Maximize
 let bcet_problems spec = direction_problems spec Lp.Minimize
 
 let analyze ?(certify = false) spec =
   let insts, base, sets, total, pruned = prepare spec in
-  let costs = costs spec in
-  let extreme direction =
-    solve_extreme ~certify spec insts
-      (set_problems spec costs insts base sets direction)
-  in
+  let system = build_system spec insts base sets in
+  let extreme direction = solve_extreme ~certify spec insts system direction in
   let wcet, wstats, wcet_cert =
     Obs.span "analysis.wcet" ~args:[ ("root", spec.root) ] (fun () ->
       extreme Lp.Maximize)

@@ -41,10 +41,12 @@ type spec = {
           per-function objective ({!objective}). Off by default (the
           paper's baseline model). *)
   presolve : bool;
-      (** run {!Ipet_lp.Presolve} on every ILP before the branch and bound
-          (on by default); semantics-preserving: it leaves the bounds
-          unchanged, and affects solve time, the reduction statistics and,
-          among alternate optima, which witness is reported *)
+      (** run {!Ipet_lp.Presolve} before the branch and bound (on by
+          default): one fixpoint per constraint set, from which both the
+          WCET and the BCET problem are emitted and solved.
+          Semantics-preserving: it leaves the bounds unchanged, and affects
+          solve time, the reduction statistics and, among alternate optima,
+          which witness is reported *)
 }
 
 val spec :
@@ -125,8 +127,10 @@ type result = {
 }
 
 val analyze : ?certify:bool -> spec -> result
-(** Solves one ILP ({!Ipet_lp.Ilp.solve}) per surviving disjunctive
-    constraint set, in set order, and keeps the extreme optimum.
+(** Solves one ILP per surviving disjunctive constraint set and direction,
+    in set order, and keeps the extreme optimum. With {!spec.presolve},
+    each set is presolved once and both directions are solved from that
+    fixpoint ({!system}).
     [certify] (default [false]) additionally emits an exact duality
     certificate per extreme (see {!Ipet_cert.Certify}) and validates it
     with the trusted checker; the verdicts and emit/check times are in
@@ -165,18 +169,33 @@ val wcet_problems : spec -> Ipet_lp.Lp_problem.t list
 val bcet_problems : spec -> Ipet_lp.Lp_problem.t list
 (** The minimization counterparts of {!wcet_problems}. *)
 
-val problems :
-  spec ->
-  Structural.instance list
-  * Ipet_lp.Lp_problem.t list
-  * Ipet_lp.Lp_problem.t list
-(** The instances with {!wcet_problems} and {!bcet_problems}, built from
-    one preparation of the spec and one cost table. *)
+(** {1 Building and solving ILPs} {!analyze} is the {!system} of
+    {!objective} over all instances and, per constraint set,
+    {!flow_constraints} plus the set's functionality constraints, solved
+    by {!solve_extreme} in each direction; the daemon's per-function units
+    use the same pieces. *)
 
-(** {1 Building and solving ILPs} {!analyze} is {!objective} over all
-    instances plus {!flow_constraints} and the functionality constraints,
-    solved by {!solve_extreme}; the daemon's per-function units use the
-    same pieces. *)
+type system
+(** An analysis unit's ILPs: one list of constraints per conjunctive
+    constraint set, and the WCET and BCET objectives. Each set is
+    presolved at most once, by the first direction {!solve_extreme}
+    solves, and both directions emit their reduced problems from that
+    fixpoint ({!Ipet_lp.Presolve.emit}). *)
+
+val system :
+  wcet:Ipet_lp.Linexpr.t -> bcet:Ipet_lp.Linexpr.t ->
+  Ipet_lp.Lp_problem.constr list list -> system
+(** [system ~wcet ~bcet sets]: maximize [wcet] and minimize [bcet] over
+    each constraint set of [sets]. *)
+
+val system_problems :
+  system -> Ipet_lp.Lp_problem.direction -> Ipet_lp.Lp_problem.t list
+(** One direction's complete ILPs, one per constraint set, in set order. *)
+
+val program_system : spec -> Structural.instance list * system
+(** The instances and the system whose problems are {!wcet_problems} and
+    {!bcet_problems}, built from one preparation of the spec and one cost
+    table: the system {!analyze} solves. *)
 
 type costs
 (** One analysis's per-function cost table over one code layout: block
@@ -202,12 +221,13 @@ val solve_extreme :
   ?certify:bool ->
   spec ->
   Structural.instance list ->
-  Ipet_lp.Lp_problem.t list ->
+  system ->
+  Ipet_lp.Lp_problem.direction ->
   extreme * solver_stats * certificate option
-(** One direction (read off the problems): one ILP per problem, keeping
-    the extreme optimum as an extreme of the instances. [certify]
-    (default [false]) emits the winner's certificate and checks it once.
-    [sets_total] counts the problems and [sets_pruned] is 0.
+(** One direction: one ILP per constraint set, keeping the extreme optimum
+    as an extreme of the instances. [certify] (default [false]) emits the
+    winner's certificate and checks it once. [sets_total] counts the sets
+    and [sets_pruned] is 0.
     @raise Analysis_error as {!analyze}. *)
 
 val flow_constraints :

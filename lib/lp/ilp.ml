@@ -119,21 +119,22 @@ let solve_raw ~max_nodes problem =
       let value = if maximize then value else Rat.neg value in
       Optimal { value; assignment; stats = stats () }
 
+let solve_presolved ?(max_nodes = 100_000) = function
+  | Presolve.Proved_infeasible { stats; reason = _ } ->
+    Infeasible
+      { lp_calls = 0; nodes = 0; pivots = 0; refactorizations = 0;
+        warm_hits = 0; warm_misses = 0; first_lp_integral = false;
+        presolve = Some stats }
+  | Presolve.Reduced { problem = reduced; postsolve; stats = pstats } ->
+    (match solve_raw ~max_nodes reduced with
+     | Optimal { value; assignment; stats } ->
+       Optimal
+         { value;
+           assignment = postsolve assignment;
+           stats = { stats with presolve = Some pstats } }
+     | Infeasible stats -> Infeasible { stats with presolve = Some pstats }
+     | Unbounded stats -> Unbounded { stats with presolve = Some pstats })
+
 let solve ?(max_nodes = 100_000) ?(presolve = true) ?pool:_ problem =
-  if not presolve then solve_raw ~max_nodes problem
-  else
-    match Presolve.run ~integer:true problem with
-    | Presolve.Proved_infeasible { stats; reason = _ } ->
-      Infeasible
-        { lp_calls = 0; nodes = 0; pivots = 0; refactorizations = 0;
-          warm_hits = 0; warm_misses = 0; first_lp_integral = false;
-          presolve = Some stats }
-    | Presolve.Reduced { problem = reduced; postsolve; stats = pstats } ->
-      (match solve_raw ~max_nodes reduced with
-       | Optimal { value; assignment; stats } ->
-         Optimal
-           { value;
-             assignment = postsolve assignment;
-             stats = { stats with presolve = Some pstats } }
-       | Infeasible stats -> Infeasible { stats with presolve = Some pstats }
-       | Unbounded stats -> Unbounded { stats with presolve = Some pstats })
+  if presolve then solve_presolved ~max_nodes (Presolve.run ~integer:true problem)
+  else solve_raw ~max_nodes problem

@@ -57,3 +57,10 @@ val solve :
     The search is a sequential depth-first branch and bound. [pool] is
     kept for ledger/, no other caller; it is accepted and ignored.
     @raise Node_limit_exceeded if the bound is hit. *)
+
+val solve_presolved : ?max_nodes:int -> Presolve.outcome -> result
+(** The branch and bound on a presolved problem, its assignment mapped
+    back through the postsolve: [solve ~presolve:true p] is
+    [solve_presolved (Presolve.run p)]. Solving each outcome
+    {!Presolve.emit} draws from one {!Presolve.fixpoint} presolves a
+    constraint set once for several objectives. *)

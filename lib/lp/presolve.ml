@@ -11,7 +11,12 @@
 
    Variable elimination records definitions most-recent-first; postsolve
    replays them in that order, so a definition may freely mention variables
-   that were eliminated later. *)
+   that were eliminated later.
+
+   No reduction reads the objective, so the fixpoint runs over the
+   constraints alone and each objective is reduced afterwards ([emit]):
+   replaying the definitions into it, oldest first, performs exactly the
+   substitutions the fixpoint performed on the rows. *)
 
 open Ipet_num
 
@@ -51,7 +56,6 @@ type row = {
 type state = {
   integer : bool;
   mutable rows : row list;  (* in original order; killed rows keep their slot *)
-  mutable objective : Linexpr.t;
   mutable defs : (string * Linexpr.t) list;  (* most recent first *)
   exp_ub : (string, Rat.t * string * int) Hashtbl.t;
   exp_lb : (string, Rat.t * string * int) Hashtbl.t;  (* always > 0 *)
@@ -110,7 +114,6 @@ let substitute st v e =
   Hashtbl.remove st.exp_lb v;
   Hashtbl.remove st.imp_ub v;
   Hashtbl.remove st.imp_lb v;
-  st.objective <- subst_expr st.objective v e;
   List.iter (fun r -> if r.live then r.expr <- subst_expr r.expr v e) st.rows;
   st.changed <- true
 
@@ -448,7 +451,7 @@ let intake idx (c : Lp_problem.constr) =
    original (same variable order, same row order) keeps the simplex
    pivoting deterministic in the same way with and without presolve, which
    is what lets an alternate-optima witness agree between the two paths. *)
-let emit st =
+let emit_rows st objective =
   let rows =
     List.filter_map
       (fun r -> if r.live then Some (r.idx, r.expr, r.rel, r.origin) else None)
@@ -458,7 +461,7 @@ let emit st =
   let live = Hashtbl.create 64 in
   let note e = Linexpr.fold_terms (fun v _ () -> Hashtbl.replace live v ()) e () in
   List.iter (fun (_, e, _, _) -> note e) rows;
-  note st.objective;
+  note objective;
   let bound_rows = ref [] in
   Hashtbl.iter
     (fun v (u, origin, idx) ->
@@ -484,13 +487,24 @@ let emit st =
     (rows @ !bound_rows)
   |> List.map (fun (_, expr, rel, origin) -> Lp_problem.constr ~origin expr rel)
 
-let run ?(integer = true) (problem : Lp_problem.t) =
-  let vars_before = Lp_problem.num_variables problem in
-  let constrs_before = Lp_problem.num_constraints problem in
+let add_vars e acc =
+  Linexpr.fold_terms (fun v _ acc -> Lp_problem.Names.add v acc) e acc
+
+type fixpoint = {
+  vars : Lp_problem.Names.t;  (* of the constraints *)
+  constrs_before : int;
+  rounds : int;
+  substituted : int;
+  fixed : int;
+  reached : (state * (string * Linexpr.t) list, string * int) result;
+      (* the final state with its definitions oldest first, or why the
+         constraints are infeasible and how many rows were live then *)
+}
+
+let fixpoint ?(integer = true) constraints =
   let st =
     { integer;
-      rows = List.mapi intake problem.Lp_problem.constraints;
-      objective = problem.Lp_problem.objective;
+      rows = List.mapi intake constraints;
       defs = [];
       exp_ub = Hashtbl.create 64;
       exp_lb = Hashtbl.create 64;
@@ -501,25 +515,48 @@ let run ?(integer = true) (problem : Lp_problem.t) =
       fixed = 0 }
   in
   let rounds = ref 0 in
-  let stats_at ~vars_after ~constrs_after =
-    { vars_before; vars_after; constrs_before; constrs_after;
-      rounds = !rounds; substituted = st.substituted; fixed = st.fixed }
+  let reached =
+    match
+      while st.changed && !rounds < max_rounds do
+        st.changed <- false;
+        incr rounds;
+        dedup st;
+        List.iter (process_row st) st.rows;
+        List.iter (try_eliminate st) st.rows
+      done
+    with
+    | () -> Ok (st, List.rev st.defs)
+    | exception Infeasible reason ->
+      Error (reason, List.length (List.filter (fun r -> r.live) st.rows))
   in
-  match
-    while st.changed && !rounds < max_rounds do
-      st.changed <- false;
-      incr rounds;
-      dedup st;
-      List.iter (process_row st) st.rows;
-      List.iter (try_eliminate st) st.rows
-    done
-  with
-  | () ->
-    let constraints = emit st in
-    let reduced =
-      Lp_problem.make problem.Lp_problem.direction st.objective constraints
+  { vars =
+      List.fold_left
+        (fun acc (c : Lp_problem.constr) -> add_vars c.Lp_problem.expr acc)
+        Lp_problem.Names.empty constraints;
+    constrs_before = List.length constraints;
+    rounds = !rounds;
+    substituted = st.substituted;
+    fixed = st.fixed;
+    reached }
+
+let emit fp direction objective =
+  let vars = add_vars objective fp.vars in
+  let stats_at ~vars_after ~constrs_after =
+    { vars_before = Lp_problem.Names.cardinal vars; vars_after;
+      constrs_before = fp.constrs_before; constrs_after; rounds = fp.rounds;
+      substituted = fp.substituted; fixed = fp.fixed }
+  in
+  match fp.reached with
+  | Error (reason, live_rows) ->
+    Proved_infeasible
+      { stats = stats_at ~vars_after:0 ~constrs_after:live_rows; reason }
+  | Ok (st, replay) ->
+    let objective =
+      List.fold_left (fun o (v, e) -> subst_expr o v e) objective replay
     in
-    let original_vars = Lp_problem.variables problem in
+    let constraints = emit_rows st objective in
+    let reduced = Lp_problem.make direction objective constraints in
+    let original_vars = Lp_problem.Names.elements vars in
     let defs = st.defs in
     (* a variable that vanished from the reduced problem is unconstrained
        there, but its recorded explicit lower bound must still hold in the
@@ -548,7 +585,8 @@ let run ?(integer = true) (problem : Lp_problem.t) =
           stats_at
             ~vars_after:(Lp_problem.num_variables reduced)
             ~constrs_after:(List.length constraints) }
-  | exception Infeasible reason ->
-    let live_rows = List.length (List.filter (fun r -> r.live) st.rows) in
-    Proved_infeasible
-      { stats = stats_at ~vars_after:0 ~constrs_after:live_rows; reason }
+
+let run ?integer (problem : Lp_problem.t) =
+  emit
+    (fixpoint ?integer problem.Lp_problem.constraints)
+    problem.Lp_problem.direction problem.Lp_problem.objective

@@ -23,7 +23,13 @@
     returned postsolve closure rebuilds a full assignment over the original
     variables from any solution of the reduced problem, so the objective
     value, the witness block counts and the binding-constraint report of the
-    analysis are unchanged. *)
+    analysis are unchanged.
+
+    No reduction reads the objective. The fixpoint ({!fixpoint}) therefore
+    runs over the constraints alone, once, and each objective is reduced
+    from it afterwards ({!emit}): the analysis presolves each constraint set
+    once and solves both its maximization (WCET) and its minimization
+    (BCET) from that one fixpoint. *)
 
 open Ipet_num
 
@@ -52,9 +58,26 @@ type outcome =
       (** the problem has no (integer) solution; [reason] names the
           conflicting row or variable *)
 
+type fixpoint
+(** One constraint set after the presolve fixpoint: its surviving rows,
+    explicit bounds and recorded definitions, or the proof that it is
+    infeasible. It holds no objective. *)
+
+val fixpoint : ?integer:bool -> Lp_problem.constr list -> fixpoint
+(** [fixpoint constraints] runs every reduction over [constraints] until
+    nothing changes. [integer] is as in {!run}. *)
+
+val emit : fixpoint -> Lp_problem.direction -> Linexpr.t -> outcome
+(** [emit fp direction objective] is the presolve of the problem
+    [direction objective] over [fp]'s constraints. It replays the recorded
+    definitions into [objective], and re-emits the explicit bound rows of
+    the variables that are live in the surviving rows or in that
+    objective. *)
+
 val run : ?integer:bool -> Lp_problem.t -> outcome
 (** [run problem] presolves [problem]. With [integer] (the default) the
     reductions assume every variable ranges over non-negative integers, as
     in {!Ilp.solve}: derived bounds are rounded and a variable forced to a
     fractional value proves infeasibility. With [~integer:false] only
-    relaxation-safe reductions are applied. *)
+    relaxation-safe reductions are applied. [run p] is one {!emit} of
+    [fixpoint p.constraints]. *)

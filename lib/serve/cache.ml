@@ -70,55 +70,49 @@ let write_file path content =
   close_out oc;
   Sys.rename tmp path
 
+(* The index's recency first; then every entry file it does not list,
+   oldest mtime first. An unlisted file is one a missing or damaged index
+   lost, or one whose writer died after the rename but before the index
+   flush; adopting it keeps it under the cap instead of orphaned *)
 let load_index t =
   let adopt key seq =
-    match Unix.stat (entry_path t key) with
-    | { Unix.st_size; _ } ->
-      Hashtbl.replace t.table key { size = st_size; seq };
-      t.bytes <- t.bytes + st_size;
-      if seq >= t.next_seq then t.next_seq <- seq + 1
-    | exception Unix.Unix_error _ -> ()
+    if not (Hashtbl.mem t.table key) then
+      match Unix.stat (entry_path t key) with
+      | { Unix.st_size; _ } ->
+        Hashtbl.replace t.table key { size = st_size; seq };
+        t.bytes <- t.bytes + st_size;
+        if seq >= t.next_seq then t.next_seq <- seq + 1
+      | exception Unix.Unix_error _ -> ()
   in
-  let from_index =
-    match read_file (index_path t) with
-    | content ->
-      (match String.split_on_char '\n' content with
-       | magic :: lines when magic = index_magic ->
-         List.iter
-           (fun line ->
-             match String.split_on_char ' ' line with
-             | [ key; seq ] when is_key key ->
-               (match int_of_string_opt seq with
-                | Some seq -> adopt key seq
-                | None -> ())
-             | _ -> ())
-           lines;
-         true
-       | _ -> false)
-    | exception Sys_error _ -> false
-  in
-  if not from_index then
-    (* no (or damaged) index: rebuild from the entry files, oldest-mtime
-       first so eviction order stays sensible *)
-    match Sys.readdir t.dir with
-    | files ->
-      Array.to_list files
-      |> List.filter_map (fun f ->
-        if Filename.check_suffix f ".json" then begin
-          let key = Filename.chop_suffix f ".json" in
-          if is_key key then
-            match Unix.stat (Filename.concat t.dir f) with
-            | st -> Some (st.Unix.st_mtime, key)
-            | exception Unix.Unix_error _ -> None
-          else None
-        end
-        else None)
-      |> List.sort compare
-      |> List.iter (fun (_, key) ->
-        let seq = t.next_seq in
-        t.next_seq <- seq + 1;
-        adopt key seq)
-    | exception Sys_error _ -> ()
+  (match read_file (index_path t) with
+   | content ->
+     (match String.split_on_char '\n' content with
+      | magic :: lines when magic = index_magic ->
+        List.iter
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ key; seq ] when is_key key ->
+              Option.iter (adopt key) (int_of_string_opt seq)
+            | _ -> ())
+          lines
+      | _ -> ())
+   | exception Sys_error _ -> ());
+  match Sys.readdir t.dir with
+  | files ->
+    Array.to_list files
+    |> List.filter_map (fun f ->
+      if Filename.check_suffix f ".json" then begin
+        let key = Filename.chop_suffix f ".json" in
+        if is_key key && not (Hashtbl.mem t.table key) then
+          match Unix.stat (Filename.concat t.dir f) with
+          | st -> Some (st.Unix.st_mtime, key)
+          | exception Unix.Unix_error _ -> None
+        else None
+      end
+      else None)
+    |> List.sort compare
+    |> List.iter (fun (_, key) -> adopt key t.next_seq)
+  | exception Sys_error _ -> ()
 
 let create ~dir ~cap_bytes =
   mkdir_p dir;

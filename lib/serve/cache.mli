@@ -5,9 +5,11 @@
     {!Key} digest; entries are immutable (same key, same content), so a
     crashed or concurrent writer can at worst leave a stale temp file,
     never a corrupt entry (writes go through rename). An index file
-    records recency and sizes so LRU survives restarts; a missing or
-    damaged index is rebuilt from the entry files, and an entry file that
-    fails to parse is treated as a miss and deleted.
+    records recency and sizes so LRU survives restarts. Opening the cache
+    also adopts every entry file the index does not list (a missing,
+    truncated or damaged index, or a writer killed between an entry's
+    rename and the index flush), so no entry escapes the cap; an entry
+    file that fails to parse is treated as a miss and deleted.
 
     Hit/miss/eviction counts are exposed via {!stats} and published as
     [serve.cache.*] metrics in the global {!Ipet_obs} registry. *)

@@ -35,16 +35,14 @@ let check_deadline = function
   | Some t when Unix.gettimeofday () > t -> raise Timeout
   | Some _ | None -> ()
 
-(* one analysis unit, ready to run: its WCET and BCET problems (a single
-   problem per direction for a function; one per surviving constraint set
-   for the whole program) and the instances its witness counts are read
-   from *)
+(* one analysis unit, ready to run: its ILPs (a single constraint set for
+   a function; one per surviving constraint set for the whole program) and
+   the instances its witness counts are read from *)
 type work = {
   name : string;
   key : string;
   insts : Ipet.Structural.instance list;
-  wcet_problems : Lp.t list;
-  bcet_problems : Lp.t list;
+  system : A.system;
 }
 
 type unit_result = { key : string; wcet : A.extreme; bcet : A.extreme }
@@ -108,9 +106,9 @@ let validate ~counter problems (cert : (Cert.t, string) result) =
 (* one direction of a unit, solved by the monolithic analysis's own solve
    and certified on the winning witness; the certificate is checked once,
    at production *)
-let solve_direction ~counter spec (w : work) what problems =
+let solve_direction ~counter spec (w : work) what direction =
   let extreme, stats, cert =
-    A.solve_extreme ~certify:true spec w.insts problems
+    A.solve_extreme ~certify:true spec w.insts w.system direction
   in
   counter.solves <- counter.solves + stats.A.sets_solved;
   counter.pivots <- counter.pivots + stats.A.simplex_pivots;
@@ -143,8 +141,9 @@ let run_unit ~cache ~counter ~deadline spec (w : work) =
       let check problems s =
         Result.to_option (validate ~counter problems (Cert.of_string s))
       in
-      Option.bind (check w.wcet_problems wcet) (fun wv ->
-          Option.map (fun bv -> (wv, bv)) (check w.bcet_problems bcet))
+      let problems = A.system_problems w.system in
+      Option.bind (check (problems Lp.Maximize) wcet) (fun wv ->
+          Option.map (fun bv -> (wv, bv)) (check (problems Lp.Minimize) bcet))
   in
   if Option.is_some entry && Option.is_none stored then
     Option.iter (fun c -> Cache.remove c w.key) cache;
@@ -159,8 +158,8 @@ let run_unit ~cache ~counter ~deadline spec (w : work) =
     check_deadline deadline;
     counter.solved <- counter.solved + 1;
     let solve = solve_direction ~counter spec w in
-    let wcet, wc = solve "wcet" w.wcet_problems in
-    let bcet, bc = solve "bcet" w.bcet_problems in
+    let wcet, wc = solve "wcet" Lp.Maximize in
+    let bcet, bc = solve "bcet" Lp.Minimize in
     Option.iter (fun c -> Cache.put c w.key (entry_to_json wc bc)) cache;
     { key = w.key; wcet; bcet }
 
@@ -190,20 +189,19 @@ let func_unit (spec : A.spec) costs
   in
   let constraints = A.flow_constraints spec [ inst ] in
   { name = func.P.name; key; insts = [ inst ];
-    wcet_problems = [ Lp.make Lp.Maximize wcet constraints ];
-    bcet_problems = [ Lp.make Lp.Minimize bcet constraints ] }
+    system = A.system ~wcet ~bcet [ constraints ] }
 
 (* functionality constraints couple flow variables across functions, so
    such a request is one whole-program unit: the monolithic ILPs *)
 let program_unit (spec : A.spec) =
-  let insts, wcet_problems, bcet_problems = A.problems spec in
+  let insts, system = A.program_system spec in
   let key =
     Key.program_key ~mach:(Machine.id spec.A.mach) ~cache:spec.A.cache
       ~dcache:spec.A.dcache ~first_miss:spec.A.first_miss_refinement
       ~root:spec.A.root ~annotations:spec.A.loop_bounds
       ~functional:spec.A.functional spec.A.prog
   in
-  { name = spec.A.root; key; insts; wcet_problems; bcet_problems }
+  { name = spec.A.root; key; insts; system }
 
 (* --- aggregation --------------------------------------------------------- *)
 

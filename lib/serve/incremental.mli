@@ -5,9 +5,11 @@
     the wrong shape for a daemon asked to re-analyze a program after a
     one-function edit. This module decomposes the analysis into {e units}
     keyed by {!Key} and persists each unit's result in a {!Cache}. A unit
-    has a name, a key, and its WCET and BCET problems, built and solved
-    by {!Ipet.Analysis} itself ({!Ipet.Analysis.objective},
-    {!Ipet.Analysis.solve_extreme}); there are two kinds:
+    has a name, a key, and its constraint system, built and solved by
+    {!Ipet.Analysis} itself ({!Ipet.Analysis.objective},
+    {!Ipet.Analysis.system}, {!Ipet.Analysis.solve_extreme}), so each of
+    its constraint sets is presolved once for both extremes; there are two
+    kinds:
 
     - {b per-function units} (the common case): every function reachable
       from the root is solved in isolation with its entry edge pinned to 1,
@@ -29,7 +31,7 @@
     - {b one program unit}, for functionality constraints only: they
       couple flow variables across functions, so such a request is a
       single unit keyed by {!Key.program_key}, with one problem per
-      surviving constraint set ({!Ipet.Analysis.problems}).
+      surviving constraint set ({!Ipet.Analysis.program_system}).
 
     Both kinds run through one loop: read the cache entry, validate each
     stored certificate against the problem whose digest it names, solve

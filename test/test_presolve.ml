@@ -153,6 +153,50 @@ let test_infeasible_propagated () =
    | Pre.Proved_infeasible _ -> ()
    | Pre.Reduced _ -> Alcotest.fail "expected infeasibility proof")
 
+(* --- one fixpoint, two objectives ---------------------------------------- *)
+
+(* One fixpoint serves both directions even when their objectives have
+   different supports, as the first-miss WCET objective's loop-entry edges
+   do: [e]'s folded upper bound matters only to the maximization, which
+   mentions [e], and [f]'s folded lower bound only to the minimization.
+   Each emit re-emits exactly its own objective's bound row, solves to the
+   un-presolved optimum, and postsolves to a feasible witness *)
+let test_shared_fixpoint () =
+  let open L.Infix in
+  let constraints =
+    [ P.le ~origin:"entry bound" (v "e") (int 3);
+      P.ge ~origin:"warm floor" (v "f") (int 2);
+      P.le ~origin:"cap" (v "x" + v "y") (int 10);
+      P.ge ~origin:"skew" (v "x" - v "y") (int 1);
+      P.eq ~origin:"flow" (v "z") (v "x" + v "y") ]
+  in
+  let fp = Pre.fixpoint constraints in
+  let bound_origins = [ "entry bound"; "warm floor" ] in
+  List.iter
+    (fun (what, direction, objective, own) ->
+      let problem = P.make direction objective constraints in
+      let outcome = Pre.emit fp direction objective in
+      let reduced_problem = (reduced outcome).Pre.problem in
+      Alcotest.(check (list string))
+        (what ^ " re-emits exactly its own bound row") [ own ]
+        (List.filter
+           (fun o -> List.mem o bound_origins)
+           (List.map (fun (c : P.constr) -> c.P.origin)
+              reduced_problem.P.constraints));
+      Alcotest.(check string)
+        (what ^ " emit is the one-shot presolve")
+        (Format.asprintf "%a" P.pp (reduced (Pre.run problem)).Pre.problem)
+        (Format.asprintf "%a" P.pp reduced_problem);
+      match I.solve_presolved outcome with
+      | I.Optimal { value; assignment; _ } ->
+        Alcotest.check rat_testable (what ^ " optimum")
+          (ilp_value problem ~presolve:false) value;
+        check_bool (what ^ " postsolved witness is feasible") true
+          (P.feasible (Ipet_lp.Simplex.assignment_env assignment) problem)
+      | I.Infeasible _ | I.Unbounded _ -> Alcotest.failf "%s: not optimal" what)
+    [ ("max", P.Maximize, (2 * v "x") + v "y" + (5 * v "e") + v "z", "entry bound");
+      ("min", P.Minimize, v "x" + v "y" + v "f" + v "z", "warm floor") ]
+
 (* --- equivalence on the benchmark suite --------------------------------- *)
 
 (* Every ILP of every benchmark (both extremes, every surviving conjunctive
@@ -225,6 +269,21 @@ let test_suite_problem_equivalence () =
    solve: the integral witness is not an optimal vertex of that LP. *)
 let test_suite_analysis_equivalence () =
   let ludcmp mach = Bspec.spec ~mach (Ipet_suite.Suite.find "ludcmp") in
+  (* the first-miss refinement gives the WCET objective loop-entry edge
+     terms the BCET objective lacks, so the two directions emit different
+     bound rows from one fixpoint *)
+  let first_miss =
+    List.concat_map
+      (fun mach ->
+        List.map
+          (fun (b : Bspec.t) ->
+            ( Printf.sprintf "%s %s first-miss" b.Bspec.name
+                (Ipet_machine.Machine.id mach),
+              { (Bspec.spec ~mach b) with Analysis.first_miss_refinement = true },
+              false ))
+          Ipet_suite.Suite.all)
+      [ Ipet_machine.Machine.e32; Ipet_machine.Machine.m7 ]
+  in
   List.iter
     (fun (name, spec, branches) ->
       let analyze presolve =
@@ -278,6 +337,7 @@ let test_suite_analysis_equivalence () =
            && with_pre.Analysis.bcet_stats.Analysis.all_first_lp_integral))
     (List.map (fun (b : Bspec.t) -> (b.Bspec.name, Bspec.spec b, false))
        Ipet_suite.Suite.all
+     @ first_miss
      @ [ ("ludcmp e32", ludcmp Ipet_machine.Machine.e32, true);
          ("ludcmp m7", ludcmp Ipet_machine.Machine.m7, true) ])
 
@@ -316,6 +376,7 @@ let suite =
     ("infeasible bounds", `Quick, test_infeasible_bounds);
     ("integer-infeasible fix", `Quick, test_infeasible_integer_fix);
     ("propagated infeasibility", `Quick, test_infeasible_propagated);
+    ("one fixpoint, two objectives", `Quick, test_shared_fixpoint);
     ("suite ILP equivalence", `Slow, test_suite_problem_equivalence);
     ("suite analysis equivalence", `Slow, test_suite_analysis_equivalence);
     ("summary counts both extremes", `Quick, test_summary_counts_both_extremes) ]

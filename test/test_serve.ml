@@ -723,6 +723,70 @@ let test_tmp_sweep () =
   check_bool "real entries survive the sweep" true
     (Cache.get reopened (k 1) = Some (J.Obj [ ("n", J.Int 1) ]))
 
+(* File-level damage to a filled cache, each fault on a cache of its own:
+   the reopened cache serves the cold report byte-identically, re-solves
+   only the unit whose entry the fault lost, raises nothing, and keeps
+   every entry on disk under the cap. [edit_spec] has two function units *)
+let test_file_faults () =
+  let spec = edit_spec (edit_source 3) in
+  let entries dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  let victim dir = List.hd (entries dir) in
+  let truncate path =
+    let s = read_file path in
+    write_file path (String.sub s 0 (String.length s / 2))
+  in
+  (* the index as it was before the victim's [put] flushed it *)
+  let unlist dir =
+    let key = Filename.chop_suffix (victim dir) ".json" in
+    let index = Filename.concat dir "index" in
+    String.split_on_char '\n' (read_file index)
+    |> List.filter (fun l -> not (String.starts_with ~prefix:key l))
+    |> String.concat "\n"
+    |> write_file index
+  in
+  let faults =
+    [ ( "an entry truncated mid-JSON", 1,
+        fun dir -> truncate (Filename.concat dir (victim dir)) );
+      ("the index truncated", 0, fun dir -> truncate (Filename.concat dir "index"));
+      ( "the index replaced by garbage", 0,
+        fun dir -> write_file (Filename.concat dir "index") "\000 not an index\n" );
+      ( "a kill between an entry's temp write and its rename", 1,
+        fun dir ->
+          let e = victim dir in
+          unlist dir;
+          Sys.rename (Filename.concat dir e) (Filename.concat dir (e ^ ".tmp")) );
+      ("a kill between an entry's rename and the index flush", 0, unlist) ]
+  in
+  List.iteri
+    (fun i (fault, resolved, damage) ->
+      let dir = tmp_dir (Printf.sprintf "serve-file-fault-%d" i) in
+      let cold, _ =
+        Incr.analyze ~cache:(Cache.create ~dir ~cap_bytes:(16 * 1024 * 1024)) spec
+      in
+      damage dir;
+      let cache = Cache.create ~dir ~cap_bytes:(16 * 1024 * 1024) in
+      let healed, stats = Incr.analyze ~cache spec in
+      check_string (fault ^ ": the report is the cold one") (J.to_string cold)
+        (J.to_string healed);
+      check_int (fault ^ ": units re-solved") resolved stats.Incr.units_solved;
+      check_int (fault ^ ": no certificate rejected") 0 stats.Incr.certs_rejected;
+      let files = entries dir in
+      check_int (fault ^ ": one entry file per unit") 2 (List.length files);
+      check_int (fault ^ ": every entry file is under the cap")
+        (List.fold_left
+           (fun n f -> n + String.length (read_file (Filename.concat dir f)))
+           0 files)
+        (Cache.stats cache).Cache.bytes;
+      check_bool (fault ^ ": no temp file is left") false
+        (Array.exists (fun f -> Filename.check_suffix f ".tmp") (Sys.readdir dir));
+      let _, again = Incr.analyze ~cache spec in
+      check_int (fault ^ ": the next request is warm") 0 again.Incr.units_solved)
+    faults
+
 (* --- protocol ------------------------------------------------------------- *)
 
 let pconfig = Protocol.make ()
@@ -1365,6 +1429,8 @@ let suite =
       test_lru_eviction;
     Alcotest.test_case "cache: orphaned temp files are swept on open" `Quick
       test_tmp_sweep;
+    Alcotest.test_case "cache: file faults heal to the cold report" `Quick
+      test_file_faults;
     Alcotest.test_case "certificates: warm hits re-prove, tampering heals"
       `Quick test_cert_self_heal;
     Alcotest.test_case
