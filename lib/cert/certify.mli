@@ -14,10 +14,11 @@
     keeps the proof about exactly the constraint set the digest names
     (see DESIGN.md §5). Starting at the witness makes that solve cheap:
     the first LP relaxation of an IPET problem is integral, so the
-    witness is usually an optimal vertex already and only a few
-    degenerate phase-2 pivots remain. A witness that violates a row or
-    is not a vertex falls back to the cold solve from the all-artificial
-    basis.
+    witness is usually an optimal vertex already. Its basis is factored
+    in one sparse elimination pass over its positive, then zero-valued,
+    columns, and only a few degenerate phase-2 pivots remain, often none.
+    A witness that violates a row or is not a vertex falls back to the
+    cold solve from the all-artificial basis.
 
     The resulting certificate's [dual_bound] is the true LP-relaxation
     optimum: the gap closes exactly when the relaxation's optimum equals
@@ -29,7 +30,9 @@ open Ipet_lp
 
 type emitted = {
   cert : Certificate.t;
-  pivots : int;         (** simplex pivots of the solve *)
+  pivots : int;
+      (** simplex pivots of the solve: from the witness, phase 2's only
+          (factoring the witness's basis is not a pivot) *)
   from_witness : bool;  (** [false] when the solve fell back to cold *)
 }
 

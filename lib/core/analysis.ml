@@ -201,8 +201,16 @@ let objective ?(callee = fun _ -> 0) t insts direction =
         acc func.P.blocks)
     L.zero insts
 
+(* an exact count or cycle figure as a native int; one beyond int63 is an
+   analysis error that names it *)
+let native what v =
+  match Rat.to_int v with
+  | n -> n
+  | exception Failure _ ->
+    fail "%s is %s, beyond the native integer range" what (Rat.to_string v)
+
 (* aggregate a witness (as a lookup, absent variables zero) into
-   per-(func, block) counts *)
+   per-(func, block) counts, summed exactly over the block's contexts *)
 let block_counts insts env =
   let table = Hashtbl.create 32 in
   List.iter
@@ -218,12 +226,18 @@ let block_counts insts env =
           in
           if not (Rat.is_zero v) then begin
             let key = (fname, b.P.id) in
-            let cur = Option.value ~default:0 (Hashtbl.find_opt table key) in
-            Hashtbl.replace table key (cur + Rat.to_int v)
+            let cur =
+              Option.value ~default:Rat.zero (Hashtbl.find_opt table key)
+            in
+            Hashtbl.replace table key (Rat.add cur v)
           end)
         inst.Structural.func.P.blocks)
     insts;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] |> List.sort compare
+  Hashtbl.fold
+    (fun ((fname, b) as k) v acc ->
+      (k, native (Printf.sprintf "the count of %s block B%d" fname b) v) :: acc)
+    table []
+  |> List.sort compare
 
 (* constraints with zero slack at the optimum, excluding plain flow
    equations: these are the loop bounds and path facts that actually
@@ -244,7 +258,12 @@ let binding_constraints constraints env =
    the constraints the witness makes tight *)
 let extreme_of_witness insts (problem : Lp.t) ~bound witness =
   let env = Ipet_lp.Simplex.assignment_env witness in
-  { cycles = Rat.to_int bound;
+  let extreme =
+    match problem.Lp.direction with
+    | Lp.Maximize -> "the WCET"
+    | Lp.Minimize -> "the BCET"
+  in
+  { cycles = native (extreme ^ " in cycles") bound;
     counts = block_counts insts env;
     binding = binding_constraints problem.Lp.constraints env }
 

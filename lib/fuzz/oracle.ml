@@ -23,6 +23,7 @@ type failure_kind =
   | Optimizer_divergence
   | Presolve_divergence
   | Certificate_reject
+  | Certificate_cold
   | Unexpected_exception
 
 let kind_name = function
@@ -34,6 +35,7 @@ let kind_name = function
   | Optimizer_divergence -> "optimizer-divergence"
   | Presolve_divergence -> "presolve-divergence"
   | Certificate_reject -> "certificate-reject"
+  | Certificate_cold -> "certificate-cold"
   | Unexpected_exception -> "unexpected-exception"
 
 type failure = { kind : failure_kind; detail : string }
@@ -145,6 +147,24 @@ let compare_observables ~(prog : P.t) m_ref m_opt ret_ref ret_opt =
 
 (* --- the oracle ---------------------------------------------------------- *)
 
+let certificate_finding what (c : Analysis.certificate option) =
+  match c with
+  | None ->
+    Some { kind = Certificate_reject;
+           detail = what ^ ": no certificate was produced" }
+  | Some { Analysis.verdict = Ipet_cert.Checker.Invalid reasons; _ } ->
+    Some { kind = Certificate_reject;
+           detail =
+             Printf.sprintf "%s certificate rejected: %s" what
+               (String.concat "; " reasons) }
+  | Some { Analysis.emit_from_witness = false; _ } ->
+    Some { kind = Certificate_cold;
+           detail =
+             what
+             ^ " certificate solve fell back to cold: the witness is not an \
+                optimal vertex of the certified LP" }
+  | Some _ -> None
+
 let run mach cache source =
   let ast, _env = parse source in
   let compiled = compile ~optimize:false source in
@@ -165,18 +185,10 @@ let run mach cache source =
   let bcet, wcet =
     (result.Analysis.bcet.Analysis.cycles, result.Analysis.wcet.Analysis.cycles)
   in
-  let check_cert what (c : Analysis.certificate option) =
-    match c with
-    | None -> fail Certificate_reject "%s: no certificate was produced" what
-    | Some c ->
-      (match c.Analysis.verdict with
-       | Ipet_cert.Checker.Valid _ -> ()
-       | Ipet_cert.Checker.Invalid reasons ->
-         fail Certificate_reject "%s certificate rejected: %s" what
-           (String.concat "; " reasons))
-  in
-  check_cert "wcet" result.Analysis.wcet_cert;
-  check_cert "bcet" result.Analysis.bcet_cert;
+  Option.iter (fun f -> raise (Reject f))
+    (certificate_finding "wcet" result.Analysis.wcet_cert);
+  Option.iter (fun f -> raise (Reject f))
+    (certificate_finding "bcet" result.Analysis.bcet_cert);
   (* presolve is required to be semantics-preserving: same bound either way *)
   let bcet_np, wcet_np =
     Analysis.estimated_bound { spec with Analysis.presolve = false }

@@ -6,7 +6,8 @@
 
     - the frontend accepts it and the analysis produces a bound;
     - both bounds come with duality certificates that the trusted checker
-      ({!Ipet_cert.Checker}) accepts in exact rational arithmetic;
+      ({!Ipet_cert.Checker}) accepts in exact rational arithmetic, each
+      solved from the analysis's own witness;
     - the ILP objective is identical with and without presolve;
     - a cold simulated run of [main] finishes and its cycle count lies
       inside the estimated bound [[BCET, WCET]] (Fig. 1);
@@ -28,6 +29,10 @@ type failure_kind =
   | Presolve_divergence   (** presolve changed an ILP objective value *)
   | Certificate_reject
       (** the trusted checker refused a bound's duality certificate *)
+  | Certificate_cold
+      (** a certificate's LP solve could not start at the witness and fell
+          back to the cold route: the reported witness is not an optimal
+          vertex of the certified LP *)
   | Unexpected_exception
 
 val kind_name : failure_kind -> string
@@ -37,6 +42,12 @@ type failure = { kind : failure_kind; detail : string }
 type stats = { bcet : int; wcet : int; cycles : int; instructions : int }
 
 type verdict = Pass of stats | Fail of failure
+
+val certificate_finding :
+  string -> Ipet.Analysis.certificate option -> failure option
+(** [certificate_finding what c] is the certificate check {!check} makes
+    on one bound ([what] names it): no certificate or a rejected one is a
+    [Certificate_reject], one solved cold a [Certificate_cold]. *)
 
 val check :
   ?mach:Ipet_machine.Machine.t ->

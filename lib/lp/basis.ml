@@ -16,6 +16,11 @@ type t = {
   int_of_ext : int array;       (* internal position of external row i *)
   mutable perm_trivial : bool;
   scratch : Rat.t array;        (* length m, kept all-zero between uses *)
+  (* elimination state, length m: the internal rows pivoted so far, and
+     the touched support of the column being eliminated *)
+  pivoted : bool array;
+  touched : int array;
+  in_touch : bool array;
 }
 
 let dummy_eta = { erow = 0; epiv = Rat.one; eidx = [||]; evals = [||] }
@@ -26,7 +31,10 @@ let create m =
     n = 0;
     int_of_ext = Array.init m (fun i -> i);
     perm_trivial = true;
-    scratch = Array.make m Rat.zero }
+    scratch = Array.make m Rat.zero;
+    pivoted = Array.make m false;
+    touched = Array.make m 0;
+    in_touch = Array.make m false }
 
 let dim t = t.m
 let neta t = t.n
@@ -119,9 +127,80 @@ let append t ~pivot_row ~alpha =
   assert (not (Rat.is_zero epiv));
   push t { erow = erow_int; epiv; eidx; evals }
 
+(* The column-elimination kernel of [refactor] and [eliminate]: load [c]
+   into the all-zero scratch, run it through the etas built so far
+   (tracking the touched support to avoid O(m) clears), pivot it on the
+   smallest unpivoted internal row where its image is nonzero and push
+   that eta. Returns the pivot row, or -1 with nothing pushed when the
+   image is zero on every unpivoted row. The scratch is all-zero again on
+   return. *)
+let eliminate_col t (c : Sparse.col) =
+  let v = t.scratch and touched = t.touched and in_touch = t.in_touch in
+  let ntouch = ref 0 in
+  let touch i =
+    if not in_touch.(i) then begin
+      in_touch.(i) <- true;
+      touched.(!ntouch) <- i;
+      incr ntouch
+    end
+  in
+  for k = 0 to Array.length c.Sparse.rows - 1 do
+    let i = c.Sparse.rows.(k) in
+    touch i;
+    v.(i) <- Rat.add v.(i) c.Sparse.vals.(k)
+  done;
+  for k = 0 to t.n - 1 do
+    let e = t.etas.(k) in
+    let vr = v.(e.erow) in
+    if not (Rat.is_zero vr) then begin
+      let vr = Rat.div vr e.epiv in
+      v.(e.erow) <- vr;
+      for l = 0 to Array.length e.eidx - 1 do
+        let i = e.eidx.(l) in
+        let d = Rat.mul e.evals.(l) vr in
+        if not (Rat.is_zero d) then begin
+          touch i;
+          v.(i) <- Rat.sub v.(i) d
+        end
+      done
+    end
+  done;
+  let r = ref (-1) in
+  for k = 0 to !ntouch - 1 do
+    let i = touched.(k) in
+    if (not t.pivoted.(i)) && (not (Rat.is_zero v.(i))) && (!r = -1 || i < !r)
+    then r := i
+  done;
+  let r = !r in
+  if r >= 0 then begin
+    let noff = ref 0 in
+    for k = 0 to !ntouch - 1 do
+      let i = touched.(k) in
+      if i <> r && not (Rat.is_zero v.(i)) then incr noff
+    done;
+    let eidx = Array.make !noff 0 and evals = Array.make !noff Rat.zero in
+    let l = ref 0 in
+    for k = 0 to !ntouch - 1 do
+      let i = touched.(k) in
+      if i <> r && not (Rat.is_zero v.(i)) then begin
+        eidx.(!l) <- i;
+        evals.(!l) <- v.(i);
+        incr l
+      end
+    done;
+    push t { erow = r; epiv = v.(r); eidx; evals };
+    t.pivoted.(r) <- true
+  end;
+  for k = 0 to !ntouch - 1 do
+    v.(touched.(k)) <- Rat.zero;
+    in_touch.(touched.(k)) <- false
+  done;
+  r
+
 let refactor t ~col_of ~basis =
   let m = t.m in
   t.n <- 0;
+  Array.fill t.pivoted 0 m false;
   (* process sparsest columns first: unit slack/artificial columns produce
      trivial etas and no fill; ties broken by row for determinism *)
   let order = Array.init m (fun i -> i) in
@@ -131,87 +210,18 @@ let refactor t ~col_of ~basis =
       and nj = Array.length (col_of basis.(j)).Sparse.rows in
       if ni <> nj then compare ni nj else compare i j)
     order;
-  let row_pivoted = Array.make m false in
-  let v = t.scratch in  (* all zeros on entry *)
-  let touched = Array.make m 0 in
-  let in_touch = Array.make m false in
   Array.iter
     (fun ext_row ->
-      let c = col_of basis.(ext_row) in
-      (* load the column and run it through the etas built so far,
-         tracking the touched support to avoid O(m) clears *)
-      let ntouch = ref 0 in
-      let touch i =
-        if not in_touch.(i) then begin
-          in_touch.(i) <- true;
-          touched.(!ntouch) <- i;
-          incr ntouch
-        end
-      in
-      for k = 0 to Array.length c.Sparse.rows - 1 do
-        let i = c.Sparse.rows.(k) in
-        touch i;
-        v.(i) <- Rat.add v.(i) c.Sparse.vals.(k)
-      done;
-      for k = 0 to t.n - 1 do
-        let e = t.etas.(k) in
-        let vr = v.(e.erow) in
-        if not (Rat.is_zero vr) then begin
-          let vr = Rat.div vr e.epiv in
-          v.(e.erow) <- vr;
-          for l = 0 to Array.length e.eidx - 1 do
-            let i = e.eidx.(l) in
-            let d = Rat.mul e.evals.(l) vr in
-            if not (Rat.is_zero d) then begin
-              touch i;
-              v.(i) <- Rat.sub v.(i) d
-            end
-          done
-        end
-      done;
-      (* deterministic pivot: smallest unpivoted internal row with a
-         nonzero transformed entry *)
-      let pivot = ref (-1) in
-      for k = 0 to !ntouch - 1 do
-        let i = touched.(k) in
-        if (not row_pivoted.(i)) && not (Rat.is_zero v.(i))
-           && (!pivot = -1 || i < !pivot)
-        then pivot := i
-      done;
-      if !pivot = -1 then begin
-        (* clean up scratch before bailing out *)
-        for k = 0 to !ntouch - 1 do
-          v.(touched.(k)) <- Rat.zero;
-          in_touch.(touched.(k)) <- false
-        done;
-        raise Singular
-      end;
-      let r = !pivot in
-      let noff = ref 0 in
-      for k = 0 to !ntouch - 1 do
-        let i = touched.(k) in
-        if i <> r && not (Rat.is_zero v.(i)) then incr noff
-      done;
-      let eidx = Array.make !noff 0 and evals = Array.make !noff Rat.zero in
-      let l = ref 0 in
-      for k = 0 to !ntouch - 1 do
-        let i = touched.(k) in
-        if i <> r && not (Rat.is_zero v.(i)) then begin
-          eidx.(!l) <- i;
-          evals.(!l) <- v.(i);
-          incr l
-        end
-      done;
-      push t { erow = r; epiv = v.(r); eidx; evals };
-      row_pivoted.(r) <- true;
-      t.int_of_ext.(ext_row) <- r;
-      for k = 0 to !ntouch - 1 do
-        v.(touched.(k)) <- Rat.zero;
-        in_touch.(touched.(k)) <- false
-      done)
+      let r = eliminate_col t (col_of basis.(ext_row)) in
+      if r < 0 then raise Singular;
+      t.int_of_ext.(ext_row) <- r)
     order;
   let trivial = ref true in
   for i = 0 to m - 1 do
     if t.int_of_ext.(i) <> i then trivial := false
   done;
   t.perm_trivial <- !trivial
+
+let eliminate t c =
+  let r = eliminate_col t c in
+  if r < 0 then None else Some r

@@ -40,6 +40,14 @@ let is_const e = SMap.is_empty e.terms
 
 let equal a b = SMap.equal Rat.equal a.terms b.terms && Rat.equal a.const b.const
 
+(* folded over the bindings in variable order, never over the map's tree,
+   whose shape depends on how the expression was built; [Rat.t] values
+   have one representation each, so the generic hash is a value hash *)
+let hash e =
+  SMap.fold
+    (fun name c h -> (((h * 31) + Hashtbl.hash name) * 31) + Hashtbl.hash c)
+    e.terms (Hashtbl.hash e.const)
+
 let pp fmt e =
   let pp_term first name c =
     let s = Rat.sign c in

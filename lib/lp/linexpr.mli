@@ -33,6 +33,11 @@ val eval : (string -> Rat.t) -> t -> Rat.t
 
 val is_const : t -> bool
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** A hash consistent with {!equal}: it depends on the terms and the
+    constant only, not on how the expression was built. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -16,7 +16,18 @@
    No reduction reads the objective, so the fixpoint runs over the
    constraints alone and each objective is reduced afterwards ([emit]):
    replaying the definitions into it, oldest first, performs exactly the
-   substitutions the fixpoint performed on the rows. *)
+   substitutions the fixpoint performed on the rows.
+
+   A substitution touches only the rows that mention the variable: a
+   variable -> rows occurrence index, kept as cons lists, holds every row
+   in which the variable has a nonzero coefficient. Entries are never
+   removed one by one; an entry goes stale when its row dies or the
+   variable cancels out of it (a row indexed twice under one variable is
+   the same case after its first rewrite), and a substitution skips stale
+   entries by reading the coefficient. Rows that an elimination creates
+   wait in a per-pass pending list and join [rows] after the pass, in
+   creation order, so every pass visits the rows in the same order as a
+   fixpoint that appended them at once. *)
 
 open Ipet_num
 
@@ -56,6 +67,8 @@ type row = {
 type state = {
   integer : bool;
   mutable rows : row list;  (* in original order; killed rows keep their slot *)
+  mutable pending : row list;  (* made by this pass's eliminations, newest first *)
+  occ : (string, row list) Hashtbl.t;  (* variable -> rows that may mention it *)
   mutable defs : (string * Linexpr.t) list;  (* most recent first *)
   exp_ub : (string, Rat.t * string * int) Hashtbl.t;
   exp_lb : (string, Rat.t * string * int) Hashtbl.t;  (* always > 0 *)
@@ -103,18 +116,42 @@ let integral_expr e =
 
 (* --- substitution -------------------------------------------------------- *)
 
+(* list [r] under each variable of [e] *)
+let index st r e =
+  Linexpr.fold_terms
+    (fun v _ () ->
+      let rs = Option.value (Hashtbl.find_opt st.occ v) ~default:[] in
+      Hashtbl.replace st.occ v (r :: rs))
+    e ()
+
 let subst_expr expr v e =
   let c = Linexpr.coeff expr v in
   if Rat.is_zero c then expr
   else Linexpr.add expr (Linexpr.scale c (Linexpr.sub e (Linexpr.var v)))
 
+(* [v := e] in every live row that mentions [v]; no row mentions [v]
+   afterwards, so its index entry goes *)
 let substitute st v e =
   st.defs <- (v, e) :: st.defs;
   Hashtbl.remove st.exp_ub v;
   Hashtbl.remove st.exp_lb v;
   Hashtbl.remove st.imp_ub v;
   Hashtbl.remove st.imp_lb v;
-  List.iter (fun r -> if r.live then r.expr <- subst_expr r.expr v e) st.rows;
+  (match Hashtbl.find_opt st.occ v with
+   | None -> ()
+   | Some rs ->
+     Hashtbl.remove st.occ v;
+     let step = Linexpr.sub e (Linexpr.var v) in
+     List.iter
+       (fun r ->
+         if r.live then begin
+           let c = Linexpr.coeff r.expr v in
+           if not (Rat.is_zero c) then begin
+             r.expr <- Linexpr.add r.expr (Linexpr.scale c step);
+             index st r e
+           end
+         end)
+       rs);
   st.changed <- true
 
 let fix st v value ~why =
@@ -392,44 +429,39 @@ let try_eliminate st r =
     | Some ((v, e), needs_guard) ->
       kill st r;
       (* the eliminated variable's constraints move onto its definition *)
-      let extra = ref [] in
-      if needs_guard then
-        extra :=
-          { expr = Linexpr.neg e; rel = Lp_problem.Le; origin = r.origin;
-            idx = r.idx; live = true }
-          :: !extra;
-      (match Hashtbl.find_opt st.exp_ub v with
-       | Some (u, origin, idx) ->
-         extra :=
-           { expr = Linexpr.sub e (Linexpr.const u); rel = Lp_problem.Le;
-             origin; idx; live = true }
-           :: !extra
-       | None -> ());
+      let add expr ~origin ~idx =
+        let row = { expr; rel = Lp_problem.Le; origin; idx; live = true } in
+        index st row expr;
+        st.pending <- row :: st.pending
+      in
       (match Hashtbl.find_opt st.exp_lb v with
        | Some (l, origin, idx) ->
-         extra :=
-           { expr = Linexpr.sub (Linexpr.const l) e; rel = Lp_problem.Le;
-             origin; idx; live = true }
-           :: !extra
+         add (Linexpr.sub (Linexpr.const l) e) ~origin ~idx
        | None -> ());
-      st.rows <- st.rows @ !extra;
+      (match Hashtbl.find_opt st.exp_ub v with
+       | Some (u, origin, idx) ->
+         add (Linexpr.sub e (Linexpr.const u)) ~origin ~idx
+       | None -> ());
+      if needs_guard then add (Linexpr.neg e) ~origin:r.origin ~idx:r.idx;
       substitute st v e;
       st.substituted <- st.substituted + 1
   end
 
 (* --- driver -------------------------------------------------------------- *)
 
+module Row_key = Hashtbl.Make (struct
+  type t = Lp_problem.relation * Linexpr.t
+  let equal (r1, e1) (r2, e2) = r1 = r2 && Linexpr.equal e1 e2
+  let hash (rel, e) = (Hashtbl.hash rel * 31) + Linexpr.hash e
+end)
+
 let dedup st =
-  let seen = Hashtbl.create 64 in
+  let seen = Row_key.create 64 in
   List.iter
     (fun r ->
       if r.live then begin
-        let key =
-          (match r.rel with Lp_problem.Le -> "L" | Lp_problem.Eq -> "E"
-                          | Lp_problem.Ge -> assert false)
-          ^ Linexpr.to_string r.expr
-        in
-        if Hashtbl.mem seen key then kill st r else Hashtbl.add seen key ()
+        let key = (r.rel, r.expr) in
+        if Row_key.mem seen key then kill st r else Row_key.add seen key ()
       end)
     st.rows
 
@@ -505,6 +537,8 @@ let fixpoint ?(integer = true) constraints =
   let st =
     { integer;
       rows = List.mapi intake constraints;
+      pending = [];
+      occ = Hashtbl.create 64;
       defs = [];
       exp_ub = Hashtbl.create 64;
       exp_lb = Hashtbl.create 64;
@@ -514,6 +548,7 @@ let fixpoint ?(integer = true) constraints =
       substituted = 0;
       fixed = 0 }
   in
+  List.iter (fun r -> index st r r.expr) st.rows;
   let rounds = ref 0 in
   let reached =
     match
@@ -522,13 +557,19 @@ let fixpoint ?(integer = true) constraints =
         incr rounds;
         dedup st;
         List.iter (process_row st) st.rows;
-        List.iter (try_eliminate st) st.rows
+        List.iter (try_eliminate st) st.rows;
+        if st.pending <> [] then begin
+          st.rows <- st.rows @ List.rev st.pending;
+          st.pending <- []
+        end
       done
     with
     | () -> Ok (st, List.rev st.defs)
     | exception Infeasible reason ->
       Error (reason, List.length (List.filter (fun r -> r.live) st.rows))
   in
+  (* [emit] reads the rows, bounds and definitions, never the index *)
+  Hashtbl.reset st.occ;
   { vars =
       List.fold_left
         (fun acc (c : Lp_problem.constr) -> add_vars c.Lp_problem.expr acc)

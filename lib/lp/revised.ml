@@ -221,12 +221,19 @@ let solve_primal inst ~cost =
   let st = cold_state inst in
   finish st (cold st ~cost_full:(full_cost inst cost))
 
-(* The basis of the vertex [start] (structural values), built on the
-   identity basis without pricing or ratio tests: every positive column,
-   structural or slack/surplus, is pivoted into a row whose basic column
-   is zero at [start], rows still held by an artificial first. Then
-   [beta = B^-1 b] is recomputed and checked rather than trusted, and the
-   artificials left basic at zero are swapped out by [drive_out].
+(* The basis of the vertex [start] (structural values), factored in one
+   sparse elimination pass without pricing or ratio tests. The candidates
+   are every positive column, structural then slack/surplus, in column
+   order, then the zero-valued real columns in column order; each is
+   pivoted on the smallest unpivoted row where its image under the etas so
+   far is nonzero and becomes that row's basic column, or is skipped when
+   it depends on the columns already taken. A skipped positive column
+   means [start] is not a vertex. The pass stops once every row is
+   covered. A row left uncovered keeps its unit column, an artificial (a
+   row with a slack or surplus is always covered): the row is redundant
+   and its artificial stays basic at zero. Then [beta = B^-1 b] is
+   recomputed and checked rather than trusted, and [drive_out] sees only
+   the uncovered rows.
    @raise Stuck when [start] is negative, violates a row, or its positive
    columns are linearly dependent (a point that is not a vertex). *)
 let vertex_state inst ~start =
@@ -264,26 +271,26 @@ let vertex_state inst ~start =
       raise Stuck
   done;
   let st = cold_state inst in
-  let zero_at j = Rat.is_zero x.(j) in
+  let covered = ref 0 in
+  let take q =
+    match Basis.eliminate st.fac inst.Sparse.cols.(q) with
+    | None -> false
+    | Some r ->
+      st.basic.(st.basis.(r)) <- false;
+      st.basis.(r) <- q;
+      st.basic.(q) <- true;
+      incr covered;
+      true
+  in
   for q = 0 to art_start - 1 do
-    if (not (zero_at q)) && not st.basic.(q) then begin
-      Array.fill st.alpha 0 m Rat.zero;
-      load_col st st.alpha q;
-      Basis.ftran st.fac st.alpha;
-      let r = ref (-1) in
-      for i = 0 to m - 1 do
-        let bi = st.basis.(i) in
-        if zero_at bi && (not (Rat.is_zero st.alpha.(i)))
-           && (!r < 0 || (bi >= art_start && st.basis.(!r) < art_start))
-        then r := i
-      done;
-      if !r < 0 then raise Stuck;
-      (* no refactorization here: these etas already are a product-form
-         factorization of the vertex basis, one per column, and rebuilding
-         them every [refactor_every] pivots costs more than it saves *)
-      pivot st ~r:!r ~q
-    end
+    if Rat.sign x.(q) > 0 && not (take q) then raise Stuck
   done;
+  let q = ref 0 in
+  while !covered < m && !q < art_start do
+    if Rat.is_zero x.(!q) then ignore (take !q);
+    incr q
+  done;
+  st.nrefactors <- 1;
   (* every nonbasic column sits at 0, so x_B = B^-1 b *)
   Array.blit inst.Sparse.rhs 0 st.beta 0 m;
   Basis.ftran st.fac st.beta;

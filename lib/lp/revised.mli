@@ -32,8 +32,13 @@ type verdict = Optimal of solution | Infeasible | Unbounded
 
 type run = {
   verdict : verdict;
-  pivots : int;             (** basis changes, phases 1 and 2 combined *)
-  refactors : int;          (** basis refactorizations performed *)
+  pivots : int;
+      (** basis changes, phases 1 and 2 combined; for {!solve_at} from
+          the given point, the phase-2 basis changes only (building the
+          start basis is a factorization, not a pivot) *)
+  refactors : int;
+      (** basis factorizations performed; {!solve_at} from the given
+          point counts the factorization of its start basis *)
 }
 
 val solve_primal : Sparse.t -> cost:Rat.t array -> run
@@ -53,16 +58,20 @@ type priced = {
 val solve_at : Sparse.t -> cost:Rat.t array -> start:Rat.t array -> priced
 (** Maximize [cost] (as for {!solve_primal}) starting at [start], the
     value of each structural column (length [nstruct]). The basis of
-    [start] is built on the identity basis without pricing or ratio
-    tests: each positive column (structural or slack) is pivoted into a
-    row whose basic column is zero at [start], [B⁻¹b] is recomputed and
-    checked non-negative, and the artificials left basic at zero are
-    swapped for zero-valued columns. The Bland phase 2 of
-    {!solve_primal} then finishes from there; the row prices are the
+    [start] is factored in one sparse elimination pass
+    ({!Basis.eliminate}), without pricing or ratio tests. The candidate
+    columns are the positive columns (structural, then slack/surplus) in
+    column order, then the zero-valued real columns in column order, until
+    every row is covered. Each is pivoted on the smallest unpivoted row
+    where its image is nonzero and becomes that row's basic column, or is
+    skipped when it depends on the columns already taken. A row no real
+    column covers is redundant and keeps its artificial, basic at zero.
+    [B⁻¹b] is then recomputed and checked non-negative. The Bland phase 2
+    of {!solve_primal} finishes from there; the row prices are the
     pricing vector of its last iteration, so they cost no extra BTRAN.
 
     When [start] is negative, violates a row, or is not a vertex (its
-    positive columns are linearly dependent), the solve falls back to
-    the cold {!solve_primal} route and [started] is [false]. [pivots]
-    and [refactors] count the route that finished. The result is a pure
-    function of the arguments either way. *)
+    positive columns are linearly dependent, so the pass skips one), the
+    solve falls back to the cold {!solve_primal} route and [started] is
+    [false]. [pivots] and [refactors] count the route that finished. The
+    result is a pure function of the arguments either way. *)

@@ -310,14 +310,49 @@ let cold_lp_optimum (p : P.t) =
   | Revised.Infeasible | Revised.Unbounded ->
     Alcotest.fail "cold LP relaxation not optimal"
 
+(* the witness basis is completed by zero-valued columns *)
+
+(* max x + y  s.t.  x + y <= 2, x - y = 2 at (2, 0): a degenerate vertex.
+   Its one positive column, x, covers the first row; the zero-valued y
+   covers the equality, so the basis is complete, and optimal, without a
+   pivot *)
+let test_degenerate_witness () =
+  let open L.Infix in
+  let p =
+    P.make P.Maximize (v "x" + v "y")
+      [ P.le (v "x" + v "y") (int 2); P.eq (v "x" - v "y") (int 2) ]
+  in
+  let e = emit p ~witness:[ ("x", Rat.of_int 2) ] ~bound:(Rat.of_int 2) in
+  check_bool "solved from the witness" true e.Certify.from_witness;
+  check_int "no pivot" 0 e.Certify.pivots;
+  check_bool "gap closed" true
+    (Checker.gap_closed (Checker.check p e.Certify.cert))
+
+(* a duplicated equality row: no real column covers the copy, so its
+   artificial stays basic at zero and the solve still starts at the
+   witness *)
+let test_duplicate_row_witness () =
+  let open L.Infix in
+  let p =
+    P.make P.Maximize (v "x" + (2 * v "y"))
+      [ P.eq (v "x" + v "y") (int 3); P.eq (v "x" + v "y") (int 3);
+        P.le (v "y") (int 2) ]
+  in
+  let e =
+    emit p ~witness:[ ("x", Rat.one); ("y", Rat.of_int 2) ]
+      ~bound:(Rat.of_int 5)
+  in
+  check_bool "solved from the witness" true e.Certify.from_witness;
+  check_bool "gap closed" true
+    (Checker.gap_closed (Checker.check p e.Certify.cert))
+
 (* every ILP of a generated program on both machines: the certificate
    started at the solver's witness checks with the gap closed, never falls
    back, and agrees with the cold solve on everything but the duals *)
-let prop_gen_witness_start =
-  QCheck.Test.make ~name:"generated programs certify from the witness"
-    ~count:25 QCheck.(int_bound 100_000)
+let gen_witness_start ~name ~count case_of_seed =
+  QCheck.Test.make ~name ~count QCheck.(int_bound 100_000)
     (fun seed ->
-      let case = Ipet_fuzz.Gen.case seed in
+      let case = case_of_seed seed in
       let source = Ipet_fuzz.Render.program case.Ipet_fuzz.Gen.prog in
       let ast, _ = Ipet_lang.Frontend.parse_and_check source in
       let prog =
@@ -345,6 +380,16 @@ let prop_gen_witness_start =
                 && c.Cert.digest = Cert.digest_problem p)
             (A.wcet_problems spec @ A.bcet_problems spec))
         Ipet_machine.Machine.[ e32; m7 ])
+
+let prop_gen_witness_start =
+  gen_witness_start ~name:"generated programs certify from the witness"
+    ~count:25 Ipet_fuzz.Gen.case
+
+(* gen-certify's size band, where the witness basis is large *)
+let prop_sized_witness_start =
+  gen_witness_start
+    ~name:"sized generated programs certify from the witness" ~count:10
+    (Ipet_fuzz.Gen.case_sized ~stmt_budget:40)
 
 (* --- the whole suite, certified ------------------------------------------- *)
 
@@ -378,7 +423,7 @@ let certified_suite () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mutated_dual; prop_mutated_witness; prop_mutated_coefficient;
-      prop_gen_witness_start ]
+      prop_gen_witness_start; prop_sized_witness_start ]
 
 let suite =
   [ ("checker accepts a maximization certificate", `Quick,
@@ -393,5 +438,9 @@ let suite =
     ("a non-vertex witness falls back to the cold start", `Quick,
      test_non_vertex_witness);
     ("a row-breaking witness falls back to the cold start", `Quick,
-     test_row_breaking_witness) ]
+     test_row_breaking_witness);
+    ("a degenerate witness completes its basis with zero columns", `Quick,
+     test_degenerate_witness);
+    ("a duplicated row keeps its artificial at zero", `Quick,
+     test_duplicate_row_witness) ]
   @ props

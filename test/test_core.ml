@@ -307,6 +307,40 @@ let test_missing_loop_bound_detected () =
        (* the message should name the function *)
        String.length msg > 0)
 
+(* piksrt with its inner loop bounded by [hi] and no functionality
+   constraints, as `bench export` writes it *)
+let piksrt_bounded hi =
+  let b = Ipet_suite.Suite.find "piksrt" in
+  let prog = (compile b.Ipet_suite.Bspec.source).Compile.prog in
+  Analysis.spec prog ~root:"piksrt"
+    ~loop_bounds:
+      [ Annotation.loop ~func:"piksrt" ~line:5 ~lo:9 ~hi:9;
+        Annotation.loop ~func:"piksrt" ~line:8 ~lo:0 ~hi ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* counts and cycles beyond int63 are analysis errors naming what
+   overflowed: the first bound overflows a block count, the second only
+   the WCET in cycles *)
+let test_int63_overflow () =
+  let expect hi needle =
+    match Analysis.analyze (piksrt_bounded hi) with
+    | _ -> Alcotest.failf "bound %d: no analysis error" hi
+    | exception Analysis.Analysis_error msg ->
+      check_bool (Printf.sprintf "bound %d: %s" hi msg) true
+        (contains msg needle)
+  in
+  expect 4611686018427387903 "the count of piksrt block";
+  expect 10_000_000_000_000_000 "the WCET in cycles";
+  check_bool "a bound of 10^15 still fits" true
+    ((Analysis.analyze (piksrt_bounded 1_000_000_000_000_000))
+       .Analysis.wcet.Analysis.cycles > 0)
+
 (* --- caller/callee constraints (Fig. 6) --------------------------------- *)
 
 let fig6_src = {|
@@ -450,5 +484,6 @@ let suite =
     ("check_data WCET = calculated", `Quick, test_check_data_wcet_equals_calculated);
     ("check_data functionality tightens", `Quick, test_check_data_functionality_tightens);
     ("missing loop bound detected", `Quick, test_missing_loop_bound_detected);
-    ("fig6 caller/callee constraint", `Quick, test_fig6_scoped_constraint) ]
+    ("fig6 caller/callee constraint", `Quick, test_fig6_scoped_constraint);
+    ("int63 overflow is an analysis error", `Quick, test_int63_overflow) ]
   @ props

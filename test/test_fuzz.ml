@@ -153,6 +153,33 @@ let test_oracle_classifies () =
    | Oracle.Fail f -> Alcotest.fail ("expected frontend-reject, got " ^ Oracle.kind_name f.Oracle.kind)
    | Oracle.Pass _ -> Alcotest.fail "expected frontend-reject, got pass")
 
+(* a certificate solved cold is a finding of its own: the reported witness
+   was not an optimal vertex of the certified LP *)
+let test_oracle_certificate_cold () =
+  let source = "int main() { int i; int s; s = 0;\n\
+                for (i = 0; i < 4; i = i + 1) { s = s + i; }\n\
+                return s; }" in
+  let ast, _ = Ipet_lang.Frontend.parse_and_check source in
+  let prog = (Ipet_lang.Frontend.compile_string_exn source).Ipet_lang.Compile.prog in
+  let spec =
+    Ipet.Analysis.spec ~loop_bounds:(Ipet.Autobound.infer ast) ~root:"main" prog
+  in
+  let r = Ipet.Analysis.analyze ~certify:true spec in
+  let kind c =
+    Option.map (fun f -> Oracle.kind_name f.Oracle.kind)
+      (Oracle.certificate_finding "wcet" c)
+  in
+  let show = function None -> "none" | Some k -> k in
+  let wcet = r.Ipet.Analysis.wcet_cert in
+  check_string "from the witness" "none" (show (kind wcet));
+  check_string "fell back to cold" "certificate-cold"
+    (show
+       (kind
+          (Option.map
+             (fun c -> { c with Ipet.Analysis.emit_from_witness = false })
+             wcet)));
+  check_string "no certificate" "certificate-reject" (show (kind None))
+
 (* --- a short live run ----------------------------------------------------- *)
 
 let fuzz_run ~mach ~seed ~iters =
@@ -287,5 +314,7 @@ let suite =
     ("25-case fuzz run on m7", `Slow, test_fuzz_run_m7);
     ("shrinker minimizes", `Quick, test_shrinker_minimizes);
     ("ALU differential, exhaustive shifts", `Quick,
-     test_alu_differential_exhaustive_shifts) ]
+     test_alu_differential_exhaustive_shifts);
+    ("oracle: a cold certificate solve is a finding", `Quick,
+     test_oracle_certificate_cold) ]
   @ props

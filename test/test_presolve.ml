@@ -197,6 +197,71 @@ let test_shared_fixpoint () =
     [ ("max", P.Maximize, (2 * v "x") + v "y" + (5 * v "e") + v "z", "entry bound");
       ("min", P.Minimize, v "x" + v "y" + v "f" + v "z", "warm floor") ]
 
+(* --- the occurrence index ------------------------------------------------- *)
+
+(* A substitution rewrites only the rows its variable's index entry lists.
+   Each case below presolves a small system whose rows the index must
+   follow through a pass, then checks the reduced problem against its
+   pinned form, the optimum against the un-presolved ILP, and the
+   postsolved witness against every original row. *)
+let check_reduction what p ~expected =
+  Alcotest.(check string) (what ^ ": reduced problem") expected
+    (Format.asprintf "%a" P.pp (reduced (Pre.run p)).Pre.problem);
+  match I.solve ~presolve:true p with
+  | I.Optimal { value; assignment; _ } ->
+    Alcotest.check rat_testable (what ^ ": optimum")
+      (ilp_value p ~presolve:false) value;
+    check_bool (what ^ ": postsolved witness is feasible") true
+      (P.feasible (Ipet_lp.Simplex.assignment_env assignment) p)
+  | I.Infeasible _ | I.Unbounded _ -> Alcotest.failf "%s: not optimal" what
+
+(* "cap" is rewritten by three substitutions in a row, p := u, q := u + v
+   and r := v, all in the first pass *)
+let test_index_repeated_rewrites () =
+  let open L.Infix in
+  check_reduction "repeated rewrites"
+    (lp_max
+       (v "p" + (2 * v "q") + (3 * v "r"))
+       [ P.le ~origin:"cap" (v "p" + v "q" + v "r") (int 12);
+         P.eq ~origin:"dp" (v "p") (v "u");
+         P.eq ~origin:"dq" (v "q") (v "u" + v "v");
+         P.eq ~origin:"dr" (v "r") (v "v") ])
+    ~expected:"maximize 3 u + 5 v\nsubject to:\n  2 u + 2 v <= 12   [cap]\n\
+               \  (all variables >= 0)"
+
+(* a := b + c cancels b out of "gap", leaving a stale index entry; c :=
+   b + d puts b back, so "gap" is listed twice under b when b := e is
+   substituted, and is rewritten once *)
+let test_index_stale_entries () =
+  let open L.Infix in
+  check_reduction "stale entries"
+    (lp_max
+       (v "a" + v "b" + v "c" + v "d" + v "e")
+       [ P.le ~origin:"gap" (v "a" - v "b") (int 3);
+         P.eq ~origin:"da" (v "a" - v "b" - v "c") (int 0);
+         P.eq ~origin:"dc" (v "c" - v "b" - v "d") (int 0);
+         P.eq ~origin:"db" (v "b") (v "e") ])
+    ~expected:"maximize 3 d + 5 e\nsubject to:\n  d + e <= 3   [gap]\n\
+               \  (all variables >= 0)"
+
+(* the eliminations of w (explicit bound w <= 4) and of g (no definition
+   is non-negative, so it takes a guard) create a bound row over p, q and
+   a guard row over h; p := s and h := k, later in the same pass, must
+   rewrite those pending rows. The guard row ends as the bound k <= 5 *)
+let test_index_pending_rows () =
+  let open L.Infix in
+  check_reduction "pending rows"
+    (lp_max
+       (v "w" + v "g" + (2 * v "s") + v "q" + (2 * v "k"))
+       [ P.le ~origin:"w cap" (v "w") (int 4);
+         P.eq ~origin:"dw" (v "w") (v "p" + v "q");
+         P.eq ~origin:"dg" (v "g" + v "h") (int 5);
+         P.eq ~origin:"dp" (v "p") (v "s");
+         P.eq ~origin:"dh" (v "h") (v "k") ])
+    ~expected:"maximize k + 2 q + 3 s + 5\nsubject to:\n\
+               \  q + s <= 4   [w cap]\n  k <= 5   [dg]\n\
+               \  (all variables >= 0)"
+
 (* --- equivalence on the benchmark suite --------------------------------- *)
 
 (* Every ILP of every benchmark (both extremes, every surviving conjunctive
@@ -379,4 +444,9 @@ let suite =
     ("one fixpoint, two objectives", `Quick, test_shared_fixpoint);
     ("suite ILP equivalence", `Slow, test_suite_problem_equivalence);
     ("suite analysis equivalence", `Slow, test_suite_analysis_equivalence);
-    ("summary counts both extremes", `Quick, test_summary_counts_both_extremes) ]
+    ("summary counts both extremes", `Quick, test_summary_counts_both_extremes);
+    ("index: a row rewritten by several substitutions", `Quick,
+     test_index_repeated_rewrites);
+    ("index: stale and duplicate entries", `Quick, test_index_stale_entries);
+    ("index: rows created earlier in the pass", `Quick,
+     test_index_pending_rows) ]

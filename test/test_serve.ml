@@ -856,6 +856,21 @@ let test_protocol_errors () =
             [ ("root", J.Str "main");
               ("options", J.Obj [ ("timeout_ms", J.Int 0) ]) ]))
 
+(* counts or cycles beyond int63 reach the client as an analysis error *)
+let test_protocol_overflow () =
+  let source = (Ipet_suite.Suite.find "piksrt").Bspec.source in
+  List.iter
+    (fun hi ->
+      let annotations =
+        Printf.sprintf "root piksrt\nloop piksrt 5 9 9\nloop piksrt 8 0 %s\n" hi
+      in
+      let response, _ =
+        Protocol.handle_line pconfig
+          (analyze_request source ~extra:[ ("annotations", J.Str annotations) ])
+      in
+      check_string ("inner bound " ^ hi) "analysis" (response_code response))
+    [ "4611686018427387903"; "10000000000000000" ]
+
 let edit_annotations = "root main\nloop main 8 8 8\n"
 
 let test_protocol_requests () =
@@ -1453,4 +1468,6 @@ let suite =
       test_socket_both_machines;
     Alcotest.test_case "daemon: SIGTERM flushes every sink" `Quick
       test_sigterm_flush;
-    QCheck_alcotest.to_alcotest prop_json_parse_total ]
+    QCheck_alcotest.to_alcotest prop_json_parse_total;
+    Alcotest.test_case "protocol: int63 overflow is an analysis error" `Quick
+      test_protocol_overflow ]
