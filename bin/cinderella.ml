@@ -103,14 +103,6 @@ let load_annotations = function
      | Ipet.Constraint_parser.Parse_error msg ->
        Diag.fail ~file:path ~code:Diag.exit_input "%s" msg)
 
-let resolve_root root_flag (annotations : Ipet.Constraint_parser.annotation_file) =
-  match (root_flag, annotations.Ipet.Constraint_parser.root) with
-  | Some r, _ -> r
-  | None, Some r -> r
-  | None, None ->
-    Diag.fail ~code:Diag.exit_input
-      "no analysis root: pass --root or add a 'root' line to the annotations"
-
 let require_func prog name =
   match P.find_func_opt prog name with
   | Some f -> f
@@ -172,33 +164,54 @@ let finish_certificates ?cert_out (result : Ipet.Analysis.result) =
       | None -> ())
     sides
 
-(* the cache flags override the machine's own fetch geometry field-wise *)
-let resolve_cache mach cache_size line_size miss_penalty =
-  let d = Machine.fetch mach in
-  { Icache.size_bytes = Option.value ~default:d.Icache.size_bytes cache_size;
-    line_bytes = Option.value ~default:d.Icache.line_bytes line_size;
-    miss_penalty = Option.value ~default:d.Icache.miss_penalty miss_penalty }
+(* --- the analysis input ------------------------------------------------- *)
 
-(* --- analyze ------------------------------------------------------------- *)
-
-let analyze_cmd obs source_path annot_path root_flag mach cache_size line_size
-    miss_penalty verbose auto_bounds dump_lp sensitivity no_presolve lp_stats
-    certify cert_out =
-  setup_obs obs;
+(* What analyze, cfg and attribute read the same way ([input_term] applies
+   the arguments up to [~presolve]): load the program and its annotations
+   and build the analysis spec, or [None] when neither --root nor the
+   annotations name a root. The cache flags override the machine's own
+   fetch geometry field-wise. *)
+let load_input source_path annot_path root_flag auto_bounds mach cache_size
+    line_size miss_penalty ~presolve ~verbose =
   let src, compiled = load_program source_path in
   let annotations = load_annotations annot_path in
-  let root = resolve_root root_flag annotations in
   let prog = compiled.Compile.prog in
-  ignore (require_func prog root);
-  let cache = resolve_cache mach cache_size line_size miss_penalty in
-  let inferred =
-    if auto_bounds then infer_bounds ~verbose source_path src else []
-  in
-  let spec =
-    Ipet.Analysis.spec ~mach ~cache ~presolve:(not no_presolve)
+  let spec root =
+    ignore (require_func prog root);
+    let d = Machine.fetch mach in
+    let cache =
+      { Icache.size_bytes = Option.value ~default:d.Icache.size_bytes cache_size;
+        line_bytes = Option.value ~default:d.Icache.line_bytes line_size;
+        miss_penalty = Option.value ~default:d.Icache.miss_penalty miss_penalty }
+    in
+    let inferred =
+      if auto_bounds then infer_bounds ~verbose source_path src else []
+    in
+    Ipet.Analysis.spec ~mach ~cache ~presolve
       ~loop_bounds:(annotations.Ipet.Constraint_parser.loop_bounds @ inferred)
       ~functional:annotations.Ipet.Constraint_parser.functional ~root prog
   in
+  ( src,
+    compiled,
+    Option.map spec
+      (match root_flag with
+       | Some r -> Some r
+       | None -> annotations.Ipet.Constraint_parser.root) )
+
+let require_spec = function
+  | Some spec -> spec
+  | None ->
+    Diag.fail ~code:Diag.exit_input
+      "no analysis root: pass --root or add a 'root' line to the annotations"
+
+(* --- analyze ------------------------------------------------------------- *)
+
+let analyze_cmd obs load_input verbose dump_lp sensitivity no_presolve
+    lp_stats certify cert_out =
+  setup_obs obs;
+  let src, _, spec = load_input ~presolve:(not no_presolve) ~verbose in
+  let spec = require_spec spec in
+  let root = spec.Ipet.Analysis.root and prog = spec.Ipet.Analysis.prog in
   (match dump_lp with
    | Some path ->
      let dump kind problems =
@@ -267,37 +280,20 @@ let listing_cmd obs source_path func =
       print_string (Ipet.Report.annotated_source ~source:src prog ~func:f))
     funcs
 
-let cfg_cmd obs source_path func annot_path root_flag auto_bounds mach
-    cache_size line_size miss_penalty certify =
+let cfg_cmd obs load_input func certify =
   setup_obs obs;
-  let src, compiled = load_program source_path in
-  let prog = compiled.Compile.prog in
-  let f = require_func prog func in
+  let _, compiled, spec = load_input ~presolve:true ~verbose:false in
+  let f = require_func compiled.Compile.prog func in
   let cfg = Ipet_cfg.Cfg.of_func f in
   let dom = Ipet_cfg.Dominators.compute cfg in
   let loops = Ipet_cfg.Loops.detect cfg dom in
-  let annotations = load_annotations annot_path in
-  let root = match (root_flag, annotations.Ipet.Constraint_parser.root) with
-    | Some r, _ -> Some r
-    | None, r -> r
-  in
-  match root with
+  match spec with
   | None ->
     print_string (Ipet_cfg.Dot.cfg_to_dot ~highlight_loops:loops cfg)
-  | Some root ->
+  | Some spec ->
     (* with an analysis root available, annotate each node with its WCET
        witness count and per-block cost bounds, and fill the blocks on the
        worst-case path *)
-    ignore (require_func prog root);
-    let cache = resolve_cache mach cache_size line_size miss_penalty in
-    let inferred =
-      if auto_bounds then infer_bounds ~verbose:false source_path src else []
-    in
-    let spec =
-      Ipet.Analysis.spec ~mach ~cache
-        ~loop_bounds:(annotations.Ipet.Constraint_parser.loop_bounds @ inferred)
-        ~functional:annotations.Ipet.Constraint_parser.functional ~root prog
-    in
     let result = run_analysis ~certify spec in
     let costs = Ipet.Analysis.block_costs spec ~func in
     let count b =
@@ -402,14 +398,8 @@ let sim_cmd obs source_path root args sets flush profile mach =
   apply_sets m sets;
   if flush then Ipet_sim.Interp.flush_cache m;
   let arg_values = List.map (fun i -> Ipet_isa.Value.Vint i) args in
-  let result =
-    if profile then begin
-      let result, rows = Ipet_sim.Trace.profile m (fun () -> run_sim m root arg_values) in
-      Format.printf "%a@." Ipet_sim.Trace.pp_profile rows;
-      result
-    end
-    else run_sim m root arg_values
-  in
+  let result = run_sim m root arg_values in
+  if profile then Format.printf "%a@." Ipet_sim.Interp.pp_profile m;
   record_sim_metrics m;
   (match result with
    | Some v -> Format.printf "result: %a@." Ipet_isa.Value.pp v
@@ -432,27 +422,16 @@ let sim_cmd obs source_path root args sets flush profile mach =
    basic block how much of the estimate-vs-measurement gap it contributes:
    witness count x worst-case cost against measured count and self
    cycles. *)
-let attribute_cmd obs source_path annot_path root_flag args sets flush
-    auto_bounds mach cache_size line_size miss_penalty certify =
+let attribute_cmd obs load_input args sets flush certify =
   setup_obs obs;
-  let src, compiled = load_program source_path in
-  let annotations = load_annotations annot_path in
-  let root = resolve_root root_flag annotations in
-  let prog = compiled.Compile.prog in
-  ignore (require_func prog root);
-  let cache = resolve_cache mach cache_size line_size miss_penalty in
-  let inferred =
-    if auto_bounds then infer_bounds ~verbose:false source_path src else []
-  in
-  let spec =
-    Ipet.Analysis.spec ~mach ~cache
-      ~loop_bounds:(annotations.Ipet.Constraint_parser.loop_bounds @ inferred)
-      ~functional:annotations.Ipet.Constraint_parser.functional ~root prog
-  in
+  let _, compiled, spec = load_input ~presolve:true ~verbose:false in
+  let spec = require_spec spec in
+  let root = spec.Ipet.Analysis.root in
   let result = run_analysis ~certify spec in
   if Obs.enabled () then Ipet.Report.record_lp_metrics Obs.metrics result;
   let m =
-    Ipet_sim.Interp.create ~mach ~cache ~profile:true prog
+    Ipet_sim.Interp.create ~mach:spec.Ipet.Analysis.mach
+      ~cache:spec.Ipet.Analysis.cache ~profile:true spec.Ipet.Analysis.prog
       ~init:compiled.Compile.init_data
   in
   apply_sets m sets;
@@ -597,12 +576,16 @@ let cert_out_arg =
            ~doc:"Write the WCET/BCET certificates as JSON (implies \
                  $(b,--certify)).")
 
+(* the analysis input, shared by analyze, cfg and attribute *)
+let input_term =
+  Term.(const load_input $ source_arg $ annot_arg $ root_arg
+        $ auto_bounds_arg $ mach_arg $ cache_size_arg $ line_size_arg
+        $ miss_penalty_arg)
+
 let analyze_term =
-  Term.(const analyze_cmd $ obs_term $ source_arg $ annot_arg $ root_arg
-        $ mach_arg $ cache_size_arg $ line_size_arg $ miss_penalty_arg
-        $ verbose_arg
-        $ auto_bounds_arg $ dump_lp_arg $ sensitivity_arg $ no_presolve_arg
-        $ lp_stats_arg $ certify_arg $ cert_out_arg)
+  Term.(const analyze_cmd $ obs_term $ input_term $ verbose_arg
+        $ dump_lp_arg $ sensitivity_arg $ no_presolve_arg $ lp_stats_arg
+        $ certify_arg $ cert_out_arg)
 
 let analyze =
   Cmd.v
@@ -644,9 +627,8 @@ let attribute =
        ~doc:"Explain the gap between the WCET estimate and a simulated run: \
              per basic block, witness count x worst-case cost versus the \
              measured count and cycles, ranked by contribution.")
-    Term.(const attribute_cmd $ obs_term $ source_arg $ annot_arg $ root_arg
-          $ args_arg $ set_arg $ flush_arg $ auto_bounds_arg $ mach_arg
-          $ cache_size_arg $ line_size_arg $ miss_penalty_arg $ certify_arg)
+    Term.(const attribute_cmd $ obs_term $ input_term $ args_arg $ set_arg
+          $ flush_arg $ certify_arg)
 
 let listing =
   Cmd.v
@@ -660,9 +642,7 @@ let cfg =
              root (-r or an annotation file), nodes are annotated with \
              WCET witness counts and cost bounds, and worst-case-path \
              blocks are filled.")
-    Term.(const cfg_cmd $ obs_term $ source_arg $ func_req_arg $ annot_arg
-          $ root_arg $ auto_bounds_arg $ mach_arg $ cache_size_arg
-          $ line_size_arg $ miss_penalty_arg $ certify_arg)
+    Term.(const cfg_cmd $ obs_term $ input_term $ func_req_arg $ certify_arg)
 
 let asm =
   Cmd.v

@@ -52,90 +52,53 @@ let witness_of_assignment assignment =
   List.filter (fun (_, v) -> not (Rat.is_zero v)) assignment
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let dir_tag = function
-  | Lp_problem.Maximize -> "max"
-  | Lp_problem.Minimize -> "min"
+module Json = Ipet_obs.Json
 
-(* Line-oriented round-trip format. Variable names contain no whitespace
-   (they are flow-variable atoms), so space-separated fields suffice. *)
-let to_string t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "ipet-cert v1\n";
-  Buffer.add_string buf ("direction " ^ dir_tag t.direction ^ "\n");
-  Buffer.add_string buf ("bound " ^ Rat.to_string t.bound ^ "\n");
-  Buffer.add_string buf ("dual-bound " ^ Rat.to_string t.dual_bound ^ "\n");
-  Buffer.add_string buf ("digest " ^ t.digest ^ "\n");
-  Buffer.add_string buf
-    (Printf.sprintf "witness %d\n" (List.length t.witness));
-  List.iter
-    (fun (v, x) ->
-      Buffer.add_string buf (v ^ " " ^ Rat.to_string x ^ "\n"))
-    t.witness;
-  Buffer.add_string buf (Printf.sprintf "duals %d\n" (Array.length t.duals));
-  Array.iter (fun y -> Buffer.add_string buf (Rat.to_string y ^ "\n")) t.duals;
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
+let to_json t =
+  let rat q = Json.Str (Rat.to_string q) in
+  Json.Obj
+    [ ("version", Json.Int 1);
+      ( "direction",
+        Json.Str
+          (match t.direction with
+           | Lp_problem.Maximize -> "max"
+           | Lp_problem.Minimize -> "min") );
+      ("bound", rat t.bound);
+      ("dual_bound", rat t.dual_bound);
+      ("digest", Json.Str t.digest);
+      ("witness", Json.Obj (List.map (fun (v, x) -> (v, rat x)) t.witness));
+      ("duals", Json.List (Array.to_list (Array.map rat t.duals))) ]
 
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let error fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match lines with
-  | "ipet-cert v1" :: rest ->
-    (try
-       let rest = ref rest in
-       let next () =
-         match !rest with
-         | [] -> failwith "truncated certificate"
-         | l :: tl ->
-           rest := tl;
-           l
-       in
-       let field name =
-         let l = next () in
-         match String.index_opt l ' ' with
-         | Some i when String.sub l 0 i = name ->
-           String.sub l (i + 1) (String.length l - i - 1)
-         | _ -> failwith (Printf.sprintf "expected %s field" name)
-       in
-       (* every malformed input must surface as [Error]: callers treat
-          [Error] as "re-solve", and any other exception escapes them *)
-       let rat s =
-         try Rat.of_string s
-         with Division_by_zero -> failwith ("zero denominator in " ^ s)
-       in
-       let count name =
-         let n = int_of_string (field name) in
-         if n < 0 then failwith (Printf.sprintf "negative %s count" name);
-         n
-       in
-       let direction =
-         match field "direction" with
+let of_json j =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let field name conv =
+    match Option.bind (Json.member name j) conv with
+    | Some v -> v
+    | None -> fail "missing or mistyped field %s" name
+  in
+  (* every malformed input must surface as [Error]: callers treat [Error]
+     as "re-solve", and any other exception escapes them *)
+  let rat what v =
+    match Json.to_str v with
+    | Some s ->
+      (try Rat.of_string s
+       with Failure _ | Division_by_zero -> fail "bad rational %S in %s" s what)
+    | None -> fail "%s is not a rational string" what
+  in
+  let obj = function Json.Obj fields -> Some fields | _ -> None in
+  match
+    if field "version" Json.to_int <> 1 then fail "unsupported version";
+    { direction =
+        (match field "direction" Json.to_str with
          | "max" -> Lp_problem.Maximize
          | "min" -> Lp_problem.Minimize
-         | d -> failwith ("bad direction " ^ d)
-       in
-       let bound = rat (field "bound") in
-       let dual_bound = rat (field "dual-bound") in
-       let digest = field "digest" in
-       let nw = count "witness" in
-       let witness =
-         List.init nw (fun _ ->
-             let l = next () in
-             match String.rindex_opt l ' ' with
-             | Some i ->
-               ( String.sub l 0 i,
-                 rat (String.sub l (i + 1) (String.length l - i - 1)) )
-             | None -> failwith "bad witness line")
-       in
-       let nd = count "duals" in
-       (* built as a list so a huge claimed count runs out of lines before
-          it can allocate *)
-       let duals = Array.of_list (List.init nd (fun _ -> rat (next ()))) in
-       if next () <> "end" then failwith "missing end marker";
-       (* strict: nothing may follow the end marker but the final newline *)
-       (match !rest with
-        | [] | [ "" ] -> ()
-        | _ -> failwith "trailing content after end marker");
-       Ok { direction; bound; dual_bound; duals; witness; digest }
-     with Failure m -> error "certificate parse: %s" m)
-  | _ -> error "certificate parse: bad header"
+         | d -> fail "bad direction %S" d);
+      bound = rat "bound" (field "bound" Option.some);
+      dual_bound = rat "dual_bound" (field "dual_bound" Option.some);
+      digest = field "digest" Json.to_str;
+      witness = List.map (fun (v, x) -> (v, rat v x)) (field "witness" obj);
+      duals =
+        Array.of_list (List.map (rat "duals") (field "duals" Json.to_list)) }
+  with
+  | t -> Ok t
+  | exception Failure m -> Error ("certificate: " ^ m)

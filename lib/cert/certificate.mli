@@ -6,7 +6,11 @@
     integral witness assignment, and a digest of the constraint set the
     proof is about. {!Checker.check} validates all of it against the
     problem in exact arithmetic; nothing in this module or the checker
-    depends on the simplex implementations. *)
+    depends on the simplex implementations.
+
+    Trusted base: the JSON codec below is this library's only use of
+    [ipet_obs], whose {!Ipet_obs.Json} depends on nothing but [unix];
+    {!Checker} itself uses only {!Ipet_lp.Linexpr} and {!Ipet_num.Rat}. *)
 
 open Ipet_num
 open Ipet_lp
@@ -37,11 +41,16 @@ val witness_of_assignment : (string * Rat.t) list -> (string * Rat.t) list
 (** Drop zeros, sort by name: the canonical witness form stored in a
     certificate. *)
 
-val dir_tag : Lp_problem.direction -> string
-(** ["max"] or ["min"], the direction in every serialization. *)
+val to_json : t -> Ipet_obs.Json.t
+(** The one encoding of a certificate, written by [--cert-out] and kept
+    in every serve cache entry: [{"version":1,"direction":"max"|"min",
+    "bound","dual_bound","digest","witness":{var: value},"duals":[...]}],
+    keys in that order, every rational a {!Ipet_num.Rat.to_string}
+    string. *)
 
-val to_string : t -> string
-(** Compact line-oriented serialization, round-tripped by {!of_string};
-    used by the serve cache to persist certificates with entries. *)
-
-val of_string : string -> (t, string) result
+val of_json : Ipet_obs.Json.t -> (t, string) result
+(** The inverse of {!to_json}. A missing or mistyped field, a version
+    other than 1, an unknown direction or a malformed rational is an
+    [Error]; it never raises. Whether the certificate proves anything is
+    {!Checker.check}'s question (a repeated witness name, for one, is
+    rejected there). *)

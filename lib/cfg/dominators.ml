@@ -54,10 +54,3 @@ let dominates t a b =
     end
   in
   climb b
-
-let dominance_depth t b =
-  let rec climb x acc =
-    let up = t.idoms.(x) in
-    if up = x then acc else climb up (acc + 1)
-  in
-  climb b 0

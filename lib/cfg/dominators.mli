@@ -14,6 +14,3 @@ val idom : t -> int -> int
 val dominates : t -> int -> int -> bool
 (** [dominates t a b] — does [a] dominate [b]? Every reachable block is
     dominated by itself and the entry. *)
-
-val dominance_depth : t -> int -> int
-(** Length of the idom chain to the entry (entry = 0). *)

@@ -55,15 +55,3 @@ let cfg_to_dot ?(highlight_loops = []) ?block_info ?hot cfg =
     (Cfg.edges cfg);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let callgraph_to_dot cg =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "digraph callgraph {\n";
-  List.iter
-    (fun (s : Callgraph.site) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"%s\" -> \"%s\" [label=\"B%d.%d\"];\n" s.Callgraph.caller
-           s.Callgraph.callee s.Callgraph.block s.Callgraph.occurrence))
-    (Callgraph.sites cg);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -9,5 +9,3 @@ val cfg_to_dot :
 (** [block_info b] contributes extra label lines for block [b] (e.g. WCET
     witness counts and cost bounds); [hot b] fills the node when the block
     lies on the worst-case path. Both default to the bare rendering. *)
-
-val callgraph_to_dot : Callgraph.t -> string

@@ -130,11 +130,8 @@ let record_lp_metrics registry (r : Analysis.result) =
 
 let certificates_json (r : Analysis.result) =
   let module J = Ipet_obs.Json in
-  let module C = Ipet_cert.Certificate in
-  let rat q = J.Str (Ipet_num.Rat.to_string q) in
   let side name =
     Option.map (fun (c : Analysis.certificate) ->
-        let cert = c.Analysis.cert in
         ( name,
           J.Obj
             [ ( "valid",
@@ -143,15 +140,7 @@ let certificates_json (r : Analysis.result) =
                    | Ipet_cert.Checker.Valid _ -> true
                    | Ipet_cert.Checker.Invalid _ -> false) );
               ("gap_closed", J.Bool (Ipet_cert.Checker.gap_closed c.Analysis.verdict));
-              ( "certificate",
-                J.Obj
-                  [ ("version", J.Int 1);
-                    ("direction", J.Str (C.dir_tag cert.C.direction));
-                    ("bound", rat cert.C.bound);
-                    ("dual_bound", rat cert.C.dual_bound);
-                    ("digest", J.Str cert.C.digest);
-                    ("witness", J.Obj (List.map (fun (v, x) -> (v, rat x)) cert.C.witness));
-                    ("duals", J.List (Array.to_list (Array.map rat cert.C.duals))) ] ) ] ))
+              ("certificate", Ipet_cert.Certificate.to_json c.Analysis.cert) ] ))
   in
   J.Obj
     (List.filter_map Fun.id

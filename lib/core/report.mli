@@ -20,9 +20,9 @@ val record_lp_metrics : Ipet_obs.Metrics.t -> Analysis.result -> unit
 val certificates_json : Analysis.result -> Ipet_obs.Json.t
 (** The [--cert-out] document: per extreme that carries a certificate
     (["wcet"], then ["bcet"]), its checker verdict ([valid],
-    [gap_closed]) and the certificate itself as [{"version":1,
-    "direction":"max"|"min","bound","dual_bound","digest","witness":
-    {var: value},"duals":[...]}], every rational a decimal string. *)
+    [gap_closed]) and the certificate itself
+    ({!Ipet_cert.Certificate.to_json}, read back by
+    {!Ipet_cert.Certificate.of_json}). *)
 
 val lp_stats : Analysis.result -> string
 (** Detailed solver statistics for both extremes rendered through the

@@ -378,9 +378,3 @@ let parse text =
    | Ok () -> ()
    | Error msg -> fail 0 "invalid program: %s" msg);
   prog
-
-let parse_func text =
-  let prog = parse text in
-  match prog.Prog.funcs with
-  | [| f |] -> f
-  | _ -> fail 0 "expected exactly one function"

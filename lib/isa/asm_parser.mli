@@ -23,6 +23,3 @@ exception Error of string * int  (** message, line *)
 
 val parse : string -> Prog.t
 (** @raise Error on malformed input. *)
-
-val parse_func : string -> Prog.func
-(** Parse a single function listing. @raise Error on malformed input. *)

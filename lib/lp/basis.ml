@@ -36,9 +36,6 @@ let create m =
     touched = Array.make m 0;
     in_touch = Array.make m false }
 
-let dim t = t.m
-let neta t = t.n
-
 let push t e =
   if t.n = Array.length t.etas then begin
     let bigger = Array.make (2 * t.n + 16) dummy_eta in

@@ -27,12 +27,6 @@ exception Singular
 val create : int -> t
 (** [create m] represents the identity basis of dimension [m]. *)
 
-val dim : t -> int
-
-val neta : t -> int
-(** Current eta-file length (update etas since the last refactorization
-    plus the refactorization's own etas). *)
-
 val refactor : t -> col_of:(int -> Sparse.col) -> basis:int array -> unit
 (** Rebuild the factorization from scratch for the basis matrix whose
     column in row [i] is [col_of basis.(i)]. *)

@@ -232,8 +232,10 @@ let solve_primal inst ~cost =
    covered. A row left uncovered keeps its unit column, an artificial (a
    row with a slack or surplus is always covered): the row is redundant
    and its artificial stays basic at zero. Then [beta = B^-1 b] is
-   recomputed and checked rather than trusted, and [drive_out] sees only
-   the uncovered rows.
+   recomputed and checked rather than trusted. [drive_out] has nothing to
+   do here: a column the pass skipped has a zero image on every row still
+   unpivoted, and each later eta pivots on a row where that image is
+   zero, so no real column has a nonzero entry in an uncovered row.
    @raise Stuck when [start] is negative, violates a row, or its positive
    columns are linearly dependent (a point that is not a vertex). *)
 let vertex_state inst ~start =
@@ -299,7 +301,6 @@ let vertex_state inst ~start =
        || (st.basis.(i) >= art_start && not (Rat.is_zero st.beta.(i)))
     then raise Stuck
   done;
-  drive_out st;
   st
 
 type priced = { run : run; prices : Rat.t array; started : bool }

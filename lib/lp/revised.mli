@@ -65,7 +65,9 @@ val solve_at : Sparse.t -> cost:Rat.t array -> start:Rat.t array -> priced
     every row is covered. Each is pivoted on the smallest unpivoted row
     where its image is nonzero and becomes that row's basic column, or is
     skipped when it depends on the columns already taken. A row no real
-    column covers is redundant and keeps its artificial, basic at zero.
+    column covers is redundant and keeps its artificial, basic at zero:
+    no real column has a nonzero entry there, so unlike after phase 1
+    there is nothing to drive out.
     [B⁻¹b] is then recomputed and checked non-negative. The Bland phase 2
     of {!solve_primal} finishes from there; the row prices are the
     pricing vector of its last iteration, so they cost no extra BTRAN.

@@ -114,13 +114,6 @@ let build ~vars problem =
   { nrows = m; nstruct; art_start; ncols; cols; rhs; row_basis;
     vars = vars_arr }
 
-let nnz t =
-  let n = ref 0 in
-  for j = 0 to t.nstruct - 1 do
-    n := !n + Array.length t.cols.(j).rows
-  done;
-  !n
-
 let col_dot t y j =
   let c = t.cols.(j) in
   let acc = ref Rat.zero in

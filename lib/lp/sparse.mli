@@ -36,9 +36,6 @@ val build : vars:string list -> Lp_problem.t -> t
 (** [vars] must be {!Lp_problem.variables} of the problem or a sorted
     superset, exactly as for [Simplex.solve]. *)
 
-val nnz : t -> int
-(** Total structural nonzeros (excluding slack/artificial columns). *)
-
 val col_dot : t -> Rat.t array -> int -> Rat.t
 (** [col_dot t y j] is the dot product of dense vector [y] (length
     [nrows]) with column [j]. *)

@@ -31,17 +31,6 @@ let slot t addr =
   let index = line mod Array.length t.tags in
   (index, line)
 
-let access_slot t ~index ~line =
-  if t.tags.(index) = line then begin
-    t.hit_count <- t.hit_count + 1;
-    true
-  end
-  else begin
-    t.tags.(index) <- line;
-    t.miss_count <- t.miss_count + 1;
-    false
-  end
-
 let lookup t addr =
   let index, line = slot t addr in
   t.tags.(index) = line

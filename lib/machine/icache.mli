@@ -25,10 +25,6 @@ val slot_of : config -> int -> int * int
     probe — precomputable per static fetch address, so a decoded simulator
     can skip the per-access division. *)
 
-val access_slot : t -> index:int -> line:int -> bool
-(** [access_slot t ~index ~line] is [access] with the address mapping
-    already done via {!slot_of} against the same configuration. *)
-
 val lookup : t -> int -> bool
 (** Hit test without state change. *)
 

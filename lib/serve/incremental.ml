@@ -52,14 +52,14 @@ type unit_result = { key : string; wcet : A.extreme; bcet : A.extreme }
 let entry_to_json wcet bcet =
   Json.Obj
     [ ("schema", Json.Int Key.schema);
-      ("wcet", Json.Str (Cert.to_string wcet));
-      ("bcet", Json.Str (Cert.to_string bcet)) ]
+      ("wcet", Cert.to_json wcet);
+      ("bcet", Cert.to_json bcet) ]
 
 let entry_of_json j =
   match
     ( Option.bind (Json.member "schema" j) Json.to_int,
-      Option.bind (Json.member "wcet" j) Json.to_str,
-      Option.bind (Json.member "bcet" j) Json.to_str )
+      Json.member "wcet" j,
+      Json.member "bcet" j )
   with
   | Some s, Some wcet, Some bcet when s = Key.schema -> Some (wcet, bcet)
   | _ -> None
@@ -138,8 +138,8 @@ let run_unit ~cache ~counter ~deadline spec (w : work) =
     match Option.bind entry entry_of_json with
     | None -> None
     | Some (wcet, bcet) ->
-      let check problems s =
-        Result.to_option (validate ~counter problems (Cert.of_string s))
+      let check problems j =
+        Result.to_option (validate ~counter problems (Cert.of_json j))
       in
       let problems = A.system_problems w.system in
       Option.bind (check (problems Lp.Maximize) wcet) (fun wv ->

@@ -36,7 +36,9 @@
     Both kinds run through one loop: read the cache entry, validate each
     stored certificate against the problem whose digest it names, solve
     when either fails, and write the entry back. An entry is nothing but
-    its schema and the two certificates. A cached unit's cycles, witness
+    its schema and the two certificates, [{"schema":6,"wcet":C,"bcet":C}]
+    with each [C] a {!Ipet_cert.Certificate.to_json} object, decoded by
+    {!Ipet_cert.Certificate.of_json}. A cached unit's cycles, witness
     counts and binding constraints are read off each certificate's
     witness, which yields exactly the extreme the fresh solve reported
     with it, so no stored field can change what is served without the

@@ -2,8 +2,8 @@ module P = Ipet_isa.Prog
 module Instr = Ipet_isa.Instr
 module Icache = Ipet_machine.Icache
 
-(* v5: a function unit is keyed by the two objectives it solves *)
-let schema = 5
+(* v6: a cache entry holds each certificate as its JSON object *)
+let schema = 6
 
 let add_cache buf (c : Icache.config) =
   Buffer.add_string buf

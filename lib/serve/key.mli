@@ -27,8 +27,9 @@
     cached per-function result, whatever else differs between them. *)
 
 val schema : int
-(** Bumped whenever the serialization or the cached value layout changes;
-    part of every key, so stale cache dirs miss instead of mis-hit. *)
+(** Bumped whenever the serialization or the cached value layout changes
+    (6: each entry holds its certificates as JSON objects); part of every
+    key, so stale cache dirs miss instead of mis-hit. *)
 
 val func_key :
   mach:string ->

@@ -88,7 +88,7 @@ type t = {
   mutable imisses : int;
   mutable hits0 : int;  (* cache stats baseline for reset_stats *)
   mutable misses0 : int;
-  mutable block_hook : (string -> int -> int -> unit) option;
+  mutable block_hook : (string -> int -> unit) option;
   miss_penalty : int;
   (* profile mode: per-block self cycles (callee time excluded) and per-set
      i-cache hit/miss tallies. The flag is immutable so the dispatch in
@@ -320,7 +320,6 @@ let reset_stats m =
   m.cur_ctx <- root
 
 let set_block_hook m hook = m.block_hook <- Some hook
-let clear_block_hook m = m.block_hook <- None
 
 let flush_cache m =
   Icache.flush m.cache;
@@ -374,6 +373,27 @@ let block_cycles m =
       acc := (m.block_key.(slot), m.prof_cycles.(slot)) :: !acc
   done;
   List.sort compare !acc
+
+let pp_profile fmt m =
+  let rows = ref [] in
+  for slot = 0 to m.nblocks - 1 do
+    if m.counts.(slot) > 0 then
+      rows := (m.prof_cycles.(slot), m.block_key.(slot), m.counts.(slot)) :: !rows
+  done;
+  let rows =
+    List.sort (fun (ca, ka, _) (cb, kb, _) -> compare (cb, ka) (ca, kb)) !rows
+  in
+  let total = List.fold_left (fun acc (c, _, _) -> acc + c) 0 rows in
+  Format.fprintf fmt "@[<v>%-20s %-6s %10s %10s %7s@," "function" "block"
+    "executions" "cycles" "share";
+  List.iter
+    (fun (cycles, (func, block), executions) ->
+      Format.fprintf fmt "%-20s B%-5d %10d %10d %6.1f%%@," func block
+        executions cycles
+        (if total = 0 then 0.0
+         else 100.0 *. float_of_int cycles /. float_of_int total))
+    rows;
+  Format.fprintf fmt "@]"
 
 let icache_line_stats m =
   if not m.profile then [||]
@@ -570,7 +590,7 @@ and run_block m (df : dfunc) frame block_id =
   let cx = m.cur_ctx in
   cx.x_counts.(slot) <- cx.x_counts.(slot) + 1;
   (match m.block_hook with
-   | Some hook -> hook df.d_name block_id m.cycle_count
+   | Some hook -> hook df.d_name block_id
    | None -> ());
   if m.profile then run_block_profiled m df frame db
   else begin

@@ -97,6 +97,12 @@ val block_cycles : t -> ((string * int) * int) list
     it, terminator included, callee time excluded. Empty unless profiling.
     Summing the list gives exactly {!cycles} of the run. *)
 
+val pp_profile : Format.formatter -> t -> unit
+(** The per-block cycle profile [cinderella sim --profile] prints: one row
+    per executed block with its {!block_counts} executions, its
+    {!block_cycles} and its share of their sum, by descending cycles. The
+    cycles are zero unless profiling. *)
+
 val icache_line_stats : t -> (int * int) array
 (** Per i-cache set: (hits, misses) fetch tallies. Empty unless
     profiling. *)
@@ -104,11 +110,9 @@ val icache_line_stats : t -> (int * int) array
 val edge_count : t -> func:string -> src:int -> dst:int -> int
 val call_count : t -> caller:string -> block:int -> occurrence:int -> int
 
-val set_block_hook : t -> (string -> int -> int -> unit) -> unit
-(** [set_block_hook m f] calls [f func block cycle_count] at every
-    basic-block entry; used by {!Trace}. *)
-
-val clear_block_hook : t -> unit
+val set_block_hook : t -> (string -> int -> unit) -> unit
+(** [set_block_hook m f] calls [f func block] at every basic-block
+    entry. *)
 
 (** {1 Context-qualified counters}
 

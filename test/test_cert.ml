@@ -15,6 +15,7 @@ module J = Ipet_obs.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 let valid = function Checker.Valid _ -> true | Checker.Invalid _ -> false
 
@@ -107,51 +108,62 @@ let test_checker_rejects_tampering () =
   check_bool "rejections carry a reason" true
     (reasons (Checker.check other c) <> [])
 
+(* --- the JSON codec ---------------------------------------------------- *)
+
+let decode text = Result.bind (J.parse text) Cert.of_json
+let encoding c = J.to_string (Cert.to_json c)
+
 let test_roundtrip () =
   let c = solve_and_certify textbook_max in
-  (match Cert.of_string (Cert.to_string c) with
+  let text = encoding c in
+  (match decode text with
    | Error m -> Alcotest.failf "round trip failed: %s" m
    | Ok c' ->
-     Alcotest.(check string)
-       "serialization is stable" (Cert.to_string c) (Cert.to_string c');
+     check_string "serialization is stable" text (encoding c');
      check_bool "round-tripped certificate still checks" true
        (valid (Checker.check textbook_max c')));
   List.iter
     (fun s ->
       check_bool
-        (Printf.sprintf "of_string rejects %S" s)
+        (Printf.sprintf "of_json rejects %S" s)
         true
-        (match Cert.of_string s with Error _ -> true | Ok _ -> false))
-    [ ""; "garbage"; "ipet-cert v1"; Cert.to_string c ^ "\ntrailing" ]
+        (Result.is_error (decode s)))
+    [ ""; "garbage"; "null"; "[]"; "{}"; text ^ "trailing" ]
 
-(* Fields that parse as numbers but fault later (a zero denominator, a
-   negative or absurd count) must come back as [Error], never as an
-   exception: callers re-solve on [Error] and let anything else escape. *)
+(* Fields of the wrong type or value, and rationals that fault (a zero
+   denominator), must come back as [Error], never as an exception: callers
+   re-solve on [Error] and let anything else escape. *)
 let test_parse_faults () =
-  let good = Cert.to_string (solve_and_certify textbook_max) in
-  let replace_field name value =
-    String.split_on_char '\n' good
-    |> List.map (fun l ->
-           if String.starts_with ~prefix:(name ^ " ") l then name ^ " " ^ value
-           else l)
-    |> String.concat "\n"
+  let fields =
+    match Cert.to_json (solve_and_certify textbook_max) with
+    | J.Obj fields -> fields
+    | _ -> Alcotest.fail "a certificate encodes as an object"
+  in
+  let replace name v =
+    J.Obj (List.map (fun (k, x) -> (k, if k = name then v else x)) fields)
   in
   List.iter
-    (fun (what, s) ->
+    (fun (what, j) ->
       check_bool
-        (Printf.sprintf "of_string rejects %s" what)
+        (Printf.sprintf "of_json rejects %s" what)
         true
-        (match Cert.of_string s with
+        (match Cert.of_json j with
          | Error _ -> true
          | Ok _ -> false
          | exception e ->
            Alcotest.failf "%s raised %s" what (Printexc.to_string e)))
-    [ ("bound 1/0", replace_field "bound" "1/0");
-      ("dual-bound 3/0", replace_field "dual-bound" "3/0");
-      ("witness -1", replace_field "witness" "-1");
-      ("duals -2", replace_field "duals" "-2");
-      ("duals 1000000000000", replace_field "duals" "1000000000000");
-      ("witness x", replace_field "witness" "x") ]
+    [ ("bound 1/0", replace "bound" (J.Str "1/0"));
+      ("dual_bound 3/0", replace "dual_bound" (J.Str "3/0"));
+      ("bound x", replace "bound" (J.Str "x"));
+      ("an empty bound", replace "bound" (J.Str ""));
+      ("a numeric bound", replace "bound" (J.Int 8));
+      ("version 2", replace "version" (J.Int 2));
+      ("direction up", replace "direction" (J.Str "up"));
+      ("a witness list", replace "witness" (J.List []));
+      ("a witness value x", replace "witness" (J.Obj [ ("x", J.Str "x") ]));
+      ("a numeric dual", replace "duals" (J.List [ J.Int 1 ]));
+      ("duals as an object", replace "duals" (J.Obj []));
+      ("no digest", J.Obj (List.remove_assoc "digest" fields)) ]
 
 let test_json_export () =
   let r = A.analyze ~certify:true (Bspec.spec (Ipet_suite.Suite.find "check_data")) in
@@ -170,6 +182,125 @@ let test_json_export () =
       (J.member "digest" j = Some (J.Str c.Cert.digest));
     check_bool "witness is an object" true
       (match J.member "witness" j with Some (J.Obj _) -> true | _ -> false)
+
+(* the problem of [spec] a certificate's digest names *)
+let problem_named spec (c : Cert.t) =
+  List.find
+    (fun p -> Cert.digest_problem p = c.Cert.digest)
+    (A.wcet_problems spec @ A.bcet_problems spec)
+
+(* Every [--cert-out] document of the exported suite (13 programs on e32
+   and m7, both extremes: 52 certificates) reads back through [of_json] to
+   the certificate the in-process analysis produces, and checks with the
+   gap closed against the problem its digest names. *)
+let test_cert_out_reads_back () =
+  List.iter
+    (fun (b : Bspec.t) ->
+      let path, read = Test_obs.cli_fixture ~bench:b.Bspec.name () in
+      let loop_bounds =
+        (Ipet.Constraint_parser.parse_annotation_text (read "p.ann"))
+          .Ipet.Constraint_parser.loop_bounds
+      in
+      let prog = (Bspec.compile b).Ipet_lang.Compile.prog in
+      List.iter
+        (fun mach ->
+          let id = Ipet_machine.Machine.id mach in
+          let where = Printf.sprintf "%s on %s" b.Bspec.name id in
+          check_bool (where ^ ": analyze exits 0") true
+            (Test_obs.run_analyze path ~stderr_to:(path "err")
+               [ "--mach"; id; "--cert-out"; path "c.json" ]
+             = Unix.WEXITED 0);
+          let doc = Result.get_ok (J.parse (read "c.json")) in
+          let spec = A.spec ~mach ~loop_bounds ~root:b.Bspec.root prog in
+          let r = A.analyze ~certify:true spec in
+          List.iter
+            (fun (what, (produced : A.certificate option)) ->
+              match
+                Option.map Cert.of_json
+                  (Option.bind (J.member what doc) (J.member "certificate"))
+              with
+              | Some (Ok c) ->
+                check_string
+                  (Printf.sprintf "%s: %s reads back as produced" where what)
+                  (encoding (Option.get produced).A.cert) (encoding c);
+                check_bool
+                  (Printf.sprintf "%s: %s checks with the gap closed" where what)
+                  true
+                  (Checker.gap_closed (Checker.check (problem_named spec c) c))
+              | _ -> Alcotest.failf "%s: %s does not read back" where what)
+            [ ("wcet", r.A.wcet_cert); ("bcet", r.A.bcet_cert) ])
+        Ipet_machine.Machine.[ e32; m7 ])
+    Ipet_suite.Suite.all
+
+(* Hostile certificate text: real suite certificates, damaged by
+   truncation, a byte flip, a dropped key or a hostile rational. Decoding
+   returns [Ok] or [Error] and never raises, and whatever decodes goes
+   through the checker without raising (an exception fails the property). *)
+let suite_certificates =
+  lazy
+    (List.concat_map
+       (fun (name, mach) ->
+         let spec = Bspec.spec ~mach (Ipet_suite.Suite.find name) in
+         let r = A.analyze ~certify:true spec in
+         List.filter_map
+           (Option.map (fun (c : A.certificate) ->
+                (problem_named spec c.A.cert, Cert.to_json c.A.cert)))
+           [ r.A.wcet_cert; r.A.bcet_cert ])
+       Ipet_machine.Machine.
+         [ ("check_data", e32); ("piksrt", m7); ("line", e32) ])
+
+(* [j] with its [target]-th string leaf replaced by [hostile], or with
+   its [target]-th object field dropped, in document order; and the number
+   of such positions *)
+let edit ~drop ~target hostile j =
+  let n = ref (-1) in
+  let hit () = incr n; !n = target in
+  let rec go = function
+    | J.Str _ when (not drop) && hit () -> J.Str hostile
+    | J.Obj fields ->
+      J.Obj
+        (List.filter_map
+           (fun (k, v) -> if drop && hit () then None else Some (k, go v))
+           fields)
+    | J.List l -> J.List (List.map go l)
+    | v -> v
+  in
+  let j' = go j in
+  (j', !n + 1)
+
+(* truncation, a byte flip, a dropped key, or a rational replaced by a
+   zero denominator, junk, nothing or a 40-digit numeral *)
+let damage j kind pos byte =
+  let text = J.to_string j in
+  match kind with
+  | 0 -> String.sub text 0 (pos mod String.length text)
+  | 1 ->
+    let b = Bytes.of_string text in
+    Bytes.set b (pos mod Bytes.length b) (Char.chr byte);
+    Bytes.to_string b
+  | _ ->
+    let drop = kind = 2 in
+    let hostile =
+      List.nth
+        [ "1/0"; "x"; ""; "1234567890123456789012345678901234567890" ]
+        (byte mod 4)
+    in
+    let _, n = edit ~drop ~target:(-1) hostile j in
+    J.to_string (fst (edit ~drop ~target:(pos mod n) hostile j))
+
+let prop_hostile_certificates =
+  QCheck.Test.make ~name:"hostile certificate text is Ok or Error, never raises"
+    ~count:300
+    QCheck.(
+      quad (int_bound 1000) (int_bound 3) (int_bound 100_000) (int_bound 255))
+    (fun (which, kind, pos, byte) ->
+      let certs = Lazy.force suite_certificates in
+      let p, j = List.nth certs (which mod List.length certs) in
+      match decode (damage j kind pos byte) with
+      | Error _ -> true
+      | Ok c ->
+        ignore (Checker.check p c);
+        true)
 
 (* --- mutation properties -------------------------------------------------- *)
 
@@ -423,7 +554,8 @@ let certified_suite () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mutated_dual; prop_mutated_witness; prop_mutated_coefficient;
-      prop_gen_witness_start; prop_sized_witness_start ]
+      prop_gen_witness_start; prop_sized_witness_start;
+      prop_hostile_certificates ]
 
 let suite =
   [ ("checker accepts a maximization certificate", `Quick,
@@ -442,5 +574,7 @@ let suite =
     ("a degenerate witness completes its basis with zero columns", `Quick,
      test_degenerate_witness);
     ("a duplicated row keeps its artificial at zero", `Quick,
-     test_duplicate_row_witness) ]
+     test_duplicate_row_witness);
+    ("every --cert-out certificate of the suite reads back", `Slow,
+     test_cert_out_reads_back) ]
   @ props

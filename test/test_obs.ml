@@ -491,10 +491,11 @@ let test_attribution_report () =
 let cinderella =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/cinderella.exe"
 
-(* a scratch directory holding check_data as p.mc/p.ann; returns the path
-   and read functions for files in it *)
-let cli_fixture () =
-  let b = Ipet_suite.Suite.find "check_data" in
+(* a scratch directory holding a suite program (default check_data) as
+   p.mc/p.ann, as [bench export] writes it; returns the path and read
+   functions for files in it *)
+let cli_fixture ?(bench = "check_data") () =
+  let b = Ipet_suite.Suite.find bench in
   let dir = Filename.temp_file "obs-cli" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -525,19 +526,19 @@ let cli_fixture () =
              b.Ipet_suite.Bspec.loop_bounds));
   (path, read)
 
-(* run [cinderella args], stdout discarded, stderr into [stderr_to]; the
-   exit status *)
-let run_cinderella ~stderr_to args =
+(* run [cinderella args], stdout into [stdout_to] (default discarded),
+   stderr into [stderr_to]; the exit status *)
+let run_cinderella ?(stdout_to = "/dev/null") ~stderr_to args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let err =
-    Unix.openfile stderr_to [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  let create path =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
+  let out = create stdout_to and err = create stderr_to in
   let pid =
     Unix.create_process cinderella (Array.of_list (cinderella :: args)) devnull
-      devnull err
+      out err
   in
-  Unix.close devnull;
-  Unix.close err;
+  List.iter Unix.close [ devnull; out; err ];
   snd (Unix.waitpid [] pid)
 
 (* [cinderella analyze p.mc -a p.ann extra] *)

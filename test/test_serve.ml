@@ -592,12 +592,25 @@ let cert_self_heal ~name ~spec rewrite =
     |> List.sort compare |> List.hd
   in
   let path = Filename.concat dir entry in
+  (* an entry is its schema and the two certificates, each in the one
+     certificate encoding *)
+  (match J.parse (read_file path) with
+   | Ok (J.Obj [ ("schema", J.Int s); ("wcet", w); ("bcet", b) ])
+     when s = Key.schema ->
+     let module C = Ipet_cert.Certificate in
+     List.iter
+       (fun c ->
+         check_string "a cached certificate is to_json of itself"
+           (J.to_string c)
+           (J.to_string (C.to_json (Result.get_ok (C.of_json c)))))
+       [ w; b ]
+   | _ -> Alcotest.fail "cache entry is not {schema, wcet, bcet}");
   let tamper = function
     | J.Obj fields ->
       J.Obj
         (List.map
            (function
-             | "wcet", J.Str c -> ("wcet", J.Str (rewrite c))
+             | "wcet", c -> ("wcet", rewrite c)
              | kv -> kv)
            fields)
     | _ -> Alcotest.fail "cache entry is not an object"
@@ -617,7 +630,7 @@ let test_cert_self_heal () =
   List.iter
     (fun (name, spec) ->
       cert_self_heal ~name:("serve-cert-heal-" ^ name) ~spec (fun _ ->
-          "tampered"))
+          J.Str "tampered"))
     (cache_specs ())
 
 (* a certificate that parses up to an arithmetic fault (a zero denominator)
@@ -625,12 +638,13 @@ let test_cert_self_heal () =
 let test_cert_zero_denominator_heals () =
   List.iter
     (fun (name, spec) ->
-      cert_self_heal ~name:("serve-cert-zero-den-" ^ name) ~spec (fun c ->
-          String.split_on_char '\n' c
-          |> List.map (fun l ->
-                 if String.starts_with ~prefix:"bound " l then "bound 1/0"
-                 else l)
-          |> String.concat "\n"))
+      cert_self_heal ~name:("serve-cert-zero-den-" ^ name) ~spec (function
+        | J.Obj fields ->
+          J.Obj
+            (List.map
+               (fun (k, v) -> (k, if k = "bound" then J.Str "1/0" else v))
+               fields)
+        | _ -> Alcotest.fail "a cached certificate is an object"))
     (cache_specs ())
 
 (* every single-leaf damage of a JSON value, with its path: an integer

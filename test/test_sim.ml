@@ -251,28 +251,7 @@ let suite =
     ("cold vs warm cache", `Quick, test_cold_vs_warm_cache);
     ("flush restores cold timing", `Quick, test_flush_cache_restores_cold) ]
 
-(* --- tracing and profiling ---------------------------------------------- *)
-
-module Trace = Ipet_sim.Trace
-
-let test_trace_events () =
-  let src = "int f(int n) { int i; int s; s = 0; \
-             for (i = 0; i < n; i = i + 1) s = s + i; return s; }" in
-  let compiled = Frontend.compile_string_exn src in
-  let m = Interp.create compiled.Compile.prog ~init:compiled.Compile.init_data in
-  let _, events = Trace.record m (fun () -> Interp.call m "f" [ V.Vint 5 ]) in
-  (* every block execution produced exactly one event *)
-  let total_counts =
-    List.fold_left (fun acc (_, c) -> acc + c) 0 (Interp.block_counts m)
-  in
-  check_int "one event per block execution" total_counts (List.length events);
-  (* timestamps are non-decreasing *)
-  let rec monotone = function
-    | a :: (b :: _ as rest) ->
-      a.Trace.at_cycle <= b.Trace.at_cycle && monotone rest
-    | [ _ ] | [] -> true
-  in
-  check_bool "monotone timestamps" true (monotone events)
+(* --- profiling --------------------------------------------------------- *)
 
 let test_profile_accounts_all_cycles () =
   let src = {|
@@ -282,26 +261,85 @@ let test_profile_accounts_all_cycles () =
     int f(int n) { return helper(n) + helper(n + 1); }
   |} in
   let compiled = Frontend.compile_string_exn src in
-  let m = Interp.create compiled.Compile.prog ~init:compiled.Compile.init_data in
-  let _, rows = Trace.profile m (fun () -> Interp.call m "f" [ V.Vint 2 ]) in
-  let attributed = List.fold_left (fun acc r -> acc + r.Trace.cycles) 0 rows in
+  let m =
+    Interp.create ~profile:true compiled.Compile.prog
+      ~init:compiled.Compile.init_data
+  in
+  ignore (Interp.call m "f" [ V.Vint 2 ]);
+  let rows = Interp.block_cycles m in
+  let attributed = List.fold_left (fun acc (_, c) -> acc + c) 0 rows in
   check_int "all cycles attributed" (Interp.cycles m) attributed;
   (* the helper's loop dominates the profile *)
-  (match Trace.by_function rows with
-   | (hottest, _) :: _ -> check_bool "helper is hottest" true (hottest = "helper")
-   | [] -> Alcotest.fail "empty profile");
+  let by_function func =
+    List.fold_left
+      (fun acc ((f, _), c) -> if f = func then acc + c else acc)
+      0 rows
+  in
+  check_bool "helper is hottest" true (by_function "helper" > by_function "f");
   (* rendering does not raise and mentions the hot function *)
-  let text = Format.asprintf "%a" Trace.pp_profile rows in
+  let text = Format.asprintf "%a" Interp.pp_profile m in
   check_bool "render mentions helper" true
     (let nn = String.length "helper" in
      let rec go i = i + nn <= String.length text
                     && (String.sub text i nn = "helper" || go (i + 1)) in
      go 0)
 
+(* [cinderella sim --profile] prints the profiled machine's own
+   attribution: a call's return block is charged only its own cycles, and
+   the caller's cycles after the call stay with the caller's block *)
+let test_cli_profile_is_block_cycles () =
+  let src = {|int acc;
+int leaf(int x) { return x + 1; }
+int f(int n) {
+  int i; int s;
+  s = leaf(n);
+  for (i = 0; i < 40; i = i + 1) s = s + i * n;
+  acc = s;
+  return s;
+}
+|} in
+  let file = Filename.temp_file "prof" ".mc" in
+  let out = Filename.temp_file "prof" ".txt" in
+  let oc = open_out_bin file in
+  output_string oc src;
+  close_out oc;
+  let status =
+    Test_obs.run_cinderella ~stdout_to:out ~stderr_to:Filename.null
+      [ "sim"; file; "-r"; "f"; "--args"; "3"; "--profile" ]
+  in
+  check_bool "sim exits 0" true (status = Unix.WEXITED 0);
+  let rows =
+    In_channel.with_open_bin out In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           try
+             Scanf.sscanf l "%s B%d %d %d %_s%!" (fun f b n c ->
+                 Some ((f, b), (n, c)))
+           with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+  in
+  let compiled = Frontend.compile_string_exn src in
+  let m =
+    Interp.create ~profile:true compiled.Compile.prog
+      ~init:compiled.Compile.init_data
+  in
+  ignore (Interp.call m "f" [ V.Vint 3 ]);
+  let expected =
+    List.map
+      (fun (key, n) -> (key, (n, List.assoc key (Interp.block_cycles m))))
+      (Interp.block_counts m)
+  in
+  check_bool "one row per executed block, equal to block_cycles" true
+    (List.sort compare rows = List.sort compare expected);
+  check_int "f B0" 28 (snd (List.assoc ("f", 0) rows));
+  check_int "leaf B0" 8 (snd (List.assoc ("leaf", 0) rows));
+  check_int "the rows sum to the run's cycles" (Interp.cycles m)
+    (List.fold_left (fun acc (_, (_, c)) -> acc + c) 0 rows)
+
 let suite =
   suite
-  @ [ ("trace events", `Quick, test_trace_events);
-      ("profile accounts all cycles", `Quick, test_profile_accounts_all_cycles) ]
+  @ [ ("profile accounts all cycles", `Quick, test_profile_accounts_all_cycles);
+      ("sim --profile prints the machine's block cycles", `Quick,
+       test_cli_profile_is_block_cycles) ]
 
 (* --- fast-path differential test ----------------------------------------
    The decoded interpreter's counters must be indistinguishable from a
@@ -490,9 +528,8 @@ let differential_bench (bench : Bspec.t) =
       Interp.flush_cache m;
       let r =
         recount_run prog bench.Bspec.root (fun on_event ->
-            Interp.set_block_hook m (fun f b _cycles -> on_event f b);
-            ignore (Interp.call m bench.Bspec.root d.Bspec.args);
-            Interp.clear_block_hook m)
+            Interp.set_block_hook m on_event;
+            ignore (Interp.call m bench.Bspec.root d.Bspec.args))
       in
       assert_recount_matches bench.Bspec.name m prog r;
       (* run 2: fresh machine, no hook — timing and cache statistics must
