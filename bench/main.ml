@@ -284,41 +284,67 @@ let ablation_cache () =
     \  never benefits, so the upper pessimism grows with capacity - the
     \  motivation for the cache modelling future work of Section VII."
 
+(* The refinement's claim is soundness: under the same geometry, the
+   refined WCET still covers the worst measured run. Checked at the
+   machine's own fetch geometry and at a small 128 B / 16 B i-cache, where
+   hot loops span more lines than there are sets; any violation exits 1. *)
 let ablation_refine () =
   header "Ablation: Section IV first-miss refinement across the suite";
-  Printf.printf "  %-17s %12s %12s %12s
-" "Function" "baseline" "refined"
-    "measured";
+  let mach = !table_mach in
+  let violations = ref [] in
   List.iter
-    (fun (bench : Bspec.t) ->
-      let compiled = Bspec.compile bench in
-      let prog = compiled.Compile.prog in
-      let wcet refined =
-        let spec =
-          Analysis.spec prog ~root:bench.Bspec.root
-            ~loop_bounds:bench.Bspec.loop_bounds ~functional:bench.Bspec.functional
-            ~first_miss_refinement:refined
-        in
-        (Analysis.analyze spec).Analysis.wcet.Analysis.cycles
-      in
-      let measured =
-        List.fold_left
-          (fun acc (d : Bspec.dataset) ->
-            let m = Interp.create prog ~init:compiled.Compile.init_data in
-            d.Bspec.setup m;
-            Interp.flush_cache m;
-            ignore (Interp.call m bench.Bspec.root d.Bspec.args);
-            max acc (Interp.cycles m))
-          0 bench.Bspec.worst_data
-      in
-      Printf.printf "  %-17s %12d %12d %12d
-" bench.Bspec.name (wcet false)
-        (wcet true) measured)
-    Ipet_suite.Suite.all;
-  print_endline
-    "
-  The refinement is sound (refined >= measured) and tightens every
-    \  benchmark whose hot loops are cache-resident and call-free."
+    (fun (cache : Ipet_machine.Icache.config) ->
+      Printf.printf "\n  %s, i-cache %d B / %d B lines, %d-cycle miss\n"
+        (Ipet_machine.Machine.id mach) cache.size_bytes cache.line_bytes
+        cache.miss_penalty;
+      Printf.printf "  %-17s %12s %12s %12s\n" "Function" "baseline" "refined"
+        "measured";
+      List.iter
+        (fun (bench : Bspec.t) ->
+          let compiled = Bspec.compile bench in
+          let prog = compiled.Compile.prog in
+          let wcet refined =
+            let spec =
+              Analysis.spec prog ~mach ~cache ~root:bench.Bspec.root
+                ~loop_bounds:bench.Bspec.loop_bounds
+                ~functional:bench.Bspec.functional
+                ~first_miss_refinement:refined
+            in
+            (Analysis.analyze spec).Analysis.wcet.Analysis.cycles
+          in
+          let measured =
+            List.fold_left
+              (fun acc (d : Bspec.dataset) ->
+                let m =
+                  Interp.create ~mach ~cache prog
+                    ~init:compiled.Compile.init_data
+                in
+                d.Bspec.setup m;
+                Interp.flush_cache m;
+                ignore (Interp.call m bench.Bspec.root d.Bspec.args);
+                max acc (Interp.cycles m))
+              0 bench.Bspec.worst_data
+          in
+          let refined = wcet true in
+          Printf.printf "  %-17s %12d %12d %12d\n" bench.Bspec.name (wcet false)
+            refined measured;
+          if refined < measured then
+            violations :=
+              Printf.sprintf "%s at %d B / %d B: refined %d < measured %d"
+                bench.Bspec.name cache.size_bytes cache.line_bytes refined
+                measured
+              :: !violations)
+        Ipet_suite.Suite.all)
+    [ mach.Ipet_machine.Machine.fetch;
+      { mach.Ipet_machine.Machine.fetch with size_bytes = 128; line_bytes = 16 } ];
+  match List.rev !violations with
+  | [] ->
+    print_endline
+      "\n  The refinement is sound (refined >= measured) and tightens every\n\
+      \  benchmark whose hot loops are cache-resident and call-free."
+  | vs ->
+    List.iter (fun v -> Printf.printf "  UNSOUND: %s\n" v) vs;
+    exit 1
 
 let table_extra () =
   header "Extended suite (Malardalen-style): estimated vs measured";

@@ -178,11 +178,25 @@ let load_input source_path annot_path root_flag auto_bounds mach cache_size
   let prog = compiled.Compile.prog in
   let spec root =
     ignore (require_func prog root);
-    let d = Machine.fetch mach in
+    let d = mach.Machine.fetch in
     let cache =
-      { Icache.size_bytes = Option.value ~default:d.Icache.size_bytes cache_size;
-        line_bytes = Option.value ~default:d.Icache.line_bytes line_size;
-        miss_penalty = Option.value ~default:d.Icache.miss_penalty miss_penalty }
+      match
+        Icache.check
+          { Icache.size_bytes =
+              Option.value ~default:d.Icache.size_bytes cache_size;
+            line_bytes = Option.value ~default:d.Icache.line_bytes line_size;
+            miss_penalty =
+              Option.value ~default:d.Icache.miss_penalty miss_penalty }
+      with
+      | Ok cache -> cache
+      | Error (field, msg) ->
+        let flag =
+          match field with
+          | Icache.Size_bytes -> "--cache-size"
+          | Icache.Line_bytes -> "--line-size"
+          | Icache.Miss_penalty -> "--miss-penalty"
+        in
+        Diag.fail ~code:Diag.exit_input "%s: %s" flag msg
     in
     let inferred =
       if auto_bounds then infer_bounds ~verbose source_path src else []

@@ -28,7 +28,7 @@ type spec = {
 let spec ?(mach = Machine.e32) ?cache ?dcache ?(loop_bounds = [])
     ?(functional = []) ?(first_miss_refinement = false) ?(presolve = true)
     ~root prog =
-  let cache = match cache with Some c -> c | None -> Machine.fetch mach in
+  let cache = match cache with Some c -> c | None -> mach.Machine.fetch in
   { prog; root; mach; cache; dcache; loop_bounds; functional;
     first_miss_refinement; presolve }
 
@@ -79,11 +79,11 @@ let structural_constraints spec =
   Structural.constraints spec.prog (instances spec)
 
 (* The Section IV refinement: inside a loop whose code provably stays
-   resident (region fits the cache, hence no self-conflicts, and the loop
-   makes no calls), a block's lines can miss at most once per loop entry.
-   The worst-case objective then charges the block's warm cost per
-   execution plus its full line-fill cost per entry of the outermost such
-   loop, expressed on the loop's entry-edge variables. *)
+   resident (its lines map to distinct cache sets, hence no self-conflicts,
+   and the loop makes no calls), a block's lines can miss at most once per
+   loop entry. The worst-case objective then charges the block's warm cost
+   per execution plus its full line-fill cost per entry of the outermost
+   such loop, expressed on the loop's entry-edge variables. *)
 let refinement_plan spec layout (func : P.func) =
   let cfg = Ipet_cfg.Cfg.of_func func in
   let dom = Ipet_cfg.Dominators.compute cfg in
@@ -101,8 +101,7 @@ let refinement_plan spec layout (func : P.func) =
           if addr + size > !hi_addr then hi_addr := addr + size
         end)
       l.Ipet_cfg.Loops.body;
-    let (module M : Machine.MACHINE) = spec.mach in
-    !no_calls && M.resident_ok ~fetch:spec.cache ~lo:!lo_addr ~hi:!hi_addr
+    !no_calls && Icache.resident spec.cache ~lo:!lo_addr ~hi:!hi_addr
   in
   let eligible_loops = List.filter eligible loops in
   (* for each block, the outermost (smallest depth) eligible loop holding it *)

@@ -22,9 +22,8 @@ type spec = {
   prog : Ipet_isa.Prog.t;
   root : string;
   mach : Ipet_machine.Machine.t;
-      (** the target micro-architecture supplying issue/stall/terminator
-          timings, the default fetch configuration, and the first-miss
-          residency predicate (default {!Ipet_machine.Machine.e32}) *)
+      (** the target micro-architecture: the cycle table and the default
+          fetch configuration (default {!Ipet_machine.Machine.e32}) *)
   cache : Ipet_machine.Icache.config;
   dcache : Ipet_machine.Icache.config option;
       (** when set, loads are bounded by data-cache hit/miss times instead
@@ -33,8 +32,9 @@ type spec = {
   functional : Functional.t list;
   first_miss_refinement : bool;
       (** Section IV's proposed refinement of the WCET objective: inside a
-          loop whose code provably stays cache-resident (its address range
-          fits the cache and it makes no calls), charge each block its
+          loop whose code provably stays cache-resident (its lines map to
+          distinct sets of [cache], {!Ipet_machine.Icache.resident}, and
+          it makes no calls), charge each block its
           all-hit worst cost per execution plus one full line fill per
           {e loop entry} instead of per iteration. It touches only each
           instance's own block and loop-entry edge variables, so it is a
@@ -61,7 +61,7 @@ val spec :
   Ipet_isa.Prog.t ->
   spec
 (** [cache] defaults to the machine's own fetch configuration
-    ({!Ipet_machine.Machine.fetch}); passing it explicitly overrides the
+    ([Ipet_machine.Machine.t.fetch]); passing it explicitly overrides the
     geometry while keeping the machine's timings. *)
 
 type solver_stats = {

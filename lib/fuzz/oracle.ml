@@ -211,6 +211,14 @@ let run mach cache source =
   if cycles < bcet || cycles > wcet then
     fail Bound_violation "simulated %d cycles outside estimated bound [%d, %d]"
       cycles bcet wcet;
+  (* Section IV's first-miss refinement only tightens the WCET objective,
+     so it must still cover the cold run under the same geometry *)
+  let _, wcet_fm =
+    Analysis.estimated_bound { spec with Analysis.first_miss_refinement = true }
+  in
+  if cycles > wcet_fm then
+    fail Bound_violation "simulated %d cycles above the first-miss WCET %d"
+      cycles wcet_fm;
   (* the measured block/edge counts must satisfy every constraint the ILP
      was built from — structural flow equations and loop bounds alike *)
   let instances = Analysis.instances spec in
@@ -242,7 +250,7 @@ let run mach cache source =
   Pass { bcet; wcet; cycles; instructions = Interp.instructions machine }
 
 let check ?(mach = Machine.e32) ?cache source =
-  let cache = match cache with Some c -> c | None -> Machine.fetch mach in
+  let cache = match cache with Some c -> c | None -> mach.Machine.fetch in
   match run mach cache source with
   | verdict -> verdict
   | exception Reject f -> Fail f

@@ -11,6 +11,8 @@
     - the ILP objective is identical with and without presolve;
     - a cold simulated run of [main] finishes and its cycle count lies
       inside the estimated bound [[BCET, WCET]] (Fig. 1);
+    - the cycle count is also at most the WCET under Section IV's
+      first-miss refinement, with the same cache geometry;
     - the measured per-instance block/edge counts satisfy {e every}
       structural and loop-bound constraint the ILP was built from;
     - the optimized build returns the same value and leaves the same global
@@ -23,7 +25,9 @@ type failure_kind =
   | Frontend_reject       (** lexer/parser/typecheck/compile refused it *)
   | Analysis_reject       (** analysis raised (e.g. a loop it cannot bound) *)
   | Sim_crash             (** runtime error or fuel exhaustion *)
-  | Bound_violation       (** simulated cycles outside [BCET, WCET] *)
+  | Bound_violation
+      (** simulated cycles outside [BCET, WCET], or above the first-miss
+          WCET *)
   | Constraint_violation  (** measured counts break an ILP constraint *)
   | Optimizer_divergence  (** optimized and unoptimized runs observably differ *)
   | Presolve_divergence   (** presolve changed an ILP objective value *)

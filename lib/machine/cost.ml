@@ -3,18 +3,6 @@ module Layout = Ipet_isa.Layout
 
 type bounds = { best : int; worst : int; worst_warm : int }
 
-(* per-instruction cost bounds: identical except for loads when a data
-   cache is modelled (best assumes hits, worst assumes misses) *)
-let instr_bounds ?(mach = Machine.e32) ?dcache instr =
-  let (module M : Machine.MACHINE) = mach in
-  match (instr, dcache) with
-  | Ipet_isa.Instr.Load _, Some d ->
-    let base = M.issue ~dcache:true instr in
-    (base, base + d.Icache.miss_penalty)
-  | _, (Some _ | None) ->
-    let c = M.issue ~dcache:false instr in
-    (c, c)
-
 module Int_set = Set.Make (Int)
 
 (* cache slots (direct-mapped line indices) covered by a function's code *)
@@ -23,15 +11,9 @@ let own_slots cfg layout (f : P.func) =
     (fun acc (b : P.block) ->
       let addr = Layout.block_addr layout ~func:f.P.name ~block:b.P.id in
       let size = Layout.block_size_bytes layout ~func:f.P.name ~block:b.P.id in
-      let first = addr / cfg.Icache.line_bytes in
-      let last = (addr + size - 1) / cfg.Icache.line_bytes in
-      let rec add acc line =
-        if line > last then acc
-        else
-          add (Int_set.add (fst (Icache.slot_of cfg (line * cfg.Icache.line_bytes))) acc)
-            (line + 1)
-      in
-      add acc first)
+      List.init (Icache.lines_spanned cfg ~addr ~size) (fun i ->
+          fst (Icache.slot_of cfg (addr + (i * cfg.Icache.line_bytes))))
+      |> List.fold_left (fun acc slot -> Int_set.add slot acc) acc)
     Int_set.empty f.P.blocks
 
 (* slots any code reachable from each function can occupy: a call inside a
@@ -42,32 +24,27 @@ let reachable_slots cfg layout (prog : P.t) =
   Array.iter
     (fun (f : P.func) -> Hashtbl.replace slots f.P.name (own_slots cfg layout f))
     prog.P.funcs;
-  let callees = Hashtbl.create 16 in
-  Array.iter
-    (fun (f : P.func) ->
-      let cs =
-        Array.fold_left
-          (fun acc b -> List.rev_append (P.calls_of_block b) acc)
-          [] f.P.blocks
-        |> List.sort_uniq compare
-      in
-      Hashtbl.replace callees f.P.name cs)
-    prog.P.funcs;
+  let find name =
+    Option.value ~default:Int_set.empty (Hashtbl.find_opt slots name)
+  in
+  let callees =
+    Array.map
+      (fun (f : P.func) ->
+        List.sort_uniq compare
+          (List.concat_map P.calls_of_block (Array.to_list f.P.blocks)))
+      prog.P.funcs
+  in
   (* fixpoint: sets only grow and are bounded by the number of slots *)
   let changed = ref true in
   while !changed do
     changed := false;
-    Array.iter
-      (fun (f : P.func) ->
-        let cur = Hashtbl.find slots f.P.name in
+    Array.iteri
+      (fun i (f : P.func) ->
+        let cur = find f.P.name in
         let next =
           List.fold_left
-            (fun acc callee ->
-              match Hashtbl.find_opt slots callee with
-              | Some s -> Int_set.union acc s
-              | None -> acc)
-            cur
-            (Hashtbl.find callees f.P.name)
+            (fun acc callee -> Int_set.union acc (find callee))
+            cur callees.(i)
         in
         if not (Int_set.equal next cur) then begin
           Hashtbl.replace slots f.P.name next;
@@ -75,10 +52,7 @@ let reachable_slots cfg layout (prog : P.t) =
         end)
       prog.P.funcs
   done;
-  fun name ->
-    match Hashtbl.find_opt slots name with
-    | Some s -> s
-    | None -> Int_set.empty
+  find
 
 (* A call in the middle of a block hands the fetch stream to the callee;
    when control returns, a line the block had already fetched may have
@@ -106,35 +80,33 @@ let call_split_extra cfg ~callee_slots ~addr ~size (block : P.block) =
     block.P.instrs;
   !extra
 
-let block_bounds ?(mach = Machine.e32) ?dcache ?callee_slots cfg layout ~func
-    (block : P.block) =
-  let (module M : Machine.MACHINE) = mach in
-  let best_body, worst_body =
-    Array.fold_left
-      (fun (b, w) i ->
-        let ib, iw = instr_bounds ~mach ?dcache i in
-        (b + ib, w + iw))
-      (0, 0) block.P.instrs
+(* the block's own cycles from the machine table: best case assumes every
+   data access hits (when a data cache is modelled), the worst case that
+   every load misses *)
+let block_bounds mach ~dcache ~callee_slots cfg layout ~func (block : P.block)
+    =
+  let body =
+    Array.fold_left ( + ) 0
+      (Machine.instr_cycles mach ~dcache:(dcache <> None) block.P.instrs)
   in
-  let stalls = Machine.block_stalls mach block.P.instrs in
-  let term_best, term_worst = M.term_bounds block.P.term in
+  let fill = match dcache with Some d -> d.Icache.miss_penalty | None -> 0 in
+  let data_misses =
+    Array.fold_left
+      (fun n -> function Ipet_isa.Instr.Load _ -> n + fill | _ -> n)
+      0 block.P.instrs
+  in
+  let term_best, term_worst = Machine.term_bounds mach block.P.term in
   let addr = Layout.block_addr layout ~func ~block:block.P.id in
   let size = Layout.block_size_bytes layout ~func ~block:block.P.id in
   let lines = Icache.lines_spanned cfg ~addr ~size in
-  let refetches =
-    match callee_slots with
-    | None -> 0
-    | Some callee_slots -> call_split_extra cfg ~callee_slots ~addr ~size block
-  in
-  { best = best_body + stalls + term_best;
-    worst_warm = worst_body + stalls + term_worst;
-    worst =
-      worst_body + stalls + term_worst
-      + ((lines + refetches) * cfg.Icache.miss_penalty) }
+  let refetches = call_split_extra cfg ~callee_slots ~addr ~size block in
+  let worst_warm = body + data_misses + term_worst in
+  { best = body + term_best;
+    worst_warm;
+    worst = worst_warm + ((lines + refetches) * cfg.Icache.miss_penalty) }
 
-let func_bounds ?mach ?dcache ?prog cfg layout (func : P.func) =
-  let callee_slots = Option.map (reachable_slots cfg layout) prog in
+let func_bounds ~mach ?dcache ~prog cfg layout (func : P.func) =
+  let callee_slots = reachable_slots cfg layout prog in
   Array.map
-    (fun b ->
-      block_bounds ?mach ?dcache ?callee_slots cfg layout ~func:func.P.name b)
+    (block_bounds mach ~dcache ~callee_slots cfg layout ~func:func.P.name)
     func.P.blocks

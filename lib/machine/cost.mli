@@ -4,10 +4,12 @@
     Following Section IV, the cost of a block must be a constant, so:
     best case assumes every instruction fetch hits the cache; worst case
     charges a full line fill for {e every} cache line the block spans on
-    {e every} execution. Deterministic pipeline stalls and terminator
-    bounds are added to both. [worst_warm] is the worst case without the
-    cache-miss component, used by the first-iteration-split refinement that
-    Section IV suggests. *)
+    {e every} execution. The instruction cycles come from the machine's
+    one table ({!Machine.instr_cycles}, issue plus deterministic
+    pipeline stalls) and the terminator from {!Machine.term_bounds}, both
+    added to both bounds. [worst_warm] is the worst case without the
+    instruction-fetch miss component, used by the first-miss refinement
+    that Section IV suggests. *)
 
 type bounds = {
   best : int;
@@ -15,45 +17,22 @@ type bounds = {
   worst_warm : int;  (** worst case assuming all fetches hit *)
 }
 
-module Int_set : Set.S with type elt = int
-
-val reachable_slots :
-  Icache.config -> Ipet_isa.Layout.t -> Ipet_isa.Prog.t -> string -> Int_set.t
-(** For each function, the direct-mapped cache slots that code transitively
-    reachable from it (itself plus all callees) can occupy. A call inside a
-    block can fetch all of this before control returns. *)
-
-val block_bounds :
-  ?mach:Machine.t ->
-  ?dcache:Icache.config ->
-  ?callee_slots:(string -> Int_set.t) ->
-  Icache.config ->
-  Ipet_isa.Layout.t ->
-  func:string ->
-  Ipet_isa.Prog.block ->
-  bounds
-(** [mach] supplies the issue/stall/terminator timings (default
-    {!Machine.e32}, byte-identical to the historical hard-wired model).
-
-    [dcache] switches loads from the flat-latency memory model to
-    hit-in-the-best-case / miss-in-the-worst-case data-cache bounds.
-
-    [callee_slots] (from {!reachable_slots}) enables the mid-block call
-    refetch charge: when a call splits a cache line — the fetch after the
-    call resumes on the line the call sits on — and a reachable callee's
-    code maps to that line's slot, the callee may evict the line while the
-    block is suspended, so the worst case charges one extra fill per such
-    call site. Without it blocks containing calls may be under-estimated
-    (unsound) whenever callee code conflicts with the caller's lines. *)
-
 val func_bounds :
-  ?mach:Machine.t ->
+  mach:Machine.t ->
   ?dcache:Icache.config ->
-  ?prog:Ipet_isa.Prog.t ->
+  prog:Ipet_isa.Prog.t ->
   Icache.config ->
   Ipet_isa.Layout.t ->
   Ipet_isa.Prog.func ->
   bounds array
-(** Bounds for every block of the function, indexed by block id. [prog]
-    supplies the call graph for the mid-block call refetch charge of
-    {!block_bounds}; omitting it reproduces the bare lines-spanned model. *)
+(** Bounds for every block of the function, indexed by block id.
+
+    [dcache] switches loads from the flat-latency memory model to
+    hit-in-the-best-case / miss-in-the-worst-case data-cache bounds.
+
+    [prog] supplies the call graph for the mid-block call refetch
+    charge: when a call splits a cache line — the fetch after the call
+    resumes on the line the call sits on — and code transitively
+    reachable from the callee maps to that line's slot, the callee may
+    evict the line while the block is suspended, so the worst case
+    charges one extra fill per such call site. *)

@@ -9,15 +9,27 @@ type t = {
   mutable miss_count : int;
 }
 
-let create cfg =
+type field = Size_bytes | Line_bytes | Miss_penalty
+
+let check cfg =
+  let error field fmt = Printf.ksprintf (fun m -> Error (field, m)) fmt in
   if cfg.line_bytes <= 0 || cfg.line_bytes land (cfg.line_bytes - 1) <> 0 then
-    invalid_arg "Icache.create: line size must be a power of two";
-  if cfg.size_bytes mod cfg.line_bytes <> 0 || cfg.size_bytes <= 0 then
-    invalid_arg "Icache.create: capacity must be a positive multiple of the line size";
-  { cfg;
-    tags = Array.make (cfg.size_bytes / cfg.line_bytes) (-1);
-    hit_count = 0;
-    miss_count = 0 }
+    error Line_bytes "line size %d is not a power of two" cfg.line_bytes
+  else if cfg.size_bytes <= 0 || cfg.size_bytes mod cfg.line_bytes <> 0 then
+    error Size_bytes "capacity %d is not a positive multiple of the %d-byte line"
+      cfg.size_bytes cfg.line_bytes
+  else if cfg.miss_penalty < 0 then
+    error Miss_penalty "miss penalty %d is negative" cfg.miss_penalty
+  else Ok cfg
+
+let create cfg =
+  match check cfg with
+  | Error (_, msg) -> invalid_arg ("Icache.create: " ^ msg)
+  | Ok cfg ->
+    { cfg;
+      tags = Array.make (cfg.size_bytes / cfg.line_bytes) (-1);
+      hit_count = 0;
+      miss_count = 0 }
 
 let config t = t.cfg
 
@@ -26,10 +38,7 @@ let slot_of cfg addr =
   let index = line mod (cfg.size_bytes / cfg.line_bytes) in
   (index, line)
 
-let slot t addr =
-  let line = addr / t.cfg.line_bytes in
-  let index = line mod Array.length t.tags in
-  (index, line)
+let slot t addr = slot_of t.cfg addr
 
 let lookup t addr =
   let index, line = slot t addr in
@@ -58,3 +67,10 @@ let misses t = t.miss_count
 let lines_spanned cfg ~addr ~size =
   if size <= 0 then 0
   else (addr + size - 1) / cfg.line_bytes - (addr / cfg.line_bytes) + 1
+
+(* consecutive lines of a direct-mapped cache map to distinct sets
+   exactly when there are no more of them than sets *)
+let resident cfg ~lo ~hi =
+  hi > lo
+  && lines_spanned cfg ~addr:lo ~size:(hi - lo)
+     <= cfg.size_bytes / cfg.line_bytes

@@ -1,6 +1,7 @@
 (** Direct-mapped instruction cache, modelled after the i960KB's 512-byte
     on-chip cache. Used by the cycle simulator; the analytical cost model
-    only uses the configuration (lines touched per block, miss penalty). *)
+    only uses the configuration (lines touched per block, miss penalty,
+    and {!resident} for the first-miss refinement). *)
 
 type config = {
   size_bytes : int;     (** total capacity; must be a multiple of line_bytes *)
@@ -11,9 +12,19 @@ type config = {
 val i960kb : config
 (** The paper's target: 512 bytes, 16-byte lines, 8-cycle fill. *)
 
+type field = Size_bytes | Line_bytes | Miss_penalty
+
+val check : config -> (config, field * string) result
+(** The one geometry check: a power-of-two line, a capacity that is a
+    positive multiple of the line, a non-negative miss penalty. The error
+    names the offending field and what is wrong with it. Every other
+    function here assumes a checked config. *)
+
 type t
 
 val create : config -> t
+(** @raise Invalid_argument if {!check} rejects the config. *)
+
 val config : t -> config
 
 val access : t -> int -> bool
@@ -42,3 +53,10 @@ val misses : t -> int
 
 val lines_spanned : config -> addr:int -> size:int -> int
 (** Number of cache lines covered by a [size]-byte object at [addr]. *)
+
+val resident : config -> lo:int -> hi:int -> bool
+(** The lines of the non-empty range [[lo, hi)] map to distinct sets, so
+    none evicts another: call-free code there stays resident across loop
+    iterations, the premise of the first-miss refinement. It counts
+    lines, not bytes — an unaligned region of [size_bytes] spans one
+    line more than the cache has sets. *)

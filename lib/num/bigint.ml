@@ -222,19 +222,32 @@ let to_int v =
 
 let ten = of_int 10
 
-let to_string v =
-  if v.sign = 0 then "0"
+(* 10^9 < 2^30 is one limb, so dividing by it is one pass of short
+   division (each step's dividend [r * base + limb] < 2^60 fits a native
+   int): nine digits per pass makes printing quadratic, not the cubic of
+   one bit-serial long division per digit *)
+let chunk = 1_000_000_000
+
+(* the base-10^9 digits of [mag], most significant first, before [acc] *)
+let rec chunks mag acc =
+  if Array.length mag = 0 then acc
   else begin
-    let buf = Buffer.create 16 in
-    let rec digits x = if is_zero x then () else begin
-        let q, r = divmod x ten in
-        digits q;
-        Buffer.add_char buf (Char.chr (Char.code '0' + to_int r))
-      end
-    in
-    digits (abs v);
-    (if v.sign < 0 then "-" else "") ^ Buffer.contents buf
+    let q = Array.make (Array.length mag) 0 and r = ref 0 in
+    for i = Array.length mag - 1 downto 0 do
+      let cur = (!r lsl limb_bits) lor mag.(i) in
+      q.(i) <- cur / chunk;
+      r := cur mod chunk
+    done;
+    chunks (normalize 1 q).mag (!r :: acc)
   end
+
+let to_string v =
+  match chunks v.mag [] with
+  | [] -> "0"
+  | top :: rest ->
+    String.concat ""
+      (((if v.sign < 0 then "-" else "") ^ string_of_int top)
+       :: List.map (Printf.sprintf "%09d") rest)
 
 let of_string s =
   let n = String.length s in

@@ -112,13 +112,15 @@ let parse_mach req =
 
 let parse_icache ~mach options =
   match Option.bind options (Json.member "icache") with
-  | None -> Machine.fetch mach
+  | None -> mach.Machine.fetch
   | Some j ->
     (match (opt_int j "size_bytes", opt_int j "line_bytes",
             opt_int j "miss_penalty")
      with
      | Some size_bytes, Some line_bytes, Some miss_penalty ->
-       { Icache.size_bytes; line_bytes; miss_penalty }
+       (match Icache.check { Icache.size_bytes; line_bytes; miss_penalty } with
+        | Ok cache -> cache
+        | Error (_, msg) -> reject "input" "icache: %s" msg)
      | _ ->
        reject "proto"
          "icache needs integer size_bytes, line_bytes, miss_penalty")

@@ -17,8 +17,8 @@ let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
    - every (func, block) is interned into a dense block slot; plain counters
      are [int array]s indexed by slot, as are edge and call-site counters;
    - per block, the fetch addresses are pre-mapped to i-cache (tag index,
-     line) pairs and each instruction's issue + load-use-stall cycles are
-     summed into a static cost table;
+     line) pairs and each instruction's cycles (issue plus load-use stall)
+     are read once from the machine table the cost bounds also sum;
    - call sites carry their resolved callee and statically-known occurrence
      slot, so a call performs no function-table search;
    - context-qualified counters live in a calling-context tree whose nodes
@@ -130,7 +130,6 @@ let intern table next key =
 let decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index ~block_slot
     ~edge_slot ~call_slot ~next_block ~next_edge ~next_call (f : P.func)
     (b : P.block) =
-  let (module M : Machine.MACHINE) = mach in
   let fname = f.P.name in
   let n = Array.length b.P.instrs in
   let base = Layout.block_addr layout ~func:fname ~block:b.P.id in
@@ -141,9 +140,7 @@ let decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index ~block_slot
     fetch_idx.(i) <- index;
     fetch_line.(i) <- line
   done;
-  let issue = Machine.issue_table mach ~dcache b.P.instrs in
-  let stall = Machine.stall_table mach b.P.instrs in
-  let cost = Array.init n (fun i -> issue.(i) + stall.(i)) in
+  let cost = Machine.instr_cycles mach ~dcache b.P.instrs in
   let calls = ref [] in
   Array.iter
     (function
@@ -162,18 +159,11 @@ let decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index ~block_slot
       | I.Ftoi _ | I.Load _ | I.Store _ -> ())
     b.P.instrs;
   let edge dst = intern edge_slot next_edge (fname, b.P.id, dst) in
-  let term, taken, nottaken =
+  let term =
     match b.P.term with
-    | I.Jump tgt ->
-      let c = M.term_actual b.P.term ~taken:true in
-      (D_jump (tgt, edge tgt), c, c)
-    | I.Branch (r, t, f_) ->
-      ( D_branch (r, t, edge t, f_, edge f_),
-        M.term_actual b.P.term ~taken:true,
-        M.term_actual b.P.term ~taken:false )
-    | I.Return op ->
-      let c = M.term_actual b.P.term ~taken:true in
-      (D_return op, c, c)
+    | I.Jump tgt -> D_jump (tgt, edge tgt)
+    | I.Branch (r, t, f_) -> D_branch (r, t, edge t, f_, edge f_)
+    | I.Return op -> D_return op
   in
   { b_slot = intern block_slot next_block (fname, b.P.id);
     b_instrs = b.P.instrs;
@@ -182,8 +172,8 @@ let decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index ~block_slot
     b_cost = cost;
     b_calls = Array.of_list (List.rev !calls);
     b_term = term;
-    b_term_taken = taken;
-    b_term_nottaken = nottaken }
+    b_term_taken = Machine.term mach ~taken:true b.P.term;
+    b_term_nottaken = Machine.term mach ~taken:false b.P.term }
 
 let max_reg (f : P.func) =
   let m = ref (max 15 (f.P.nparams - 1)) in
@@ -236,7 +226,7 @@ let new_ctx m =
 
 let create ?(mach = Machine.e32) ?cache ?dcache ?(stack_words = 1 lsl 16)
     ?(fuel = 50_000_000) ?(profile = false) (prog : P.t) ~init =
-  let cache = match cache with Some c -> c | None -> Machine.fetch mach in
+  let cache = match cache with Some c -> c | None -> mach.Machine.fetch in
   let memory = Array.make (prog.P.globals_words + stack_words) V.zero in
   List.iter (fun (addr, v) -> memory.(addr) <- v) init;
   let layout = Layout.make prog in

@@ -10,16 +10,17 @@
       branch outcomes, producing the "measured" time.
 
     The simulated time always lies within the analytical per-block bounds of
-    {!Ipet_machine.Cost} by construction (same issue/stall/terminator model).
+    {!Ipet_machine.Cost} by construction: both read the machine's one table
+    ({!Ipet_machine.Machine.instr_cycles} and {!Ipet_machine.Machine.term}).
     Note a block's misses can exceed the lines it spans: a call that splits
     a cache line can evict that line mid-block, so the return re-fetches it
-    — {!Ipet_machine.Cost.block_bounds} charges those refetches explicitly
+    — {!Ipet_machine.Cost.func_bounds} charges those refetches explicitly
     (found by [cinderella fuzz], see [test/corpus/regress_call_line_split.mc]).
 
     {b Implementation}: {!create} pre-decodes the program into flat,
     integer-indexed structures — dense block/edge/call-site counter slots,
-    per-instruction i-cache (tag index, line) pairs, a static issue+stall
-    cost table per block, and pre-resolved callees — and context-qualified
+    per-instruction i-cache (tag index, line) pairs, the machine's
+    per-instruction cycle table for each block, and pre-resolved callees — and context-qualified
     counters live in a calling-context tree descended in O(1) per call.
     The execution loop touches no hashtable and performs no timing
     analysis; observable behaviour is identical to a direct interpreter,
@@ -41,8 +42,8 @@ val create :
   init:(int * Ipet_isa.Value.t) list ->
   t
 (** Build a machine with initialized global memory. [mach] (default
-    {!Ipet_machine.Machine.e32}) supplies the issue/stall/terminator
-    timings the decode tables are built from; [cache] defaults to the
+    {!Ipet_machine.Machine.e32}) supplies the cycle table the decoded
+    blocks are costed from; [cache] defaults to the
     machine's own fetch configuration. [fuel] bounds the number
     of executed basic blocks (default 50 million). Without [dcache], data
     accesses cost a flat latency; with it, loads are cached (write-through,

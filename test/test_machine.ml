@@ -45,7 +45,25 @@ let test_cache_validation () =
      with Invalid_argument _ -> true);
   check_bool "bad capacity" true
     (try ignore (Icache.create { small_cache with Icache.size_bytes = 40 }); false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  let field cfg =
+    match Icache.check cfg with Ok _ -> None | Error (f, _) -> Some f
+  in
+  check_bool "check accepts the i960KB" true (field Icache.i960kb = None);
+  check_bool "check accepts a one-line buffer" true
+    (field { small_cache with Icache.size_bytes = 16 } = None);
+  List.iter
+    (fun (what, cfg, expected) ->
+      check_bool what true (field cfg = Some expected))
+    [ ("zero line", { small_cache with Icache.line_bytes = 0 }, Icache.Line_bytes);
+      ("24-byte line", { small_cache with Icache.line_bytes = 24 },
+       Icache.Line_bytes);
+      ("zero capacity", { small_cache with Icache.size_bytes = 0 },
+       Icache.Size_bytes);
+      ("line larger than the cache", { small_cache with Icache.line_bytes = 128 },
+       Icache.Size_bytes);
+      ("negative penalty", { small_cache with Icache.miss_penalty = -1 },
+       Icache.Miss_penalty) ]
 
 let test_lines_spanned () =
   check_int "one instr" 1 (Icache.lines_spanned small_cache ~addr:0 ~size:4);
@@ -56,8 +74,6 @@ let test_lines_spanned () =
 
 (* --- e32 timing / pipeline ------------------------------------------------ *)
 
-module E32 = (val Machine.e32 : Machine.MACHINE)
-
 (* the e32 load-use interlock costs one cycle *)
 let e32_load_use_stall = 1
 
@@ -66,37 +82,41 @@ let test_timing_orders () =
   let mul = I.Alu (I.Mul, 0, I.Reg 1, I.Reg 2) in
   let div = I.Alu (I.Div, 0, I.Reg 1, I.Reg 2) in
   let fdiv = I.Fpu (I.Fdiv, 0, I.Reg 1, I.Reg 2) in
-  let issue = E32.issue ~dcache:false in
+  let issue = Machine.issue Machine.e32 ~dcache:false in
   check_bool "add < mul < div" true (issue add < issue mul);
   check_bool "mul < div" true (issue mul < issue div);
   check_bool "div <= fdiv" true (issue div <= issue fdiv)
 
 let test_term_bounds_enclose_actual () =
   List.iter
-    (fun term ->
-      let best, worst = E32.term_bounds term in
+    (fun mach ->
       List.iter
-        (fun taken ->
-          let t = E32.term_actual term ~taken in
-          check_bool "within bounds" true (best <= t && t <= worst))
-        [ true; false ])
-    [ I.Jump 0; I.Branch (0, 1, 2); I.Return None ]
+        (fun term ->
+          let best, worst = Machine.term_bounds mach term in
+          List.iter
+            (fun taken ->
+              let t = Machine.term mach ~taken term in
+              check_bool (Machine.id mach ^ ": term within bounds") true
+                (best <= t && t <= worst))
+            [ true; false ])
+        [ I.Jump 0; I.Branch (0, 1, 2); I.Return None ])
+    Machine.all
 
 let test_load_use_stall () =
   let load = I.Load (3, { I.base = I.Abs 0; offset = 0; index = None }) in
   let use = I.Alu (I.Add, 4, I.Reg 3, I.Imm 1) in
   let no_use = I.Alu (I.Add, 4, I.Reg 5, I.Imm 1) in
-  check_int "stall" e32_load_use_stall (E32.stall_after load use);
-  check_int "no stall" 0 (E32.stall_after load no_use);
-  check_int "alu-alu no stall" 0 (E32.stall_after use no_use);
-  check_int "block stalls" e32_load_use_stall
-    (Machine.block_stalls Machine.e32 [| load; use; no_use |])
+  let stall_after = Machine.stall_after Machine.e32 in
+  check_int "stall" e32_load_use_stall (stall_after load use);
+  check_int "no stall" 0 (stall_after load no_use);
+  check_int "alu-alu no stall" 0 (stall_after use no_use)
 
 let test_load_use_through_address () =
   (* the stall also applies when the loaded register is an address index *)
   let load = I.Load (3, { I.base = I.Abs 0; offset = 0; index = None }) in
   let use = I.Load (4, { I.base = I.Abs 8; offset = 0; index = Some (I.Reg 3) }) in
-  check_int "address-use stalls" e32_load_use_stall (E32.stall_after load use)
+  check_int "address-use stalls" e32_load_use_stall
+    (Machine.stall_after Machine.e32 load use)
 
 (* --- cost bounds ----------------------------------------------------------- *)
 
@@ -117,7 +137,10 @@ let test_cost_ordering () =
   in
   let prog = one_block_prog instrs (I.Branch (2, 0, 0)) in
   let layout = Layout.make prog in
-  let costs = Cost.func_bounds Icache.i960kb layout prog.P.funcs.(0) in
+  let costs =
+    Cost.func_bounds ~mach:Machine.e32 ~prog Icache.i960kb layout
+      prog.P.funcs.(0)
+  in
   let b = costs.(0) in
   check_bool "best <= warm worst" true (b.Cost.best <= b.Cost.worst_warm);
   check_bool "warm worst <= worst" true (b.Cost.worst_warm < b.Cost.worst);
@@ -134,7 +157,8 @@ let test_cost_includes_stall () =
     one_block_prog [ load; I.Alu (I.Add, 2, I.Reg 9, I.Imm 1) ] (I.Return None)
   in
   let cost p =
-    (Cost.func_bounds Icache.i960kb (Layout.make p) p.P.funcs.(0)).(0)
+    (Cost.func_bounds ~mach:Machine.e32 ~prog:p Icache.i960kb (Layout.make p)
+       p.P.funcs.(0)).(0)
   in
   check_int "hazard adds exactly the stall" e32_load_use_stall
     ((cost prog_hazard).Cost.best - (cost prog_clean).Cost.best)
@@ -178,7 +202,8 @@ let prop_simulated_block_within_bounds =
       let prog = one_block_prog instrs (I.Return (Some (I.Imm 0))) in
       let prog = { prog with P.globals_words = 8 } in
       let bounds =
-        (Cost.func_bounds Icache.i960kb (Layout.make prog) prog.P.funcs.(0)).(0)
+        (Cost.func_bounds ~mach:Machine.e32 ~prog Icache.i960kb
+           (Layout.make prog) prog.P.funcs.(0)).(0)
       in
       let m = Ipet_sim.Interp.create prog ~init:[] in
       Ipet_sim.Interp.flush_cache m;
@@ -284,11 +309,11 @@ let test_machine_of_string () =
 let test_e32_is_the_historical_model () =
   (* the default machine keeps the historical i960KB cycle figures: the
      byte-identity of every seed golden rests on them *)
-  let (module M : Machine.MACHINE) = Machine.e32 in
+  let m = Machine.e32 in
   let mem = { I.base = I.Abs 0; offset = 0; index = None } in
   List.iter
     (fun (what, i, cycles) ->
-      check_int ("e32 issue: " ^ what) cycles (M.issue ~dcache:false i))
+      check_int ("e32 issue: " ^ what) cycles (Machine.issue m ~dcache:false i))
     [ ("add", I.Alu (I.Add, 0, I.Reg 1, I.Reg 2), 1);
       ("mul", I.Alu (I.Mul, 0, I.Reg 1, I.Reg 2), 4);
       ("div", I.Alu (I.Div, 0, I.Reg 1, I.Reg 2), 18);
@@ -298,47 +323,36 @@ let test_e32_is_the_historical_model () =
       ("mov", I.Mov (0, I.Imm 7), 1);
       ("call", I.Call (Some 0, "g", []), 8) ];
   check_int "e32 dcache load issue is the base" 2
-    (M.issue ~dcache:true (I.Load (3, mem)));
-  check_bool "e32 fetch is the i960KB cache" true (M.fetch = Icache.i960kb);
+    (Machine.issue m ~dcache:true (I.Load (3, mem)));
+  check_bool "e32 fetch is the i960KB cache" true
+    (m.Machine.fetch = Icache.i960kb);
   List.iter
     (fun (what, t, bounds) ->
-      check_bool ("e32 term bounds: " ^ what) true (M.term_bounds t = bounds))
+      check_bool ("e32 term bounds: " ^ what) true
+        (Machine.term_bounds m t = bounds))
     [ ("jump", I.Jump 0, (2, 2));
       ("branch", I.Branch (0, 1, 2), (1, 3));
       ("return", I.Return None, (7, 7)) ]
 
 let test_m7_timings () =
-  let (module M7 : Machine.MACHINE) = Machine.m7 in
-  let (module E32 : Machine.MACHINE) = Machine.e32 in
+  let issue m = Machine.issue m ~dcache:false in
   let mul = I.Alu (I.Mul, 0, I.Reg 1, I.Reg 2) in
   let div = I.Alu (I.Div, 0, I.Reg 1, I.Reg 2) in
   let fdiv = I.Fpu (I.Fdiv, 0, I.Reg 1, I.Reg 2) in
-  check_int "m7 single-cycle multiplier" 1 (M7.issue ~dcache:false mul);
+  let m7 = Machine.m7 in
+  check_int "m7 single-cycle multiplier" 1 (issue m7 mul);
   check_bool "m7 mul faster than e32 mul" true
-    (M7.issue ~dcache:false mul < E32.issue ~dcache:false mul);
-  check_bool "m7 div still slow" true (M7.issue ~dcache:false div > 1);
-  check_bool "div <= fdiv on m7" true
-    (M7.issue ~dcache:false div <= M7.issue ~dcache:false fdiv);
-  (* terminator bounds enclose the actuals on every machine *)
-  List.iter
-    (fun (m : Machine.t) ->
-      let (module M : Machine.MACHINE) = m in
-      List.iter
-        (fun term ->
-          let best, worst = M.term_bounds term in
-          List.iter
-            (fun taken ->
-              let t = M.term_actual term ~taken in
-              check_bool (Machine.id m ^ ": term within bounds") true
-                (best <= t && t <= worst))
-            [ true; false ])
-        [ I.Jump 0; I.Branch (0, 1, 2); I.Return None ])
-    Machine.all
+    (issue m7 mul < issue Machine.e32 mul);
+  check_bool "m7 div still slow" true (issue m7 div > 1);
+  check_bool "div <= fdiv on m7" true (issue m7 div <= issue m7 fdiv);
+  check_int "m7 return" 4 (Machine.term m7 ~taken:true (I.Return None));
+  check_bool "m7 terminator bounds" true
+    (Machine.term_bounds m7 (I.Branch (0, 1, 2)) = (1, 3))
 
 let test_m7_prefetch_buffer () =
   (* the m7 "cache" is a 1-line prefetch buffer — a degenerate but valid
      Icache configuration, so all the geometry machinery applies *)
-  let cfg = Machine.fetch Machine.m7 in
+  let cfg = Machine.m7.Machine.fetch in
   let c = Icache.create cfg in
   check_int "one slot" (fst (Icache.slot_of cfg 0))
     (fst (Icache.slot_of cfg cfg.Icache.line_bytes));
@@ -348,44 +362,47 @@ let test_m7_prefetch_buffer () =
     (Icache.access c cfg.Icache.line_bytes);
   check_bool "previous line gone" false (Icache.access c 0)
 
-let test_resident_ok () =
-  let (module E32 : Machine.MACHINE) = Machine.e32 in
-  let (module M7 : Machine.MACHINE) = Machine.m7 in
-  let e32_fetch = Machine.fetch Machine.e32 in
-  let m7_fetch = Machine.fetch Machine.m7 in
-  (* e32: anything that fits in the cache capacity is resident *)
-  check_bool "e32: fits in capacity" true
-    (E32.resident_ok ~fetch:e32_fetch ~lo:0 ~hi:e32_fetch.Icache.size_bytes);
+let test_resident () =
+  let e32_fetch = Machine.e32.Machine.fetch in
+  let m7_fetch = Machine.m7.Machine.fetch in
+  let line = m7_fetch.Icache.line_bytes in
+  (* e32: an aligned region of the cache's capacity is resident; one
+     starting mid-line spans 33 lines over 32 sets, and the first and
+     last evict each other on every iteration *)
+  check_bool "e32: aligned capacity" true
+    (Icache.resident Icache.i960kb ~lo:0 ~hi:512);
+  check_bool "e32: unaligned capacity spans 33 lines" false
+    (Icache.resident Icache.i960kb ~lo:8 ~hi:520);
   check_bool "e32: one byte over" false
-    (E32.resident_ok ~fetch:e32_fetch ~lo:0
-       ~hi:(e32_fetch.Icache.size_bytes + 1));
+    (Icache.resident e32_fetch ~lo:0 ~hi:(e32_fetch.Icache.size_bytes + 1));
   (* m7: only a region inside one aligned line survives the 1-line buffer *)
   check_bool "m7: inside one line" true
-    (M7.resident_ok ~fetch:m7_fetch ~lo:4 ~hi:m7_fetch.Icache.line_bytes);
+    (Icache.resident m7_fetch ~lo:4 ~hi:line);
   check_bool "m7: exactly one full line" true
-    (M7.resident_ok ~fetch:m7_fetch ~lo:0 ~hi:m7_fetch.Icache.line_bytes);
+    (Icache.resident m7_fetch ~lo:0 ~hi:line);
   check_bool "m7: straddles a line boundary" false
-    (M7.resident_ok ~fetch:m7_fetch ~lo:(m7_fetch.Icache.line_bytes - 4)
-       ~hi:(m7_fetch.Icache.line_bytes + 4));
-  check_bool "m7: empty region" false
-    (M7.resident_ok ~fetch:m7_fetch ~lo:8 ~hi:8)
+    (Icache.resident m7_fetch ~lo:(line - 4) ~hi:(line + 4));
+  check_bool "m7: empty region" false (Icache.resident m7_fetch ~lo:8 ~hi:8)
 
-let test_machine_stall_tables () =
+let test_machine_cycle_tables () =
   let load = I.Load (3, { I.base = I.Abs 0; offset = 0; index = None }) in
   let use = I.Alu (I.Add, 4, I.Reg 3, I.Imm 1) in
   let no_use = I.Alu (I.Add, 4, I.Reg 5, I.Imm 1) in
-  check_int "e32 load-use stall" 1
-    (Machine.block_stalls Machine.e32 [| load; use |]);
-  check_int "m7 load-use stall is deeper" 2
-    (Machine.block_stalls Machine.m7 [| load; use |]);
-  check_int "m7 independent pair" 0
-    (Machine.block_stalls Machine.m7 [| load; no_use |]);
-  let table = Machine.stall_table Machine.m7 [| load; use; no_use |] in
-  check_int "stall charged on the use" 2 table.(1);
-  check_int "none on the tail" 0 table.(2)
+  let cycles m instrs = Machine.instr_cycles m ~dcache:false instrs in
+  let stall m = Machine.stall_after m load use in
+  check_int "e32 load-use stall" 1 (stall Machine.e32);
+  check_int "m7 load-use stall is deeper" 2 (stall Machine.m7);
+  check_int "m7 independent pair" 0 (Machine.stall_after Machine.m7 load no_use);
+  let table = cycles Machine.m7 [| load; use; no_use |] in
+  let issue i = Machine.issue Machine.m7 ~dcache:false i in
+  check_int "first entry is the bare issue" (issue load) table.(0);
+  check_int "stall charged on the use" (issue use + 2) table.(1);
+  check_int "none on the tail" (issue no_use) table.(2);
+  check_int "dcache load costs its base" Machine.e32.Machine.load
+    (Machine.instr_cycles Machine.e32 ~dcache:true [| load |]).(0)
 
 (* regression for the latent-assumption audit: the line-split refetch
-   charge in [Cost.block_bounds] and the decoded slots in [Interp] must
+   charge in [Cost.func_bounds] and the decoded slots in [Interp] must
    follow the machine's own geometry, not the i960KB constants *)
 let test_cost_follows_machine_geometry () =
   let instrs =
@@ -395,23 +412,24 @@ let test_cost_follows_machine_geometry () =
   in
   let prog = one_block_prog instrs (I.Branch (2, 0, 0)) in
   let layout = Layout.make prog in
-  let m7_fetch = Machine.fetch Machine.m7 in
+  let m7_fetch = Machine.m7.Machine.fetch in
   let b =
-    (Cost.func_bounds ~mach:Machine.m7 m7_fetch layout prog.P.funcs.(0)).(0)
+    (Cost.func_bounds ~mach:Machine.m7 ~prog m7_fetch layout
+       prog.P.funcs.(0)).(0)
   in
   (* worst - worst_warm is exactly the m7 line fills at the m7 penalty *)
   let lines = Icache.lines_spanned m7_fetch ~addr:0 ~size:(4 * 4) in
   check_int "m7 miss component" (lines * m7_fetch.Icache.miss_penalty)
     (b.Cost.worst - b.Cost.worst_warm);
-  (* and the explicit e32 machine reproduces the historical bounds *)
-  let default_b =
-    (Cost.func_bounds Icache.i960kb layout prog.P.funcs.(0)).(0)
-  in
+  (* the e32 machine reproduces the historical bounds: mov 1, load 3,
+     add 1 plus its load-use stall 1, a 1..3-cycle branch, and one
+     16-byte line at 8 cycles *)
   let e32_b =
-    (Cost.func_bounds ~mach:Machine.e32 Icache.i960kb layout
+    (Cost.func_bounds ~mach:Machine.e32 ~prog Icache.i960kb layout
        prog.P.funcs.(0)).(0)
   in
-  check_bool "explicit e32 = default cost bounds" true (default_b = e32_b)
+  check_bool "e32 cost bounds" true
+    (e32_b = { Cost.best = 7; worst_warm = 9; worst = 17 })
 
 let test_sim_follows_machine () =
   (* the same program takes different cycle counts on the two machines,
@@ -529,8 +547,8 @@ let suite =
       ("e32 is the historical model", `Quick, test_e32_is_the_historical_model);
       ("m7 timings", `Quick, test_m7_timings);
       ("m7 prefetch buffer", `Quick, test_m7_prefetch_buffer);
-      ("residency predicates", `Quick, test_resident_ok);
-      ("machine stall tables", `Quick, test_machine_stall_tables);
+      ("residency predicates", `Quick, test_resident);
+      ("machine stall tables", `Quick, test_machine_cycle_tables);
       ("cost follows machine geometry", `Quick, test_cost_follows_machine_geometry);
       ("sim follows machine", `Quick, test_sim_follows_machine);
       ("e32 tables byte-identical to seed goldens", `Slow,

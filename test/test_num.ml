@@ -21,6 +21,57 @@ let test_string_roundtrip () =
     [ "0"; "1"; "-1"; "99999999999999999999999999999999";
       "-123456789123456789123456789"; "1000000000000000000000000000000" ]
 
+(* the decimal digits by one long division per digit: the slow but
+   obviously right reference for [to_string]'s nine-digit chunks *)
+let digits_by_tens x =
+  let ten = B.of_int 10 in
+  let rec go x acc =
+    if B.is_zero x then acc
+    else
+      let q, r = B.divmod x ten in
+      go q (string_of_int (B.to_int r) :: acc)
+  in
+  if B.is_zero x then "0"
+  else (if B.sign x < 0 then "-" else "") ^ String.concat "" (go (B.abs x) [])
+
+let test_long_string_roundtrip () =
+  (* multi-thousand-digit numerals, as a hostile certificate carries *)
+  let rng = Random.State.make [| 29 |] in
+  List.iter
+    (fun n ->
+      let s =
+        String.init n (fun i ->
+            Char.chr
+              (Char.code '0'
+               + if i = 0 then 1 + Random.State.int rng 9
+                 else Random.State.int rng 10))
+      in
+      List.iter
+        (fun s ->
+          let x = B.of_string s in
+          check_str (Printf.sprintf "%d digits print back" n) s (B.to_string x);
+          check_bool (Printf.sprintf "%d digits parse back" n) true
+            (B.equal x (B.of_string (B.to_string x))))
+        [ s; "-" ^ s ])
+    [ 1; 8; 9; 10; 18; 19; 2000; 5000 ];
+  (* around limb (2^30k) and chunk (10^9k) boundaries, against the
+     per-digit reference *)
+  let pow b k = List.fold_left (fun acc _ -> B.mul acc b) B.one (List.init k Fun.id) in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun base ->
+          let p = pow base k in
+          List.iter
+            (fun x ->
+              check_str "matches the per-digit reference" (digits_by_tens x)
+                (B.to_string x);
+              check_bool "parses back" true
+                (B.equal x (B.of_string (B.to_string x))))
+            [ B.sub p B.one; p; B.add p B.one; B.neg (B.sub p B.one) ])
+        [ B.of_int (1 lsl 30); B.of_int 1_000_000_000 ])
+    [ 1; 2; 3; 7 ]
+
 let test_big_arithmetic () =
   let a = B.of_string "123456789123456789123456789" in
   let b = B.of_string "987654321987654321" in
@@ -407,5 +458,6 @@ let suite =
     ("rat native range boundary", `Quick, test_rat_boundary);
     ("rat floor/ceil of negative fractions", `Quick,
      test_rat_floor_ceil_negative);
-    ("rat to_int of promoted integers", `Quick, test_rat_to_int_promoted) ]
+    ("rat to_int of promoted integers", `Quick, test_rat_to_int_promoted);
+    ("bigint long numerals round trip", `Quick, test_long_string_roundtrip) ]
   @ props

@@ -598,6 +598,34 @@ let test_unwritable_outputs () =
         (read "err"))
     [ "--cert-out"; "--dump-lp"; "--metrics-out"; "--trace-out" ]
 
+(* a fetch geometry the i-cache model cannot hold is an input error
+   (exit 2) naming the flag, on every command that analyzes; before the
+   one geometry check these divided by zero, or printed a bound for a
+   cache the simulator refuses to build *)
+let test_bad_geometry_flags () =
+  let path, read = cli_fixture () in
+  List.iter
+    (fun (flags, named) ->
+      List.iter
+        (fun cmd ->
+          let what = String.concat " " (cmd :: flags) in
+          let status =
+            run_cinderella ~stderr_to:(path "err")
+              ([ cmd; path "p.mc"; "-a"; path "p.ann" ] @ flags)
+          in
+          check_bool (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+          let err = read "err" in
+          let prefix = "cinderella: error: " ^ named ^ ": " in
+          check_bool (what ^ ": names " ^ named) true
+            (String.starts_with ~prefix err
+             && String.index err '\n' = String.length err - 1))
+        [ "analyze"; "attribute" ])
+    [ ([ "--cache-size"; "0" ], "--cache-size");
+      ([ "--line-size"; "0" ], "--line-size");
+      ([ "--cache-size"; "64"; "--line-size"; "128" ], "--cache-size");
+      ([ "--line-size"; "24" ], "--line-size");
+      ([ "--miss-penalty=-1" ], "--miss-penalty") ]
+
 (* every subcommand's manual renders: cmdliner reports a malformed doc
    string on stderr but still exits 0, so the stderr check is the one
    that catches it *)
@@ -633,4 +661,6 @@ let suite =
      test_analyze_sinks_every_flag_combination);
     ("unwritable output paths are input errors", `Quick,
      test_unwritable_outputs);
-    ("every subcommand's --help is clean", `Quick, test_subcommand_help) ]
+    ("every subcommand's --help is clean", `Quick, test_subcommand_help);
+    ("bad fetch geometry flags are input errors", `Quick,
+     test_bad_geometry_flags) ]

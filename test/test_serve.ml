@@ -647,6 +647,22 @@ let test_cert_zero_denominator_heals () =
         | _ -> Alcotest.fail "a cached certificate is an object"))
     (cache_specs ())
 
+(* a stored bound with thousands of digits is rejected and re-solved in
+   time: printing it in the checker's message was once cubic in its
+   length, and a 2000-digit bound stalled a warm query for over 40 s *)
+let test_cert_long_bound_heals () =
+  List.iter
+    (fun (name, spec) ->
+      cert_self_heal ~name:("serve-cert-long-bound-" ^ name) ~spec (function
+        | J.Obj fields ->
+          J.Obj
+            (List.map
+               (fun (k, v) ->
+                 (k, if k = "bound" then J.Str (String.make 2000 '1') else v))
+               fields)
+        | _ -> Alcotest.fail "a cached certificate is an object"))
+    (cache_specs ())
+
 (* every single-leaf damage of a JSON value, with its path: an integer
    plus one, a string replaced, a list without its last element *)
 let rec mutations path =
@@ -869,6 +885,41 @@ let test_protocol_errors () =
           ~extra:
             [ ("root", J.Str "main");
               ("options", J.Obj [ ("timeout_ms", J.Int 0) ]) ]))
+
+(* a fetch geometry the i-cache model cannot hold is the client's input
+   error, saying what is wrong; [line_bytes = 0] used to surface as an
+   internal Division_by_zero *)
+let test_protocol_bad_geometry () =
+  List.iter
+    (fun (size_bytes, line_bytes, miss_penalty, what) ->
+      let request =
+        analyze_request "int main() {\n  return 1;\n}\n"
+          ~extra:
+            [ ("root", J.Str "main");
+              ( "options",
+                J.Obj
+                  [ ( "icache",
+                      J.Obj
+                        [ ("size_bytes", J.Int size_bytes);
+                          ("line_bytes", J.Int line_bytes);
+                          ("miss_penalty", J.Int miss_penalty) ] ) ] ) ]
+      in
+      let response, _ = Protocol.handle_line pconfig request in
+      check_string (what ^ ": code") "input" (response_code response);
+      let message =
+        Result.to_option (J.parse response)
+        |> Fun.flip Option.bind (J.member "error")
+        |> Fun.flip Option.bind (J.member "message")
+        |> Fun.flip Option.bind J.to_str
+        |> Option.value ~default:""
+      in
+      check_bool (what ^ ": message says what is wrong") true
+        (String.starts_with ~prefix:("icache: " ^ what) message))
+    [ (512, 0, 8, "line size 0");
+      (512, 24, 8, "line size 24");
+      (0, 16, 8, "capacity 0");
+      (64, 128, 8, "capacity 64");
+      (512, 16, -1, "miss penalty -1") ]
 
 (* counts or cycles beyond int63 reach the client as an analysis error *)
 let test_protocol_overflow () =
@@ -1484,4 +1535,9 @@ let suite =
       test_sigterm_flush;
     QCheck_alcotest.to_alcotest prop_json_parse_total;
     Alcotest.test_case "protocol: int63 overflow is an analysis error" `Quick
-      test_protocol_overflow ]
+      test_protocol_overflow;
+    Alcotest.test_case "protocol: a bad fetch geometry is an input error"
+      `Quick test_protocol_bad_geometry;
+    Alcotest.test_case
+      "certificates: a 2000-digit bound in a cached certificate heals" `Quick
+      test_cert_long_bound_heals ]
