@@ -5,10 +5,10 @@ Usage: python3 check_cert.py REPORT.txt CERT.json
 Both certificates must be valid with the gap closed, and each
 certificate's bound must equal its side of the report's
 `estimated bound: [bcet, wcet] cycles` line. Each side's
-`wcet certificate:` / `bcet certificate:` report line must say its LP
-solve pivoted `from the witness`: the reported witness is the ILP's own
-postsolved optimum, so a `cold` fallback means it was not an optimal
-vertex of the certified LP.
+`wcet certificate:` / `bcet certificate:` report line must say its duals
+came `from lifted`: the root relaxation's row prices, lifted back through
+presolve. Every suite ILP's first relaxation is integral, so a `cold`
+re-solve means the lift failed.
 """
 import json
 import re
@@ -33,9 +33,9 @@ for side, bound in (("bcet", m.group(1)), ("wcet", m.group(2))):
     if line is None:
         print(f"{report}: no {side} certificate line")
         failed = True
-    elif line.group(1) != "the witness":
-        print(f"{report}: {side} certificate solved from "
-              f"{line.group(1)}, not from the witness")
+    elif line.group(1) != "lifted":
+        print(f"{report}: {side} certificate came from "
+              f"{line.group(1)}, not from the lifted root prices")
         failed = True
     if c["certificate"]["bound"] != bound:
         print(f"{cert_file}: {side} bound {c['certificate']['bound']} "

@@ -258,8 +258,10 @@ let stats () =
 
 (* --- ablations ----------------------------------------------------------- *)
 
+(* the machine's own fetch geometry, at each capacity *)
 let ablation_cache () =
   header "Ablation: i-cache capacity vs Table III upper pessimism";
+  let mach = !table_mach in
   let names = [ "check_data"; "piksrt"; "jpeg_fdct_islow"; "matgen" ] in
   Printf.printf "  %-17s" "cache bytes";
   List.iter (fun n -> Printf.printf " %16s" n) names;
@@ -267,12 +269,13 @@ let ablation_cache () =
   List.iter
     (fun size ->
       let cache =
-        { Ipet_machine.Icache.i960kb with Ipet_machine.Icache.size_bytes = size }
+        { mach.Ipet_machine.Machine.fetch with
+          Ipet_machine.Icache.size_bytes = size }
       in
       Printf.printf "  %-17d" size;
       List.iter
         (fun name ->
-          let row = E.run ~cache (Ipet_suite.Suite.find name) in
+          let row = E.run ~mach ~cache (Ipet_suite.Suite.find name) in
           let _, phi = E.pessimism ~estimated:row.E.estimated ~reference:row.E.measured in
           Printf.printf " %16.2f" phi)
         names;
@@ -352,7 +355,7 @@ let table_extra () =
     "Measured Bound" "Pessimism";
   List.iter
     (fun (bench : Bspec.t) ->
-      let row = E.run bench in
+      let row = E.run ~mach:!table_mach bench in
       let plo, phi =
         E.pessimism ~estimated:row.E.estimated ~reference:row.E.measured
       in
@@ -369,8 +372,8 @@ let ablation_dcache () =
   List.iter
     (fun name ->
       let bench = Ipet_suite.Suite.find name in
-      let flat = E.run bench in
-      let cached = E.run ~dcache bench in
+      let flat = E.run ~mach:!table_mach bench in
+      let cached = E.run ~mach:!table_mach ~dcache bench in
       Printf.printf "  %-17s %-24s %-24s\n" name
         (pp_interval flat.E.estimated) (pp_interval cached.E.estimated))
     [ "check_data"; "piksrt"; "matgen"; "recon" ];

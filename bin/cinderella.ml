@@ -453,16 +453,9 @@ let attribute_cmd obs load_input args sets flush certify =
   let arg_values = List.map (fun i -> Ipet_isa.Value.Vint i) args in
   ignore (run_sim m root arg_values);
   record_sim_metrics m;
-  let cost_cache = Hashtbl.create 8 in
+  let costs = Ipet.Analysis.block_costs spec in
   let wcet_cost func block =
-    let arr =
-      match Hashtbl.find_opt cost_cache func with
-      | Some a -> a
-      | None ->
-        let a = Ipet.Analysis.block_costs spec ~func in
-        Hashtbl.add cost_cache func a;
-        a
-    in
+    let arr = costs ~func in
     if block < Array.length arr then arr.(block).Ipet_machine.Cost.worst else 0
   in
   let rows =

@@ -1,55 +1,65 @@
 (** Certificate production.
 
-    [emit problem ~witness ~bound] solves the LP relaxation of the
-    {e original, pre-presolve} problem once with the revised primal
-    simplex, started at the witness ({!Ipet_lp.Revised.solve_at}), and
-    takes the dual multipliers from its final basis, then packages them
-    with the witness and the problem digest.
+    A certificate's duals are the row prices of the solve that found the
+    bound. The branch and bound's root relaxation ends in an optimal
+    basis of the {e presolved} problem, and {!Ipet_lp.Presolve.lift}
+    carries its row prices back through presolve's recorded reductions
+    to multipliers on the original rows ({!Ipet_lp.Ilp.stats}'s
+    [root_duals]). When the bound those multipliers imply equals the
+    reported bound, [emit] packages them with the witness and the problem
+    digest and solves nothing: the certificate is [Lifted]. That is the
+    common case, because the first LP relaxation of an IPET problem is
+    integral (the paper's Section VI), so its optimum is the bound.
 
-    The solve is on the untouched problem on purpose: the production
-    solve runs on the presolved problem, and presolve rounds bounds to
-    integers for ILPs — a rounded bound is a {e strictly stronger}
-    constraint than the original row, so duals of the presolved LP do not
-    in general certify the original one. Solving the untouched problem
-    keeps the proof about exactly the constraint set the digest names
-    (see DESIGN.md §5). Starting at the witness makes that solve cheap:
-    the first LP relaxation of an IPET problem is integral, so the
-    witness is usually an optimal vertex already. Its basis is factored
-    in one sparse elimination pass over its positive, then zero-valued,
-    columns, and only a few degenerate phase-2 pivots remain, often none.
-    A witness that violates a row or is not a vertex falls back to the
-    cold solve from the all-artificial basis.
+    Otherwise [emit] falls back: it solves the LP relaxation of the
+    original problem again, cold ({!Ipet_lp.Simplex.solve}), and takes
+    the duals of its optimal basis. That happens in three cases:
+    - no root prices were given ({!certify});
+    - the lift gave up. Presolve rounds bounds to integers for ILPs, so a
+      rounded bound row is strictly stronger than the original row: its
+      price proves a bound about the reduced problem only, and no
+      multiplier on the original rows reproduces it. The lift therefore
+      gives up when a rounded bound has a nonzero price;
+    - the lifted bound differs from the reported one: the root
+      relaxation was fractional and the branch and bound closed the gap.
 
-    The resulting certificate's [dual_bound] is the true LP-relaxation
-    optimum: the gap closes exactly when the relaxation's optimum equals
-    the integral bound (the paper's observation for all 13 benchmarks).
-    Only [duals] depends on which optimal basis the solve ends in. *)
+    The re-solve's [dual_bound] is the original LP relaxation's optimum,
+    so its certificate may keep a gap (for instance after a rounded
+    bound). A gap-closed certificate has the same [bound], [dual_bound],
+    [witness] and [digest] whichever route produced it; only [duals]
+    depends on the route and the basis it ends in. *)
 
 open Ipet_num
 open Ipet_lp
 
+type source =
+  | Lifted  (** the root prices lifted through presolve; no solve *)
+  | Cold    (** the cold re-solve of the original LP relaxation *)
+
 type emitted = {
   cert : Certificate.t;
-  pivots : int;
-      (** simplex pivots of the solve: from the witness, phase 2's only
-          (factoring the witness's basis is not a pivot) *)
-  from_witness : bool;  (** [false] when the solve fell back to cold *)
+  pivots : int;  (** simplex pivots of the re-solve; 0 when [Lifted] *)
+  source : source;
 }
 
 val emit :
+  ?root_duals:Rat.t array ->
   Lp_problem.t ->
   witness:(string * Rat.t) list ->
   bound:Rat.t ->
   (emitted, string) result
 (** [witness] is a solver assignment for [problem] (zeros allowed; it is
-    canonicalized), [bound] its objective value. Fails when the LP
-    relaxation is infeasible or unbounded — neither can happen for a
-    problem whose ILP was solved to optimality. The certificate is a pure
-    function of [problem], [witness] and [bound]. *)
+    canonicalized), [bound] its objective value. [root_duals], when
+    given, are multipliers on [problem]'s constraints from the solve that
+    found [bound] ({!Ipet_lp.Ilp.stats}'s [root_duals]); they are used as
+    they are when they imply exactly [bound], and the LP is re-solved
+    otherwise. Fails when the re-solved LP relaxation is infeasible or
+    unbounded — neither can happen for a problem whose ILP was solved to
+    optimality. The certificate is a pure function of the arguments. *)
 
 val certify :
   Lp_problem.t ->
   witness:(string * Rat.t) list ->
   bound:Rat.t ->
   (Certificate.t, string) result
-(** {!emit} without the solve's statistics. *)
+(** {!emit} without root prices or statistics: always the re-solve. *)

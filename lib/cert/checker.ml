@@ -11,10 +11,12 @@ let gap_closed = function
   | Valid { gap } -> Rat.is_zero gap
   | Invalid _ -> false
 
-let pp_verdict fmt = function
+let pp_verdict (cert : Certificate.t) fmt = function
   | Valid { gap } ->
     if Rat.is_zero gap then Format.fprintf fmt "valid, gap closed (optimal)"
-    else Format.fprintf fmt "valid, gap %a (bound safe)" Rat.pp gap
+    else
+      Format.fprintf fmt "valid, gap %a; proved bound %a" Rat.pp gap Rat.pp
+        cert.Certificate.dual_bound
   | Invalid errs ->
     Format.fprintf fmt "INVALID: %s" (String.concat "; " errs)
 

@@ -36,4 +36,8 @@ val check : Lp_problem.t -> Certificate.t -> verdict
 val gap_closed : verdict -> bool
 (** [Valid] with a zero gap. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
+val pp_verdict : Certificate.t -> Format.formatter -> verdict -> unit
+(** [pp_verdict cert] prints the verdict on [cert]. With the gap open it
+    names [cert]'s [dual_bound], the number the duals prove: for a
+    [Maximize] problem the witness value is only a lower bound on the
+    optimum, and no feasible point exceeds [dual_bound]. *)

@@ -60,7 +60,7 @@ type certificate = {
   verdict : Ipet_cert.Checker.verdict;
   emit_seconds : float;
   emit_pivots : int;
-  emit_from_witness : bool;
+  emit_source : Ipet_cert.Certify.source;
   check_seconds : float;
 }
 
@@ -130,11 +130,19 @@ type func_costs = {
 type costs = {
   spec : spec;
   layout : Layout.t;
+  bounds_of : (P.func -> Cost.bounds array) Lazy.t;
+      (* one call-graph slot fixpoint for every function *)
   funcs : (string, func_costs) Hashtbl.t;
 }
 
 let costs spec =
-  { spec; layout = Layout.make spec.prog; funcs = Hashtbl.create 16 }
+  let layout = Layout.make spec.prog in
+  { spec; layout;
+    bounds_of =
+      lazy
+        (Cost.func_bounds ~mach:spec.mach ?dcache:spec.dcache ~prog:spec.prog
+           spec.cache layout);
+    funcs = Hashtbl.create 16 }
 
 let func_costs t (func : P.func) =
   match Hashtbl.find_opt t.funcs func.P.name with
@@ -142,16 +150,15 @@ let func_costs t (func : P.func) =
   | None ->
     let spec = t.spec in
     let c =
-      { bounds =
-          Cost.func_bounds ~mach:spec.mach ?dcache:spec.dcache ~prog:spec.prog
-            spec.cache t.layout func;
+      { bounds = Lazy.force t.bounds_of func;
         plan = lazy (refinement_plan spec t.layout func) }
     in
     Hashtbl.replace t.funcs func.P.name c;
     c
 
-let block_costs spec ~func =
-  (func_costs (costs spec) (P.find_func spec.prog func)).bounds
+let block_costs spec =
+  let t = costs spec in
+  fun ~func -> (func_costs t (P.find_func spec.prog func)).bounds
 
 (* the objective: Σ c_i·x_i over the blocks of the instances, each block
    also charged [callee g] per call it makes to [g]. Under the first-miss
@@ -266,34 +273,45 @@ let extreme_of_witness insts (problem : Lp.t) ~bound witness =
     counts = block_counts insts env;
     binding = binding_constraints problem.Lp.constraints env }
 
-(* Certify the winning bound: one un-presolved LP solve, started at the
-   witness, recovers exact dual multipliers for the original constraint
-   set (Certify), then the
+(* Certify the winning bound: the root relaxation's row prices, lifted
+   through presolve, are the dual multipliers for the original constraint
+   set when they prove exactly the bound; otherwise one cold solve of the
+   un-presolved LP recovers them (Certify). Then the
    trusted checker validates the whole package. Production failure is an
    analysis error — the ILP was just solved to optimality, so its LP
    relaxation cannot be infeasible or unbounded — while a rejected
    certificate is carried in the result for the caller to surface. *)
-let certify_extreme ~dir_label problem value assignment =
+let certify_extreme ~dir_label problem value assignment root_duals =
   let produced, emit_seconds =
     Obs.timed (fun () ->
-        Ipet_cert.Certify.emit problem ~witness:assignment ~bound:value)
+        Ipet_cert.Certify.emit ?root_duals:(Lazy.force root_duals) problem
+          ~witness:assignment ~bound:value)
   in
   match produced with
   | Error e -> fail "certificate production failed (%s): %s" dir_label e
-  | Ok { Ipet_cert.Certify.cert; pivots; from_witness } ->
+  | Ok { Ipet_cert.Certify.cert; pivots; source } ->
     let verdict, check_seconds =
       Obs.timed (fun () -> Ipet_cert.Checker.check problem cert)
     in
-    { cert; verdict; emit_seconds; emit_pivots = pivots;
-      emit_from_witness = from_witness; check_seconds }
+    { cert; verdict; emit_seconds; emit_pivots = pivots; emit_source = source;
+      check_seconds }
 
 (* A unit's ILPs: each conjunctive set's constraints, built once, and
    the two objectives. A set's presolve fixpoint is computed by the first
-   direction that solves the set and shared by the other *)
+   direction that solves the set and shared by the other; it records what
+   the dual lift reads ([true]) only when a certificate needs it *)
 type constraint_set = {
   constraints : Lp.constr list;
-  fixpoint : Ipet_lp.Presolve.fixpoint Lazy.t;
+  mutable fixpoint : (bool * Ipet_lp.Presolve.fixpoint) option;
 }
+
+let set_fixpoint set ~lift =
+  match set.fixpoint with
+  | Some (lifts, fp) when lifts || not lift -> fp
+  | Some _ | None ->
+    let fp = Ipet_lp.Presolve.fixpoint ~integer:true ~lift set.constraints in
+    set.fixpoint <- Some (lift, fp);
+    fp
 
 type system = {
   sets : constraint_set list;
@@ -304,9 +322,7 @@ type system = {
 let system ~wcet ~bcet sets =
   { sets =
       List.map
-        (fun constraints ->
-          { constraints;
-            fixpoint = lazy (Ipet_lp.Presolve.fixpoint ~integer:true constraints) })
+        (fun constraints -> { constraints; fixpoint = None })
         sets;
     wcet_objective = wcet;
     bcet_objective = bcet }
@@ -362,7 +378,8 @@ let solve_extreme ?(certify = false) spec insts system direction =
       ( problem,
         if spec.presolve then
           Ilp.solve_presolved
-            (Ipet_lp.Presolve.emit (Lazy.force set.fixpoint) direction objective)
+            (Ipet_lp.Presolve.emit (set_fixpoint set ~lift:certify) direction
+               objective)
         else Ilp.solve ~presolve:false problem )
     in
     if not (Obs.enabled ()) then solve ()
@@ -387,8 +404,9 @@ let solve_extreme ?(certify = false) spec insts system direction =
         record_presolve problem stats;
         if not stats.Ilp.first_lp_integral then all_first := false;
         (match !best with
-         | Some (v, _, _) when not (better value v) -> ()
-         | Some _ | None -> best := Some (value, assignment, problem))
+         | Some (v, _, _, _) when not (better value v) -> ()
+         | Some _ | None ->
+           best := Some (value, assignment, problem, stats.Ilp.root_duals))
       | Ilp.Infeasible stats ->
         lp_calls := !lp_calls + stats.Ilp.lp_calls;
         nodes := !nodes + stats.Ilp.nodes;
@@ -404,9 +422,10 @@ let solve_extreme ?(certify = false) spec insts system direction =
     results;
   match !best with
   | None -> fail "every functionality constraint set is infeasible"
-  | Some (value, assignment, problem) ->
+  | Some (value, assignment, problem, root_duals) ->
     let certificate =
-      if certify then Some (certify_extreme ~dir_label problem value assignment)
+      if certify then
+        Some (certify_extreme ~dir_label problem value assignment root_duals)
       else None
     in
     let stats =

@@ -108,12 +108,12 @@ type certificate = {
   verdict : Ipet_cert.Checker.verdict;
       (** the trusted checker's validation, run eagerly at production *)
   emit_seconds : float;
-      (** certificate production time: one un-presolved LP solve, started
-          at the witness *)
-  emit_pivots : int;     (** simplex pivots of that solve *)
-  emit_from_witness : bool;
-      (** [false] when the witness was not a feasible vertex and the
-          solve fell back to the cold start *)
+      (** certificate production time: packaging the lifted root prices,
+          or one un-presolved LP solve when they do not prove the bound *)
+  emit_pivots : int;     (** simplex pivots of that solve; 0 when lifted *)
+  emit_source : Ipet_cert.Certify.source;
+      (** where the duals came from: the lifted root prices, or the cold
+          re-solve when they do not prove the bound *)
   check_seconds : float; (** trusted-checker validation time *)
 }
 
@@ -200,7 +200,9 @@ val program_system : spec -> Structural.instance list * system
 type costs
 (** One analysis's per-function cost table over one code layout: block
     cost bounds and, when a first-miss objective needs it, the refinement
-    plan. Filled on demand, each function once. *)
+    plan. Filled on demand, each function once; the whole-program
+    call-graph slot sets its bounds read are computed once, on first
+    use. *)
 
 val costs : spec -> costs
 
@@ -248,4 +250,7 @@ val extreme_of_witness :
     yields exactly the extreme {!analyze} reported with it. *)
 
 val block_costs : spec -> func:string -> Ipet_machine.Cost.bounds array
-(** Per-block cost bounds used for the objective. *)
+(** Per-block cost bounds used for the objective. [block_costs spec] is
+    one cost table: apply it once and then to each function, and every
+    function is costed once over one layout and one call-graph slot
+    fixpoint. *)

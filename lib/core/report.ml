@@ -71,12 +71,16 @@ let bound_summary (r : Analysis.result) =
     Buffer.add_string buf
       (Format.asprintf
          "%s certificate: %a; %d duals, %d witness vars (emit %.1f ms, %d pivots from %s; check %.2f ms)\n"
-         side Ipet_cert.Checker.pp_verdict c.Analysis.verdict
+         side
+         (Ipet_cert.Checker.pp_verdict c.Analysis.cert)
+         c.Analysis.verdict
          (Array.length c.Analysis.cert.Ipet_cert.Certificate.duals)
          (List.length c.Analysis.cert.Ipet_cert.Certificate.witness)
          (1000. *. c.Analysis.emit_seconds)
          c.Analysis.emit_pivots
-         (if c.Analysis.emit_from_witness then "the witness" else "cold")
+         (match c.Analysis.emit_source with
+          | Ipet_cert.Certify.Lifted -> "lifted"
+          | Ipet_cert.Certify.Cold -> "cold")
          (1000. *. c.Analysis.check_seconds))
   in
   Option.iter (cert_line "wcet") r.Analysis.wcet_cert;

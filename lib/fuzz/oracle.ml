@@ -157,13 +157,19 @@ let certificate_finding what (c : Analysis.certificate option) =
            detail =
              Printf.sprintf "%s certificate rejected: %s" what
                (String.concat "; " reasons) }
-  | Some { Analysis.emit_from_witness = false; _ } ->
+  | Some { Analysis.emit_source = Ipet_cert.Certify.Cold; verdict; cert; _ } ->
     Some { kind = Certificate_cold;
            detail =
-             what
-             ^ " certificate solve fell back to cold: the witness is not an \
-                optimal vertex of the certified LP" }
-  | Some _ -> None
+             (if Ipet_cert.Checker.gap_closed verdict then
+                what
+                ^ " certificate closes the gap but was re-solved cold: the \
+                   root relaxation's prices did not lift through presolve"
+              else
+                Format.asprintf
+                  "%s certificate was re-solved cold and is %a: the root \
+                   relaxation's prices did not prove the bound"
+                  what (Ipet_cert.Checker.pp_verdict cert) verdict) }
+  | Some { Analysis.emit_source = Ipet_cert.Certify.Lifted; _ } -> None
 
 let run mach cache source =
   let ast, _env = parse source in

@@ -34,9 +34,8 @@ type failure_kind =
   | Certificate_reject
       (** the trusted checker refused a bound's duality certificate *)
   | Certificate_cold
-      (** a certificate's LP solve could not start at the witness and fell
-          back to the cold route: the reported witness is not an optimal
-          vertex of the certified LP *)
+      (** a certificate was re-solved cold: the root relaxation's prices
+          did not lift through presolve, or did not prove the bound *)
   | Unexpected_exception
 
 val kind_name : failure_kind -> string
@@ -51,7 +50,8 @@ val certificate_finding :
   string -> Ipet.Analysis.certificate option -> failure option
 (** [certificate_finding what c] is the certificate check {!check} makes
     on one bound ([what] names it): no certificate or a rejected one is a
-    [Certificate_reject], one solved cold a [Certificate_cold]. *)
+    [Certificate_reject]; one re-solved cold instead of lifted is a
+    [Certificate_cold], whose detail says whether it closes the gap. *)
 
 val check :
   ?mach:Ipet_machine.Machine.t ->

@@ -124,7 +124,7 @@ let append t ~pivot_row ~alpha =
   assert (not (Rat.is_zero epiv));
   push t { erow = erow_int; epiv; eidx; evals }
 
-(* The column-elimination kernel of [refactor] and [eliminate]: load [c]
+(* The column-elimination kernel of [refactor]: load [c]
    into the all-zero scratch, run it through the etas built so far
    (tracking the touched support to avoid O(m) clears), pivot it on the
    smallest unpivoted internal row where its image is nonzero and push
@@ -218,7 +218,3 @@ let refactor t ~col_of ~basis =
     if t.int_of_ext.(i) <> i then trivial := false
   done;
   t.perm_trivial <- !trivial
-
-let eliminate t c =
-  let r = eliminate_col t c in
-  if r < 0 then None else Some r

@@ -5,12 +5,9 @@
     permutation introduced by refactorization. Pivots append one eta;
     {!refactor} rebuilds the whole product by sparse Gaussian elimination
     over the current basis columns (processed sparsest-first), bounding
-    both the eta file length and the accumulated fill. {!eliminate}
-    builds a factorization the same way, one column at a time, from
-    columns whose basis rows are not known in advance: it picks each
-    column's row itself. Both run one kernel per column: load it, run it
-    through the etas built so far, pivot it on the smallest unpivoted row
-    where its image is nonzero, and push that eta.
+    both the eta file length and the accumulated fill: each column is
+    loaded, run through the etas built so far, pivoted on the smallest
+    unpivoted row where its image is nonzero, and that eta is pushed.
 
     All arithmetic is exact rational, so the representation is only about
     speed, never about accuracy: FTRAN/BTRAN results are bit-identical to
@@ -30,17 +27,6 @@ val create : int -> t
 val refactor : t -> col_of:(int -> Sparse.col) -> basis:int array -> unit
 (** Rebuild the factorization from scratch for the basis matrix whose
     column in row [i] is [col_of basis.(i)]. *)
-
-val eliminate : t -> Sparse.col -> int option
-(** [eliminate t c] extends a factorization built by {!create} and
-    [eliminate] calls only. The basis it represents holds every column
-    eliminated so far, each in the row it was pivoted on, and the unit
-    column in every row not pivoted yet. [eliminate t c] runs [c]
-    through the etas so far and pivots it on the smallest unpivoted row
-    where its image is nonzero: [c] becomes that row's basic column and
-    [Some row] is returned, with no row permutation. When the image is
-    zero on every unpivoted row, [c] depends on the columns already
-    eliminated, nothing changes and the result is [None]. *)
 
 val ftran : t -> Rat.t array -> unit
 (** [ftran t v] overwrites dense [v] with [B⁻¹ v]. *)

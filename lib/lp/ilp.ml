@@ -28,6 +28,7 @@ type stats = {
   warm_misses : int;
   first_lp_integral : bool;
   presolve : Presolve.stats option;
+  root_duals : Rat.t array option Lazy.t;
 }
 
 type result =
@@ -63,6 +64,7 @@ let solve_raw ~max_nodes problem =
   let pivot_count = ref 0 in
   let refactor_count = ref 0 in
   let first_lp_integral = ref false in
+  let root_duals = ref None in
   let incumbent = ref None in
   let better value =
     match !incumbent with
@@ -72,7 +74,8 @@ let solve_raw ~max_nodes problem =
   let stats () =
     { lp_calls = !lp_calls; nodes = !nodes; pivots = !pivot_count;
       refactorizations = !refactor_count; warm_hits = 0; warm_misses = 0;
-      first_lp_integral = !first_lp_integral; presolve = None }
+      first_lp_integral = !first_lp_integral; presolve = None;
+      root_duals = Lazy.from_val !root_duals }
   in
   let unbounded = ref false in
   let rec explore rows depth =
@@ -94,7 +97,11 @@ let solve_raw ~max_nodes problem =
            unbounded or infeasible; for IPET problems (flow polytopes with a
            unit source) feasibility is immediate, so report unbounded. *)
         if depth = 0 then unbounded := true
-      | Simplex.Optimal { value; assignment } ->
+      | Simplex.Optimal { value; assignment; duals } ->
+        (* [base] maximizes; a Minimize problem's multipliers are negated *)
+        if depth = 0 then
+          root_duals :=
+            Some (if maximize then duals else Array.map Rat.neg duals);
         let fractional = fractional_var assignment in
         if depth = 0 && fractional = None then first_lp_integral := true;
         if !incumbent <> None && not (better value) then ()
@@ -119,22 +126,31 @@ let solve_raw ~max_nodes problem =
       let value = if maximize then value else Rat.neg value in
       Optimal { value; assignment; stats = stats () }
 
-let solve_presolved ?(max_nodes = 100_000) = function
+let solve_presolved ?(max_nodes = 100_000) (outcome, lift) =
+  match outcome with
   | Presolve.Proved_infeasible { stats; reason = _ } ->
     Infeasible
       { lp_calls = 0; nodes = 0; pivots = 0; refactorizations = 0;
         warm_hits = 0; warm_misses = 0; first_lp_integral = false;
-        presolve = Some stats }
+        presolve = Some stats; root_duals = Lazy.from_val None }
   | Presolve.Reduced { problem = reduced; postsolve; stats = pstats } ->
+    let presolved (stats : stats) =
+      { stats with
+        presolve = Some pstats;
+        root_duals = lazy (Option.bind (Lazy.force stats.root_duals) lift) }
+    in
     (match solve_raw ~max_nodes reduced with
      | Optimal { value; assignment; stats } ->
        Optimal
-         { value;
-           assignment = postsolve assignment;
-           stats = { stats with presolve = Some pstats } }
-     | Infeasible stats -> Infeasible { stats with presolve = Some pstats }
-     | Unbounded stats -> Unbounded { stats with presolve = Some pstats })
+         { value; assignment = postsolve assignment; stats = presolved stats }
+     | Infeasible stats -> Infeasible (presolved stats)
+     | Unbounded stats -> Unbounded (presolved stats))
 
 let solve ?(max_nodes = 100_000) ?(presolve = true) ?pool:_ problem =
-  if presolve then solve_presolved ~max_nodes (Presolve.run ~integer:true problem)
+  if presolve then
+    solve_presolved ~max_nodes
+      (Presolve.emit
+         (Presolve.fixpoint ~integer:true ~lift:true
+            problem.Lp_problem.constraints)
+         problem.Lp_problem.direction problem.Lp_problem.objective)
   else solve_raw ~max_nodes problem

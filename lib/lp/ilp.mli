@@ -27,6 +27,14 @@ type stats = {
       (** the root relaxation was already integer-valued *)
   presolve : Presolve.stats option;
       (** reduction statistics; [None] when presolve was disabled *)
+  root_duals : Rat.t array option Lazy.t;
+      (** the root relaxation's row prices as multipliers on the solved
+          problem's constraints, in {!Simplex.result}'s [duals]
+          convention: when presolve ran, lifted back through its
+          reductions ({!Presolve.lift}) on first force. [None] when the
+          root relaxation was not optimal or the lift gave up. Their
+          bound is the root relaxation's optimum, which is [value]
+          whenever the first relaxation was integral. *)
 }
 
 type result =
@@ -58,9 +66,12 @@ val solve :
     kept for ledger/, no other caller; it is accepted and ignored.
     @raise Node_limit_exceeded if the bound is hit. *)
 
-val solve_presolved : ?max_nodes:int -> Presolve.outcome -> result
+val solve_presolved :
+  ?max_nodes:int -> Presolve.outcome * Presolve.lift -> result
 (** The branch and bound on a presolved problem, its assignment mapped
-    back through the postsolve: [solve ~presolve:true p] is
-    [solve_presolved (Presolve.run p)]. Solving each outcome
-    {!Presolve.emit} draws from one {!Presolve.fixpoint} presolves a
-    constraint set once for several objectives. *)
+    back through the postsolve and its root prices through the lift:
+    [solve ~presolve:true p] is [solve_presolved (Presolve.emit
+    (Presolve.fixpoint ~lift:true p.constraints) p.direction
+    p.objective)]. Solving
+    each outcome {!Presolve.emit} draws from one {!Presolve.fixpoint}
+    presolves a constraint set once for several objectives. *)

@@ -27,7 +27,14 @@
    entries by reading the coefficient. Rows that an elimination creates
    wait in a per-pass pending list and join [rows] after the pass, in
    creation order, so every pass visits the rows in the same order as a
-   fixpoint that appended them at once. *)
+   fixpoint that appended them at once.
+
+   Made with [~lift:true], the fixpoint also logs what the dual lift
+   ([lift_duals]) reads: each elimination, fix, forcing row and implied
+   bound, with the rows each substitution rewrote and the coefficient it
+   found there, and each explicit bound keeps the singleton row it came
+   from. Rows that die without a trace (redundant, duplicate, empty,
+   constant) need no record: their multiplier is 0. *)
 
 open Ipet_num
 
@@ -61,19 +68,79 @@ type row = {
   rel : Lp_problem.relation;  (* Le or Eq; never Ge *)
   origin : string;
   idx : int;  (* intake position, for order-preserving emission *)
+  id : int;  (* unique; an intake row's is its intake position *)
   mutable live : bool;
 }
 
+(* an explicit bound, folded from the singleton row [src] in which its
+   variable's coefficient had absolute value [scale]: the bound row is
+   [src]'s expression divided by [scale], unless rounding tightened it
+   ([exact] is false) *)
+type bound = { value : Rat.t; src : row; scale : Rat.t; exact : bool }
+
+(* what a fix, a forcing row or a propagation relied on for one side of a
+   variable *)
+type side = Nonneg | Explicit of bound | Implied of implied
+
+(* A bound propagated from [psign * prow <= 0] (the [pid]th): the bounded
+   variable's coefficient there has absolute value [pscale], and every
+   other variable sat at the bound on its side, listed with its
+   coefficient's absolute value. The bound row is [psign * prow / pscale]
+   plus those bound rows, each scaled by its coefficient over [pscale],
+   unless rounding tightened it ([pexact] is false). *)
+and implied = {
+  pid : int;
+  prow : row;
+  psign : Rat.t;
+  pscale : Rat.t;
+  others : (Rat.t * side) list;
+  pexact : bool;
+}
+
+(* One substitution [v := e], the [k]th: the rows it rewrote, with [v]'s
+   coefficient in each just before, are entries [first .. last - 1] of the
+   state's touch buffers. *)
+type step = { k : int; first : int; last : int }
+
+(* The reductions the dual lift reverses, newest first in [state.log]. *)
+type event =
+  | Eliminated of { step : step; row : row; coeff : Rat.t;
+                    moved : (row * Rat.t * bound) list }
+      (* [v] defined by the equality [row], where its coefficient was
+         [coeff] (a singleton equality's fix too); [moved] are the rows its
+         explicit bounds became, each with [v]'s coefficient in the bound
+         row it replaces *)
+  | Pinched of { step : step; lower : side; upper : side }
+      (* fixed where its lower and upper bound met *)
+  | Forced of { row : row; sign : Rat.t; pins : (step * Rat.t * side) list }
+      (* [sign * row <= 0] pinned each variable to the bound on [side];
+         its coefficient in [sign * row] is given *)
+  | Propagated of implied
+      (* an implied bound was tightened: the lift hands the multiplier its
+         later uses gathered to [prow] as [prow] read then *)
+
 type state = {
   integer : bool;
+  record : bool;  (* log what the dual lift reads *)
   mutable rows : row list;  (* in original order; killed rows keep their slot *)
   mutable pending : row list;  (* made by this pass's eliminations, newest first *)
   occ : (string, row list) Hashtbl.t;  (* variable -> rows that may mention it *)
   mutable defs : (string * Linexpr.t) list;  (* most recent first *)
-  exp_ub : (string, Rat.t * string * int) Hashtbl.t;
-  exp_lb : (string, Rat.t * string * int) Hashtbl.t;  (* always > 0 *)
+  exp_ub : (string, bound) Hashtbl.t;
+  exp_lb : (string, bound) Hashtbl.t;  (* always > 0 *)
   imp_ub : (string, Rat.t) Hashtbl.t;
   imp_lb : (string, Rat.t) Hashtbl.t;
+  imp_ub_src : (string, implied) Hashtbl.t;  (* only when recording *)
+  imp_lb_src : (string, implied) Hashtbl.t;
+  mutable implied : int;
+  mutable log : event list;  (* newest first *)
+  (* every substitution's rewritten rows and coefficients, in order: flat
+     buffers, grown by doubling, so recording a row costs two stores *)
+  mutable touched_rows : row array;
+  mutable touched_coeffs : Rat.t array;
+  mutable touched : int;
+  mutable next_id : int;
+  mutable steps : int;
   mutable changed : bool;
   mutable substituted : int;
   mutable fixed : int;
@@ -87,7 +154,7 @@ let round_up st b = if st.integer then Rat.of_bigint (Rat.ceil b) else b
 let eff_lb st v =
   let l =
     match Hashtbl.find_opt st.exp_lb v with
-    | Some (x, _, _) -> x
+    | Some b -> b.value
     | None -> Rat.zero
   in
   match Hashtbl.find_opt st.imp_lb v with Some x -> Rat.max l x | None -> l
@@ -96,17 +163,37 @@ let eff_ub st v =
   let meet a b = match a with None -> Some b | Some x -> Some (Rat.min x b) in
   let u =
     match Hashtbl.find_opt st.exp_ub v with
-    | Some (x, _, _) -> Some x
+    | Some b -> Some b.value
     | None -> None
   in
   match Hashtbl.find_opt st.imp_ub v with Some x -> meet u x | None -> u
 
 (* bounds safe for redundancy checks: only what the output re-emits *)
 let safe_lb st v =
-  match Hashtbl.find_opt st.exp_lb v with Some (x, _, _) -> x | None -> Rat.zero
+  match Hashtbl.find_opt st.exp_lb v with Some b -> b.value | None -> Rat.zero
 
 let safe_ub st v =
-  match Hashtbl.find_opt st.exp_ub v with Some (x, _, _) -> Some x | None -> None
+  match Hashtbl.find_opt st.exp_ub v with Some b -> Some b.value | None -> None
+
+(* which bound [eff_lb] / [eff_ub] reads; only the lift reads sides, so
+   a fixpoint that does not record for it answers [Nonneg] *)
+let lower_side st v =
+  if not st.record then Nonneg
+  else
+    match Hashtbl.find_opt st.exp_lb v, Hashtbl.find_opt st.imp_lb v with
+    | None, None -> Nonneg
+    | Some b, None -> Explicit b
+    | Some b, Some i when Rat.compare b.value i >= 0 -> Explicit b
+    | _, Some _ -> Implied (Hashtbl.find st.imp_lb_src v)
+
+let upper_side st v =
+  if not st.record then Nonneg
+  else
+    match Hashtbl.find_opt st.exp_ub v, Hashtbl.find_opt st.imp_ub v with
+    | Some b, None -> Explicit b
+    | Some b, Some i when Rat.compare b.value i <= 0 -> Explicit b
+    | _, Some _ -> Implied (Hashtbl.find st.imp_ub_src v)
+    | None, None -> assert false (* asked only where [eff_ub] is finite *)
 
 let term_count e = Linexpr.fold_terms (fun _ _ n -> n + 1) e 0
 
@@ -124,15 +211,27 @@ let index st r e =
       Hashtbl.replace st.occ v (r :: rs))
     e ()
 
-let subst_expr expr v e =
-  let c = Linexpr.coeff expr v in
-  if Rat.is_zero c then expr
-  else Linexpr.add expr (Linexpr.scale c (Linexpr.sub e (Linexpr.var v)))
+let touch st r c =
+  if st.record then begin
+    let n = st.touched in
+    if n = Array.length st.touched_rows then begin
+      let grow a = Array.append a (Array.make n a.(0)) in
+      st.touched_rows <- grow st.touched_rows;
+      st.touched_coeffs <- grow st.touched_coeffs
+    end;
+    st.touched_rows.(n) <- r;
+    st.touched_coeffs.(n) <- c;
+    st.touched <- n + 1
+  end
 
 (* [v := e] in every live row that mentions [v]; no row mentions [v]
-   afterwards, so its index entry goes *)
-let substitute st v e =
+   afterwards, so its index entry goes. A [guard] row, [-e <= 0], is
+   recorded as a row that had [v]'s coefficient -1: it is [v >= 0]
+   rewritten. *)
+let substitute ?guard st v e =
   st.defs <- (v, e) :: st.defs;
+  let first = st.touched in
+  Option.iter (fun g -> touch st g Rat.minus_one) guard;
   Hashtbl.remove st.exp_ub v;
   Hashtbl.remove st.exp_lb v;
   Hashtbl.remove st.imp_ub v;
@@ -147,12 +246,18 @@ let substitute st v e =
          if r.live then begin
            let c = Linexpr.coeff r.expr v in
            if not (Rat.is_zero c) then begin
+             touch st r c;
              r.expr <- Linexpr.add r.expr (Linexpr.scale c step);
              index st r e
            end
          end)
        rs);
-  st.changed <- true
+  st.changed <- true;
+  let k = st.steps in
+  st.steps <- k + 1;
+  { k; first; last = st.touched }
+
+let log st event = if st.record then st.log <- event :: st.log
 
 let fix st v value ~why =
   if st.integer && not (Rat.is_integer value) then
@@ -168,8 +273,8 @@ let fix st v value ~why =
    | Some u when Rat.compare value u > 0 ->
      raise (Infeasible (Printf.sprintf "%s fixes %s above its upper bound" why v))
    | Some _ | None -> ());
-  substitute st v (Linexpr.const value);
-  st.fixed <- st.fixed + 1
+  st.fixed <- st.fixed + 1;
+  substitute st v (Linexpr.const value)
 
 (* after a bound update: detect conflicts and pinch-fixed variables *)
 let check_bounds st v ~why =
@@ -181,44 +286,74 @@ let check_bounds st v ~why =
     if c < 0 then
       raise
         (Infeasible (Printf.sprintf "%s leaves %s with an empty range" why v))
-    else if c = 0 then fix st v l ~why
+    else if c = 0 then begin
+      let lower = lower_side st v and upper = upper_side st v in
+      let step = fix st v l ~why in
+      log st (Pinched { step; lower; upper })
+    end
 
-let tighten_exp_ub st v b ~origin ~idx =
-  let b = round_down st b in
+(* the bound [b] on [v] from the singleton row [src], where [v]'s
+   coefficient has absolute value [scale] *)
+let tighten_exp_ub st v b ~src ~scale =
+  let value = round_down st b in
   (match Hashtbl.find_opt st.exp_ub v with
-   | Some (cur, _, _) when Rat.compare cur b <= 0 -> ()
+   | Some cur when Rat.compare cur.value value <= 0 -> ()
    | Some _ | None ->
-     Hashtbl.replace st.exp_ub v (b, origin, idx);
+     Hashtbl.replace st.exp_ub v
+       { value; src; scale; exact = Rat.equal value b };
      st.changed <- true);
-  check_bounds st v ~why:origin
+  check_bounds st v ~why:src.origin
 
-let tighten_exp_lb st v b ~origin ~idx =
-  let b = round_up st b in
-  if Rat.sign b > 0 then begin
+let tighten_exp_lb st v b ~src ~scale =
+  let value = round_up st b in
+  if Rat.sign value > 0 then begin
     (match Hashtbl.find_opt st.exp_lb v with
-     | Some (cur, _, _) when Rat.compare cur b >= 0 -> ()
+     | Some cur when Rat.compare cur.value value >= 0 -> ()
      | Some _ | None ->
-       Hashtbl.replace st.exp_lb v (b, origin, idx);
+       Hashtbl.replace st.exp_lb v
+         { value; src; scale; exact = Rat.equal value b };
        st.changed <- true);
-    check_bounds st v ~why:origin
+    check_bounds st v ~why:src.origin
   end
 
-let tighten_imp_ub st v b ~why =
-  let b = round_down st b in
+(* For the lift: the bound on [v] propagated from [sign * row <= 0],
+   where [v]'s coefficient is [coeff] and [sides] lists every variable's
+   coefficient and the bound it sat at *)
+let note_implied st table v ~row ~sign ~coeff ~sides ~exact =
+  if st.record then begin
+    let i =
+      { pid = st.implied; prow = row; psign = sign; pscale = Rat.abs coeff;
+        pexact = exact;
+        others =
+          List.filter_map
+            (fun (w, a, side) -> if String.equal w v then None else Some (a, side))
+            (Lazy.force sides) }
+    in
+    st.implied <- st.implied + 1;
+    Hashtbl.replace table v i;
+    log st (Propagated i)
+  end
+
+let tighten_imp_ub st v b ~why ~row ~sign ~coeff ~sides =
+  let value = round_down st b in
   let improves = match eff_ub st v with
     | None -> true
-    | Some cur -> Rat.compare b cur < 0
+    | Some cur -> Rat.compare value cur < 0
   in
   if improves then begin
-    Hashtbl.replace st.imp_ub v b;
+    note_implied st st.imp_ub_src v ~row ~sign ~coeff ~sides
+      ~exact:(Rat.equal value b);
+    Hashtbl.replace st.imp_ub v value;
     st.changed <- true;
     check_bounds st v ~why
   end
 
-let tighten_imp_lb st v b ~why =
-  let b = round_up st b in
-  if Rat.compare b (eff_lb st v) > 0 then begin
-    Hashtbl.replace st.imp_lb v b;
+let tighten_imp_lb st v b ~why ~row ~sign ~coeff ~sides =
+  let value = round_up st b in
+  if Rat.compare value (eff_lb st v) > 0 then begin
+    note_implied st st.imp_lb_src v ~row ~sign ~coeff ~sides
+      ~exact:(Rat.equal value b);
+    Hashtbl.replace st.imp_lb v value;
     st.changed <- true;
     check_bounds st v ~why
   end
@@ -261,37 +396,53 @@ let kill st r =
   r.live <- false;
   st.changed <- true
 
-(* [expr <= 0] forces every variable to its min-side bound *)
-let force_min st r =
+(* [sign * expr <= 0] at its minimum activity forces every variable to
+   its min-side bound *)
+let force st r ~sign =
   let pins =
     Linexpr.fold_terms
       (fun v c acc ->
-        let value =
-          if Rat.sign c > 0 then eff_lb st v
-          else match eff_ub st v with Some u -> u | None -> assert false
+        let c = Rat.mul sign c in
+        let value, side =
+          if Rat.sign c > 0 then (eff_lb st v, lower_side st v)
+          else
+            match eff_ub st v with
+            | Some u -> (u, upper_side st v)
+            | None -> assert false
         in
-        (v, value) :: acc)
+        (v, c, value, side) :: acc)
       r.expr []
   in
   kill st r;
-  List.iter (fun (v, value) -> fix st v value ~why:("forcing row " ^ r.origin)) pins
+  let pins =
+    List.map
+      (fun (v, c, value, side) ->
+        (fix st v value ~why:("forcing row " ^ r.origin), c, side))
+      pins
+  in
+  log st (Forced { row = r; sign; pins })
 
-let force_max st r =
-  let pins =
-    Linexpr.fold_terms
-      (fun v c acc ->
-        let value =
-          if Rat.sign c < 0 then eff_lb st v
-          else match eff_ub st v with Some u -> u | None -> assert false
-        in
-        (v, value) :: acc)
-      r.expr []
-  in
-  kill st r;
-  List.iter (fun (v, value) -> fix st v value ~why:("forcing row " ^ r.origin)) pins
+let force_min st r = force st r ~sign:Rat.one
+let force_max st r = force st r ~sign:Rat.minus_one
 
 (* propagate one direction of [expr <= 0] into implied bounds *)
-let propagate_le st origin expr =
+let no_sides = Lazy.from_val []
+
+let propagate_le st r ~sign =
+  let expr = if Rat.sign sign > 0 then r.expr else Linexpr.neg r.expr in
+  (* the bound each variable sat at when [sum_fin] read it, before this
+     call tightened any; only the lift reads them *)
+  let sides =
+    if not st.record then no_sides
+    else
+      lazy
+        (Linexpr.fold_terms
+           (fun w c acc ->
+             if Rat.sign c > 0 then (w, Rat.abs c, lower_side st w) :: acc
+             else if eff_ub st w = None then acc (* the one unbounded term *)
+             else (w, Rat.abs c, upper_side st w) :: acc)
+           expr [])
+  in
   let inf = ref 0 and sum_fin = ref (Linexpr.constant expr) in
   Linexpr.fold_terms
     (fun v c () ->
@@ -320,9 +471,10 @@ let propagate_le st origin expr =
       | None -> ()
       | Some s ->
         let bound = Rat.div (Rat.neg s) c in
-        let why = "propagation from " ^ origin in
-        if Rat.sign c > 0 then tighten_imp_ub st v bound ~why
-        else tighten_imp_lb st v bound ~why)
+        let why = "propagation from " ^ r.origin in
+        if Rat.sign c > 0 then
+          tighten_imp_ub st v bound ~why ~row:r ~sign ~coeff:c ~sides
+        else tighten_imp_lb st v bound ~why ~row:r ~sign ~coeff:c ~sides)
     expr ()
 
 let process_le st r =
@@ -335,7 +487,7 @@ let process_le st r =
     (match max_activity (safe_lb st) (safe_ub st) r.expr with
      | Some m when Rat.sign m <= 0 -> kill st r  (* implied by emitted bounds *)
      | Some _ | None -> ());
-    if r.live then propagate_le st r.origin r.expr
+    if r.live then propagate_le st r ~sign:Rat.one
   end
 
 let process_eq st r =
@@ -350,8 +502,8 @@ let process_eq st r =
       raise (Infeasible ("row cannot be satisfied: " ^ r.origin))
     | Some m when Rat.is_zero m -> force_max st r
     | Some _ | None ->
-      propagate_le st r.origin r.expr;
-      propagate_le st r.origin (Linexpr.neg r.expr)
+      propagate_le st r ~sign:Rat.one;
+      propagate_le st r ~sign:Rat.minus_one
   end
 
 let process_row st r =
@@ -376,10 +528,12 @@ let process_row st r =
         let b = Rat.div (Rat.neg (Linexpr.constant r.expr)) a in
         kill st r;
         (match r.rel with
-         | Lp_problem.Eq -> fix st v b ~why:("row " ^ r.origin)
+         | Lp_problem.Eq ->
+           let step = fix st v b ~why:("row " ^ r.origin) in
+           log st (Eliminated { step; row = r; coeff = a; moved = [] })
          | Lp_problem.Le ->
-           if Rat.sign a > 0 then tighten_exp_ub st v b ~origin:r.origin ~idx:r.idx
-           else tighten_exp_lb st v b ~origin:r.origin ~idx:r.idx
+           if Rat.sign a > 0 then tighten_exp_ub st v b ~src:r ~scale:a
+           else tighten_exp_lb st v b ~src:r ~scale:(Rat.neg a)
          | Lp_problem.Ge -> assert false)
       | _ ->
         (match r.rel with
@@ -427,23 +581,41 @@ let try_eliminate st r =
     match choice with
     | None -> ()
     | Some ((v, e), needs_guard) ->
+      let a = Linexpr.coeff r.expr v in
       kill st r;
       (* the eliminated variable's constraints move onto its definition *)
       let add expr ~origin ~idx =
-        let row = { expr; rel = Lp_problem.Le; origin; idx; live = true } in
+        let row =
+          { expr; rel = Lp_problem.Le; origin; idx; id = st.next_id;
+            live = true }
+        in
+        st.next_id <- st.next_id + 1;
         index st row expr;
-        st.pending <- row :: st.pending
+        st.pending <- row :: st.pending;
+        row
       in
-      (match Hashtbl.find_opt st.exp_lb v with
-       | Some (l, origin, idx) ->
-         add (Linexpr.sub (Linexpr.const l) e) ~origin ~idx
-       | None -> ());
-      (match Hashtbl.find_opt st.exp_ub v with
-       | Some (u, origin, idx) ->
-         add (Linexpr.sub e (Linexpr.const u)) ~origin ~idx
-       | None -> ());
-      if needs_guard then add (Linexpr.neg e) ~origin:r.origin ~idx:r.idx;
-      substitute st v e;
+      let move b expr ~coeff =
+        (add expr ~origin:b.src.origin ~idx:b.src.idx, coeff, b)
+      in
+      let below =
+        match Hashtbl.find_opt st.exp_lb v with
+        | Some b ->
+          [ move b (Linexpr.sub (Linexpr.const b.value) e)
+              ~coeff:Rat.minus_one ]
+        | None -> []
+      in
+      let above =
+        match Hashtbl.find_opt st.exp_ub v with
+        | Some b ->
+          [ move b (Linexpr.sub e (Linexpr.const b.value)) ~coeff:Rat.one ]
+        | None -> []
+      in
+      let guard =
+        if needs_guard then Some (add (Linexpr.neg e) ~origin:r.origin ~idx:r.idx)
+        else None
+      in
+      let step = substitute ?guard st v e in
+      log st (Eliminated { step; row = r; coeff = a; moved = below @ above });
       st.substituted <- st.substituted + 1
   end
 
@@ -466,58 +638,155 @@ let dedup st =
     st.rows
 
 let intake idx (c : Lp_problem.constr) =
+  let origin = c.Lp_problem.origin in
   match c.Lp_problem.rel with
   | Lp_problem.Le ->
-    { expr = c.Lp_problem.expr; rel = Lp_problem.Le;
-      origin = c.Lp_problem.origin; idx; live = true }
+    { expr = c.Lp_problem.expr; rel = Lp_problem.Le; origin; idx; id = idx;
+      live = true }
   | Lp_problem.Ge ->
-    { expr = Linexpr.neg c.Lp_problem.expr; rel = Lp_problem.Le;
-      origin = c.Lp_problem.origin; idx; live = true }
+    { expr = Linexpr.neg c.Lp_problem.expr; rel = Lp_problem.Le; origin; idx;
+      id = idx; live = true }
   | Lp_problem.Eq ->
-    { expr = c.Lp_problem.expr; rel = Lp_problem.Eq;
-      origin = c.Lp_problem.origin; idx; live = true }
+    { expr = c.Lp_problem.expr; rel = Lp_problem.Eq; origin; idx; id = idx;
+      live = true }
 
 (* Emission preserves the original constraint order: every output row —
    including a re-emitted bound — is placed at the intake position of the
    row it descends from. Keeping the reduced problem a subsequence of the
    original (same variable order, same row order) keeps the simplex
    pivoting deterministic in the same way with and without presolve, which
-   is what lets an alternate-optima witness agree between the two paths. *)
+   is what lets an alternate-optima witness agree between the two paths.
+   Each output row comes with its source, which the lift reads: a live
+   row, or a re-emitted explicit bound, which takes the slot and origin of
+   the singleton row it was folded from. *)
+type source = Live of row | Bound of bound
+
+let source_row = function Live r -> r | Bound b -> b.src
+
 let emit_rows st objective =
   let rows =
     List.filter_map
-      (fun r -> if r.live then Some (r.idx, r.expr, r.rel, r.origin) else None)
+      (fun r -> if r.live then Some (r.expr, r.rel, Live r) else None)
       st.rows
   in
   (* re-emit the explicit bounds of the variables that survived *)
   let live = Hashtbl.create 64 in
   let note e = Linexpr.fold_terms (fun v _ () -> Hashtbl.replace live v ()) e () in
-  List.iter (fun (_, e, _, _) -> note e) rows;
+  List.iter (fun (e, _, _) -> note e) rows;
   note objective;
   let bound_rows = ref [] in
-  Hashtbl.iter
-    (fun v (u, origin, idx) ->
-      if Hashtbl.mem live v then
-        bound_rows :=
-          (idx, Linexpr.sub (Linexpr.var v) (Linexpr.const u), Lp_problem.Le,
-           origin)
-          :: !bound_rows)
-    st.exp_ub;
-  Hashtbl.iter
-    (fun v (l, origin, idx) ->
-      if Hashtbl.mem live v then
-        bound_rows :=
-          (idx, Linexpr.sub (Linexpr.const l) (Linexpr.var v), Lp_problem.Le,
-           origin)
-          :: !bound_rows)
-    st.exp_lb;
+  let reemit table row =
+    Hashtbl.iter
+      (fun v b ->
+        if Hashtbl.mem live v then
+          bound_rows := (row v b.value, Lp_problem.Le, Bound b) :: !bound_rows)
+      table
+  in
+  reemit st.exp_ub (fun v u -> Linexpr.sub (Linexpr.var v) (Linexpr.const u));
+  reemit st.exp_lb (fun v l -> Linexpr.sub (Linexpr.const l) (Linexpr.var v));
   List.sort
-    (fun (i, e1, _, _) (j, e2, _, _) ->
-      match compare i j with
+    (fun (e1, _, s1) (e2, _, s2) ->
+      match compare (source_row s1).idx (source_row s2).idx with
       | 0 -> compare (Linexpr.to_string e1) (Linexpr.to_string e2)
       | c -> c)
     (rows @ !bound_rows)
-  |> List.map (fun (_, expr, rel, origin) -> Lp_problem.constr ~origin expr rel)
+  |> List.map (fun (expr, rel, source) ->
+         (Lp_problem.constr ~origin:(source_row source).origin expr rel, source))
+  |> List.split
+
+type lift = Rat.t array -> Rat.t array option
+
+exception Not_lifted
+
+(* The reverse pass (Andersen & Andersen's dual postsolve). [y] holds the
+   multiplier of every row, indexed by id, in the maximization sense: the
+   Lagrangian [objective - Σ y_r·expr_r] has no positive coefficient, and
+   its constant is the bound. It starts from the reduced problem's
+   multipliers and walks the reductions newest first. A substitution
+   [v := e] added [c·(e - v)] to each row it touched and [c_obj·(e - v)] to
+   the objective, so the multipliers in force leave [γ·(e - v)] on the
+   table, [γ] being [v]'s reduced cost just before. A defining row turns
+   that into its own multiplier; a fixed variable hands it to the bound
+   rows that justified the fix. An explicit bound row is its singleton row
+   scaled. An implied bound row is its source row as that row read when
+   the bound was propagated, plus the bounds it leaned on: its multiplier
+   gathers until the pass reaches that propagation and is handed on
+   there, so the substitutions before it see the row's share and the ones
+   after do not. A rounded bound with a nonzero multiplier proves more
+   than the original rows do, and the lift gives up. *)
+let lift_duals st ~ge ~obj_coeffs ~flip ~sources duals =
+  let neg_if b x = if b then Rat.neg x else x in
+  let y = Array.make st.next_id Rat.zero in
+  let add r m = y.(r.id) <- Rat.add y.(r.id) m in
+  let to_bound b m =
+    if not (Rat.is_zero m) then begin
+      if not b.exact then raise Not_lifted;
+      add b.src (Rat.div m b.scale)
+    end
+  in
+  (* the multiplier an implied bound gathers until the pass reaches the
+     propagation that made it *)
+  let gathered = Array.make st.implied Rat.zero in
+  (* a multiplier [m >= 0] on the bound row of a variable's [side] *)
+  let lean side m =
+    match side with
+    | Nonneg -> ()
+    | Explicit b -> to_bound b m
+    | Implied i -> gathered.(i.pid) <- Rat.add gathered.(i.pid) m
+  in
+  let gamma (step : step) =
+    let g = ref (neg_if flip obj_coeffs.(step.k)) in
+    for i = step.first to step.last - 1 do
+      g := Rat.sub !g (Rat.mul y.(st.touched_rows.(i).id) st.touched_coeffs.(i))
+    done;
+    !g
+  in
+  Array.iteri
+    (fun i source ->
+      let m = neg_if flip duals.(i) in
+      match source with Live r -> add r m | Bound b -> to_bound b m)
+    sources;
+  List.iter
+    (function
+      | Eliminated { step; row; coeff; moved } ->
+        let g =
+          List.fold_left
+            (fun g (n, c, b) ->
+              let m = y.(n.id) in
+              to_bound b m;
+              Rat.sub g (Rat.mul m c))
+            (gamma step) moved
+        in
+        add row (Rat.div g coeff)
+      | Pinched { step; lower; upper } ->
+        let g = gamma step in
+        if Rat.sign g > 0 then lean upper g
+        else if Rat.sign g < 0 then lean lower (Rat.neg g)
+      | Forced { row; sign; pins } ->
+        (* the smallest multiplier on [sign * row] that leaves every pin's
+           remaining reduced cost pointing into its bound *)
+        let pins =
+          List.map (fun (step, c, side) -> (gamma step, c, side)) pins
+        in
+        let u =
+          List.fold_left
+            (fun u (g, c, _) -> Rat.max u (Rat.div g c))
+            Rat.zero pins
+        in
+        List.iter
+          (fun (g, c, side) -> lean side (Rat.abs (Rat.sub g (Rat.mul u c))))
+          pins;
+        add row (Rat.mul sign u)
+      | Propagated i ->
+        let m = gathered.(i.pid) in
+        if not (Rat.is_zero m) then begin
+          if not i.pexact then raise Not_lifted;
+          let f = Rat.div m i.pscale in
+          add i.prow (Rat.mul i.psign f);
+          List.iter (fun (a, side) -> lean side (Rat.mul f a)) i.others
+        end)
+    st.log;
+  Array.mapi (fun i g -> neg_if flip (neg_if g y.(i))) ge
 
 let add_vars e acc =
   Linexpr.fold_terms (fun v _ acc -> Lp_problem.Names.add v acc) e acc
@@ -525,6 +794,7 @@ let add_vars e acc =
 type fixpoint = {
   vars : Lp_problem.Names.t;  (* of the constraints *)
   constrs_before : int;
+  ge : bool array;  (* which constraints are [Ge] rows, negated on intake *)
   rounds : int;
   substituted : int;
   fixed : int;
@@ -533,9 +803,10 @@ type fixpoint = {
          constraints are infeasible and how many rows were live then *)
 }
 
-let fixpoint ?(integer = true) constraints =
+let fixpoint ?(integer = true) ?(lift = false) constraints =
   let st =
     { integer;
+      record = lift;
       rows = List.mapi intake constraints;
       pending = [];
       occ = Hashtbl.create 64;
@@ -544,6 +815,18 @@ let fixpoint ?(integer = true) constraints =
       exp_lb = Hashtbl.create 64;
       imp_ub = Hashtbl.create 64;
       imp_lb = Hashtbl.create 64;
+      imp_ub_src = Hashtbl.create (if lift then 64 else 1);
+      imp_lb_src = Hashtbl.create (if lift then 64 else 1);
+      implied = 0;
+      log = [];
+      touched_rows =
+        Array.make (if lift then 64 else 0)
+          { expr = Linexpr.zero; rel = Lp_problem.Le; origin = ""; idx = -1;
+            id = -1; live = false };
+      touched_coeffs = Array.make (if lift then 64 else 0) Rat.zero;
+      touched = 0;
+      next_id = List.length constraints;
+      steps = 0;
       changed = true;
       substituted = 0;
       fixed = 0 }
@@ -575,6 +858,11 @@ let fixpoint ?(integer = true) constraints =
         (fun acc (c : Lp_problem.constr) -> add_vars c.Lp_problem.expr acc)
         Lp_problem.Names.empty constraints;
     constrs_before = List.length constraints;
+    ge =
+      Array.of_list
+        (List.map
+           (fun (c : Lp_problem.constr) -> c.Lp_problem.rel = Lp_problem.Ge)
+           constraints);
     rounds = !rounds;
     substituted = st.substituted;
     fixed = st.fixed;
@@ -589,13 +877,25 @@ let emit fp direction objective =
   in
   match fp.reached with
   | Error (reason, live_rows) ->
-    Proved_infeasible
-      { stats = stats_at ~vars_after:0 ~constrs_after:live_rows; reason }
+    ( Proved_infeasible
+        { stats = stats_at ~vars_after:0 ~constrs_after:live_rows; reason },
+      fun _ -> None )
   | Ok (st, replay) ->
+    (* the objective's coefficient of each substituted variable, just
+       before its substitution: what the lift starts each reduced cost at *)
+    let obj_coeffs = Array.make st.steps Rat.zero in
+    let k = ref 0 in
     let objective =
-      List.fold_left (fun o (v, e) -> subst_expr o v e) objective replay
+      List.fold_left
+        (fun o (v, e) ->
+          let c = Linexpr.coeff o v in
+          obj_coeffs.(!k) <- c;
+          incr k;
+          if Rat.is_zero c then o
+          else Linexpr.add o (Linexpr.scale c (Linexpr.sub e (Linexpr.var v))))
+        objective replay
     in
-    let constraints = emit_rows st objective in
+    let constraints, sources = emit_rows st objective in
     let reduced = Lp_problem.make direction objective constraints in
     let original_vars = Lp_problem.Names.elements vars in
     let defs = st.defs in
@@ -603,7 +903,7 @@ let emit fp direction objective =
        there, but its recorded explicit lower bound must still hold in the
        reconstruction *)
     let lb_defaults =
-      Hashtbl.fold (fun v (l, _, _) acc -> (v, l) :: acc) st.exp_lb []
+      Hashtbl.fold (fun v b acc -> (v, b.value) :: acc) st.exp_lb []
     in
     let postsolve assignment =
       let env = Hashtbl.create 64 in
@@ -619,15 +919,29 @@ let emit fp direction objective =
           if Rat.is_zero x then None else Some (v, x))
         original_vars
     in
-    Reduced
-      { problem = reduced;
-        postsolve;
-        stats =
-          stats_at
-            ~vars_after:(Lp_problem.num_variables reduced)
-            ~constrs_after:(List.length constraints) }
+    let sources = Array.of_list sources in
+    let lift duals =
+      if (not st.record) || Array.length duals <> Array.length sources then
+        None
+      else
+        match
+          lift_duals st ~ge:fp.ge ~obj_coeffs
+            ~flip:(direction = Lp_problem.Minimize) ~sources duals
+        with
+        | lifted -> Some lifted
+        | exception Not_lifted -> None
+    in
+    ( Reduced
+        { problem = reduced;
+          postsolve;
+          stats =
+            stats_at
+              ~vars_after:(Lp_problem.num_variables reduced)
+              ~constrs_after:(List.length constraints) },
+      lift )
 
 let run ?integer (problem : Lp_problem.t) =
-  emit
-    (fixpoint ?integer problem.Lp_problem.constraints)
-    problem.Lp_problem.direction problem.Lp_problem.objective
+  fst
+    (emit
+       (fixpoint ?integer problem.Lp_problem.constraints)
+       problem.Lp_problem.direction problem.Lp_problem.objective)

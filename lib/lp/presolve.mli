@@ -63,21 +63,51 @@ type fixpoint
     explicit bounds and recorded definitions, or the proof that it is
     infeasible. It holds no objective. *)
 
-val fixpoint : ?integer:bool -> Lp_problem.constr list -> fixpoint
+val fixpoint : ?integer:bool -> ?lift:bool -> Lp_problem.constr list -> fixpoint
 (** [fixpoint constraints] runs every reduction over [constraints] until
-    nothing changes. [integer] is as in {!run}. *)
+    nothing changes. [integer] is as in {!run}. With [lift] (default
+    [false]) it also records what the dual lift of each {!emit} reads;
+    without it every lift is [None]. The record is kept for the
+    fixpoint's lifetime and costs a few percent of its time, so a
+    caller that will not certify leaves it off. *)
 
-val emit : fixpoint -> Lp_problem.direction -> Linexpr.t -> outcome
+type lift = Rat.t array -> Rat.t array option
+(** The dual postsolve of a fixpoint made with [~lift:true]: multipliers
+    on the reduced problem's constraints to multipliers on the original
+    constraints, both in the convention of {!Simplex.result}'s [duals],
+    with the same bound and still covering every objective coefficient.
+    The reductions are reversed newest first, each with the coefficients
+    its rows had when it happened (the fixpoint records them):
+    - a dropped redundant, duplicate, empty or constant row gets 0;
+    - a re-emitted bound passes its multiplier, divided by the
+      coefficient, to the singleton row it came from;
+    - the defining row of an eliminated variable takes the multiplier
+      that zeroes that variable's reduced cost;
+    - a fixed variable passes its reduced cost to the rows that fixed it:
+      a singleton equality, a forcing row, or the two bounds that
+      pinched it;
+    - a bound presolve implied from another row passes its multiplier to
+      that row as the row read then, and to the bounds the other
+      variables sat at;
+    - a guard row ([e >= 0] for an eliminated variable) is that
+      variable's non-negativity.
+
+    [None] when a bound presolve rounded carries a nonzero multiplier:
+    the rounded row is stronger than the original rows, so no multiplier
+    on them reproduces its bound. *)
+
+val emit : fixpoint -> Lp_problem.direction -> Linexpr.t -> outcome * lift
 (** [emit fp direction objective] is the presolve of the problem
-    [direction objective] over [fp]'s constraints. It replays the recorded
-    definitions into [objective], and re-emits the explicit bound rows of
-    the variables that are live in the surviving rows or in that
-    objective. *)
+    [direction objective] over [fp]'s constraints, with its dual lift.
+    It replays the recorded definitions into [objective], and re-emits
+    the explicit bound rows of the variables that are live in the
+    surviving rows or in that objective. The lift of a
+    [Proved_infeasible] outcome is always [None]. *)
 
 val run : ?integer:bool -> Lp_problem.t -> outcome
 (** [run problem] presolves [problem]. With [integer] (the default) the
     reductions assume every variable ranges over non-negative integers, as
     in {!Ilp.solve}: derived bounds are rounded and a variable forced to a
     fractional value proves infeasibility. With [~integer:false] only
-    relaxation-safe reductions are applied. [run p] is one {!emit} of
+    relaxation-safe reductions are applied. [run p] is the outcome of one {!emit} of
     [fixpoint p.constraints]. *)

@@ -1,13 +1,10 @@
 open Ipet_num
 
-type solution = { value : Rat.t; xstruct : Rat.t array }
+type solution = { value : Rat.t; xstruct : Rat.t array; prices : Rat.t array }
 
 type verdict = Optimal of solution | Infeasible | Unbounded
 
 type run = { verdict : verdict; pivots : int; refactors : int }
-
-(* [vertex_state]'s signal that its point is not a vertex of the LP *)
-exception Stuck
 
 (* eta updates between basis refactorizations *)
 let refactor_every = 64
@@ -155,40 +152,26 @@ let extract st ~cost =
     let c = cost.(b) in
     if not (Rat.is_zero c) then value := Rat.add !value (Rat.mul c st.beta.(i))
   done;
-  { value = !value; xstruct }
+  { value = !value; xstruct; prices = Array.copy st.y }
 
-let full_cost inst cost =
-  let cost_full = Array.make inst.Sparse.ncols Rat.zero in
-  Array.blit cost 0 cost_full 0 inst.Sparse.nstruct;
-  cost_full
-
-(* the all-slack/artificial identity basis, every nonbasic column at 0 *)
-let cold_state inst =
-  let m = inst.Sparse.nrows in
-  let basic = Array.make inst.Sparse.ncols false in
-  let basis = Array.copy inst.Sparse.row_basis in
-  Array.iter (fun j -> basic.(j) <- true) basis;
-  { inst; basic; basis;
-    beta = Array.copy inst.Sparse.rhs;
-    fac = Basis.create m;
-    updates = 0; npivots = 0; nrefactors = 0;
-    y = Array.make m Rat.zero;
-    alpha = Array.make m Rat.zero }
-
-(* phase 2 from a feasible basis whose artificials are nonbasic or sit at
-   zero in redundant rows; on [Optimal], [st.y] holds the final basis's
-   row prices, the pricing vector of the last iteration *)
-let phase2 st ~cost_full =
-  let art_start = st.inst.Sparse.art_start in
-  match phase st ~cost:cost_full ~allowed:(fun j -> j < art_start) with
-  | `Unbounded -> Unbounded
-  | `Optimal -> Optimal (extract st ~cost:cost_full)
-
-(* phase 1 from the identity basis, then [drive_out] and phase 2 *)
-let cold st ~cost_full =
-  let inst = st.inst in
+(* Phase 1 from the all-slack/artificial identity basis (every nonbasic
+   column at 0), then [drive_out] and phase 2. On [Optimal], [st.y] holds
+   the final basis's row prices, the pricing vector of the last
+   iteration. *)
+let solve_primal inst ~cost =
   let m = inst.Sparse.nrows and ncols = inst.Sparse.ncols in
   let art_start = inst.Sparse.art_start in
+  let basic = Array.make ncols false in
+  let basis = Array.copy inst.Sparse.row_basis in
+  Array.iter (fun j -> basic.(j) <- true) basis;
+  let st =
+    { inst; basic; basis;
+      beta = Array.copy inst.Sparse.rhs;
+      fac = Basis.create m;
+      updates = 0; npivots = 0; nrefactors = 0;
+      y = Array.make m Rat.zero;
+      alpha = Array.make m Rat.zero }
+  in
   let feasible =
     if art_start = ncols then true
     else begin
@@ -212,106 +195,14 @@ let cold st ~cost_full =
       end
     end
   in
-  if feasible then phase2 st ~cost_full else Infeasible
-
-let finish st verdict =
+  let verdict =
+    if not feasible then Infeasible
+    else begin
+      let cost_full = Array.make ncols Rat.zero in
+      Array.blit cost 0 cost_full 0 inst.Sparse.nstruct;
+      match phase st ~cost:cost_full ~allowed:(fun j -> j < art_start) with
+      | `Unbounded -> Unbounded
+      | `Optimal -> Optimal (extract st ~cost:cost_full)
+    end
+  in
   { verdict; pivots = st.npivots; refactors = st.nrefactors }
-
-let solve_primal inst ~cost =
-  let st = cold_state inst in
-  finish st (cold st ~cost_full:(full_cost inst cost))
-
-(* The basis of the vertex [start] (structural values), factored in one
-   sparse elimination pass without pricing or ratio tests. The candidates
-   are every positive column, structural then slack/surplus, in column
-   order, then the zero-valued real columns in column order; each is
-   pivoted on the smallest unpivoted row where its image under the etas so
-   far is nonzero and becomes that row's basic column, or is skipped when
-   it depends on the columns already taken. A skipped positive column
-   means [start] is not a vertex. The pass stops once every row is
-   covered. A row left uncovered keeps its unit column, an artificial (a
-   row with a slack or surplus is always covered): the row is redundant
-   and its artificial stays basic at zero. Then [beta = B^-1 b] is
-   recomputed and checked rather than trusted. [drive_out] has nothing to
-   do here: a column the pass skipped has a zero image on every row still
-   unpivoted, and each later eta pivots on a row where that image is
-   zero, so no real column has a nonzero entry in an uncovered row.
-   @raise Stuck when [start] is negative, violates a row, or its positive
-   columns are linearly dependent (a point that is not a vertex). *)
-let vertex_state inst ~start =
-  let m = inst.Sparse.nrows and ncols = inst.Sparse.ncols in
-  let nstruct = inst.Sparse.nstruct and art_start = inst.Sparse.art_start in
-  if Array.length start <> nstruct then invalid_arg "Revised.solve_at";
-  let x = Array.make ncols Rat.zero in
-  let act = Array.make m Rat.zero in
-  Array.iteri
-    (fun j v ->
-      let s = Rat.sign v in
-      if s < 0 then raise Stuck;
-      if s > 0 then begin
-        x.(j) <- v;
-        let c = inst.Sparse.cols.(j) in
-        for k = 0 to Array.length c.Sparse.rows - 1 do
-          let r = c.Sparse.rows.(k) in
-          act.(r) <- Rat.add act.(r) (Rat.mul v c.Sparse.vals.(k))
-        done
-      end)
-    start;
-  (* a slack/surplus is a unit column that takes up its row's residual; a
-     row without one must hold with equality *)
-  let has_slack = Array.make m false in
-  for j = nstruct to art_start - 1 do
-    let c = inst.Sparse.cols.(j) in
-    let r = c.Sparse.rows.(0) in
-    let v = Rat.div (Rat.sub inst.Sparse.rhs.(r) act.(r)) c.Sparse.vals.(0) in
-    if Rat.sign v < 0 then raise Stuck;
-    x.(j) <- v;
-    has_slack.(r) <- true
-  done;
-  for r = 0 to m - 1 do
-    if (not has_slack.(r)) && not (Rat.equal act.(r) inst.Sparse.rhs.(r)) then
-      raise Stuck
-  done;
-  let st = cold_state inst in
-  let covered = ref 0 in
-  let take q =
-    match Basis.eliminate st.fac inst.Sparse.cols.(q) with
-    | None -> false
-    | Some r ->
-      st.basic.(st.basis.(r)) <- false;
-      st.basis.(r) <- q;
-      st.basic.(q) <- true;
-      incr covered;
-      true
-  in
-  for q = 0 to art_start - 1 do
-    if Rat.sign x.(q) > 0 && not (take q) then raise Stuck
-  done;
-  let q = ref 0 in
-  while !covered < m && !q < art_start do
-    if Rat.is_zero x.(!q) then ignore (take !q);
-    incr q
-  done;
-  st.nrefactors <- 1;
-  (* every nonbasic column sits at 0, so x_B = B^-1 b *)
-  Array.blit inst.Sparse.rhs 0 st.beta 0 m;
-  Basis.ftran st.fac st.beta;
-  for i = 0 to m - 1 do
-    if Rat.sign st.beta.(i) < 0
-       || (st.basis.(i) >= art_start && not (Rat.is_zero st.beta.(i)))
-    then raise Stuck
-  done;
-  st
-
-type priced = { run : run; prices : Rat.t array; started : bool }
-
-let solve_at inst ~cost ~start =
-  let cost_full = full_cost inst cost in
-  let priced st verdict ~started =
-    { run = finish st verdict; prices = Array.copy st.y; started }
-  in
-  match vertex_state inst ~start with
-  | st -> priced st (phase2 st ~cost_full) ~started:true
-  | exception Stuck ->
-    let st = cold_state inst in
-    priced st (cold st ~cost_full) ~started:false

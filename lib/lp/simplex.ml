@@ -9,7 +9,11 @@
 open Ipet_num
 
 type result =
-  | Optimal of { value : Rat.t; assignment : (string * Rat.t) list }
+  | Optimal of {
+      value : Rat.t;
+      assignment : (string * Rat.t) list;
+      duals : Rat.t array;
+    }
   | Infeasible
   | Unbounded
 
@@ -40,6 +44,11 @@ let assignment_of_xstruct inst xstruct =
   done;
   !out
 
+(* [Sparse.build] negates a row whose right-hand side [-constant] is
+   negative, so that row's price is negated back *)
+let row_flipped (c : Lp_problem.constr) =
+  Rat.sign (Linexpr.constant c.Lp_problem.expr) > 0
+
 let solve ?vars ?pivots:pivot_count ?refactors:refactor_count problem =
   let vars =
     match vars with Some vs -> vs | None -> Lp_problem.variables problem
@@ -54,9 +63,17 @@ let solve ?vars ?pivots:pivot_count ?refactors:refactor_count problem =
   | Revised.Unbounded -> Unbounded
   | Revised.Optimal sol ->
     let z = Rat.add sol.Revised.value (Linexpr.constant obj) in
-    let value =
-      match problem.Lp_problem.direction with
-      | Lp_problem.Maximize -> z
-      | Lp_problem.Minimize -> Rat.neg z
+    let maximize = problem.Lp_problem.direction = Lp_problem.Maximize in
+    let y = sol.Revised.prices in
+    let duals =
+      Array.of_list
+        (List.mapi
+           (fun i c ->
+             let yi = if row_flipped c then Rat.neg y.(i) else y.(i) in
+             if maximize then yi else Rat.neg yi)
+           problem.Lp_problem.constraints)
     in
-    Optimal { value; assignment = assignment_of_xstruct inst sol.Revised.xstruct }
+    Optimal
+      { value = (if maximize then z else Rat.neg z);
+        assignment = assignment_of_xstruct inst sol.Revised.xstruct;
+        duals }

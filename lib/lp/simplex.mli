@@ -14,9 +14,18 @@
 open Ipet_num
 
 type result =
-  | Optimal of { value : Rat.t; assignment : (string * Rat.t) list }
+  | Optimal of {
+      value : Rat.t;
+      assignment : (string * Rat.t) list;
+      duals : Rat.t array;
+    }
       (** Optimal objective value and one optimal vertex; variables absent
-          from [assignment] are zero. *)
+          from [assignment] are zero. [duals] are the optimal basis's row
+          prices, one per constraint in order, as a duality certificate
+          states them: for [Maximize], [>= 0] on
+          [Le] rows and [<= 0] on [Ge] rows, covering every objective
+          coefficient, and [Σ dualᵢ·(-constantᵢ)] plus the objective's
+          constant is [value] ([Minimize] reverses the inequalities). *)
   | Infeasible
   | Unbounded
 

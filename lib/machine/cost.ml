@@ -105,8 +105,10 @@ let block_bounds mach ~dcache ~callee_slots cfg layout ~func (block : P.block)
     worst_warm;
     worst = worst_warm + ((lines + refetches) * cfg.Icache.miss_penalty) }
 
-let func_bounds ~mach ?dcache ~prog cfg layout (func : P.func) =
+(* the whole-program slot fixpoint runs once per partial application *)
+let func_bounds ~mach ?dcache ~prog cfg layout =
   let callee_slots = reachable_slots cfg layout prog in
-  Array.map
-    (block_bounds mach ~dcache ~callee_slots cfg layout ~func:func.P.name)
-    func.P.blocks
+  fun (func : P.func) ->
+    Array.map
+      (block_bounds mach ~dcache ~callee_slots cfg layout ~func:func.P.name)
+      func.P.blocks

@@ -35,4 +35,9 @@ val func_bounds :
     resumes on the line the call sits on — and code transitively
     reachable from the callee maps to that line's slot, the callee may
     evict the line while the block is suspended, so the worst case
-    charges one extra fill per such call site. *)
+    charges one extra fill per such call site.
+
+    The slots each function's reachable code can occupy are one
+    whole-program fixpoint over the call graph. It runs when
+    [func_bounds] is applied to everything but the function, so cost a
+    program's functions through one such partial application. *)

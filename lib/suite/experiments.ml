@@ -48,17 +48,9 @@ let simulate ?mach ?cache ?dcache compiled (bench : Bspec.t)
   (Interp.block_counts machine, Interp.cycles machine)
 
 let calculated_cost spec counts ~select =
-  let table = Hashtbl.create 8 in
-  let costs func =
-    match Hashtbl.find_opt table func with
-    | Some c -> c
-    | None ->
-      let c = Analysis.block_costs spec ~func in
-      Hashtbl.replace table func c;
-      c
-  in
+  let costs = Analysis.block_costs spec in
   List.fold_left
-    (fun acc ((func, block), count) -> acc + (count * select (costs func).(block)))
+    (fun acc ((func, block), count) -> acc + (count * select (costs ~func).(block)))
     0 counts
 
 let run ?mach ?cache ?dcache (bench : Bspec.t) =

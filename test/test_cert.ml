@@ -382,36 +382,35 @@ let prop_mutated_coefficient =
       in
       Checker.check { p with P.constraints } c)
 
-(* --- the solve started at the witness ------------------------------------ *)
+(* --- certificates from the lifted root prices ------------------------------ *)
 
-module Revised = Ipet_lp.Revised
-module Sparse = Ipet_lp.Sparse
-
-let emit p ~witness ~bound =
-  match Certify.emit p ~witness ~bound with
+let emit ?root_duals p ~witness ~bound =
+  match Certify.emit ?root_duals p ~witness ~bound with
   | Ok e -> e
   | Error m -> Alcotest.failf "certificate production failed: %s" m
 
-(* max x + y  s.t.  x + y <= 2: (1, 1) is optimal but not a vertex — its
-   two positive columns share the one row — so the solve cannot start
-   there and falls back to the cold start *)
+(* without root prices, or when they do not prove the bound, the LP is
+   re-solved cold; max x + y s.t. x + y <= 2 at the non-vertex (1, 1) *)
 let test_non_vertex_witness () =
   let open L.Infix in
   let p = P.make P.Maximize (v "x" + v "y") [ P.le (v "x" + v "y") (int 2) ] in
-  let e =
-    emit p ~witness:[ ("x", Rat.one); ("y", Rat.one) ] ~bound:(Rat.of_int 2)
-  in
-  check_bool "fell back to the cold start" false e.Certify.from_witness;
+  let witness = [ ("x", Rat.one); ("y", Rat.one) ] and bound = Rat.of_int 2 in
+  let e = emit p ~witness ~bound in
+  check_bool "fell back to the cold start" true (e.Certify.source = Certify.Cold);
   let verdict = Checker.check p e.Certify.cert in
   check_bool "valid" true (valid verdict);
-  check_bool "gap closed" true (Checker.gap_closed verdict)
+  check_bool "gap closed" true (Checker.gap_closed verdict);
+  let weak = emit ~root_duals:[| Rat.of_int 2 |] p ~witness ~bound in
+  check_bool "prices proving 4 are not the certificate of 2" true
+    (weak.Certify.source = Certify.Cold
+     && Rat.equal weak.Certify.cert.Cert.dual_bound bound)
 
-(* a witness outside the polytope falls back too; the checker then rejects
-   the witness, but the duals still prove the LP optimum *)
+(* a witness outside the polytope: the checker rejects the witness, but
+   the re-solve's duals still prove the LP optimum *)
 let test_row_breaking_witness () =
   let bad = [ ("x", Rat.of_int 5); ("y", Rat.of_int 3) ] in (* x <= 4 *)
   let e = emit textbook_max ~witness:bad ~bound:(Rat.of_int 11) in
-  check_bool "fell back to the cold start" false e.Certify.from_witness;
+  check_bool "fell back to the cold start" true (e.Certify.source = Certify.Cold);
   check_bool "the broken witness is rejected" false
     (valid (Checker.check textbook_max e.Certify.cert));
   let optimal = [ ("x", Rat.of_int 2); ("y", Rat.of_int 3) ] in
@@ -423,64 +422,143 @@ let test_row_breaking_witness () =
   in
   check_bool "its duals prove the optimum" true (Checker.gap_closed verdict)
 
-(* the LP optimum of [p] from the cold primal simplex, in [p]'s direction *)
-let cold_lp_optimum (p : P.t) =
-  let maximize = p.P.direction = P.Maximize in
-  let inst = Sparse.build ~vars:(P.variables p) p in
-  let cost =
-    Array.map
-      (fun x ->
-        let c = L.coeff p.P.objective x in
-        if maximize then c else Rat.neg c)
-      inst.Sparse.vars
-  in
-  match (Revised.solve_primal inst ~cost).Revised.verdict with
-  | Revised.Optimal s ->
-    Rat.add (L.constant p.P.objective)
-      (if maximize then s.Revised.value else Rat.neg s.Revised.value)
-  | Revised.Infeasible | Revised.Unbounded ->
-    Alcotest.fail "cold LP relaxation not optimal"
+(* [p] solved by the presolving branch and bound, then certified twice:
+   from the root prices it lifted, and by the cold re-solve *)
+let both_routes p =
+  match Ilp.solve p with
+  | Ilp.Optimal { value; assignment; stats } ->
+    ( emit ?root_duals:(Lazy.force stats.Ilp.root_duals) p ~witness:assignment
+        ~bound:value,
+      emit p ~witness:assignment ~bound:value,
+      stats )
+  | Ilp.Infeasible _ | Ilp.Unbounded _ -> Alcotest.fail "ILP not optimal"
 
-(* the witness basis is completed by zero-valued columns *)
+(* the lifted certificate closes the gap without a solve and agrees with
+   the re-solve's on everything but the duals *)
+let lifts_like_resolve p =
+  let lifted, cold, _ = both_routes p in
+  let l = lifted.Certify.cert and c = cold.Certify.cert in
+  lifted.Certify.source = Certify.Lifted
+  && lifted.Certify.pivots = 0
+  && Checker.gap_closed (Checker.check p l)
+  && Rat.equal l.Cert.bound c.Cert.bound
+  && Rat.equal l.Cert.dual_bound c.Cert.dual_bound
+  && l.Cert.witness = c.Cert.witness
+  && l.Cert.digest = c.Cert.digest
 
-(* max x + y  s.t.  x + y <= 2, x - y = 2 at (2, 0): a degenerate vertex.
-   Its one positive column, x, covers the first row; the zero-valued y
-   covers the equality, so the basis is complete, and optimal, without a
-   pivot *)
-let test_degenerate_witness () =
+(* one hand-sized problem per reduction: presolve did [substituted] and
+   [fixed] as stated, the certificate lifts, and its duals are [duals] *)
+let check_lift what p ~substituted ~fixed ~duals =
+  let lifted, _, stats = both_routes p in
+  let pstats = Option.get stats.Ilp.presolve in
+  check_int (what ^ ": substitutions") substituted
+    pstats.Ipet_lp.Presolve.substituted;
+  check_int (what ^ ": fixes") fixed pstats.Ipet_lp.Presolve.fixed;
+  check_bool (what ^ ": lifted like the re-solve") true (lifts_like_resolve p);
+  Alcotest.(check (list string))
+    (what ^ ": lifted duals")
+    duals
+    (Array.to_list (Array.map Rat.to_string lifted.Certify.cert.Cert.duals))
+
+(* max x + 2y + 3z s.t. x = y, y = z, x + y + z <= 9: presolve substitutes
+   x := y, then y := z, and folds the cap, now 3z <= 9, into z <= 3. The
+   reduced LP prices z <= 3 at 6; the cap gets 6/3, and each defining row
+   the multiplier that zeroes its variable's reduced cost *)
+let test_lift_substitution_chain () =
   let open L.Infix in
-  let p =
-    P.make P.Maximize (v "x" + v "y")
-      [ P.le (v "x" + v "y") (int 2); P.eq (v "x" - v "y") (int 2) ]
-  in
-  let e = emit p ~witness:[ ("x", Rat.of_int 2) ] ~bound:(Rat.of_int 2) in
-  check_bool "solved from the witness" true e.Certify.from_witness;
-  check_int "no pivot" 0 e.Certify.pivots;
-  check_bool "gap closed" true
-    (Checker.gap_closed (Checker.check p e.Certify.cert))
+  check_lift "chain"
+    (P.make P.Maximize
+       (v "x" + (2 * v "y") + (3 * v "z"))
+       [ P.eq ~origin:"link x" (v "x") (v "y");
+         P.eq ~origin:"link y" (v "y") (v "z");
+         P.le ~origin:"cap" (v "x" + v "y" + v "z") (int 9) ])
+    ~substituted:2 ~fixed:0 ~duals:[ "-1"; "-1"; "2" ]
 
-(* a duplicated equality row: no real column covers the copy, so its
-   artificial stays basic at zero and the solve still starts at the
-   witness *)
-let test_duplicate_row_witness () =
+(* max x + y + 2z s.t. x + y <= 0, x + z <= 4, z <= 3: the first row
+   forces x = y = 0. Its multiplier is the smallest that covers both
+   pinned variables' reduced costs *)
+let test_lift_forcing_row () =
   let open L.Infix in
-  let p =
-    P.make P.Maximize (v "x" + (2 * v "y"))
-      [ P.eq (v "x" + v "y") (int 3); P.eq (v "x" + v "y") (int 3);
-        P.le (v "y") (int 2) ]
+  check_lift "forcing"
+    (P.make P.Maximize
+       (v "x" + v "y" + (2 * v "z"))
+       [ P.le ~origin:"dead loop" (v "x" + v "y") (int 0);
+         P.le ~origin:"cap a" (v "x" + v "z") (int 4);
+         P.le ~origin:"cap z" (v "z") (int 3) ])
+    ~substituted:0 ~fixed:2 ~duals:[ "1"; "0"; "2" ]
+
+(* max 2x + y s.t. x <= 3, x >= 3, x + y <= 5: the two singleton rows
+   pinch x to 3. x's reduced cost is positive, so the upper row takes it *)
+let test_lift_pinched_bounds () =
+  let open L.Infix in
+  check_lift "pinched"
+    (P.make P.Maximize
+       ((2 * v "x") + v "y")
+       [ P.le ~origin:"x cap" (v "x") (int 3);
+         P.ge ~origin:"x floor" (v "x") (int 3);
+         P.le ~origin:"sum cap" (v "x" + v "y") (int 5) ])
+    ~substituted:0 ~fixed:1 ~duals:[ "1"; "0"; "1" ]
+
+(* min 3a + b s.t. a + b >= 4, a >= 1: both rows are Ge rows, negated on
+   intake; their multipliers are negated back *)
+let test_lift_ge_rows () =
+  let open L.Infix in
+  check_lift "ge"
+    (P.make P.Minimize
+       ((3 * v "a") + v "b")
+       [ P.ge ~origin:"demand" (v "a" + v "b") (int 4);
+         P.ge ~origin:"a floor" (v "a") (int 1) ])
+    ~substituted:0 ~fixed:0 ~duals:[ "1"; "2" ]
+
+(* a duplicated equality row: presolve drops the copy, which gets 0 *)
+let test_lift_duplicate_row () =
+  let open L.Infix in
+  check_lift "duplicate"
+    (P.make P.Maximize
+       (v "x" + (2 * v "y"))
+       [ P.eq (v "x" + v "y") (int 3); P.eq (v "x" + v "y") (int 3);
+         P.le (v "y") (int 2) ])
+    ~substituted:1 ~fixed:0 ~duals:[ "1"; "0"; "1" ]
+
+(* max x + y s.t. x + y <= 2, x - y = 2 at the degenerate vertex (2, 0):
+   the equality forces x to the upper bound 2 that presolve only implied
+   from the first row, and y to 0. The forcing row takes 1 (its sign
+   flipped: it forced at its maximum), which leaves x a remainder of 2 on
+   that implied bound; the first row takes it when the pass reaches the
+   propagation *)
+let test_lift_implied_bound () =
+  let open L.Infix in
+  check_lift "implied"
+    (P.make P.Maximize (v "x" + v "y")
+       [ P.le (v "x" + v "y") (int 2); P.eq (v "x" - v "y") (int 2) ])
+    ~substituted:0 ~fixed:2 ~duals:[ "2"; "-1" ]
+
+(* piksrt as [bench export] writes it (loop bounds only) plus [constr
+   piksrt 2 x5 <= 161]: presolve rounds the row to x5 <= 80 and the WCET's
+   root prices lean on it, so the lift gives up. The cold re-solve proves
+   the LP optimum 11719/2 and keeps the gap 39/2 to the WCET 5840; the
+   verdict names that proved bound *)
+let test_rounded_bound_falls_back () =
+  let b = Ipet_suite.Suite.find "piksrt" in
+  let spec =
+    A.spec ~loop_bounds:b.Bspec.loop_bounds
+      ~functional:
+        [ Ipet.Constraint_parser.parse_constraint ~func:"piksrt" "2 x5 <= 161" ]
+      ~root:b.Bspec.root (Bspec.compile b).Ipet_lang.Compile.prog
   in
-  let e =
-    emit p ~witness:[ ("x", Rat.one); ("y", Rat.of_int 2) ]
-      ~bound:(Rat.of_int 5)
-  in
-  check_bool "solved from the witness" true e.Certify.from_witness;
-  check_bool "gap closed" true
-    (Checker.gap_closed (Checker.check p e.Certify.cert))
+  let r = A.analyze ~certify:true spec in
+  let c = Option.get r.A.wcet_cert in
+  check_int "WCET" 5840 r.A.wcet.A.cycles;
+  check_bool "re-solved cold" true (c.A.emit_source = Certify.Cold);
+  check_string "verdict" "valid, gap 39/2; proved bound 11719/2"
+    (Format.asprintf "%a" (Checker.pp_verdict c.A.cert) c.A.verdict);
+  check_bool "the BCET still lifts" true
+    ((Option.get r.A.bcet_cert).A.emit_source = Certify.Lifted)
 
 (* every ILP of a generated program on both machines: the certificate
-   started at the solver's witness checks with the gap closed, never falls
-   back, and agrees with the cold solve on everything but the duals *)
-let gen_witness_start ~name ~count case_of_seed =
+   from the lifted root prices checks with the gap closed and agrees with
+   the cold re-solve on everything but the duals *)
+let gen_lifted ~name ~count case_of_seed =
   QCheck.Test.make ~name ~count QCheck.(int_bound 100_000)
     (fun seed ->
       let case = case_of_seed seed in
@@ -500,27 +578,19 @@ let gen_witness_start ~name ~count case_of_seed =
               match Ilp.solve p with
               | Ilp.Infeasible _ -> true
               | Ilp.Unbounded _ -> Alcotest.fail "generated ILP unbounded"
-              | Ilp.Optimal { value; assignment; _ } ->
-                let e = emit p ~witness:assignment ~bound:value in
-                let c = e.Certify.cert in
-                e.Certify.from_witness
-                && Checker.gap_closed (Checker.check p c)
-                && Rat.equal c.Cert.bound value
-                && Rat.equal c.Cert.dual_bound (cold_lp_optimum p)
-                && c.Cert.witness = Cert.witness_of_assignment assignment
-                && c.Cert.digest = Cert.digest_problem p)
+              | Ilp.Optimal _ -> lifts_like_resolve p)
             (A.wcet_problems spec @ A.bcet_problems spec))
         Ipet_machine.Machine.[ e32; m7 ])
 
-let prop_gen_witness_start =
-  gen_witness_start ~name:"generated programs certify from the witness"
+let prop_gen_lifted =
+  gen_lifted ~name:"generated programs certify from the lifted root prices"
     ~count:25 Ipet_fuzz.Gen.case
 
-(* gen-certify's size band, where the witness basis is large *)
-let prop_sized_witness_start =
-  gen_witness_start
-    ~name:"sized generated programs certify from the witness" ~count:10
-    (Ipet_fuzz.Gen.case_sized ~stmt_budget:40)
+(* gen-certify's size band, where presolve does most of the work *)
+let prop_sized_lifted =
+  gen_lifted
+    ~name:"sized generated programs certify from the lifted root prices"
+    ~count:10 (Ipet_fuzz.Gen.case_sized ~stmt_budget:40)
 
 (* --- the whole suite, certified ------------------------------------------- *)
 
@@ -533,8 +603,8 @@ let certified_suite () =
         | None -> Alcotest.failf "%s: no %s certificate" name what
         | Some (c : A.certificate) ->
           check_bool
-            (Printf.sprintf "%s: %s solve started at the witness" name what)
-            true c.A.emit_from_witness;
+            (Printf.sprintf "%s: %s root prices lifted" name what)
+            true (c.A.emit_source = Certify.Lifted);
           check_bool
             (Printf.sprintf "%s: %s certificate valid" name what)
             true (valid c.A.verdict);
@@ -551,10 +621,42 @@ let certified_suite () =
       side "bcet" r.A.bcet.A.cycles r.A.bcet_cert)
     Ipet_suite.Suite.all
 
+(* The 52 suite certificates (13 programs on e32 and m7, both extremes)
+   are lifted, check with the gap closed, and encode byte for byte like
+   the cold re-solve's but for their duals. *)
+let suite_lifts_like_resolve () =
+  let without_duals c = J.to_string (Cert.to_json { c with Cert.duals = [||] }) in
+  List.iter
+    (fun mach ->
+      List.iter
+        (fun (b : Bspec.t) ->
+          let spec = Bspec.spec ~mach b in
+          let r = A.analyze ~certify:true spec in
+          List.iter
+            (fun (what, (c : A.certificate option)) ->
+              let where =
+                Printf.sprintf "%s on %s, %s" b.Bspec.name
+                  (Ipet_machine.Machine.id mach) what
+              in
+              let c = Option.get c in
+              let p = problem_named spec c.A.cert in
+              check_bool (where ^ ": lifted") true
+                (c.A.emit_source = Certify.Lifted);
+              check_bool (where ^ ": gap closed") true
+                (Checker.gap_closed c.A.verdict);
+              let cold =
+                emit p ~witness:c.A.cert.Cert.witness ~bound:c.A.cert.Cert.bound
+              in
+              check_string (where ^ ": as the re-solve's")
+                (without_duals cold.Certify.cert) (without_duals c.A.cert))
+            [ ("wcet", r.A.wcet_cert); ("bcet", r.A.bcet_cert) ])
+        Ipet_suite.Suite.all)
+    Ipet_machine.Machine.[ e32; m7 ]
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mutated_dual; prop_mutated_witness; prop_mutated_coefficient;
-      prop_gen_witness_start; prop_sized_witness_start;
+      prop_gen_lifted; prop_sized_lifted;
       prop_hostile_certificates ]
 
 let suite =
@@ -571,10 +673,16 @@ let suite =
      test_non_vertex_witness);
     ("a row-breaking witness falls back to the cold start", `Quick,
      test_row_breaking_witness);
-    ("a degenerate witness completes its basis with zero columns", `Quick,
-     test_degenerate_witness);
-    ("a duplicated row keeps its artificial at zero", `Quick,
-     test_duplicate_row_witness);
+    ("lift: a substitution chain", `Quick, test_lift_substitution_chain);
+    ("lift: a forcing row", `Quick, test_lift_forcing_row);
+    ("lift: pinched bounds", `Quick, test_lift_pinched_bounds);
+    ("lift: Ge rows", `Quick, test_lift_ge_rows);
+    ("lift: a duplicated row gets 0", `Quick, test_lift_duplicate_row);
+    ("lift: an implied bound", `Quick, test_lift_implied_bound);
+    ("a rounded bound falls back and keeps its gap", `Quick,
+     test_rounded_bound_falls_back);
     ("every --cert-out certificate of the suite reads back", `Slow,
-     test_cert_out_reads_back) ]
+     test_cert_out_reads_back);
+    ("all 52 suite certificates lift like the re-solve", `Slow,
+     suite_lifts_like_resolve) ]
   @ props

@@ -153,8 +153,8 @@ let test_oracle_classifies () =
    | Oracle.Fail f -> Alcotest.fail ("expected frontend-reject, got " ^ Oracle.kind_name f.Oracle.kind)
    | Oracle.Pass _ -> Alcotest.fail "expected frontend-reject, got pass")
 
-(* a certificate solved cold is a finding of its own: the reported witness
-   was not an optimal vertex of the certified LP *)
+(* a certificate re-solved cold is a finding of its own: the root
+   relaxation's prices did not lift through presolve *)
 let test_oracle_certificate_cold () =
   let source = "int main() { int i; int s; s = 0;\n\
                 for (i = 0; i < 4; i = i + 1) { s = s + i; }\n\
@@ -171,13 +171,12 @@ let test_oracle_certificate_cold () =
   in
   let show = function None -> "none" | Some k -> k in
   let wcet = r.Ipet.Analysis.wcet_cert in
-  check_string "from the witness" "none" (show (kind wcet));
+  let from source =
+    Option.map (fun c -> { c with Ipet.Analysis.emit_source = source }) wcet
+  in
+  check_string "lifted" "none" (show (kind wcet));
   check_string "fell back to cold" "certificate-cold"
-    (show
-       (kind
-          (Option.map
-             (fun c -> { c with Ipet.Analysis.emit_from_witness = false })
-             wcet)));
+    (show (kind (from Ipet_cert.Certify.Cold)));
   check_string "no certificate" "certificate-reject" (show (kind None))
 
 (* --- a short live run ----------------------------------------------------- *)

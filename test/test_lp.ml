@@ -54,7 +54,7 @@ let test_simplex_textbook () =
         P.le ((3 * v "x") + (2 * v "y")) (int 18) ]
   in
   match S.solve p with
-  | S.Optimal { value; assignment } ->
+  | S.Optimal { value; assignment; _ } ->
     Alcotest.check rat_testable "value" (Rat.of_int 36) value;
     let env = S.assignment_env assignment in
     Alcotest.check rat_testable "x" (Rat.of_int 2) (env "x");
@@ -148,7 +148,7 @@ let prop_simplex_dominates =
         lp_max L.Infix.((cx * v "x") + (cy * v "y")) constraints
       in
       match S.solve p with
-      | S.Optimal { value; assignment } ->
+      | S.Optimal { value; assignment; _ } ->
         let env = S.assignment_env assignment in
         let point_value = Rat.of_int ((cx * px) + (cy * py)) in
         P.feasible env p && Rat.compare value point_value >= 0

@@ -175,8 +175,8 @@ let test_shared_fixpoint () =
   List.iter
     (fun (what, direction, objective, own) ->
       let problem = P.make direction objective constraints in
-      let outcome = Pre.emit fp direction objective in
-      let reduced_problem = (reduced outcome).Pre.problem in
+      let emitted = Pre.emit fp direction objective in
+      let reduced_problem = (reduced (fst emitted)).Pre.problem in
       Alcotest.(check (list string))
         (what ^ " re-emits exactly its own bound row") [ own ]
         (List.filter
@@ -187,7 +187,7 @@ let test_shared_fixpoint () =
         (what ^ " emit is the one-shot presolve")
         (Format.asprintf "%a" P.pp (reduced (Pre.run problem)).Pre.problem)
         (Format.asprintf "%a" P.pp reduced_problem);
-      match I.solve_presolved outcome with
+      match I.solve_presolved emitted with
       | I.Optimal { value; assignment; _ } ->
         Alcotest.check rat_testable (what ^ " optimum")
           (ilp_value problem ~presolve:false) value;
@@ -371,9 +371,8 @@ let test_suite_analysis_equivalence () =
                side)
             true (Ipet_cert.Checker.gap_closed c.Analysis.verdict);
           check_bool
-            (Printf.sprintf "%s %s %s certificate solved from the witness"
-               name what side)
-            true c.Analysis.emit_from_witness
+            (Printf.sprintf "%s %s %s certificate lifted" name what side)
+            true (c.Analysis.emit_source = Ipet_cert.Certify.Lifted)
       in
       let check_extreme what ~closes extreme cert =
         check_int

@@ -166,7 +166,7 @@ let prop_simplex_matches_vertex_enumeration =
         QCheck.Test.fail_report "simplex says optimal, no feasible vertex"
       | S.Unbounded, _ ->
         QCheck.Test.fail_report "unbounded on a box-bounded problem"
-      | S.Optimal { value; assignment }, Some (best, _) ->
+      | S.Optimal { value; assignment; _ }, Some (best, _) ->
         let env = S.assignment_env assignment in
         if not (P.feasible env shape.problem) then
           QCheck.Test.fail_report "simplex assignment infeasible"
@@ -260,7 +260,7 @@ module Dense = Ipet_lp.Dense
 let rat a b = Rat.of_ints a b
 
 let check_optimal name expected = function
-  | S.Optimal { value; assignment } ->
+  | S.Optimal { value; assignment; _ } ->
     Alcotest.(check bool)
       (name ^ ": optimum")
       true
@@ -365,7 +365,7 @@ let prop_revised_matches_dense =
       match (S.solve shape.problem, Dense.solve shape.problem) with
       | S.Infeasible, Dense.Infeasible -> true
       | S.Unbounded, Dense.Unbounded -> true
-      | S.Optimal { value = rv; assignment = ra },
+      | S.Optimal { value = rv; assignment = ra; _ },
         Dense.Optimal { value = dv; assignment = da } ->
         (Rat.equal rv dv
          || QCheck.Test.fail_report
