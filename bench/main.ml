@@ -282,9 +282,8 @@ let ablation_cache () =
       print_newline ())
     [ 32; 64; 128; 512; 2048 ];
   print_endline
-    "
-  A larger cache speeds the measured run but the all-miss WCET model
-    \  never benefits, so the upper pessimism grows with capacity - the
+    "\n  A larger cache speeds the measured run but the all-miss WCET model\n\
+    \  never benefits, so the upper pessimism grows with capacity - the\n\
     \  motivation for the cache modelling future work of Section VII."
 
 (* The refinement's claim is soundness: under the same geometry, the
@@ -317,14 +316,11 @@ let ablation_refine () =
           in
           let measured =
             List.fold_left
-              (fun acc (d : Bspec.dataset) ->
+              (fun acc d ->
                 let m =
-                  Interp.create ~mach ~cache prog
-                    ~init:compiled.Compile.init_data
+                  E.simulate ~mach ~cache compiled bench d ~flush:true
+                    ~warm:false
                 in
-                d.Bspec.setup m;
-                Interp.flush_cache m;
-                ignore (Interp.call m bench.Bspec.root d.Bspec.args);
                 max acc (Interp.cycles m))
               0 bench.Bspec.worst_data
           in
@@ -384,9 +380,9 @@ let ablation_dcache () =
 
 let ablation_compile () =
   header "Ablation: optimizer and register pressure vs WCET";
-  Printf.printf "  %-17s %-10s %12s %12s %9s
-" "Function" "variant" "WCET"
+  Printf.printf "  %-17s %-10s %12s %12s %9s\n" "Function" "variant" "WCET"
     "measured" "instrs";
+  let mach = !table_mach in
   let variants =
     [ ("-O0", false, None); ("-O1", true, None); ("-O1 r16", true, Some 16);
       ("-O1 r8", true, Some 8) ]
@@ -399,32 +395,28 @@ let ablation_compile () =
           let compiled =
             Frontend.compile_string_exn ~optimize ?registers bench.Bspec.source
           in
-          let prog = compiled.Compile.prog in
           let spec =
-            Analysis.spec prog ~root:bench.Bspec.root
+            Analysis.spec compiled.Compile.prog ~mach ~root:bench.Bspec.root
               ~loop_bounds:bench.Bspec.loop_bounds
               ~functional:bench.Bspec.functional
           in
           let wcet = (Analysis.analyze spec).Analysis.wcet.Analysis.cycles in
           let measured, instrs =
             List.fold_left
-              (fun (acc, ins) (d : Bspec.dataset) ->
-                let m = Interp.create prog ~init:compiled.Compile.init_data in
-                d.Bspec.setup m;
-                Interp.flush_cache m;
-                ignore (Interp.call m bench.Bspec.root d.Bspec.args);
+              (fun (acc, ins) d ->
+                let m =
+                  E.simulate ~mach compiled bench d ~flush:true ~warm:false
+                in
                 (max acc (Interp.cycles m), max ins (Interp.instructions m)))
               (0, 0) bench.Bspec.worst_data
           in
-          Printf.printf "  %-17s %-10s %12d %12d %9d
-" name label wcet measured
-            instrs)
+          Printf.printf "  %-17s %-10s %12d %12d %9d\n" name label wcet
+            measured instrs)
         variants)
     [ "matgen"; "recon"; "jpeg_fdct_islow" ];
   print_endline
-    "
-  The analysis consumes whatever code the compiler produced: the
-    \  optimizer shrinks both the WCET and the measured time, while an
+    "\n  The analysis consumes whatever code the compiler produced: the\n\
+    \  optimizer shrinks both the WCET and the measured time, while an\n\
     \  8-register file adds spill traffic that both numbers track."
 
 (* --- suite export ----------------------------------------------------------- *)

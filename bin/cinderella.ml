@@ -403,12 +403,7 @@ let sim_cmd obs source_path root args sets flush profile mach =
   setup_obs obs;
   let _, compiled = load_program source_path in
   let prog = compiled.Compile.prog in
-  (* per-line i-cache metrics need the profiled machine; the hot loop is
-     only instrumented when asked for *)
-  let m =
-    Ipet_sim.Interp.create ~mach ~profile:(profile || Obs.enabled ()) prog
-      ~init:compiled.Compile.init_data
-  in
+  let m = Ipet_sim.Interp.create ~mach prog ~init:compiled.Compile.init_data in
   apply_sets m sets;
   if flush then Ipet_sim.Interp.flush_cache m;
   let arg_values = List.map (fun i -> Ipet_isa.Value.Vint i) args in
@@ -431,9 +426,9 @@ let sim_cmd obs source_path root args sets flush profile mach =
 
 (* --- attribute ------------------------------------------------------------ *)
 
-(* Pessimism attribution: run the IPET analysis AND a profiled simulation
-   of the same program under the same cache configuration, then report per
-   basic block how much of the estimate-vs-measurement gap it contributes:
+(* Pessimism attribution: run the IPET analysis AND a simulation of the
+   same program under the same cache configuration, then report per basic
+   block how much of the estimate-vs-measurement gap it contributes:
    witness count x worst-case cost against measured count and self
    cycles. *)
 let attribute_cmd obs load_input args sets flush certify =
@@ -445,7 +440,7 @@ let attribute_cmd obs load_input args sets flush certify =
   if Obs.enabled () then Ipet.Report.record_lp_metrics Obs.metrics result;
   let m =
     Ipet_sim.Interp.create ~mach:spec.Ipet.Analysis.mach
-      ~cache:spec.Ipet.Analysis.cache ~profile:true spec.Ipet.Analysis.prog
+      ~cache:spec.Ipet.Analysis.cache spec.Ipet.Analysis.prog
       ~init:compiled.Compile.init_data
   in
   apply_sets m sets;

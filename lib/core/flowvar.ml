@@ -26,12 +26,3 @@ let name = function
     with_ctx ctx (Printf.sprintf "f:%s:%d:%d" func block occurrence)
 
 let var v = Ipet_lp.Linexpr.var (name v)
-
-let pretty = function
-  | Block { ctx; func; block } -> with_ctx ctx (Printf.sprintf "x_%s_%d" func block)
-  | Edge { ctx; func; src; dst } ->
-    with_ctx ctx (Printf.sprintf "d_%s_%d_%d" func src dst)
-  | Entry { ctx; func } -> with_ctx ctx (Printf.sprintf "d_%s_in" func)
-  | Exit { ctx; func; block } -> with_ctx ctx (Printf.sprintf "d_%s_out%d" func block)
-  | Fedge { ctx; func; block; occurrence } ->
-    with_ctx ctx (Printf.sprintf "f_%s_%d_%d" func block occurrence)

@@ -29,7 +29,3 @@ val name : t -> string
 
 val var : t -> Ipet_lp.Linexpr.t
 (** The variable as a linear expression. *)
-
-val pretty : t -> string
-(** Paper-style rendering: [x_3], [d_2], [f_1], with context suffix when not
-    in the root context. *)

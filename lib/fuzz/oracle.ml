@@ -5,6 +5,7 @@ module I = Isa.Instr
 module V = Isa.Value
 module Icache = Ipet_machine.Icache
 module Machine = Ipet_machine.Machine
+module Cost = Ipet_machine.Cost
 module Interp = Ipet_sim.Interp
 module Analysis = Ipet.Analysis
 module Annotation = Ipet.Annotation
@@ -19,6 +20,7 @@ type failure_kind =
   | Analysis_reject
   | Sim_crash
   | Bound_violation
+  | Block_cost_violation
   | Constraint_violation
   | Optimizer_divergence
   | Presolve_divergence
@@ -31,6 +33,7 @@ let kind_name = function
   | Analysis_reject -> "analysis-reject"
   | Sim_crash -> "sim-crash"
   | Bound_violation -> "bound-violation"
+  | Block_cost_violation -> "block-cost-violation"
   | Constraint_violation -> "constraint-violation"
   | Optimizer_divergence -> "optimizer-divergence"
   | Presolve_divergence -> "presolve-divergence"
@@ -171,6 +174,25 @@ let certificate_finding what (c : Analysis.certificate option) =
                   what (Ipet_cert.Checker.pp_verdict cert) verdict) }
   | Some { Analysis.emit_source = Ipet_cert.Certify.Lifted; _ } -> None
 
+let block_cost_finding ~costs machine =
+  let self = Hashtbl.of_seq (List.to_seq (Interp.block_cycles machine)) in
+  List.find_map
+    (fun ((func, block), n) ->
+      let cycles =
+        Option.value ~default:0 (Hashtbl.find_opt self (func, block))
+      in
+      let b = (costs ~func).(block) in
+      if cycles >= n * b.Cost.best && cycles <= n * b.Cost.worst then None
+      else
+        Some
+          { kind = Block_cost_violation;
+            detail =
+              Printf.sprintf
+                "%s B%d: %d executions took %d cycles, outside %d x [%d, %d]: \
+                 the cost model or the machine table mis-costs this block"
+                func block n cycles n b.Cost.best b.Cost.worst })
+    (Interp.block_counts machine)
+
 let run mach cache source =
   let ast, _env = parse source in
   let compiled = compile ~optimize:false source in
@@ -213,6 +235,10 @@ let run mach cache source =
     | Interp.Runtime_error m -> fail Sim_crash "runtime error: %s" m
     | Interp.Out_of_fuel -> fail Sim_crash "out of fuel"
   in
+  (* the cost layer first: every block's own cycles within its count times
+     its bounds, so a whole-run violation below is the path analysis' *)
+  Option.iter (fun f -> raise (Reject f))
+    (block_cost_finding ~costs:(Analysis.block_costs spec) machine);
   let cycles = Interp.cycles machine in
   if cycles < bcet || cycles > wcet then
     fail Bound_violation "simulated %d cycles outside estimated bound [%d, %d]"

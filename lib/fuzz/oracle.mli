@@ -7,10 +7,13 @@
     - the frontend accepts it and the analysis produces a bound;
     - both bounds come with duality certificates that the trusted checker
       ({!Ipet_cert.Checker}) accepts in exact rational arithmetic, each
-      solved from the analysis's own witness;
+      lifted from the root relaxation's prices;
     - the ILP objective is identical with and without presolve;
-    - a cold simulated run of [main] finishes and its cycle count lies
-      inside the estimated bound [[BCET, WCET]] (Fig. 1);
+    - a cold simulated run of [main] finishes, and each executed block's
+      own cycles lie within its execution count times the block's cost
+      bounds (the cost layer, checked block by block);
+    - the run's cycle count lies inside the estimated bound [[BCET, WCET]]
+      (Fig. 1);
     - the cycle count is also at most the WCET under Section IV's
       first-miss refinement, with the same cache geometry;
     - the measured per-instance block/edge counts satisfy {e every}
@@ -28,6 +31,10 @@ type failure_kind =
   | Bound_violation
       (** simulated cycles outside [BCET, WCET], or above the first-miss
           WCET *)
+  | Block_cost_violation
+      (** an executed block's own cycles lie outside its execution count
+          times its per-block cost bounds: the cost model or the machine
+          table is wrong for that block *)
   | Constraint_violation  (** measured counts break an ILP constraint *)
   | Optimizer_divergence  (** optimized and unoptimized runs observably differ *)
   | Presolve_divergence   (** presolve changed an ILP objective value *)
@@ -52,6 +59,15 @@ val certificate_finding :
     on one bound ([what] names it): no certificate or a rejected one is a
     [Certificate_reject]; one re-solved cold instead of lifted is a
     [Certificate_cold], whose detail says whether it closes the gap. *)
+
+val block_cost_finding :
+  costs:(func:string -> Ipet_machine.Cost.bounds array) ->
+  Ipet_sim.Interp.t ->
+  failure option
+(** The per-block check {!check} makes after the measured run: the first
+    executed block whose {!Ipet_sim.Interp.block_cycles} lie outside its
+    execution count times its [costs] bounds, as a
+    [Block_cost_violation] naming the function and block. *)
 
 val check :
   ?mach:Ipet_machine.Machine.t ->

@@ -9,7 +9,14 @@
     pipeline stalls) and the terminator from {!Machine.term_bounds}, both
     added to both bounds. [worst_warm] is the worst case without the
     instruction-fetch miss component, used by the first-miss refinement
-    that Section IV suggests. *)
+    that Section IV suggests.
+
+    The promise, block by block: under the same machine, fetch geometry
+    and data cache, every execution of a block costs the simulator
+    ([Ipet_sim.Interp.block_cycles]: its issue, stall, terminator and miss
+    cycles, callee time excluded) between [best] and [worst], so a block
+    run [n] times takes between [n * best] and [n * worst]. The fuzz
+    oracle checks it on every generated run. *)
 
 type bounds = {
   best : int;

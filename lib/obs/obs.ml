@@ -1,9 +1,9 @@
 let on = ref false
 
-let clock = ref Unix.gettimeofday
-let origin = ref (!clock ())
+let clock = Unix.gettimeofday
+let origin = ref (clock ())
 
-let engine tid = Span.create ~origin:!origin ~tid ~clock:(fun () -> !clock ()) ()
+let engine tid = Span.create ~origin:!origin ~tid ~clock ()
 
 (* The process's span engine (tid 0), plus named tracks: extra engines
    under synthetic tids (>= 1000) that render as their own rows in the
@@ -22,15 +22,11 @@ let enable () = on := true
 let disable () = on := false
 
 let reset () =
-  origin := !clock ();
+  origin := clock ();
   main := engine 0;
   current := !main;
   Hashtbl.reset tracks;
   Metrics.reset metrics
-
-let set_clock c =
-  clock := c;
-  reset ()
 
 let span ?args name f =
   if not !on then f ()
@@ -73,9 +69,9 @@ let track_spans name =
   | None -> []
 
 let timed f =
-  let t0 = !clock () in
+  let t0 = clock () in
   let v = f () in
-  (v, !clock () -. t0)
+  (v, clock () -. t0)
 
 (* the main engine's spans, then each track's in ascending tid order *)
 let spans () =

@@ -13,9 +13,8 @@
     synchronized. {!reset} restarts everything (used per-benchmark and by
     tests).
 
-    The clock is injectable ({!set_clock}) so tests can drive spans
-    deterministically; the default is [Unix.gettimeofday], with
-    monotonicity enforced by clamping (see {!Span}). *)
+    The clock is [Unix.gettimeofday], with monotonicity enforced by
+    clamping (see {!Span}). *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
@@ -23,9 +22,6 @@ val disable : unit -> unit
 
 val reset : unit -> unit
 (** Drop all recorded spans and metrics (enablement is unchanged). *)
-
-val set_clock : (unit -> float) -> unit
-(** Inject a clock (seconds); implies {!reset} of the span engine. *)
 
 val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] inside a span when enabled, exception-safely;
@@ -49,7 +45,7 @@ val track_spans : string -> Span.completed list
     [[]] for an unknown track. *)
 
 val timed : (unit -> 'a) -> 'a * float
-(** [f ()] and its wall time in seconds, measured with the current clock
+(** [f ()] and its wall time in seconds, measured with the spans' clock
     (works whether or not observability is enabled). *)
 
 val spans : unit -> Span.completed list

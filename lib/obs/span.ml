@@ -10,7 +10,7 @@ type completed = {
 type open_span = { o_name : string; o_args : (string * string) list; o_start : int }
 
 type t = {
-  mutable clock : unit -> float;
+  clock : unit -> float;
   mutable origin : float;
   mutable last_us : int;  (* highest timestamp handed out; enforces monotony *)
   mutable stack : open_span list;
@@ -29,10 +29,6 @@ let reset ?origin t =
   t.last_us <- 0;
   t.stack <- [];
   t.completed_rev <- []
-
-let set_clock t clock =
-  t.clock <- clock;
-  reset t
 
 let now_us t =
   let raw = int_of_float ((t.clock () -. t.origin) *. 1e6) in

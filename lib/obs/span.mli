@@ -31,10 +31,6 @@ val create : ?origin:float -> ?tid:int -> clock:(unit -> float) -> unit -> t
 
 val origin : t -> float
 
-val set_clock : t -> (unit -> float) -> unit
-(** Replace the clock and re-anchor the origin (tests inject a
-    deterministic clock). Implies {!reset}. *)
-
 val reset : ?origin:float -> t -> unit
 (** Drop all open and completed spans and re-anchor the origin (to
     [origin] when given, the current clock otherwise). *)

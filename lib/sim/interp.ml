@@ -14,15 +14,20 @@ let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
    [create] compiles the program once into flat, integer-indexed structures
    so the execution loop touches no hashtable, performs no per-instruction
    timing analysis and no layout lookups:
-   - every (func, block) is interned into a dense block slot; plain counters
-     are [int array]s indexed by slot, as are edge and call-site counters;
+   - every (func, block) is interned into a dense block slot, and every
+     edge and call site into a dense slot of its own;
    - per block, the fetch addresses are pre-mapped to i-cache (tag index,
-     line) pairs and each instruction's cycles (issue plus load-use stall)
-     are read once from the machine table the cost bounds also sum;
+     line) pairs, and the instruction cycles (issue plus load-use stall,
+     read from the machine table the cost bounds also sum) are summed once;
    - call sites carry their resolved callee and statically-known occurrence
      slot, so a call performs no function-table search;
-   - context-qualified counters live in a calling-context tree whose nodes
-     are reached in O(1) from the per-site child arrays. *)
+   - counters live in a calling-context tree whose nodes are reached in
+     O(1) from the per-site child arrays.
+
+   The loop records each event once: block entries, edges and calls per
+   context node, i-fetch misses per fetch position and d-cache misses per
+   block. Cycles, instructions, hits, the flat counts and the block profile
+   are folds over those counters and the decoded tables, made when read. *)
 
 type dcall = {
   c_slot : int;                 (* call-site counter slot *)
@@ -32,18 +37,25 @@ type dcall = {
   c_args : I.operand array;
 }
 
+(* the [b_calls] entry of an instruction that is not a call *)
+let no_call =
+  { c_slot = -1; c_callee = -1; c_callee_name = ""; c_nargs = 0; c_args = [||] }
+
 type dterm =
   | D_jump of int * int                       (* target block, edge slot *)
   | D_branch of I.reg * int * int * int * int (* reg, t_tgt, t_slot, f_tgt, f_slot *)
   | D_return of I.operand option
 
 type dblock = {
+  b_key : string * int;         (* (function, block id) *)
   b_slot : int;                 (* dense block counter slot *)
   b_instrs : I.t array;
   b_fetch_idx : int array;      (* length n+1: i-cache tag index per fetch *)
   b_fetch_line : int array;     (* length n+1: i-cache line per fetch *)
-  b_cost : int array;           (* length n: issue + stall-before cycles *)
-  b_calls : dcall array;        (* in occurrence order *)
+  b_fetch_base : int;           (* the block's first fetch miss slot *)
+  b_cycles : int;               (* issue + stall cycles of the body *)
+  b_loads : int;                (* d-cache accesses of the body *)
+  b_calls : dcall array;        (* per instruction; [no_call] if none *)
   b_term : dterm;
   b_term_taken : int;           (* terminator cycles (taken / any) *)
   b_term_nottaken : int;
@@ -69,6 +81,10 @@ type ctx = {
   x_children : ctx option array;
 }
 
+let empty_ctx =
+  { x_counts = [||]; x_edges = [||]; x_calls = [||]; x_entries = [||];
+    x_children = [||] }
+
 type t = {
   prog : P.t;
   layout : Layout.t;
@@ -79,40 +95,25 @@ type t = {
   mutable sp : int;
   mutable fuel : int;
   fuel_budget : int;
-  mutable cycle_count : int;
-  mutable instr_count : int;
   (* i-cache fetch path, fully inlined: [itags] aliases the cache's tag
-     store; hits and misses are tallied here instead of in [cache] *)
+     store, and a miss is tallied at its fetch position *)
   itags : int array;
-  mutable ihits : int;
-  mutable imisses : int;
-  mutable hits0 : int;  (* cache stats baseline for reset_stats *)
-  mutable misses0 : int;
-  mutable block_hook : (string -> int -> unit) option;
+  fetch_misses : int array;     (* per fetch position ([b_fetch_base] + i) *)
+  dcache_block_misses : int array;  (* per block slot *)
   miss_penalty : int;
-  (* profile mode: per-block self cycles (callee time excluded) and per-set
-     i-cache hit/miss tallies. The flag is immutable so the dispatch in
-     [run_block] is a predictable branch; with it off the execution loop is
-     byte-for-byte the unprofiled one. *)
-  profile : bool;
-  mutable prof_callee : int;     (* callee cycles within the current block *)
-  prof_cycles : int array;       (* per block slot *)
-  line_hits : int array;         (* per i-cache set *)
-  line_misses : int array;
+  dmiss_penalty : int;
+  mutable block_hook : (string -> int -> unit) option;
   (* decoded program *)
   dfuncs : dfunc array;
   func_index : (string, int) Hashtbl.t;
-  nblocks : int;
+  blocks : dblock array;                       (* slot -> block *)
   nedges : int;
   ncalls : int;
-  block_key : (string * int) array;            (* slot -> key *)
   block_slot : (string * int, int) Hashtbl.t;  (* key -> slot (cold paths) *)
+  (* a branch whose outcomes share a target has a second, not-taken slot
+     under the same key: [Hashtbl.find_all] yields both *)
   edge_slot : (string * int * int, int) Hashtbl.t;
   call_slot : (string * int * int, int) Hashtbl.t;
-  (* flat counters *)
-  counts : int array;
-  edge_counts : int array;
-  call_counts : int array;
   (* context tree *)
   mutable root_ctx : ctx;
   mutable cur_ctx : ctx;
@@ -128,8 +129,8 @@ let intern table next key =
     slot
 
 let decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index ~block_slot
-    ~edge_slot ~call_slot ~next_block ~next_edge ~next_call (f : P.func)
-    (b : P.block) =
+    ~edge_slot ~call_slot ~next_block ~next_edge ~next_call ~next_fetch
+    (f : P.func) (b : P.block) =
   let fname = f.P.name in
   let n = Array.length b.P.instrs in
   let base = Layout.block_addr layout ~func:fname ~block:b.P.id in
@@ -140,37 +141,51 @@ let decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index ~block_slot
     fetch_idx.(i) <- index;
     fetch_line.(i) <- line
   done;
+  let fetch_base = !next_fetch in
+  next_fetch := fetch_base + n + 1;
   let cost = Machine.instr_cycles mach ~dcache b.P.instrs in
-  let calls = ref [] in
-  Array.iter
-    (function
+  let calls = Array.make n no_call in
+  let occurrence = ref 0 and loads = ref 0 in
+  Array.iteri
+    (fun i -> function
       | I.Call (_, callee, args) ->
-        let occurrence = List.length !calls in
-        calls :=
-          { c_slot = intern call_slot next_call (fname, b.P.id, occurrence);
+        calls.(i) <-
+          { c_slot = intern call_slot next_call (fname, b.P.id, !occurrence);
             c_callee =
               Option.value ~default:(-1)
                 (Hashtbl.find_opt func_index callee);
             c_callee_name = callee;
             c_nargs = List.length args;
-            c_args = Array.of_list args }
-          :: !calls
+            c_args = Array.of_list args };
+        incr occurrence
+      | I.Load _ -> incr loads
       | I.Alu _ | I.Fpu _ | I.Icmp _ | I.Fcmp _ | I.Mov _ | I.Itof _
-      | I.Ftoi _ | I.Load _ | I.Store _ -> ())
+      | I.Ftoi _ | I.Store _ -> ())
     b.P.instrs;
   let edge dst = intern edge_slot next_edge (fname, b.P.id, dst) in
   let term =
     match b.P.term with
     | I.Jump tgt -> D_jump (tgt, edge tgt)
+    | I.Branch (r, t, f_) when t = f_ ->
+      (* both outcomes on one edge: the not-taken one keeps its own slot so
+         its cycles stay apart *)
+      let t_slot = edge t in
+      let f_slot = !next_edge in
+      Hashtbl.add edge_slot (fname, b.P.id, f_) f_slot;
+      incr next_edge;
+      D_branch (r, t, t_slot, f_, f_slot)
     | I.Branch (r, t, f_) -> D_branch (r, t, edge t, f_, edge f_)
     | I.Return op -> D_return op
   in
-  { b_slot = intern block_slot next_block (fname, b.P.id);
+  { b_key = (fname, b.P.id);
+    b_slot = intern block_slot next_block (fname, b.P.id);
     b_instrs = b.P.instrs;
     b_fetch_idx = fetch_idx;
     b_fetch_line = fetch_line;
-    b_cost = cost;
-    b_calls = Array.of_list (List.rev !calls);
+    b_fetch_base = fetch_base;
+    b_cycles = Array.fold_left ( + ) 0 cost;
+    b_loads = (if dcache then !loads else 0);
+    b_calls = calls;
     b_term = term;
     b_term_taken = Machine.term mach ~taken:true b.P.term;
     b_term_nottaken = Machine.term mach ~taken:false b.P.term }
@@ -185,7 +200,24 @@ let max_reg (f : P.func) =
     f.P.blocks;
   !m
 
-let decode ~mach ~cache_cfg ~dcache ~layout (prog : P.t) =
+let new_ctx m =
+  { x_counts = Array.make (Array.length m.blocks) 0;
+    x_edges = Array.make m.nedges 0;
+    x_calls = Array.make m.ncalls 0;
+    x_entries = Array.make (Array.length m.dfuncs) 0;
+    x_children = Array.make m.ncalls None }
+
+let reset_ctx m =
+  let root = new_ctx m in
+  m.root_ctx <- root;
+  m.cur_ctx <- root
+
+let create ?(mach = Machine.e32) ?cache ?dcache ?(stack_words = 1 lsl 16)
+    ?(fuel = 50_000_000) (prog : P.t) ~init =
+  let cache = match cache with Some c -> c | None -> mach.Machine.fetch in
+  let memory = Array.make (prog.P.globals_words + stack_words) V.zero in
+  List.iter (fun (addr, v) -> memory.(addr) <- v) init;
+  let layout = Layout.make prog in
   let func_index = Hashtbl.create 16 in
   Array.iteri
     (fun i (f : P.func) ->
@@ -196,6 +228,7 @@ let decode ~mach ~cache_cfg ~dcache ~layout (prog : P.t) =
   let edge_slot = Hashtbl.create 64 in
   let call_slot = Hashtbl.create 16 in
   let next_block = ref 0 and next_edge = ref 0 and next_call = ref 0 in
+  let next_fetch = ref 0 in
   let dfuncs =
     Array.mapi
       (fun i (f : P.func) ->
@@ -204,84 +237,50 @@ let decode ~mach ~cache_cfg ~dcache ~layout (prog : P.t) =
           d_nparams = f.P.nparams;
           d_frame_words = f.P.frame_words;
           d_nregs = max_reg f + 1;
+          (* a later function of the same name is never called, and its
+             blocks would share the first one's slots *)
           d_blocks =
-            Array.map
-              (decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index
-                 ~block_slot ~edge_slot ~call_slot ~next_block ~next_edge
-                 ~next_call f)
-              f.P.blocks })
+            (if Hashtbl.find func_index f.P.name <> i then [||]
+             else
+               Array.map
+                 (decode_block ~mach ~cache_cfg:cache ~dcache:(dcache <> None)
+                    ~layout ~func_index ~block_slot ~edge_slot ~call_slot
+                    ~next_block ~next_edge ~next_call ~next_fetch f)
+                 f.P.blocks) })
       prog.P.funcs
   in
-  let block_key = Array.make (max 1 !next_block) ("", 0) in
-  Hashtbl.iter (fun key slot -> block_key.(slot) <- key) block_slot;
-  (dfuncs, func_index, block_slot, edge_slot, call_slot, block_key,
-   !next_block, !next_edge, !next_call)
-
-let new_ctx m =
-  { x_counts = Array.make m.nblocks 0;
-    x_edges = Array.make m.nedges 0;
-    x_calls = Array.make m.ncalls 0;
-    x_entries = Array.make (Array.length m.dfuncs) 0;
-    x_children = Array.make m.ncalls None }
-
-let create ?(mach = Machine.e32) ?cache ?dcache ?(stack_words = 1 lsl 16)
-    ?(fuel = 50_000_000) ?(profile = false) (prog : P.t) ~init =
-  let cache = match cache with Some c -> c | None -> mach.Machine.fetch in
-  let memory = Array.make (prog.P.globals_words + stack_words) V.zero in
-  List.iter (fun (addr, v) -> memory.(addr) <- v) init;
-  let layout = Layout.make prog in
-  let ( dfuncs, func_index, block_slot, edge_slot, call_slot, block_key,
-        nblocks, nedges, ncalls ) =
-    decode ~mach ~cache_cfg:cache ~dcache:(dcache <> None) ~layout prog
-  in
   let icache = Icache.create cache in
-  let itags = Icache.tag_array icache in
   let m =
     { prog;
       layout;
       cache = icache;
       dcache = Option.map Icache.create dcache;
-      itags;
-      ihits = 0;
-      imisses = 0;
       memory;
       stack_base = prog.P.globals_words;
       sp = prog.P.globals_words;
       fuel;
       fuel_budget = fuel;
-      cycle_count = 0;
-      instr_count = 0;
-      hits0 = 0;
-      misses0 = 0;
-      block_hook = None;
+      itags = Icache.tag_array icache;
+      fetch_misses = Array.make !next_fetch 0;
+      dcache_block_misses = Array.make !next_block 0;
       miss_penalty = cache.Icache.miss_penalty;
-      profile;
-      prof_callee = 0;
-      prof_cycles = Array.make (max 1 nblocks) 0;
-      line_hits = Array.make (max 1 (Array.length itags)) 0;
-      line_misses = Array.make (max 1 (Array.length itags)) 0;
+      dmiss_penalty =
+        (match dcache with Some d -> d.Icache.miss_penalty | None -> 0);
+      block_hook = None;
       dfuncs;
       func_index;
-      nblocks;
-      nedges;
-      ncalls;
-      block_key;
+      (* block slots are handed out in decode order *)
+      blocks =
+        Array.concat (List.map (fun df -> df.d_blocks) (Array.to_list dfuncs));
+      nedges = !next_edge;
+      ncalls = !next_call;
       block_slot;
       edge_slot;
       call_slot;
-      counts = Array.make (max 1 nblocks) 0;
-      edge_counts = Array.make (max 1 nedges) 0;
-      call_counts = Array.make (max 1 ncalls) 0;
-      root_ctx =
-        { x_counts = [||]; x_edges = [||]; x_calls = [||]; x_entries = [||];
-          x_children = [||] };
-      cur_ctx =
-        { x_counts = [||]; x_edges = [||]; x_calls = [||]; x_entries = [||];
-          x_children = [||] } }
+      root_ctx = empty_ctx;
+      cur_ctx = empty_ctx }
   in
-  let root = new_ctx m in
-  m.root_ctx <- root;
-  m.cur_ctx <- root;
+  reset_ctx m;
   m
 
 let program m = m.prog
@@ -293,30 +292,16 @@ let reset_memory m ~init =
   m.sp <- m.stack_base
 
 let reset_stats m =
-  m.cycle_count <- 0;
-  m.instr_count <- 0;
   m.fuel <- m.fuel_budget;
-  m.hits0 <- m.ihits;
-  m.misses0 <- m.imisses;
-  Array.fill m.counts 0 (Array.length m.counts) 0;
-  Array.fill m.edge_counts 0 (Array.length m.edge_counts) 0;
-  Array.fill m.call_counts 0 (Array.length m.call_counts) 0;
-  m.prof_callee <- 0;
-  Array.fill m.prof_cycles 0 (Array.length m.prof_cycles) 0;
-  Array.fill m.line_hits 0 (Array.length m.line_hits) 0;
-  Array.fill m.line_misses 0 (Array.length m.line_misses) 0;
-  let root = new_ctx m in
-  m.root_ctx <- root;
-  m.cur_ctx <- root
+  Array.fill m.fetch_misses 0 (Array.length m.fetch_misses) 0;
+  Array.fill m.dcache_block_misses 0 (Array.length m.dcache_block_misses) 0;
+  reset_ctx m
 
 let set_block_hook m hook = m.block_hook <- Some hook
 
 let flush_cache m =
   Icache.flush m.cache;
   Option.iter Icache.flush m.dcache
-
-let dcache_hits m = match m.dcache with Some d -> Icache.hits d | None -> 0
-let dcache_misses m = match m.dcache with Some d -> Icache.misses d | None -> 0
 
 let global_slot m name =
   match P.find_global m.prog name with
@@ -335,43 +320,116 @@ let read_global m name index =
     error "index %d out of bounds for global %s" index name;
   m.memory.(g.P.addr + index)
 
-let cycles m = m.cycle_count
-let instructions m = m.instr_count
-let cache_hits m = m.ihits - m.hits0
-let cache_misses m = m.imisses - m.misses0
+(* --- derived views -------------------------------------------------------
+   Cold-path folds over the event counters. *)
 
-(* --- counter views ------------------------------------------------------ *)
+(* the whole run as one context node: every counter summed over the tree *)
+let flat m =
+  let total field =
+    let acc = Array.copy (field m.root_ctx) in
+    let rec add x =
+      Array.iter
+        (function
+          | Some c ->
+            Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) (field c);
+            add c
+          | None -> ())
+        x.x_children
+    in
+    add m.root_ctx;
+    acc
+  in
+  { x_counts = total (fun x -> x.x_counts);
+    x_edges = total (fun x -> x.x_edges);
+    x_calls = total (fun x -> x.x_calls);
+    x_entries = total (fun x -> x.x_entries);
+    x_children = [||] }
 
-let block_count m ~func ~block =
-  match Hashtbl.find_opt m.block_slot (func, block) with
-  | Some slot -> m.counts.(slot)
-  | None -> 0
+let sum = Array.fold_left ( + ) 0
 
-let block_counts m =
-  let acc = ref [] in
-  for slot = 0 to m.nblocks - 1 do
-    if m.counts.(slot) > 0 then acc := (m.block_key.(slot), m.counts.(slot)) :: !acc
+let fetch_miss_count m (db : dblock) =
+  let n = ref 0 in
+  for i = db.b_fetch_base to db.b_fetch_base + Array.length db.b_instrs do
+    n := !n + m.fetch_misses.(i)
   done;
+  !n
+
+(* per block slot: the cycles of its own executions — body, terminator by
+   outcome, and the fetch and d-cache misses it took — callee time
+   excluded *)
+let self_cycles m =
+  let run = flat m in
+  Array.map
+    (fun db ->
+      let n = run.x_counts.(db.b_slot) in
+      let term =
+        match db.b_term with
+        | D_branch (_, _, t_slot, _, f_slot) ->
+          (run.x_edges.(t_slot) * db.b_term_taken)
+          + (run.x_edges.(f_slot) * db.b_term_nottaken)
+        | D_jump _ | D_return _ -> n * db.b_term_taken
+      in
+      (n * db.b_cycles) + term
+      + (fetch_miss_count m db * m.miss_penalty)
+      + (m.dcache_block_misses.(db.b_slot) * m.dmiss_penalty))
+    m.blocks
+
+let cycles m = sum (self_cycles m)
+
+(* every block fetches its body and its terminator *)
+let fold_executed m f =
+  let run = flat m in
+  Array.fold_left
+    (fun acc db -> f acc db run.x_counts.(db.b_slot))
+    0 m.blocks
+
+let instructions m =
+  fold_executed m (fun acc db n -> acc + (n * (Array.length db.b_instrs + 1)))
+
+let cache_misses m = sum m.fetch_misses
+let cache_hits m = instructions m - cache_misses m
+
+let dcache_misses m = sum m.dcache_block_misses
+
+let dcache_hits m =
+  fold_executed m (fun acc db n -> acc + (n * db.b_loads)) - dcache_misses m
+
+let icache_line_stats m =
+  let run = flat m in
+  let fetches = Array.make (Array.length m.itags) 0 in
+  let misses = Array.make (Array.length m.itags) 0 in
+  Array.iter
+    (fun db ->
+      let n = run.x_counts.(db.b_slot) in
+      Array.iteri
+        (fun i set ->
+          fetches.(set) <- fetches.(set) + n;
+          misses.(set) <- misses.(set) + m.fetch_misses.(db.b_fetch_base + i))
+        db.b_fetch_idx)
+    m.blocks;
+  Array.map2 (fun f miss -> (f - miss, miss)) fetches misses
+
+(* (key, v) for each block with [v > 0], by key *)
+let per_block m values =
+  let acc = ref [] in
+  Array.iter
+    (fun db ->
+      let v = values.(db.b_slot) in
+      if v > 0 then acc := (db.b_key, v) :: !acc)
+    m.blocks;
   List.sort compare !acc
 
-let profiling m = m.profile
-
-let block_cycles m =
-  let acc = ref [] in
-  for slot = 0 to m.nblocks - 1 do
-    if m.prof_cycles.(slot) > 0 then
-      acc := (m.block_key.(slot), m.prof_cycles.(slot)) :: !acc
-  done;
-  List.sort compare !acc
+let block_counts m = per_block m (flat m).x_counts
+let block_cycles m = per_block m (self_cycles m)
 
 let pp_profile fmt m =
-  let rows = ref [] in
-  for slot = 0 to m.nblocks - 1 do
-    if m.counts.(slot) > 0 then
-      rows := (m.prof_cycles.(slot), m.block_key.(slot), m.counts.(slot)) :: !rows
-  done;
+  let self = self_cycles m in
   let rows =
-    List.sort (fun (ca, ka, _) (cb, kb, _) -> compare (cb, ka) (ca, kb)) !rows
+    List.map
+      (fun (key, executions) ->
+        (self.(Hashtbl.find m.block_slot key), key, executions))
+      (block_counts m)
+    |> List.sort (fun (ca, ka, _) (cb, kb, _) -> compare (cb, ka) (ca, kb))
   in
   let total = List.fold_left (fun acc (c, _, _) -> acc + c) 0 rows in
   Format.fprintf fmt "@[<v>%-20s %-6s %10s %10s %7s@," "function" "block"
@@ -385,21 +443,31 @@ let pp_profile fmt m =
     rows;
   Format.fprintf fmt "@]"
 
-let icache_line_stats m =
-  if not m.profile then [||]
-  else
-    Array.init (Array.length m.line_hits) (fun i ->
-        (m.line_hits.(i), m.line_misses.(i)))
+(* counter views at one context node; the flat views read [flat m] *)
 
-let edge_count m ~func ~src ~dst =
-  match Hashtbl.find_opt m.edge_slot (func, src, dst) with
-  | Some slot -> m.edge_counts.(slot)
+let node_block_count m node ~func ~block =
+  match Hashtbl.find_opt m.block_slot (func, block) with
+  | Some slot -> node.x_counts.(slot)
   | None -> 0
 
-let call_count m ~caller ~block ~occurrence =
+let node_edge_count m node ~func ~src ~dst =
+  List.fold_left
+    (fun acc slot -> acc + node.x_edges.(slot))
+    0 (Hashtbl.find_all m.edge_slot (func, src, dst))
+
+let node_call_count m node ~caller ~block ~occurrence =
   match Hashtbl.find_opt m.call_slot (caller, block, occurrence) with
-  | Some slot -> m.call_counts.(slot)
+  | Some slot -> node.x_calls.(slot)
   | None -> 0
+
+let node_entry_count m node ~func =
+  match Hashtbl.find_opt m.func_index func with
+  | Some fi -> node.x_entries.(fi)
+  | None -> 0
+
+let block_count m = node_block_count m (flat m)
+let edge_count m = node_edge_count m (flat m)
+let call_count m = node_call_count m (flat m)
 
 type site = string * int * int
 
@@ -414,37 +482,20 @@ let rec find_ctx m node = function
         | None -> None
         | Some child -> find_ctx m child rest))
 
+let at_path m path view =
+  match find_ctx m m.root_ctx path with None -> 0 | Some node -> view node
+
 let ctx_block_count m ~path ~func ~block =
-  match find_ctx m m.root_ctx path with
-  | None -> 0
-  | Some node ->
-    (match Hashtbl.find_opt m.block_slot (func, block) with
-     | Some slot -> node.x_counts.(slot)
-     | None -> 0)
+  at_path m path (fun node -> node_block_count m node ~func ~block)
 
 let ctx_edge_count m ~path ~func ~src ~dst =
-  match find_ctx m m.root_ctx path with
-  | None -> 0
-  | Some node ->
-    (match Hashtbl.find_opt m.edge_slot (func, src, dst) with
-     | Some slot -> node.x_edges.(slot)
-     | None -> 0)
+  at_path m path (fun node -> node_edge_count m node ~func ~src ~dst)
 
 let ctx_call_count m ~path ~caller ~block ~occurrence =
-  match find_ctx m m.root_ctx path with
-  | None -> 0
-  | Some node ->
-    (match Hashtbl.find_opt m.call_slot (caller, block, occurrence) with
-     | Some slot -> node.x_calls.(slot)
-     | None -> 0)
+  at_path m path (fun node -> node_call_count m node ~caller ~block ~occurrence)
 
 let ctx_entry_count m ~path ~func =
-  match find_ctx m m.root_ctx path with
-  | None -> 0
-  | Some node ->
-    (match Hashtbl.find_opt m.func_index func with
-     | Some fi -> node.x_entries.(fi)
-     | None -> 0)
+  at_path m path (fun node -> node_entry_count m node ~func)
 
 (* --- execution ---------------------------------------------------------- *)
 
@@ -575,138 +626,50 @@ and run_block m (df : dfunc) frame block_id =
   if m.fuel <= 0 then raise Out_of_fuel;
   m.fuel <- m.fuel - 1;
   let db = df.d_blocks.(block_id) in
-  let slot = db.b_slot in
-  m.counts.(slot) <- m.counts.(slot) + 1;
   let cx = m.cur_ctx in
-  cx.x_counts.(slot) <- cx.x_counts.(slot) + 1;
+  cx.x_counts.(db.b_slot) <- cx.x_counts.(db.b_slot) + 1;
   (match m.block_hook with
    | Some hook -> hook df.d_name block_id
    | None -> ());
-  if m.profile then run_block_profiled m df frame db
-  else begin
   let instrs = db.b_instrs in
   let fetch_idx = db.b_fetch_idx in
   let fetch_line = db.b_fetch_line in
-  let cost = db.b_cost in
+  let base = db.b_fetch_base in
   let tags = m.itags in
+  let misses = m.fetch_misses in
   let n = Array.length instrs in
-  let call_i = ref 0 in
   for i = 0 to n - 1 do
     let idx = fetch_idx.(i) and line = fetch_line.(i) in
-    if tags.(idx) = line then m.ihits <- m.ihits + 1
-    else begin
+    if tags.(idx) <> line then begin
       tags.(idx) <- line;
-      m.imisses <- m.imisses + 1;
-      m.cycle_count <- m.cycle_count + m.miss_penalty
+      misses.(base + i) <- misses.(base + i) + 1
     end;
-    m.instr_count <- m.instr_count + 1;
-    m.cycle_count <- m.cycle_count + cost.(i);
-    execute m db frame call_i instrs.(i)
+    execute m db frame i instrs.(i)
   done;
-  (* terminator fetch and execution *)
+  (* the terminator's fetch *)
   let idx = fetch_idx.(n) and line = fetch_line.(n) in
-  if tags.(idx) = line then m.ihits <- m.ihits + 1
-  else begin
+  if tags.(idx) <> line then begin
     tags.(idx) <- line;
-    m.imisses <- m.imisses + 1;
-    m.cycle_count <- m.cycle_count + m.miss_penalty
+    misses.(base + n) <- misses.(base + n) + 1
   end;
-  m.instr_count <- m.instr_count + 1;
+  (* a call leaves [m.cur_ctx] as it found it *)
   match db.b_term with
   | D_jump (target, eslot) ->
-    m.cycle_count <- m.cycle_count + db.b_term_taken;
-    m.edge_counts.(eslot) <- m.edge_counts.(eslot) + 1;
-    let cx = m.cur_ctx in
     cx.x_edges.(eslot) <- cx.x_edges.(eslot) + 1;
     run_block m df frame target
   | D_branch (r, t_tgt, t_slot, f_tgt, f_slot) ->
-    let taken = V.truthy (reg_value frame r) in
-    let target, eslot, tcost =
-      if taken then (t_tgt, t_slot, db.b_term_taken)
-      else (f_tgt, f_slot, db.b_term_nottaken)
-    in
-    m.cycle_count <- m.cycle_count + tcost;
-    m.edge_counts.(eslot) <- m.edge_counts.(eslot) + 1;
-    let cx = m.cur_ctx in
-    cx.x_edges.(eslot) <- cx.x_edges.(eslot) + 1;
-    run_block m df frame target
-  | D_return op ->
-    m.cycle_count <- m.cycle_count + db.b_term_taken;
-    Option.map (operand_value frame) op
-  end
-
-(* the profiled twin of [run_block]'s body: same semantics, plus per-set
-   i-cache tallies and, at the terminator, attribution of the block's self
-   cycles [delta - callee cycles] — so dcache penalties and miss refetches
-   land on the block that incurred them, and callee time does not. *)
-and run_block_profiled m (df : dfunc) frame db =
-  let slot = db.b_slot in
-  let c0 = m.cycle_count in
-  m.prof_callee <- 0;
-  let instrs = db.b_instrs in
-  let fetch_idx = db.b_fetch_idx in
-  let fetch_line = db.b_fetch_line in
-  let cost = db.b_cost in
-  let tags = m.itags in
-  let n = Array.length instrs in
-  let call_i = ref 0 in
-  for i = 0 to n - 1 do
-    let idx = fetch_idx.(i) and line = fetch_line.(i) in
-    if tags.(idx) = line then begin
-      m.ihits <- m.ihits + 1;
-      m.line_hits.(idx) <- m.line_hits.(idx) + 1
+    if V.truthy (reg_value frame r) then begin
+      cx.x_edges.(t_slot) <- cx.x_edges.(t_slot) + 1;
+      run_block m df frame t_tgt
     end
     else begin
-      tags.(idx) <- line;
-      m.imisses <- m.imisses + 1;
-      m.line_misses.(idx) <- m.line_misses.(idx) + 1;
-      m.cycle_count <- m.cycle_count + m.miss_penalty
-    end;
-    m.instr_count <- m.instr_count + 1;
-    m.cycle_count <- m.cycle_count + cost.(i);
-    execute m db frame call_i instrs.(i)
-  done;
-  let idx = fetch_idx.(n) and line = fetch_line.(n) in
-  if tags.(idx) = line then begin
-    m.ihits <- m.ihits + 1;
-    m.line_hits.(idx) <- m.line_hits.(idx) + 1
-  end
-  else begin
-    tags.(idx) <- line;
-    m.imisses <- m.imisses + 1;
-    m.line_misses.(idx) <- m.line_misses.(idx) + 1;
-    m.cycle_count <- m.cycle_count + m.miss_penalty
-  end;
-  m.instr_count <- m.instr_count + 1;
-  match db.b_term with
-  | D_jump (target, eslot) ->
-    m.cycle_count <- m.cycle_count + db.b_term_taken;
-    m.edge_counts.(eslot) <- m.edge_counts.(eslot) + 1;
-    let cx = m.cur_ctx in
-    cx.x_edges.(eslot) <- cx.x_edges.(eslot) + 1;
-    m.prof_cycles.(slot) <-
-      m.prof_cycles.(slot) + (m.cycle_count - c0 - m.prof_callee);
-    run_block m df frame target
-  | D_branch (r, t_tgt, t_slot, f_tgt, f_slot) ->
-    let taken = V.truthy (reg_value frame r) in
-    let target, eslot, tcost =
-      if taken then (t_tgt, t_slot, db.b_term_taken)
-      else (f_tgt, f_slot, db.b_term_nottaken)
-    in
-    m.cycle_count <- m.cycle_count + tcost;
-    m.edge_counts.(eslot) <- m.edge_counts.(eslot) + 1;
-    let cx = m.cur_ctx in
-    cx.x_edges.(eslot) <- cx.x_edges.(eslot) + 1;
-    m.prof_cycles.(slot) <-
-      m.prof_cycles.(slot) + (m.cycle_count - c0 - m.prof_callee);
-    run_block m df frame target
-  | D_return op ->
-    m.cycle_count <- m.cycle_count + db.b_term_taken;
-    m.prof_cycles.(slot) <-
-      m.prof_cycles.(slot) + (m.cycle_count - c0 - m.prof_callee);
-    Option.map (operand_value frame) op
+      cx.x_edges.(f_slot) <- cx.x_edges.(f_slot) + 1;
+      run_block m df frame f_tgt
+    end
+  | D_return None -> None
+  | D_return (Some op) -> Some (operand_value frame op)
 
-and execute m db frame call_i instr =
+and execute m db frame i instr =
   match instr with
   | I.Alu (op, d, a, b) ->
     let a = int_operand frame a in
@@ -738,15 +701,14 @@ and execute m db frame call_i instr =
      | Some dc ->
        (* word-addressed memory, 4 bytes per word in the cache's eyes *)
        if not (Icache.access dc (addr * 4)) then
-         m.cycle_count <- m.cycle_count + (Icache.config dc).Icache.miss_penalty
+         m.dcache_block_misses.(db.b_slot) <-
+           m.dcache_block_misses.(db.b_slot) + 1
      | None -> ());
     set_reg frame d (mem_read m addr)
   | I.Store (v, a) ->
     mem_write m (effective_addr frame a) (operand_value frame v)
   | I.Call (dst, _, _) ->
-    let dc = db.b_calls.(!call_i) in
-    incr call_i;
-    m.call_counts.(dc.c_slot) <- m.call_counts.(dc.c_slot) + 1;
+    let dc = db.b_calls.(i) in
     let cx = m.cur_ctx in
     cx.x_calls.(dc.c_slot) <- cx.x_calls.(dc.c_slot) + 1;
     let nargs = dc.c_nargs in
@@ -772,18 +734,7 @@ and execute m db frame call_i instr =
     for i = 0 to nargs - 1 do
       callee_frame.regs.(i) <- operand_value frame args.(i)
     done;
-    let result =
-      if not m.profile then run_block m callee callee_frame 0
-      else begin
-        (* the callee's blocks clobber [prof_callee] for their own calls;
-           charge the whole callee delta to the calling block on return *)
-        let saved = m.prof_callee in
-        let before = m.cycle_count in
-        let r = run_block m callee callee_frame 0 in
-        m.prof_callee <- saved + (m.cycle_count - before);
-        r
-      end
-    in
+    let result = run_block m callee callee_frame 0 in
     m.sp <- m.sp - callee.d_frame_words;
     m.cur_ctx <- cx;
     (match (dst, result) with

@@ -9,9 +9,11 @@
       instruction, including real i-cache behaviour, load-use stalls and
       branch outcomes, producing the "measured" time.
 
-    The simulated time always lies within the analytical per-block bounds of
-    {!Ipet_machine.Cost} by construction: both read the machine's one table
-    ({!Ipet_machine.Machine.instr_cycles} and {!Ipet_machine.Machine.term}).
+    Each block's own cycles ({!block_cycles}) lie within its execution
+    count times its per-block bounds from {!Ipet_machine.Cost} — the
+    promise stated there, which the fuzz oracle checks — because both read
+    the machine's one table ({!Ipet_machine.Machine.instr_cycles} and
+    {!Ipet_machine.Machine.term}).
     Note a block's misses can exceed the lines it spans: a call that splits
     a cache line can evict that line mid-block, so the return re-fetches it
     — {!Ipet_machine.Cost.func_bounds} charges those refetches explicitly
@@ -19,12 +21,21 @@
 
     {b Implementation}: {!create} pre-decodes the program into flat,
     integer-indexed structures — dense block/edge/call-site counter slots,
-    per-instruction i-cache (tag index, line) pairs, the machine's
-    per-instruction cycle table for each block, and pre-resolved callees — and context-qualified
-    counters live in a calling-context tree descended in O(1) per call.
-    The execution loop touches no hashtable and performs no timing
-    analysis; observable behaviour is identical to a direct interpreter,
-    at roughly an order of magnitude higher throughput. *)
+    per-instruction i-cache (tag index, line) pairs, each block's cycles
+    summed from the machine's per-instruction table, and pre-resolved
+    callees. The execution loop touches no hashtable, performs no timing
+    analysis and records each event once: block entries, edges and calls
+    per node of a calling-context tree (descended in O(1) per call),
+    i-fetch misses per fetch position and d-cache misses per block. Every
+    other figure — {!cycles}, {!instructions}, the hits, the flat counts,
+    {!block_cycles} and {!icache_line_stats} — is a fold over those
+    counters and the decoded tables, made when it is read. Observable
+    behaviour is identical to a direct interpreter that charges cycles as
+    it goes, at roughly an order of magnitude higher throughput.
+
+    The views describe completed calls: after {!call} raises
+    [Runtime_error] or [Out_of_fuel] their values are unspecified until
+    {!reset_stats}. *)
 
 exception Runtime_error of string
 exception Out_of_fuel
@@ -37,7 +48,6 @@ val create :
   ?dcache:Ipet_machine.Icache.config ->
   ?stack_words:int ->
   ?fuel:int ->
-  ?profile:bool ->
   Ipet_isa.Prog.t ->
   init:(int * Ipet_isa.Value.t) list ->
   t
@@ -47,10 +57,9 @@ val create :
     machine's own fetch configuration. [fuel] bounds the number
     of executed basic blocks (default 50 million). Without [dcache], data
     accesses cost a flat latency; with it, loads are cached (write-through,
-    no-allocate stores bypass it). With [profile] (default off), the machine
-    additionally attributes cycles to basic blocks and tallies i-cache
-    hits/misses per cache set — see {!block_cycles} and
-    {!icache_line_stats}; timing and all other counters are unchanged. *)
+    no-allocate stores bypass it). Every run carries its per-block
+    profile ({!block_cycles}) and per-set i-cache tallies
+    ({!icache_line_stats}). *)
 
 val program : t -> Ipet_isa.Prog.t
 val layout : t -> Ipet_isa.Layout.t
@@ -67,7 +76,8 @@ val reset_memory : t -> init:(int * Ipet_isa.Value.t) list -> unit
     (used for warm-cache best-case measurements). *)
 
 val reset_stats : t -> unit
-(** Zero cycles and counters; cache contents are kept. *)
+(** Zero every counter, so every view reads zero; cache contents are
+    kept. *)
 
 val flush_cache : t -> unit
 
@@ -86,27 +96,25 @@ val dcache_misses : t -> int
 
 val block_count : t -> func:string -> block:int -> int
 val block_counts : t -> ((string * int) * int) list
-(** All (function, block) execution counts, including zero entries for
-    never-executed blocks of functions that were entered. *)
-
-val profiling : t -> bool
-(** Whether the machine was created with [~profile:true]. *)
+(** The (function, block) execution counts of every executed block, by
+    key. *)
 
 val block_cycles : t -> ((string * int) * int) list
 (** Per (function, block): cycles attributed to the block itself — issue,
     stall, i-cache miss and dcache penalty cycles incurred while executing
-    it, terminator included, callee time excluded. Empty unless profiling.
-    Summing the list gives exactly {!cycles} of the run. *)
+    it, terminator included, callee time excluded. Summing the list gives
+    exactly {!cycles} of the run, and each block's cycles lie within its
+    execution count times the bounds {!Ipet_machine.Cost.func_bounds}
+    gives it. *)
 
 val pp_profile : Format.formatter -> t -> unit
 (** The per-block cycle profile [cinderella sim --profile] prints: one row
     per executed block with its {!block_counts} executions, its
-    {!block_cycles} and its share of their sum, by descending cycles. The
-    cycles are zero unless profiling. *)
+    {!block_cycles} and its share of their sum, by descending cycles. *)
 
 val icache_line_stats : t -> (int * int) array
-(** Per i-cache set: (hits, misses) fetch tallies. Empty unless
-    profiling. *)
+(** Per i-cache set: (hits, misses) fetch tallies; they sum to
+    {!instructions}. *)
 
 val edge_count : t -> func:string -> src:int -> dst:int -> int
 val call_count : t -> caller:string -> block:int -> occurrence:int -> int

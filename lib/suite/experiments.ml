@@ -28,7 +28,6 @@ let pessimism ~estimated ~reference =
   in
   (lo, hi)
 
-(* run one data set and return (block counts, cycle-accurate time) *)
 let simulate ?mach ?cache ?dcache compiled (bench : Bspec.t)
     (data : Bspec.dataset) ~flush ~warm =
   let machine =
@@ -45,7 +44,7 @@ let simulate ?mach ?cache ?dcache compiled (bench : Bspec.t)
   data.Bspec.setup machine;
   if flush then Interp.flush_cache machine;
   ignore (Interp.call machine bench.Bspec.root data.Bspec.args);
-  (Interp.block_counts machine, Interp.cycles machine)
+  machine
 
 let calculated_cost spec counts ~select =
   let costs = Analysis.block_costs spec in
@@ -57,18 +56,15 @@ let run ?mach ?cache ?dcache (bench : Bspec.t) =
   let compiled = Bspec.compile bench in
   let spec = Bspec.spec ?mach ?cache ?dcache bench in
   let result = Analysis.analyze spec in
-  let worst_runs =
+  let runs data ~flush ~warm =
     List.map
       (fun d ->
-        simulate ?mach ?cache ?dcache compiled bench d ~flush:true ~warm:false)
-      bench.Bspec.worst_data
+        let m = simulate ?mach ?cache ?dcache compiled bench d ~flush ~warm in
+        (Interp.block_counts m, Interp.cycles m))
+      data
   in
-  let best_runs =
-    List.map
-      (fun d ->
-        simulate ?mach ?cache ?dcache compiled bench d ~flush:false ~warm:true)
-      bench.Bspec.best_data
-  in
+  let worst_runs = runs bench.Bspec.worst_data ~flush:true ~warm:false in
+  let best_runs = runs bench.Bspec.best_data ~flush:false ~warm:true in
   let max_list = List.fold_left max min_int in
   let min_list = List.fold_left min max_int in
   let calculated =

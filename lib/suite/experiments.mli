@@ -29,6 +29,21 @@ val pessimism : estimated:interval -> reference:interval -> float * float
 (** The paper's pessimism metric:
     [( (Cl - El) / Cl, (Eu - Cu) / Cu )]. *)
 
+val simulate :
+  ?mach:Ipet_machine.Machine.t ->
+  ?cache:Ipet_machine.Icache.config ->
+  ?dcache:Ipet_machine.Icache.config ->
+  Ipet_lang.Compile.t ->
+  Bspec.t ->
+  Bspec.dataset ->
+  flush:bool ->
+  warm:bool ->
+  Ipet_sim.Interp.t
+(** One run of [bench]'s root on a data set, on a fresh machine: [flush]
+    empties the caches first (the worst-case runs); [warm] runs the data
+    set once beforehand, then zeroes the counters and restores memory (the
+    best-case runs). The machine is returned for its counters and views. *)
+
 val run :
   ?mach:Ipet_machine.Machine.t ->
   ?cache:Ipet_machine.Icache.config ->

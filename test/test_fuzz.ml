@@ -13,6 +13,7 @@ module I = Ipet_isa.Instr
 module V = Ipet_isa.Value
 module Icache = Ipet_machine.Icache
 module Machine = Ipet_machine.Machine
+module Cost = Ipet_machine.Cost
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -179,6 +180,37 @@ let test_oracle_certificate_cold () =
     (show (kind (from Ipet_cert.Certify.Cold)));
   check_string "no certificate" "certificate-reject" (show (kind None))
 
+(* a block whose own cycles leave its count times its cost bounds is a
+   finding of the cost layer that names the block *)
+let test_oracle_block_cost () =
+  let source = "int main() { int i; int s; s = 0;\n\
+                for (i = 0; i < 4; i = i + 1) { s = s + i; }\n\
+                return s; }" in
+  let ast, _ = Ipet_lang.Frontend.parse_and_check source in
+  let compiled = Ipet_lang.Frontend.compile_string_exn source in
+  let prog = compiled.Ipet_lang.Compile.prog in
+  let spec =
+    Ipet.Analysis.spec ~loop_bounds:(Ipet.Autobound.infer ast) ~root:"main" prog
+  in
+  let m =
+    Ipet_sim.Interp.create prog ~init:compiled.Ipet_lang.Compile.init_data
+  in
+  ignore (Ipet_sim.Interp.call m "main" []);
+  let costs = Ipet.Analysis.block_costs spec in
+  let finding f =
+    let costs ~func = Array.map f (costs ~func) in
+    match Oracle.block_cost_finding ~costs m with
+    | None -> "none"
+    | Some r ->
+      Oracle.kind_name r.Oracle.kind ^ ": "
+      ^ String.sub r.Oracle.detail 0 (String.index r.Oracle.detail ':')
+  in
+  check_string "the cost model covers every block" "none" (finding Fun.id);
+  check_string "a worst case below the run" "block-cost-violation: main B0"
+    (finding (fun b -> { b with Cost.worst = b.Cost.best - 1 }));
+  check_string "a best case above the run" "block-cost-violation: main B0"
+    (finding (fun b -> { b with Cost.best = b.Cost.worst + 1 }))
+
 (* --- a short live run ----------------------------------------------------- *)
 
 let fuzz_run ~mach ~seed ~iters =
@@ -314,6 +346,8 @@ let suite =
     ("shrinker minimizes", `Quick, test_shrinker_minimizes);
     ("ALU differential, exhaustive shifts", `Quick,
      test_alu_differential_exhaustive_shifts);
+    ("oracle: a block outside its cost bounds is a finding", `Quick,
+     test_oracle_block_cost);
     ("oracle: a cold certificate solve is a finding", `Quick,
      test_oracle_certificate_cold) ]
   @ props

@@ -1,7 +1,7 @@
 (* Observability subsystem tests: span-engine semantics under a
    deterministic clock, disabled-mode no-op behaviour, Chrome trace-event
    export validity, metrics-registry determinism, diagnostics rendering,
-   and the profiled simulator's exact cycle attribution. *)
+   and the simulator's exact cycle attribution. *)
 
 module Obs = Ipet_obs.Obs
 module Span = Ipet_obs.Span
@@ -398,7 +398,7 @@ let test_diag_rendering () =
   check_int "input exit code" 2 Diag.exit_input;
   check_int "analysis exit code" 1 Diag.exit_analysis
 
-(* --- profiled simulator -------------------------------------------------- *)
+(* --- simulator attribution ----------------------------------------------- *)
 
 let profile_src = {|
 int acc;
@@ -423,50 +423,60 @@ int main() {
 
 let test_profile_attribution_exact () =
   let compiled = Frontend.compile_string_exn profile_src in
-  let prog = compiled.Compile.prog in
-  let run profile =
-    let m = Interp.create ~profile prog ~init:compiled.Compile.init_data in
-    ignore (Interp.call m "main" []);
-    m
+  let m =
+    Interp.create compiled.Compile.prog ~init:compiled.Compile.init_data
   in
-  let plain = run false and prof = run true in
-  (* profiling must not change the simulation itself *)
-  check_int "cycles unchanged" (Interp.cycles plain) (Interp.cycles prof);
-  check_int "instructions unchanged" (Interp.instructions plain)
-    (Interp.instructions prof);
-  check_int "hits unchanged" (Interp.cache_hits plain) (Interp.cache_hits prof);
-  check_int "misses unchanged" (Interp.cache_misses plain)
-    (Interp.cache_misses prof);
-  check_bool "counts unchanged" true
-    (Interp.block_counts plain = Interp.block_counts prof);
+  ignore (Interp.call m "main" []);
   (* attribution is exact: self cycles over all blocks sum to the total *)
   let attributed =
-    List.fold_left (fun acc (_, c) -> acc + c) 0 (Interp.block_cycles prof)
+    List.fold_left (fun acc (_, c) -> acc + c) 0 (Interp.block_cycles m)
   in
-  check_int "block self-cycles sum to the run total" (Interp.cycles prof)
+  check_int "block self-cycles sum to the run total" (Interp.cycles m)
     attributed;
   (* callee exclusion: leaf's cycles are attributed to leaf's blocks, not to
      the main block making the calls *)
   let leaf_cycles =
     List.fold_left
       (fun acc ((f, _), c) -> if f = "leaf" then acc + c else acc)
-      0 (Interp.block_cycles prof)
+      0 (Interp.block_cycles m)
   in
   check_bool "callee blocks carry their own cycles" true (leaf_cycles > 0);
-  (* per-set i-cache tallies agree with the machine totals *)
+  (* per-set i-cache tallies agree with the machine totals: every fetch is
+     a hit or a miss of exactly one set *)
+  let sets = Interp.icache_line_stats m in
   let hits, misses =
-    Array.fold_left
-      (fun (h, m) (sh, sm) -> (h + sh, m + sm))
-      (0, 0)
-      (Interp.icache_line_stats prof)
+    Array.fold_left (fun (h, m) (sh, sm) -> (h + sh, m + sm)) (0, 0) sets
   in
-  check_int "per-set hits sum" (Interp.cache_hits prof) hits;
-  check_int "per-set misses sum" (Interp.cache_misses prof) misses;
-  check_bool "plain machine reports no per-set stats" true
-    (Interp.icache_line_stats plain = [||]);
-  (* reset_stats clears the profile *)
-  Interp.reset_stats prof;
-  check_bool "reset clears block cycles" true (Interp.block_cycles prof = [])
+  check_int "per-set hits sum" (Interp.cache_hits m) hits;
+  check_int "per-set misses sum" (Interp.cache_misses m) misses;
+  check_int "per-set hits and misses sum to the instructions"
+    (Interp.instructions m) (hits + misses);
+  (* reset_stats clears every derived view *)
+  let main = Ipet_isa.Prog.find_func compiled.Compile.prog "main" in
+  let call_block =
+    List.find
+      (fun b -> Ipet_isa.Prog.calls_of_block b <> [])
+      (Array.to_list main.Ipet_isa.Prog.blocks)
+  in
+  let calls () =
+    Interp.call_count m ~caller:"main" ~block:call_block.Ipet_isa.Prog.id
+      ~occurrence:0
+  in
+  check_int "leaf is called three times" 3 (calls ());
+  check_int "main is entered once" 1
+    (Interp.ctx_entry_count m ~path:[] ~func:"main");
+  Interp.reset_stats m;
+  check_int "reset clears cycles" 0 (Interp.cycles m);
+  check_int "reset clears instructions" 0 (Interp.instructions m);
+  check_int "reset clears hits" 0 (Interp.cache_hits m);
+  check_int "reset clears misses" 0 (Interp.cache_misses m);
+  check_bool "reset clears block counts" true (Interp.block_counts m = []);
+  check_bool "reset clears block cycles" true (Interp.block_cycles m = []);
+  check_bool "reset clears the per-set tallies" true
+    (Array.for_all (fun s -> s = (0, 0)) (Interp.icache_line_stats m));
+  check_int "reset clears calls" 0 (calls ());
+  check_int "reset clears entries" 0
+    (Interp.ctx_entry_count m ~path:[] ~func:"main")
 
 let test_attribution_report () =
   let rows =

@@ -262,8 +262,7 @@ let test_profile_accounts_all_cycles () =
   |} in
   let compiled = Frontend.compile_string_exn src in
   let m =
-    Interp.create ~profile:true compiled.Compile.prog
-      ~init:compiled.Compile.init_data
+    Interp.create compiled.Compile.prog ~init:compiled.Compile.init_data
   in
   ignore (Interp.call m "f" [ V.Vint 2 ]);
   let rows = Interp.block_cycles m in
@@ -284,9 +283,9 @@ let test_profile_accounts_all_cycles () =
                     && (String.sub text i nn = "helper" || go (i + 1)) in
      go 0)
 
-(* [cinderella sim --profile] prints the profiled machine's own
-   attribution: a call's return block is charged only its own cycles, and
-   the caller's cycles after the call stay with the caller's block *)
+(* [cinderella sim --profile] prints the machine's own attribution: a
+   call's return block is charged only its own cycles, and the caller's
+   cycles after the call stay with the caller's block *)
 let test_cli_profile_is_block_cycles () =
   let src = {|int acc;
 int leaf(int x) { return x + 1; }
@@ -319,8 +318,7 @@ int f(int n) {
   in
   let compiled = Frontend.compile_string_exn src in
   let m =
-    Interp.create ~profile:true compiled.Compile.prog
-      ~init:compiled.Compile.init_data
+    Interp.create compiled.Compile.prog ~init:compiled.Compile.init_data
   in
   ignore (Interp.call m "f" [ V.Vint 3 ]);
   let expected =
@@ -335,11 +333,39 @@ int f(int n) {
   check_int "the rows sum to the run's cycles" (Interp.cycles m)
     (List.fold_left (fun acc (_, (_, c)) -> acc + c) 0 rows)
 
+(* [br r0 ? B1 : B1] takes one edge either way, but its outcomes cost
+   differently: the not-taken run is charged the not-taken terminator *)
+let test_same_target_branch () =
+  let prog =
+    Ipet_isa.Asm_parser.parse
+      "f(1 params, 1 frame words):\nB0:\n  br r0 ? B1 : B1\nB1:\n  ret r0\n"
+  in
+  List.iter
+    (fun (mach, not_taken, taken) ->
+      let id = Ipet_machine.Machine.id mach in
+      List.iter
+        (fun (arg, expected) ->
+          let m = Interp.create ~mach prog ~init:[] in
+          ignore (Interp.call m "f" [ V.Vint arg ]);
+          check_int (Printf.sprintf "%s f(%d) cycles" id arg) expected
+            (Interp.cycles m);
+          check_int (Printf.sprintf "%s f(%d) block cycles" id arg) expected
+            (List.fold_left (fun acc (_, c) -> acc + c) 0
+               (Interp.block_cycles m));
+          check_int (Printf.sprintf "%s f(%d) edge B0->B1" id arg) 1
+            (Interp.edge_count m ~func:"f" ~src:0 ~dst:1);
+          check_int (Printf.sprintf "%s f(%d) context edge B0->B1" id arg) 1
+            (Interp.ctx_edge_count m ~path:[] ~func:"f" ~src:0 ~dst:1))
+        [ (0, not_taken); (1, taken) ])
+    [ (Ipet_machine.Machine.e32, 16, 18); (Ipet_machine.Machine.m7, 10, 12) ]
+
 let suite =
   suite
   @ [ ("profile accounts all cycles", `Quick, test_profile_accounts_all_cycles);
       ("sim --profile prints the machine's block cycles", `Quick,
-       test_cli_profile_is_block_cycles) ]
+       test_cli_profile_is_block_cycles);
+      ("a same-target branch keeps both outcomes' cycles", `Quick,
+       test_same_target_branch) ]
 
 (* --- fast-path differential test ----------------------------------------
    The decoded interpreter's counters must be indistinguishable from a

@@ -135,6 +135,29 @@ let test_witness_prices_to_bound () =
         Ipet_suite.Suite.all)
     [ Ipet_machine.Machine.e32; Ipet_machine.Machine.m7 ]
 
+(* Cost.mli's per-block promise on every suite run: each executed block's
+   own simulated cycles lie within its count times its cost bounds, for
+   the worst (cold) and best (warm) data sets on both machines *)
+let test_blocks_within_cost_bounds () =
+  List.iter
+    (fun mach ->
+      List.iter
+        (fun (b : Bspec.t) ->
+          let compiled = Bspec.compile b in
+          let costs = Ipet.Analysis.block_costs (Bspec.spec ~mach b) in
+          let check ~flush ~warm d =
+            let m = E.simulate ~mach compiled b d ~flush ~warm in
+            match Ipet_fuzz.Oracle.block_cost_finding ~costs m with
+            | None -> ()
+            | Some f ->
+              Alcotest.failf "%s on %s: %s" b.Bspec.name
+                (Ipet_machine.Machine.id mach) f.Ipet_fuzz.Oracle.detail
+          in
+          List.iter (check ~flush:true ~warm:false) b.Bspec.worst_data;
+          List.iter (check ~flush:false ~warm:true) b.Bspec.best_data)
+        (Ipet_suite.Suite.all @ Ipet_suite.Suite.extended))
+    Ipet_machine.Machine.all
+
 let suite =
   [ ("13 benchmarks present", `Quick, test_all_benchmarks_present) ]
   @ List.map invariant_test
@@ -146,4 +169,6 @@ let suite =
       ("21 benchmarks render identically twice in one process", `Slow,
        test_repeat_in_process);
       ("witness prices to the bound on e32 and m7", `Slow,
-       test_witness_prices_to_bound) ]
+       test_witness_prices_to_bound);
+      ("every suite block stays within its cost bounds on e32 and m7", `Slow,
+       test_blocks_within_cost_bounds) ]
