@@ -13,6 +13,7 @@ module Autobound = Ipet.Autobound
 module Structural = Ipet.Structural
 module Flowvar = Ipet.Flowvar
 module Lp = Ipet_lp.Lp_problem
+module Linexpr = Ipet_lp.Linexpr
 module Rat = Ipet_num.Rat
 
 type failure_kind =
@@ -21,6 +22,7 @@ type failure_kind =
   | Sim_crash
   | Bound_violation
   | Block_cost_violation
+  | Objective_violation
   | Constraint_violation
   | Optimizer_divergence
   | Presolve_divergence
@@ -34,6 +36,7 @@ let kind_name = function
   | Sim_crash -> "sim-crash"
   | Bound_violation -> "bound-violation"
   | Block_cost_violation -> "block-cost-violation"
+  | Objective_violation -> "objective-violation"
   | Constraint_violation -> "constraint-violation"
   | Optimizer_divergence -> "optimizer-divergence"
   | Presolve_divergence -> "presolve-divergence"
@@ -193,6 +196,28 @@ let block_cost_finding ~costs machine =
                 func block n cycles n b.Cost.best b.Cost.worst })
     (Interp.block_counts machine)
 
+let objective_finding ~bcet ~wcet ~wcet_problems ~bcet_problems counts =
+  let check what bound problems outside =
+    List.find_map
+      (fun (p : Lp.t) ->
+        let score = Linexpr.eval counts p.Lp.objective in
+        if outside (Rat.compare score (Rat.of_int bound)) && Lp.feasible counts p
+        then
+          Some
+            { kind = Objective_violation;
+              detail =
+                Printf.sprintf
+                  "the measured counts satisfy every constraint and score %s \
+                   under the %s objective, beyond the %s %d: presolve, the \
+                   simplex or branch-and-bound missed an optimum"
+                  (Rat.to_string score) what what bound }
+        else None)
+      problems
+  in
+  match check "wcet" wcet wcet_problems (fun c -> c > 0) with
+  | Some f -> Some f
+  | None -> check "bcet" bcet bcet_problems (fun c -> c < 0)
+
 let run mach cache source =
   let ast, _env = parse source in
   let compiled = compile ~optimize:false source in
@@ -239,6 +264,15 @@ let run mach cache source =
      its bounds, so a whole-run violation below is the path analysis' *)
   Option.iter (fun f -> raise (Reject f))
     (block_cost_finding ~costs:(Analysis.block_costs spec) machine);
+  (* then the solver chain: a feasible assignment, the measured counts,
+     must score within the optimum of each objective *)
+  let instances, system = Analysis.program_system spec in
+  let counts = measured_counts machine instances in
+  Option.iter (fun f -> raise (Reject f))
+    (objective_finding ~bcet ~wcet
+       ~wcet_problems:(Analysis.system_problems system Lp.Maximize)
+       ~bcet_problems:(Analysis.system_problems system Lp.Minimize)
+       counts);
   let cycles = Interp.cycles machine in
   if cycles < bcet || cycles > wcet then
     fail Bound_violation "simulated %d cycles outside estimated bound [%d, %d]"
@@ -253,10 +287,8 @@ let run mach cache source =
       cycles wcet_fm;
   (* the measured block/edge counts must satisfy every constraint the ILP
      was built from — structural flow equations and loop bounds alike *)
-  let instances = Analysis.instances spec in
-  let lookup = measured_counts machine instances in
   let check_constr (c : Lp.constr) =
-    if not (Lp.satisfies lookup c) then
+    if not (Lp.satisfies counts c) then
       fail Constraint_violation "measured counts violate %s: %s" c.Lp.origin
         (Format.asprintf "%a" Lp.pp_constr c)
   in

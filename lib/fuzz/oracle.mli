@@ -12,6 +12,9 @@
     - a cold simulated run of [main] finishes, and each executed block's
       own cycles lie within its execution count times the block's cost
       bounds (the cost layer, checked block by block);
+    - the run's measured counts score at most the WCET under each WCET
+      objective and at least the BCET under each BCET objective (the
+      solver chain: presolve, simplex and branch-and-bound);
     - the run's cycle count lies inside the estimated bound [[BCET, WCET]]
       (Fig. 1);
     - the cycle count is also at most the WCET under Section IV's
@@ -35,6 +38,11 @@ type failure_kind =
       (** an executed block's own cycles lie outside its execution count
           times its per-block cost bounds: the cost model or the machine
           table is wrong for that block *)
+  | Objective_violation
+      (** the measured counts satisfy a problem's constraints yet score
+          above the WCET under its objective, or below the BCET: presolve,
+          the simplex or branch-and-bound returned a value short of the
+          optimum *)
   | Constraint_violation  (** measured counts break an ILP constraint *)
   | Optimizer_divergence  (** optimized and unoptimized runs observably differ *)
   | Presolve_divergence   (** presolve changed an ILP objective value *)
@@ -68,6 +76,26 @@ val block_cost_finding :
     executed block whose {!Ipet_sim.Interp.block_cycles} lie outside its
     execution count times its [costs] bounds, as a
     [Block_cost_violation] naming the function and block. *)
+
+val measured_counts :
+  Ipet_sim.Interp.t -> Ipet.Structural.instance list -> string -> Ipet_num.Rat.t
+(** [measured_counts m instances] values every flow variable of the
+    instances from [m]'s context-qualified counters after a run (zero for
+    a name it does not know): the assignment the constraint and objective
+    checks evaluate. *)
+
+val objective_finding :
+  bcet:int ->
+  wcet:int ->
+  wcet_problems:Ipet_lp.Lp_problem.t list ->
+  bcet_problems:Ipet_lp.Lp_problem.t list ->
+  (string -> Ipet_num.Rat.t) ->
+  failure option
+(** The solver-chain check {!check} makes after the per-block one: the
+    first problem whose constraints the measured [counts] satisfy and
+    whose objective they score above [wcet] (for [wcet_problems]) or
+    below [bcet] (for [bcet_problems]), as an [Objective_violation]. A
+    problem the counts do not satisfy is left to the constraint check. *)
 
 val check :
   ?mach:Ipet_machine.Machine.t ->

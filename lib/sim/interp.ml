@@ -27,7 +27,12 @@ let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
    The loop records each event once: block entries, edges and calls per
    context node, i-fetch misses per fetch position and d-cache misses per
    block. Cycles, instructions, hits, the flat counts and the block profile
-   are folds over those counters and the decoded tables, made when read. *)
+   are folds over those counters and the decoded tables, made when read.
+
+   Registers are unboxed (see the execution section): the loop allocates
+   no word for an ALU, compare, FPU or move result and calls no function of
+   another module but the d-cache's probe, so no call goes through a
+   module block in a build that does not inline across modules. *)
 
 type dcall = {
   c_slot : int;                 (* call-site counter slot *)
@@ -85,12 +90,32 @@ let empty_ctx =
   { x_counts = [||]; x_edges = [||]; x_calls = [||]; x_entries = [||];
     x_children = [||] }
 
+(* an activation's registers: register [r] holds [ints.(r)] or
+   [floats.(r)], as [kinds] says *)
+type frame = {
+  ints : int array;
+  floats : float array;         (* a flat float array: stores do not box *)
+  kinds : Bytes.t;              (* [k_int] or [k_float] per register *)
+  fp : int;
+}
+
+let k_int = '\000'
+let k_float = '\001'
+let k_void = '\002'            (* [ret] only: the callee returned nothing *)
+
+let new_frame n fp =
+  { ints = Array.make n 0; floats = Array.make n 0.0;
+    kinds = Bytes.make n k_int; fp }
+
 type t = {
   prog : P.t;
   layout : Layout.t;
   cache : Icache.t;
   dcache : Icache.t option;
   memory : V.t array;
+  (* every word outside [[written_lo, written_hi]] is [V.zero] *)
+  mutable written_lo : int;
+  mutable written_hi : int;
   stack_base : int;
   mutable sp : int;
   mutable fuel : int;
@@ -102,6 +127,7 @@ type t = {
   dcache_block_misses : int array;  (* per block slot *)
   miss_penalty : int;
   dmiss_penalty : int;
+  ret : frame;                  (* one register: the last return value *)
   mutable block_hook : (string -> int -> unit) option;
   (* decoded program *)
   dfuncs : dfunc array;
@@ -190,13 +216,21 @@ let decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index ~block_slot
     b_term_taken = Machine.term mach ~taken:true b.P.term;
     b_term_nottaken = Machine.term mach ~taken:false b.P.term }
 
+(* the highest register the function's parameters and code name, so a
+   frame of [max_reg f + 1] registers holds every register it reads *)
 let max_reg (f : P.func) =
-  let m = ref (max 15 (f.P.nparams - 1)) in
+  let m = ref (f.P.nparams - 1) in
+  let see r = if r > !m then m := r in
   Array.iter
     (fun (b : P.block) ->
       Array.iter
-        (fun i -> List.iter (fun d -> if d > !m then m := d) (I.defs i))
-        b.P.instrs)
+        (fun i ->
+          List.iter see (I.defs i);
+          List.iter see (I.uses i))
+        b.P.instrs;
+      match b.P.term with
+      | I.Branch (r, _, _) | I.Return (Some (I.Reg r)) -> see r
+      | I.Jump _ | I.Return (Some (I.Imm _ | I.Fimm _) | None) -> ())
     f.P.blocks;
   !m
 
@@ -207,16 +241,19 @@ let new_ctx m =
     x_entries = Array.make (Array.length m.dfuncs) 0;
     x_children = Array.make m.ncalls None }
 
-let reset_ctx m =
-  let root = new_ctx m in
-  m.root_ctx <- root;
-  m.cur_ctx <- root
+(* every write to memory goes through here, which keeps
+   [written_lo]/[written_hi] covering it *)
+let write_word m addr v =
+  m.memory.(addr) <- v;
+  if addr < m.written_lo then m.written_lo <- addr;
+  if addr > m.written_hi then m.written_hi <- addr
+
+let init_memory m init = List.iter (fun (addr, v) -> write_word m addr v) init
 
 let create ?(mach = Machine.e32) ?cache ?dcache ?(stack_words = 1 lsl 16)
     ?(fuel = 50_000_000) (prog : P.t) ~init =
   let cache = match cache with Some c -> c | None -> mach.Machine.fetch in
   let memory = Array.make (prog.P.globals_words + stack_words) V.zero in
-  List.iter (fun (addr, v) -> memory.(addr) <- v) init;
   let layout = Layout.make prog in
   let func_index = Hashtbl.create 16 in
   Array.iteri
@@ -256,6 +293,8 @@ let create ?(mach = Machine.e32) ?cache ?dcache ?(stack_words = 1 lsl 16)
       cache = icache;
       dcache = Option.map Icache.create dcache;
       memory;
+      written_lo = max_int;
+      written_hi = -1;
       stack_base = prog.P.globals_words;
       sp = prog.P.globals_words;
       fuel;
@@ -266,6 +305,7 @@ let create ?(mach = Machine.e32) ?cache ?dcache ?(stack_words = 1 lsl 16)
       miss_penalty = cache.Icache.miss_penalty;
       dmiss_penalty =
         (match dcache with Some d -> d.Icache.miss_penalty | None -> 0);
+      ret = new_frame 1 0;
       block_hook = None;
       dfuncs;
       func_index;
@@ -280,22 +320,41 @@ let create ?(mach = Machine.e32) ?cache ?dcache ?(stack_words = 1 lsl 16)
       root_ctx = empty_ctx;
       cur_ctx = empty_ctx }
   in
-  reset_ctx m;
+  let root = new_ctx m in
+  m.root_ctx <- root;
+  m.cur_ctx <- root;
+  init_memory m init;
   m
 
 let program m = m.prog
 let layout m = m.layout
 
 let reset_memory m ~init =
-  Array.fill m.memory 0 (Array.length m.memory) V.zero;
-  List.iter (fun (addr, v) -> m.memory.(addr) <- v) init;
+  if m.written_lo <= m.written_hi then
+    Array.fill m.memory m.written_lo (m.written_hi - m.written_lo + 1) V.zero;
+  m.written_lo <- max_int;
+  m.written_hi <- -1;
+  init_memory m init;
   m.sp <- m.stack_base
 
+let zero a = Array.fill a 0 (Array.length a) 0
+
+let rec clear_ctx x =
+  zero x.x_counts;
+  zero x.x_edges;
+  zero x.x_calls;
+  zero x.x_entries;
+  Array.iter (Option.iter clear_ctx) x.x_children
+
+(* the context tree is zeroed in place, not rebuilt: a zeroed node reads
+   as an absent one, and a machine keeps its tree until its next run, long
+   enough for a rebuilt one to be promoted to the major heap *)
 let reset_stats m =
   m.fuel <- m.fuel_budget;
-  Array.fill m.fetch_misses 0 (Array.length m.fetch_misses) 0;
-  Array.fill m.dcache_block_misses 0 (Array.length m.dcache_block_misses) 0;
-  reset_ctx m
+  zero m.fetch_misses;
+  zero m.dcache_block_misses;
+  clear_ctx m.root_ctx;
+  m.cur_ctx <- m.root_ctx
 
 let set_block_hook m hook = m.block_hook <- Some hook
 
@@ -312,7 +371,7 @@ let write_global m name index v =
   let g = global_slot m name in
   if index < 0 || index >= g.P.size_words then
     error "index %d out of bounds for global %s" index name;
-  m.memory.(g.P.addr + index) <- v
+  write_word m (g.P.addr + index) v
 
 let read_global m name index =
   let g = global_slot m name in
@@ -497,40 +556,62 @@ let ctx_call_count m ~path ~caller ~block ~occurrence =
 let ctx_entry_count m ~path ~func =
   at_path m path (fun node -> node_entry_count m node ~func)
 
-(* --- execution ---------------------------------------------------------- *)
+(* --- execution -----------------------------------------------------------
+   Registers are unboxed ([frame]): an ALU, compare, FPU or move result is
+   written into the int or float file in place and allocates nothing. A
+   word is boxed as a [V.t] only where it leaves the files: a store to
+   memory, and {!call}'s arguments and result. A fresh frame reads int 0
+   in every register, as an unwritten [V.t] register did, a branch on a
+   float tests [<> 0.0] as [V.truthy] does, and a mistyped read raises
+   [V.as_int]'s or [V.as_float]'s [Invalid_argument]. The helpers are
+   inlined so that a float read is not boxed on return. *)
 
-type frame = { mutable regs : V.t array; fp : int }
+(* [V.as_int]'s and [V.as_float]'s errors, raised without calling them *)
+let float_word () = invalid_arg "Value.as_int: float word"
+let int_word () = invalid_arg "Value.as_float: int word"
 
-let reg_value frame r =
-  let a = frame.regs in
-  if r < Array.length a then a.(r) else V.zero
-
-let set_reg frame r v =
-  let a = frame.regs in
-  if r >= Array.length a then begin
-    let bigger = Array.make (max (r + 1) (2 * Array.length a)) V.zero in
-    Array.blit a 0 bigger 0 (Array.length a);
-    frame.regs <- bigger
-  end;
-  frame.regs.(r) <- v
-
-let operand_value frame = function
-  | I.Reg r -> reg_value frame r
-  | I.Imm i -> V.Vint i
-  | I.Fimm f -> V.Vfloat f
-
-(* unboxed operand reads for the hot ALU/compare paths: immediates skip the
-   V.t round-trip entirely; the error behaviour of [V.as_int]/[V.as_float]
-   on mistyped words is preserved *)
-let int_operand frame = function
+let[@inline] int_operand frame = function
   | I.Imm i -> i
-  | I.Reg r -> V.as_int (reg_value frame r)
-  | I.Fimm f -> V.as_int (V.Vfloat f)
+  | I.Reg r ->
+    if Bytes.get frame.kinds r = k_int then frame.ints.(r) else float_word ()
+  | I.Fimm _ -> float_word ()
 
-let float_operand frame = function
-  | I.Fimm f -> f
-  | I.Reg r -> V.as_float (reg_value frame r)
-  | I.Imm i -> V.as_float (V.Vint i)
+let[@inline] float_operand frame = function
+  | I.Fimm x -> x
+  | I.Reg r ->
+    if Bytes.get frame.kinds r = k_float then frame.floats.(r) else int_word ()
+  | I.Imm _ -> int_word ()
+
+let[@inline] set_int frame d i =
+  frame.ints.(d) <- i;
+  Bytes.set frame.kinds d k_int
+
+let[@inline] set_float frame d x =
+  frame.floats.(d) <- x;
+  Bytes.set frame.kinds d k_float
+
+(* register [d] of [dst] takes register [r] of [src], kind and all *)
+let[@inline] copy_reg dst d src r =
+  Bytes.set dst.kinds d (Bytes.get src.kinds r);
+  dst.ints.(d) <- src.ints.(r);
+  dst.floats.(d) <- src.floats.(r)
+
+(* register [d] of [dst] takes operand [a] of [src] *)
+let[@inline] move dst d src = function
+  | I.Reg r -> copy_reg dst d src r
+  | I.Imm i -> set_int dst d i
+  | I.Fimm x -> set_float dst d x
+
+let box frame = function
+  | I.Reg r ->
+    if Bytes.get frame.kinds r = k_int then V.Vint frame.ints.(r)
+    else V.Vfloat frame.floats.(r)
+  | I.Imm i -> V.Vint i
+  | I.Fimm x -> V.Vfloat x
+
+let unbox frame d = function
+  | V.Vint i -> set_int frame d i
+  | V.Vfloat x -> set_float frame d x
 
 let mem_read m addr =
   if addr < 0 || addr >= Array.length m.memory then
@@ -540,7 +621,7 @@ let mem_read m addr =
 let mem_write m addr v =
   if addr < 0 || addr >= Array.length m.memory then
     error "store to invalid address %d" addr;
-  m.memory.(addr) <- v
+  write_word m addr v
 
 let effective_addr frame (a : I.addr) =
   let base = match a.I.base with I.Abs w -> w | I.Frame_base -> frame.fp in
@@ -551,6 +632,9 @@ let effective_addr frame (a : I.addr) =
   in
   base + a.I.offset + index
 
+(* [V.wrap32]'s body, so that the ALU calls no other module *)
+let[@inline] wrap32 i = ((i land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000
+
 (* every integer result is wrapped to 32-bit two's complement
    ([V.wrap32]): E32 registers are 32 bits wide, so Add/Sub/Mul overflow
    must wrap instead of growing to OCaml's native width.  Div/Rem wrap
@@ -560,69 +644,47 @@ let effective_addr frame (a : I.addr) =
    Ipet_lang.Optimize.fold_alu exactly. *)
 let alu op a b =
   match op with
-  | I.Add -> V.wrap32 (a + b)
-  | I.Sub -> V.wrap32 (a - b)
-  | I.Mul -> V.wrap32 (a * b)
-  | I.Div -> if b = 0 then error "division by zero" else V.wrap32 (a / b)
-  | I.Rem -> if b = 0 then error "modulo by zero" else V.wrap32 (a mod b)
-  | I.And -> V.wrap32 (a land b)
-  | I.Or -> V.wrap32 (a lor b)
-  | I.Xor -> V.wrap32 (a lxor b)
+  | I.Add -> wrap32 (a + b)
+  | I.Sub -> wrap32 (a - b)
+  | I.Mul -> wrap32 (a * b)
+  | I.Div -> if b = 0 then error "division by zero" else wrap32 (a / b)
+  | I.Rem -> if b = 0 then error "modulo by zero" else wrap32 (a mod b)
+  | I.And -> wrap32 (a land b)
+  | I.Or -> wrap32 (a lor b)
+  | I.Xor -> wrap32 (a lxor b)
   (* the E32 masks shift amounts to 6 bits; OCaml's lsl/asr are unspecified
      at >= Sys.int_size, so 63 is clamped (shl saturates to 0, shr to the
      sign). *)
-  | I.Shl -> let s = b land 63 in V.wrap32 (if s > 62 then 0 else a lsl s)
-  | I.Shr -> let s = b land 63 in V.wrap32 (a asr (if s > 62 then 62 else s))
+  | I.Shl -> let s = b land 63 in wrap32 (if s > 62 then 0 else a lsl s)
+  | I.Shr -> let s = b land 63 in wrap32 (a asr (if s > 62 then 62 else s))
 
-let fpu op a b =
+let[@inline] fpu op a b =
   match op with
   | I.Fadd -> a +. b
   | I.Fsub -> a -. b
   | I.Fmul -> a *. b
   | I.Fdiv -> a /. b
 
-(* comparison results share two preallocated words instead of boxing a
-   fresh Vint per executed compare *)
-let v_one = V.Vint 1
-let v_zero = V.zero
+let icmp op (a : int) b =
+  match op with
+  | I.Ceq -> a = b | I.Cne -> a <> b
+  | I.Clt -> a < b | I.Cle -> a <= b | I.Cgt -> a > b | I.Cge -> a >= b
 
-let icmp op a b =
-  let r = match op with
-    | I.Ceq -> a = b | I.Cne -> a <> b
-    | I.Clt -> a < b | I.Cle -> a <= b | I.Cgt -> a > b | I.Cge -> a >= b
-  in
-  if r then v_one else v_zero
-
-let fcmp op (a : float) (b : float) =
-  let r = match op with
-    | I.Ceq -> a = b | I.Cne -> a <> b
-    | I.Clt -> a < b | I.Cle -> a <= b | I.Cgt -> a > b | I.Cge -> a >= b
-  in
-  if r then v_one else v_zero
+let[@inline] fcmp op (a : float) b =
+  match op with
+  | I.Ceq -> a = b | I.Cne -> a <> b
+  | I.Clt -> a < b | I.Cle -> a <= b | I.Cgt -> a > b | I.Cge -> a >= b
 
 let enter_func m (df : dfunc) =
   m.cur_ctx.x_entries.(df.d_index) <- m.cur_ctx.x_entries.(df.d_index) + 1;
-  let frame = { regs = Array.make df.d_nregs V.zero; fp = m.sp } in
   if m.sp + df.d_frame_words > Array.length m.memory then
     error "stack overflow calling %s" df.d_name;
+  let frame = new_frame df.d_nregs m.sp in
   m.sp <- m.sp + df.d_frame_words;
   frame
 
-let rec call m fname args =
-  let df =
-    match Hashtbl.find_opt m.func_index fname with
-    | Some i -> m.dfuncs.(i)
-    | None -> error "call to unknown function %s" fname
-  in
-  if List.length args <> df.d_nparams then
-    error "%s expects %d arguments, got %d" fname df.d_nparams (List.length args);
-  let frame = enter_func m df in
-  List.iteri (fun i v -> frame.regs.(i) <- v) args;
-  let result = run_block m df frame 0 in
-  m.sp <- m.sp - df.d_frame_words;
-  result
-
-and run_block m (df : dfunc) frame block_id =
+(* a return leaves its word in [m.ret], which the caller reads at once *)
+let rec run_block m (df : dfunc) frame block_id =
   if m.fuel <= 0 then raise Out_of_fuel;
   m.fuel <- m.fuel - 1;
   let db = df.d_blocks.(block_id) in
@@ -658,7 +720,11 @@ and run_block m (df : dfunc) frame block_id =
     cx.x_edges.(eslot) <- cx.x_edges.(eslot) + 1;
     run_block m df frame target
   | D_branch (r, t_tgt, t_slot, f_tgt, f_slot) ->
-    if V.truthy (reg_value frame r) then begin
+    let taken =
+      if Bytes.get frame.kinds r = k_int then frame.ints.(r) <> 0
+      else frame.floats.(r) <> 0.0
+    in
+    if taken then begin
       cx.x_edges.(t_slot) <- cx.x_edges.(t_slot) + 1;
       run_block m df frame t_tgt
     end
@@ -666,37 +732,38 @@ and run_block m (df : dfunc) frame block_id =
       cx.x_edges.(f_slot) <- cx.x_edges.(f_slot) + 1;
       run_block m df frame f_tgt
     end
-  | D_return None -> None
-  | D_return (Some op) -> Some (operand_value frame op)
+  | D_return None -> Bytes.set m.ret.kinds 0 k_void
+  | D_return (Some op) -> move m.ret 0 frame op
 
 and execute m db frame i instr =
   match instr with
   | I.Alu (op, d, a, b) ->
     let a = int_operand frame a in
     let b = int_operand frame b in
-    set_reg frame d (V.Vint (alu op a b))
+    set_int frame d (alu op a b)
   | I.Fpu (op, d, a, b) ->
     let a = float_operand frame a in
     let b = float_operand frame b in
-    set_reg frame d (V.Vfloat (fpu op a b))
+    set_float frame d (fpu op a b)
   | I.Icmp (op, d, a, b) ->
     let a = int_operand frame a in
     let b = int_operand frame b in
-    set_reg frame d (icmp op a b)
+    set_int frame d (if icmp op a b then 1 else 0)
   | I.Fcmp (op, d, a, b) ->
     let a = float_operand frame a in
     let b = float_operand frame b in
-    set_reg frame d (fcmp op a b)
-  | I.Mov (d, a) -> set_reg frame d (operand_value frame a)
-  | I.Itof (d, a) ->
-    set_reg frame d (V.Vfloat (float_of_int (V.as_int (operand_value frame a))))
+    set_int frame d (if fcmp op a b then 1 else 0)
+  | I.Mov (d, a) -> move frame d frame a
+  | I.Itof (d, a) -> set_float frame d (float_of_int (int_operand frame a))
   | I.Ftoi (d, a) ->
-    let f = V.as_float (operand_value frame a) in
+    let f = float_operand frame a in
     if Float.is_nan f || Float.abs f >= 4.611686018427388e18 then
       error "float->int conversion out of range";
-    set_reg frame d (V.Vint (V.wrap32 (int_of_float f)))
+    set_int frame d (wrap32 (int_of_float f))
   | I.Load (d, a) ->
     let addr = effective_addr frame a in
+    (* the address is checked before the d-cache sees it *)
+    let v = mem_read m addr in
     (match m.dcache with
      | Some dc ->
        (* word-addressed memory, 4 bytes per word in the cache's eyes *)
@@ -704,9 +771,8 @@ and execute m db frame i instr =
          m.dcache_block_misses.(db.b_slot) <-
            m.dcache_block_misses.(db.b_slot) + 1
      | None -> ());
-    set_reg frame d (mem_read m addr)
-  | I.Store (v, a) ->
-    mem_write m (effective_addr frame a) (operand_value frame v)
+    unbox frame d v
+  | I.Store (v, a) -> mem_write m (effective_addr frame a) (box frame v)
   | I.Call (dst, _, _) ->
     let dc = db.b_calls.(i) in
     let cx = m.cur_ctx in
@@ -732,12 +798,27 @@ and execute m db frame i instr =
         nargs;
     let callee_frame = enter_func m callee in
     for i = 0 to nargs - 1 do
-      callee_frame.regs.(i) <- operand_value frame args.(i)
+      move callee_frame i frame args.(i)
     done;
-    let result = run_block m callee callee_frame 0 in
+    run_block m callee callee_frame 0;
     m.sp <- m.sp - callee.d_frame_words;
     m.cur_ctx <- cx;
-    (match (dst, result) with
-     | Some d, Some v -> set_reg frame d v
-     | Some d, None -> set_reg frame d V.zero
-     | None, (Some _ | None) -> ())
+    (match dst with
+     | Some d ->
+       if Bytes.get m.ret.kinds 0 = k_void then set_int frame d 0
+       else copy_reg frame d m.ret 0
+     | None -> ())
+
+let call m fname args =
+  let df =
+    match Hashtbl.find_opt m.func_index fname with
+    | Some i -> m.dfuncs.(i)
+    | None -> error "call to unknown function %s" fname
+  in
+  if List.length args <> df.d_nparams then
+    error "%s expects %d arguments, got %d" fname df.d_nparams (List.length args);
+  let frame = enter_func m df in
+  List.iteri (unbox frame) args;
+  run_block m df frame 0;
+  m.sp <- m.sp - df.d_frame_words;
+  if Bytes.get m.ret.kinds 0 = k_void then None else Some (box m.ret (I.Reg 0))

@@ -29,9 +29,18 @@
     i-fetch misses per fetch position and d-cache misses per block. Every
     other figure — {!cycles}, {!instructions}, the hits, the flat counts,
     {!block_cycles} and {!icache_line_stats} — is a fold over those
-    counters and the decoded tables, made when it is read. Observable
-    behaviour is identical to a direct interpreter that charges cycles as
-    it goes, at roughly an order of magnitude higher throughput.
+    counters and the decoded tables, made when it is read. Registers are
+    unboxed: a frame holds an int file, a flat float file and a kind byte
+    per register, sized to every register its function names, so an ALU,
+    compare, FPU or move result allocates nothing and the loop calls no
+    function of another module but the d-cache's probe. A word is boxed
+    as a {!Ipet_isa.Value.t} only in memory and at {!call}'s arguments
+    and result; a mistyped register read raises
+    {!Ipet_isa.Value.as_int}'s or {!Ipet_isa.Value.as_float}'s
+    [Invalid_argument], and a register no instruction has written reads
+    as int 0. Observable behaviour is identical to a direct interpreter
+    that charges cycles as it goes, at roughly an order of magnitude
+    higher throughput.
 
     The views describe completed calls: after {!call} raises
     [Runtime_error] or [Out_of_fuel] their values are unspecified until
@@ -73,11 +82,13 @@ val call : t -> string -> Ipet_isa.Value.t list -> Ipet_isa.Value.t option
 
 val reset_memory : t -> init:(int * Ipet_isa.Value.t) list -> unit
 (** Restore global memory and the stack pointer; the cache keeps its state
-    (used for warm-cache best-case measurements). *)
+    (used for warm-cache best-case measurements). Memory reads as a fresh
+    machine's with [init]; only the words written since the last reset
+    (by a run, {!write_global} or [init]) are cleared. *)
 
 val reset_stats : t -> unit
 (** Zero every counter, so every view reads zero; cache contents are
-    kept. *)
+    kept. The counters are zeroed in place, not reallocated. *)
 
 val flush_cache : t -> unit
 

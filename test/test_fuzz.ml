@@ -14,6 +14,8 @@ module V = Ipet_isa.Value
 module Icache = Ipet_machine.Icache
 module Machine = Ipet_machine.Machine
 module Cost = Ipet_machine.Cost
+module Lp = Ipet_lp.Lp_problem
+module Rat = Ipet_num.Rat
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -211,6 +213,45 @@ let test_oracle_block_cost () =
   check_string "a best case above the run" "block-cost-violation: main B0"
     (finding (fun b -> { b with Cost.best = b.Cost.worst + 1 }))
 
+(* measured counts scoring beyond a bound under its objective are a finding
+   of the solver chain; counts that break a constraint are not *)
+let test_oracle_objective () =
+  let source = "int main() { int i; int s; s = 0;\n\
+                for (i = 0; i < 4; i = i + 1) { s = s + i; }\n\
+                return s; }" in
+  let ast, _ = Ipet_lang.Frontend.parse_and_check source in
+  let compiled = Ipet_lang.Frontend.compile_string_exn source in
+  let prog = compiled.Ipet_lang.Compile.prog in
+  let spec =
+    Ipet.Analysis.spec ~loop_bounds:(Ipet.Autobound.infer ast) ~root:"main" prog
+  in
+  let m =
+    Ipet_sim.Interp.create prog ~init:compiled.Ipet_lang.Compile.init_data
+  in
+  ignore (Ipet_sim.Interp.call m "main" []);
+  let instances, system = Ipet.Analysis.program_system spec in
+  let bcet, wcet = Ipet.Analysis.estimated_bound spec in
+  let finding ?(counts = Oracle.measured_counts m instances) ~bcet ~wcet () =
+    match
+      Oracle.objective_finding ~bcet ~wcet
+        ~wcet_problems:(Ipet.Analysis.system_problems system Lp.Maximize)
+        ~bcet_problems:(Ipet.Analysis.system_problems system Lp.Minimize)
+        counts
+    with
+    | None -> "none"
+    | Some f ->
+      Oracle.kind_name f.Oracle.kind ^ ": "
+      ^ (if List.mem "wcet" (String.split_on_char ' ' f.Oracle.detail)
+         then "wcet" else "bcet")
+  in
+  check_string "the solved bounds hold the run" "none" (finding ~bcet ~wcet ());
+  check_string "a WCET below the run's worst-case score"
+    "objective-violation: wcet" (finding ~bcet ~wcet:(wcet - 1) ());
+  check_string "a BCET above the run's best-case score"
+    "objective-violation: bcet" (finding ~bcet:(bcet + 1) ~wcet ());
+  check_string "counts that break a constraint are left to the constraint check"
+    "none" (finding ~counts:(fun _ -> Rat.zero) ~bcet ~wcet:(-1) ())
+
 (* --- a short live run ----------------------------------------------------- *)
 
 let fuzz_run ~mach ~seed ~iters =
@@ -346,6 +387,8 @@ let suite =
     ("shrinker minimizes", `Quick, test_shrinker_minimizes);
     ("ALU differential, exhaustive shifts", `Quick,
      test_alu_differential_exhaustive_shifts);
+    ("oracle: counts scoring beyond a bound are a finding", `Quick,
+     test_oracle_objective);
     ("oracle: a block outside its cost bounds is a finding", `Quick,
      test_oracle_block_cost);
     ("oracle: a cold certificate solve is a finding", `Quick,

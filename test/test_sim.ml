@@ -251,6 +251,218 @@ let suite =
     ("cold vs warm cache", `Quick, test_cold_vs_warm_cache);
     ("flush restores cold timing", `Quick, test_flush_cache_restores_cold) ]
 
+(* --- register file and memory -------------------------------------------
+   Hand-written listings pin the register semantics a compiled program
+   never exercises: mistyped words, float branch tests, kinds across moves
+   and calls, and registers no instruction defines. *)
+
+let asm_machine ?dcache text =
+  Interp.create ?dcache (Ipet_isa.Asm_parser.parse text) ~init:[]
+
+let asm_call ?dcache ?(args = []) text fname =
+  Interp.call (asm_machine ?dcache text) fname args
+
+let show = function
+  | None -> "void"
+  | Some (V.Vint _ as v) -> Format.asprintf "int %a" V.pp v
+  | Some (V.Vfloat _ as v) -> Format.asprintf "float %a" V.pp v
+
+let check_result what expected r = Alcotest.(check string) what expected (show r)
+
+let raises_invalid what message f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception" what
+  | exception Invalid_argument m -> Alcotest.(check string) what message m
+
+let body instrs = "f(0 params, 0 frame words):\nB0:\n" ^ instrs ^ "\n"
+
+let test_mistyped_words () =
+  let float_word = "Value.as_int: float word" in
+  let int_word = "Value.as_float: int word" in
+  let run instrs () = asm_call (body instrs) "f" in
+  raises_invalid "a float register in an int ALU op" float_word
+    (run "  mov r1, #1.5\n  add r2, #1, r1\n  ret r2");
+  raises_invalid "a float immediate in an int ALU op" float_word
+    (run "  add r2, #1, #2.5\n  ret r2");
+  raises_invalid "a float register in an int compare" float_word
+    (run "  mov r1, #1.5\n  cmp.lt r2, r1, #3\n  ret r2");
+  raises_invalid "a float register as an address index" float_word
+    (run "  mov r1, #0.0\n  ld r2, [0+r1]\n  ret r2");
+  raises_invalid "a float register to itof" float_word
+    (run "  mov r1, #1.5\n  itof r2, r1\n  ret r2");
+  raises_invalid "an int register in an FPU op" int_word
+    (run "  mov r1, #3\n  fadd r2, r1, #1.0\n  ret r2");
+  raises_invalid "an int immediate in an FPU op" int_word
+    (run "  fmul r2, #2.0, #3\n  ret r2");
+  raises_invalid "an int register in a float compare" int_word
+    (run "  mov r1, #3\n  fcmp.eq r2, #1.0, r1\n  ret r2");
+  raises_invalid "an int register to ftoi" int_word
+    (run "  mov r1, #3\n  ftoi r2, r1\n  ret r2");
+  (* a register written with the other kind reads as its new kind *)
+  check_result "a register rewritten with an int" "int 4"
+    (asm_call (body "  mov r1, #1.5\n  mov r1, #3\n  add r2, r1, #1\n  ret r2") "f")
+
+let branch_on = {|
+f(1 params, 0 frame words):
+B0:
+  br r0 ? B1 : B2
+B1:
+  ret #1
+B2:
+  ret #0
+g(0 params, 0 frame words):
+B0:
+  mov r1, #-0.0
+  br r1 ? B1 : B2
+B1:
+  ret #1
+B2:
+  mov r2, #nan
+  br r2 ? B3 : B4
+B3:
+  ret #2
+B4:
+  ret #0
+|}
+
+let test_float_branches () =
+  let taken v = asm_call branch_on "f" ~args:[ v ] in
+  check_result "0.0 falls through" "int 0" (taken (V.Vfloat 0.0));
+  check_result "-0.0 falls through" "int 0" (taken (V.Vfloat (-0.0)));
+  check_result "nan is taken" "int 1" (taken (V.Vfloat Float.nan));
+  check_result "0.25 is taken" "int 1" (taken (V.Vfloat 0.25));
+  check_result "int 0 falls through" "int 0" (taken (V.Vint 0));
+  check_result "int -3 is taken" "int 1" (taken (V.Vint (-3)));
+  check_result "a moved -0.0 falls through and a moved nan is taken" "int 2"
+    (asm_call branch_on "g")
+
+let kinds = {|
+id(1 params, 0 frame words):
+B0:
+  ret r0
+nothing(0 params, 0 frame words):
+B0:
+  ret
+f(0 params, 0 frame words):
+B0:
+  mov r1, #2.5
+  mov r2, r1
+  call r3, id(r2)
+  call r4, id(#0.25)
+  fadd r5, r3, r4
+  call r6, id(#7)
+  add r7, r6, #1
+  call r8, nothing()
+  add r9, r8, r7
+  itof r10, r9
+  fadd r11, r10, r5
+  ret r11
+g(0 params, 0 frame words):
+B0:
+  mov r1, #1.5
+  call r2, id(r1)
+  ret r2
+|}
+
+let test_kinds_across_moves_and_calls () =
+  (* 2.5 + 0.25 after a move and two calls, (7 + 1) + 0 from an int
+     return and a void one *)
+  check_result "kinds survive moves, arguments and returns" "float 10.75"
+    (asm_call kinds "f");
+  check_result "a float result leaves as a float word" "float 1.5"
+    (asm_call kinds "g");
+  check_result "an argument word comes back as given" "float -0"
+    (asm_call kinds "id" ~args:[ V.Vfloat (-0.0) ])
+
+let test_undefined_registers () =
+  check_result "a used, never written register is int 0" "int 5"
+    (asm_call (body "  add r1, r40, #5\n  ret r1") "f");
+  check_result "a returned, never written register is int 0" "int 0"
+    (asm_call (body "  ret r60") "f");
+  check_result "a branch on a never written register falls through" "int 0"
+    (asm_call
+       "f(0 params, 0 frame words):\nB0:\n  br r50 ? B1 : B2\nB1:\n  ret #1\nB2:\n  ret #0\n"
+       "f");
+  let m = asm_machine (".global g @ 0 (1 words)\n" ^ body "  st r45, [0]\n  ret") in
+  ignore (Interp.call m "f" []);
+  check_result "a stored, never written register is int 0" "int 0"
+    (Some (Interp.read_global m "g" 0))
+
+let test_dcache_negative_load () =
+  let dcache = { Icache.size_bytes = 256; line_bytes = 16; miss_penalty = 6 } in
+  match asm_call ~dcache (body "  mov r1, #-5\n  ld r2, [0+r1]\n  ret r2") "f" with
+  | _ -> Alcotest.fail "a load from a negative address ran"
+  | exception Interp.Runtime_error m ->
+    Alcotest.(check string) "the fault names the address"
+      "load from invalid address -5" m
+
+(* a run that writes globals and its stack frame, and reads a stack word
+   before writing it *)
+let scribbler = {|
+  int g[4];
+  int k = 7;
+  int far[10];
+  int f(int a) {
+    int t[3];
+    int before;
+    before = t[1];
+    t[0] = a; t[1] = a * 2; t[2] = a * 3;
+    g[a & 3] = t[0] + t[1] + t[2];
+    k = k + a;
+    return before * 1000 + k;
+  }
+|}
+
+let globals_image m =
+  List.concat_map
+    (fun (gl : Ipet_isa.Prog.global) ->
+      List.init gl.Ipet_isa.Prog.size_words (fun i ->
+          show (Some (Interp.read_global m gl.Ipet_isa.Prog.gname i))))
+    (Interp.program m).Ipet_isa.Prog.globals
+
+let test_reset_memory () =
+  let compiled = Frontend.compile_string_exn scribbler in
+  let init = compiled.Compile.init_data in
+  let fresh () = Interp.create compiled.Compile.prog ~init in
+  let run m = show (Interp.call m "f" [ V.Vint 5 ]) in
+  let reference = fresh () in
+  let expected = run reference in
+  Alcotest.(check string) "the first run reads a zero stack word" "int 12"
+    expected;
+  let m = fresh () in
+  ignore (run m);
+  Interp.reset_memory m ~init;
+  Interp.reset_stats m;
+  Interp.flush_cache m;
+  Alcotest.(check string) "same result after a reset" expected (run m);
+  check_int "same cycles after a reset" (Interp.cycles reference) (Interp.cycles m);
+  Alcotest.(check (list string)) "same globals after a reset"
+    (globals_image reference) (globals_image m);
+  (* a word the run never wrote, written from outside, is cleared too *)
+  Interp.write_global m "far" 9 (V.Vint 42);
+  Interp.reset_memory m ~init;
+  check_result "a write_global past the written range is cleared" "int 0"
+    (Some (Interp.read_global m "far" 9));
+  check_result "the initializer is restored" "int 7"
+    (Some (Interp.read_global m "k" 0));
+  Interp.write_global m "far" 0 (V.Vfloat 1.5);
+  Interp.reset_memory m ~init:[];
+  Alcotest.(check (list string)) "a reset without init clears every word"
+    (globals_image (Interp.create compiled.Compile.prog ~init:[]))
+    (globals_image m)
+
+let suite =
+  suite
+  @ [ ("mistyped words raise Value's errors", `Quick, test_mistyped_words);
+      ("float branches test <> 0.0", `Quick, test_float_branches);
+      ("moves, arguments and returns keep a word's kind", `Quick,
+       test_kinds_across_moves_and_calls);
+      ("an undefined register reads as int 0", `Quick, test_undefined_registers);
+      ("a d-cached load from a negative address is a runtime error", `Quick,
+       test_dcache_negative_load);
+      ("reset_memory restores a fresh machine's memory", `Quick,
+       test_reset_memory) ]
+
 (* --- profiling --------------------------------------------------------- *)
 
 let test_profile_accounts_all_cycles () =
