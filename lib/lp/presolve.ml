@@ -29,6 +29,14 @@
    creation order, so every pass visits the rows in the same order as a
    fixpoint that appended them at once.
 
+   Inside the fixpoint a variable is its column: its rank in the sorted
+   name set of the constraints. Rows are int-keyed coefficient maps and
+   the bounds, their sources and the occurrence index are arrays indexed
+   by column. Columns follow name order, so every fold over a row visits
+   its terms in the order of the [Linexpr] it came from, and the output
+   does not depend on the numbering. Names come back in [emit] and in the
+   reasons of [Infeasible].
+
    Made with [~lift:true], the fixpoint also logs what the dual lift
    ([lift_duals]) reads: each elimination, fix, forcing row and implied
    bound, with the rows each substitution rewrote and the coefficient it
@@ -63,8 +71,44 @@ exception Infeasible of string
 let max_rounds = 20
 let max_def_terms = 64
 
+(* --- rows over columns ---------------------------------------------------- *)
+
+module Cols = Map.Make (Int)
+
+(* [const + Σ c·v] over columns; no coefficient is zero *)
+type expr = { terms : Rat.t Cols.t; const : Rat.t }
+
+let fold f e acc = Cols.fold f e.terms acc
+let coeff e v = match Cols.find_opt v e.terms with Some c -> c | None -> Rat.zero
+let neg e = { terms = Cols.map Rat.neg e.terms; const = Rat.neg e.const }
+
+(* [e + c·(d - v)], where [c] is [v]'s coefficient in [e] and [d] does
+   not mention [v] *)
+let add_step e c v d =
+  let add_term w a terms =
+    Cols.update w
+      (function
+        | None -> Some (Rat.mul c a)
+        | Some b ->
+          let s = Rat.add b (Rat.mul c a) in
+          if Rat.is_zero s then None else Some s)
+      terms
+  in
+  { terms = Cols.fold add_term d.terms (Cols.remove v e.terms);
+    const = Rat.add e.const (Rat.mul c d.const) }
+
+let of_linexpr col e =
+  { terms =
+      Linexpr.fold_terms (fun v c acc -> Cols.add (col v) c acc) e Cols.empty;
+    const = Linexpr.constant e }
+
+let to_linexpr names e =
+  fold
+    (fun v c acc -> Linexpr.add acc (Linexpr.var ~coeff:c names.(v)))
+    e (Linexpr.const e.const)
+
 type row = {
-  mutable expr : Linexpr.t;
+  mutable expr : expr;
   rel : Lp_problem.relation;  (* Le or Eq; never Ge *)
   origin : string;
   idx : int;  (* intake position, for order-preserving emission *)
@@ -122,16 +166,17 @@ type event =
 type state = {
   integer : bool;
   record : bool;  (* log what the dual lift reads *)
+  names : string array;  (* column -> variable *)
   mutable rows : row list;  (* in original order; killed rows keep their slot *)
   mutable pending : row list;  (* made by this pass's eliminations, newest first *)
-  occ : (string, row list) Hashtbl.t;  (* variable -> rows that may mention it *)
-  mutable defs : (string * Linexpr.t) list;  (* most recent first *)
-  exp_ub : (string, bound) Hashtbl.t;
-  exp_lb : (string, bound) Hashtbl.t;  (* always > 0 *)
-  imp_ub : (string, Rat.t) Hashtbl.t;
-  imp_lb : (string, Rat.t) Hashtbl.t;
-  imp_ub_src : (string, implied) Hashtbl.t;  (* only when recording *)
-  imp_lb_src : (string, implied) Hashtbl.t;
+  occ : row list array;  (* column -> rows that may mention it *)
+  mutable defs : (int * expr) list;  (* most recent first *)
+  exp_ub : bound option array;
+  exp_lb : bound option array;  (* always > 0 *)
+  imp_ub : Rat.t option array;
+  imp_lb : Rat.t option array;
+  imp_ub_src : implied option array;  (* only when recording *)
+  imp_lb_src : implied option array;
   mutable implied : int;
   mutable log : event list;  (* newest first *)
   (* every substitution's rewritten rows and coefficients, in order: flat
@@ -152,64 +197,49 @@ let round_up st b = if st.integer then Rat.of_bigint (Rat.ceil b) else b
 (* --- bounds -------------------------------------------------------------- *)
 
 let eff_lb st v =
-  let l =
-    match Hashtbl.find_opt st.exp_lb v with
-    | Some b -> b.value
-    | None -> Rat.zero
-  in
-  match Hashtbl.find_opt st.imp_lb v with Some x -> Rat.max l x | None -> l
+  let l = match st.exp_lb.(v) with Some b -> b.value | None -> Rat.zero in
+  match st.imp_lb.(v) with Some x -> Rat.max l x | None -> l
 
 let eff_ub st v =
-  let meet a b = match a with None -> Some b | Some x -> Some (Rat.min x b) in
-  let u =
-    match Hashtbl.find_opt st.exp_ub v with
-    | Some b -> Some b.value
-    | None -> None
-  in
-  match Hashtbl.find_opt st.imp_ub v with Some x -> meet u x | None -> u
+  let u = match st.exp_ub.(v) with Some b -> Some b.value | None -> None in
+  match st.imp_ub.(v), u with
+  | None, u -> u
+  | Some x, None -> Some x
+  | Some x, Some u -> Some (Rat.min u x)
 
 (* bounds safe for redundancy checks: only what the output re-emits *)
 let safe_lb st v =
-  match Hashtbl.find_opt st.exp_lb v with Some b -> b.value | None -> Rat.zero
+  match st.exp_lb.(v) with Some b -> b.value | None -> Rat.zero
 
 let safe_ub st v =
-  match Hashtbl.find_opt st.exp_ub v with Some b -> Some b.value | None -> None
+  match st.exp_ub.(v) with Some b -> Some b.value | None -> None
 
 (* which bound [eff_lb] / [eff_ub] reads; only the lift reads sides, so
    a fixpoint that does not record for it answers [Nonneg] *)
 let lower_side st v =
   if not st.record then Nonneg
   else
-    match Hashtbl.find_opt st.exp_lb v, Hashtbl.find_opt st.imp_lb v with
+    match st.exp_lb.(v), st.imp_lb.(v) with
     | None, None -> Nonneg
     | Some b, None -> Explicit b
     | Some b, Some i when Rat.compare b.value i >= 0 -> Explicit b
-    | _, Some _ -> Implied (Hashtbl.find st.imp_lb_src v)
+    | _, Some _ -> Implied (Option.get st.imp_lb_src.(v))
 
 let upper_side st v =
   if not st.record then Nonneg
   else
-    match Hashtbl.find_opt st.exp_ub v, Hashtbl.find_opt st.imp_ub v with
+    match st.exp_ub.(v), st.imp_ub.(v) with
     | Some b, None -> Explicit b
     | Some b, Some i when Rat.compare b.value i <= 0 -> Explicit b
-    | _, Some _ -> Implied (Hashtbl.find st.imp_ub_src v)
+    | _, Some _ -> Implied (Option.get st.imp_ub_src.(v))
     | None, None -> assert false (* asked only where [eff_ub] is finite *)
 
-let term_count e = Linexpr.fold_terms (fun _ _ n -> n + 1) e 0
-
-let integral_expr e =
-  Rat.is_integer (Linexpr.constant e)
-  && Linexpr.fold_terms (fun _ c ok -> ok && Rat.is_integer c) e true
+let term_count e = Cols.cardinal e.terms
 
 (* --- substitution -------------------------------------------------------- *)
 
-(* list [r] under each variable of [e] *)
-let index st r e =
-  Linexpr.fold_terms
-    (fun v _ () ->
-      let rs = Option.value (Hashtbl.find_opt st.occ v) ~default:[] in
-      Hashtbl.replace st.occ v (r :: rs))
-    e ()
+(* list [r] under each column of [e] *)
+let index st r e = fold (fun v _ () -> st.occ.(v) <- r :: st.occ.(v)) e ()
 
 let touch st r c =
   if st.record then begin
@@ -232,26 +262,23 @@ let substitute ?guard st v e =
   st.defs <- (v, e) :: st.defs;
   let first = st.touched in
   Option.iter (fun g -> touch st g Rat.minus_one) guard;
-  Hashtbl.remove st.exp_ub v;
-  Hashtbl.remove st.exp_lb v;
-  Hashtbl.remove st.imp_ub v;
-  Hashtbl.remove st.imp_lb v;
-  (match Hashtbl.find_opt st.occ v with
-   | None -> ()
-   | Some rs ->
-     Hashtbl.remove st.occ v;
-     let step = Linexpr.sub e (Linexpr.var v) in
-     List.iter
-       (fun r ->
-         if r.live then begin
-           let c = Linexpr.coeff r.expr v in
-           if not (Rat.is_zero c) then begin
-             touch st r c;
-             r.expr <- Linexpr.add r.expr (Linexpr.scale c step);
-             index st r e
-           end
-         end)
-       rs);
+  st.exp_ub.(v) <- None;
+  st.exp_lb.(v) <- None;
+  st.imp_ub.(v) <- None;
+  st.imp_lb.(v) <- None;
+  let rs = st.occ.(v) in
+  st.occ.(v) <- [];
+  List.iter
+    (fun r ->
+      if r.live then begin
+        let c = coeff r.expr v in
+        if not (Rat.is_zero c) then begin
+          touch st r c;
+          r.expr <- add_step r.expr c v e;
+          index st r e
+        end
+      end)
+    rs;
   st.changed <- true;
   let k = st.steps in
   st.steps <- k + 1;
@@ -260,21 +287,18 @@ let substitute ?guard st v e =
 let log st event = if st.record then st.log <- event :: st.log
 
 let fix st v value ~why =
+  let fail what =
+    raise (Infeasible (Printf.sprintf "%s fixes %s %s" why st.names.(v) what))
+  in
   if st.integer && not (Rat.is_integer value) then
-    raise
-      (Infeasible
-         (Printf.sprintf "%s fixes %s to the fractional value %s" why v
-            (Rat.to_string value)));
-  if Rat.sign value < 0 then
-    raise (Infeasible (Printf.sprintf "%s fixes %s to a negative value" why v));
-  if Rat.compare value (eff_lb st v) < 0 then
-    raise (Infeasible (Printf.sprintf "%s fixes %s below its lower bound" why v));
+    fail ("to the fractional value " ^ Rat.to_string value);
+  if Rat.sign value < 0 then fail "to a negative value";
+  if Rat.compare value (eff_lb st v) < 0 then fail "below its lower bound";
   (match eff_ub st v with
-   | Some u when Rat.compare value u > 0 ->
-     raise (Infeasible (Printf.sprintf "%s fixes %s above its upper bound" why v))
+   | Some u when Rat.compare value u > 0 -> fail "above its upper bound"
    | Some _ | None -> ());
   st.fixed <- st.fixed + 1;
-  substitute st v (Linexpr.const value)
+  substitute st v { terms = Cols.empty; const = value }
 
 (* after a bound update: detect conflicts and pinch-fixed variables *)
 let check_bounds st v ~why =
@@ -285,7 +309,8 @@ let check_bounds st v ~why =
     let c = Rat.compare u l in
     if c < 0 then
       raise
-        (Infeasible (Printf.sprintf "%s leaves %s with an empty range" why v))
+        (Infeasible
+           (Printf.sprintf "%s leaves %s with an empty range" why st.names.(v)))
     else if c = 0 then begin
       let lower = lower_side st v and upper = upper_side st v in
       let step = fix st v l ~why in
@@ -296,22 +321,20 @@ let check_bounds st v ~why =
    coefficient has absolute value [scale] *)
 let tighten_exp_ub st v b ~src ~scale =
   let value = round_down st b in
-  (match Hashtbl.find_opt st.exp_ub v with
+  (match st.exp_ub.(v) with
    | Some cur when Rat.compare cur.value value <= 0 -> ()
    | Some _ | None ->
-     Hashtbl.replace st.exp_ub v
-       { value; src; scale; exact = Rat.equal value b };
+     st.exp_ub.(v) <- Some { value; src; scale; exact = Rat.equal value b };
      st.changed <- true);
   check_bounds st v ~why:src.origin
 
 let tighten_exp_lb st v b ~src ~scale =
   let value = round_up st b in
   if Rat.sign value > 0 then begin
-    (match Hashtbl.find_opt st.exp_lb v with
+    (match st.exp_lb.(v) with
      | Some cur when Rat.compare cur.value value >= 0 -> ()
      | Some _ | None ->
-       Hashtbl.replace st.exp_lb v
-         { value; src; scale; exact = Rat.equal value b };
+       st.exp_lb.(v) <- Some { value; src; scale; exact = Rat.equal value b };
        st.changed <- true);
     check_bounds st v ~why:src.origin
   end
@@ -326,11 +349,11 @@ let note_implied st table v ~row ~sign ~coeff ~sides ~exact =
         pexact = exact;
         others =
           List.filter_map
-            (fun (w, a, side) -> if String.equal w v then None else Some (a, side))
+            (fun (w, a, side) -> if w = v then None else Some (a, side))
             (Lazy.force sides) }
     in
     st.implied <- st.implied + 1;
-    Hashtbl.replace table v i;
+    table.(v) <- Some i;
     log st (Propagated i)
   end
 
@@ -343,7 +366,7 @@ let tighten_imp_ub st v b ~why ~row ~sign ~coeff ~sides =
   if improves then begin
     note_implied st st.imp_ub_src v ~row ~sign ~coeff ~sides
       ~exact:(Rat.equal value b);
-    Hashtbl.replace st.imp_ub v value;
+    st.imp_ub.(v) <- Some value;
     st.changed <- true;
     check_bounds st v ~why
   end
@@ -353,42 +376,42 @@ let tighten_imp_lb st v b ~why ~row ~sign ~coeff ~sides =
   if Rat.compare value (eff_lb st v) > 0 then begin
     note_implied st st.imp_lb_src v ~row ~sign ~coeff ~sides
       ~exact:(Rat.equal value b);
-    Hashtbl.replace st.imp_lb v value;
+    st.imp_lb.(v) <- Some value;
     st.changed <- true;
     check_bounds st v ~why
   end
 
 (* --- activities ---------------------------------------------------------- *)
 
-(* min/max of [expr] over the box given by the bound accessors; [None] is
-   the corresponding infinity *)
-let min_activity lbf ubf expr =
-  Linexpr.fold_terms
+(* min/max of [expr] over the box given by the bound accessors, leaving
+   out column [skip]'s term; [None] is the corresponding infinity *)
+let min_activity ?(skip = -1) lbf ubf expr =
+  fold
     (fun v c acc ->
       match acc with
       | None -> None
+      | Some _ when v = skip -> acc
       | Some s ->
         if Rat.sign c > 0 then Some (Rat.add s (Rat.mul c (lbf v)))
         else (
           match ubf v with
           | None -> None
           | Some u -> Some (Rat.add s (Rat.mul c u))))
-    expr
-    (Some (Linexpr.constant expr))
+    expr (Some expr.const)
 
-let max_activity lbf ubf expr =
-  Linexpr.fold_terms
+let max_activity ?(skip = -1) lbf ubf expr =
+  fold
     (fun v c acc ->
       match acc with
       | None -> None
+      | Some _ when v = skip -> acc
       | Some s ->
         if Rat.sign c < 0 then Some (Rat.add s (Rat.mul c (lbf v)))
         else (
           match ubf v with
           | None -> None
           | Some u -> Some (Rat.add s (Rat.mul c u))))
-    expr
-    (Some (Linexpr.constant expr))
+    expr (Some expr.const)
 
 (* --- row processing ------------------------------------------------------ *)
 
@@ -400,7 +423,7 @@ let kill st r =
    its min-side bound *)
 let force st r ~sign =
   let pins =
-    Linexpr.fold_terms
+    fold
       (fun v c acc ->
         let c = Rat.mul sign c in
         let value, side =
@@ -429,22 +452,22 @@ let force_max st r = force st r ~sign:Rat.minus_one
 let no_sides = Lazy.from_val []
 
 let propagate_le st r ~sign =
-  let expr = if Rat.sign sign > 0 then r.expr else Linexpr.neg r.expr in
+  let expr = if Rat.sign sign > 0 then r.expr else neg r.expr in
   (* the bound each variable sat at when [sum_fin] read it, before this
      call tightened any; only the lift reads them *)
   let sides =
     if not st.record then no_sides
     else
       lazy
-        (Linexpr.fold_terms
+        (fold
            (fun w c acc ->
              if Rat.sign c > 0 then (w, Rat.abs c, lower_side st w) :: acc
              else if eff_ub st w = None then acc (* the one unbounded term *)
              else (w, Rat.abs c, upper_side st w) :: acc)
            expr [])
   in
-  let inf = ref 0 and sum_fin = ref (Linexpr.constant expr) in
-  Linexpr.fold_terms
+  let inf = ref 0 and sum_fin = ref expr.const in
+  fold
     (fun v c () ->
       if Rat.sign c > 0 then sum_fin := Rat.add !sum_fin (Rat.mul c (eff_lb st v))
       else
@@ -452,7 +475,7 @@ let propagate_le st r ~sign =
         | Some u -> sum_fin := Rat.add !sum_fin (Rat.mul c u)
         | None -> incr inf)
     expr ();
-  Linexpr.fold_terms
+  fold
     (fun v c () ->
       let contrib =
         if Rat.sign c > 0 then Some (Rat.mul c (eff_lb st v))
@@ -508,8 +531,8 @@ let process_eq st r =
 
 let process_row st r =
   if r.live then begin
-    if Linexpr.is_const r.expr then begin
-      let c = Linexpr.constant r.expr in
+    if Cols.is_empty r.expr.terms then begin
+      let c = r.expr.const in
       let sat =
         match r.rel with
         | Lp_problem.Le -> Rat.sign c <= 0
@@ -520,68 +543,78 @@ let process_row st r =
         raise (Infeasible ("row reduced to a false constant: " ^ r.origin));
       kill st r
     end
+    else if term_count r.expr = 1 then begin
+      (* singleton: fold into the bound tables *)
+      let v, a = Cols.choose r.expr.terms in
+      let b = Rat.div (Rat.neg r.expr.const) a in
+      kill st r;
+      match r.rel with
+      | Lp_problem.Eq ->
+        let step = fix st v b ~why:("row " ^ r.origin) in
+        log st (Eliminated { step; row = r; coeff = a; moved = [] })
+      | Lp_problem.Le ->
+        if Rat.sign a > 0 then tighten_exp_ub st v b ~src:r ~scale:a
+        else tighten_exp_lb st v b ~src:r ~scale:(Rat.neg a)
+      | Lp_problem.Ge -> assert false
+    end
     else
-      match Linexpr.vars r.expr with
-      | [ v ] ->
-        (* singleton: fold into the bound tables *)
-        let a = Linexpr.coeff r.expr v in
-        let b = Rat.div (Rat.neg (Linexpr.constant r.expr)) a in
-        kill st r;
-        (match r.rel with
-         | Lp_problem.Eq ->
-           let step = fix st v b ~why:("row " ^ r.origin) in
-           log st (Eliminated { step; row = r; coeff = a; moved = [] })
-         | Lp_problem.Le ->
-           if Rat.sign a > 0 then tighten_exp_ub st v b ~src:r ~scale:a
-           else tighten_exp_lb st v b ~src:r ~scale:(Rat.neg a)
-         | Lp_problem.Ge -> assert false)
-      | _ ->
-        (match r.rel with
-         | Lp_problem.Le -> process_le st r
-         | Lp_problem.Eq -> process_eq st r
-         | Lp_problem.Ge -> assert false)
+      match r.rel with
+      | Lp_problem.Le -> process_le st r
+      | Lp_problem.Eq -> process_eq st r
+      | Lp_problem.Ge -> assert false
   end
 
 (* --- variable elimination ------------------------------------------------ *)
 
-(* the definition of [v] from equality row [expr = 0] *)
-let definition_of expr v =
-  let a = Linexpr.coeff expr v in
-  Linexpr.scale
-    (Rat.div Rat.minus_one a)
-    (Linexpr.sub expr (Linexpr.var ~coeff:a v))
+(* [v]'s definition [-(expr - a·v) / a] from the equality [expr = 0], where
+   [a] is [v]'s coefficient *)
+let definition expr v a =
+  let k = Rat.div Rat.minus_one a in
+  { terms = Cols.map (Rat.mul k) (Cols.remove v expr.terms);
+    const = Rat.mul k expr.const }
 
 let try_eliminate st r =
-  if r.live && r.rel = Lp_problem.Eq && term_count r.expr >= 2 then begin
-    let candidates =
-      Linexpr.fold_terms
-        (fun v _ acc ->
-          let e = definition_of r.expr v in
-          if term_count e <= max_def_terms
-             && ((not st.integer) || integral_expr e)
-          then (v, e) :: acc
-          else acc)
-        r.expr []
-      |> List.rev
+  if r.live && r.rel = Lp_problem.Eq
+     && (let n = term_count r.expr in n >= 2 && n - 1 <= max_def_terms)
+  then begin
+    let expr = r.expr in
+    (* [v]'s definition is integral when [a] divides the other
+       coefficients and the constant *)
+    let integral v a =
+      let divides c = Rat.is_integer (Rat.div c a) in
+      (not st.integer)
+      || divides expr.const
+         && Cols.for_all (fun w c -> w = v || divides c) expr.terms
     in
-    (* [e >= 0] must be justified by bounds the output preserves (emitted
-       explicit-bound rows, or postsolve defaults for vanished variables) —
-       implied bounds may circularly depend on [v >= 0] itself *)
-    let nonneg (_, e) =
-      match min_activity (safe_lb st) (safe_ub st) e with
-      | Some m -> Rat.sign m >= 0
-      | None -> false
+    (* [definition >= 0] must be justified by bounds the output preserves
+       (emitted explicit-bound rows, or postsolve defaults for vanished
+       variables) — implied bounds may circularly depend on [v >= 0]
+       itself. The definition is [-rest / a], [rest] being the row without
+       [v]'s term. *)
+    let nonneg v a =
+      if Rat.sign a > 0 then
+        match max_activity ~skip:v (safe_lb st) (safe_ub st) expr with
+        | Some m -> Rat.sign m <= 0
+        | None -> false
+      else
+        match min_activity ~skip:v (safe_lb st) (safe_ub st) expr with
+        | Some m -> Rat.sign m >= 0
+        | None -> false
     in
-    let choice =
-      match List.find_opt nonneg candidates with
-      | Some c -> Some (c, false)
-      | None ->
-        (match candidates with c :: _ -> Some (c, true) | [] -> None)
+    (* the first candidate whose definition is non-negative, else the
+       first candidate, which needs a guard row *)
+    let rec choose first terms =
+      match terms () with
+      | Seq.Nil -> Option.map (fun (v, a) -> (v, a, true)) first
+      | Seq.Cons ((v, a), rest) ->
+        if not (integral v a) then choose first rest
+        else if nonneg v a then Some (v, a, false)
+        else choose (if first = None then Some (v, a) else first) rest
     in
-    match choice with
+    match choose None (Cols.to_seq expr.terms) with
     | None -> ()
-    | Some ((v, e), needs_guard) ->
-      let a = Linexpr.coeff r.expr v in
+    | Some (v, a, needs_guard) ->
+      let e = definition expr v a in
       kill st r;
       (* the eliminated variable's constraints move onto its definition *)
       let add expr ~origin ~idx =
@@ -598,20 +631,22 @@ let try_eliminate st r =
         (add expr ~origin:b.src.origin ~idx:b.src.idx, coeff, b)
       in
       let below =
-        match Hashtbl.find_opt st.exp_lb v with
+        match st.exp_lb.(v) with
         | Some b ->
-          [ move b (Linexpr.sub (Linexpr.const b.value) e)
+          [ move b
+              { terms = Cols.map Rat.neg e.terms;
+                const = Rat.sub b.value e.const }
               ~coeff:Rat.minus_one ]
         | None -> []
       in
       let above =
-        match Hashtbl.find_opt st.exp_ub v with
+        match st.exp_ub.(v) with
         | Some b ->
-          [ move b (Linexpr.sub e (Linexpr.const b.value)) ~coeff:Rat.one ]
+          [ move b { e with const = Rat.sub e.const b.value } ~coeff:Rat.one ]
         | None -> []
       in
       let guard =
-        if needs_guard then Some (add (Linexpr.neg e) ~origin:r.origin ~idx:r.idx)
+        if needs_guard then Some (add (neg e) ~origin:r.origin ~idx:r.idx)
         else None
       in
       let step = substitute ?guard st v e in
@@ -622,9 +657,16 @@ let try_eliminate st r =
 (* --- driver -------------------------------------------------------------- *)
 
 module Row_key = Hashtbl.Make (struct
-  type t = Lp_problem.relation * Linexpr.t
-  let equal (r1, e1) (r2, e2) = r1 = r2 && Linexpr.equal e1 e2
-  let hash (rel, e) = (Hashtbl.hash rel * 31) + Linexpr.hash e
+  type t = Lp_problem.relation * expr
+  let equal (r1, e1) (r2, e2) =
+    r1 = r2 && Rat.equal e1.const e2.const
+    && Cols.equal Rat.equal e1.terms e2.terms
+  (* [Rat.t] values have one representation each, so the generic hash is
+     a value hash *)
+  let hash (rel, e) =
+    fold
+      (fun v c h -> (((h * 31) + v) * 31) + Hashtbl.hash c)
+      e ((Hashtbl.hash rel * 31) + Hashtbl.hash e.const)
 end)
 
 let dedup st =
@@ -637,18 +679,15 @@ let dedup st =
       end)
     st.rows
 
-let intake idx (c : Lp_problem.constr) =
-  let origin = c.Lp_problem.origin in
-  match c.Lp_problem.rel with
-  | Lp_problem.Le ->
-    { expr = c.Lp_problem.expr; rel = Lp_problem.Le; origin; idx; id = idx;
-      live = true }
-  | Lp_problem.Ge ->
-    { expr = Linexpr.neg c.Lp_problem.expr; rel = Lp_problem.Le; origin; idx;
-      id = idx; live = true }
-  | Lp_problem.Eq ->
-    { expr = c.Lp_problem.expr; rel = Lp_problem.Eq; origin; idx; id = idx;
-      live = true }
+let intake col idx (c : Lp_problem.constr) =
+  let expr = of_linexpr col c.Lp_problem.expr in
+  let expr, rel =
+    match c.Lp_problem.rel with
+    | Lp_problem.Le -> (expr, Lp_problem.Le)
+    | Lp_problem.Ge -> (neg expr, Lp_problem.Le)
+    | Lp_problem.Eq -> (expr, Lp_problem.Eq)
+  in
+  { expr; rel; origin = c.Lp_problem.origin; idx; id = idx; live = true }
 
 (* Emission preserves the original constraint order: every output row —
    including a re-emitted bound — is placed at the intake position of the
@@ -658,39 +697,50 @@ let intake idx (c : Lp_problem.constr) =
    is what lets an alternate-optima witness agree between the two paths.
    Each output row comes with its source, which the lift reads: a live
    row, or a re-emitted explicit bound, which takes the slot and origin of
-   the singleton row it was folded from. *)
+   the singleton row it was folded from. Rows from one slot are ordered by
+   their printed form, printed once per row. *)
 type source = Live of row | Bound of bound
 
 let source_row = function Live r -> r | Bound b -> b.src
 
 let emit_rows st objective =
+  let entry expr rel source = (expr, rel, source, lazy (Linexpr.to_string expr)) in
+  let live = Array.make (Array.length st.names) false in
   let rows =
     List.filter_map
-      (fun r -> if r.live then Some (r.expr, r.rel, Live r) else None)
+      (fun r ->
+        if r.live then begin
+          fold (fun v _ () -> live.(v) <- true) r.expr ();
+          Some (entry (to_linexpr st.names r.expr) r.rel (Live r))
+        end
+        else None)
       st.rows
   in
   (* re-emit the explicit bounds of the variables that survived *)
-  let live = Hashtbl.create 64 in
-  let note e = Linexpr.fold_terms (fun v _ () -> Hashtbl.replace live v ()) e () in
-  List.iter (fun (e, _, _) -> note e) rows;
-  note objective;
   let bound_rows = ref [] in
-  let reemit table row =
-    Hashtbl.iter
-      (fun v b ->
-        if Hashtbl.mem live v then
-          bound_rows := (row v b.value, Lp_problem.Le, Bound b) :: !bound_rows)
-      table
-  in
-  reemit st.exp_ub (fun v u -> Linexpr.sub (Linexpr.var v) (Linexpr.const u));
-  reemit st.exp_lb (fun v l -> Linexpr.sub (Linexpr.const l) (Linexpr.var v));
+  Array.iteri
+    (fun v name ->
+      if live.(v) || not (Rat.is_zero (Linexpr.coeff objective name)) then begin
+        let reemit bound row =
+          Option.iter
+            (fun b ->
+              bound_rows :=
+                entry (row (Linexpr.var name) (Linexpr.const b.value))
+                  Lp_problem.Le (Bound b)
+                :: !bound_rows)
+            bound
+        in
+        reemit st.exp_ub.(v) Linexpr.sub;
+        reemit st.exp_lb.(v) (fun x l -> Linexpr.sub l x)
+      end)
+    st.names;
   List.sort
-    (fun (e1, _, s1) (e2, _, s2) ->
+    (fun (_, _, s1, k1) (_, _, s2, k2) ->
       match compare (source_row s1).idx (source_row s2).idx with
-      | 0 -> compare (Linexpr.to_string e1) (Linexpr.to_string e2)
+      | 0 -> String.compare (Lazy.force k1) (Lazy.force k2)
       | c -> c)
     (rows @ !bound_rows)
-  |> List.map (fun (expr, rel, source) ->
+  |> List.map (fun (expr, rel, source, _) ->
          (Lp_problem.constr ~origin:(source_row source).origin expr rel, source))
   |> List.split
 
@@ -798,31 +848,44 @@ type fixpoint = {
   rounds : int;
   substituted : int;
   fixed : int;
-  reached : (state * (string * Linexpr.t) list, string * int) result;
-      (* the final state with its definitions oldest first, or why the
-         constraints are infeasible and how many rows were live then *)
+  reached : (state * (string * Linexpr.t) list Lazy.t, string * int) result;
+      (* the final state with its definitions over names, most recent
+         first, or why the constraints are infeasible and how many rows
+         were live then *)
 }
 
 let fixpoint ?(integer = true) ?(lift = false) constraints =
+  let vars =
+    List.fold_left
+      (fun acc (c : Lp_problem.constr) -> add_vars c.Lp_problem.expr acc)
+      Lp_problem.Names.empty constraints
+  in
+  let names = Array.of_list (Lp_problem.Names.elements vars) in
+  let n = Array.length names in
+  let col = Hashtbl.create n in
+  Array.iteri (fun i v -> Hashtbl.replace col v i) names;
+  let recorded = if lift then n else 0 in
   let st =
     { integer;
       record = lift;
-      rows = List.mapi intake constraints;
+      names;
+      rows = List.mapi (intake (Hashtbl.find col)) constraints;
       pending = [];
-      occ = Hashtbl.create 64;
+      occ = Array.make n [];
       defs = [];
-      exp_ub = Hashtbl.create 64;
-      exp_lb = Hashtbl.create 64;
-      imp_ub = Hashtbl.create 64;
-      imp_lb = Hashtbl.create 64;
-      imp_ub_src = Hashtbl.create (if lift then 64 else 1);
-      imp_lb_src = Hashtbl.create (if lift then 64 else 1);
+      exp_ub = Array.make n None;
+      exp_lb = Array.make n None;
+      imp_ub = Array.make n None;
+      imp_lb = Array.make n None;
+      imp_ub_src = Array.make recorded None;
+      imp_lb_src = Array.make recorded None;
       implied = 0;
       log = [];
       touched_rows =
         Array.make (if lift then 64 else 0)
-          { expr = Linexpr.zero; rel = Lp_problem.Le; origin = ""; idx = -1;
-            id = -1; live = false };
+          { expr = { terms = Cols.empty; const = Rat.zero };
+            rel = Lp_problem.Le; origin = ""; idx = -1; id = -1;
+            live = false };
       touched_coeffs = Array.make (if lift then 64 else 0) Rat.zero;
       touched = 0;
       next_id = List.length constraints;
@@ -847,16 +910,18 @@ let fixpoint ?(integer = true) ?(lift = false) constraints =
         end
       done
     with
-    | () -> Ok (st, List.rev st.defs)
+    | () ->
+      Ok
+        ( st,
+          lazy
+            (List.map (fun (v, e) -> (names.(v), to_linexpr names e)) st.defs)
+        )
     | exception Infeasible reason ->
       Error (reason, List.length (List.filter (fun r -> r.live) st.rows))
   in
   (* [emit] reads the rows, bounds and definitions, never the index *)
-  Hashtbl.reset st.occ;
-  { vars =
-      List.fold_left
-        (fun acc (c : Lp_problem.constr) -> add_vars c.Lp_problem.expr acc)
-        Lp_problem.Names.empty constraints;
+  Array.fill st.occ 0 n [];
+  { vars;
     constrs_before = List.length constraints;
     ge =
       Array.of_list
@@ -880,7 +945,8 @@ let emit fp direction objective =
     ( Proved_infeasible
         { stats = stats_at ~vars_after:0 ~constrs_after:live_rows; reason },
       fun _ -> None )
-  | Ok (st, replay) ->
+  | Ok (st, defs) ->
+    let defs = Lazy.force defs in
     (* the objective's coefficient of each substituted variable, just
        before its substitution: what the lift starts each reduced cost at *)
     let obj_coeffs = Array.make st.steps Rat.zero in
@@ -893,17 +959,19 @@ let emit fp direction objective =
           incr k;
           if Rat.is_zero c then o
           else Linexpr.add o (Linexpr.scale c (Linexpr.sub e (Linexpr.var v))))
-        objective replay
+        objective (List.rev defs)
     in
     let constraints, sources = emit_rows st objective in
     let reduced = Lp_problem.make direction objective constraints in
     let original_vars = Lp_problem.Names.elements vars in
-    let defs = st.defs in
     (* a variable that vanished from the reduced problem is unconstrained
        there, but its recorded explicit lower bound must still hold in the
        reconstruction *)
     let lb_defaults =
-      Hashtbl.fold (fun v b acc -> (v, b.value) :: acc) st.exp_lb []
+      Array.to_seqi st.exp_lb
+      |> Seq.filter_map (fun (v, b) ->
+             Option.map (fun b -> (st.names.(v), b.value)) b)
+      |> List.of_seq
     in
     let postsolve assignment =
       let env = Hashtbl.create 64 in

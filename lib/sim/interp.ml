@@ -250,17 +250,58 @@ let write_word m addr v =
 
 let init_memory m init = List.iter (fun (addr, v) -> write_word m addr v) init
 
-let create ?(mach = Machine.e32) ?cache ?dcache ?(stack_words = 1 lsl 16)
+let max_stack_words = 1 lsl 16
+
+(* The deepest sum of frame words along any call chain from any function,
+   since [call] may enter anywhere, capped at [max_stack_words]; a
+   recursive program gets the cap. *)
+let stack_demand (prog : P.t) func_index =
+  let n = Array.length prog.P.funcs in
+  let depth = Array.make n (-1) (* not yet walked *) in
+  let walking = Array.make n false in
+  let exception Recursive in
+  let rec visit i =
+    if walking.(i) then raise Recursive;
+    if depth.(i) < 0 then begin
+      walking.(i) <- true;
+      let f = prog.P.funcs.(i) in
+      let deepest = ref 0 in
+      Array.iter
+        (fun (b : P.block) ->
+          Array.iter
+            (function
+              | I.Call (_, callee, _) ->
+                Option.iter
+                  (fun j -> deepest := max !deepest (visit j))
+                  (Hashtbl.find_opt func_index callee)
+              | _ -> ())
+            b.P.instrs)
+        f.P.blocks;
+      walking.(i) <- false;
+      depth.(i) <- min max_stack_words (f.P.frame_words + !deepest)
+    end;
+    depth.(i)
+  in
+  match for i = 0 to n - 1 do ignore (visit i) done with
+  | () -> Array.fold_left max 0 depth
+  | exception Recursive -> max_stack_words
+
+let create ?(mach = Machine.e32) ?cache ?dcache ?stack_words
     ?(fuel = 50_000_000) (prog : P.t) ~init =
   let cache = match cache with Some c -> c | None -> mach.Machine.fetch in
-  let memory = Array.make (prog.P.globals_words + stack_words) V.zero in
-  let layout = Layout.make prog in
   let func_index = Hashtbl.create 16 in
   Array.iteri
     (fun i (f : P.func) ->
       if not (Hashtbl.mem func_index f.P.name) then
         Hashtbl.add func_index f.P.name i)
     prog.P.funcs;
+  let stack_words =
+    match stack_words with
+    | Some w -> w
+    | None -> stack_demand prog func_index
+  in
+  let memory = Array.make (prog.P.globals_words + stack_words) V.zero in
+  let layout = Layout.make prog in
   let block_slot = Hashtbl.create 64 in
   let edge_slot = Hashtbl.create 64 in
   let call_slot = Hashtbl.create 16 in

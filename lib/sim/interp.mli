@@ -63,7 +63,10 @@ val create :
 (** Build a machine with initialized global memory. [mach] (default
     {!Ipet_machine.Machine.e32}) supplies the cycle table the decoded
     blocks are costed from; [cache] defaults to the
-    machine's own fetch configuration. [fuel] bounds the number
+    machine's own fetch configuration. [stack_words] defaults to the
+    deepest sum of frame words along any call chain, capped at 65,536
+    words, which is also the default of a recursive program. [fuel]
+    bounds the number
     of executed basic blocks (default 50 million). Without [dcache], data
     accesses cost a flat latency; with it, loads are cached (write-through,
     no-allocate stores bypass it). Every run carries its per-block

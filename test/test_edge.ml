@@ -73,12 +73,51 @@ let test_infeasible_sets_reported () =
 let test_stack_overflow () =
   let src = "int f() { int big[100000]; big[0] = 1; return big[0]; }" in
   let compiled = Frontend.compile_string_exn src in
-  let m =
-    Interp.create ~stack_words:1024 compiled.Compile.prog
-      ~init:compiled.Compile.init_data
+  List.iter
+    (fun (what, stack_words) ->
+      let m =
+        Interp.create ?stack_words compiled.Compile.prog
+          ~init:compiled.Compile.init_data
+      in
+      check_bool ("stack overflow detected, " ^ what) true
+        (try ignore (Interp.call m "f" []); false
+         with Interp.Runtime_error _ -> true))
+    [ ("1024-word stack", Some 1024); ("default stack", None) ]
+
+(* the default stack holds the deepest chain of frames, main -> f -> g,
+   and nothing more *)
+let test_default_stack_fits_call_chain () =
+  let src =
+    "int g(int i) { int a[8]; a[i] = i; return a[i]; }\n\
+     int f(int i) { int b[16]; b[i] = g(i); return b[i] + g(i + 1); }\n\
+     int main() { int c[4]; c[1] = f(2); return c[1] + g(3); }"
   in
-  check_bool "stack overflow detected" true
-    (try ignore (Interp.call m "f" []); false with Interp.Runtime_error _ -> true)
+  let compiled = Frontend.compile_string_exn src in
+  let prog = compiled.Compile.prog in
+  let chain =
+    List.fold_left
+      (fun acc name -> acc + (P.find_func prog name).P.frame_words)
+      0 [ "main"; "f"; "g" ]
+  in
+  let run stack_words =
+    let m = Interp.create ?stack_words prog ~init:compiled.Compile.init_data in
+    Interp.call m "main" []
+  in
+  check_bool "runs under the default stack" true
+    (run None = Some (V.Vint 8));
+  check_bool "one word short of the chain overflows" true
+    (try ignore (run (Some (chain - 1))); false
+     with Interp.Runtime_error _ -> true);
+  (* a recursive program has no deepest chain and gets the 64 Ki-word cap *)
+  let compiled =
+    Frontend.compile_string_exn
+      "int r(int n) { int a[4]; if (n == 0) { return 0; }\n\
+       a[1] = n; return a[1] + r(n - 1); }\n\
+       int main() { return r(200); }"
+  in
+  let m = Interp.create compiled.Compile.prog ~init:compiled.Compile.init_data in
+  check_bool "recursion runs under the capped default" true
+    (Interp.call m "main" [] = Some (V.Vint 20100))
 
 let test_bad_arity_call () =
   let compiled = Frontend.compile_string_exn "int f(int a) { return a; }" in
@@ -179,6 +218,8 @@ let suite =
     ("bad call path in constraint", `Quick, test_bad_call_path_in_constraint);
     ("infeasible sets reported", `Quick, test_infeasible_sets_reported);
     ("stack overflow", `Quick, test_stack_overflow);
+    ("default stack fits the call chain", `Quick,
+     test_default_stack_fits_call_chain);
     ("bad arity call", `Quick, test_bad_arity_call);
     ("unknown root call", `Quick, test_unknown_root_call);
     ("global access errors", `Quick, test_global_access_errors);

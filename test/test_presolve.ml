@@ -118,40 +118,66 @@ let test_forcing_row () =
   Alcotest.check rat_testable "x forced to 0" Rat.zero (env "x");
   Alcotest.check rat_testable "y forced to 0" Rat.zero (env "y")
 
+(* An infeasibility reason names the row origin or the variable behind
+   the conflict, never a column number *)
+let check_reason what p ~needle =
+  match Pre.run p with
+  | Pre.Proved_infeasible { reason; _ } ->
+    check_bool
+      (Printf.sprintf "%s: %S names %S" what reason needle)
+      true
+      (Test_lp.contains ~needle reason)
+  | Pre.Reduced _ -> Alcotest.failf "%s: expected an infeasibility proof" what
+
 let test_infeasible_bounds () =
   let open L.Infix in
-  let p = lp_max (v "x") [ P.ge (v "x") (int 5); P.le (v "x") (int 3) ] in
-  (match Pre.run p with
-   | Pre.Proved_infeasible _ -> ()
-   | Pre.Reduced _ -> Alcotest.fail "expected infeasibility proof");
+  let p =
+    lp_max (v "x")
+      [ P.ge ~origin:"floor" (v "x") (int 5); P.le ~origin:"cap" (v "x") (int 3) ]
+  in
+  check_reason "empty range" p ~needle:"cap leaves x with an empty range";
   check_bool "Ilp agrees" true
     (match I.solve p with I.Infeasible _ -> true | _ -> false)
 
+(* 2x = 3 fixes x = 3/2, and 3 <= 2x <= 3 rounds to the bounds 2 <= x
+   <= 1: integer-infeasible, LP-feasible *)
 let test_infeasible_integer_fix () =
-  (* 3 <= 2x <= 3 fixes x = 3/2: integer-infeasible, LP-feasible *)
   let open L.Infix in
-  let p =
-    lp_max (v "x") [ P.ge (2 * v "x") (int 3); P.le (2 * v "x") (int 3) ]
-  in
-  (match Pre.run p with
-   | Pre.Proved_infeasible _ -> ()
-   | Pre.Reduced _ -> Alcotest.fail "expected integer infeasibility");
-  (match Pre.run ~integer:false p with
-   | Pre.Reduced _ -> ()
-   | Pre.Proved_infeasible _ -> Alcotest.fail "LP relaxation is feasible")
+  List.iter
+    (fun (what, p, needle) ->
+      check_reason what p ~needle;
+      match Pre.run ~integer:false p with
+      | Pre.Reduced _ -> ()
+      | Pre.Proved_infeasible _ ->
+        Alcotest.failf "%s: the LP relaxation is feasible" what)
+    [ ("integer fix",
+       lp_max (v "x") [ P.eq ~origin:"half" (2 * v "x") (int 3) ],
+       "row half fixes x to the fractional value 3/2");
+      ("rounded bounds",
+       lp_max (v "x")
+         [ P.ge ~origin:"floor" (2 * v "x") (int 3);
+           P.le ~origin:"cap" (2 * v "x") (int 3) ],
+       "cap leaves x with an empty range") ]
 
 let test_infeasible_propagated () =
   (* x >= 4 conflicts with x <= 2y, y <= 1 only through propagation *)
   let open L.Infix in
-  let p =
-    lp_max (v "x")
-      [ P.ge (v "x") (int 4);
-        P.le (v "x" - (2 * v "y")) (int 0);
-        P.le (v "y") (int 1) ]
-  in
-  (match Pre.run p with
-   | Pre.Proved_infeasible _ -> ()
-   | Pre.Reduced _ -> Alcotest.fail "expected infeasibility proof")
+  check_reason "propagation"
+    (lp_max (v "x")
+       [ P.ge ~origin:"floor" (v "x") (int 4);
+         P.le ~origin:"link" (v "x" - (2 * v "y")) (int 0);
+         P.le ~origin:"cap" (v "y") (int 1) ])
+    ~needle:"cap leaves y with an empty range"
+
+(* a zero loop bound, x + y <= 0, is a forcing row; x >= 1 leaves it
+   unsatisfiable *)
+let test_infeasible_forcing () =
+  let open L.Infix in
+  check_reason "forcing"
+    (lp_max (v "x")
+       [ P.ge ~origin:"floor" (v "x") (int 1);
+         P.le ~origin:"zero bound" (v "x" + v "y") (int 0) ])
+    ~needle:"row cannot be satisfied: zero bound"
 
 (* --- one fixpoint, two objectives ---------------------------------------- *)
 
@@ -440,6 +466,7 @@ let suite =
     ("infeasible bounds", `Quick, test_infeasible_bounds);
     ("integer-infeasible fix", `Quick, test_infeasible_integer_fix);
     ("propagated infeasibility", `Quick, test_infeasible_propagated);
+    ("forcing-row infeasibility", `Quick, test_infeasible_forcing);
     ("one fixpoint, two objectives", `Quick, test_shared_fixpoint);
     ("suite ILP equivalence", `Slow, test_suite_problem_equivalence);
     ("suite analysis equivalence", `Slow, test_suite_analysis_equivalence);
