@@ -12,16 +12,18 @@ type t = {
 
 (* Canonical rendering of a problem for digesting. Linexpr terms come out
    of a sorted map, so the rendering is a pure function of the problem
-   value — no formatting heuristics, no float detours. *)
+   value — no formatting heuristics, no float detours. Every number is
+   written straight into the one buffer ([Rat.add_to_buffer]), so a
+   digest allocates no string per coefficient. *)
 let add_expr buf e =
   Linexpr.fold_terms
     (fun v k () ->
       Buffer.add_string buf v;
       Buffer.add_char buf '*';
-      Buffer.add_string buf (Rat.to_string k);
+      Rat.add_to_buffer buf k;
       Buffer.add_char buf ' ')
     e ();
-  Buffer.add_string buf (Rat.to_string (Linexpr.constant e))
+  Rat.add_to_buffer buf (Linexpr.constant e)
 
 let rel_tag = function
   | Lp_problem.Le -> "<=0"

@@ -55,7 +55,11 @@ let check (p : Lp_problem.t) (cert : Certificate.t) =
       constraints;
     (* 2. coverage: Σᵢ yᵢ·aᵢᵥ must dominate the objective coefficient of
        every variable (variables are implicitly non-negative, so a
-       dominated coefficient can only lower the objective) *)
+       dominated coefficient can only lower the objective). Only a
+       variable of the objective or of a priced row (yᵢ ≠ 0) can fail:
+       any other one has left-hand side 0 against coefficient 0. So the
+       test visits just those, and sorts only the ones it reports, to
+       name them in name order. *)
     let cover = Hashtbl.create 256 in
     Array.iteri
       (fun i (c : Lp_problem.constr) ->
@@ -63,26 +67,28 @@ let check (p : Lp_problem.t) (cert : Certificate.t) =
         if not (Rat.is_zero y) then
           Linexpr.fold_terms
             (fun v a () ->
-              let cur =
-                Option.value ~default:Rat.zero (Hashtbl.find_opt cover v)
-              in
-              Hashtbl.replace cover v (Rat.add cur (Rat.mul y a)))
+              match Hashtbl.find_opt cover v with
+              | Some lhs -> lhs := Rat.add !lhs (Rat.mul y a)
+              | None -> Hashtbl.add cover v (ref (Rat.mul y a)))
             c.Lp_problem.expr ())
       constraints;
-    Lp_problem.Names.iter
-      (fun v ->
-        let lhs =
-          Option.value ~default:Rat.zero (Hashtbl.find_opt cover v)
-        in
-        let cv = Linexpr.coeff p.Lp_problem.objective v in
+    Linexpr.fold_terms
+      (fun v _ () ->
+        if not (Hashtbl.mem cover v) then Hashtbl.add cover v (ref Rat.zero))
+      p.Lp_problem.objective ();
+    Hashtbl.fold
+      (fun v lhs uncovered ->
+        let lhs = !lhs and cv = Linexpr.coeff p.Lp_problem.objective v in
         let covered =
           if maximize then Rat.compare lhs cv >= 0
           else Rat.compare lhs cv <= 0
         in
-        if not covered then
-          err "variable %s not covered: duals give %s against objective %s" v
-            (Rat.to_string lhs) (Rat.to_string cv))
-      (Lp_problem.variable_set p);
+        if covered then uncovered else (v, lhs, cv) :: uncovered)
+      cover []
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+    |> List.iter (fun (v, lhs, cv) ->
+        err "variable %s not covered: duals give %s against objective %s" v
+          (Rat.to_string lhs) (Rat.to_string cv));
     (* 3. the bound the duals imply: constraints read [expr rel 0], i.e.
        [a·x rel -b], so each row contributes yᵢ·(-bᵢ) *)
     let implied = ref (Linexpr.constant p.Lp_problem.objective) in

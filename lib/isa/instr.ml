@@ -68,46 +68,92 @@ let float_literal f =
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s then s
   else s ^ "."
 
-let pp_operand fmt = function
-  | Reg r -> Format.fprintf fmt "r%d" r
-  | Imm i -> Format.fprintf fmt "#%d" i
-  | Fimm f -> Format.fprintf fmt "#%s" (float_literal f)
+(* The one text form of an instruction, written straight into a buffer:
+   listings ([pp], [Prog.pp]) and cache keys both read it. *)
+let add_num buf text n =
+  Buffer.add_string buf text;
+  Buffer.add_string buf (string_of_int n)
 
-let pp_addr fmt a =
+let add_operand buf = function
+  | Reg r -> add_num buf "r" r
+  | Imm i -> add_num buf "#" i
+  | Fimm f ->
+    Buffer.add_char buf '#';
+    Buffer.add_string buf (float_literal f)
+
+let add_addr buf a =
   (match a.base with
-   | Abs w -> Format.fprintf fmt "[%d" w
-   | Frame_base -> Format.fprintf fmt "[fp");
-  if a.offset <> 0 then Format.fprintf fmt "+%d" a.offset;
+   | Abs w -> add_num buf "[" w
+   | Frame_base -> Buffer.add_string buf "[fp");
+  if a.offset <> 0 then add_num buf "+" a.offset;
   (match a.index with
-   | Some op -> Format.fprintf fmt "+%a" pp_operand op
+   | Some op ->
+     Buffer.add_char buf '+';
+     add_operand buf op
    | None -> ());
-  Format.fprintf fmt "]"
+  Buffer.add_char buf ']'
 
-let pp fmt = function
-  | Alu (op, d, a, b) ->
-    Format.fprintf fmt "%s r%d, %a, %a" (alu_name op) d pp_operand a pp_operand b
-  | Fpu (op, d, a, b) ->
-    Format.fprintf fmt "%s r%d, %a, %a" (fpu_name op) d pp_operand a pp_operand b
+(* [name rD, a] *)
+let add_unary buf name d a =
+  Buffer.add_string buf name;
+  add_num buf " r" d;
+  Buffer.add_string buf ", ";
+  add_operand buf a
+
+(* [name rD, a, b] *)
+let add_binary buf name d a b =
+  add_unary buf name d a;
+  Buffer.add_string buf ", ";
+  add_operand buf b
+
+let add_to_buffer buf = function
+  | Alu (op, d, a, b) -> add_binary buf (alu_name op) d a b
+  | Fpu (op, d, a, b) -> add_binary buf (fpu_name op) d a b
   | Icmp (op, d, a, b) ->
-    Format.fprintf fmt "cmp.%s r%d, %a, %a" (cmp_name op) d pp_operand a pp_operand b
+    Buffer.add_string buf "cmp.";
+    add_binary buf (cmp_name op) d a b
   | Fcmp (op, d, a, b) ->
-    Format.fprintf fmt "fcmp.%s r%d, %a, %a" (cmp_name op) d pp_operand a pp_operand b
-  | Mov (d, a) -> Format.fprintf fmt "mov r%d, %a" d pp_operand a
-  | Itof (d, a) -> Format.fprintf fmt "itof r%d, %a" d pp_operand a
-  | Ftoi (d, a) -> Format.fprintf fmt "ftoi r%d, %a" d pp_operand a
-  | Load (d, a) -> Format.fprintf fmt "ld r%d, %a" d pp_addr a
-  | Store (v, a) -> Format.fprintf fmt "st %a, %a" pp_operand v pp_addr a
+    Buffer.add_string buf "fcmp.";
+    add_binary buf (cmp_name op) d a b
+  | Mov (d, a) -> add_unary buf "mov" d a
+  | Itof (d, a) -> add_unary buf "itof" d a
+  | Ftoi (d, a) -> add_unary buf "ftoi" d a
+  | Load (d, a) ->
+    add_num buf "ld r" d;
+    Buffer.add_string buf ", ";
+    add_addr buf a
+  | Store (v, a) ->
+    Buffer.add_string buf "st ";
+    add_operand buf v;
+    Buffer.add_string buf ", ";
+    add_addr buf a
   | Call (dst, f, args) ->
-    (match dst with
-     | Some d -> Format.fprintf fmt "call r%d, %s(" d f
-     | None -> Format.fprintf fmt "call %s(" f);
+    Buffer.add_string buf "call ";
+    (match dst with Some d -> add_num buf "r" d; Buffer.add_string buf ", " | None -> ());
+    Buffer.add_string buf f;
+    Buffer.add_char buf '(';
     List.iteri
-      (fun i a -> Format.fprintf fmt "%s%a" (if i > 0 then ", " else "") pp_operand a)
+      (fun i a ->
+        if i > 0 then Buffer.add_string buf ", ";
+        add_operand buf a)
       args;
-    Format.fprintf fmt ")"
+    Buffer.add_char buf ')'
 
-let pp_terminator fmt = function
-  | Jump b -> Format.fprintf fmt "jmp B%d" b
-  | Branch (r, t, f) -> Format.fprintf fmt "br r%d ? B%d : B%d" r t f
-  | Return None -> Format.fprintf fmt "ret"
-  | Return (Some op) -> Format.fprintf fmt "ret %a" pp_operand op
+let add_terminator_to_buffer buf = function
+  | Jump b -> add_num buf "jmp B" b
+  | Branch (r, t, f) ->
+    add_num buf "br r" r;
+    add_num buf " ? B" t;
+    add_num buf " : B" f
+  | Return None -> Buffer.add_string buf "ret"
+  | Return (Some op) ->
+    Buffer.add_string buf "ret ";
+    add_operand buf op
+
+let pp_with add fmt x =
+  let buf = Buffer.create 32 in
+  add buf x;
+  Format.pp_print_string fmt (Buffer.contents buf)
+
+let pp = pp_with add_to_buffer
+let pp_terminator = pp_with add_terminator_to_buffer

@@ -63,6 +63,12 @@ val is_load : t -> bool
 val is_store : t -> bool
 val is_call : t -> bool
 
-val pp_operand : Format.formatter -> operand -> unit
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the instruction's one text form, e.g. [add r2, r0, #1] or
+    [ld r1, [fp+2+r0]]: the form listings print and cache keys hash. *)
+
+val add_terminator_to_buffer : Buffer.t -> terminator -> unit
+(** The same for a terminator, e.g. [br r1 ? B2 : B3]. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_terminator : Format.formatter -> terminator -> unit

@@ -17,10 +17,11 @@ type located = { tok : token; line : int }
 
 exception Error of string * int
 
-let keywords =
-  [ ("int", KW_INT); ("float", KW_FLOAT); ("void", KW_VOID); ("if", KW_IF);
-    ("else", KW_ELSE); ("while", KW_WHILE); ("do", KW_DO); ("for", KW_FOR);
-    ("return", KW_RETURN); ("break", KW_BREAK); ("continue", KW_CONTINUE) ]
+let word_token = function
+  | "int" -> KW_INT | "float" -> KW_FLOAT | "void" -> KW_VOID | "if" -> KW_IF
+  | "else" -> KW_ELSE | "while" -> KW_WHILE | "do" -> KW_DO | "for" -> KW_FOR
+  | "return" -> KW_RETURN | "break" -> KW_BREAK | "continue" -> KW_CONTINUE
+  | word -> IDENT word
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -44,17 +45,18 @@ let tokenize src =
   let line = ref 1 in
   let out = ref [] in
   let emit tok = out := { tok; line = !line } :: !out in
-  let peek i = if i < n then Some src.[i] else None in
+  (* is the character after [i] a [c]? *)
+  let next_is i c = i + 1 < n && src.[i + 1] = c in
   let rec go i =
     if i >= n then ()
     else begin
       match src.[i] with
       | '\n' -> incr line; go (i + 1)
       | ' ' | '\t' | '\r' -> go (i + 1)
-      | '/' when peek (i + 1) = Some '/' ->
+      | '/' when next_is i '/' ->
         let rec skip j = if j < n && src.[j] <> '\n' then skip (j + 1) else j in
         go (skip (i + 2))
-      | '/' when peek (i + 1) = Some '*' ->
+      | '/' when next_is i '*' ->
         let rec skip j =
           if j + 1 >= n then raise (Error ("unterminated comment", !line))
           else if src.[j] = '\n' then begin incr line; skip (j + 1) end
@@ -62,7 +64,7 @@ let tokenize src =
           else skip (j + 1)
         in
         go (skip (i + 2))
-      | '0' when peek (i + 1) = Some 'x' || peek (i + 1) = Some 'X' ->
+      | '0' when next_is i 'x' || next_is i 'X' ->
         let rec scan j = if j < n && is_hex src.[j] then scan (j + 1) else j in
         let stop = scan (i + 2) in
         if stop = i + 2 then raise (Error ("malformed hex literal", !line));
@@ -98,10 +100,7 @@ let tokenize src =
       | c when is_ident_start c ->
         let rec scan j = if j < n && is_ident_char src.[j] then scan (j + 1) else j in
         let stop = scan i in
-        let word = String.sub src i (stop - i) in
-        (match List.assoc_opt word keywords with
-         | Some kw -> emit kw
-         | None -> emit (IDENT word));
+        emit (word_token (String.sub src i (stop - i)));
         go stop
       | '(' -> emit LPAREN; go (i + 1)
       | ')' -> emit RPAREN; go (i + 1)
@@ -117,19 +116,19 @@ let tokenize src =
       | '/' -> emit SLASH; go (i + 1)
       | '%' -> emit PERCENT; go (i + 1)
       | '^' -> emit CARET; go (i + 1)
-      | '<' when peek (i + 1) = Some '=' -> emit LE; go (i + 2)
-      | '<' when peek (i + 1) = Some '<' -> emit SHL; go (i + 2)
+      | '<' when next_is i '=' -> emit LE; go (i + 2)
+      | '<' when next_is i '<' -> emit SHL; go (i + 2)
       | '<' -> emit LT; go (i + 1)
-      | '>' when peek (i + 1) = Some '=' -> emit GE; go (i + 2)
-      | '>' when peek (i + 1) = Some '>' -> emit SHR; go (i + 2)
+      | '>' when next_is i '=' -> emit GE; go (i + 2)
+      | '>' when next_is i '>' -> emit SHR; go (i + 2)
       | '>' -> emit GT; go (i + 1)
-      | '=' when peek (i + 1) = Some '=' -> emit EQ; go (i + 2)
+      | '=' when next_is i '=' -> emit EQ; go (i + 2)
       | '=' -> emit ASSIGN; go (i + 1)
-      | '!' when peek (i + 1) = Some '=' -> emit NE; go (i + 2)
+      | '!' when next_is i '=' -> emit NE; go (i + 2)
       | '!' -> emit BANG; go (i + 1)
-      | '&' when peek (i + 1) = Some '&' -> emit AMPAMP; go (i + 2)
+      | '&' when next_is i '&' -> emit AMPAMP; go (i + 2)
       | '&' -> emit AMP; go (i + 1)
-      | '|' when peek (i + 1) = Some '|' -> emit BARBAR; go (i + 2)
+      | '|' when next_is i '|' -> emit BARBAR; go (i + 2)
       | '|' -> emit BAR; go (i + 1)
       | c -> raise (Error (Printf.sprintf "illegal character %C" c, !line))
     end

@@ -34,14 +34,10 @@ val make : direction -> Linexpr.t -> constr list -> t
 
 module Names : Set.S with type elt = string
 
-val variable_set : t -> Names.t
-(** Every variable mentioned in the objective or a constraint. Built in one
-    pass; prefer this (or pass {!variables} down explicitly, as
-    {!Ilp.solve} does for its per-node LPs) over calling {!variables}
-    repeatedly in hot paths. *)
-
 val variables : t -> string list
-(** All variables mentioned anywhere, sorted, without duplicates. *)
+(** All variables mentioned anywhere, sorted, without duplicates. Built
+    in one pass; pass the list down (as {!Ilp.solve} does for its
+    per-node LPs) rather than calling this repeatedly in hot paths. *)
 
 val num_variables : t -> int
 val num_constraints : t -> int

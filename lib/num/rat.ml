@@ -155,12 +155,38 @@ let to_float = function
   | I { n; d } -> float_of_int n /. float_of_int d
   | Z { n; d } -> B.to_float n /. B.to_float d
 
-let to_string = function
+(* the decimal digits of [n <= 0]'s magnitude; counting on the negative
+   side keeps [min_int] in range *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+(* [string_of_int n], without the intermediate string *)
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+  else add_neg_digits buf (- n)
+
+let add_to_buffer buf = function
   | I { n; d } ->
-    if d = 1 then string_of_int n else string_of_int n ^ "/" ^ string_of_int d
+    add_int buf n;
+    if d <> 1 then begin
+      Buffer.add_char buf '/';
+      add_int buf d
+    end
   | Z { n; d } ->
-    if B.equal d B.one then B.to_string n
-    else B.to_string n ^ "/" ^ B.to_string d
+    Buffer.add_string buf (B.to_string n);
+    if not (B.equal d B.one) then begin
+      Buffer.add_char buf '/';
+      Buffer.add_string buf (B.to_string d)
+    end
+
+let to_string v =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf v;
+  Buffer.contents buf
 
 (* [Some v] when [s] is in Bigint.of_string's grammar (optional sign, then
    decimal digits) with at most 18 digits, so that [v] fits an int *)

@@ -63,6 +63,12 @@ val to_int : t -> int
 
 val to_float : t -> float
 val to_string : t -> string
+(** ["n"] for an integer, ["n/d"] otherwise, in decimal with a leading
+    ['-'] on a negative value. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** [add_to_buffer buf q] appends [to_string q] to [buf], writing native
+    values digit by digit with no intermediate string. *)
 
 val of_string : string -> t
 (** Accepts ["p"], ["p/q"], and decimal ["p.q"] forms with optional sign.

@@ -19,19 +19,28 @@ let add_cost_model buf ~mach ~cache ~dcache =
     Buffer.add_string buf "dcache ";
     add_cache buf d
 
-(* the compiled form: every bit the local flow problem is built from *)
+(* the compiled form: every bit the local flow problem is built from,
+   each instruction in its listing text, written straight into [buf] *)
 let add_func buf (f : P.func) =
   Buffer.add_string buf
     (Printf.sprintf "func %s params=%d frame=%d blocks=%d\n" f.P.name
        f.P.nparams f.P.frame_words (Array.length f.P.blocks));
   Array.iter
     (fun (b : P.block) ->
-      Buffer.add_string buf (Printf.sprintf "B%d line=%d\n" b.P.id b.P.src_line);
+      Buffer.add_char buf 'B';
+      Buffer.add_string buf (string_of_int b.P.id);
+      Buffer.add_string buf " line=";
+      Buffer.add_string buf (string_of_int b.P.src_line);
+      Buffer.add_char buf '\n';
       Array.iter
-        (fun i -> Buffer.add_string buf (Format.asprintf "  %a\n" Instr.pp i))
+        (fun i ->
+          Buffer.add_string buf "  ";
+          Instr.add_to_buffer buf i;
+          Buffer.add_char buf '\n')
         b.P.instrs;
-      Buffer.add_string buf
-        (Format.asprintf "  term %a\n" Instr.pp_terminator b.P.term))
+      Buffer.add_string buf "  term ";
+      Instr.add_terminator_to_buffer buf b.P.term;
+      Buffer.add_char buf '\n')
     f.P.blocks
 
 let add_annotations buf fname (annotations : Ipet.Annotation.t list) =
@@ -59,7 +68,7 @@ let add_objectives buf ~wcet ~bcet =
     Ipet_lp.Linexpr.fold_terms
       (fun x c () ->
         Buffer.add_char buf ' ';
-        Buffer.add_string buf (Ipet_num.Rat.to_string c);
+        Ipet_num.Rat.add_to_buffer buf c;
         Buffer.add_char buf '*';
         Buffer.add_string buf x)
       e ();

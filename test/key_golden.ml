@@ -1,0 +1,49 @@
+(* Prints the cache keys and certificate digests of the 13 suite
+   programs on e32 and m7: every per-function unit key as
+   [Incremental.analyze] reports it (functionality constraints dropped,
+   so each program decomposes into function units), the WCET and BCET
+   certificate digests of [Analysis.analyze ~certify:true], and the
+   program-unit key of check_data with its functionality constraints.
+   A key that changes turns every cached entry into a miss, so [dune
+   runtest] diffs the output against [golden/keys.txt]; after a reviewed
+   change, [dune promote] accepts the new output. *)
+
+module A = Ipet.Analysis
+module J = Ipet_obs.Json
+module Machine = Ipet_machine.Machine
+module Bspec = Ipet_suite.Bspec
+module Incr = Ipet_serve.Incremental
+
+let unit_keys spec =
+  let rep, _ = Incr.analyze spec in
+  match J.member "units" rep with
+  | Some (J.List units) ->
+    List.iter
+      (fun u ->
+        match J.member "name" u, J.member "key" u with
+        | Some (J.Str name), Some (J.Str key) ->
+          Printf.printf "unit %s %s\n" name key
+        | _ -> failwith "unit row without a name or key")
+      units
+  | _ -> failwith "report without units"
+
+let digest what = function
+  | Some (c : A.certificate) ->
+    Printf.printf "%s digest %s\n" what c.A.cert.Ipet_cert.Certificate.digest
+  | None -> failwith "no certificate"
+
+let () =
+  List.iter
+    (fun mach ->
+      List.iter
+        (fun (b : Bspec.t) ->
+          Printf.printf "=== %s %s ===\n" b.Bspec.name (Machine.id mach);
+          let spec = Bspec.spec ~mach b in
+          unit_keys { spec with A.functional = [] };
+          let r = A.analyze ~certify:true spec in
+          digest "wcet" r.A.wcet_cert;
+          digest "bcet" r.A.bcet_cert)
+        Ipet_suite.Suite.all)
+    [ Machine.e32; Machine.m7 ];
+  print_endline "=== check_data e32 program unit ===";
+  unit_keys (Bspec.spec (Ipet_suite.Suite.find "check_data"))

@@ -108,6 +108,70 @@ let test_checker_rejects_tampering () =
   check_bool "rejections carry a reason" true
     (reasons (Checker.check other c) <> [])
 
+(* --- coverage ------------------------------------------------------------ *)
+
+(* A certificate for [p] with the given duals and an all-zero witness:
+   the digest, the dual signs, the implied bound and the witness all
+   check, so any reason the checker gives is a coverage failure. *)
+let zero_witness_cert p duals =
+  let duals = Array.of_list (List.map Rat.of_int duals) in
+  { Cert.direction = p.P.direction;
+    bound = Rat.zero;
+    dual_bound =
+      List.fold_left2
+        (fun acc (c : P.constr) y ->
+          Rat.sub acc (Rat.mul y (L.constant c.P.expr)))
+        Rat.zero p.P.constraints (Array.to_list duals);
+    duals;
+    witness = [];
+    digest = Cert.digest_problem p }
+
+let uncovered v ~lhs ~obj =
+  Printf.sprintf "variable %s not covered: duals give %s against objective %s"
+    v lhs obj
+
+let check_reasons what expected p duals =
+  Alcotest.(check (list string)) what expected
+    (reasons (Checker.check p (zero_witness_cert p duals)))
+
+let test_cover_unpriced_objective_var () =
+  (* max x + y; only x's row is priced, so y's coefficient is uncovered *)
+  let open L.Infix in
+  check_reasons "y is reported"
+    [ uncovered "y" ~lhs:"0" ~obj:"1" ]
+    (P.make P.Maximize (v "x" + v "y")
+       [ P.le (v "x") (int 4); P.le (v "y") (int 3) ])
+    [ 1; 0 ]
+
+let test_cover_zero_priced_var () =
+  (* z is in zero-priced rows only, with either sign, and not in the
+     objective: it can never fail *)
+  let open L.Infix in
+  check_reasons "nothing is reported" []
+    (P.make P.Maximize (v "x")
+       [ P.le (v "x") (int 4); P.le (v "x" - v "z") (int 1);
+         P.ge (v "z") (int (-2)) ])
+    [ 1; 0; 0 ]
+
+let test_cover_priced_row_var () =
+  (* w is only in the priced row x - w <= 4, where it gets -1 < 0 *)
+  let open L.Infix in
+  check_reasons "w is reported"
+    [ uncovered "w" ~lhs:"-1" ~obj:"0" ]
+    (P.make P.Maximize (v "x") [ P.le (v "x" - v "w") (int 4) ])
+    [ 1 ]
+
+let test_cover_name_order () =
+  let open L.Infix in
+  let obj = L.add (v "z" + v "a") (L.var ~coeff:(Rat.of_ints 3 2) "m") in
+  check_reasons "a, b, m and z in name order"
+    [ uncovered "a" ~lhs:"0" ~obj:"1";
+      uncovered "b" ~lhs:"-1" ~obj:"0";
+      uncovered "m" ~lhs:"0" ~obj:"3/2";
+      uncovered "z" ~lhs:"0" ~obj:"1" ]
+    (P.make P.Maximize obj [ P.le (v "q" - v "b") (int 0) ])
+    [ 1 ]
+
 (* --- the JSON codec ---------------------------------------------------- *)
 
 let decode text = Result.bind (J.parse text) Cert.of_json
@@ -686,3 +750,11 @@ let suite =
     ("all 52 suite certificates lift like the re-solve", `Slow,
      suite_lifts_like_resolve) ]
   @ props
+  @ [ ("coverage: an unpriced objective variable", `Quick,
+       test_cover_unpriced_objective_var);
+      ("coverage: a zero-priced variable is never reported", `Quick,
+       test_cover_zero_priced_var);
+      ("coverage: a priced-row variable outside the objective", `Quick,
+       test_cover_priced_row_var);
+      ("coverage: uncovered variables in name order", `Quick,
+       test_cover_name_order) ]

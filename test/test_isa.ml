@@ -51,6 +51,65 @@ let test_printing () =
   check_str "terminator" "br r1 ? B2 : B3"
     (Format.asprintf "%a" I.pp_terminator (I.Branch (1, 2, 3)))
 
+(* Every instruction and terminator form against its literal text: the
+   listing is the only text form, and cache keys hash it, so any change
+   here is a change of every key. *)
+let test_printing_every_form () =
+  let r = I.Reg 1 and k = I.Imm (-7) in
+  let expect text instr = check_str text text (render instr) in
+  List.iter
+    (fun (op, name) ->
+      expect (name ^ " r0, r1, #-7") (I.Alu (op, 0, r, k)))
+    I.[ (Add, "add"); (Sub, "sub"); (Mul, "mul"); (Div, "div"); (Rem, "rem");
+        (And, "and"); (Or, "or"); (Xor, "xor"); (Shl, "shl"); (Shr, "shr") ];
+  List.iter
+    (fun (op, name) ->
+      expect (name ^ " r2, r1, #0.5") (I.Fpu (op, 2, r, I.Fimm 0.5)))
+    I.[ (Fadd, "fadd"); (Fsub, "fsub"); (Fmul, "fmul"); (Fdiv, "fdiv") ];
+  List.iter
+    (fun (op, name) ->
+      expect ("cmp." ^ name ^ " r3, r1, #-7") (I.Icmp (op, 3, r, k));
+      expect ("fcmp." ^ name ^ " r3, #2., r1") (I.Fcmp (op, 3, I.Fimm 2.0, r)))
+    I.[ (Ceq, "eq"); (Cne, "ne"); (Clt, "lt"); (Cle, "le"); (Cgt, "gt");
+        (Cge, "ge") ];
+  expect "mov r4, #12" (I.Mov (4, I.Imm 12));
+  expect "itof r5, r1" (I.Itof (5, r));
+  expect "ftoi r6, #1.25" (I.Ftoi (6, I.Fimm 1.25));
+  let frame ?(offset = 0) ?index () = { I.base = I.Frame_base; offset; index } in
+  expect "ld r1, [0]" (I.Load (1, addr 0));
+  expect "ld r1, [40]" (I.Load (1, addr 40));
+  expect "ld r1, [40+3]" (I.Load (1, addr ~offset:3 40));
+  expect "ld r1, [40+3+r2]" (I.Load (1, addr ~offset:3 ~index:(I.Reg 2) 40));
+  expect "ld r1, [40+#5]" (I.Load (1, addr ~index:(I.Imm 5) 40));
+  expect "ld r1, [fp]" (I.Load (1, frame ()));
+  expect "ld r1, [fp+2]" (I.Load (1, frame ~offset:2 ()));
+  expect "ld r1, [fp+r0]" (I.Load (1, frame ~index:(I.Reg 0) ()));
+  expect "ld r1, [fp+2+r0]" (I.Load (1, frame ~offset:2 ~index:(I.Reg 0) ()));
+  expect "st #-7, [8]" (I.Store (k, addr 8));
+  expect "st r1, [8+1+r3]" (I.Store (r, addr ~offset:1 ~index:(I.Reg 3) 8));
+  expect "st r1, [fp]" (I.Store (r, frame ()));
+  expect "st #1.5, [fp+4+r2]"
+    (I.Store (I.Fimm 1.5, frame ~offset:4 ~index:(I.Reg 2) ()));
+  expect "call f()" (I.Call (None, "f", []));
+  expect "call f(r1)" (I.Call (None, "f", [ r ]));
+  expect "call f(r1, #-7, #0.25)" (I.Call (None, "f", [ r; k; I.Fimm 0.25 ]));
+  expect "call r9, g()" (I.Call (Some 9, "g", []));
+  expect "call r9, g(#3)" (I.Call (Some 9, "g", [ I.Imm 3 ]));
+  expect "call r9, g(r1, r2, r3)"
+    (I.Call (Some 9, "g", [ r; I.Reg 2; I.Reg 3 ]));
+  expect "mov r0, #3." (I.Mov (0, I.Fimm 3.0));
+  expect "mov r0, #-2." (I.Mov (0, I.Fimm (-2.0)));
+  expect "mov r0, #1e+20" (I.Mov (0, I.Fimm 1e20));
+  expect "mov r0, #nan" (I.Mov (0, I.Fimm Float.nan));
+  expect "mov r0, #inf" (I.Mov (0, I.Fimm Float.infinity));
+  expect "mov r0, #-inf" (I.Mov (0, I.Fimm Float.neg_infinity));
+  let term t = Format.asprintf "%a" I.pp_terminator t in
+  check_str "jump" "jmp B4" (term (I.Jump 4));
+  check_str "branch" "br r1 ? B2 : B3" (term (I.Branch (1, 2, 3)));
+  check_str "return" "ret" (term (I.Return None));
+  check_str "return a register" "ret r0" (term (I.Return (Some (I.Reg 0))));
+  check_str "return an immediate" "ret #-1" (term (I.Return (Some (I.Imm (-1)))))
+
 (* --- values ------------------------------------------------------------------ *)
 
 let test_values () =
@@ -112,4 +171,5 @@ let suite =
     ("machine words", `Quick, test_values);
     ("validate accepts good programs", `Quick, test_validate_ok);
     ("validate rejects bad programs", `Quick, test_validate_catches);
-    ("calls of a block", `Quick, test_calls_of_block) ]
+    ("calls of a block", `Quick, test_calls_of_block);
+    ("printer: every instruction form", `Quick, test_printing_every_form) ]

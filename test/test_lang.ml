@@ -299,9 +299,45 @@ let test_do_while_break_continue () =
     check_int "break/continue in do-while" 25 r
   | _ -> Alcotest.fail "expected int"
 
+(* Hostile source text: suite programs truncated, with one byte
+   replaced, or with an integer literal widened to 20 digits. The
+   frontend answers [Ok] or [Error] and never raises (an exception fails
+   the property). *)
+let mutate src kind pos byte =
+  let len = String.length src in
+  let pos = pos mod (len + 1) in
+  match kind with
+  | 0 -> String.sub src 0 pos
+  | 1 ->
+    let b = Bytes.of_string src in
+    Bytes.set b (pos mod len) (Char.chr byte);
+    Bytes.to_string b
+  | _ ->
+    (* the first digit run at or after [pos], or [pos] itself *)
+    let is_digit i = i < len && src.[i] >= '0' && src.[i] <= '9' in
+    let rec find i = if i >= len || is_digit i then i else find (i + 1) in
+    let start = if find pos < len then find pos else pos in
+    let rec stop i = if is_digit i then stop (i + 1) else i in
+    String.sub src 0 start ^ "98765432109876543210"
+    ^ String.sub src (stop start) (len - stop start)
+
+let prop_hostile_sources =
+  QCheck.Test.make
+    ~name:"frontend: hostile source is Ok or Error, never raises" ~count:500
+    QCheck.(
+      quad (int_bound 1000) (int_bound 2) (int_bound 100_000) (int_bound 255))
+    (fun (which, kind, pos, byte) ->
+      let all = Ipet_suite.Suite.all in
+      let b = List.nth all (which mod List.length all) in
+      match
+        Frontend.compile_string (mutate b.Ipet_suite.Bspec.source kind pos byte)
+      with
+      | Ok _ | Error _ -> true)
+
 let suite =
   suite
   @ [ ("do-while semantics", `Quick, test_do_while_semantics);
       ("do-while CFG shape", `Quick, test_do_while_cfg_shape);
       ("do-while analysis", `Quick, test_do_while_analysis);
-      ("do-while break/continue", `Quick, test_do_while_break_continue) ]
+      ("do-while break/continue", `Quick, test_do_while_break_continue);
+      QCheck_alcotest.to_alcotest prop_hostile_sources ]

@@ -434,12 +434,42 @@ let prop_rat_canonical =
       Q.equal (Q.sub (Q.add a b) b) a
       && (Q.is_zero b || Q.equal (Q.div (Q.mul a b) b) a))
 
+(* The digit writer against the Bigint rendering of the same value:
+   written after a prefix already in the buffer, it appends exactly the
+   text [to_string] returns, which is the reference's text. *)
+let prop_rat_add_to_buffer =
+  let two_62 = B.mul (B.of_int (1 lsl 31)) (B.of_int (1 lsl 31)) in
+  let fixed =
+    List.map Q.of_int
+      [ 0; lim - 1; lim + 1; - lim - 1; - lim + 1; max_int; min_int ]
+    @ [ Q.of_bigint two_62; Q.of_bigint (B.neg two_62);
+        Q.make two_62 (B.of_int 3); Q.make (B.of_int (-7)) two_62;
+        Q.of_ints min_int 3; Q.of_ints 1 min_int ]
+  in
+  QCheck.Test.make ~name:"rat add_to_buffer = to_string = reference"
+    ~count:1000
+    (QCheck.make ~print:Q.to_string
+       QCheck.Gen.(
+         frequency
+           [ (1, oneofl fixed);
+             (2, map (fun (n, d) -> Q.make n d) (QCheck.gen operand));
+             (2, map2 (fun n d -> Q.of_ints n (if d = 0 then 1 else d))
+                   int int);
+             (2, map2 (fun n d -> Q.of_ints n (if d = 0 then 1 else d))
+                   (int_range (-1000) 1000) (int_range (-1000) 1000)) ]))
+    (fun q ->
+      let buf = Buffer.create 4 in
+      Buffer.add_string buf "x*";
+      Q.add_to_buffer buf q;
+      Buffer.contents buf = "x*" ^ Q.to_string q
+      && Q.to_string q = Ref.to_string (Q.num q, Q.den q))
+
 let props = List.map QCheck_alcotest.to_alcotest
     [ prop_add_matches_int; prop_mul_matches_int; prop_divmod_matches_int;
       prop_string_roundtrip; prop_mul_div_roundtrip; prop_compare_total;
       prop_rat_add_assoc; prop_rat_mul_distrib; prop_rat_inverse;
       prop_rat_floor_le; prop_rat_string_roundtrip; prop_rat_differential;
-      prop_rat_differential_edge; prop_rat_canonical ]
+      prop_rat_differential_edge; prop_rat_canonical; prop_rat_add_to_buffer ]
 
 let suite =
   [ ("bigint int roundtrip", `Quick, test_of_to_int);
