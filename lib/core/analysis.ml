@@ -208,12 +208,12 @@ let objective ?(callee = fun _ -> 0) t insts direction =
     L.zero insts
 
 (* an exact count or cycle figure as a native int; one beyond int63 is an
-   analysis error that names it *)
+   analysis error that names it, [what ()] *)
 let native what v =
   match Rat.to_int v with
   | n -> n
   | exception Failure _ ->
-    fail "%s is %s, beyond the native integer range" what (Rat.to_string v)
+    fail "%s is %s, beyond the native integer range" (what ()) (Rat.to_string v)
 
 (* aggregate a witness (as a lookup, absent variables zero) into
    per-(func, block) counts, summed exactly over the block's contexts *)
@@ -241,7 +241,8 @@ let block_counts insts env =
     insts;
   Hashtbl.fold
     (fun ((fname, b) as k) v acc ->
-      (k, native (Printf.sprintf "the count of %s block B%d" fname b) v) :: acc)
+      let what () = Printf.sprintf "the count of %s block B%d" fname b in
+      (k, native what v) :: acc)
     table []
   |> List.sort compare
 
@@ -269,7 +270,7 @@ let extreme_of_witness insts (problem : Lp.t) ~bound witness =
     | Lp.Maximize -> "the WCET"
     | Lp.Minimize -> "the BCET"
   in
-  { cycles = native (extreme ^ " in cycles") bound;
+  { cycles = native (fun () -> extreme ^ " in cycles") bound;
     counts = block_counts insts env;
     binding = binding_constraints problem.Lp.constraints env }
 

@@ -29,13 +29,17 @@
    creation order, so every pass visits the rows in the same order as a
    fixpoint that appended them at once.
 
-   Inside the fixpoint a variable is its column: its rank in the sorted
-   name set of the constraints. Rows are int-keyed coefficient maps and
-   the bounds, their sources and the occurrence index are arrays indexed
-   by column. Columns follow name order, so every fold over a row visits
-   its terms in the order of the [Linexpr] it came from, and the output
-   does not depend on the numbering. Names come back in [emit] and in the
-   reasons of [Infeasible].
+   A variable is its column: its rank among the distinct names of the
+   constraints. Rows are int-keyed coefficient maps and the bounds, their
+   sources and the occurrence index are arrays indexed by column. Columns
+   follow name order, so every fold over a row visits its terms in the
+   order of the [Linexpr] it came from, and the output does not depend on
+   the numbering. [emit] replays the definitions into a dense objective
+   array and postsolve rebuilds the witness in a dense value array, so
+   names come back only in the reduced problem, in the assignment
+   postsolve returns and in the reasons of [Infeasible]. An objective
+   variable that no constraint mentions has no column; it passes through
+   both unchanged.
 
    Made with [~lift:true], the fixpoint also logs what the dual lift
    ([lift_duals]) reads: each elimination, fix, forcing row and implied
@@ -703,7 +707,7 @@ type source = Live of row | Bound of bound
 
 let source_row = function Live r -> r | Bound b -> b.src
 
-let emit_rows st objective =
+let emit_rows st obj =
   let entry expr rel source = (expr, rel, source, lazy (Linexpr.to_string expr)) in
   let live = Array.make (Array.length st.names) false in
   let rows =
@@ -720,7 +724,7 @@ let emit_rows st objective =
   let bound_rows = ref [] in
   Array.iteri
     (fun v name ->
-      if live.(v) || not (Rat.is_zero (Linexpr.coeff objective name)) then begin
+      if live.(v) || not (Rat.is_zero obj.(v)) then begin
         let reemit bound row =
           Option.iter
             (fun b ->
@@ -838,32 +842,37 @@ let lift_duals st ~ge ~obj_coeffs ~flip ~sources duals =
     st.log;
   Array.mapi (fun i g -> neg_if flip (neg_if g y.(i))) ge
 
-let add_vars e acc =
-  Linexpr.fold_terms (fun v _ acc -> Lp_problem.Names.add v acc) e acc
-
 type fixpoint = {
-  vars : Lp_problem.Names.t;  (* of the constraints *)
+  names : string array;  (* column -> variable *)
+  col : (string, int) Hashtbl.t;  (* variable -> column *)
   constrs_before : int;
   ge : bool array;  (* which constraints are [Ge] rows, negated on intake *)
   rounds : int;
   substituted : int;
   fixed : int;
-  reached : (state * (string * Linexpr.t) list Lazy.t, string * int) result;
-      (* the final state with its definitions over names, most recent
-         first, or why the constraints are infeasible and how many rows
-         were live then *)
+  reached : (state, string * int) result;
+      (* the final state, or why the constraints are infeasible and how
+         many rows were live then *)
 }
 
 let fixpoint ?(integer = true) ?(lift = false) constraints =
-  let vars =
-    List.fold_left
-      (fun acc (c : Lp_problem.constr) -> add_vars c.Lp_problem.expr acc)
-      Lp_problem.Names.empty constraints
-  in
-  let names = Array.of_list (Lp_problem.Names.elements vars) in
-  let n = Array.length names in
-  let col = Hashtbl.create n in
+  (* number the distinct names in sorted order *)
+  let col = Hashtbl.create 64 in
+  let fresh = ref [] in
+  List.iter
+    (fun (c : Lp_problem.constr) ->
+      Linexpr.fold_terms
+        (fun v _ () ->
+          if not (Hashtbl.mem col v) then begin
+            Hashtbl.add col v 0;
+            fresh := v :: !fresh
+          end)
+        c.Lp_problem.expr ())
+    constraints;
+  let names = Array.of_list !fresh in
+  Array.sort String.compare names;
   Array.iteri (fun i v -> Hashtbl.replace col v i) names;
+  let n = Array.length names in
   let recorded = if lift then n else 0 in
   let st =
     { integer;
@@ -910,18 +919,14 @@ let fixpoint ?(integer = true) ?(lift = false) constraints =
         end
       done
     with
-    | () ->
-      Ok
-        ( st,
-          lazy
-            (List.map (fun (v, e) -> (names.(v), to_linexpr names e)) st.defs)
-        )
+    | () -> Ok st
     | exception Infeasible reason ->
       Error (reason, List.length (List.filter (fun r -> r.live) st.rows))
   in
   (* [emit] reads the rows, bounds and definitions, never the index *)
   Array.fill st.occ 0 n [];
-  { vars;
+  { names;
+    col;
     constrs_before = List.length constraints;
     ge =
       Array.of_list
@@ -934,9 +939,22 @@ let fixpoint ?(integer = true) ?(lift = false) constraints =
     reached }
 
 let emit fp direction objective =
-  let vars = add_vars objective fp.vars in
+  let n = Array.length fp.names in
+  (* the objective over columns, and its variables that no constraint
+     mentions, sorted *)
+  let obj = Array.make n Rat.zero in
+  let only =
+    Linexpr.fold_terms
+      (fun v c acc ->
+        match Hashtbl.find_opt fp.col v with
+        | Some i -> obj.(i) <- c; acc
+        | None -> (v, c) :: acc)
+      objective []
+    |> List.rev |> Array.of_list
+  in
+  let k = Array.length only in
   let stats_at ~vars_after ~constrs_after =
-    { vars_before = Lp_problem.Names.cardinal vars; vars_after;
+    { vars_before = n + k; vars_after;
       constrs_before = fp.constrs_before; constrs_after; rounds = fp.rounds;
       substituted = fp.substituted; fixed = fp.fixed }
   in
@@ -945,47 +963,74 @@ let emit fp direction objective =
     ( Proved_infeasible
         { stats = stats_at ~vars_after:0 ~constrs_after:live_rows; reason },
       fun _ -> None )
-  | Ok (st, defs) ->
-    let defs = Lazy.force defs in
-    (* the objective's coefficient of each substituted variable, just
-       before its substitution: what the lift starts each reduced cost at *)
+  | Ok st ->
+    (* replay the definitions into [obj], oldest first; [obj_coeffs] keeps
+       each substituted variable's coefficient just before its
+       substitution, where the lift starts its reduced cost *)
     let obj_coeffs = Array.make st.steps Rat.zero in
-    let k = ref 0 in
+    let const = ref (Linexpr.constant objective) in
+    List.iteri
+      (fun step (v, e) ->
+        let c = obj.(v) in
+        obj_coeffs.(step) <- c;
+        if not (Rat.is_zero c) then begin
+          obj.(v) <- Rat.zero;
+          fold (fun w a () -> obj.(w) <- Rat.add obj.(w) (Rat.mul c a)) e ();
+          const := Rat.add !const (Rat.mul c e.const)
+        end)
+      (List.rev st.defs);
     let objective =
-      List.fold_left
-        (fun o (v, e) ->
-          let c = Linexpr.coeff o v in
-          obj_coeffs.(!k) <- c;
-          incr k;
-          if Rat.is_zero c then o
-          else Linexpr.add o (Linexpr.scale c (Linexpr.sub e (Linexpr.var v))))
-        objective (List.rev defs)
+      let priced = ref (Linexpr.const !const) in
+      let add v c = priced := Linexpr.add !priced (Linexpr.var ~coeff:c v) in
+      Array.iteri
+        (fun i c -> if not (Rat.is_zero c) then add fp.names.(i) c) obj;
+      Array.iter (fun (v, c) -> add v c) only;
+      !priced
     in
-    let constraints, sources = emit_rows st objective in
+    let constraints, sources = emit_rows st obj in
     let reduced = Lp_problem.make direction objective constraints in
-    let original_vars = Lp_problem.Names.elements vars in
-    (* a variable that vanished from the reduced problem is unconstrained
-       there, but its recorded explicit lower bound must still hold in the
-       reconstruction *)
-    let lb_defaults =
-      Array.to_seqi st.exp_lb
-      |> Seq.filter_map (fun (v, b) ->
-             Option.map (fun b -> (st.names.(v), b.value)) b)
-      |> List.of_seq
+    (* postsolve's values: the columns', then the objective-only
+       variables', which are rare enough to look up by a scan *)
+    let slot v =
+      match Hashtbl.find_opt fp.col v with
+      | Some _ as i -> i
+      | None ->
+        let rec find j =
+          if j = k then None
+          else if String.equal (fst only.(j)) v then Some (n + j)
+          else find (j + 1)
+        in
+        find 0
     in
     let postsolve assignment =
-      let env = Hashtbl.create 64 in
-      List.iter (fun (v, l) -> Hashtbl.replace env v l) lb_defaults;
-      List.iter (fun (v, x) -> Hashtbl.replace env v x) assignment;
-      let get v =
-        match Hashtbl.find_opt env v with Some x -> x | None -> Rat.zero
+      let x = Array.make (n + k) Rat.zero in
+      (* a variable that vanished from the reduced problem is
+         unconstrained there, but its recorded explicit lower bound must
+         still hold in the reconstruction *)
+      Array.iteri
+        (fun v b -> Option.iter (fun b -> x.(v) <- b.value) b) st.exp_lb;
+      List.iter
+        (fun (v, value) -> Option.iter (fun i -> x.(i) <- value) (slot v))
+        assignment;
+      List.iter
+        (fun (v, e) ->
+          x.(v) <-
+            fold (fun w a acc -> Rat.add acc (Rat.mul a x.(w))) e e.const)
+        st.defs;
+      (* columns are name ranks: merging them with the sorted
+         objective-only names, from the last, lists every variable in
+         name order *)
+      let keep i name acc =
+        if Rat.is_zero x.(i) then acc else (name, x.(i)) :: acc
       in
-      List.iter (fun (v, e) -> Hashtbl.replace env v (Linexpr.eval get e)) defs;
-      List.filter_map
-        (fun v ->
-          let x = get v in
-          if Rat.is_zero x then None else Some (v, x))
-        original_vars
+      let rec collect i j acc =
+        if i < 0 && j < 0 then acc
+        else if
+          j < 0 || (i >= 0 && String.compare fp.names.(i) (fst only.(j)) > 0)
+        then collect (i - 1) j (keep i fp.names.(i) acc)
+        else collect i (j - 1) (keep (n + j) (fst only.(j)) acc)
+      in
+      collect (n - 1) (k - 1) []
     in
     let sources = Array.of_list sources in
     let lift duals =

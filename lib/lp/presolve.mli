@@ -48,7 +48,14 @@ type reduction = {
   postsolve : (string * Rat.t) list -> (string * Rat.t) list;
       (** maps an assignment of the reduced problem (zero-valued variables
           may be omitted) to a full assignment over the original variables,
-          zero values filtered, sorted by name *)
+          zero values filtered, sorted by name. A variable the reduced
+          problem lost takes its definition's value if presolve
+          eliminated it, else its folded lower bound (0 without one);
+          names that are not variables of the original problem are
+          ignored. It works on the fixpoint's columns: it looks up a
+          name only for each entry of the assignment, then makes one
+          pass over the definitions and one over the original
+          variables. *)
   stats : stats;
 }
 

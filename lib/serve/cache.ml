@@ -1,7 +1,8 @@
 module Obs = Ipet_obs.Obs
 module Json = Ipet_obs.Json
 
-type entry = { mutable size : int; mutable seq : int }
+(* [saved]: the index file holds this entry's current [seq] *)
+type entry = { mutable size : int; mutable seq : int; mutable saved : bool }
 
 type stats = {
   entries : int;
@@ -17,6 +18,9 @@ type t = {
   cap_bytes : int;
   table : (string, entry) Hashtbl.t;
   mutable next_seq : int;
+  mutable unsaved : string list;  (* keys whose entry's [saved] went false *)
+  mutable lines : int;
+      (* entry lines in the index file; -1 until this process rewrote it *)
   mutable bytes : int;
   mutable hits : int;
   mutable misses : int;
@@ -71,27 +75,35 @@ let write_file path content =
   Sys.rename tmp path
 
 (* The index's recency first; then every entry file it does not list,
-   oldest mtime first. An unlisted file is one a missing or damaged index
-   lost, or one whose writer died after the rename but before the index
-   flush; adopting it keeps it under the cap instead of orphaned *)
+   oldest mtime first. The index is a log: a put appends its key's new
+   seq, so a key may be listed more than once and its highest seq is its
+   recency, and a writer that died mid-append leaves a last line without
+   its newline, which is skipped. An unlisted file is one a missing or
+   damaged index lost, or one whose writer died after the rename but
+   before the index line; adopting it keeps it under the cap instead of
+   orphaned *)
 let load_index t =
   let adopt key seq =
-    if not (Hashtbl.mem t.table key) then
-      match Unix.stat (entry_path t key) with
-      | { Unix.st_size; _ } ->
-        Hashtbl.replace t.table key { size = st_size; seq };
-        t.bytes <- t.bytes + st_size;
-        if seq >= t.next_seq then t.next_seq <- seq + 1
-      | exception Unix.Unix_error _ -> ()
+    (match Hashtbl.find_opt t.table key with
+     | Some e -> e.seq <- max e.seq seq
+     | None ->
+       match Unix.stat (entry_path t key) with
+       | { Unix.st_size; _ } ->
+         Hashtbl.replace t.table key { size = st_size; seq; saved = true };
+         t.bytes <- t.bytes + st_size
+       | exception Unix.Unix_error _ -> ());
+    if seq >= t.next_seq then t.next_seq <- seq + 1
   in
   (match read_file (index_path t) with
    | content ->
      (match String.split_on_char '\n' content with
       | magic :: lines when magic = index_magic ->
-        List.iter
-          (fun line ->
+        (* the piece after the last newline is empty, or a torn line *)
+        let complete = List.length lines - 1 in
+        List.iteri
+          (fun i line ->
             match String.split_on_char ' ' line with
-            | [ key; seq ] when is_key key ->
+            | [ key; seq ] when i < complete && is_key key ->
               Option.iter (adopt key) (int_of_string_opt seq)
             | _ -> ())
           lines
@@ -122,6 +134,8 @@ let create ~dir ~cap_bytes =
       cap_bytes;
       table = Hashtbl.create 64;
       next_seq = 0;
+      unsaved = [];
+      lines = -1;
       bytes = 0;
       hits = 0;
       misses = 0;
@@ -131,18 +145,59 @@ let create ~dir ~cap_bytes =
   load_index t;
   t
 
+let add_line buf key e =
+  Buffer.add_string buf key;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (string_of_int e.seq);
+  Buffer.add_char buf '\n';
+  e.saved <- true
+
+(* rewrite the index: one line per entry *)
 let flush t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf index_magic;
   Buffer.add_char buf '\n';
-  Hashtbl.iter
-    (fun key e -> Buffer.add_string buf (Printf.sprintf "%s %d\n" key e.seq))
-    t.table;
-  write_file (index_path t) (Buffer.contents buf)
+  Hashtbl.iter (add_line buf) t.table;
+  write_file (index_path t) (Buffer.contents buf);
+  t.unsaved <- [];
+  t.lines <- Hashtbl.length t.table
 
-let touch t e =
+(* append the recency of every entry touched since the index last heard
+   of it; rewrite instead when this process has not written the index yet
+   (it may end in a torn line) or the log has grown past twice the
+   entries *)
+let save t =
+  let buf = Buffer.create 128 in
+  let n = ref 0 in
+  List.iter
+    (fun key ->
+      match Hashtbl.find_opt t.table key with
+      | Some e when not e.saved -> add_line buf key e; incr n
+      | Some _ | None -> ())
+    t.unsaved;
+  t.unsaved <- [];
+  let lines = t.lines + !n in
+  if t.lines < 0 || lines > 2 * Hashtbl.length t.table then flush t
+  else
+    match
+      open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+        (index_path t)
+    with
+    | oc ->
+      (* until the append completes, the index may end in a torn line *)
+      t.lines <- -1;
+      Buffer.output_buffer oc buf;
+      close_out oc;
+      t.lines <- lines
+    | exception Sys_error _ -> flush t
+
+let touch t key e =
   e.seq <- t.next_seq;
-  t.next_seq <- t.next_seq + 1
+  t.next_seq <- t.next_seq + 1;
+  if e.saved then begin
+    e.saved <- false;
+    t.unsaved <- key :: t.unsaved
+  end
 
 let drop t key e =
   Hashtbl.remove t.table key;
@@ -167,7 +222,7 @@ let get t key =
   | Some e ->
     (match Json.parse (read_file (entry_path t key)) with
      | Ok v ->
-       touch t e;
+       touch t key e;
        t.hits <- t.hits + 1;
        Obs.add "serve.cache.hits" 1;
        Some v
@@ -205,18 +260,20 @@ let evict_over_cap t ~keep =
 let put t key value =
   let content = Json.to_string value in
   let size = String.length content in
-  (match Hashtbl.find_opt t.table key with
-   | Some e ->
-     (* same key, same content: refresh recency only *)
-     touch t e
-   | None ->
-     write_file (entry_path t key) content;
-     let e = { size; seq = 0 } in
-     touch t e;
-     Hashtbl.replace t.table key e;
-     t.bytes <- t.bytes + size;
-     evict_over_cap t ~keep:key);
-  flush t
+  match Hashtbl.find_opt t.table key with
+  | Some e ->
+    (* same key, same content: refresh recency only *)
+    touch t key e;
+    save t
+  | None ->
+    write_file (entry_path t key) content;
+    let e = { size; seq = 0; saved = true } in
+    touch t key e;
+    Hashtbl.replace t.table key e;
+    t.bytes <- t.bytes + size;
+    let evictions = t.evictions in
+    evict_over_cap t ~keep:key;
+    if t.evictions > evictions then flush t else save t
 
 let stats t : stats =
   { entries = Hashtbl.length t.table;

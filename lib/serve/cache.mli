@@ -5,8 +5,12 @@
     {!Key} digest; entries are immutable (same key, same content), so a
     crashed or concurrent writer can at worst leave a stale temp file,
     never a corrupt entry (writes go through rename). An index file
-    records recency and sizes so LRU survives restarts. Opening the cache
-    also adopts every entry file the index does not list (a missing,
+    records recency so LRU survives restarts. A put appends one line to
+    it for its key and one for each key a {!get} refreshed since; the
+    whole index is rewritten only after an eviction or a {!remove}, on a
+    process's first put, or once its lines outnumber twice the entries.
+    A key listed more than once keeps its latest recency, and a last line
+    a crash tore is ignored. Opening the cache also adopts every entry file the index does not list (a missing,
     truncated or damaged index, or a writer killed between an entry's
     rename and the index flush), so no entry escapes the cap; an entry
     file that fails to parse is treated as a miss and deleted.
@@ -31,7 +35,9 @@ val put : t -> string -> Ipet_obs.Json.t -> unit
     insertion). Idempotent for an existing key. *)
 
 val flush : t -> unit
-(** Persist the index file. Also called by {!put}. *)
+(** Rewrite the index file, one line per entry at its current recency.
+    A {!put} persists what the {!get}s before it refreshed; [flush] also
+    persists what came after the last put, e.g. at shutdown. *)
 
 val remove : t -> string -> unit
 (** Delete an entry (no-op for an absent key). Used by the incremental

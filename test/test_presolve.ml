@@ -288,6 +288,45 @@ let test_index_pending_rows () =
                \  q + s <= 4   [w cap]\n  k <= 5   [dg]\n\
                \  (all variables >= 0)"
 
+(* --- objective-only variables --------------------------------------------- *)
+
+(* An objective may price a variable that no constraint mentions. It has
+   no column, so the reduced objective and the postsolved assignment must
+   carry it past the columns: "a" sorts before every column, "c" between
+   the columns "b" and "d", and "e" after both. Presolve eliminates d :=
+   b + 1 and folds "floor" into a bound on b *)
+let test_objective_only_variables () =
+  let open L.Infix in
+  let p =
+    P.make P.Minimize
+      (v "a" + (2 * v "b") + (3 * v "c") + v "d" + (4 * v "e"))
+      [ P.ge ~origin:"floor" (v "b") (int 2);
+        P.eq ~origin:"flow" (v "d") (v "b" + int 1) ]
+  in
+  let r = reduced (Pre.run p) in
+  List.iter
+    (fun (x, c) ->
+      Alcotest.check rat_testable
+        ("the reduced objective keeps " ^ x)
+        (Rat.of_int c)
+        (L.coeff r.Pre.problem.P.objective x))
+    [ ("a", 1); ("c", 3); ("e", 4) ];
+  check_int "variables before" 5 r.Pre.stats.Pre.vars_before;
+  check_int "variables after" 4 r.Pre.stats.Pre.vars_after;
+  let assignment = Alcotest.(list (pair string rat_testable)) in
+  (match I.solve ~presolve:true p, I.solve ~presolve:false p with
+   | ( I.Optimal { value; assignment = witness; _ },
+       I.Optimal { value = plain_value; assignment = plain_witness; _ } ) ->
+     Alcotest.check rat_testable "optimum" plain_value value;
+     Alcotest.check assignment "witness" plain_witness witness
+   | _ -> Alcotest.fail "not optimal");
+  (* nonzero values of the objective-only variables merge into the
+     columns' in name order *)
+  let q = Rat.of_int in
+  Alcotest.check assignment "postsolve merges by name"
+    [ ("a", q 5); ("b", q 4); ("c", q 6); ("d", q 5); ("e", q 7) ]
+    (r.Pre.postsolve [ ("e", q 7); ("b", q 4); ("a", q 5); ("c", q 6) ])
+
 (* --- equivalence on the benchmark suite --------------------------------- *)
 
 (* Every ILP of every benchmark (both extremes, every surviving conjunctive
@@ -468,6 +507,7 @@ let suite =
     ("propagated infeasibility", `Quick, test_infeasible_propagated);
     ("forcing-row infeasibility", `Quick, test_infeasible_forcing);
     ("one fixpoint, two objectives", `Quick, test_shared_fixpoint);
+    ("objective-only variables", `Quick, test_objective_only_variables);
     ("suite ILP equivalence", `Slow, test_suite_problem_equivalence);
     ("suite analysis equivalence", `Slow, test_suite_analysis_equivalence);
     ("summary counts both extremes", `Quick, test_summary_counts_both_extremes);

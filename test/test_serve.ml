@@ -568,6 +568,49 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+(* A put appends its line to the index instead of rewriting it: below the
+   compaction point the index keeps its inode and grows by a line per
+   refreshed key. A reopened cache reads each key's latest line, skips a
+   last line a crash tore, and evicts in the recency order it had *)
+let test_index_appends () =
+  let dir = tmp_dir "serve-index-append" in
+  let index = Filename.concat dir "index" in
+  let k i = Digest.to_hex (Digest.string (string_of_int i)) in
+  let payload i =
+    J.Obj [ ("n", J.Int i); ("pad", J.Str (String.make 40 'x')) ]
+  in
+  let cap_bytes = 3 * String.length (J.to_string (payload 0)) in
+  let lines () =
+    List.length (String.split_on_char '\n' (read_file index)) - 1
+  in
+  let cache = Cache.create ~dir ~cap_bytes in
+  Cache.put cache (k 1) (payload 1);
+  let inode = (Unix.stat index).Unix.st_ino in
+  Cache.put cache (k 2) (payload 2);
+  Cache.put cache (k 3) (payload 3);
+  check_bool "k1 present" true (Cache.get cache (k 1) <> None);
+  (* refreshes k3, and appends k1's refresh too: oldest first 2, 1, 3 *)
+  Cache.put cache (k 3) (payload 3);
+  check_int "puts kept the index file" inode (Unix.stat index).Unix.st_ino;
+  check_int "magic line and five appended lines" 6 (lines ());
+  let oc =
+    open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 index
+  in
+  output_string oc (k 2 ^ " 99");
+  close_out oc;
+  let reopened = Cache.create ~dir ~cap_bytes in
+  check_int "reopened cache sees every entry" 3
+    (Cache.stats reopened).Cache.entries;
+  Cache.put reopened (k 4) (payload 4);
+  Cache.put reopened (k 5) (payload 5);
+  List.iter
+    (fun (i, kept) ->
+      check_bool
+        (Printf.sprintf "k%d %s" i (if kept then "kept" else "evicted"))
+        kept
+        (Sys.file_exists (Filename.concat dir (k i ^ ".json"))))
+    [ (2, false); (1, false); (3, true); (4, true); (5, true) ]
+
 (* Fills a cache, checks that warm hits re-prove their certificates, then
    applies [rewrite] to the WCET certificate of one cached entry: the engine
    must notice, drop the entry, and re-solve — never serve a bound it cannot
@@ -1507,6 +1550,8 @@ let suite =
       test_one_function_edit;
     Alcotest.test_case "cache: LRU eviction and restart" `Quick
       test_lru_eviction;
+    Alcotest.test_case "cache: puts append to the index" `Quick
+      test_index_appends;
     Alcotest.test_case "cache: orphaned temp files are swept on open" `Quick
       test_tmp_sweep;
     Alcotest.test_case "cache: file faults heal to the cold report" `Quick
