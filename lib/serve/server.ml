@@ -52,19 +52,24 @@ let send conns conn line =
     close_conn conns conn;
     false
 
-(* consume complete lines from the connection buffer *)
-let take_lines conn =
-  let content = Buffer.contents conn.buf in
-  let rec split acc start =
-    match String.index_from_opt content start '\n' with
-    | Some nl -> split (String.sub content start (nl - start) :: acc) (nl + 1)
-    | None ->
-      Buffer.clear conn.buf;
-      Buffer.add_substring conn.buf content start
-        (String.length content - start);
+(* the complete lines in the [n] bytes just read into [chunk]: only those
+   bytes are scanned, a partial line waits in the connection buffer, and a
+   line is copied out once, when its newline arrives *)
+let take_lines conn chunk n =
+  let rec split acc start i =
+    if i = n then begin
+      Buffer.add_subbytes conn.buf chunk start (n - start);
       List.rev acc
+    end
+    else if Bytes.get chunk i <> '\n' then split acc start (i + 1)
+    else begin
+      Buffer.add_subbytes conn.buf chunk start (i - start);
+      let line = Buffer.contents conn.buf in
+      Buffer.clear conn.buf;
+      split (line :: acc) (i + 1) (i + 1)
+    end
   in
-  split [] 0
+  split [] 0 0
 
 let protocol_config config =
   let access =
@@ -81,8 +86,7 @@ let serve_conn config pconfig conns conn =
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 -> close_conn conns conn
   | n ->
-    Buffer.add_subbytes conn.buf chunk 0 n;
-    let lines = take_lines conn in
+    let lines = take_lines conn chunk n in
     if lines = [] && Buffer.length conn.buf > config.max_request_bytes then begin
       let line =
         Json.to_string

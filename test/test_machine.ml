@@ -456,38 +456,7 @@ let test_sim_follows_machine () =
 
 (* --- cross-target differential over the full benchmark set ---------------- *)
 
-let e32_rows = lazy (E.run_all ~mach:Machine.e32 ())
 let m7_rows = lazy (E.run_all ~mach:Machine.m7 ())
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* same cwd dodge as [test_golden.golden_dir] *)
-let golden_dir () =
-  if Sys.file_exists "golden" then "golden"
-  else Filename.concat "test" "golden"
-
-let check_table ~golden rendered =
-  let expected = read_file (Filename.concat (golden_dir ()) golden) in
-  if not (String.equal expected rendered) then
-    Alcotest.failf
-      "%s differs from the blessed table. If the change is intended, \
-       regenerate with: dune exec test/bless.exe -- --mach m7"
-      golden
-
-let test_e32_tables_byte_identical () =
-  (* an explicit --mach e32 run must reproduce the seed goldens bytewise *)
-  let rows = Lazy.force e32_rows in
-  check_table ~golden:"table2.txt" (E.render_table2 rows);
-  check_table ~golden:"table3.txt" (E.render_table3 rows)
-
-let test_m7_tables_match_blessed () =
-  let rows = Lazy.force m7_rows in
-  check_table ~golden:"table2_m7.txt" (E.render_table2 rows);
-  check_table ~golden:"table3_m7.txt" (E.render_table3 rows)
 
 let check_enclosure name (row : E.row) =
   let e = row.E.estimated and m = row.E.measured in
@@ -497,8 +466,8 @@ let check_enclosure name (row : E.row) =
     (e.E.lo <= row.E.calculated.E.lo && row.E.calculated.E.hi <= e.E.hi)
 
 let test_m7_enclosure_all_benchmarks () =
-  (* the paper's 13 come from the cached table run; the 8 extended
-     benchmarks are measured here, so all 21 cross the differential *)
+  (* the paper's 13 come from one [E.run_all]; the 8 extended benchmarks
+     are measured here, so all 21 cross the differential *)
   List.iter2
     (fun (b : Bspec.t) row -> check_enclosure ("m7 " ^ b.Bspec.name) row)
     Suite.all (Lazy.force m7_rows);
@@ -508,8 +477,9 @@ let test_m7_enclosure_all_benchmarks () =
     Suite.extended
 
 let test_extended_e32_explicit_matches_default () =
-  (* the extended set is not golden-pinned, so pin the e32 identity on it
-     directly: explicit e32 rows equal the default rows *)
+  (* bench renders the extended golden with an explicit e32, so pin the
+     identity with the default directly: explicit e32 rows equal the
+     default rows *)
   List.iter
     (fun (b : Bspec.t) ->
       check_bool (b.Bspec.name ^ ": explicit e32 = default") true
@@ -551,9 +521,6 @@ let suite =
       ("machine stall tables", `Quick, test_machine_cycle_tables);
       ("cost follows machine geometry", `Quick, test_cost_follows_machine_geometry);
       ("sim follows machine", `Quick, test_sim_follows_machine);
-      ("e32 tables byte-identical to seed goldens", `Slow,
-       test_e32_tables_byte_identical);
-      ("m7 tables match blessed goldens", `Slow, test_m7_tables_match_blessed);
       ("m7 enclosure on all benchmarks", `Slow, test_m7_enclosure_all_benchmarks);
       ("extended set: explicit e32 = default", `Slow,
        test_extended_e32_explicit_matches_default);

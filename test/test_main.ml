@@ -22,5 +22,4 @@ let () =
       ("obs", Test_obs.suite);
       ("fuzz", Test_fuzz.suite);
       ("solver_oracle", Test_solver_oracle.suite);
-      ("serve", Test_serve.suite);
-      ("golden", Test_golden.suite) ]
+      ("serve", Test_serve.suite) ]

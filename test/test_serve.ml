@@ -1325,19 +1325,23 @@ let await_file path =
   in
   go 100
 
-let test_socket_e2e () =
+(* starts [cinderella serve] on a socket in [dir], its cache beside it,
+   and runs [f socket pid] once the socket is up; the daemon is killed
+   afterwards unless [f] has already reaped it *)
+let with_daemon ?(args = []) dir f =
   (* the test binary lives in _build/default/test, the daemon next door *)
   let exe =
     Filename.concat (Filename.dirname Sys.executable_name)
       "../bin/cinderella.exe"
   in
-  let dir = tmp_dir "serve-e2e" in
   let socket = Filename.concat dir "serve.sock" in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
     Unix.create_process exe
-      [| exe; "serve"; "--socket"; socket; "--cache-dir";
-         Filename.concat dir "cache" |]
+      (Array.of_list
+         ([ exe; "serve"; "--socket"; socket; "--cache-dir";
+            Filename.concat dir "cache" ]
+          @ args))
       devnull devnull devnull
   in
   Unix.close devnull;
@@ -1347,182 +1351,218 @@ let test_socket_e2e () =
       try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
     (fun () ->
       await_file socket;
-      let t = Client.connect socket in
-      check_string "handshake" "ok"
-        (response_code
-           (Option.get (Client.request t {|{"v":1,"op":"hello"}|})));
-      (* a malformed request neither kills the daemon nor the connection *)
-      check_string "malformed request on a live connection" "proto"
-        (response_code (Option.get (Client.request t "garbage")));
-      check_string "the same connection still works" "ok"
-        (response_code
-           (Option.get
-              (Client.request t
-                 (analyze_request (edit_source 3)
-                    ~extra:[ ("annotations", J.Str edit_annotations) ]))));
-      Client.close t;
-      check_string "shutdown request" "ok"
-        (response_code
-           (Option.get (Client.one_shot ~socket {|{"v":1,"op":"shutdown"}|})));
-      (match Unix.waitpid [] pid with
-       | _, Unix.WEXITED 0 -> ()
-       | _ -> Alcotest.fail "daemon did not exit cleanly");
-      check_bool "socket file was removed" false (Sys.file_exists socket))
+      f socket pid)
+
+(* a shutdown request, then the daemon must exit 0 *)
+let shutdown_daemon socket pid =
+  check_string "shutdown request" "ok"
+    (response_code
+       (Option.get (Client.one_shot ~socket {|{"v":1,"op":"shutdown"}|})));
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not exit cleanly"
+
+let test_socket_e2e () =
+  with_daemon (tmp_dir "serve-e2e") @@ fun socket pid ->
+  let t = Client.connect socket in
+  check_string "handshake" "ok"
+    (response_code
+       (Option.get (Client.request t {|{"v":1,"op":"hello"}|})));
+  (* a malformed request neither kills the daemon nor the connection *)
+  check_string "malformed request on a live connection" "proto"
+    (response_code (Option.get (Client.request t "garbage")));
+  check_string "the same connection still works" "ok"
+    (response_code
+       (Option.get
+          (Client.request t
+             (analyze_request (edit_source 3)
+                ~extra:[ ("annotations", J.Str edit_annotations) ]))));
+  Client.close t;
+  shutdown_daemon socket pid;
+  check_bool "socket file was removed" false (Sys.file_exists socket)
+
+let write_string fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* the request cap [cinderella serve] runs with *)
+let max_request_bytes = 16 * 1024 * 1024
+
+(* requests are framed on newlines however their bytes arrive: lines that
+   end mid-read or span reads, and a partial line past the cap *)
+let test_socket_framing () =
+  with_daemon (tmp_dir "serve-framing") @@ fun socket pid ->
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    (* a daemon that never answers fails the test instead of hanging it *)
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+    (fd, Unix.in_channel_of_descr fd)
+  in
+  let hello = {|{"v":1,"op":"hello"}|} in
+  let request =
+    analyze_request (edit_source 4)
+      ~extra:[ ("annotations", J.Str edit_annotations) ]
+  in
+  let report response =
+    match J.parse response with
+    | Ok j -> J.to_string (Option.get (J.member "report" j))
+    | Error m -> Alcotest.failf "unparsable response %s: %s" response m
+  in
+  let whole = Option.get (Client.one_shot ~socket request) in
+  check_string "a request written whole" "ok" (response_code whole);
+  (* two requests in 7-byte pieces, with a pause after each so the
+     daemon reads them one by one *)
+  let fd, ic = connect () in
+  let bytes = hello ^ "\n" ^ request ^ "\n" in
+  let rec send off =
+    if off < String.length bytes then begin
+      write_string fd
+        (String.sub bytes off (min 7 (String.length bytes - off)));
+      ignore (Unix.select [] [] [] 0.001);
+      send (off + 7)
+    end
+  in
+  send 0;
+  check_string "a hello written in pieces" "ok"
+    (response_code (input_line ic));
+  check_string "a request written in pieces parses as one written whole"
+    (report whole) (report (input_line ic));
+  close_in ic;
+  (* one byte past the cap and no newline: refused, connection closed *)
+  let fd, ic = connect () in
+  write_string fd (String.make (max_request_bytes + 1) 'x');
+  let refusal = input_line ic in
+  check_string "an over-cap request" "proto" (response_code refusal);
+  check_bool "the refusal names the cap" true
+    (contains refusal
+       (Printf.sprintf "request exceeds %d bytes" max_request_bytes));
+  check_bool "the daemon closes the connection" true
+    (match input_line ic with _ -> false | exception End_of_file -> true);
+  close_in ic;
+  check_string "a fresh connection still gets hello" "ok"
+    (response_code (Option.get (Client.one_shot ~socket hello)));
+  shutdown_daemon socket pid
 
 (* one daemon session, the same source under both machine models: the
    bounds differ, each machine's warm run is served from its own cache
    entries, and neither machine's cold run ever hits the other's *)
 let test_socket_both_machines () =
-  let exe =
-    Filename.concat (Filename.dirname Sys.executable_name)
-      "../bin/cinderella.exe"
-  in
-  let dir = tmp_dir "serve-two-machines" in
-  let socket = Filename.concat dir "serve.sock" in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let pid =
-    Unix.create_process exe
-      [| exe; "serve"; "--socket"; socket; "--cache-dir";
-         Filename.concat dir "cache" |]
-      devnull devnull devnull
-  in
-  Unix.close devnull;
-  Fun.protect
-    ~finally:(fun () ->
-      try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-    (fun () ->
-      await_file socket;
-      let t = Client.connect socket in
-      let analyze label mach =
-        let response =
-          Option.get
-            (Client.request t
-               (analyze_request (edit_source 3)
-                  ~extra:
-                    [ ("mach", J.Str mach);
-                      ("annotations", J.Str edit_annotations) ]))
-        in
-        check_string (label ^ " analyze succeeds") "ok"
-          (response_code response);
-        match J.parse response with
-        | Ok j ->
-          let stat name =
-            Option.get
-              (Option.bind
-                 (Option.bind (J.member "stats" j) (J.member name))
-                 J.to_int)
-          in
-          ( Option.get (J.member "report" j),
-            stat "units_cached",
-            stat "units_solved" )
-        | Error _ -> Alcotest.failf "unparsable %s response" label
+  with_daemon (tmp_dir "serve-two-machines") @@ fun socket pid ->
+  let t = Client.connect socket in
+  let analyze label mach =
+    let response =
+      Option.get
+        (Client.request t
+           (analyze_request (edit_source 3)
+              ~extra:
+                [ ("mach", J.Str mach);
+                  ("annotations", J.Str edit_annotations) ]))
+    in
+    check_string (label ^ " analyze succeeds") "ok"
+      (response_code response);
+    match J.parse response with
+    | Ok j ->
+      let stat name =
+        Option.get
+          (Option.bind
+             (Option.bind (J.member "stats" j) (J.member name))
+             J.to_int)
       in
-      let e32_cold, e32_cold_hits, _ = analyze "e32 cold" "e32" in
-      let m7_cold, m7_cold_hits, m7_cold_solved = analyze "m7 cold" "m7" in
-      check_bool "the two machines bound the program differently" true
-        (bounds_of_report e32_cold <> bounds_of_report m7_cold);
-      check_int "e32 cold run hits nothing" 0 e32_cold_hits;
-      check_int "m7 cold run never hits the e32 entries" 0 m7_cold_hits;
-      check_bool "m7 cold run solves its own units" true (m7_cold_solved > 0);
-      let e32_warm, e32_warm_hits, e32_warm_solved =
-        analyze "e32 warm" "e32"
-      in
-      let m7_warm, m7_warm_hits, m7_warm_solved = analyze "m7 warm" "m7" in
-      check_string "e32 warm report is byte-identical"
-        (J.to_string e32_cold) (J.to_string e32_warm);
-      check_string "m7 warm report is byte-identical"
-        (J.to_string m7_cold) (J.to_string m7_warm);
-      check_bool "e32 warm run is served from its own entries" true
-        (e32_warm_hits > 0 && e32_warm_solved = 0);
-      check_bool "m7 warm run is served from its own entries" true
-        (m7_warm_hits > 0 && m7_warm_solved = 0);
-      (* an unknown machine id is a protocol error, not a crash *)
-      check_string "unknown machine id" "proto"
-        (response_code
-           (Option.get
-              (Client.request t
-                 (analyze_request (edit_source 3)
-                    ~extra:
-                      [ ("mach", J.Str "z80");
-                        ("annotations", J.Str edit_annotations) ]))));
-      Client.close t;
-      check_string "shutdown request" "ok"
-        (response_code
-           (Option.get (Client.one_shot ~socket {|{"v":1,"op":"shutdown"}|})));
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "daemon did not exit cleanly")
+      ( Option.get (J.member "report" j),
+        stat "units_cached",
+        stat "units_solved" )
+    | Error _ -> Alcotest.failf "unparsable %s response" label
+  in
+  let e32_cold, e32_cold_hits, _ = analyze "e32 cold" "e32" in
+  let m7_cold, m7_cold_hits, m7_cold_solved = analyze "m7 cold" "m7" in
+  check_bool "the two machines bound the program differently" true
+    (bounds_of_report e32_cold <> bounds_of_report m7_cold);
+  check_int "e32 cold run hits nothing" 0 e32_cold_hits;
+  check_int "m7 cold run never hits the e32 entries" 0 m7_cold_hits;
+  check_bool "m7 cold run solves its own units" true (m7_cold_solved > 0);
+  let e32_warm, e32_warm_hits, e32_warm_solved =
+    analyze "e32 warm" "e32"
+  in
+  let m7_warm, m7_warm_hits, m7_warm_solved = analyze "m7 warm" "m7" in
+  check_string "e32 warm report is byte-identical"
+    (J.to_string e32_cold) (J.to_string e32_warm);
+  check_string "m7 warm report is byte-identical"
+    (J.to_string m7_cold) (J.to_string m7_warm);
+  check_bool "e32 warm run is served from its own entries" true
+    (e32_warm_hits > 0 && e32_warm_solved = 0);
+  check_bool "m7 warm run is served from its own entries" true
+    (m7_warm_hits > 0 && m7_warm_solved = 0);
+  (* an unknown machine id is a protocol error, not a crash *)
+  check_string "unknown machine id" "proto"
+    (response_code
+       (Option.get
+          (Client.request t
+             (analyze_request (edit_source 3)
+                ~extra:
+                  [ ("mach", J.Str "z80");
+                    ("annotations", J.Str edit_annotations) ]))));
+  Client.close t;
+  shutdown_daemon socket pid
 
 (* graceful SIGTERM must flush every sink: trace-out, metrics-out, the
    access log and the flight-recorder dump *)
 let test_sigterm_flush () =
-  let exe =
-    Filename.concat (Filename.dirname Sys.executable_name)
-      "../bin/cinderella.exe"
-  in
   let dir = tmp_dir "serve-sigterm" in
-  let socket = Filename.concat dir "serve.sock" in
   let trace_out = Filename.concat dir "trace.json" in
   let metrics_out = Filename.concat dir "metrics.json" in
   let access = Filename.concat dir "access.jsonl" in
   let flight = Filename.concat dir "flight.jsonl" in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let pid =
-    Unix.create_process exe
-      [| exe; "serve"; "--socket"; socket; "--cache-dir";
-         Filename.concat dir "cache"; "--trace-out"; trace_out;
-         "--metrics-out"; metrics_out; "--access-log"; access;
-         "--flight-dump"; flight |]
-      devnull devnull devnull
+  with_daemon dir
+    ~args:
+      [ "--trace-out"; trace_out; "--metrics-out"; metrics_out;
+        "--access-log"; access; "--flight-dump"; flight ]
+  @@ fun socket pid ->
+  let response =
+    Option.get
+      (Client.one_shot ~socket
+         (analyze_request (edit_source 3)
+            ~extra:
+              [ ("trace", J.Str "sig-1");
+                ("annotations", J.Str edit_annotations) ]))
   in
-  Unix.close devnull;
-  Fun.protect
-    ~finally:(fun () ->
-      try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-    (fun () ->
-      await_file socket;
-      let response =
-        Option.get
-          (Client.one_shot ~socket
-             (analyze_request (edit_source 3)
-                ~extra:
-                  [ ("trace", J.Str "sig-1");
-                    ("annotations", J.Str edit_annotations) ]))
-      in
-      check_string "analyze over the socket" "ok" (response_code response);
-      check_bool "daemon echoes the trace id" true
-        (trace_of response = Some "sig-1");
-      Unix.kill pid Sys.sigterm;
-      (match Unix.waitpid [] pid with
-       | _, Unix.WEXITED 0 -> ()
-       | _ -> Alcotest.fail "daemon did not exit cleanly on SIGTERM");
-      check_bool "socket file was removed" false (Sys.file_exists socket);
-      (* every sink must exist and parse *)
-      let jsonl_ids path =
-        read_file path |> String.split_on_char '\n'
-        |> List.filter (fun l -> l <> "")
-        |> List.map (fun l ->
-               match J.parse l with
-               | Ok j -> Option.bind (J.member "id" j) J.to_str
-               | Error m ->
-                 Alcotest.failf "unparsable line in %s: %s" path m)
-      in
-      check_bool "access log recorded the request" true
-        (List.mem (Some "sig-1") (jsonl_ids access));
-      check_bool "flight dump recorded the request" true
-        (List.mem (Some "sig-1") (jsonl_ids flight));
-      (match J.parse (read_file metrics_out) with
-       | Ok j ->
-         check_bool "metrics-out is a versioned document" true
-           (J.member "version" j = Some (J.Int 1))
-       | Error m -> Alcotest.failf "unparsable metrics-out: %s" m);
-      match J.parse (read_file trace_out) with
-      | Ok j ->
-        check_bool "trace-out holds trace events" true
-          (match J.member "traceEvents" j with
-           | Some (J.List _) -> true
-           | _ -> false)
-      | Error m -> Alcotest.failf "unparsable trace-out: %s" m)
+  check_string "analyze over the socket" "ok" (response_code response);
+  check_bool "daemon echoes the trace id" true
+    (trace_of response = Some "sig-1");
+  Unix.kill pid Sys.sigterm;
+  (match Unix.waitpid [] pid with
+   | _, Unix.WEXITED 0 -> ()
+   | _ -> Alcotest.fail "daemon did not exit cleanly on SIGTERM");
+  check_bool "socket file was removed" false (Sys.file_exists socket);
+  (* every sink must exist and parse *)
+  let jsonl_ids path =
+    read_file path |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match J.parse l with
+           | Ok j -> Option.bind (J.member "id" j) J.to_str
+           | Error m ->
+             Alcotest.failf "unparsable line in %s: %s" path m)
+  in
+  check_bool "access log recorded the request" true
+    (List.mem (Some "sig-1") (jsonl_ids access));
+  check_bool "flight dump recorded the request" true
+    (List.mem (Some "sig-1") (jsonl_ids flight));
+  (match J.parse (read_file metrics_out) with
+   | Ok j ->
+     check_bool "metrics-out is a versioned document" true
+       (J.member "version" j = Some (J.Int 1))
+   | Error m -> Alcotest.failf "unparsable metrics-out: %s" m);
+  match J.parse (read_file trace_out) with
+  | Ok j ->
+    check_bool "trace-out holds trace events" true
+      (match J.member "traceEvents" j with
+       | Some (J.List _) -> true
+       | _ -> false)
+  | Error m -> Alcotest.failf "unparsable trace-out: %s" m
 
 let suite =
   [ Alcotest.test_case "json: compound round trip" `Quick test_json_roundtrip;
@@ -1585,4 +1625,6 @@ let suite =
       `Quick test_protocol_bad_geometry;
     Alcotest.test_case
       "certificates: a 2000-digit bound in a cached certificate heals" `Quick
-      test_cert_long_bound_heals ]
+      test_cert_long_bound_heals;
+    Alcotest.test_case "daemon: requests framed however their bytes arrive"
+      `Quick test_socket_framing ]
