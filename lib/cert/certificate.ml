@@ -30,15 +30,16 @@ let rel_tag = function
   | Lp_problem.Ge -> ">=0"
   | Lp_problem.Eq -> "=0"
 
-let digest_problem (p : Lp_problem.t) =
-  let buf = Buffer.create 4096 in
+let add_head buf direction objective =
   Buffer.add_string buf "ipet-cert problem v1\n";
   Buffer.add_string buf
-    (match p.Lp_problem.direction with
+    (match direction with
      | Lp_problem.Maximize -> "maximize "
      | Lp_problem.Minimize -> "minimize ");
-  add_expr buf p.Lp_problem.objective;
-  Buffer.add_char buf '\n';
+  add_expr buf objective;
+  Buffer.add_char buf '\n'
+
+let add_rows buf constraints =
   List.iter
     (fun (c : Lp_problem.constr) ->
       add_expr buf c.Lp_problem.expr;
@@ -47,8 +48,25 @@ let digest_problem (p : Lp_problem.t) =
       Buffer.add_char buf ' ';
       Buffer.add_string buf c.Lp_problem.origin;
       Buffer.add_char buf '\n')
-    p.Lp_problem.constraints;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+    constraints
+
+let text write =
+  let buf = Buffer.create 4096 in
+  write buf;
+  Buffer.contents buf
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let digest_problem (p : Lp_problem.t) =
+  md5
+    (text (fun buf ->
+         add_head buf p.Lp_problem.direction p.Lp_problem.objective;
+         add_rows buf p.Lp_problem.constraints))
+
+let rows_text constraints = text (fun buf -> add_rows buf constraints)
+
+let digest_rows direction objective ~rows =
+  md5 (text (fun buf -> add_head buf direction objective) ^ rows)
 
 let witness_of_assignment assignment =
   List.filter (fun (_, v) -> not (Rat.is_zero v)) assignment

@@ -35,7 +35,21 @@ val digest_problem : Lp_problem.t -> string
 (** Canonical digest of direction, objective, and every constraint
     (coefficients, relation, origin) — computed from the problem
     representation only, so producer and checker agree on what exactly
-    is being certified. *)
+    is being certified. The digested text is a head line
+    ([ipet-cert problem v1]), a line with the direction and the
+    objective, and then {!rows_text} of the constraints. *)
+
+val rows_text : Lp_problem.constr list -> string
+(** The constraints' part of the digested text: one line per constraint,
+    its terms in variable order, constant, relation and origin. It does
+    not depend on the direction or the objective, so one rendering
+    serves both of a constraint set's problems. *)
+
+val digest_rows :
+  Lp_problem.direction -> Linexpr.t -> rows:string -> string
+(** [digest_rows direction objective ~rows:(rows_text cs)] is
+    [digest_problem (Lp_problem.make direction objective cs)], rendering
+    only the head and the objective. *)
 
 val witness_of_assignment : (string * Rat.t) list -> (string * Rat.t) list
 (** Drop zeros, sort by name: the canonical witness form stored in a

@@ -17,7 +17,7 @@ let implied_bound (problem : Lp_problem.t) duals =
     problem.Lp_problem.constraints
   |> fst
 
-let emit ?root_duals (problem : Lp_problem.t) ~witness ~bound =
+let emit ?root_duals ?view (problem : Lp_problem.t) ~witness ~bound =
   let package duals ~dual_bound ~pivots ~source =
     { cert =
         { Certificate.direction = problem.Lp_problem.direction;
@@ -25,7 +25,12 @@ let emit ?root_duals (problem : Lp_problem.t) ~witness ~bound =
           dual_bound;
           duals;
           witness = Certificate.witness_of_assignment witness;
-          digest = Certificate.digest_problem problem };
+          digest =
+            (match view with
+             | Some v ->
+               Checker.digest v problem.Lp_problem.direction
+                 problem.Lp_problem.objective
+             | None -> Certificate.digest_problem problem) };
       pivots;
       source }
   in

@@ -44,6 +44,7 @@ type emitted = {
 
 val emit :
   ?root_duals:Rat.t array ->
+  ?view:Checker.view ->
   Lp_problem.t ->
   witness:(string * Rat.t) list ->
   bound:Rat.t ->
@@ -53,7 +54,10 @@ val emit :
     given, are multipliers on [problem]'s constraints from the solve that
     found [bound] ({!Ipet_lp.Ilp.stats}'s [root_duals]); they are used as
     they are when they imply exactly [bound], and the LP is re-solved
-    otherwise. Fails when the re-solved LP relaxation is infeasible or
+    otherwise. [view], when given, must be {!Checker.view} of [problem]'s
+    constraints; the digest is then {!Checker.digest}'s, which renders
+    and hashes the rows once for every certificate emitted or checked on
+    that view. Fails when the re-solved LP relaxation is infeasible or
     unbounded — neither can happen for a problem whose ILP was solved to
     optimality. The certificate is a pure function of the arguments. *)
 

@@ -274,36 +274,17 @@ let extreme_of_witness insts (problem : Lp.t) ~bound witness =
     counts = block_counts insts env;
     binding = binding_constraints problem.Lp.constraints env }
 
-(* Certify the winning bound: the root relaxation's row prices, lifted
-   through presolve, are the dual multipliers for the original constraint
-   set when they prove exactly the bound; otherwise one cold solve of the
-   un-presolved LP recovers them (Certify). Then the
-   trusted checker validates the whole package. Production failure is an
-   analysis error — the ILP was just solved to optimality, so its LP
-   relaxation cannot be infeasible or unbounded — while a rejected
-   certificate is carried in the result for the caller to surface. *)
-let certify_extreme ~dir_label problem value assignment root_duals =
-  let produced, emit_seconds =
-    Obs.timed (fun () ->
-        Ipet_cert.Certify.emit ?root_duals:(Lazy.force root_duals) problem
-          ~witness:assignment ~bound:value)
-  in
-  match produced with
-  | Error e -> fail "certificate production failed (%s): %s" dir_label e
-  | Ok { Ipet_cert.Certify.cert; pivots; source } ->
-    let verdict, check_seconds =
-      Obs.timed (fun () -> Ipet_cert.Checker.check problem cert)
-    in
-    { cert; verdict; emit_seconds; emit_pivots = pivots; emit_source = source;
-      check_seconds }
-
 (* A unit's ILPs: each conjunctive set's constraints, built once, and
    the two objectives. A set's presolve fixpoint is computed by the first
    direction that solves the set and shared by the other; it records what
-   the dual lift reads ([true]) only when a certificate needs it *)
+   the dual lift reads ([true]) only when a certificate needs it. So is
+   the checker's view of the set's rows: the first certificate emitted
+   or checked on the set builds it, and every later one, in either
+   direction, digests and checks there *)
 type constraint_set = {
   constraints : Lp.constr list;
   mutable fixpoint : (bool * Ipet_lp.Presolve.fixpoint) option;
+  mutable view : Ipet_cert.Checker.view option;
 }
 
 let set_fixpoint set ~lift =
@@ -314,6 +295,14 @@ let set_fixpoint set ~lift =
     set.fixpoint <- Some (lift, fp);
     fp
 
+let set_view set =
+  match set.view with
+  | Some v -> v
+  | None ->
+    let v = Ipet_cert.Checker.view set.constraints in
+    set.view <- Some v;
+    v
+
 type system = {
   sets : constraint_set list;
   wcet_objective : L.t;
@@ -323,7 +312,7 @@ type system = {
 let system ~wcet ~bcet sets =
   { sets =
       List.map
-        (fun constraints -> { constraints; fixpoint = None })
+        (fun constraints -> { constraints; fixpoint = None; view = None })
         sets;
     wcet_objective = wcet;
     bcet_objective = bcet }
@@ -335,6 +324,47 @@ let system_objective system = function
 let system_problems system direction =
   let obj = system_objective system direction in
   List.map (fun set -> Lp.make direction obj set.constraints) system.sets
+
+(* Certify the winning bound: the root relaxation's row prices, lifted
+   through presolve, are the dual multipliers for the original constraint
+   set when they prove exactly the bound; otherwise one cold solve of the
+   un-presolved LP recovers them (Certify). Then the trusted checker
+   validates the whole package on the set's view, which the first emit
+   builds and pays for. Production failure is an analysis error — the ILP
+   was just solved to optimality, so its LP relaxation cannot be
+   infeasible or unbounded — while a rejected certificate is carried in
+   the result for the caller to surface. *)
+let certify_extreme ~dir_label set problem value assignment root_duals =
+  let produced, emit_seconds =
+    Obs.timed (fun () ->
+        Ipet_cert.Certify.emit ?root_duals:(Lazy.force root_duals)
+          ~view:(set_view set) problem ~witness:assignment ~bound:value)
+  in
+  match produced with
+  | Error e -> fail "certificate production failed (%s): %s" dir_label e
+  | Ok { Ipet_cert.Certify.cert; pivots; source } ->
+    let verdict, check_seconds =
+      Obs.timed (fun () ->
+          Ipet_cert.Checker.check_view (set_view set)
+            problem.Lp.direction problem.Lp.objective cert)
+    in
+    { cert; verdict; emit_seconds; emit_pivots = pivots; emit_source = source;
+      check_seconds }
+
+let check_stored system direction (cert : Ipet_cert.Certificate.t) =
+  let objective = system_objective system direction in
+  List.find_map
+    (fun set ->
+      let view = set_view set in
+      if
+        String.equal cert.Ipet_cert.Certificate.digest
+          (Ipet_cert.Checker.digest view direction objective)
+      then
+        Some
+          ( Lp.make direction objective set.constraints,
+            Ipet_cert.Checker.check_view view direction objective cert )
+      else None)
+    system.sets
 
 let solve_extreme ?(certify = false) spec insts system direction =
   (match system.sets with [] -> fail "no constraint set to solve" | _ :: _ -> ());
@@ -376,7 +406,7 @@ let solve_extreme ?(certify = false) spec insts system direction =
   let solve_set i set =
     let problem = Lp.make direction objective set.constraints in
     let solve () =
-      ( problem,
+      ( (set, problem),
         if spec.presolve then
           Ilp.solve_presolved
             (Ipet_lp.Presolve.emit (set_fixpoint set ~lift:certify) direction
@@ -394,7 +424,7 @@ let solve_extreme ?(certify = false) spec insts system direction =
   in
   let results = List.mapi solve_set system.sets in
   List.iter
-    (fun (problem, result) ->
+    (fun ((set, problem), result) ->
       incr solved;
       match result with
       | Ilp.Optimal { value; assignment; stats } ->
@@ -405,9 +435,9 @@ let solve_extreme ?(certify = false) spec insts system direction =
         record_presolve problem stats;
         if not stats.Ilp.first_lp_integral then all_first := false;
         (match !best with
-         | Some (v, _, _, _) when not (better value v) -> ()
+         | Some (v, _, _, _, _) when not (better value v) -> ()
          | Some _ | None ->
-           best := Some (value, assignment, problem, stats.Ilp.root_duals))
+           best := Some (value, assignment, set, problem, stats.Ilp.root_duals))
       | Ilp.Infeasible stats ->
         lp_calls := !lp_calls + stats.Ilp.lp_calls;
         nodes := !nodes + stats.Ilp.nodes;
@@ -423,10 +453,10 @@ let solve_extreme ?(certify = false) spec insts system direction =
     results;
   match !best with
   | None -> fail "every functionality constraint set is infeasible"
-  | Some (value, assignment, problem, root_duals) ->
+  | Some (value, assignment, set, problem, root_duals) ->
     let certificate =
       if certify then
-        Some (certify_extreme ~dir_label problem value assignment root_duals)
+        Some (certify_extreme ~dir_label set problem value assignment root_duals)
       else None
     in
     let stats =

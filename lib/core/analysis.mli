@@ -109,12 +109,15 @@ type certificate = {
       (** the trusted checker's validation, run eagerly at production *)
   emit_seconds : float;
       (** certificate production time: packaging the lifted root prices,
-          or one un-presolved LP solve when they do not prove the bound *)
+          or one un-presolved LP solve when they do not prove the bound.
+          The first certificate of a constraint set also pays for the
+          set's checker view ({!system}) *)
   emit_pivots : int;     (** simplex pivots of that solve; 0 when lifted *)
   emit_source : Ipet_cert.Certify.source;
       (** where the duals came from: the lifted root prices, or the cold
           re-solve when they do not prove the bound *)
-  check_seconds : float; (** trusted-checker validation time *)
+  check_seconds : float;
+      (** trusted-checker validation time, on the set's view *)
 }
 
 type result = {
@@ -180,7 +183,11 @@ type system
     constraint set, and the WCET and BCET objectives. Each set is
     presolved at most once, by the first direction {!solve_extreme}
     solves, and both directions emit their reduced problems from that
-    fixpoint ({!Ipet_lp.Presolve.emit}). *)
+    fixpoint ({!Ipet_lp.Presolve.emit}). Likewise each set has at most
+    one {!Ipet_cert.Checker.view}, built by the first certificate
+    emitted or checked on it: both directions' certificates of the set,
+    fresh or stored, take their digests from it and are checked on
+    it. *)
 
 val system :
   wcet:Ipet_lp.Linexpr.t -> bcet:Ipet_lp.Linexpr.t ->
@@ -191,6 +198,17 @@ val system :
 val system_problems :
   system -> Ipet_lp.Lp_problem.direction -> Ipet_lp.Lp_problem.t list
 (** One direction's complete ILPs, one per constraint set, in set order. *)
+
+val check_stored :
+  system ->
+  Ipet_lp.Lp_problem.direction ->
+  Ipet_cert.Certificate.t ->
+  (Ipet_lp.Lp_problem.t * Ipet_cert.Checker.verdict) option
+(** [check_stored system direction cert]: the first set whose problem in
+    [direction] has the digest [cert] names, as that problem and the
+    trusted checker's verdict on [cert] there; [None] when no set's
+    digest matches. Digest and check are read off the set's view, so a
+    stored WCET and BCET certificate of one set render its rows once. *)
 
 val program_system : spec -> Structural.instance list * system
 (** The instances and the system whose problems are {!wcet_problems} and

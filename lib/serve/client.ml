@@ -1,4 +1,12 @@
-type t = { fd : Unix.file_descr; buf : Buffer.t }
+(* [chunk.[pos, len)] is read but not yet returned; [buf] holds the start
+   of a line that spans reads *)
+type t = {
+  fd : Unix.file_descr;
+  buf : Buffer.t;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+}
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -7,7 +15,7 @@ let connect path =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; buf = Buffer.create 256 }
+  { fd; buf = Buffer.create 256; chunk = Bytes.create 65536; pos = 0; len = 0 }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -19,27 +27,40 @@ let send_line t line =
   in
   go 0
 
+(* only the bytes not scanned before are scanned, and a line is copied
+   out once, when its newline arrives *)
 let recv_line t =
-  let chunk = Bytes.create 65536 in
-  let rec take () =
-    let content = Buffer.contents t.buf in
-    match String.index_opt content '\n' with
-    | Some nl ->
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf content (nl + 1)
-        (String.length content - nl - 1);
-      Some (String.sub content 0 nl)
-    | None ->
-      (match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-       | 0 ->
-         Buffer.clear t.buf;
-         if content = "" then None else Some content
-       | n ->
-         Buffer.add_subbytes t.buf chunk 0 n;
-         take ()
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ())
+  let rec scan i =
+    if i = t.len then begin
+      Buffer.add_subbytes t.buf t.chunk t.pos (t.len - t.pos);
+      t.pos <- 0;
+      t.len <- 0;
+      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+      | 0 ->
+        let rest = Buffer.contents t.buf in
+        Buffer.clear t.buf;
+        if rest = "" then None else Some rest
+      | n ->
+        t.len <- n;
+        scan 0
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> scan 0
+    end
+    else if Bytes.get t.chunk i <> '\n' then scan (i + 1)
+    else begin
+      let line =
+        if Buffer.length t.buf = 0 then Bytes.sub_string t.chunk t.pos (i - t.pos)
+        else begin
+          Buffer.add_subbytes t.buf t.chunk t.pos (i - t.pos);
+          let line = Buffer.contents t.buf in
+          Buffer.clear t.buf;
+          line
+        end
+      in
+      t.pos <- i + 1;
+      Some line
+    end
   in
-  take ()
+  scan t.pos
 
 let request t line =
   send_line t line;

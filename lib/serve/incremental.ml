@@ -78,28 +78,19 @@ let record_check ~counter verdict =
   end;
   verdict
 
-(* a stored certificate is checked against the problem whose digest it
-   names (a lone problem is handed to the checker directly, which compares
-   the digest itself); the result is that problem *)
-let validate ~counter problems (cert : (Cert.t, string) result) =
+(* a stored certificate is checked against the set whose digest it
+   names, on that set's view, which the unit's other certificate shares;
+   the result is that set's problem *)
+let validate ~counter system direction (cert : (Cert.t, string) result) =
   record_check ~counter
     (match cert with
      | Error m -> Error m
      | Ok cert ->
-       let named =
-         match problems with
-         | [ p ] -> Some p
-         | ps ->
-           List.find_opt
-             (fun p -> String.equal (Cert.digest_problem p) cert.Cert.digest)
-             ps
-       in
-       (match named with
+       (match A.check_stored system direction cert with
         | None -> Error "the digest names no problem of this request"
-        | Some p ->
-          (match Checker.check p cert with
-           | Checker.Valid _ -> Ok (p, cert)
-           | Checker.Invalid reasons -> Error (String.concat "; " reasons))))
+        | Some (p, Checker.Valid _) -> Ok (p, cert)
+        | Some (_, Checker.Invalid reasons) ->
+          Error (String.concat "; " reasons)))
 
 (* --- the unit loop --------------------------------------------------------- *)
 
@@ -138,12 +129,11 @@ let run_unit ~cache ~counter ~deadline spec (w : work) =
     match Option.bind entry entry_of_json with
     | None -> None
     | Some (wcet, bcet) ->
-      let check problems j =
-        Result.to_option (validate ~counter problems (Cert.of_json j))
+      let check direction j =
+        Result.to_option (validate ~counter w.system direction (Cert.of_json j))
       in
-      let problems = A.system_problems w.system in
-      Option.bind (check (problems Lp.Maximize) wcet) (fun wv ->
-          Option.map (fun bv -> (wv, bv)) (check (problems Lp.Minimize) bcet))
+      Option.bind (check Lp.Maximize wcet) (fun wv ->
+          Option.map (fun bv -> (wv, bv)) (check Lp.Minimize bcet))
   in
   if Option.is_some entry && Option.is_none stored then
     Option.iter (fun c -> Cache.remove c w.key) cache;

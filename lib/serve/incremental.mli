@@ -34,8 +34,10 @@
       surviving constraint set ({!Ipet.Analysis.program_system}).
 
     Both kinds run through one loop: read the cache entry, validate each
-    stored certificate against the problem whose digest it names, solve
-    when either fails, and write the entry back. An entry is nothing but
+    stored certificate against the problem whose digest it names, on
+    that set's checker view, which the entry's two certificates share
+    ({!Ipet.Analysis.check_stored}), solve when either fails, and write
+    the entry back. An entry is nothing but
     its schema and the two certificates, [{"schema":6,"wcet":C,"bcet":C}]
     with each [C] a {!Ipet_cert.Certificate.to_json} object, decoded by
     {!Ipet_cert.Certificate.of_json}. A cached unit's cycles, witness

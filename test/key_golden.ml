@@ -1,12 +1,14 @@
-(* Prints the cache keys and certificate digests of the 13 suite
-   programs on e32 and m7: every per-function unit key as
-   [Incremental.analyze] reports it (functionality constraints dropped,
-   so each program decomposes into function units), the WCET and BCET
-   certificate digests of [Analysis.analyze ~certify:true], and the
+(* Prints the cache keys and certificates of the 13 suite programs on
+   e32 and m7: every per-function unit key as [Incremental.analyze]
+   reports it (functionality constraints dropped, so each program
+   decomposes into function units); for the WCET and BCET certificates of
+   [Analysis.analyze ~certify:true], the problem digest, the MD5 of the
+   whole certificate's JSON encoding and the checker's verdict; and the
    program-unit key of check_data with its functionality constraints.
-   A key that changes turns every cached entry into a miss, so [dune
-   runtest] diffs the output against [golden/keys.txt]; after a reviewed
-   change, [dune promote] accepts the new output. *)
+   A key that changes turns every cached entry into a miss, and a
+   certificate that changes is a different proof, so [dune runtest]
+   diffs the output against [golden/keys.txt]; after a reviewed change,
+   [dune promote] accepts the new output. *)
 
 module A = Ipet.Analysis
 module J = Ipet_obs.Json
@@ -27,9 +29,14 @@ let unit_keys spec =
       units
   | _ -> failwith "report without units"
 
-let digest what = function
+let certificate what = function
   | Some (c : A.certificate) ->
-    Printf.printf "%s digest %s\n" what c.A.cert.Ipet_cert.Certificate.digest
+    let cert = c.A.cert in
+    Printf.printf "%s digest %s\n" what cert.Ipet_cert.Certificate.digest;
+    Printf.printf "%s certificate %s %s\n" what
+      (Digest.to_hex
+         (Digest.string (J.to_string (Ipet_cert.Certificate.to_json cert))))
+      (Format.asprintf "%a" (Ipet_cert.Checker.pp_verdict cert) c.A.verdict)
   | None -> failwith "no certificate"
 
 let () =
@@ -41,8 +48,8 @@ let () =
           let spec = Bspec.spec ~mach b in
           unit_keys { spec with A.functional = [] };
           let r = A.analyze ~certify:true spec in
-          digest "wcet" r.A.wcet_cert;
-          digest "bcet" r.A.bcet_cert)
+          certificate "wcet" r.A.wcet_cert;
+          certificate "bcet" r.A.bcet_cert)
         Ipet_suite.Suite.all)
     [ Machine.e32; Machine.m7 ];
   print_endline "=== check_data e32 program unit ===";

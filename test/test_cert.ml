@@ -656,6 +656,134 @@ let prop_sized_lifted =
     ~name:"sized generated programs certify from the lifted root prices"
     ~count:10 (Ipet_fuzz.Gen.case_sized ~stmt_budget:40)
 
+(* --- one view per constraint set ---------------------------------------- *)
+
+let verdict_text = function
+  | Checker.Valid { gap } -> "valid, gap " ^ Rat.to_string gap
+  | Checker.Invalid rs -> "invalid: " ^ String.concat " | " rs
+
+(* [cert] with one part changed: a nonzero dual's sign, a witness entry
+   (+1), the bound (+1), the dual bound (+1) or one digest byte; [None]
+   when the certificate has no such part to change *)
+let mutations ~pick (c : Cert.t) =
+  let nth_nonzero =
+    List.filter (fun i -> not (Rat.is_zero c.Cert.duals.(i)))
+      (List.init (Array.length c.Cert.duals) Fun.id)
+  in
+  let flipped =
+    match nth_nonzero with
+    | [] -> None
+    | l ->
+      let k = List.nth l (pick mod List.length l) in
+      let d = Array.copy c.Cert.duals in
+      d.(k) <- Rat.neg d.(k);
+      Some { c with Cert.duals = d }
+  in
+  let bumped =
+    match c.Cert.witness with
+    | [] -> None
+    | w ->
+      let k = pick mod List.length w in
+      Some
+        { c with
+          Cert.witness =
+            List.mapi
+              (fun i (v, x) -> if i = k then (v, Rat.add x Rat.one) else (v, x))
+              w }
+  in
+  let digest =
+    let b = Bytes.of_string c.Cert.digest in
+    let k = pick mod Bytes.length b in
+    Bytes.set b k (if Bytes.get b k = '0' then '1' else '0');
+    { c with Cert.digest = Bytes.to_string b }
+  in
+  List.filter_map Fun.id
+    [ flipped; bumped;
+      Some { c with Cert.bound = Rat.add c.Cert.bound Rat.one };
+      Some { c with Cert.dual_bound = Rat.add c.Cert.dual_bound Rat.one };
+      Some digest ]
+
+(* A view that has already served both directions' valid certificates
+   gives every mutated certificate, and every certificate checked against
+   the other objective, exactly the verdict a fresh [Checker.check] on a
+   freshly built problem gives: the memo never serves a stale digest. The
+   certificates come from a solved system, whose sets' own views then
+   judge the mutations as [Analysis.check_stored] *)
+let prop_view_isolation =
+  QCheck.Test.make ~name:"a shared view checks like a fresh problem" ~count:12
+    QCheck.(pair (int_bound 100_000) (int_bound 1000))
+    (fun (seed, pick) ->
+      let case = Ipet_fuzz.Gen.case_sized ~stmt_budget:40 seed in
+      let source = Ipet_fuzz.Render.program case.Ipet_fuzz.Gen.prog in
+      let ast, _ = Ipet_lang.Frontend.parse_and_check source in
+      let prog =
+        (Ipet_lang.Frontend.compile_string_exn source).Ipet_lang.Compile.prog
+      in
+      List.for_all
+        (fun mach ->
+          let spec =
+            A.spec ~mach ~cache:case.Ipet_fuzz.Gen.cache
+              ~loop_bounds:(Ipet.Autobound.infer ast) ~root:"main" prog
+          in
+          let insts, system = A.program_system spec in
+          let cert direction =
+            let _, _, c = A.solve_extreme ~certify:true spec insts system direction in
+            (Option.get c).A.cert
+          in
+          let wcet = cert P.Maximize and bcet = cert P.Minimize in
+          (* generated programs have no functionality constraints: one set *)
+          let wp = List.hd (A.wcet_problems spec)
+          and bp = List.hd (A.bcet_problems spec) in
+          let view = Checker.view wp.P.constraints in
+          (* a fresh problem: rebuilt from the spec, nothing shared *)
+          let fresh (p : P.t) c =
+            let q =
+              List.hd
+                (match p.P.direction with
+                 | P.Maximize -> A.wcet_problems spec
+                 | P.Minimize -> A.bcet_problems spec)
+            in
+            Checker.check { q with P.objective = p.P.objective } c
+          in
+          let same what v f =
+            if verdict_text v <> verdict_text f then
+              QCheck.Test.fail_reportf "%s: %s@.fresh: %s" what (verdict_text v)
+                (verdict_text f)
+          in
+          let agree (p : P.t) c =
+            let f = fresh p c in
+            same "view" (Checker.check_view view p.P.direction p.P.objective c) f;
+            f
+          in
+          (* the analysis's own view of the set, after both solves *)
+          let stored (p : P.t) (c : Cert.t) =
+            let f = fresh p c in
+            match A.check_stored system p.P.direction c with
+            | Some (_, v) -> same "stored" v f
+            | None ->
+              if c.Cert.digest = Checker.digest view p.P.direction p.P.objective
+              then QCheck.Test.fail_report "stored: the set's digest is missed"
+          in
+          let valid_both () =
+            Checker.gap_closed (agree wp wcet) && Checker.gap_closed (agree bp bcet)
+          in
+          valid_both ()
+          && List.for_all
+               (fun (p, c) ->
+                 List.iter
+                   (fun m -> ignore (agree p m); stored p m)
+                   (c :: mutations ~pick c);
+                 true)
+               [ (wp, wcet); (bp, bcet) ]
+          (* the other direction's objective, in either direction *)
+          && List.for_all
+               (fun (p, c) -> not (valid (agree p c)))
+               [ (bp, wcet); (wp, bcet);
+                 ({ wp with P.objective = bp.P.objective }, wcet);
+                 ({ bp with P.objective = wp.P.objective }, bcet) ]
+          && valid_both ())
+        Ipet_machine.Machine.[ e32; m7 ])
+
 (* --- the whole suite, certified ------------------------------------------- *)
 
 let certified_suite () =
@@ -721,7 +849,7 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mutated_dual; prop_mutated_witness; prop_mutated_coefficient;
       prop_gen_lifted; prop_sized_lifted;
-      prop_hostile_certificates ]
+      prop_hostile_certificates; prop_view_isolation ]
 
 let suite =
   [ ("checker accepts a maximization certificate", `Quick,

@@ -1447,6 +1447,64 @@ let test_socket_framing () =
     (response_code (Option.get (Client.one_shot ~socket hello)));
   shutdown_daemon socket pid
 
+(* a client connected to a bare listening socket in [dir], and the
+   accepted server end of the connection *)
+let client_pair dir =
+  let path = Filename.concat dir "client.sock" in
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close sock)
+    (fun () ->
+      Unix.bind sock (Unix.ADDR_UNIX path);
+      Unix.listen sock 1;
+      let t = Client.connect path in
+      let fd, _ = Unix.accept sock in
+      Unix.unlink path;
+      (t, fd))
+
+(* responses are framed on newlines however their bytes arrive: two lines
+   in one read come back one per call, a partial line at end of file comes
+   back as it is, and a line of more than 4 MiB written in small pieces by
+   another process comes back whole, the line after it intact *)
+let test_client_framing () =
+  let dir = tmp_dir "client-framing" in
+  let recv what expected t =
+    Alcotest.(check (option string)) what expected (Client.recv_line t)
+  in
+  let t, fd = client_pair dir in
+  write_string fd "first\nsecond\ntail";
+  Unix.close fd;
+  recv "the first line of one read" (Some "first") t;
+  recv "the second line of the same read" (Some "second") t;
+  recv "a partial line at end of file" (Some "tail") t;
+  recv "then end of file" None t;
+  Client.close t;
+  let t, fd = client_pair dir in
+  let long =
+    String.init ((4 * 1024 * 1024) + 4099) (fun i -> Char.chr (97 + (i mod 26)))
+  in
+  (match Unix.fork () with
+   | 0 ->
+     let piece = 1000 in
+     let rec go off =
+       if off < String.length long then begin
+         write_string fd
+           (String.sub long off (min piece (String.length long - off)));
+         go (off + piece)
+       end
+     in
+     (try go 0; write_string fd "\nafter\n" with Unix.Unix_error _ -> ());
+     Unix._exit 0
+   | pid ->
+     Unix.close fd;
+     let got = Client.recv_line t in
+     check_bool "a 4 MiB line written in pieces comes back whole" true
+       (got = Some long);
+     recv "the line after it" (Some "after") t;
+     recv "then end of file" None t;
+     Client.close t;
+     ignore (Unix.waitpid [] pid))
+
 (* one daemon session, the same source under both machine models: the
    bounds differ, each machine's warm run is served from its own cache
    entries, and neither machine's cold run ever hits the other's *)
@@ -1627,4 +1685,6 @@ let suite =
       "certificates: a 2000-digit bound in a cached certificate heals" `Quick
       test_cert_long_bound_heals;
     Alcotest.test_case "daemon: requests framed however their bytes arrive"
-      `Quick test_socket_framing ]
+      `Quick test_socket_framing;
+    Alcotest.test_case "client: responses framed however their bytes arrive"
+      `Quick test_client_framing ]
