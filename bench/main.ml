@@ -427,34 +427,7 @@ let ablation_compile () =
 (* --- suite export ----------------------------------------------------------- *)
 
 (* Writes each paper benchmark as a standalone NAME.mc + NAME.ann pair so
-   the cinderella CLI can be driven over the whole suite from the shell
-   (loop bounds only: the functional-constraint DSL values have no textual
-   serialization, and boundedness needs only the loop bounds). *)
-let render_ann (bench : Bspec.t) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "root %s\n" bench.Bspec.root);
-  List.iter
-    (fun (a : Ipet.Annotation.t) ->
-      match a.Ipet.Annotation.header with
-      | `Line l ->
-        Buffer.add_string buf
-          (Printf.sprintf "loop %s %d %d %d\n" a.Ipet.Annotation.func l
-             a.Ipet.Annotation.lo a.Ipet.Annotation.hi)
-      | `Block b ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "# block-addressed bound skipped: %s B%d [%d,%d]\n"
-             a.Ipet.Annotation.func b a.Ipet.Annotation.lo
-             a.Ipet.Annotation.hi))
-    bench.Bspec.loop_bounds;
-  let nfun = List.length bench.Bspec.functional in
-  if nfun > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "# %d functionality constraint(s) omitted (no textual form)\n"
-         nfun);
-  Buffer.contents buf
-
+   the cinderella CLI can be driven over the whole suite from the shell. *)
 let export dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
@@ -466,7 +439,8 @@ let export dir =
         close_out oc
       in
       write (Filename.concat dir (name ^ ".mc")) bench.Bspec.source;
-      write (Filename.concat dir (name ^ ".ann")) (render_ann bench))
+      write (Filename.concat dir (name ^ ".ann"))
+        (Bspec.annotation_text bench))
     Ipet_suite.Suite.all;
   Printf.printf "exported %d benchmarks to %s\n"
     (List.length Ipet_suite.Suite.all) dir

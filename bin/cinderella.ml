@@ -349,13 +349,14 @@ let parse_set spec =
     let name, index =
       match String.index_opt lhs '[' with
       | Some lb when lhs.[String.length lhs - 1] = ']' ->
-        (String.sub lhs 0 lb,
-         int_of_string (String.sub lhs (lb + 1) (String.length lhs - lb - 2)))
-      | Some _ | None -> (lhs, 0)
+        let digits = String.sub lhs (lb + 1) (String.length lhs - lb - 2) in
+        (String.sub lhs 0 lb, int_of_string_opt digits)
+      | Some _ | None -> (lhs, Some 0)
     in
-    (match int_of_string_opt rhs with
-     | Some i -> Ok (name, index, Ipet_isa.Value.Vint i)
-     | None ->
+    (match (index, int_of_string_opt rhs) with
+     | None, _ -> Error (`Msg (lhs ^ ": expected an integer index"))
+     | Some index, Some i -> Ok (name, index, Ipet_isa.Value.Vint i)
+     | Some index, None ->
        (match float_of_string_opt rhs with
         | Some f -> Ok (name, index, Ipet_isa.Value.Vfloat f)
         | None -> Error (`Msg (rhs ^ ": expected a number"))))

@@ -11,6 +11,9 @@ type t = {
 
 type field = Size_bytes | Line_bytes | Miss_penalty
 
+let max_size_bytes = 1 lsl 20
+let max_miss_penalty = 1 lsl 20
+
 let check cfg =
   let error field fmt = Printf.ksprintf (fun m -> Error (field, m)) fmt in
   if cfg.line_bytes <= 0 || cfg.line_bytes land (cfg.line_bytes - 1) <> 0 then
@@ -18,8 +21,14 @@ let check cfg =
   else if cfg.size_bytes <= 0 || cfg.size_bytes mod cfg.line_bytes <> 0 then
     error Size_bytes "capacity %d is not a positive multiple of the %d-byte line"
       cfg.size_bytes cfg.line_bytes
+  else if cfg.size_bytes > max_size_bytes then
+    error Size_bytes "capacity %d exceeds %d bytes" cfg.size_bytes
+      max_size_bytes
   else if cfg.miss_penalty < 0 then
     error Miss_penalty "miss penalty %d is negative" cfg.miss_penalty
+  else if cfg.miss_penalty > max_miss_penalty then
+    error Miss_penalty "miss penalty %d exceeds %d cycles" cfg.miss_penalty
+      max_miss_penalty
   else Ok cfg
 
 let create cfg =

@@ -14,11 +14,25 @@ val i960kb : config
 
 type field = Size_bytes | Line_bytes | Miss_penalty
 
+val max_size_bytes : int
+(** 1 MiB: the largest capacity {!check} accepts, so that a cache's tag
+    store stays at most a million words. *)
+
+val max_miss_penalty : int
+(** 2{^20} cycles: the largest miss penalty {!check} accepts. Bounding
+    the penalty bounds every block cost ({!Cost}) and every simulated
+    cycle count well inside a 63-bit int: a block's worst case charges
+    the penalty once per line it spans, and the simulator's fuel bounds
+    how many fetches a run can miss. Exact whole-program totals are
+    computed without native overflow and rejected beyond int63 by the
+    analysis. *)
+
 val check : config -> (config, field * string) result
 (** The one geometry check: a power-of-two line, a capacity that is a
-    positive multiple of the line, a non-negative miss penalty. The error
-    names the offending field and what is wrong with it. Every other
-    function here assumes a checked config. *)
+    positive multiple of the line and at most {!max_size_bytes}, a miss
+    penalty in [[0, max_miss_penalty]]. The error names the offending
+    field and what is wrong with it. Every other function here assumes a
+    checked config. *)
 
 type t
 

@@ -71,5 +71,4 @@ module Span = Span
 module Metrics = Metrics
 module Sink = Sink
 module Trace_event = Trace_event
-module Flight = Flight
 module Diag = Diag

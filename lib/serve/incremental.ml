@@ -3,7 +3,6 @@ module Callgraph = Ipet_cfg.Callgraph
 module Machine = Ipet_machine.Machine
 module Lp = Ipet_lp.Lp_problem
 module A = Ipet.Analysis
-module Obs = Ipet_obs.Obs
 module Json = Ipet_obs.Json
 module Cert = Ipet_cert.Certificate
 module Checker = Ipet_cert.Checker
@@ -11,23 +10,27 @@ module Checker = Ipet_cert.Checker
 exception Timeout
 
 type stats = {
-  units_total : int;
-  units_cached : int;
-  units_solved : int;
-  ilp_solves : int;
-  simplex_pivots : int;
-  certs_checked : int;
-  certs_rejected : int;
+  mutable units_total : int;
+  mutable units_cached : int;
+  mutable units_solved : int;
+  mutable ilp_solves : int;
+  mutable simplex_pivots : int;
+  mutable certs_checked : int;
+  mutable certs_rejected : int;
 }
 
-type counter = {
-  mutable cached : int;
-  mutable solved : int;
-  mutable solves : int;
-  mutable pivots : int;
-  mutable cert_checks : int;
-  mutable cert_rejects : int;
-}
+let fresh_stats () =
+  { units_total = 0; units_cached = 0; units_solved = 0; ilp_solves = 0;
+    simplex_pivots = 0; certs_checked = 0; certs_rejected = 0 }
+
+let stats_fields s =
+  [ ("units_total", Json.Int s.units_total);
+    ("units_cached", Json.Int s.units_cached);
+    ("units_solved", Json.Int s.units_solved);
+    ("ilp_solves", Json.Int s.ilp_solves);
+    ("simplex_pivots", Json.Int s.simplex_pivots);
+    ("certs_checked", Json.Int s.certs_checked);
+    ("certs_rejected", Json.Int s.certs_rejected) ]
 
 let fail fmt = Printf.ksprintf (fun m -> raise (A.Analysis_error m)) fmt
 
@@ -69,20 +72,17 @@ let entry_of_json j =
 (* every trusted-checker verdict the request relies on, stored or fresh,
    is counted here: the checker, not the solver, has the last word on
    every bound the daemon hands out *)
-let record_check ~counter verdict =
-  counter.cert_checks <- counter.cert_checks + 1;
-  Obs.add "serve.cert.checked" 1;
-  if Result.is_error verdict then begin
-    counter.cert_rejects <- counter.cert_rejects + 1;
-    Obs.add "serve.cert.rejected" 1
-  end;
+let record_check ~stats verdict =
+  stats.certs_checked <- stats.certs_checked + 1;
+  if Result.is_error verdict then
+    stats.certs_rejected <- stats.certs_rejected + 1;
   verdict
 
 (* a stored certificate is checked against the set whose digest it
    names, on that set's view, which the unit's other certificate shares;
    the result is that set's problem *)
-let validate ~counter system direction (cert : (Cert.t, string) result) =
-  record_check ~counter
+let validate ~stats system direction (cert : (Cert.t, string) result) =
+  record_check ~stats
     (match cert with
      | Error m -> Error m
      | Ok cert ->
@@ -97,13 +97,12 @@ let validate ~counter system direction (cert : (Cert.t, string) result) =
 (* one direction of a unit, solved by the monolithic analysis's own solve
    and certified on the winning witness; the certificate is checked once,
    at production *)
-let solve_direction ~counter spec (w : work) what direction =
-  let extreme, stats, cert =
+let solve_direction ~stats spec (w : work) what direction =
+  let extreme, solved, cert =
     A.solve_extreme ~certify:true spec w.insts w.system direction
   in
-  counter.solves <- counter.solves + stats.A.sets_solved;
-  counter.pivots <- counter.pivots + stats.A.simplex_pivots;
-  Obs.add "serve.ilp.solves" stats.A.sets_solved;
+  stats.ilp_solves <- stats.ilp_solves + solved.A.sets_solved;
+  stats.simplex_pivots <- stats.simplex_pivots + solved.A.simplex_pivots;
   (* [~certify:true] always attaches the certificate *)
   let c = Option.get cert in
   let verdict =
@@ -111,7 +110,7 @@ let solve_direction ~counter spec (w : work) what direction =
     | Checker.Valid _ -> Ok ()
     | Checker.Invalid reasons -> Error (String.concat "; " reasons)
   in
-  match record_check ~counter verdict with
+  match record_check ~stats verdict with
   | Ok () -> (extreme, c.A.cert)
   | Error m ->
     fail "%s %s certificate rejected by the checker: %s" w.name what m
@@ -123,14 +122,14 @@ let solve_direction ~counter spec (w : work) what direction =
    the cold one. An entry that does not validate is dropped and the unit
    re-solved: a cache can be corrupted or tampered with, the proof
    obligation cannot *)
-let run_unit ~cache ~counter ~deadline spec (w : work) =
+let run_unit ~cache ~stats ~deadline spec (w : work) =
   let entry = Option.bind cache (fun c -> Cache.get c w.key) in
   let stored =
     match Option.bind entry entry_of_json with
     | None -> None
     | Some (wcet, bcet) ->
       let check direction j =
-        Result.to_option (validate ~counter w.system direction (Cert.of_json j))
+        Result.to_option (validate ~stats w.system direction (Cert.of_json j))
       in
       Option.bind (check Lp.Maximize wcet) (fun wv ->
           Option.map (fun bv -> (wv, bv)) (check Lp.Minimize bcet))
@@ -139,15 +138,15 @@ let run_unit ~cache ~counter ~deadline spec (w : work) =
     Option.iter (fun c -> Cache.remove c w.key) cache;
   match stored with
   | Some ((wp, wc), (bp, bc)) ->
-    counter.cached <- counter.cached + 1;
+    stats.units_cached <- stats.units_cached + 1;
     let extreme p (c : Cert.t) =
       A.extreme_of_witness w.insts p ~bound:c.Cert.bound c.Cert.witness
     in
     { key = w.key; wcet = extreme wp wc; bcet = extreme bp bc }
   | None ->
     check_deadline deadline;
-    counter.solved <- counter.solved + 1;
-    let solve = solve_direction ~counter spec w in
+    stats.units_solved <- stats.units_solved + 1;
+    let solve = solve_direction ~stats spec w in
     let wcet, wc = solve "wcet" Lp.Maximize in
     let bcet, bc = solve "bcet" Lp.Minimize in
     Option.iter (fun c -> Cache.put c w.key (entry_to_json wc bc)) cache;
@@ -273,11 +272,7 @@ let unit_row ~name ~key ~bcet_pe ~wcet_pe ~bcet_entries ~wcet_entries =
 
 (* --- entry point --------------------------------------------------------- *)
 
-let analyze ?cache ?deadline (spec : A.spec) =
-  let counter =
-    { cached = 0; solved = 0; solves = 0; pivots = 0;
-      cert_checks = 0; cert_rejects = 0 }
-  in
+let analyze ?cache ?deadline ~stats (spec : A.spec) =
   let prog = spec.A.prog in
   if not (Array.exists (fun (f : P.func) -> f.P.name = spec.A.root) prog.P.funcs)
   then fail "unknown root function %s" spec.A.root;
@@ -302,11 +297,12 @@ let analyze ?cache ?deadline (spec : A.spec) =
         fun units fname -> func_unit spec costs units (P.find_func prog fname) )
     end
   in
+  stats.units_total <- stats.units_total + List.length topo;
   let units : (string, unit_result) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun name ->
       Hashtbl.replace units name
-        (run_unit ~cache ~counter ~deadline spec (work_of units name)))
+        (run_unit ~cache ~stats ~deadline spec (work_of units name)))
     topo;
   let root_unit = Hashtbl.find units spec.A.root in
   let wcet_counts, wcet_binding, wcet_entries =
@@ -315,24 +311,14 @@ let analyze ?cache ?deadline (spec : A.spec) =
   let bcet_counts, bcet_binding, bcet_entries =
     aggregate prog spec.A.root topo units (fun u -> u.bcet)
   in
-  let rep =
-    report ~root:spec.A.root ~unit_kind ~bcet:root_unit.bcet.A.cycles
-      ~wcet:root_unit.wcet.A.cycles ~wcet_counts ~wcet_binding ~bcet_counts
-      ~bcet_binding
-      ~units:
-        (List.map
-           (fun fname ->
-             let u = Hashtbl.find units fname in
-             unit_row ~name:fname ~key:u.key ~bcet_pe:u.bcet.A.cycles
-               ~wcet_pe:u.wcet.A.cycles ~bcet_entries:(bcet_entries fname)
-               ~wcet_entries:(wcet_entries fname))
-           topo)
-  in
-  ( rep,
-    { units_total = counter.cached + counter.solved;
-      units_cached = counter.cached;
-      units_solved = counter.solved;
-      ilp_solves = counter.solves;
-      simplex_pivots = counter.pivots;
-      certs_checked = counter.cert_checks;
-      certs_rejected = counter.cert_rejects } )
+  report ~root:spec.A.root ~unit_kind ~bcet:root_unit.bcet.A.cycles
+    ~wcet:root_unit.wcet.A.cycles ~wcet_counts ~wcet_binding ~bcet_counts
+    ~bcet_binding
+    ~units:
+      (List.map
+         (fun fname ->
+           let u = Hashtbl.find units fname in
+           unit_row ~name:fname ~key:u.key ~bcet_pe:u.bcet.A.cycles
+             ~wcet_pe:u.wcet.A.cycles ~bcet_entries:(bcet_entries fname)
+             ~wcet_entries:(wcet_entries fname))
+         topo)

@@ -56,33 +56,48 @@ exception Timeout
     [deadline] passes. *)
 
 type stats = {
-  units_total : int;   (** analysis units this request decomposed into *)
-  units_cached : int;  (** served from the cache *)
-  units_solved : int;  (** actually (re-)solved *)
-  ilp_solves : int;    (** ILP solver invocations performed *)
-  simplex_pivots : int;
+  mutable units_total : int;
+      (** analysis units this request decomposed into *)
+  mutable units_cached : int;  (** served from the cache *)
+  mutable units_solved : int;  (** actually (re-)solved *)
+  mutable ilp_solves : int;    (** ILP solver invocations performed *)
+  mutable simplex_pivots : int;
       (** simplex pivots spent on this request's fresh solves *)
-  certs_checked : int;
+  mutable certs_checked : int;
       (** trusted-checker validations run — two per fresh solve (one per
           extreme, at production) and two per cache hit: every bound the
           engine returns was just proven, whether it was computed or
           recalled *)
-  certs_rejected : int;
+  mutable certs_rejected : int;
       (** validations that failed. A rejected fresh certificate aborts the
           request ({!Ipet.Analysis.Analysis_error}); a rejected cached one
           drops the entry and re-solves, so it is self-healing *)
 }
+(** The one record of a request's work. The caller creates it and
+    {!analyze} adds to it as it goes, so what was counted before a
+    {!Timeout} or an {!Ipet.Analysis.Analysis_error} survives the
+    exception. *)
+
+val fresh_stats : unit -> stats
+(** A record with every count at zero. *)
+
+val stats_fields : stats -> (string * Ipet_obs.Json.t) list
+(** The counts as JSON fields, in the order the record declares them:
+    the one rendering of a request's work, shared by the daemon's
+    response [stats] and its flight-recorder events. *)
 
 val analyze :
   ?cache:Cache.t ->
   ?deadline:float ->
+  stats:stats ->
   Ipet.Analysis.spec ->
-  Ipet_obs.Json.t * stats
+  Ipet_obs.Json.t
 (** Analyze a request, consulting and filling [cache] (no caching when
-    omitted). [deadline] is an absolute {!Unix.gettimeofday} instant. The
-    returned JSON is the report — schema, root, unit kind, [bcet]/[wcet]
-    cycles, witness counts and binding constraints per extreme, and the
-    per-unit summary table (name, key, per-entry bounds, entry counts).
+    omitted) and adding its work to [stats]. [deadline] is an absolute
+    {!Unix.gettimeofday} instant. The result is the report — schema,
+    root, unit kind, [bcet]/[wcet] cycles, witness counts and binding
+    constraints per extreme, and the per-unit summary table (name, key,
+    per-entry bounds, entry counts).
     @raise Ipet.Analysis.Analysis_error as the monolithic analysis would
     (missing loop bounds, infeasible constraint sets, ...).
     @raise Timeout when the deadline passes. *)

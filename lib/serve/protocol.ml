@@ -4,7 +4,6 @@ module Icache = Ipet_machine.Icache
 module Machine = Ipet_machine.Machine
 module P = Ipet_isa.Prog
 module Obs = Ipet_obs.Obs
-module Flight = Ipet_obs.Flight
 module Json = Ipet_obs.Json
 
 type totals = {
@@ -68,28 +67,9 @@ let opt_bool j name = Option.bind (Json.member name j) Json.to_bool
 
 (* --- flight-recorder note ------------------------------------------------- *)
 
-(* what the dispatch learned about the request, harvested into the flight
-   event once the latency is known; a handler fills what it can *)
-type note = {
-  mutable n_root : string;
-  mutable n_digests : string list;
-  mutable n_units_total : int;
-  mutable n_units_cached : int;
-  mutable n_units_solved : int;
-  mutable n_pivots : int;
-  mutable n_certs_checked : int;
-  mutable n_certs_rejected : int;
-}
-
-let fresh_note () =
-  { n_root = "";
-    n_digests = [];
-    n_units_total = 0;
-    n_units_cached = 0;
-    n_units_solved = 0;
-    n_pivots = 0;
-    n_certs_checked = 0;
-    n_certs_rejected = 0 }
+(* what the dispatch learned about the request besides its work, which
+   goes to the {!Incremental.stats} record; a handler fills what it can *)
+type note = { mutable root : string; mutable digests : string list }
 
 let digest_cap = 8
 
@@ -167,7 +147,7 @@ let parse_annotations req =
      | exception Ipet.Constraint_parser.Parse_error msg ->
        reject "input" "%s" msg)
 
-let analyze config ~req_id ~(note : note) req =
+let analyze config ~req_id ~note ~stats req =
   let source = require_str req "source" in
   let lang = Option.value ~default:"mc" (str_field req "lang") in
   let options = Json.member "options" req in
@@ -181,7 +161,7 @@ let analyze config ~req_id ~(note : note) req =
         "no analysis root: pass \"root\" or add a 'root' line to the \
          annotations"
   in
-  note.n_root <- root;
+  note.root <- root;
   let prog = compile_source ~lang source in
   if P.find_func_opt prog root = None then
     reject "input" "unknown function %s" root;
@@ -222,11 +202,11 @@ let analyze config ~req_id ~(note : note) req =
     if want_spans then List.length (Obs.track_spans track) else 0
   in
   let t0 = Unix.gettimeofday () in
-  let report, stats =
+  let report =
     match
       Obs.with_track track (fun () ->
           Obs.span "serve.analyze" ~args:[ ("root", root) ] (fun () ->
-              Incremental.analyze ?cache ?deadline spec))
+              Incremental.analyze ?cache ?deadline ~stats spec))
     with
     | result -> result
     | exception Incremental.Timeout ->
@@ -242,17 +222,7 @@ let analyze config ~req_id ~(note : note) req =
   let wall_ms =
     int_of_float (Float.round ((Unix.gettimeofday () -. t0) *. 1000.))
   in
-  note.n_digests <- report_digests report;
-  note.n_units_total <- stats.Incremental.units_total;
-  note.n_units_cached <- stats.Incremental.units_cached;
-  note.n_units_solved <- stats.Incremental.units_solved;
-  note.n_pivots <- stats.Incremental.simplex_pivots;
-  note.n_certs_checked <- stats.Incremental.certs_checked;
-  note.n_certs_rejected <- stats.Incremental.certs_rejected;
-  config.totals.certs_checked <-
-    config.totals.certs_checked + stats.Incremental.certs_checked;
-  config.totals.certs_rejected <-
-    config.totals.certs_rejected + stats.Incremental.certs_rejected;
+  note.digests <- report_digests report;
   let span_fields =
     if not want_spans then []
     else begin
@@ -266,14 +236,8 @@ let analyze config ~req_id ~(note : note) req =
   [ ("report", report);
     ( "stats",
       Json.Obj
-        [ ("units_total", Json.Int stats.Incremental.units_total);
-          ("units_cached", Json.Int stats.Incremental.units_cached);
-          ("units_solved", Json.Int stats.Incremental.units_solved);
-          ("ilp_solves", Json.Int stats.Incremental.ilp_solves);
-          ("simplex_pivots", Json.Int stats.Incremental.simplex_pivots);
-          ("certs_checked", Json.Int stats.Incremental.certs_checked);
-          ("certs_rejected", Json.Int stats.Incremental.certs_rejected);
-          ("wall_ms", Json.Int wall_ms) ] ) ]
+        (Incremental.stats_fields stats @ [ ("wall_ms", Json.Int wall_ms) ])
+    ) ]
   @ span_fields
 
 (* --- dispatch ------------------------------------------------------------ *)
@@ -316,7 +280,7 @@ let recent_fields config req =
   [ ( "events",
       Json.List (List.map Flight.event_json (Flight.recent ~n config.flight)) ) ]
 
-let handle_request config ~trace ~req_id ~note req =
+let handle_request config ~trace ~req_id ~note ~stats req =
   match Json.member "v" req with
   | Some (Json.Int v) when v = version ->
     let id = Json.member "id" req in
@@ -324,7 +288,8 @@ let handle_request config ~trace ~req_id ~note req =
      | Some "hello" -> (ok_response ?id ?trace "hello" hello_fields, Continue)
      | Some "analyze" ->
        Obs.add "serve.requests.analyze" 1;
-       ( ok_response ?id ?trace "analyze" (analyze config ~req_id ~note req),
+       ( ok_response ?id ?trace "analyze"
+           (analyze config ~req_id ~note ~stats req),
          Continue )
      | Some "stats" ->
        (ok_response ?id ?trace "stats" (stats_fields config), Continue)
@@ -340,27 +305,21 @@ let handle_request config ~trace ~req_id ~note req =
       version
   | Some _ | None -> reject "proto" "missing integer field \"v\""
 
-let access_entry ~time ~req_id ~op ~latency_ms ~error (note : note) =
-  Json.Obj
-    ([ ("ts", Json.Float time);
-       ("id", Json.Str req_id);
-       ("op", Json.Str op);
-       ("ok", Json.Bool (error = None)) ]
-     @ (match error with
-        | None -> []
-        | Some code -> [ ("code", Json.Str code) ])
-     @ (if note.n_root = "" then [] else [ ("root", Json.Str note.n_root) ])
-     @ (if note.n_units_total = 0 then []
-        else
-          [ ("units_total", Json.Int note.n_units_total);
-            ("units_cached", Json.Int note.n_units_cached);
-            ("units_solved", Json.Int note.n_units_solved) ])
-     @ [ ("ms", Json.Float latency_ms) ])
+(* a request's work reaches the daemon's totals and the metrics registry
+   here, once, after the request has ended, whether it succeeded or not *)
+let fold_stats config (s : Incremental.stats) =
+  config.totals.certs_checked <- config.totals.certs_checked + s.certs_checked;
+  config.totals.certs_rejected <-
+    config.totals.certs_rejected + s.certs_rejected;
+  Obs.add "serve.cert.checked" s.certs_checked;
+  Obs.add "serve.cert.rejected" s.certs_rejected;
+  Obs.add "serve.ilp.solves" s.ilp_solves
 
 let handle_line config line =
   let t0 = Unix.gettimeofday () in
   config.totals.requests <- config.totals.requests + 1;
-  let note = fresh_note () in
+  let note = { root = ""; digests = [] } in
+  let stats = Incremental.fresh_stats () in
   let parsed = Json.parse line in
   let id, trace, op =
     match parsed with
@@ -376,7 +335,7 @@ let handle_line config line =
     match parsed with
     | Error msg -> Error ("proto", "bad JSON: " ^ msg)
     | Ok req ->
-      (match handle_request config ~trace ~req_id ~note req with
+      (match handle_request config ~trace ~req_id ~note ~stats req with
        | response -> Ok response
        | exception Reject (code, message) -> Error (code, message)
        | exception exn ->
@@ -392,28 +351,18 @@ let handle_line config line =
     config.totals.errors <- config.totals.errors + 1;
     Obs.add "serve.requests.errors" 1
   end;
-  Flight.record config.flight
-    { Flight.time = t0;
-      id = req_id;
-      op = opname;
-      root = note.n_root;
-      digests = note.n_digests;
-      units_total = note.n_units_total;
-      units_cached = note.n_units_cached;
-      units_solved = note.n_units_solved;
-      pivots = note.n_pivots;
-      certs_checked = note.n_certs_checked;
-      certs_rejected = note.n_certs_rejected;
-      latency_ms = latency_s *. 1000.0;
-      error };
-  (match config.access with
-   | None -> ()
-   | Some log ->
-     let entry =
-       access_entry ~time:t0 ~req_id ~op:opname
-         ~latency_ms:(latency_s *. 1000.0) ~error note
-     in
-     (try Access_log.write log (Json.to_string entry) with Sys_error _ -> ()));
+  fold_stats config stats;
+  let event =
+    { Flight.time = t0; id = req_id; op = opname; root = note.root;
+      digests = note.digests; stats; latency_ms = latency_s *. 1000.0; error }
+  in
+  Flight.record config.flight event;
+  (* the access log's line is the flight event, sequence number and all *)
+  Option.iter
+    (fun log ->
+      let line = Flight.event_json (Flight.total config.flight - 1, event) in
+      try Access_log.write log (Json.to_string line) with Sys_error _ -> ())
+    config.access;
   match result with
   | Ok (response, outcome) -> (Json.to_string response, outcome)
   | Error (code, message) ->

@@ -34,7 +34,8 @@
       {!Ipet_obs.Sink.metrics_json} document, as JSON) and ["prometheus"]
       (the text exposition, as one string);
     - [recent] — the newest flight-recorder events (optional ["n"],
-      default 50), newest first, each with its monotonic ["seq"];
+      default 50), newest first, each with its monotonic ["seq"]
+      ({!Flight.event_json});
     - [shutdown] — acknowledge, then the server exits gracefully.
 
     A success response is [{"ok": true, "op": ..., ...}]; a failure is
@@ -47,7 +48,14 @@
     Every request — success or failure — is timed into the
     [serve.latency_seconds] histogram (labelled by op), recorded in the
     flight recorder, and appended to the access log when one is
-    configured; none of that depends on span tracing being enabled. *)
+    configured, as the same {!Flight.event_json} line; none of that
+    depends on span tracing being enabled. A request's work is one
+    {!Incremental.stats} record, created before the request is
+    dispatched, so what a failed analysis did before it failed is kept.
+    Once the request has ended, that record is added to the [stats] op's
+    certificate totals and to the registry counters
+    [serve.cert.checked], [serve.cert.rejected] and [serve.ilp.solves],
+    and the flight event holds it. *)
 
 type totals = {
   mutable requests : int;
@@ -60,7 +68,7 @@ type config = {
   cache : Cache.t option;         (** [None]: caching disabled *)
   default_timeout_ms : int option;
       (** applied to analyze requests that don't set [timeout_ms] *)
-  flight : Ipet_obs.Flight.t;    (** always-on per-request recorder *)
+  flight : Flight.t;             (** always-on per-request recorder *)
   access : Access_log.t option;  (** JSONL access log, when configured *)
   totals : totals;
 }

@@ -81,8 +81,9 @@ let protocol_config config =
     ?default_timeout_ms:config.default_timeout_ms ?access
     ~flight_cap:config.flight_cap ()
 
-let serve_conn config pconfig conns conn =
-  let chunk = Bytes.create 65536 in
+(* [chunk] is the loop's one read buffer: the loop is single-threaded, and
+   [take_lines] copies out everything it keeps *)
+let serve_conn config pconfig ~chunk conns conn =
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 -> close_conn conns conn
   | n ->
@@ -123,6 +124,7 @@ let run config =
   Unix.listen sock 16;
   let conns : conn list ref = ref [] in
   let pconfig = protocol_config config in
+  let chunk = Bytes.create 65536 in
   (* cleanup runs on the graceful path and on an escaping exception alike:
      the flight recorder's whole point is surviving a crash *)
   let cleanup () =
@@ -133,7 +135,7 @@ let run config =
     (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
     Option.iter Cache.flush config.cache;
     Option.iter
-      (fun path -> Ipet_obs.Flight.write_dump pconfig.Protocol.flight path)
+      (fun path -> Flight.write_dump pconfig.Protocol.flight path)
       config.flight_dump;
     Option.iter Access_log.close pconfig.Protocol.access
   in
@@ -157,7 +159,7 @@ let run config =
           end
           else
             match List.find_opt (fun c -> c.fd = fd) !conns with
-            | Some conn -> serve_conn config pconfig conns conn
+            | Some conn -> serve_conn config pconfig ~chunk conns conn
             | None -> ())
         readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

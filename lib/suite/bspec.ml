@@ -63,3 +63,21 @@ let spec ?mach ?cache ?dcache t =
   let compiled = compile t in
   Ipet.Analysis.spec ?mach ?cache ?dcache ~loop_bounds:t.loop_bounds
     ~functional:t.functional ~root:t.root compiled.Ipet_lang.Compile.prog
+
+let annotation_text t =
+  let buf = Buffer.create 256 in
+  Printf.bprintf buf "root %s\n" t.root;
+  List.iter
+    (fun { Ipet.Annotation.func; header; lo; hi } ->
+      match header with
+      | `Line l -> Printf.bprintf buf "loop %s %d %d %d\n" func l lo hi
+      | `Block b ->
+        Printf.bprintf buf "# block-addressed bound skipped: %s B%d [%d,%d]\n"
+          func b lo hi)
+    t.loop_bounds;
+  (match List.length t.functional with
+   | 0 -> ()
+   | n ->
+     Printf.bprintf buf
+       "# %d functionality constraint(s) omitted (no textual form)\n" n);
+  Buffer.contents buf

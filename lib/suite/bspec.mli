@@ -46,6 +46,12 @@ val dataset :
   string ->
   dataset
 
+val annotation_text : t -> string
+(** The benchmark's annotations as an annotation file: its [root] and one
+    [loop] line per line-addressed bound. Block-addressed bounds and
+    functionality constraints have no textual form; each leaves a comment
+    line, and boundedness needs only the loop bounds. *)
+
 val compile : t -> Ipet_lang.Compile.t
 (** Compile the benchmark source (memoized per benchmark). *)
 

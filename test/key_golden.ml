@@ -17,7 +17,7 @@ module Bspec = Ipet_suite.Bspec
 module Incr = Ipet_serve.Incremental
 
 let unit_keys spec =
-  let rep, _ = Incr.analyze spec in
+  let rep = Incr.analyze ~stats:(Incr.fresh_stats ()) spec in
   match J.member "units" rep with
   | Some (J.List units) ->
     List.iter

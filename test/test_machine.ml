@@ -63,7 +63,16 @@ let test_cache_validation () =
       ("line larger than the cache", { small_cache with Icache.line_bytes = 128 },
        Icache.Size_bytes);
       ("negative penalty", { small_cache with Icache.miss_penalty = -1 },
-       Icache.Miss_penalty) ]
+       Icache.Miss_penalty);
+      ("capacity beyond the bound",
+       { small_cache with Icache.size_bytes = 2 * Icache.max_size_bytes },
+       Icache.Size_bytes);
+      ("penalty beyond the bound",
+       { small_cache with Icache.miss_penalty = Icache.max_miss_penalty + 1 },
+       Icache.Miss_penalty) ];
+  check_bool "check accepts the largest penalty" true
+    (field { small_cache with Icache.miss_penalty = Icache.max_miss_penalty }
+     = None)
 
 let test_lines_spanned () =
   check_int "one instr" 1 (Icache.lines_spanned small_cache ~addr:0 ~size:4);

@@ -522,18 +522,7 @@ let cli_fixture ?(bench = "check_data") () =
     text
   in
   write "p.mc" b.Ipet_suite.Bspec.source;
-  write "p.ann"
-    (String.concat ""
-       (Printf.sprintf "root %s\n" b.Ipet_suite.Bspec.root
-        :: List.filter_map
-             (fun (a : Ipet.Annotation.t) ->
-               match a.Ipet.Annotation.header with
-               | `Line l ->
-                 Some
-                   (Printf.sprintf "loop %s %d %d %d\n" a.Ipet.Annotation.func
-                      l a.Ipet.Annotation.lo a.Ipet.Annotation.hi)
-               | `Block _ -> None)
-             b.Ipet_suite.Bspec.loop_bounds));
+  write "p.ann" (Ipet_suite.Bspec.annotation_text b);
   (path, read)
 
 (* run [cinderella args], stdout into [stdout_to] (default discarded),
@@ -634,7 +623,30 @@ let test_bad_geometry_flags () =
       ([ "--line-size"; "0" ], "--line-size");
       ([ "--cache-size"; "64"; "--line-size"; "128" ], "--cache-size");
       ([ "--line-size"; "24" ], "--line-size");
-      ([ "--miss-penalty=-1" ], "--miss-penalty") ]
+      ([ "--miss-penalty=-1" ], "--miss-penalty");
+      ([ "--miss-penalty"; "3074457345618258603" ], "--miss-penalty") ]
+
+(* a [--set] whose index is not an integer is an input error (exit 2)
+   naming the flag, on both commands that take one *)
+let test_bad_set_flags () =
+  let path, read = cli_fixture () in
+  List.iter
+    (fun set ->
+      List.iter
+        (fun (cmd, args) ->
+          let what = String.concat " " [ cmd; "--set"; set ] in
+          let status =
+            run_cinderella ~stderr_to:(path "err")
+              ((cmd :: path "p.mc" :: args) @ [ "--set"; set ])
+          in
+          check_bool (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+          let err = read "err" in
+          check_bool (what ^ ": names --set") true
+            (String.starts_with ~prefix:"cinderella: error: --set " err
+             && String.index err '\n' = String.length err - 1))
+        [ ("sim", [ "-r"; "check_data" ]);
+          ("attribute", [ "-a"; path "p.ann" ]) ])
+    [ "a[x]=1"; "a[]=1" ]
 
 (* every subcommand's manual renders: cmdliner reports a malformed doc
    string on stderr but still exits 0, so the stderr check is the one
@@ -673,4 +685,6 @@ let suite =
      test_unwritable_outputs);
     ("every subcommand's --help is clean", `Quick, test_subcommand_help);
     ("bad fetch geometry flags are input errors", `Quick,
-     test_bad_geometry_flags) ]
+     test_bad_geometry_flags);
+    ("a non-integer --set index is an input error", `Quick,
+     test_bad_set_flags) ]

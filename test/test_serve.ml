@@ -37,6 +37,13 @@ let tmp_dir prefix =
   if not (Sys.file_exists d) then Unix.mkdir d 0o755;
   d
 
+(* an incremental analysis with a fresh work record: the report and what
+   the request did *)
+let incr_analyze ?cache spec =
+  let stats = Incr.fresh_stats () in
+  let rep = Incr.analyze ?cache ~stats spec in
+  (rep, stats)
+
 (* --- JSON ----------------------------------------------------------------- *)
 
 let roundtrip v =
@@ -317,7 +324,7 @@ let test_matches_monolithic () =
                 Printf.sprintf "%s on %s, first-miss %b" b.Bspec.name
                   (Ipet_machine.Machine.id mach) first_miss_refinement
               in
-              let rep, stats = Incr.analyze spec in
+              let rep, stats = incr_analyze spec in
               Alcotest.(check (pair int int))
                 (name ^ ": incremental bounds equal the monolithic analysis")
                 (A.estimated_bound spec) (bounds_of_report rep);
@@ -352,7 +359,7 @@ let prop_incremental_matches_monolithic =
                   ~first_miss_refinement ~root:"main" prog
               in
               let mono = A.estimated_bound spec in
-              let rep, _ = Incr.analyze spec in
+              let rep, _ = incr_analyze spec in
               let incr = bounds_of_report rep in
               if mono = incr && J.member "unit" rep = Some (J.Str "func") then
                 true
@@ -371,7 +378,7 @@ let test_functional_fallback () =
      still reproduce the monolithic bounds *)
   let spec = Bspec.spec (Ipet_suite.Suite.find "check_data") in
   let mono = A.estimated_bound spec in
-  let rep, stats = Incr.analyze spec in
+  let rep, stats = incr_analyze spec in
   Alcotest.(check (pair int int))
     "fallback bounds equal the monolithic analysis" mono
     (bounds_of_report rep);
@@ -451,7 +458,7 @@ let test_first_miss_key () =
       ~first_miss_refinement ~root:"main" prog
   in
   let run first_miss =
-    let rep, _ = Incr.analyze (spec first_miss) in
+    let rep, _ = incr_analyze (spec first_miss) in
     let keys =
       List.map
         (fun r ->
@@ -495,9 +502,9 @@ let test_cold_warm_identical () =
         Cache.create ~dir:(tmp_dir ("serve-coldwarm-" ^ name))
           ~cap_bytes:(16 * 1024 * 1024)
       in
-      let uncached, _ = Incr.analyze spec in
-      let cold, cold_stats = Incr.analyze ~cache spec in
-      let warm, warm_stats = Incr.analyze ~cache spec in
+      let uncached, _ = incr_analyze spec in
+      let cold, cold_stats = incr_analyze ~cache spec in
+      let warm, warm_stats = incr_analyze ~cache spec in
       check_string (name ^ ": cached report is byte-identical to the uncached one")
         (J.to_string uncached) (J.to_string cold);
       check_string (name ^ ": warm report is byte-identical to the cold one")
@@ -516,16 +523,16 @@ let test_one_function_edit () =
   let cache =
     Cache.create ~dir:(tmp_dir "serve-edit") ~cap_bytes:(16 * 1024 * 1024)
   in
-  let _, cold = Incr.analyze ~cache (edit_spec (edit_source 3)) in
+  let _, cold = incr_analyze ~cache (edit_spec (edit_source 3)) in
   check_int "cold run solves both functions" 2 cold.Incr.units_solved;
   (* a size-preserving, timing-neutral edit to leaf: x+3 -> x+5 keeps
      leaf's interval, so main's key (costs + callee intervals) is
      unchanged and only leaf is re-solved *)
-  let _, incr = Incr.analyze ~cache (edit_spec (edit_source 5)) in
+  let _, incr = incr_analyze ~cache (edit_spec (edit_source 5)) in
   check_int "the edit re-solves only the edited function" 1
     incr.Incr.units_solved;
   check_int "the caller is served from the cache" 1 incr.Incr.units_cached;
-  let _, warm = Incr.analyze ~cache (edit_spec (edit_source 5)) in
+  let _, warm = incr_analyze ~cache (edit_spec (edit_source 5)) in
   check_int "repeating the edited request solves nothing" 0
     warm.Incr.units_solved
 
@@ -617,11 +624,11 @@ let test_index_appends () =
    re-prove *)
 let cert_self_heal ~name ~spec rewrite =
   let cache = Cache.create ~dir:(tmp_dir name) ~cap_bytes:(16 * 1024 * 1024) in
-  let cold_rep, cold = Incr.analyze ~cache spec in
+  let cold_rep, cold = incr_analyze ~cache spec in
   check_int "cold run proves every bound it computed"
     (2 * cold.Incr.units_solved) cold.Incr.certs_checked;
   check_int "cold run rejects nothing" 0 cold.Incr.certs_rejected;
-  let warm_rep, warm = Incr.analyze ~cache spec in
+  let warm_rep, warm = incr_analyze ~cache spec in
   check_int "warm run solves nothing" 0 warm.Incr.units_solved;
   check_int "warm bounds are re-proven, not trusted"
     (2 * warm.Incr.units_cached) warm.Incr.certs_checked;
@@ -661,7 +668,7 @@ let cert_self_heal ~name ~spec rewrite =
   (match J.parse (read_file path) with
    | Ok j -> write_file path (J.to_string (tamper j))
    | Error m -> Alcotest.failf "unparsable cache entry: %s" m);
-  let healed_rep, healed = Incr.analyze ~cache spec in
+  let healed_rep, healed = incr_analyze ~cache spec in
   check_bool "the tampered certificate was rejected" true
     (healed.Incr.certs_rejected >= 1);
   check_int "exactly the tampered unit was re-solved" 1
@@ -743,7 +750,7 @@ let test_no_entry_field_changes_the_report () =
         Cache.create ~dir:(tmp_dir ("serve-entry-tamper-" ^ name))
           ~cap_bytes:(16 * 1024 * 1024)
       in
-      let cold, _ = Incr.analyze ~cache spec in
+      let cold, _ = incr_analyze ~cache spec in
       let keys =
         match Option.bind (J.member "units" cold) J.to_list with
         | Some rows ->
@@ -764,7 +771,7 @@ let test_no_entry_field_changes_the_report () =
           List.iter
             (fun (path, tampered) ->
               store tampered;
-              let warm, _ = Incr.analyze ~cache spec in
+              let warm, _ = incr_analyze ~cache spec in
               check_string
                 (Printf.sprintf "%s: report with %s damaged" name path)
                 (J.to_string cold) (J.to_string warm);
@@ -838,11 +845,13 @@ let test_file_faults () =
     (fun i (fault, resolved, damage) ->
       let dir = tmp_dir (Printf.sprintf "serve-file-fault-%d" i) in
       let cold, _ =
-        Incr.analyze ~cache:(Cache.create ~dir ~cap_bytes:(16 * 1024 * 1024)) spec
+        incr_analyze
+          ~cache:(Cache.create ~dir ~cap_bytes:(16 * 1024 * 1024))
+          spec
       in
       damage dir;
       let cache = Cache.create ~dir ~cap_bytes:(16 * 1024 * 1024) in
-      let healed, stats = Incr.analyze ~cache spec in
+      let healed, stats = incr_analyze ~cache spec in
       check_string (fault ^ ": the report is the cold one") (J.to_string cold)
         (J.to_string healed);
       check_int (fault ^ ": units re-solved") resolved stats.Incr.units_solved;
@@ -856,7 +865,7 @@ let test_file_faults () =
         (Cache.stats cache).Cache.bytes;
       check_bool (fault ^ ": no temp file is left") false
         (Array.exists (fun f -> Filename.check_suffix f ".tmp") (Sys.readdir dir));
-      let _, again = Incr.analyze ~cache spec in
+      let _, again = incr_analyze ~cache spec in
       check_int (fault ^ ": the next request is warm") 0 again.Incr.units_solved)
     faults
 
@@ -962,7 +971,8 @@ let test_protocol_bad_geometry () =
       (512, 24, 8, "line size 24");
       (0, 16, 8, "capacity 0");
       (64, 128, 8, "capacity 64");
-      (512, 16, -1, "miss penalty -1") ]
+      (512, 16, -1, "miss penalty -1");
+      (512, 16, 3074457345618258603, "miss penalty 3074457345618258603") ]
 
 (* counts or cycles beyond int63 reach the client as an analysis error *)
 let test_protocol_overflow () =
@@ -1055,6 +1065,30 @@ let contains haystack needle =
   in
   go 0
 
+(* [field] of the registry metric [name] (with label [op], when given),
+   read through the daemon's metrics op; 0 when it is absent *)
+let registry_value handle ?op name field =
+  match J.parse (handle {|{"v":1,"op":"metrics"}|}) with
+  | Error _ -> Alcotest.fail "unparsable metrics response"
+  | Ok j ->
+    let items =
+      Option.value ~default:[]
+        (Option.bind
+           (Option.bind (J.member "metrics" j) (J.member "metrics"))
+           J.to_list)
+    in
+    let wanted m =
+      J.member "name" m = Some (J.Str name)
+      && (match op with
+          | None -> true
+          | Some op ->
+            Option.bind (J.member "labels" m) (J.member "op")
+            = Some (J.Str op))
+    in
+    Option.value ~default:0.0
+      (Option.bind (Option.bind (List.find_opt wanted items) (J.member field))
+         J.to_float)
+
 let test_observability_ops () =
   let pc = Protocol.make () in
   let handle line = fst (Protocol.handle_line pc line) in
@@ -1118,28 +1152,7 @@ let test_observability_ops () =
        (J.member "cache" j = Some J.Null));
   (* the daemon's metrics agree with what its responses report. The
      registry is process-global, so every comparison is a delta *)
-  let metric ?op name field =
-    match J.parse (handle {|{"v":1,"op":"metrics"}|}) with
-    | Error _ -> Alcotest.fail "unparsable metrics response"
-    | Ok j ->
-      let items =
-        Option.value ~default:[]
-          (Option.bind
-             (Option.bind (J.member "metrics" j) (J.member "metrics"))
-             J.to_list)
-      in
-      let wanted m =
-        J.member "name" m = Some (J.Str name)
-        && (match op with
-            | None -> true
-            | Some op ->
-              Option.bind (J.member "labels" m) (J.member "op")
-              = Some (J.Str op))
-      in
-      Option.value ~default:0.0
-        (Option.bind (Option.bind (List.find_opt wanted items) (J.member field))
-           J.to_float)
-  in
+  let metric = registry_value handle in
   let source = "int main() {\n  return 1;\n}\n" in
   let analyze options =
     analyze_request source
@@ -1191,9 +1204,78 @@ let test_observability_ops () =
     true
     (p99 > 0.0 && p99 <= slowest +. bucket)
 
+(* a request's work is counted once, in one record, and that record is
+   kept when the request fails: the stats op's totals, the metrics
+   registry and the recent events agree on every certificate verdict.
+   The last request serves [f] from the cache, checking its two stored
+   certificates, then runs out of time on the edited [main]; its event
+   still shows both *)
+let test_one_record_invariant () =
+  let cache =
+    Cache.create ~dir:(tmp_dir "serve-one-record") ~cap_bytes:(1024 * 1024)
+  in
+  let pc = Protocol.make ~cache () in
+  let handle line = fst (Protocol.handle_line pc line) in
+  let metric name = registry_value handle name "value" in
+  let request ?(options = []) trace k =
+    analyze_request
+      (Printf.sprintf
+         "int f(int x) {\n  return (x + 1);\n}\n\n\
+          int main() {\n  return f(%d);\n}\n"
+         k)
+      ~extra:
+        [ ("trace", J.Str trace); ("root", J.Str "main");
+          ("options", J.Obj options) ]
+  in
+  let counts =
+    [ ("certs_checked", "serve.cert.checked");
+      ("certs_rejected", "serve.cert.rejected") ]
+  in
+  let before = List.map (fun (_, name) -> metric name) counts in
+  check_string "a success" "ok" (response_code (handle (request "t-ok" 1)));
+  check_string "an input error" "input"
+    (response_code (handle (analyze_request "int main( {")));
+  check_string "the cached callee, then no time for main" "timeout"
+    (response_code
+       (handle (request "t-late" 2 ~options:[ ("timeout_ms", J.Int (-1)) ])));
+  let parse line =
+    match J.parse (handle line) with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "unparsable response: %s" m
+  in
+  let int name j =
+    Option.value ~default:(-1) (Option.bind (J.member name j) J.to_int)
+  in
+  let totals = parse {|{"v":1,"op":"stats"}|} in
+  let events =
+    Option.value ~default:[]
+      (Option.bind
+         (J.member "events" (parse {|{"v":1,"op":"recent"}|}))
+         J.to_list)
+  in
+  List.iter2
+    (fun (field, name) before ->
+      check_int (field ^ ": registry = stats op") (int field totals)
+        (int_of_float (metric name -. before));
+      check_int (field ^ ": recent events = stats op") (int field totals)
+        (List.fold_left (fun acc e -> acc + int field e) 0 events))
+    counts before;
+  check_int "four fresh checks, then two stored ones" 6
+    (int "certs_checked" totals);
+  match List.find_opt (fun e -> J.member "id" e = Some (J.Str "t-late")) events
+  with
+  | None -> Alcotest.fail "the timed-out request is missing from recent"
+  | Some e ->
+    check_bool "the timed-out event keeps its error code" true
+      (J.member "error" e = Some (J.Str "timeout"));
+    check_int "the timed-out event shows its cached unit" 1
+      (int "units_cached" e);
+    check_int "the timed-out event shows its two checks" 2
+      (int "certs_checked" e)
+
 (* --- flight recorder -------------------------------------------------------- *)
 
-module Flight = Ipet_obs.Flight
+module Flight = Ipet_serve.Flight
 
 let flight_event i =
   { Flight.time = float_of_int i;
@@ -1201,12 +1283,10 @@ let flight_event i =
     op = "analyze";
     root = "main";
     digests = [ "abc" ];
-    units_total = 2;
-    units_cached = 1;
-    units_solved = 1;
-    pivots = 40;
-    certs_checked = 2;
-    certs_rejected = 0;
+    stats =
+      { (Incr.fresh_stats ()) with
+        Incr.units_total = 2; units_cached = 1; units_solved = 1;
+        ilp_solves = 2; simplex_pivots = 40; certs_checked = 2 };
     latency_ms = 1.5;
     error = (if i mod 2 = 0 then None else Some "analysis") }
 
@@ -1231,8 +1311,8 @@ let test_flight_ring_wrap () =
   in
   let common =
     [ "seq"; "time"; "id"; "op"; "root"; "digests"; "units_total";
-      "units_cached"; "units_solved"; "pivots"; "certs_checked";
-      "certs_rejected"; "latency_ms" ]
+      "units_cached"; "units_solved"; "ilp_solves"; "simplex_pivots";
+      "certs_checked"; "certs_rejected"; "latency_ms" ]
   in
   check_bool "a failed event carries exactly the documented keys" true
     (keys (9, flight_event 9) = common @ [ "error" ]);
@@ -1667,6 +1747,8 @@ let suite =
       test_trace_roundtrip;
     Alcotest.test_case "protocol: metrics, recent and stats ops" `Quick
       test_observability_ops;
+    Alcotest.test_case "protocol: one record per request, kept on failure"
+      `Quick test_one_record_invariant;
     Alcotest.test_case "flight recorder: ring wrap and JSONL dump" `Quick
       test_flight_ring_wrap;
     Alcotest.test_case "access log: size rotation keeps whole lines" `Quick
