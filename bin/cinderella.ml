@@ -361,11 +361,35 @@ let parse_set spec =
         | Some f -> Ok (name, index, Ipet_isa.Value.Vfloat f)
         | None -> Error (`Msg (rhs ^ ": expected a number"))))
 
-let apply_sets m sets =
+(* the declared element type of each global of an MC source, which the
+   program compiled from; an assembly listing, which the MC parser
+   rejects, declares none *)
+let global_types src =
+  match Ipet_lang.Parser.parse src with
+  | ast ->
+    List.map
+      (fun (g : Ipet_lang.Ast.global) ->
+        (g.Ipet_lang.Ast.gname, g.Ipet_lang.Ast.gtyp))
+      ast.Ipet_lang.Ast.globals
+  | exception (Ipet_lang.Lexer.Error _ | Ipet_lang.Parser.Error _) -> []
+
+(* a value the program would read with the wrong type is an input error
+   here, not a crash of the run; an int is a float global's exact value *)
+let apply_sets m ~src sets =
+  let types = if sets = [] then [] else global_types src in
   List.iter
     (fun spec ->
       match parse_set spec with
       | Ok (name, index, v) ->
+        let v =
+          match (List.assoc_opt name types, v) with
+          | Some Ipet_lang.Ast.Tint, Ipet_isa.Value.Vfloat _ ->
+            Diag.fail ~code:Diag.exit_input "--set %s: %s is an int global"
+              spec name
+          | Some Ipet_lang.Ast.Tfloat, Ipet_isa.Value.Vint i ->
+            Ipet_isa.Value.Vfloat (float_of_int i)
+          | _ -> v
+        in
         (try Ipet_sim.Interp.write_global m name index v with
          | Ipet_sim.Interp.Runtime_error msg ->
            Diag.fail ~code:Diag.exit_input "%s" msg)
@@ -402,10 +426,10 @@ let record_sim_metrics m =
 
 let sim_cmd obs source_path root args sets flush profile mach =
   setup_obs obs;
-  let _, compiled = load_program source_path in
+  let src, compiled = load_program source_path in
   let prog = compiled.Compile.prog in
   let m = Ipet_sim.Interp.create ~mach prog ~init:compiled.Compile.init_data in
-  apply_sets m sets;
+  apply_sets m ~src sets;
   if flush then Ipet_sim.Interp.flush_cache m;
   let arg_values = List.map (fun i -> Ipet_isa.Value.Vint i) args in
   let result = run_sim m root arg_values in
@@ -434,7 +458,7 @@ let sim_cmd obs source_path root args sets flush profile mach =
    cycles. *)
 let attribute_cmd obs load_input args sets flush certify =
   setup_obs obs;
-  let _, compiled, spec = load_input ~presolve:true ~verbose:false in
+  let src, compiled, spec = load_input ~presolve:true ~verbose:false in
   let spec = require_spec spec in
   let root = spec.Ipet.Analysis.root in
   let result = run_analysis ~certify spec in
@@ -444,7 +468,7 @@ let attribute_cmd obs load_input args sets flush certify =
       ~cache:spec.Ipet.Analysis.cache spec.Ipet.Analysis.prog
       ~init:compiled.Compile.init_data
   in
-  apply_sets m sets;
+  apply_sets m ~src sets;
   if flush then Ipet_sim.Interp.flush_cache m;
   let arg_values = List.map (fun i -> Ipet_isa.Value.Vint i) args in
   ignore (run_sim m root arg_values);

@@ -2,6 +2,11 @@ exception Parse_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
 
+(* Four times this is below [max_int]: a relation's two sides each weigh
+   at most this, so {!Functional}'s sums, differences and interval
+   rounding over a parsed atom stay in range. *)
+let max_literal = 1_000_000_000_000_000_000
+
 (* --- tokens -------------------------------------------------------------- *)
 
 type token =
@@ -16,10 +21,23 @@ type token =
 let tokenize text =
   let n = String.length text in
   let out = ref [] in
-  let rec scan_int i acc =
-    if i < n && text.[i] >= '0' && text.[i] <= '9' then
-      scan_int (i + 1) ((acc * 10) + (Char.code text.[i] - Char.code '0'))
-    else (i, acc)
+  (* the digits from [i] and their value; a literal above [max_literal]
+     is an error that names it *)
+  let scan_int i =
+    let rec go j acc =
+      if j < n && text.[j] >= '0' && text.[j] <= '9' then
+        let d = Char.code text.[j] - Char.code '0' in
+        let acc =
+          if acc > (max_literal - d) / 10 then max_literal + 1
+          else (acc * 10) + d
+        in
+        go (j + 1) acc
+      else (j, acc)
+    in
+    let j, v = go i 0 in
+    if v > max_literal then
+      fail "literal %s is larger than 10^18" (String.sub text i (j - i));
+    (j, v)
   in
   let rec go i =
     if i >= n then ()
@@ -27,18 +45,18 @@ let tokenize text =
       match text.[i] with
       | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
       | '0' .. '9' ->
-        let j, v = scan_int i 0 in
+        let j, v = scan_int i in
         out := Tint v :: !out;
         go j
       | 'x' ->
         if i + 1 < n && text.[i + 1] = '@' then begin
-          let j, v = scan_int (i + 2) 0 in
+          let j, v = scan_int (i + 2) in
           if j = i + 2 then fail "expected a line number after x@";
           out := Tx (`Line v) :: !out;
           go j
         end
         else begin
-          let j, v = scan_int (i + 1) 0 in
+          let j, v = scan_int (i + 1) in
           if j = i + 1 then fail "expected a block id after x";
           out := Tx (`Block v) :: !out;
           go j
@@ -59,7 +77,12 @@ let tokenize text =
 
 (* --- parser -------------------------------------------------------------- *)
 
-type state = { toks : token array; mutable pos : int; func : string }
+type state = {
+  toks : token array;
+  mutable pos : int;
+  func : string;
+  text : string;
+}
 
 let peek st = st.toks.(st.pos)
 let advance st = st.pos <- st.pos + 1
@@ -86,18 +109,33 @@ let parse_term st ~sign =
   | Tplus | Tminus | Teq | Tle | Tge | Tamp | Tbar | Tlparen | Trparen | Tend ->
     fail "expected a term"
 
+(* a term's one literal: its coefficient or its constant *)
+let magnitude (t : Functional.lin) =
+  match t.Functional.terms with
+  | [ (c, _) ] -> abs c
+  | _ -> abs t.Functional.const
+
+(* a side; the magnitudes of its literals add up to at most
+   [max_literal], which bounds every value {!Functional} computes from it *)
 let parse_lin st =
   let first_sign = if peek st = Tminus then (advance st; -1) else 1 in
   let acc = ref (parse_term st ~sign:first_sign) in
+  let sum = ref (magnitude !acc) in
+  let add term =
+    acc := Functional.add !acc term;
+    sum := !sum + magnitude term;
+    if !sum > max_literal then
+      fail "the literals of one side of %S add up to more than 10^18" st.text
+  in
   let rec loop () =
     match peek st with
     | Tplus ->
       advance st;
-      acc := Functional.add !acc (parse_term st ~sign:1);
+      add (parse_term st ~sign:1);
       loop ()
     | Tminus ->
       advance st;
-      acc := Functional.add !acc (parse_term st ~sign:(-1));
+      add (parse_term st ~sign:(-1));
       loop ()
     | Tint _ | Tx _ | Teq | Tle | Tge | Tamp | Tbar | Tlparen | Trparen | Tend -> ()
   in
@@ -154,7 +192,7 @@ and parse_atom st =
   end
 
 let parse_constraint ~func text =
-  let st = { toks = tokenize text; pos = 0; func } in
+  let st = { toks = tokenize text; pos = 0; func; text } in
   let c = parse_disj st in
   if peek st <> Tend then fail "trailing input in constraint %S" text;
   c

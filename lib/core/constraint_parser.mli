@@ -13,6 +13,12 @@
                 |  'x' '@' INT    block by source line
     v}
 
+    Every [INT] (a coefficient, a constant, a block id or a line) is at
+    most 10{^18}, and the [INT]s of one side of a relation add up to at
+    most 10{^18}: within those bounds the integer arithmetic of
+    {!Functional} on a parsed constraint cannot overflow. Input beyond
+    them is a {!Parse_error} that names the literal or the constraint.
+
     Annotation files are line oriented; [#] starts a comment:
     {v
     root <function>

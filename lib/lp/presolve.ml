@@ -1,13 +1,11 @@
 (* Fixpoint presolve over exact rationals.
 
    Rows are normalized to [expr <= 0] / [expr = 0] (Ge rows are negated on
-   intake). Three bound stores drive the reductions: explicit bounds come
+   intake). Two bound stores drive the reductions: explicit bounds come
    from singleton rows that were folded away (and are re-emitted on output,
-   so dropping their rows never loses information), implied bounds come
-   from propagation over multi-variable rows (valid consequences, used for
-   forcing, fixing and infeasibility detection but never to justify
-   dropping a row — that asymmetry is what makes removal safe), and the
-   implicit [x >= 0] of every variable.
+   so dropping their rows never loses information), and the implicit
+   [x >= 0] of every variable. Every bound is one the output keeps, so any
+   reduction may rely on any bound.
 
    Variable elimination records definitions most-recent-first; postsolve
    replays them in that order, so a definition may freely mention variables
@@ -42,11 +40,11 @@
    both unchanged.
 
    Made with [~lift:true], the fixpoint also logs what the dual lift
-   ([lift_duals]) reads: each elimination, fix, forcing row and implied
-   bound, with the rows each substitution rewrote and the coefficient it
-   found there, and each explicit bound keeps the singleton row it came
-   from. Rows that die without a trace (redundant, duplicate, empty,
-   constant) need no record: their multiplier is 0. *)
+   ([lift_duals]) reads: each elimination, fix and forcing row, with the
+   rows each substitution rewrote and the coefficient it found there,
+   and each explicit bound keeps the singleton row it came from. Rows
+   that die without a trace (redundant, duplicate, empty, constant) need
+   no record: their multiplier is 0. *)
 
 open Ipet_num
 
@@ -126,25 +124,6 @@ type row = {
    ([exact] is false) *)
 type bound = { value : Rat.t; src : row; scale : Rat.t; exact : bool }
 
-(* what a fix, a forcing row or a propagation relied on for one side of a
-   variable *)
-type side = Nonneg | Explicit of bound | Implied of implied
-
-(* A bound propagated from [psign * prow <= 0] (the [pid]th): the bounded
-   variable's coefficient there has absolute value [pscale], and every
-   other variable sat at the bound on its side, listed with its
-   coefficient's absolute value. The bound row is [psign * prow / pscale]
-   plus those bound rows, each scaled by its coefficient over [pscale],
-   unless rounding tightened it ([pexact] is false). *)
-and implied = {
-  pid : int;
-  prow : row;
-  psign : Rat.t;
-  pscale : Rat.t;
-  others : (Rat.t * side) list;
-  pexact : bool;
-}
-
 (* One substitution [v := e], the [k]th: the rows it rewrote, with [v]'s
    coefficient in each just before, are entries [first .. last - 1] of the
    state's touch buffers. *)
@@ -158,14 +137,11 @@ type event =
          [coeff] (a singleton equality's fix too); [moved] are the rows its
          explicit bounds became, each with [v]'s coefficient in the bound
          row it replaces *)
-  | Pinched of { step : step; lower : side; upper : side }
-      (* fixed where its lower and upper bound met *)
-  | Forced of { row : row; sign : Rat.t; pins : (step * Rat.t * side) list }
-      (* [sign * row <= 0] pinned each variable to the bound on [side];
-         its coefficient in [sign * row] is given *)
-  | Propagated of implied
-      (* an implied bound was tightened: the lift hands the multiplier its
-         later uses gathered to [prow] as [prow] read then *)
+  | Pinched of { step : step; lower : bound option; upper : bound option }
+      (* fixed where its lower and upper bound met; [None] is [v >= 0] *)
+  | Forced of { row : row; pins : (step * Rat.t * bound option) list }
+      (* [row <= 0] at its minimum pinned each variable, listed with its
+         coefficient there, to its min-side bound ([None] is [v >= 0]) *)
 
 type state = {
   integer : bool;
@@ -175,13 +151,8 @@ type state = {
   mutable pending : row list;  (* made by this pass's eliminations, newest first *)
   occ : row list array;  (* column -> rows that may mention it *)
   mutable defs : (int * expr) list;  (* most recent first *)
-  exp_ub : bound option array;
-  exp_lb : bound option array;  (* always > 0 *)
-  imp_ub : Rat.t option array;
-  imp_lb : Rat.t option array;
-  imp_ub_src : implied option array;  (* only when recording *)
-  imp_lb_src : implied option array;
-  mutable implied : int;
+  ub : bound option array;
+  lb : bound option array;  (* always > 0 *)
   mutable log : event list;  (* newest first *)
   (* every substitution's rewritten rows and coefficients, in order: flat
      buffers, grown by doubling, so recording a row costs two stores *)
@@ -200,43 +171,7 @@ let round_up st b = if st.integer then Rat.of_bigint (Rat.ceil b) else b
 
 (* --- bounds -------------------------------------------------------------- *)
 
-let eff_lb st v =
-  let l = match st.exp_lb.(v) with Some b -> b.value | None -> Rat.zero in
-  match st.imp_lb.(v) with Some x -> Rat.max l x | None -> l
-
-let eff_ub st v =
-  let u = match st.exp_ub.(v) with Some b -> Some b.value | None -> None in
-  match st.imp_ub.(v), u with
-  | None, u -> u
-  | Some x, None -> Some x
-  | Some x, Some u -> Some (Rat.min u x)
-
-(* bounds safe for redundancy checks: only what the output re-emits *)
-let safe_lb st v =
-  match st.exp_lb.(v) with Some b -> b.value | None -> Rat.zero
-
-let safe_ub st v =
-  match st.exp_ub.(v) with Some b -> Some b.value | None -> None
-
-(* which bound [eff_lb] / [eff_ub] reads; only the lift reads sides, so
-   a fixpoint that does not record for it answers [Nonneg] *)
-let lower_side st v =
-  if not st.record then Nonneg
-  else
-    match st.exp_lb.(v), st.imp_lb.(v) with
-    | None, None -> Nonneg
-    | Some b, None -> Explicit b
-    | Some b, Some i when Rat.compare b.value i >= 0 -> Explicit b
-    | _, Some _ -> Implied (Option.get st.imp_lb_src.(v))
-
-let upper_side st v =
-  if not st.record then Nonneg
-  else
-    match st.exp_ub.(v), st.imp_ub.(v) with
-    | Some b, None -> Explicit b
-    | Some b, Some i when Rat.compare b.value i <= 0 -> Explicit b
-    | _, Some _ -> Implied (Option.get st.imp_ub_src.(v))
-    | None, None -> assert false (* asked only where [eff_ub] is finite *)
+let lb st v = match st.lb.(v) with Some b -> b.value | None -> Rat.zero
 
 let term_count e = Cols.cardinal e.terms
 
@@ -266,10 +201,8 @@ let substitute ?guard st v e =
   st.defs <- (v, e) :: st.defs;
   let first = st.touched in
   Option.iter (fun g -> touch st g Rat.minus_one) guard;
-  st.exp_ub.(v) <- None;
-  st.exp_lb.(v) <- None;
-  st.imp_ub.(v) <- None;
-  st.imp_lb.(v) <- None;
+  st.ub.(v) <- None;
+  st.lb.(v) <- None;
   let rs = st.occ.(v) in
   st.occ.(v) <- [];
   List.iter
@@ -297,125 +230,76 @@ let fix st v value ~why =
   if st.integer && not (Rat.is_integer value) then
     fail ("to the fractional value " ^ Rat.to_string value);
   if Rat.sign value < 0 then fail "to a negative value";
-  if Rat.compare value (eff_lb st v) < 0 then fail "below its lower bound";
-  (match eff_ub st v with
-   | Some u when Rat.compare value u > 0 -> fail "above its upper bound"
+  if Rat.compare value (lb st v) < 0 then fail "below its lower bound";
+  (match st.ub.(v) with
+   | Some u when Rat.compare value u.value > 0 -> fail "above its upper bound"
    | Some _ | None -> ());
   st.fixed <- st.fixed + 1;
   substitute st v { terms = Cols.empty; const = value }
 
 (* after a bound update: detect conflicts and pinch-fixed variables *)
 let check_bounds st v ~why =
-  match eff_ub st v with
+  match st.ub.(v) with
   | None -> ()
   | Some u ->
-    let l = eff_lb st v in
-    let c = Rat.compare u l in
+    let l = lb st v in
+    let c = Rat.compare u.value l in
     if c < 0 then
       raise
         (Infeasible
            (Printf.sprintf "%s leaves %s with an empty range" why st.names.(v)))
     else if c = 0 then begin
-      let lower = lower_side st v and upper = upper_side st v in
+      let lower = st.lb.(v) and upper = st.ub.(v) in
       let step = fix st v l ~why in
       log st (Pinched { step; lower; upper })
     end
 
 (* the bound [b] on [v] from the singleton row [src], where [v]'s
    coefficient has absolute value [scale] *)
-let tighten_exp_ub st v b ~src ~scale =
+let tighten_ub st v b ~src ~scale =
   let value = round_down st b in
-  (match st.exp_ub.(v) with
+  (match st.ub.(v) with
    | Some cur when Rat.compare cur.value value <= 0 -> ()
    | Some _ | None ->
-     st.exp_ub.(v) <- Some { value; src; scale; exact = Rat.equal value b };
+     st.ub.(v) <- Some { value; src; scale; exact = Rat.equal value b };
      st.changed <- true);
   check_bounds st v ~why:src.origin
 
-let tighten_exp_lb st v b ~src ~scale =
+let tighten_lb st v b ~src ~scale =
   let value = round_up st b in
   if Rat.sign value > 0 then begin
-    (match st.exp_lb.(v) with
+    (match st.lb.(v) with
      | Some cur when Rat.compare cur.value value >= 0 -> ()
      | Some _ | None ->
-       st.exp_lb.(v) <- Some { value; src; scale; exact = Rat.equal value b };
+       st.lb.(v) <- Some { value; src; scale; exact = Rat.equal value b };
        st.changed <- true);
     check_bounds st v ~why:src.origin
   end
 
-(* For the lift: the bound on [v] propagated from [sign * row <= 0],
-   where [v]'s coefficient is [coeff] and [sides] lists every variable's
-   coefficient and the bound it sat at *)
-let note_implied st table v ~row ~sign ~coeff ~sides ~exact =
-  if st.record then begin
-    let i =
-      { pid = st.implied; prow = row; psign = sign; pscale = Rat.abs coeff;
-        pexact = exact;
-        others =
-          List.filter_map
-            (fun (w, a, side) -> if w = v then None else Some (a, side))
-            (Lazy.force sides) }
-    in
-    st.implied <- st.implied + 1;
-    table.(v) <- Some i;
-    log st (Propagated i)
-  end
-
-let tighten_imp_ub st v b ~why ~row ~sign ~coeff ~sides =
-  let value = round_down st b in
-  let improves = match eff_ub st v with
-    | None -> true
-    | Some cur -> Rat.compare value cur < 0
-  in
-  if improves then begin
-    note_implied st st.imp_ub_src v ~row ~sign ~coeff ~sides
-      ~exact:(Rat.equal value b);
-    st.imp_ub.(v) <- Some value;
-    st.changed <- true;
-    check_bounds st v ~why
-  end
-
-let tighten_imp_lb st v b ~why ~row ~sign ~coeff ~sides =
-  let value = round_up st b in
-  if Rat.compare value (eff_lb st v) > 0 then begin
-    note_implied st st.imp_lb_src v ~row ~sign ~coeff ~sides
-      ~exact:(Rat.equal value b);
-    st.imp_lb.(v) <- Some value;
-    st.changed <- true;
-    check_bounds st v ~why
-  end
-
 (* --- activities ---------------------------------------------------------- *)
 
-(* min/max of [expr] over the box given by the bound accessors, leaving
-   out column [skip]'s term; [None] is the corresponding infinity *)
-let min_activity ?(skip = -1) lbf ubf expr =
-  fold
-    (fun v c acc ->
-      match acc with
-      | None -> None
-      | Some _ when v = skip -> acc
-      | Some s ->
-        if Rat.sign c > 0 then Some (Rat.add s (Rat.mul c (lbf v)))
-        else (
-          match ubf v with
-          | None -> None
-          | Some u -> Some (Rat.add s (Rat.mul c u))))
-    expr (Some expr.const)
+(* the least and greatest value of an expression over the bounds: each
+   the sum of its finite terms and how many of its terms are unbounded *)
+type activity = { lo : Rat.t; lo_inf : int; hi : Rat.t; hi_inf : int }
 
-let max_activity ?(skip = -1) lbf ubf expr =
+let activity st e =
+  let lo = ref e.const and hi = ref e.const in
+  let lo_inf = ref 0 and hi_inf = ref 0 in
   fold
-    (fun v c acc ->
-      match acc with
-      | None -> None
-      | Some _ when v = skip -> acc
-      | Some s ->
-        if Rat.sign c < 0 then Some (Rat.add s (Rat.mul c (lbf v)))
-        else (
-          match ubf v with
-          | None -> None
-          | Some u -> Some (Rat.add s (Rat.mul c u))))
-    expr (Some expr.const)
+    (fun v c () ->
+      let pos = Rat.sign c > 0 in
+      (match st.lb.(v) with
+       | Some b ->
+         let m = Rat.mul c b.value in
+         if pos then lo := Rat.add !lo m else hi := Rat.add !hi m
+       | None -> ());
+      match st.ub.(v) with
+      | Some b ->
+        let m = Rat.mul c b.value in
+        if pos then hi := Rat.add !hi m else lo := Rat.add !lo m
+      | None -> if pos then incr hi_inf else incr lo_inf)
+    e ();
+  { lo = !lo; lo_inf = !lo_inf; hi = !hi; hi_inf = !hi_inf }
 
 (* --- row processing ------------------------------------------------------ *)
 
@@ -423,115 +307,43 @@ let kill st r =
   r.live <- false;
   st.changed <- true
 
-(* [sign * expr <= 0] at its minimum activity forces every variable to
-   its min-side bound *)
-let force st r ~sign =
+(* [expr <= 0] at its minimum activity, which is finite, forces every
+   variable to its min-side bound *)
+let force st r =
   let pins =
     fold
       (fun v c acc ->
-        let c = Rat.mul sign c in
-        let value, side =
-          if Rat.sign c > 0 then (eff_lb st v, lower_side st v)
-          else
-            match eff_ub st v with
-            | Some u -> (u, upper_side st v)
-            | None -> assert false
-        in
-        (v, c, value, side) :: acc)
+        (v, c, if Rat.sign c > 0 then st.lb.(v) else st.ub.(v)) :: acc)
       r.expr []
   in
   kill st r;
   let pins =
     List.map
-      (fun (v, c, value, side) ->
+      (fun (v, c, side) ->
+        let value = match side with Some b -> b.value | None -> Rat.zero in
         (fix st v value ~why:("forcing row " ^ r.origin), c, side))
       pins
   in
-  log st (Forced { row = r; sign; pins })
+  log st (Forced { row = r; pins })
 
-let force_min st r = force st r ~sign:Rat.one
-let force_max st r = force st r ~sign:Rat.minus_one
+let unsatisfiable r =
+  raise (Infeasible ("row cannot be satisfied: " ^ r.origin))
 
-(* propagate one direction of [expr <= 0] into implied bounds *)
-let no_sides = Lazy.from_val []
-
-let propagate_le st r ~sign =
-  let expr = if Rat.sign sign > 0 then r.expr else neg r.expr in
-  (* the bound each variable sat at when [sum_fin] read it, before this
-     call tightened any; only the lift reads them *)
-  let sides =
-    if not st.record then no_sides
-    else
-      lazy
-        (fold
-           (fun w c acc ->
-             if Rat.sign c > 0 then (w, Rat.abs c, lower_side st w) :: acc
-             else if eff_ub st w = None then acc (* the one unbounded term *)
-             else (w, Rat.abs c, upper_side st w) :: acc)
-           expr [])
-  in
-  let inf = ref 0 and sum_fin = ref expr.const in
-  fold
-    (fun v c () ->
-      if Rat.sign c > 0 then sum_fin := Rat.add !sum_fin (Rat.mul c (eff_lb st v))
-      else
-        match eff_ub st v with
-        | Some u -> sum_fin := Rat.add !sum_fin (Rat.mul c u)
-        | None -> incr inf)
-    expr ();
-  fold
-    (fun v c () ->
-      let contrib =
-        if Rat.sign c > 0 then Some (Rat.mul c (eff_lb st v))
-        else
-          match eff_ub st v with
-          | Some u -> Some (Rat.mul c u)
-          | None -> None
-      in
-      let residual =
-        match contrib with
-        | Some m when !inf = 0 -> Some (Rat.sub !sum_fin m)
-        | None when !inf = 1 -> Some !sum_fin
-        | Some _ | None -> None
-      in
-      match residual with
-      | None -> ()
-      | Some s ->
-        let bound = Rat.div (Rat.neg s) c in
-        let why = "propagation from " ^ r.origin in
-        if Rat.sign c > 0 then
-          tighten_imp_ub st v bound ~why ~row:r ~sign ~coeff:c ~sides
-        else tighten_imp_lb st v bound ~why ~row:r ~sign ~coeff:c ~sides)
-    expr ()
+(* the row's minimum activity is finite and has the sign [f] accepts *)
+let min_is f a = a.lo_inf = 0 && f (Rat.sign a.lo)
+let max_is f a = a.hi_inf = 0 && f (Rat.sign a.hi)
 
 let process_le st r =
-  (match min_activity (eff_lb st) (eff_ub st) r.expr with
-   | Some m when Rat.sign m > 0 ->
-     raise (Infeasible ("row cannot be satisfied: " ^ r.origin))
-   | Some m when Rat.is_zero m -> force_min st r
-   | Some _ | None -> ());
-  if r.live then begin
-    (match max_activity (safe_lb st) (safe_ub st) r.expr with
-     | Some m when Rat.sign m <= 0 -> kill st r  (* implied by emitted bounds *)
-     | Some _ | None -> ());
-    if r.live then propagate_le st r ~sign:Rat.one
-  end
+  let a = activity st r.expr in
+  if min_is (fun s -> s > 0) a then unsatisfiable r
+  else if min_is (fun s -> s = 0) a then force st r
+  else if max_is (fun s -> s <= 0) a then kill st r  (* implied by the bounds *)
 
 let process_eq st r =
-  (match min_activity (eff_lb st) (eff_ub st) r.expr with
-   | Some m when Rat.sign m > 0 ->
-     raise (Infeasible ("row cannot be satisfied: " ^ r.origin))
-   | Some m when Rat.is_zero m -> force_min st r
-   | Some _ | None -> ());
-  if r.live then begin
-    match max_activity (eff_lb st) (eff_ub st) r.expr with
-    | Some m when Rat.sign m < 0 ->
-      raise (Infeasible ("row cannot be satisfied: " ^ r.origin))
-    | Some m when Rat.is_zero m -> force_max st r
-    | Some _ | None ->
-      propagate_le st r ~sign:Rat.one;
-      propagate_le st r ~sign:Rat.minus_one
-  end
+  let a = activity st r.expr in
+  if min_is (fun s -> s > 0) a || max_is (fun s -> s < 0) a then
+    unsatisfiable r
+  else if min_is (fun s -> s = 0) a then force st r
 
 let process_row st r =
   if r.live then begin
@@ -557,8 +369,8 @@ let process_row st r =
         let step = fix st v b ~why:("row " ^ r.origin) in
         log st (Eliminated { step; row = r; coeff = a; moved = [] })
       | Lp_problem.Le ->
-        if Rat.sign a > 0 then tighten_exp_ub st v b ~src:r ~scale:a
-        else tighten_exp_lb st v b ~src:r ~scale:(Rat.neg a)
+        if Rat.sign a > 0 then tighten_ub st v b ~src:r ~scale:a
+        else tighten_lb st v b ~src:r ~scale:(Rat.neg a)
       | Lp_problem.Ge -> assert false
     end
     else
@@ -590,18 +402,25 @@ let try_eliminate st r =
       || divides expr.const
          && Cols.for_all (fun w c -> w = v || divides c) expr.terms
     in
-    (* [definition >= 0] must be justified by bounds the output preserves
-       (emitted explicit-bound rows, or postsolve defaults for vanished
-       variables) — implied bounds may circularly depend on [v >= 0]
-       itself. The definition is [-rest / a], [rest] being the row without
-       [v]'s term. *)
+    (* [v]'s definition is [-rest / a], [rest] being the row without
+       [v]'s term; it is non-negative over the bounds when [rest]'s maximum
+       is at most 0 ([a > 0]) or its minimum at least 0 ([a < 0]). Both
+       leave out [v]'s term at its upper bound. *)
+    let act = lazy (activity st expr) in
     let nonneg v a =
+      let act = Lazy.force act in
+      let rest m inf =
+        match st.ub.(v) with
+        | Some b when inf = 0 -> Some (Rat.sub m (Rat.mul a b.value))
+        | None when inf = 1 -> Some m
+        | Some _ | None -> None
+      in
       if Rat.sign a > 0 then
-        match max_activity ~skip:v (safe_lb st) (safe_ub st) expr with
+        match rest act.hi act.hi_inf with
         | Some m -> Rat.sign m <= 0
         | None -> false
       else
-        match min_activity ~skip:v (safe_lb st) (safe_ub st) expr with
+        match rest act.lo act.lo_inf with
         | Some m -> Rat.sign m >= 0
         | None -> false
     in
@@ -635,7 +454,7 @@ let try_eliminate st r =
         (add expr ~origin:b.src.origin ~idx:b.src.idx, coeff, b)
       in
       let below =
-        match st.exp_lb.(v) with
+        match st.lb.(v) with
         | Some b ->
           [ move b
               { terms = Cols.map Rat.neg e.terms;
@@ -644,7 +463,7 @@ let try_eliminate st r =
         | None -> []
       in
       let above =
-        match st.exp_ub.(v) with
+        match st.ub.(v) with
         | Some b ->
           [ move b { e with const = Rat.sub e.const b.value } ~coeff:Rat.one ]
         | None -> []
@@ -734,8 +553,8 @@ let emit_rows st obj =
                 :: !bound_rows)
             bound
         in
-        reemit st.exp_ub.(v) Linexpr.sub;
-        reemit st.exp_lb.(v) (fun x l -> Linexpr.sub l x)
+        reemit st.ub.(v) Linexpr.sub;
+        reemit st.lb.(v) (fun x l -> Linexpr.sub l x)
       end)
     st.names;
   List.sort
@@ -762,12 +581,8 @@ exception Not_lifted
    table, [γ] being [v]'s reduced cost just before. A defining row turns
    that into its own multiplier; a fixed variable hands it to the bound
    rows that justified the fix. An explicit bound row is its singleton row
-   scaled. An implied bound row is its source row as that row read when
-   the bound was propagated, plus the bounds it leaned on: its multiplier
-   gathers until the pass reaches that propagation and is handed on
-   there, so the substitutions before it see the row's share and the ones
-   after do not. A rounded bound with a nonzero multiplier proves more
-   than the original rows do, and the lift gives up. *)
+   scaled. A rounded bound with a nonzero multiplier proves more than the
+   original rows do, and the lift gives up. *)
 let lift_duals st ~ge ~obj_coeffs ~flip ~sources duals =
   let neg_if b x = if b then Rat.neg x else x in
   let y = Array.make st.next_id Rat.zero in
@@ -778,16 +593,9 @@ let lift_duals st ~ge ~obj_coeffs ~flip ~sources duals =
       add b.src (Rat.div m b.scale)
     end
   in
-  (* the multiplier an implied bound gathers until the pass reaches the
-     propagation that made it *)
-  let gathered = Array.make st.implied Rat.zero in
-  (* a multiplier [m >= 0] on the bound row of a variable's [side] *)
-  let lean side m =
-    match side with
-    | Nonneg -> ()
-    | Explicit b -> to_bound b m
-    | Implied i -> gathered.(i.pid) <- Rat.add gathered.(i.pid) m
-  in
+  (* a multiplier [m >= 0] on the bound row of a variable's [side]; [v >= 0]
+     takes none *)
+  let lean side m = Option.iter (fun b -> to_bound b m) side in
   let gamma (step : step) =
     let g = ref (neg_if flip obj_coeffs.(step.k)) in
     for i = step.first to step.last - 1 do
@@ -816,8 +624,8 @@ let lift_duals st ~ge ~obj_coeffs ~flip ~sources duals =
         let g = gamma step in
         if Rat.sign g > 0 then lean upper g
         else if Rat.sign g < 0 then lean lower (Rat.neg g)
-      | Forced { row; sign; pins } ->
-        (* the smallest multiplier on [sign * row] that leaves every pin's
+      | Forced { row; pins } ->
+        (* the smallest multiplier on [row] that leaves every pin's
            remaining reduced cost pointing into its bound *)
         let pins =
           List.map (fun (step, c, side) -> (gamma step, c, side)) pins
@@ -830,15 +638,7 @@ let lift_duals st ~ge ~obj_coeffs ~flip ~sources duals =
         List.iter
           (fun (g, c, side) -> lean side (Rat.abs (Rat.sub g (Rat.mul u c))))
           pins;
-        add row (Rat.mul sign u)
-      | Propagated i ->
-        let m = gathered.(i.pid) in
-        if not (Rat.is_zero m) then begin
-          if not i.pexact then raise Not_lifted;
-          let f = Rat.div m i.pscale in
-          add i.prow (Rat.mul i.psign f);
-          List.iter (fun (a, side) -> lean side (Rat.mul f a)) i.others
-        end)
+        add row u)
     st.log;
   Array.mapi (fun i g -> neg_if flip (neg_if g y.(i))) ge
 
@@ -873,7 +673,6 @@ let fixpoint ?(integer = true) ?(lift = false) constraints =
   Array.sort String.compare names;
   Array.iteri (fun i v -> Hashtbl.replace col v i) names;
   let n = Array.length names in
-  let recorded = if lift then n else 0 in
   let st =
     { integer;
       record = lift;
@@ -882,13 +681,8 @@ let fixpoint ?(integer = true) ?(lift = false) constraints =
       pending = [];
       occ = Array.make n [];
       defs = [];
-      exp_ub = Array.make n None;
-      exp_lb = Array.make n None;
-      imp_ub = Array.make n None;
-      imp_lb = Array.make n None;
-      imp_ub_src = Array.make recorded None;
-      imp_lb_src = Array.make recorded None;
-      implied = 0;
+      ub = Array.make n None;
+      lb = Array.make n None;
       log = [];
       touched_rows =
         Array.make (if lift then 64 else 0)
@@ -1008,7 +802,7 @@ let emit fp direction objective =
          unconstrained there, but its recorded explicit lower bound must
          still hold in the reconstruction *)
       Array.iteri
-        (fun v b -> Option.iter (fun b -> x.(v) <- b.value) b) st.exp_lb;
+        (fun v b -> Option.iter (fun b -> x.(v) <- b.value) b) st.lb;
       List.iter
         (fun (v, value) -> Option.iter (fun i -> x.(i) <- value) (slot v))
         assignment;

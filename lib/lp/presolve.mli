@@ -9,9 +9,8 @@
       elimination restricted to definitions with integral coefficients, so
       integrality of the remaining variables implies integrality of the
       eliminated ones);
-    + {b bound propagation} over inequality rows, deriving and tightening
-      implied bounds on the remaining variables (rounded to integers when
-      [integer] holds);
+    + {b bounds} folded from singleton rows (rounded to integers when
+      [integer] holds), and variables fixed where their bounds meet;
     + removal of {b empty}, {b duplicate}, {b redundant} and {b forcing}
       rows (a forcing row pins every variable it mentions, e.g. a loop
       bound of zero);
@@ -75,8 +74,9 @@ val fixpoint : ?integer:bool -> ?lift:bool -> Lp_problem.constr list -> fixpoint
     nothing changes. [integer] is as in {!run}. With [lift] (default
     [false]) it also records what the dual lift of each {!emit} reads;
     without it every lift is [None]. The record is kept for the
-    fixpoint's lifetime and costs a few percent of its time, so a
-    caller that will not certify leaves it off. *)
+    fixpoint's lifetime and costs 5–8% of its time (generated programs
+    of 140–160 ILP variables), so a caller that will not certify leaves
+    it off. *)
 
 type lift = Rat.t array -> Rat.t array option
 (** The dual postsolve of a fixpoint made with [~lift:true]: multipliers
@@ -93,9 +93,6 @@ type lift = Rat.t array -> Rat.t array option
     - a fixed variable passes its reduced cost to the rows that fixed it:
       a singleton equality, a forcing row, or the two bounds that
       pinched it;
-    - a bound presolve implied from another row passes its multiplier to
-      that row as the row read then, and to the bounds the other
-      variables sat at;
     - a guard row ([e >= 0] for an eliminated variable) is that
       variable's non-negativity.
 

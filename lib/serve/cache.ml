@@ -66,12 +66,20 @@ let sweep_tmp dir =
       files
   | exception Sys_error _ -> ()
 
-(* atomic-enough write: temp file in the same directory, then rename *)
+(* atomic-enough write: temp file in the same directory, then rename; a
+   write that fails closes and removes its temp file *)
 let write_file path content =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  output_string oc content;
-  close_out oc;
+  (match
+     output_string oc content;
+     close_out oc
+   with
+   | () -> ()
+   | exception (Sys_error _ as e) ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   Sys.rename tmp path
 
 (* The index's recency first; then every entry file it does not list,
@@ -257,23 +265,29 @@ let evict_over_cap t ~keep =
       Obs.add "serve.cache.eviction_bytes" freed
   done
 
+(* A failed write (a missing or full directory) loses only what the cache
+   would have saved: an entry whose file was not written stays out of the
+   table, so a later request misses and re-solves it, and an index that
+   was not written is rebuilt from the entry files on the next open. *)
 let put t key value =
   let content = Json.to_string value in
   let size = String.length content in
-  match Hashtbl.find_opt t.table key with
-  | Some e ->
-    (* same key, same content: refresh recency only *)
-    touch t key e;
-    save t
-  | None ->
-    write_file (entry_path t key) content;
-    let e = { size; seq = 0; saved = true } in
-    touch t key e;
-    Hashtbl.replace t.table key e;
-    t.bytes <- t.bytes + size;
-    let evictions = t.evictions in
-    evict_over_cap t ~keep:key;
-    if t.evictions > evictions then flush t else save t
+  try
+    match Hashtbl.find_opt t.table key with
+    | Some e ->
+      (* same key, same content: refresh recency only *)
+      touch t key e;
+      save t
+    | None ->
+      write_file (entry_path t key) content;
+      let e = { size; seq = 0; saved = true } in
+      touch t key e;
+      Hashtbl.replace t.table key e;
+      t.bytes <- t.bytes + size;
+      let evictions = t.evictions in
+      evict_over_cap t ~keep:key;
+      if t.evictions > evictions then flush t else save t
+  with Sys_error _ -> ()
 
 let stats t : stats =
   { entries = Hashtbl.length t.table;

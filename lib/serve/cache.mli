@@ -32,7 +32,9 @@ val get : t -> string -> Ipet_obs.Json.t option
 val put : t -> string -> Ipet_obs.Json.t -> unit
 (** Store a value under a key, evicting least-recently-used entries while
     the cap is exceeded (the new entry itself is never evicted by its own
-    insertion). Idempotent for an existing key. *)
+    insertion). Idempotent for an existing key. Never raises on a failed
+    write (a missing or full directory): the key is then not stored, and
+    a later {!get} of it misses. *)
 
 val flush : t -> unit
 (** Rewrite the index file, one line per entry at its current recency.

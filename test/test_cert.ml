@@ -585,17 +585,16 @@ let test_lift_duplicate_row () =
     ~substituted:1 ~fixed:0 ~duals:[ "1"; "0"; "1" ]
 
 (* max x + y s.t. x + y <= 2, x - y = 2 at the degenerate vertex (2, 0):
-   the equality forces x to the upper bound 2 that presolve only implied
-   from the first row, and y to 0. The forcing row takes 1 (its sign
-   flipped: it forced at its maximum), which leaves x a remainder of 2 on
-   that implied bound; the first row takes it when the pass reaches the
-   propagation *)
-let test_lift_implied_bound () =
+   the equality defines x := y + 2, which is non-negative as it stands,
+   so the first row becomes 2y <= 0 and pinches y to 0. y's reduced cost
+   2 goes to that row, halved; x's is then 0, so its defining row takes
+   none *)
+let test_lift_degenerate_vertex () =
   let open L.Infix in
-  check_lift "implied"
+  check_lift "degenerate"
     (P.make P.Maximize (v "x" + v "y")
        [ P.le (v "x" + v "y") (int 2); P.eq (v "x" - v "y") (int 2) ])
-    ~substituted:0 ~fixed:2 ~duals:[ "2"; "-1" ]
+    ~substituted:1 ~fixed:1 ~duals:[ "1"; "0" ]
 
 (* piksrt as [bench export] writes it (loop bounds only) plus [constr
    piksrt 2 x5 <= 161]: presolve rounds the row to x5 <= 80 and the WCET's
@@ -870,7 +869,7 @@ let suite =
     ("lift: pinched bounds", `Quick, test_lift_pinched_bounds);
     ("lift: Ge rows", `Quick, test_lift_ge_rows);
     ("lift: a duplicated row gets 0", `Quick, test_lift_duplicate_row);
-    ("lift: an implied bound", `Quick, test_lift_implied_bound);
+    ("lift: a degenerate vertex", `Quick, test_lift_degenerate_vertex);
     ("a rounded bound falls back and keeps its gap", `Quick,
      test_rounded_bound_falls_back);
     ("every --cert-out certificate of the suite reads back", `Slow,

@@ -648,6 +648,47 @@ let test_bad_set_flags () =
           ("attribute", [ "-a"; path "p.ann" ]) ])
     [ "a[x]=1"; "a[]=1" ]
 
+(* a float [--set] into an int global is an input error (exit 2) naming
+   the flag on both commands, where the run would have crashed on
+   reading it; an int still runs *)
+let test_float_set_into_int () =
+  let path, read = cli_fixture () in
+  List.iter
+    (fun (cmd, args) ->
+      List.iter
+        (fun set ->
+          let what = String.concat " " [ cmd; "--set"; set ] in
+          let status =
+            run_cinderella ~stderr_to:(path "err")
+              ((cmd :: path "p.mc" :: args) @ [ "--set"; set ])
+          in
+          check_bool (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+          check_str (what ^ ": names --set")
+            ("cinderella: error: --set " ^ set ^ ": data is an int global\n")
+            (read "err"))
+        [ "data[3]=2.5"; "data[3]=1e400"; "data=nan" ];
+      let status =
+        run_cinderella ~stderr_to:(path "err")
+          ((cmd :: path "p.mc" :: args) @ [ "--set"; "data[3]=-2" ])
+      in
+      check_bool (cmd ^ " --set data[3]=-2: exit 0") true
+        (status = Unix.WEXITED 0))
+    [ ("sim", [ "-r"; "check_data" ]); ("attribute", [ "-a"; path "p.ann" ]) ]
+
+(* a constraint literal above 10^18 in the annotation file is an input
+   error (exit 2) that names it, not a bound computed from a wrapped int *)
+let test_oversized_literal () =
+  let path, read = cli_fixture () in
+  let oc = open_out_gen [ Open_append ] 0o644 (path "p.ann") in
+  output_string oc "constr check_data x1 <= 9223372036854775808\n";
+  close_out oc;
+  let status = run_analyze path ~stderr_to:(path "err") [] in
+  check_bool "exit 2" true (status = Unix.WEXITED 2);
+  let err = read "err" in
+  check_bool ("names the literal: " ^ err) true
+    (Test_lp.contains ~needle:"literal 9223372036854775808 is larger than 10^18"
+       err)
+
 (* every subcommand's manual renders: cmdliner reports a malformed doc
    string on stderr but still exits 0, so the stderr check is the one
    that catches it *)
@@ -687,4 +728,8 @@ let suite =
     ("bad fetch geometry flags are input errors", `Quick,
      test_bad_geometry_flags);
     ("a non-integer --set index is an input error", `Quick,
-     test_bad_set_flags) ]
+     test_bad_set_flags);
+    ("a float --set into an int global is an input error", `Quick,
+     test_float_set_into_int);
+    ("an oversized constraint literal is an input error", `Quick,
+     test_oversized_literal) ]

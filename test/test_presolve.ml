@@ -159,15 +159,27 @@ let test_infeasible_integer_fix () =
            P.le ~origin:"cap" (2 * v "x") (int 3) ],
        "cap leaves x with an empty range") ]
 
-let test_infeasible_propagated () =
-  (* x >= 4 conflicts with x <= 2y, y <= 1 only through propagation *)
+(* x >= 4 conflicts with x <= 2y, y <= 1 through the second row: once
+   the first and last rows are bounds, its minimum x - 2y = 4 - 2 is
+   positive. The solver agrees *)
+let test_infeasible_row () =
   let open L.Infix in
-  check_reason "propagation"
-    (lp_max (v "x")
-       [ P.ge ~origin:"floor" (v "x") (int 4);
-         P.le ~origin:"link" (v "x" - (2 * v "y")) (int 0);
-         P.le ~origin:"cap" (v "y") (int 1) ])
-    ~needle:"cap leaves y with an empty range"
+  let p =
+    lp_max (v "x")
+      [ P.ge ~origin:"floor" (v "x") (int 4);
+        P.le ~origin:"link" (v "x" - (2 * v "y")) (int 0);
+        P.le ~origin:"cap" (v "y") (int 1) ]
+  in
+  check_reason "unsatisfiable row" p ~needle:"row cannot be satisfied: link";
+  List.iter
+    (fun presolve ->
+      check_bool
+        (Printf.sprintf "solver (presolve %b) proves it infeasible" presolve)
+        true
+        (match I.solve ~presolve p with
+         | I.Infeasible _ -> true
+         | I.Optimal _ | I.Unbounded _ -> false))
+    [ true; false ]
 
 (* a zero loop bound, x + y <= 0, is a forcing row; x >= 1 leaves it
    unsatisfiable *)
@@ -470,6 +482,40 @@ let test_suite_analysis_equivalence () =
      @ [ ("ludcmp e32", ludcmp Ipet_machine.Machine.e32, true);
          ("ludcmp m7", ludcmp Ipet_machine.Machine.m7, true) ])
 
+(* piksrt's own constraints plus 8 copies of [x1 = 1 | x2 >= 0]: 2^8
+   sets, of which only the one that takes [x2 >= 0] everywhere is feasible
+   ([x1] is the outer loop's header, which runs more than once). Presolve
+   proves the other 255 infeasible, so each direction makes a single LP
+   call, and both certificates lift *)
+let test_disjunction_pruning () =
+  let b = Ipet_suite.Suite.find "piksrt" in
+  let copies =
+    List.init 8 (fun _ ->
+        Ipet.Constraint_parser.parse_constraint ~func:"piksrt"
+          "x1 = 1 | x2 >= 0")
+  in
+  let spec =
+    Analysis.spec ~loop_bounds:b.Bspec.loop_bounds
+      ~functional:(b.Bspec.functional @ copies) ~root:b.Bspec.root
+      (Bspec.compile b).Ipet_lang.Compile.prog
+  in
+  let r = Analysis.analyze ~certify:true spec in
+  check_int "BCET" 264 r.Analysis.bcet.Analysis.cycles;
+  check_int "WCET" 3611 r.Analysis.wcet.Analysis.cycles;
+  List.iter
+    (fun (what, (s : Analysis.solver_stats), cert) ->
+      check_int (what ^ ": sets") 256 s.Analysis.sets_total;
+      check_int (what ^ ": sets solved") 256 s.Analysis.sets_solved;
+      check_int (what ^ ": sets infeasible") 255 s.Analysis.sets_infeasible;
+      check_int (what ^ ": LP calls") 1 s.Analysis.lp_calls;
+      let c = Option.get cert in
+      check_bool (what ^ ": certificate lifted") true
+        (c.Analysis.emit_source = Ipet_cert.Certify.Lifted);
+      check_bool (what ^ ": certificate closes the gap") true
+        (Ipet_cert.Checker.gap_closed c.Analysis.verdict))
+    [ ("WCET", r.Analysis.wcet_stats, r.Analysis.wcet_cert);
+      ("BCET", r.Analysis.bcet_stats, r.Analysis.bcet_cert) ]
+
 (* the summary's solver line covers every ILP of both extremes: without
    presolve ludcmp's BCET ILP branches (3 LP calls, a fractional first
    relaxation) while its WCET ILP is solved by one integral relaxation *)
@@ -504,13 +550,15 @@ let suite =
     ("forcing row", `Quick, test_forcing_row);
     ("infeasible bounds", `Quick, test_infeasible_bounds);
     ("integer-infeasible fix", `Quick, test_infeasible_integer_fix);
-    ("propagated infeasibility", `Quick, test_infeasible_propagated);
+    ("unsatisfiable-row infeasibility", `Quick, test_infeasible_row);
     ("forcing-row infeasibility", `Quick, test_infeasible_forcing);
     ("one fixpoint, two objectives", `Quick, test_shared_fixpoint);
     ("objective-only variables", `Quick, test_objective_only_variables);
     ("suite ILP equivalence", `Slow, test_suite_problem_equivalence);
     ("suite analysis equivalence", `Slow, test_suite_analysis_equivalence);
     ("summary counts both extremes", `Quick, test_summary_counts_both_extremes);
+    ("disjunction pruning: 255 of 256 sets proved infeasible", `Quick,
+     test_disjunction_pruning);
     ("index: a row rewritten by several substitutions", `Quick,
      test_index_repeated_rewrites);
     ("index: stale and duplicate entries", `Quick, test_index_stale_entries);

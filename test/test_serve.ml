@@ -989,6 +989,23 @@ let test_protocol_overflow () =
       check_string ("inner bound " ^ hi) "analysis" (response_code response))
     [ "4611686018427387903"; "10000000000000000" ]
 
+(* a constraint literal above 10^18 in the annotations is an input error
+   that names it, not a bound computed from a wrapped int *)
+let test_protocol_oversized_literal () =
+  let source = (Ipet_suite.Suite.find "piksrt").Bspec.source in
+  let annotations =
+    "root piksrt\nloop piksrt 5 9 9\nloop piksrt 8 0 9\n\
+     constr piksrt x5 <= 9223372036854775808\n"
+  in
+  let response, _ =
+    Protocol.handle_line pconfig
+      (analyze_request source ~extra:[ ("annotations", J.Str annotations) ])
+  in
+  check_string "code" "input" (response_code response);
+  check_bool "names the literal" true
+    (Test_lp.contains ~needle:"literal 9223372036854775808 is larger than 10^18"
+       response)
+
 let edit_annotations = "root main\nloop main 8 8 8\n"
 
 let test_protocol_requests () =
@@ -1272,6 +1289,37 @@ let test_one_record_invariant () =
       (int "units_cached" e);
     check_int "the timed-out event shows its two checks" 2
       (int "certs_checked" e)
+
+(* a cache write that fails loses only the cache: with the directory gone
+   between two identical requests, the second misses on both units,
+   solves them and still answers; they stay out of the table, and the
+   next request solves them again *)
+let test_cache_write_failure () =
+  let dir = tmp_dir "serve-cache-gone" in
+  let cache = Cache.create ~dir ~cap_bytes:(1024 * 1024) in
+  let pc = Protocol.make ~cache () in
+  let request =
+    analyze_request
+      "int f(int x) {\n  return (x + 1);\n}\n\nint main() {\n  return f(1);\n}\n"
+      ~extra:[ ("root", J.Str "main") ]
+  in
+  let solved what =
+    let response = fst (Protocol.handle_line pc request) in
+    check_string (what ^ ": answers") "ok" (response_code response);
+    match J.parse response with
+    | Ok j ->
+      Option.value ~default:(-1)
+        (Option.bind (J.member "stats" j) (fun s ->
+             Option.bind (J.member "units_solved" s) J.to_int))
+    | Error m -> Alcotest.failf "unparsable response: %s" m
+  in
+  check_int "the first request solves both units" 2 (solved "first");
+  check_int "both are stored" 2 (Cache.stats cache).Cache.entries;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  check_int "without a directory, both are solved again" 2 (solved "second");
+  check_int "and neither is stored" 0 (Cache.stats cache).Cache.entries;
+  check_int "the next request solves them again" 2 (solved "third")
 
 (* --- flight recorder -------------------------------------------------------- *)
 
@@ -1761,6 +1809,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_parse_total;
     Alcotest.test_case "protocol: int63 overflow is an analysis error" `Quick
       test_protocol_overflow;
+    Alcotest.test_case "cache: a failed write still answers" `Quick
+      test_cache_write_failure;
+    Alcotest.test_case "protocol: an oversized constraint literal is an input error"
+      `Quick test_protocol_oversized_literal;
     Alcotest.test_case "protocol: a bad fetch geometry is an input error"
       `Quick test_protocol_bad_geometry;
     Alcotest.test_case

@@ -12,6 +12,11 @@ module V = Ipet_isa.Value
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let contains ~needle hay =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 (* --- constraint parser ----------------------------------------------------- *)
 
 let roundtrip text = Format.asprintf "%a" F.pp (CP.parse_constraint ~func:"f" text)
@@ -48,6 +53,34 @@ let test_parse_errors () =
   check_bool "bare x" true (bad "x = 1");
   check_bool "trailing" true (bad "x1 = 0 )")
 
+(* a literal above 10^18, or one side whose literals add up past it,
+   would wrap the parser's native ints; each is an error naming it *)
+let test_parse_oversized_literals () =
+  let error text =
+    match CP.parse_constraint ~func:"f" text with
+    | _ -> Alcotest.failf "%S parsed" text
+    | exception CP.Parse_error msg -> msg
+  in
+  List.iter
+    (fun literal ->
+      List.iter
+        (fun text ->
+          check_bool (text ^ ": names the literal") true
+            (contains ~needle:literal (error text)))
+        [ "x5 <= " ^ literal; "x" ^ literal ^ " = 1"; "x@" ^ literal ^ " = 1";
+          literal ^ " x5 >= 1" ])
+    [ "9223372036854775808"; "4611686018427387904"; "99999999999999999999";
+      "1000000000000000001" ];
+  (* each literal is in range, but their sum is past [max_int] *)
+  let sum =
+    "x5 <= " ^ String.concat " + " (List.init 6 (fun _ -> "900000000000000000"))
+  in
+  check_bool "an overflowing sum names its constraint" true
+    (contains ~needle:("one side of " ^ Printf.sprintf "%S" sum) (error sum));
+  check_bool "10^18 itself parses" true
+    (roundtrip "x5 + 999999999999999999 <= 1000000000000000000"
+     = "x_f_5 + 999999999999999999 <= 1000000000000000000")
+
 let test_annotation_file () =
   let text = {|
 # a comment
@@ -76,11 +109,6 @@ let test_annotation_file_errors () =
        String.length msg > 6 && String.sub msg 0 6 = "line 3")
 
 (* --- reports ---------------------------------------------------------------- *)
-
-let contains ~needle hay =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 let test_annotated_source () =
   let src = "int f(int p) {\n  if (p)\n    return 1;\n  return 0;\n}\n" in
@@ -161,6 +189,8 @@ let suite =
     ("parse sums", `Quick, test_parse_sums);
     ("parse boolean structure", `Quick, test_parse_boolean);
     ("parse errors", `Quick, test_parse_errors);
+    ("oversized literals are parse errors", `Quick,
+     test_parse_oversized_literals);
     ("annotation file", `Quick, test_annotation_file);
     ("annotation file errors", `Quick, test_annotation_file_errors);
     ("annotated source listing", `Quick, test_annotated_source);
