@@ -396,6 +396,13 @@ let apply_sets m ~src sets =
       | Error (`Msg msg) -> Diag.fail ~code:Diag.exit_input "--set %s" msg)
     sets
 
+(* a program whose memory the simulator will not allocate is an input
+   error, like a malformed listing *)
+let machine ?cache ~mach prog ~init =
+  try Ipet_sim.Interp.create ?cache ~mach prog ~init
+  with Ipet_sim.Interp.Runtime_error msg ->
+    Diag.fail ~code:Diag.exit_input "%s" msg
+
 let run_sim m root arg_values =
   match
     Obs.span "sim.run" ~args:[ ("root", root) ] (fun () ->
@@ -428,7 +435,7 @@ let sim_cmd obs source_path root args sets flush profile mach =
   setup_obs obs;
   let src, compiled = load_program source_path in
   let prog = compiled.Compile.prog in
-  let m = Ipet_sim.Interp.create ~mach prog ~init:compiled.Compile.init_data in
+  let m = machine ~mach prog ~init:compiled.Compile.init_data in
   apply_sets m ~src sets;
   if flush then Ipet_sim.Interp.flush_cache m;
   let arg_values = List.map (fun i -> Ipet_isa.Value.Vint i) args in
@@ -464,9 +471,8 @@ let attribute_cmd obs load_input args sets flush certify =
   let result = run_analysis ~certify spec in
   if Obs.enabled () then Ipet.Report.record_lp_metrics Obs.metrics result;
   let m =
-    Ipet_sim.Interp.create ~mach:spec.Ipet.Analysis.mach
-      ~cache:spec.Ipet.Analysis.cache spec.Ipet.Analysis.prog
-      ~init:compiled.Compile.init_data
+    machine ~mach:spec.Ipet.Analysis.mach ~cache:spec.Ipet.Analysis.cache
+      spec.Ipet.Analysis.prog ~init:compiled.Compile.init_data
   in
   apply_sets m ~src sets;
   if flush then Ipet_sim.Interp.flush_cache m;

@@ -1,9 +1,11 @@
 (* The trusted base: this module must stay independent of the simplex
    implementations (Revised/Dense/Presolve/Sparse) — it sees only the
-   problem representation and exact rationals. Keep it that way. *)
+   problem representation, its column table included, and exact
+   rationals. Keep it that way. *)
 
 open Ipet_num
 open Ipet_lp
+module C = Lp_problem.Columns
 
 type verdict = Valid of { gap : Rat.t } | Invalid of string list
 
@@ -20,13 +22,11 @@ let pp_verdict (cert : Certificate.t) fmt = function
   | Invalid errs ->
     Format.fprintf fmt "INVALID: %s" (String.concat "; " errs)
 
-(* A constraint set, numbered once: each variable of its rows is a
-   column, each row its columns and coefficients. One objective per
-   direction is kept with its digest and its coefficient per column,
-   keyed on the objective's physical identity: every part of a problem is
-   immutable, so the same objective value has the same digest. *)
-type row = { constr : Lp_problem.constr; cols : int array; coeffs : Rat.t array }
-
+(* A constraint set's numbering, its rows' digest text, and one
+   objective per direction, kept with its digest and its coefficient per
+   column and keyed on the objective's physical identity: every part of a
+   problem is immutable, so the same objective value has the same
+   digest. *)
 type objective = {
   expr : Linexpr.t;
   digest : string;
@@ -35,42 +35,14 @@ type objective = {
 }
 
 type view = {
-  rows : row array;
-  names : string array;
-  columns : (string, int) Hashtbl.t;
+  cols : C.t;
   text : string;
   objectives : objective option array;  (* Maximize's, then Minimize's *)
 }
 
-let view constraints =
-  let columns = Hashtbl.create 256 and names = ref [] in
-  let column v =
-    match Hashtbl.find_opt columns v with
-    | Some j -> j
-    | None ->
-      let j = Hashtbl.length columns in
-      Hashtbl.add columns v j;
-      names := v :: !names;
-      j
-  in
-  let row (constr : Lp_problem.constr) =
-    let e = constr.Lp_problem.expr in
-    let n = Linexpr.fold_terms (fun _ _ n -> n + 1) e 0 in
-    let cols = Array.make n 0 and coeffs = Array.make n Rat.zero in
-    ignore
-      (Linexpr.fold_terms
-         (fun v a k ->
-           cols.(k) <- column v;
-           coeffs.(k) <- a;
-           k + 1)
-         e 0);
-    { constr; cols; coeffs }
-  in
-  let rows = Array.of_list (List.map row constraints) in
-  { rows;
-    names = Array.of_list (List.rev !names);
-    columns;
-    text = Certificate.rows_text constraints;
+let view cols =
+  { cols;
+    text = Certificate.rows_text (C.constraints cols);
     objectives = [| None; None |] }
 
 let objective view direction expr =
@@ -80,15 +52,7 @@ let objective view direction expr =
   match view.objectives.(slot) with
   | Some o when o.expr == expr -> o
   | Some _ | None ->
-    let obj = Array.make (Array.length view.names) Rat.zero in
-    let outside =
-      Linexpr.fold_terms
-        (fun v a outside ->
-          match Hashtbl.find_opt view.columns v with
-          | Some j -> obj.(j) <- a; outside
-          | None -> (v, a) :: outside)
-        expr []
-    in
+    let obj, outside = C.objective view.cols expr in
     let o =
       { expr;
         digest = Certificate.digest_rows direction expr ~rows:view.text;
@@ -105,12 +69,12 @@ let check_view view direction objective_expr (cert : Certificate.t) =
   let err fmt = Format.kasprintf (fun m -> errs := m :: !errs) fmt in
   let maximize = direction = Lp_problem.Maximize in
   let o = objective view direction objective_expr in
-  let rows = view.rows in
-  let ncols = Array.length view.names in
+  let cols = view.cols in
+  let ncols = C.count cols in
   if cert.Certificate.direction <> direction then err "direction mismatch";
   if cert.Certificate.digest <> o.digest then
     err "problem digest mismatch: certificate is about a different problem";
-  let m = Array.length rows in
+  let m = C.rows cols in
   let duals = cert.Certificate.duals in
   if Array.length duals <> m then
     err "dual count %d does not match %d constraints" (Array.length duals) m
@@ -126,31 +90,30 @@ let check_view view direction objective_expr (cert : Certificate.t) =
        [a·x rel -b], so each row contributes yᵢ·(-bᵢ) *)
     let cover = Array.make ncols Rat.zero in
     let implied = ref (Linexpr.constant objective_expr) in
-    Array.iteri
-      (fun i { constr = c; cols; coeffs } ->
-        let y = duals.(i) in
-        let s = Rat.sign y in
-        let bad =
-          match c.Lp_problem.rel with
-          | Lp_problem.Eq -> false
-          | Lp_problem.Le -> if maximize then s < 0 else s > 0
-          | Lp_problem.Ge -> if maximize then s > 0 else s < 0
-        in
-        if bad then
-          err "dual %d (%s) has the wrong sign for a %s constraint" i
-            c.Lp_problem.origin
-            (match c.Lp_problem.rel with
-             | Lp_problem.Le -> "<="
-             | Lp_problem.Ge -> ">="
-             | Lp_problem.Eq -> "=");
-        if s <> 0 then begin
-          Array.iteri
-            (fun k j -> cover.(j) <- Rat.add cover.(j) (Rat.mul y coeffs.(k)))
-            cols;
-          implied :=
-            Rat.sub !implied (Rat.mul y (Linexpr.constant c.Lp_problem.expr))
-        end)
-      rows;
+    for i = 0 to m - 1 do
+      let c = C.row cols i and y = duals.(i) in
+      let s = Rat.sign y in
+      let bad =
+        match c.Lp_problem.rel with
+        | Lp_problem.Eq -> false
+        | Lp_problem.Le -> if maximize then s < 0 else s > 0
+        | Lp_problem.Ge -> if maximize then s > 0 else s < 0
+      in
+      if bad then
+        err "dual %d (%s) has the wrong sign for a %s constraint" i
+          c.Lp_problem.origin
+          (match c.Lp_problem.rel with
+           | Lp_problem.Le -> "<="
+           | Lp_problem.Ge -> ">="
+           | Lp_problem.Eq -> "=");
+      if s <> 0 then begin
+        C.fold_row
+          (fun j a () -> cover.(j) <- Rat.add cover.(j) (Rat.mul y a))
+          cols i ();
+        implied :=
+          Rat.sub !implied (Rat.mul y (Linexpr.constant c.Lp_problem.expr))
+      end
+    done;
     let covered lhs cv =
       if maximize then Rat.compare lhs cv >= 0 else Rat.compare lhs cv <= 0
     in
@@ -159,7 +122,9 @@ let check_view view direction objective_expr (cert : Certificate.t) =
       if not (covered lhs cv) then uncovered := (v, lhs, cv) :: !uncovered
     in
     List.iter (fun (v, cv) -> report v Rat.zero cv) o.outside;
-    Array.iteri (fun j lhs -> report view.names.(j) lhs o.obj.(j)) cover;
+    Array.iteri
+      (fun j lhs -> report (C.name cols j) lhs o.obj.(j))
+      cover;
     List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !uncovered
     |> List.iter (fun (v, lhs, cv) ->
         err "variable %s not covered: duals give %s against objective %s" v
@@ -178,7 +143,7 @@ let check_view view direction objective_expr (cert : Certificate.t) =
   List.iter
     (fun (v, q) ->
       let repeated =
-        match Hashtbl.find_opt view.columns v with
+        match C.find cols v with
         | Some j ->
           x.(j) <- q;
           let r = Bytes.get seen j <> '\000' in
@@ -194,27 +159,24 @@ let check_view view direction objective_expr (cert : Certificate.t) =
       if not (Rat.is_integer q) then
         err "witness has non-integral %s = %s" v (Rat.to_string q))
     cert.Certificate.witness;
-  let dot cols coeffs init =
-    let acc = ref init in
-    Array.iteri
-      (fun k j ->
-        let q = x.(j) in
-        if not (Rat.is_zero q) then acc := Rat.add !acc (Rat.mul coeffs.(k) q))
-      cols;
-    !acc
-  in
-  Array.iteri
-    (fun i { constr = c; cols; coeffs } ->
-      let v = dot cols coeffs (Linexpr.constant c.Lp_problem.expr) in
-      let holds =
-        match c.Lp_problem.rel with
-        | Lp_problem.Le -> Rat.sign v <= 0
-        | Lp_problem.Ge -> Rat.sign v >= 0
-        | Lp_problem.Eq -> Rat.is_zero v
-      in
-      if not holds then
-        err "witness violates constraint %d (%s)" i c.Lp_problem.origin)
-    rows;
+  for i = 0 to C.rows cols - 1 do
+    let c = C.row cols i in
+    let v =
+      C.fold_row
+        (fun j a acc ->
+          let q = x.(j) in
+          if Rat.is_zero q then acc else Rat.add acc (Rat.mul a q))
+        cols i (Linexpr.constant c.Lp_problem.expr)
+    in
+    let holds =
+      match c.Lp_problem.rel with
+      | Lp_problem.Le -> Rat.sign v <= 0
+      | Lp_problem.Ge -> Rat.sign v >= 0
+      | Lp_problem.Eq -> Rat.is_zero v
+    in
+    if not holds then
+      err "witness violates constraint %d (%s)" i c.Lp_problem.origin
+  done;
   let wobj = ref (Linexpr.constant objective_expr) in
   let add a q = wobj := Rat.add !wobj (Rat.mul a q) in
   List.iter
@@ -237,5 +199,7 @@ let check_view view direction objective_expr (cert : Certificate.t) =
   match !errs with [] -> Valid { gap } | errs -> Invalid (List.rev errs)
 
 let check (p : Lp_problem.t) cert =
-  check_view (view p.Lp_problem.constraints) p.Lp_problem.direction
+  check_view
+    (view (C.make p.Lp_problem.constraints))
+    p.Lp_problem.direction
     p.Lp_problem.objective cert

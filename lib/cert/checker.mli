@@ -2,10 +2,10 @@
 
     Validates a {!Certificate.t} against the original (pre-presolve)
     problem in exact rational arithmetic, using nothing but the problem
-    representation ({!Ipet_lp.Linexpr}, {!Ipet_num.Rat} and
-    {!Certificate}'s digest) — no {!Ipet_lp.Revised}, {!Ipet_lp.Dense}
-    or {!Ipet_lp.Presolve} — so a bug in the solver chain cannot also
-    hide in its own audit.
+    representation ({!Ipet_lp.Linexpr}, {!Ipet_lp.Lp_problem.Columns},
+    {!Ipet_num.Rat} and {!Certificate}'s digest) — no
+    {!Ipet_lp.Revised}, {!Ipet_lp.Dense} or {!Ipet_lp.Presolve} — so a
+    bug in the solver chain cannot also hide in its own audit.
 
     What a [Valid] verdict establishes, for a [Maximize] problem (all
     comparisons are exact; [Minimize] is symmetric):
@@ -33,36 +33,36 @@ type verdict =
   | Invalid of string list  (** every failed check, not just the first *)
 
 val check : Lp_problem.t -> Certificate.t -> verdict
-(** [check p cert] is [check_view (view p.constraints) p.direction
-    p.objective cert]: a fresh view, used once. *)
+(** [check p cert] is [check_view (view (Lp_problem.Columns.make
+    p.constraints)) p.direction p.objective cert]: a fresh view, used
+    once. *)
 
-(** {1 A constraint set, numbered once}
+(** {1 A constraint set, read once}
 
     The WCET and the BCET problem of one constraint set share its rows
     and differ only in direction and objective. A [view] reads the rows
-    once: it numbers every variable of the rows as a column, holds each
-    row as arrays of columns and coefficients, and renders the rows'
+    through their numbering ({!Lp_problem.Columns.t}) and renders their
     part of the digested text ({!Certificate.rows_text}) once. For each
     direction it keeps the last objective it was asked about, keyed on
-    the objective's physical identity, with that problem's digest and
-    its coefficient per column. Every part of a {!Lp_problem.t} is
-    immutable, so a physically equal objective has the same digest; a
-    different objective replaces the direction's entry. So the two
-    directions' certificates of a set render its rows once and hash once
-    each, however often they are emitted and checked.
+    physical identity (every part of a {!Lp_problem.t} is immutable),
+    with that problem's digest and its coefficient per column. So the
+    two directions' certificates of a set render its rows once and hash
+    once each, however often they are emitted and checked.
 
-    Trust: a view is built here, by {!view}, from the constraint list
-    itself, and holds nothing a producer computed. {!check_view} on a
-    view that has served any number of earlier checks gives exactly the
-    verdict, reasons and order included, that {!check} gives on the
-    problem [Lp_problem.make direction objective constraints]. *)
+    Trust: the column table is the one part of a view a producer may
+    share. It is built from the constraint list alone and is immutable
+    to its readers, and the digest text is rendered here from the same
+    list. {!check_view} on a view that has served any number of earlier
+    checks gives exactly the verdict, reasons and order included, that
+    {!check} gives on [Lp_problem.make direction objective
+    constraints]. *)
 
 type view
 
-val view : Lp_problem.constr list -> view
+val view : Lp_problem.Columns.t -> view
 
 val digest : view -> Lp_problem.direction -> Linexpr.t -> string
-(** [digest (view cs) direction objective] is
+(** [digest (view (Lp_problem.Columns.make cs)) direction objective] is
     [Certificate.digest_problem (Lp_problem.make direction objective cs)],
     rendered and hashed at most once per direction and objective. *)
 

@@ -274,24 +274,28 @@ let extreme_of_witness insts (problem : Lp.t) ~bound witness =
     counts = block_counts insts env;
     binding = binding_constraints problem.Lp.constraints env }
 
-(* A unit's ILPs: each conjunctive set's constraints, built once, and
-   the two objectives. A set's presolve fixpoint is computed by the first
-   direction that solves the set and shared by the other; it records what
-   the dual lift reads ([true]) only when a certificate needs it. So is
-   the checker's view of the set's rows: the first certificate emitted
-   or checked on the set builds it, and every later one, in either
-   direction, digests and checks there *)
+(* A unit's ILPs: each conjunctive set's constraints, built and numbered
+   once, and the two objectives. The presolve fixpoint and the checker's
+   view both read the set's numbering. The fixpoint is computed by the
+   first direction that solves the set and shared by the other; it
+   records what the dual lift reads ([true]) only when a certificate
+   needs it. The view is built by the first certificate emitted or
+   checked on the set, and every later one, in either direction, digests
+   and checks there *)
 type constraint_set = {
-  constraints : Lp.constr list;
+  columns : Lp.Columns.t;
   mutable fixpoint : (bool * Ipet_lp.Presolve.fixpoint) option;
   mutable view : Ipet_cert.Checker.view option;
 }
+
+let set_problem set direction objective =
+  Lp.make direction objective (Lp.Columns.constraints set.columns)
 
 let set_fixpoint set ~lift =
   match set.fixpoint with
   | Some (lifts, fp) when lifts || not lift -> fp
   | Some _ | None ->
-    let fp = Ipet_lp.Presolve.fixpoint ~integer:true ~lift set.constraints in
+    let fp = Ipet_lp.Presolve.fixpoint ~integer:true ~lift set.columns in
     set.fixpoint <- Some (lift, fp);
     fp
 
@@ -299,7 +303,7 @@ let set_view set =
   match set.view with
   | Some v -> v
   | None ->
-    let v = Ipet_cert.Checker.view set.constraints in
+    let v = Ipet_cert.Checker.view set.columns in
     set.view <- Some v;
     v
 
@@ -312,7 +316,7 @@ type system = {
 let system ~wcet ~bcet sets =
   { sets =
       List.map
-        (fun constraints -> { constraints; fixpoint = None; view = None })
+        (fun cs -> { columns = Lp.Columns.make cs; fixpoint = None; view = None })
         sets;
     wcet_objective = wcet;
     bcet_objective = bcet }
@@ -323,7 +327,7 @@ let system_objective system = function
 
 let system_problems system direction =
   let obj = system_objective system direction in
-  List.map (fun set -> Lp.make direction obj set.constraints) system.sets
+  List.map (fun set -> set_problem set direction obj) system.sets
 
 (* Certify the winning bound: the root relaxation's row prices, lifted
    through presolve, are the dual multipliers for the original constraint
@@ -361,7 +365,7 @@ let check_stored system direction (cert : Ipet_cert.Certificate.t) =
           (Ipet_cert.Checker.digest view direction objective)
       then
         Some
-          ( Lp.make direction objective set.constraints,
+          ( set_problem set direction objective,
             Ipet_cert.Checker.check_view view direction objective cert )
       else None)
     system.sets
@@ -404,7 +408,7 @@ let solve_extreme ?(certify = false) spec insts system direction =
       pc_after := !pc_after + nc
   in
   let solve_set i set =
-    let problem = Lp.make direction objective set.constraints in
+    let problem = set_problem set direction objective in
     let solve () =
       ( (set, problem),
         if spec.presolve then

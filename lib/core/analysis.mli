@@ -187,7 +187,8 @@ type system
     one {!Ipet_cert.Checker.view}, built by the first certificate
     emitted or checked on it: both directions' certificates of the set,
     fresh or stored, take their digests from it and are checked on
-    it. *)
+    it. The fixpoint and the view read one numbering of the set
+    ({!Ipet_lp.Lp_problem.Columns}), made once, by the first of them. *)
 
 val system :
   wcet:Ipet_lp.Linexpr.t -> bcet:Ipet_lp.Linexpr.t ->

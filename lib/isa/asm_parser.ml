@@ -55,6 +55,13 @@ let word sc =
   if sc.pos = start then fail sc.line "expected a word";
   String.sub sc.text start (sc.pos - start)
 
+(* a numeric field: one [conv] rejects, malformed or beyond the native
+   range, is an error on its line *)
+let literal line conv lit =
+  match conv lit with
+  | Some v -> v
+  | None -> fail line "malformed or out-of-range literal %s" lit
+
 let integer sc =
   skip_ws sc;
   let start = sc.pos in
@@ -64,7 +71,7 @@ let integer sc =
     sc.pos <- sc.pos + 1
   done;
   if sc.pos = start then fail sc.line "expected an integer";
-  int_of_string (String.sub sc.text start (sc.pos - start))
+  literal sc.line int_of_string_opt (String.sub sc.text start (sc.pos - start))
 
 (* a numeric literal after '#': float when it contains . e n i *)
 let immediate sc =
@@ -81,8 +88,8 @@ let immediate sc =
   let lit = String.sub sc.text start (sc.pos - start) in
   if lit = "" then fail sc.line "expected a literal after #";
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') lit then
-    Instr.Fimm (float_of_string lit)
-  else Instr.Imm (int_of_string lit)
+    Instr.Fimm (literal sc.line float_of_string_opt lit)
+  else Instr.Imm (literal sc.line int_of_string_opt lit)
 
 let register sc =
   skip_ws sc;
@@ -317,13 +324,17 @@ let parse text =
         globals_words := max !globals_words (addr + size)
       end
       else if trimmed.[0] = 'B' && String.contains trimmed ':'
-              && (match int_of_string_opt
-                       (String.sub trimmed 1 (String.index trimmed ':' - 1))
-                  with Some _ -> true | None -> false)
+              && (let digits =
+                    String.sub trimmed 1 (String.index trimmed ':' - 1)
+                  in
+                  digits <> ""
+                  && String.for_all (fun c -> c >= '0' && c <= '9') digits)
       then begin
         (* block header *)
         let colon = String.index trimmed ':' in
-        let id = int_of_string (String.sub trimmed 1 (colon - 1)) in
+        let id =
+          literal lineno int_of_string_opt (String.sub trimmed 1 (colon - 1))
+        in
         let src_line = header_comment_line trimmed in
         match !current_func with
         | None -> fail lineno "block header outside of a function"

@@ -93,8 +93,8 @@ let rec run_phase t cost ~allowed =
       run_phase t cost ~allowed
     end
 
-(* Build the tableau from a problem; returns the tableau and the index of
-   each structural variable. *)
+(* Build the tableau from a problem, structural column [i] being the
+   [i]th of [vars]. *)
 let build ~vars problem =
   let n_struct = List.length vars in
   let var_index = Hashtbl.create 16 in
@@ -160,13 +160,11 @@ let build ~vars problem =
          basis.(i) <- !next_art;
          incr next_art))
     rows;
-  ({ a; b; basis; ncols; art_start; npivots = 0 }, vars)
+  { a; b; basis; ncols; art_start; npivots = 0 }
 
-let solve ?vars ?pivots:pivot_count problem =
-  let vars =
-    match vars with Some vs -> vs | None -> Lp_problem.variables problem
-  in
-  let t, vars = build ~vars problem in
+let solve ?pivots:pivot_count problem =
+  let vars = Lp_problem.variables problem in
+  let t = build ~vars problem in
   let m = Array.length t.a in
   let n_struct = List.length vars in
   (* phase 1: maximize -sum(artificials) up to 0 *)

@@ -12,7 +12,7 @@ type result =
   | Infeasible
   | Unbounded
 
-val solve : ?vars:string list -> ?pivots:int ref -> Lp_problem.t -> result
-(** Identical contract to the historical [Simplex.solve]: [vars] must be
-    {!Lp_problem.variables} of the problem (or a sorted superset);
-    [pivots] is incremented by the tableau pivots performed. *)
+val solve : ?pivots:int ref -> Lp_problem.t -> result
+(** Its structural columns are {!Lp_problem.variables} of the problem, the
+    objective's included; [pivots] is incremented by the tableau pivots
+    performed. *)

@@ -2,11 +2,11 @@
 
    A node is the base problem plus the rows its branchings added, each
    [x <= floor] or [x >= ceil]; every node, the root included (no extra
-   rows), is one cold {!Simplex.solve}, so the root relaxation is
-   pivot-for-pivot the historical dense solver's. IPET root relaxations
-   are almost always integral (the paper's Section VI observation), so a
-   child solve is rare and re-solving it from scratch costs nothing
-   measurable.
+   rows), is one cold {!Simplex.solve}, which numbers its own columns, so
+   the root relaxation is pivot-for-pivot the historical dense solver's.
+   IPET root relaxations are almost always integral (the paper's Section
+   VI observation), so a child solve is rare and re-solving and
+   renumbering it from scratch costs nothing measurable.
 
    Pruning uses the incumbent: for maximization a node whose relaxation
    value is <= the incumbent objective cannot improve it (the objective
@@ -56,9 +56,6 @@ let solve_raw ~max_nodes problem =
                objective = (if maximize then problem.Lp_problem.objective
                             else Linexpr.neg problem.Lp_problem.objective) }
   in
-  (* branch rows only mention existing variables, so one sort-dedup
-     serves every node *)
-  let vars = Lp_problem.variables base in
   let lp_calls = ref 0 in
   let nodes = ref 0 in
   let pivot_count = ref 0 in
@@ -89,7 +86,7 @@ let solve_raw ~max_nodes problem =
           Lp_problem.constraints = rows @ base.Lp_problem.constraints }
       in
       match
-        Simplex.solve ~vars ~pivots:pivot_count ~refactors:refactor_count node
+        Simplex.solve ~pivots:pivot_count ~refactors:refactor_count node
       with
       | Simplex.Infeasible -> ()
       | Simplex.Unbounded ->
@@ -151,6 +148,6 @@ let solve ?(max_nodes = 100_000) ?(presolve = true) ?pool:_ problem =
     solve_presolved ~max_nodes
       (Presolve.emit
          (Presolve.fixpoint ~integer:true ~lift:true
-            problem.Lp_problem.constraints)
+            (Lp_problem.Columns.make problem.Lp_problem.constraints))
          problem.Lp_problem.direction problem.Lp_problem.objective)
   else solve_raw ~max_nodes problem

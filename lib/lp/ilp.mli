@@ -71,7 +71,7 @@ val solve_presolved :
 (** The branch and bound on a presolved problem, its assignment mapped
     back through the postsolve and its root prices through the lift:
     [solve ~presolve:true p] is [solve_presolved (Presolve.emit
-    (Presolve.fixpoint ~lift:true p.constraints) p.direction
-    p.objective)]. Solving
-    each outcome {!Presolve.emit} draws from one {!Presolve.fixpoint}
-    presolves a constraint set once for several objectives. *)
+    (Presolve.fixpoint ~lift:true (Lp_problem.Columns.make p.constraints))
+    p.direction p.objective)]. Solving each outcome {!Presolve.emit} draws
+    from one {!Presolve.fixpoint} presolves a constraint set once for
+    several objectives. *)

@@ -32,15 +32,40 @@ type t = {
 
 val make : direction -> Linexpr.t -> constr list -> t
 
-module Names : Set.S with type elt = string
-
 val variables : t -> string list
-(** All variables mentioned anywhere, sorted, without duplicates. Built
-    in one pass; pass the list down (as {!Ilp.solve} does for its
-    per-node LPs) rather than calling this repeatedly in hot paths. *)
+(** All variables mentioned anywhere, sorted, without duplicates. *)
 
 val num_variables : t -> int
 val num_constraints : t -> int
+
+(** The one numbering of a constraint list, read by presolve, the simplex
+    and the certificate checker: each variable the rows name is a column,
+    its rank among those names in name order, and each row is held as
+    its columns and coefficients, in column order. A table is immutable
+    to its readers. *)
+module Columns : sig
+  type t
+
+  val make : constr list -> t
+  val constraints : t -> constr list
+  val count : t -> int
+  val name : t -> int -> string
+
+  val find : t -> string -> int option
+  (** [None] for a name no row has. *)
+
+  val rows : t -> int
+  val row : t -> int -> constr
+  (** The [i]th constraint of the list, [0]-based. *)
+
+  val fold_row : (int -> Rat.t -> 'a -> 'a) -> t -> int -> 'a -> 'a
+  (** [fold_row f t i] folds [f column coefficient] over row [i]'s terms,
+      in column order. *)
+
+  val objective : t -> Linexpr.t -> Rat.t array * (string * Rat.t) list
+  (** An objective's coefficient of each column, in a fresh array, and
+      its terms on the variables no row names, sorted by name. *)
+end
 
 val satisfies : (string -> Rat.t) -> constr -> bool
 (** Does the assignment satisfy the constraint? *)

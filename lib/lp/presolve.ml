@@ -27,12 +27,13 @@
    creation order, so every pass visits the rows in the same order as a
    fixpoint that appended them at once.
 
-   A variable is its column: its rank among the distinct names of the
-   constraints. Rows are int-keyed coefficient maps and the bounds, their
-   sources and the occurrence index are arrays indexed by column. Columns
-   follow name order, so every fold over a row visits its terms in the
-   order of the [Linexpr] it came from, and the output does not depend on
-   the numbering. [emit] replays the definitions into a dense objective
+   A variable is its column in the constraints' numbering
+   ([Lp_problem.Columns]): its rank among their distinct names. Rows are
+   int-keyed coefficient maps and the bounds, their sources and the
+   occurrence index are arrays indexed by column. Columns follow name
+   order, so every fold over a row visits its terms in the order of the
+   [Linexpr] it came from, and the output does not depend on the
+   numbering. [emit] replays the definitions into a dense objective
    array and postsolve rebuilds the witness in a dense value array, so
    names come back only in the reduced problem, in the assignment
    postsolve returns and in the reasons of [Infeasible]. An objective
@@ -70,6 +71,8 @@ type outcome =
 
 exception Infeasible of string
 
+module C = Lp_problem.Columns
+
 let max_rounds = 20
 let max_def_terms = 64
 
@@ -99,14 +102,9 @@ let add_step e c v d =
   { terms = Cols.fold add_term d.terms (Cols.remove v e.terms);
     const = Rat.add e.const (Rat.mul c d.const) }
 
-let of_linexpr col e =
-  { terms =
-      Linexpr.fold_terms (fun v c acc -> Cols.add (col v) c acc) e Cols.empty;
-    const = Linexpr.constant e }
-
-let to_linexpr names e =
+let to_linexpr cols e =
   fold
-    (fun v c acc -> Linexpr.add acc (Linexpr.var ~coeff:c names.(v)))
+    (fun v c acc -> Linexpr.add acc (Linexpr.var ~coeff:c (C.name cols v)))
     e (Linexpr.const e.const)
 
 type row = {
@@ -146,7 +144,7 @@ type event =
 type state = {
   integer : bool;
   record : bool;  (* log what the dual lift reads *)
-  names : string array;  (* column -> variable *)
+  cols : C.t;
   mutable rows : row list;  (* in original order; killed rows keep their slot *)
   mutable pending : row list;  (* made by this pass's eliminations, newest first *)
   occ : row list array;  (* column -> rows that may mention it *)
@@ -225,7 +223,9 @@ let log st event = if st.record then st.log <- event :: st.log
 
 let fix st v value ~why =
   let fail what =
-    raise (Infeasible (Printf.sprintf "%s fixes %s %s" why st.names.(v) what))
+    raise
+      (Infeasible
+         (Printf.sprintf "%s fixes %s %s" why (C.name st.cols v) what))
   in
   if st.integer && not (Rat.is_integer value) then
     fail ("to the fractional value " ^ Rat.to_string value);
@@ -247,7 +247,8 @@ let check_bounds st v ~why =
     if c < 0 then
       raise
         (Infeasible
-           (Printf.sprintf "%s leaves %s with an empty range" why st.names.(v)))
+           (Printf.sprintf "%s leaves %s with an empty range" why
+              (C.name st.cols v)))
     else if c = 0 then begin
       let lower = st.lb.(v) and upper = st.ub.(v) in
       let step = fix st v l ~why in
@@ -502,8 +503,12 @@ let dedup st =
       end)
     st.rows
 
-let intake col idx (c : Lp_problem.constr) =
-  let expr = of_linexpr col c.Lp_problem.expr in
+let intake cols idx =
+  let c = C.row cols idx in
+  let expr =
+    { terms = C.fold_row Cols.add cols idx Cols.empty;
+      const = Linexpr.constant c.Lp_problem.expr }
+  in
   let expr, rel =
     match c.Lp_problem.rel with
     | Lp_problem.Le -> (expr, Lp_problem.Le)
@@ -528,35 +533,35 @@ let source_row = function Live r -> r | Bound b -> b.src
 
 let emit_rows st obj =
   let entry expr rel source = (expr, rel, source, lazy (Linexpr.to_string expr)) in
-  let live = Array.make (Array.length st.names) false in
+  let live = Array.make (C.count st.cols) false in
   let rows =
     List.filter_map
       (fun r ->
         if r.live then begin
           fold (fun v _ () -> live.(v) <- true) r.expr ();
-          Some (entry (to_linexpr st.names r.expr) r.rel (Live r))
+          Some (entry (to_linexpr st.cols r.expr) r.rel (Live r))
         end
         else None)
       st.rows
   in
   (* re-emit the explicit bounds of the variables that survived *)
   let bound_rows = ref [] in
-  Array.iteri
-    (fun v name ->
-      if live.(v) || not (Rat.is_zero obj.(v)) then begin
-        let reemit bound row =
-          Option.iter
-            (fun b ->
-              bound_rows :=
-                entry (row (Linexpr.var name) (Linexpr.const b.value))
-                  Lp_problem.Le (Bound b)
-                :: !bound_rows)
-            bound
-        in
-        reemit st.ub.(v) Linexpr.sub;
-        reemit st.lb.(v) (fun x l -> Linexpr.sub l x)
-      end)
-    st.names;
+  for v = 0 to C.count st.cols - 1 do
+    if live.(v) || not (Rat.is_zero obj.(v)) then begin
+      let reemit bound row =
+        Option.iter
+          (fun b ->
+            bound_rows :=
+              entry
+                (row (Linexpr.var (C.name st.cols v)) (Linexpr.const b.value))
+                Lp_problem.Le (Bound b)
+              :: !bound_rows)
+          bound
+      in
+      reemit st.ub.(v) Linexpr.sub;
+      reemit st.lb.(v) (fun x l -> Linexpr.sub l x)
+    end
+  done;
   List.sort
     (fun (_, _, s1, k1) (_, _, s2, k2) ->
       match compare (source_row s1).idx (source_row s2).idx with
@@ -583,7 +588,7 @@ exception Not_lifted
    rows that justified the fix. An explicit bound row is its singleton row
    scaled. A rounded bound with a nonzero multiplier proves more than the
    original rows do, and the lift gives up. *)
-let lift_duals st ~ge ~obj_coeffs ~flip ~sources duals =
+let lift_duals st ~obj_coeffs ~flip ~sources duals =
   let neg_if b x = if b then Rat.neg x else x in
   let y = Array.make st.next_id Rat.zero in
   let add r m = y.(r.id) <- Rat.add y.(r.id) m in
@@ -640,13 +645,13 @@ let lift_duals st ~ge ~obj_coeffs ~flip ~sources duals =
           pins;
         add row u)
     st.log;
-  Array.mapi (fun i g -> neg_if flip (neg_if g y.(i))) ge
+  (* an intake [Ge] row was negated *)
+  Array.init (C.rows st.cols) (fun i ->
+      let ge = (C.row st.cols i).Lp_problem.rel = Lp_problem.Ge in
+      neg_if flip (neg_if ge y.(i)))
 
 type fixpoint = {
-  names : string array;  (* column -> variable *)
-  col : (string, int) Hashtbl.t;  (* variable -> column *)
-  constrs_before : int;
-  ge : bool array;  (* which constraints are [Ge] rows, negated on intake *)
+  cols : C.t;
   rounds : int;
   substituted : int;
   fixed : int;
@@ -655,29 +660,13 @@ type fixpoint = {
          many rows were live then *)
 }
 
-let fixpoint ?(integer = true) ?(lift = false) constraints =
-  (* number the distinct names in sorted order *)
-  let col = Hashtbl.create 64 in
-  let fresh = ref [] in
-  List.iter
-    (fun (c : Lp_problem.constr) ->
-      Linexpr.fold_terms
-        (fun v _ () ->
-          if not (Hashtbl.mem col v) then begin
-            Hashtbl.add col v 0;
-            fresh := v :: !fresh
-          end)
-        c.Lp_problem.expr ())
-    constraints;
-  let names = Array.of_list !fresh in
-  Array.sort String.compare names;
-  Array.iteri (fun i v -> Hashtbl.replace col v i) names;
-  let n = Array.length names in
+let fixpoint ?(integer = true) ?(lift = false) cols =
+  let n = C.count cols and m = C.rows cols in
   let st =
     { integer;
       record = lift;
-      names;
-      rows = List.mapi (intake (Hashtbl.find col)) constraints;
+      cols;
+      rows = List.init m (intake cols);
       pending = [];
       occ = Array.make n [];
       defs = [];
@@ -691,7 +680,7 @@ let fixpoint ?(integer = true) ?(lift = false) constraints =
             live = false };
       touched_coeffs = Array.make (if lift then 64 else 0) Rat.zero;
       touched = 0;
-      next_id = List.length constraints;
+      next_id = m;
       steps = 0;
       changed = true;
       substituted = 0;
@@ -719,37 +708,22 @@ let fixpoint ?(integer = true) ?(lift = false) constraints =
   in
   (* [emit] reads the rows, bounds and definitions, never the index *)
   Array.fill st.occ 0 n [];
-  { names;
-    col;
-    constrs_before = List.length constraints;
-    ge =
-      Array.of_list
-        (List.map
-           (fun (c : Lp_problem.constr) -> c.Lp_problem.rel = Lp_problem.Ge)
-           constraints);
+  { cols;
     rounds = !rounds;
     substituted = st.substituted;
     fixed = st.fixed;
     reached }
 
 let emit fp direction objective =
-  let n = Array.length fp.names in
+  let n = C.count fp.cols in
   (* the objective over columns, and its variables that no constraint
      mentions, sorted *)
-  let obj = Array.make n Rat.zero in
-  let only =
-    Linexpr.fold_terms
-      (fun v c acc ->
-        match Hashtbl.find_opt fp.col v with
-        | Some i -> obj.(i) <- c; acc
-        | None -> (v, c) :: acc)
-      objective []
-    |> List.rev |> Array.of_list
-  in
+  let obj, only = C.objective fp.cols objective in
+  let only = Array.of_list only in
   let k = Array.length only in
   let stats_at ~vars_after ~constrs_after =
     { vars_before = n + k; vars_after;
-      constrs_before = fp.constrs_before; constrs_after; rounds = fp.rounds;
+      constrs_before = C.rows fp.cols; constrs_after; rounds = fp.rounds;
       substituted = fp.substituted; fixed = fp.fixed }
   in
   match fp.reached with
@@ -777,7 +751,7 @@ let emit fp direction objective =
       let priced = ref (Linexpr.const !const) in
       let add v c = priced := Linexpr.add !priced (Linexpr.var ~coeff:c v) in
       Array.iteri
-        (fun i c -> if not (Rat.is_zero c) then add fp.names.(i) c) obj;
+        (fun i c -> if not (Rat.is_zero c) then add (C.name fp.cols i) c) obj;
       Array.iter (fun (v, c) -> add v c) only;
       !priced
     in
@@ -786,7 +760,7 @@ let emit fp direction objective =
     (* postsolve's values: the columns', then the objective-only
        variables', which are rare enough to look up by a scan *)
     let slot v =
-      match Hashtbl.find_opt fp.col v with
+      match C.find fp.cols v with
       | Some _ as i -> i
       | None ->
         let rec find j =
@@ -811,20 +785,19 @@ let emit fp direction objective =
           x.(v) <-
             fold (fun w a acc -> Rat.add acc (Rat.mul a x.(w))) e e.const)
         st.defs;
-      (* columns are name ranks: merging them with the sorted
-         objective-only names, from the last, lists every variable in
-         name order *)
-      let keep i name acc =
-        if Rat.is_zero x.(i) then acc else (name, x.(i)) :: acc
+      (* columns are name ranks, so merging them with the sorted
+         objective-only names lists every variable in name order *)
+      let listed lo hi name =
+        let l = ref [] in
+        for i = hi - 1 downto lo do
+          if not (Rat.is_zero x.(i)) then l := (name i, x.(i)) :: !l
+        done;
+        !l
       in
-      let rec collect i j acc =
-        if i < 0 && j < 0 then acc
-        else if
-          j < 0 || (i >= 0 && String.compare fp.names.(i) (fst only.(j)) > 0)
-        then collect (i - 1) j (keep i fp.names.(i) acc)
-        else collect i (j - 1) (keep (n + j) (fst only.(j)) acc)
-      in
-      collect (n - 1) (k - 1) []
+      List.merge
+        (fun (a, _) (b, _) -> String.compare a b)
+        (listed 0 n (C.name fp.cols))
+        (listed n (n + k) (fun i -> fst only.(i - n)))
     in
     let sources = Array.of_list sources in
     let lift duals =
@@ -832,7 +805,7 @@ let emit fp direction objective =
         None
       else
         match
-          lift_duals st ~ge:fp.ge ~obj_coeffs
+          lift_duals st ~obj_coeffs
             ~flip:(direction = Lp_problem.Minimize) ~sources duals
         with
         | lifted -> Some lifted
@@ -850,5 +823,5 @@ let emit fp direction objective =
 let run ?integer (problem : Lp_problem.t) =
   fst
     (emit
-       (fixpoint ?integer problem.Lp_problem.constraints)
+       (fixpoint ?integer (C.make problem.Lp_problem.constraints))
        problem.Lp_problem.direction problem.Lp_problem.objective)

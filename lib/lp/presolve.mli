@@ -69,14 +69,14 @@ type fixpoint
     explicit bounds and recorded definitions, or the proof that it is
     infeasible. It holds no objective. *)
 
-val fixpoint : ?integer:bool -> ?lift:bool -> Lp_problem.constr list -> fixpoint
-(** [fixpoint constraints] runs every reduction over [constraints] until
-    nothing changes. [integer] is as in {!run}. With [lift] (default
-    [false]) it also records what the dual lift of each {!emit} reads;
-    without it every lift is [None]. The record is kept for the
-    fixpoint's lifetime and costs 5–8% of its time (generated programs
-    of 140–160 ILP variables), so a caller that will not certify leaves
-    it off. *)
+val fixpoint : ?integer:bool -> ?lift:bool -> Lp_problem.Columns.t -> fixpoint
+(** [fixpoint columns] runs every reduction over the numbered constraints
+    until nothing changes; its variables are [columns]' columns. [integer]
+    is as in {!run}. With [lift] (default [false]) it also records what
+    the dual lift of each {!emit} reads; without it every lift is [None].
+    The record is kept for the fixpoint's lifetime and costs 5–8% of its
+    time (generated programs of 140–160 ILP variables), so a caller that
+    will not certify leaves it off. *)
 
 type lift = Rat.t array -> Rat.t array option
 (** The dual postsolve of a fixpoint made with [~lift:true]: multipliers
@@ -114,4 +114,4 @@ val run : ?integer:bool -> Lp_problem.t -> outcome
     in {!Ilp.solve}: derived bounds are rounded and a variable forced to a
     fractional value proves infeasibility. With [~integer:false] only
     relaxation-safe reductions are applied. [run p] is the outcome of one {!emit} of
-    [fixpoint p.constraints]. *)
+    [fixpoint (Lp_problem.Columns.make p.constraints)]. *)

@@ -23,57 +23,47 @@ let assignment_env assignment =
   fun name ->
     match Hashtbl.find_opt tbl name with Some v -> v | None -> Rat.zero
 
-let direction_cost inst problem =
+(* The simplex runs on the rows' columns. A variable only the objective
+   names is in no row: it sits at 0 unless raising it raises the
+   objective, and then a feasible problem is unbounded, which is the
+   verdict an empty column for it would give. *)
+let solve ?pivots:pivot_count ?refactors:refactor_count problem =
+  let columns = Lp_problem.Columns.make problem.Lp_problem.constraints in
+  let inst = Sparse.build columns in
+  let maximize = problem.Lp_problem.direction = Lp_problem.Maximize in
   let obj =
-    match problem.Lp_problem.direction with
-    | Lp_problem.Maximize -> problem.Lp_problem.objective
-    | Lp_problem.Minimize -> Linexpr.neg problem.Lp_problem.objective
+    if maximize then problem.Lp_problem.objective
+    else Linexpr.neg problem.Lp_problem.objective
   in
-  let nstruct = inst.Sparse.nstruct in
-  let cost = Array.make nstruct Rat.zero in
-  Array.iteri
-    (fun i v -> cost.(i) <- Linexpr.coeff obj v)
-    inst.Sparse.vars;
-  (cost, obj)
-
-let assignment_of_xstruct inst xstruct =
-  let out = ref [] in
-  for i = Array.length xstruct - 1 downto 0 do
-    if not (Rat.is_zero xstruct.(i)) then
-      out := (inst.Sparse.vars.(i), xstruct.(i)) :: !out
-  done;
-  !out
-
-(* [Sparse.build] negates a row whose right-hand side [-constant] is
-   negative, so that row's price is negated back *)
-let row_flipped (c : Lp_problem.constr) =
-  Rat.sign (Linexpr.constant c.Lp_problem.expr) > 0
-
-let solve ?vars ?pivots:pivot_count ?refactors:refactor_count problem =
-  let vars =
-    match vars with Some vs -> vs | None -> Lp_problem.variables problem
-  in
-  let inst = Sparse.build ~vars problem in
-  let cost, obj = direction_cost inst problem in
+  let cost, outside = Lp_problem.Columns.objective columns obj in
   let run = Revised.solve_primal inst ~cost in
   Option.iter (fun r -> r := !r + run.Revised.pivots) pivot_count;
   Option.iter (fun r -> r := !r + run.Revised.refactors) refactor_count;
   match run.Revised.verdict with
   | Revised.Infeasible -> Infeasible
   | Revised.Unbounded -> Unbounded
+  | Revised.Optimal _ when List.exists (fun (_, a) -> Rat.sign a > 0) outside
+    ->
+    Unbounded
   | Revised.Optimal sol ->
     let z = Rat.add sol.Revised.value (Linexpr.constant obj) in
-    let maximize = problem.Lp_problem.direction = Lp_problem.Maximize in
     let y = sol.Revised.prices in
+    (* [Sparse.build] negates a row whose right-hand side [-constant] is
+       negative, so that row's price is negated back; a minimization's
+       prices are negated too *)
     let duals =
-      Array.of_list
-        (List.mapi
-           (fun i c ->
-             let yi = if row_flipped c then Rat.neg y.(i) else y.(i) in
-             if maximize then yi else Rat.neg yi)
-           problem.Lp_problem.constraints)
+      Array.init inst.Sparse.nrows (fun i ->
+          let c = Lp_problem.Columns.row columns i in
+          let flipped = Rat.sign (Linexpr.constant c.Lp_problem.expr) > 0 in
+          if flipped = maximize then Rat.neg y.(i) else y.(i))
     in
+    let assignment = ref [] in
+    for j = Array.length sol.Revised.xstruct - 1 downto 0 do
+      let x = sol.Revised.xstruct.(j) in
+      if not (Rat.is_zero x) then
+        assignment := (Lp_problem.Columns.name columns j, x) :: !assignment
+    done;
     Optimal
       { value = (if maximize then z else Rat.neg z);
-        assignment = assignment_of_xstruct inst sol.Revised.xstruct;
+        assignment = !assignment;
         duals }

@@ -29,14 +29,11 @@ type result =
   | Infeasible
   | Unbounded
 
-val solve :
-  ?vars:string list -> ?pivots:int ref -> ?refactors:int ref ->
-  Lp_problem.t -> result
-(** [vars], when given, must be {!Lp_problem.variables} of the problem (or
-    a sorted superset of it); {!Ilp.solve} solves every branch-and-bound
-    node, each the base problem plus its branching rows, through this
-    function and passes the base problem's [vars] to avoid recomputing
-    the sort-dedup per node.
+val solve : ?pivots:int ref -> ?refactors:int ref -> Lp_problem.t -> result
+(** [solve problem] numbers the problem's rows ({!Lp_problem.Columns}) and
+    solves over those columns; a variable only the objective names takes
+    0, or makes a feasible problem [Unbounded] when it would raise the
+    objective.
 
     [pivots], when given, is incremented by the number of simplex pivots
     (basis changes) this call performed (phase 1 and 2 combined);

@@ -1,7 +1,7 @@
 (** Sparse-column form of an LP instance.
 
-    The column layout is exactly the dense tableau's: columns
-    [0..nstruct-1] are the structural variables in [vars] order, then one
+    Columns [0..nstruct-1] are the structural columns of an
+    {!Lp_problem.Columns.t}, the rows' variables in name order, then one
     slack/surplus column per inequality row (in row order), then one
     artificial column per [Ge]/[Eq] row (in row order). Rows are
     normalized so the right-hand side is non-negative (a row with a
@@ -29,12 +29,9 @@ type t = {
   cols : col array;      (** length [ncols] *)
   rhs : Rat.t array;     (** length [nrows], all non-negative *)
   row_basis : int array; (** initial basic column of each row *)
-  vars : string array;   (** structural variable names, index = column *)
 }
 
-val build : vars:string list -> Lp_problem.t -> t
-(** [vars] must be {!Lp_problem.variables} of the problem or a sorted
-    superset, exactly as for [Simplex.solve]. *)
+val build : Lp_problem.Columns.t -> t
 
 val col_dot : t -> Rat.t array -> int -> Rat.t
 (** [col_dot t y j] is the dot product of dense vector [y] (length

@@ -286,8 +286,22 @@ let stack_demand (prog : P.t) func_index =
   | () -> Array.fold_left max 0 depth
   | exception Recursive -> max_stack_words
 
+(* the most global memory a program may declare, 128 MiB of words *)
+let max_global_words = 1 lsl 24
+
 let create ?(mach = Machine.e32) ?cache ?dcache ?stack_words
     ?(fuel = 50_000_000) (prog : P.t) ~init =
+  List.iter
+    (fun (g : P.global) ->
+      if g.P.addr < 0 || g.P.size_words < 0
+         || g.P.size_words > max_global_words - g.P.addr
+      then
+        error "global %s at %d (%d words) lies outside the simulator's %d \
+               words" g.P.gname g.P.addr g.P.size_words max_global_words)
+    prog.P.globals;
+  if prog.P.globals_words < 0 || prog.P.globals_words > max_global_words then
+    error "the program declares %d words of globals, more than the \
+           simulator's %d" prog.P.globals_words max_global_words;
   let cache = match cache with Some c -> c | None -> mach.Machine.fetch in
   let func_index = Hashtbl.create 16 in
   Array.iteri
@@ -603,13 +617,13 @@ let ctx_entry_count m ~path ~func =
    word is boxed as a [V.t] only where it leaves the files: a store to
    memory, and {!call}'s arguments and result. A fresh frame reads int 0
    in every register, as an unwritten [V.t] register did, a branch on a
-   float tests [<> 0.0] as [V.truthy] does, and a mistyped read raises
-   [V.as_int]'s or [V.as_float]'s [Invalid_argument]. The helpers are
+   float tests [<> 0.0] as [V.truthy] does, and a mistyped read is a
+   [Runtime_error] with [V.as_int]'s or [V.as_float]'s message, raised
+   where the read happens, so no handler wraps the loop. The helpers are
    inlined so that a float read is not boxed on return. *)
 
-(* [V.as_int]'s and [V.as_float]'s errors, raised without calling them *)
-let float_word () = invalid_arg "Value.as_int: float word"
-let int_word () = invalid_arg "Value.as_float: int word"
+let float_word () = raise (Runtime_error "Value.as_int: float word")
+let int_word () = raise (Runtime_error "Value.as_float: int word")
 
 let[@inline] int_operand frame = function
   | I.Imm i -> i

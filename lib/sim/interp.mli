@@ -35,10 +35,10 @@
     compare, FPU or move result allocates nothing and the loop calls no
     function of another module but the d-cache's probe. A word is boxed
     as a {!Ipet_isa.Value.t} only in memory and at {!call}'s arguments
-    and result; a mistyped register read raises
-    {!Ipet_isa.Value.as_int}'s or {!Ipet_isa.Value.as_float}'s
-    [Invalid_argument], and a register no instruction has written reads
-    as int 0. Observable behaviour is identical to a direct interpreter
+    and result; a mistyped register read (a float word where an int is
+    read, or the reverse) is a [Runtime_error] with
+    {!Ipet_isa.Value.as_int}'s or {!Ipet_isa.Value.as_float}'s message,
+    and a register no instruction has written reads as int 0. Observable behaviour is identical to a direct interpreter
     that charges cycles as it goes, at roughly an order of magnitude
     higher throughput.
 
@@ -71,7 +71,10 @@ val create :
     accesses cost a flat latency; with it, loads are cached (write-through,
     no-allocate stores bypass it). Every run carries its per-block
     profile ({!block_cycles}) and per-set i-cache tallies
-    ({!icache_line_stats}). *)
+    ({!icache_line_stats}).
+    @raise Runtime_error when a global segment has a negative address or
+    size, or ends beyond 2{^24} words: memory the simulator will not
+    allocate. *)
 
 val program : t -> Ipet_isa.Prog.t
 val layout : t -> Ipet_isa.Layout.t
@@ -79,7 +82,7 @@ val layout : t -> Ipet_isa.Layout.t
 val call : t -> string -> Ipet_isa.Value.t list -> Ipet_isa.Value.t option
 (** Execute a function with the given arguments; statistics accumulate.
     @raise Runtime_error on memory faults, division by zero, stack overflow,
-    or argument mismatch.
+    mistyped word reads, or argument mismatch.
     @raise Out_of_fuel when the fuel budget is exhausted (e.g. a loop whose
     bound annotation would have been wrong). *)
 

@@ -54,7 +54,7 @@ let show fp (p : P.t) =
 let sets ?(max_only = false) ~label name spec =
   List.iteri
     (fun i (wcet, bcet) ->
-      let fp = Pre.fixpoint ~lift:true wcet.P.constraints in
+      let fp = Pre.fixpoint ~lift:true (P.Columns.make wcet.P.constraints) in
       Printf.printf "=== %s%s set %d max ===\n" name label i;
       show fp wcet;
       if not max_only then begin

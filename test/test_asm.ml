@@ -110,7 +110,23 @@ let test_parse_errors () =
     (bad "f(0 params, 0 frame words):\nB0:\n  ret\n  mov r1, #2\n");
   check_bool "bad branch target" true
     (bad "f(0 params, 0 frame words):\nB0:\n  jmp B7\n");
-  check_bool "orphan block" true (bad "B0:\n  ret\n")
+  check_bool "orphan block" true (bad "B0:\n  ret\n");
+  (* a numeric field beyond the native range, or malformed, is an error
+     on its line *)
+  let error_line text =
+    match Asm.parse text with
+    | _ -> None
+    | exception Asm.Error (_, line) -> Some line
+  in
+  let big = "99999999999999999999" and f = "f(0 params, 0 frame words):\n" in
+  List.iter
+    (fun (what, text, line) ->
+      Alcotest.(check (option int)) what (Some line) (error_line text))
+    [ ("operand", f ^ "B0:\n  ld r1, [" ^ big ^ "+r0]\n  ret\n", 3);
+      ("immediate", f ^ "B0:\n  ret #" ^ big ^ "\n", 3);
+      ("float immediate", f ^ "B0:\n  ret #1.2.3\n", 3);
+      ("block id", f ^ "B" ^ big ^ ":\n  ret\n", 2);
+      ("segment size", ".global d @ 0 (" ^ big ^ " words)\n", 1) ]
 
 let test_analyze_from_assembly () =
   (* the cinderella use case: no source, just a listing with line comments *)
@@ -148,7 +164,30 @@ let prop_roundtrip_random =
       let text = render compiled.Compile.prog in
       text = render (Asm.parse text))
 
-let props = List.map QCheck_alcotest.to_alcotest [ prop_roundtrip_random ]
+(* Hostile listings: each suite program's listing truncated, with one
+   byte replaced, or with an integer literal widened to 20 digits
+   ([Test_lang.mutate]). The parser returns a program or raises
+   [Asm.Error], nothing else. *)
+let suite_listings =
+  lazy
+    (List.map
+       (fun b -> render (Ipet_suite.Bspec.compile b).Compile.prog)
+       Ipet_suite.Suite.all)
+
+let prop_hostile_listings =
+  QCheck.Test.make ~name:"hostile listing is a program or Error, never raises"
+    ~count:500
+    QCheck.(
+      quad (int_bound 1000) (int_bound 2) (int_bound 100_000) (int_bound 255))
+    (fun (which, kind, pos, byte) ->
+      let listings = Lazy.force suite_listings in
+      let text = List.nth listings (which mod List.length listings) in
+      match Asm.parse (Test_lang.mutate text kind pos byte) with
+      | _ | (exception Asm.Error _) -> true)
+
+let props =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_roundtrip_random; prop_hostile_listings ]
 
 let suite =
   [ ("hand-written listing", `Quick, test_hand_written);

@@ -733,7 +733,7 @@ let prop_view_isolation =
           (* generated programs have no functionality constraints: one set *)
           let wp = List.hd (A.wcet_problems spec)
           and bp = List.hd (A.bcet_problems spec) in
-          let view = Checker.view wp.P.constraints in
+          let view = Checker.view (P.Columns.make wp.P.constraints) in
           (* a fresh problem: rebuilt from the spec, nothing shared *)
           let fresh (p : P.t) c =
             let q =
@@ -844,11 +844,70 @@ let suite_lifts_like_resolve () =
         Ipet_suite.Suite.all)
     Ipet_machine.Machine.[ e32; m7 ]
 
+(* The one numbering of a constraint list ([P.Columns]), on the knapsack
+   family with a random subset of its rows, reversed half the time so
+   that the names' first occurrences are not in name order: the columns
+   are the rows' variables in name order, each row's arrays are its
+   terms, and an
+   objective splits into its columns' coefficients and its sorted terms
+   on the variables no row names ("a" sorts before every row variable,
+   "y" after, and a dropped box row leaves its variable to the objective
+   alone). *)
+let prop_columns =
+  QCheck.Test.make ~name:"columns: one numbering of a constraint list"
+    ~count:100
+    QCheck.(pair family (int_bound 1023))
+    (fun (seedcase, keep) ->
+      let p = random_problem seedcase in
+      let cs =
+        List.filteri (fun i _ -> (keep lsr i) land 1 = 1) p.P.constraints
+      in
+      let cs = if keep land 512 = 0 then cs else List.rev cs in
+      let t = P.Columns.make cs in
+      let names = List.init (P.Columns.count t) (P.Columns.name t) in
+      let terms e = L.fold_terms (fun v a acc -> (v, a) :: acc) e [] in
+      let same_terms a b =
+        List.length a = List.length b
+        && List.for_all2 (fun (v, a) (w, b) -> v = w && Rat.equal a b) a b
+      in
+      let objective =
+        L.Infix.(p.P.objective + (2 * v "a") - v "y" + int 7)
+      in
+      let obj, outside = P.Columns.objective t objective in
+      let rebuilt =
+        List.mapi (fun j a -> (List.nth names j, a)) (Array.to_list obj)
+        |> List.append outside
+        |> List.fold_left
+             (fun e (v, a) -> L.add e (L.var ~coeff:a v))
+             (L.const (L.constant objective))
+      in
+      (names = P.variables (P.make P.Maximize L.zero cs)
+       || QCheck.Test.fail_report "names are not the rows' sorted variables")
+      && (List.for_all2 (fun j v -> P.Columns.find t v = Some j)
+            (List.init (List.length names) Fun.id) names
+         || QCheck.Test.fail_report "find is not the inverse of name")
+      && (P.Columns.constraints t == cs && P.Columns.rows t = List.length cs)
+      && (List.for_all
+            (fun i ->
+              let c = List.nth cs i in
+              P.Columns.row t i == c
+              && same_terms
+                   (P.Columns.fold_row
+                      (fun j a acc -> (List.nth names j, a) :: acc) t i [])
+                   (terms c.P.expr))
+            (List.init (List.length cs) Fun.id)
+         || QCheck.Test.fail_report "a row's arrays are not its terms")
+      && (L.equal rebuilt objective
+         || QCheck.Test.fail_report "objective columns plus outside terms")
+      && (List.map fst outside = List.sort_uniq compare (List.map fst outside)
+          && List.for_all (fun (v, _) -> P.Columns.find t v = None) outside
+         || QCheck.Test.fail_report "outside terms: unsorted or on a column"))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mutated_dual; prop_mutated_witness; prop_mutated_coefficient;
       prop_gen_lifted; prop_sized_lifted;
-      prop_hostile_certificates; prop_view_isolation ]
+      prop_hostile_certificates; prop_view_isolation; prop_columns ]
 
 let suite =
   [ ("checker accepts a maximization certificate", `Quick,

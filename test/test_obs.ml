@@ -675,6 +675,41 @@ let test_float_set_into_int () =
         (status = Unix.WEXITED 0))
     [ ("sim", [ "-r"; "check_data" ]); ("attribute", [ "-a"; path "p.ann" ]) ]
 
+(* an assembly listing declares no element types, so a float [--set]
+   into an int global runs; the program's int read of it is then a
+   runtime error (exit 1), not a crash, on both commands. A global
+   segment the simulator will not allocate is an input error (exit 2) *)
+let test_mistyped_read_in_listing () =
+  let path, read = cli_fixture () in
+  let status =
+    run_cinderella ~stdout_to:(path "p.s") ~stderr_to:(path "err")
+      [ "asm"; path "p.mc" ]
+  in
+  check_bool "asm: exit 0" true (status = Unix.WEXITED 0);
+  List.iter
+    (fun (cmd, args) ->
+      let status =
+        run_cinderella ~stderr_to:(path "err")
+          ((cmd :: path "p.s" :: args) @ [ "--set"; "data[3]=2.5" ])
+      in
+      check_bool (cmd ^ ": exit 1") true (status = Unix.WEXITED 1);
+      check_str (cmd ^ ": runtime error")
+        "cinderella: error: runtime error: Value.as_int: float word\n"
+        (read "err"))
+    [ ("sim", [ "-r"; "check_data" ]); ("attribute", [ "-a"; path "p.ann" ]) ];
+  let oc = open_out (path "big.s") in
+  output_string oc
+    ".global d @ 0 (4611686018427387903 words)\n\
+     f(0 params, 0 frame words):\nB0:\n  ret\n";
+  close_out oc;
+  let status =
+    run_cinderella ~stderr_to:(path "err") [ "sim"; path "big.s"; "-r"; "f" ]
+  in
+  check_bool "unallocatable segment: exit 2" true (status = Unix.WEXITED 2);
+  check_bool "names the global" true
+    (Test_lp.contains ~needle:"global d at 0 (4611686018427387903 words)"
+       (read "err"))
+
 (* a constraint literal above 10^18 in the annotation file is an input
    error (exit 2) that names it, not a bound computed from a wrapped int *)
 let test_oversized_literal () =
@@ -731,5 +766,7 @@ let suite =
      test_bad_set_flags);
     ("a float --set into an int global is an input error", `Quick,
      test_float_set_into_int);
+    ("a mistyped read of a listing is a runtime error", `Quick,
+     test_mistyped_read_in_listing);
     ("an oversized constraint literal is an input error", `Quick,
      test_oversized_literal) ]

@@ -208,7 +208,7 @@ let test_shared_fixpoint () =
       P.ge ~origin:"skew" (v "x" - v "y") (int 1);
       P.eq ~origin:"flow" (v "z") (v "x" + v "y") ]
   in
-  let fp = Pre.fixpoint constraints in
+  let fp = Pre.fixpoint (P.Columns.make constraints) in
   let bound_origins = [ "entry bound"; "warm floor" ] in
   List.iter
     (fun (what, direction, objective, own) ->

@@ -269,10 +269,10 @@ let show = function
 
 let check_result what expected r = Alcotest.(check string) what expected (show r)
 
-let raises_invalid what message f =
+let raises_runtime what message f =
   match f () with
   | _ -> Alcotest.failf "%s: no exception" what
-  | exception Invalid_argument m -> Alcotest.(check string) what message m
+  | exception Interp.Runtime_error m -> Alcotest.(check string) what message m
 
 let body instrs = "f(0 params, 0 frame words):\nB0:\n" ^ instrs ^ "\n"
 
@@ -280,23 +280,23 @@ let test_mistyped_words () =
   let float_word = "Value.as_int: float word" in
   let int_word = "Value.as_float: int word" in
   let run instrs () = asm_call (body instrs) "f" in
-  raises_invalid "a float register in an int ALU op" float_word
+  raises_runtime "a float register in an int ALU op" float_word
     (run "  mov r1, #1.5\n  add r2, #1, r1\n  ret r2");
-  raises_invalid "a float immediate in an int ALU op" float_word
+  raises_runtime "a float immediate in an int ALU op" float_word
     (run "  add r2, #1, #2.5\n  ret r2");
-  raises_invalid "a float register in an int compare" float_word
+  raises_runtime "a float register in an int compare" float_word
     (run "  mov r1, #1.5\n  cmp.lt r2, r1, #3\n  ret r2");
-  raises_invalid "a float register as an address index" float_word
+  raises_runtime "a float register as an address index" float_word
     (run "  mov r1, #0.0\n  ld r2, [0+r1]\n  ret r2");
-  raises_invalid "a float register to itof" float_word
+  raises_runtime "a float register to itof" float_word
     (run "  mov r1, #1.5\n  itof r2, r1\n  ret r2");
-  raises_invalid "an int register in an FPU op" int_word
+  raises_runtime "an int register in an FPU op" int_word
     (run "  mov r1, #3\n  fadd r2, r1, #1.0\n  ret r2");
-  raises_invalid "an int immediate in an FPU op" int_word
+  raises_runtime "an int immediate in an FPU op" int_word
     (run "  fmul r2, #2.0, #3\n  ret r2");
-  raises_invalid "an int register in a float compare" int_word
+  raises_runtime "an int register in a float compare" int_word
     (run "  mov r1, #3\n  fcmp.eq r2, #1.0, r1\n  ret r2");
-  raises_invalid "an int register to ftoi" int_word
+  raises_runtime "an int register to ftoi" int_word
     (run "  mov r1, #3\n  ftoi r2, r1\n  ret r2");
   (* a register written with the other kind reads as its new kind *)
   check_result "a register rewritten with an int" "int 4"

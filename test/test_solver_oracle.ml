@@ -352,6 +352,45 @@ let test_empty_column () =
    | S.Unbounded -> ()
    | _ -> Alcotest.fail "empty-column: favourable free column not unbounded")
 
+(* Objective terms on variables no row names ("b" sorts between row
+   variables, "z" after them): the simplex solves over the rows' columns
+   only, and still gives the value, vertex, duals and pivot count it gave
+   when every objective variable was a structural column. *)
+let test_objective_only_variables () =
+  let lin l =
+    List.fold_left
+      (fun acc (c, v) -> L.add acc (L.var ~coeff:(Rat.of_int c) v))
+      L.zero l
+  in
+  let rows =
+    [ P.le (lin [ (1, "a"); (1, "c"); (1, "e") ]) (L.of_int 6);
+      P.le (lin [ (1, "a"); (-1, "c") ]) (L.of_int 2);
+      P.le (lin [ (1, "e") ]) (L.of_int 3);
+      P.ge (lin [ (1, "c"); (1, "e") ]) (L.of_int 1);
+      P.eq (lin [ (1, "a"); (1, "d") ]) (L.of_int 5) ]
+  in
+  let show direction objective =
+    let pivots = ref 0 in
+    match S.solve ~pivots (P.make direction (lin objective) rows) with
+    | S.Optimal { value; assignment; duals } ->
+      Printf.sprintf "%s; %s; [%s]; %d pivots" (Rat.to_string value)
+        (String.concat ", "
+           (List.map (fun (v, x) -> v ^ "=" ^ Rat.to_string x) assignment))
+        (String.concat "; " (Array.to_list (Array.map Rat.to_string duals)))
+        !pivots
+    | S.Infeasible -> "infeasible"
+    | S.Unbounded -> "unbounded"
+  in
+  Alcotest.(check string) "maximize"
+    "41/2; a=5/2, c=1/2, d=5/2, e=3; [5/2; 1/2; 3/2; 0; 0]; 5 pivots"
+    (show P.Maximize [ (3, "a"); (-1, "b"); (2, "c"); (4, "e"); (-2, "z") ]);
+  Alcotest.(check string) "minimize" "1; c=1, d=5; [0; 0; 0; 1; 0]; 4 pivots"
+    (show P.Minimize [ (1, "a"); (5, "b"); (1, "c"); (2, "e"); (3, "z") ]);
+  Alcotest.(check string) "a favourable one, maximized" "unbounded"
+    (show P.Maximize [ (3, "a"); (1, "b"); (2, "c") ]);
+  Alcotest.(check string) "a favourable one, minimized" "unbounded"
+    (show P.Minimize [ (3, "a"); (-1, "b"); (2, "c") ])
+
 (* The rewritten solver must match the historical dense tableau not just
    in value but in the witness assignment — the trajectory-parity claim
    golden reports rest on. *)
@@ -384,4 +423,6 @@ let suite =
       Alcotest.test_case "redundant rows are harmless" `Quick
         test_redundant_rows;
       Alcotest.test_case "empty columns: idle vs unbounded" `Quick
-        test_empty_column ]
+        test_empty_column;
+      Alcotest.test_case "objective-only variables: same vertex and duals"
+        `Quick test_objective_only_variables ]

@@ -184,6 +184,23 @@ int scan() {
   (* the only loop has a call, so the refinement must change nothing *)
   check_int "no effect on call-bearing loops" (solve false) (solve true)
 
+(* Hostile annotation files: each suite program's annotation text
+   truncated, with one byte replaced, or with an integer literal widened
+   to 20 digits ([Test_lang.mutate]). The parser returns a result or
+   raises [Parse_error], nothing else. *)
+let prop_hostile_annotations =
+  QCheck.Test.make
+    ~name:"hostile annotation text is a result or Parse_error, never raises"
+    ~count:500
+    QCheck.(
+      quad (int_bound 1000) (int_bound 2) (int_bound 100_000) (int_bound 255))
+    (fun (which, kind, pos, byte) ->
+      let all = Ipet_suite.Suite.all in
+      let b = List.nth all (which mod List.length all) in
+      let text = Ipet_suite.Bspec.annotation_text b in
+      match CP.parse_annotation_text (Test_lang.mutate text kind pos byte) with
+      | _ | (exception CP.Parse_error _) -> true)
+
 let suite =
   [ ("parse simple constraints", `Quick, test_parse_simple);
     ("parse sums", `Quick, test_parse_sums);
@@ -236,4 +253,6 @@ int f() {
   check_bool "slack bound has positive price" true (drop (line "for (j = 0") > 0)
 
 let suite =
-  suite @ [ ("wcet sensitivity", `Quick, test_sensitivity) ]
+  suite
+  @ [ ("wcet sensitivity", `Quick, test_sensitivity);
+      QCheck_alcotest.to_alcotest prop_hostile_annotations ]
