@@ -24,6 +24,8 @@ let sites_of_caller t name = List.filter (fun s -> s.caller = name) t.all_sites
 let callees t name =
   sites_of_caller t name |> List.map (fun s -> s.callee) |> List.sort_uniq compare
 
+exception Recursive of string list
+
 let check_acyclic t =
   (* DFS with colors; on a back edge reconstruct the cycle from the stack *)
   let color = Hashtbl.create 16 in
@@ -51,9 +53,7 @@ let check_acyclic t =
 let topological_order t =
   (match check_acyclic t with
    | Ok () -> ()
-   | Error cycle ->
-     invalid_arg
-       ("Callgraph.topological_order: recursive cycle " ^ String.concat " -> " cycle));
+   | Error cycle -> raise (Recursive cycle));
   let visited = Hashtbl.create 16 in
   let order = ref [] in
   let rec visit name =

@@ -21,9 +21,12 @@ val sites : t -> site list
 val sites_of_caller : t -> string -> site list
 val callees : t -> string -> string list
 
+exception Recursive of string list
+(** One recursive cycle of function names, its first name repeated last. *)
+
 val check_acyclic : t -> (unit, string list) result
 (** [Error cycle] reports one recursive cycle of function names. *)
 
 val topological_order : t -> string list
-(** Callees before callers; only meaningful on acyclic graphs.
-    @raise Invalid_argument on recursive programs. *)
+(** Callees before callers.
+    @raise Recursive on recursive programs. *)

@@ -73,7 +73,11 @@ type result = {
   bcet_cert : certificate option;
 }
 
-let instances spec = Structural.instances spec.prog ~root:spec.root
+let instances spec =
+  match Structural.instances spec.prog ~root:spec.root with
+  | insts -> insts
+  | exception Ipet_cfg.Callgraph.Recursive cycle ->
+    fail "recursive program: %s" (String.concat " -> " cycle)
 
 let structural_constraints spec =
   Structural.constraints spec.prog (instances spec)

@@ -139,7 +139,8 @@ val analyze : ?certify:bool -> spec -> result
     with the trusted checker; the verdicts and emit/check times are in
     the result ({!Report.record_lp_metrics} turns them into [cert.*]
     gauges).
-    @raise Analysis_error when a loop lacks a bound annotation, a
+    @raise Analysis_error when the program is recursive (naming the
+    cycle), a loop lacks a bound annotation, a
     functionality constraint does not resolve, every constraint set is
     infeasible, the ILP is unbounded, or certificate production fails. *)
 
@@ -163,6 +164,7 @@ val wcet_sensitivity : spec -> sensitivity_row list
 
 val structural_constraints : spec -> Ipet_lp.Lp_problem.constr list
 val instances : spec -> Structural.instance list
+(** @raise Analysis_error on a recursive program, naming the cycle. *)
 
 val wcet_problems : spec -> Ipet_lp.Lp_problem.t list
 (** The complete ILPs the WCET computation solves, one per surviving

@@ -19,9 +19,7 @@ let func_sites (func : P.func) =
 let instances prog ~root =
   (match Ipet_cfg.Callgraph.check_acyclic (Ipet_cfg.Callgraph.of_program prog) with
    | Ok () -> ()
-   | Error cycle ->
-     invalid_arg
-       ("Structural.instances: recursive program: " ^ String.concat " -> " cycle));
+   | Error cycle -> raise (Ipet_cfg.Callgraph.Recursive cycle));
   let root_func =
     match P.find_func_opt prog root with
     | Some f -> f

@@ -18,7 +18,8 @@ type instance = {
 val instances : Ipet_isa.Prog.t -> root:string -> instance list
 (** Every function instance reachable from the root, root first, one per
     call path (virtual inlining).
-    @raise Invalid_argument on recursive programs or an unknown root. *)
+    @raise Ipet_cfg.Callgraph.Recursive on a recursive program.
+    @raise Invalid_argument on an unknown root. *)
 
 val constraints :
   Ipet_isa.Prog.t -> instance list -> Ipet_lp.Lp_problem.constr list

@@ -359,6 +359,8 @@ let parse text =
         if not (accept_string sc "words") then fail lineno "expected 'words'";
         expect_char sc ')';
         expect_char sc ':';
+        if List.exists (fun (g : Prog.func) -> g.Prog.name = name) !funcs then
+          fail lineno "redefinition of function %s" name;
         current_func := Some { fname = name; nparams; frame_words = frame; blocks = [] }
       end
       else begin

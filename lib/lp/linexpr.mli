@@ -31,12 +31,7 @@ val fold_terms : (string -> Rat.t -> 'a -> 'a) -> t -> 'a -> 'a
 val eval : (string -> Rat.t) -> t -> Rat.t
 (** Evaluate under an assignment. *)
 
-val is_const : t -> bool
 val equal : t -> t -> bool
-
-val hash : t -> int
-(** A hash consistent with {!equal}: it depends on the terms and the
-    constant only, not on how the expression was built. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -291,9 +291,15 @@ let analyze ?cache ?deadline ~stats (spec : A.spec) =
         end
       in
       mark spec.A.root;
+      let order =
+        match Callgraph.topological_order cg with
+        | order -> order
+        | exception Callgraph.Recursive cycle ->
+          fail "recursive program: %s" (String.concat " -> " cycle)
+      in
       (* callees first; restricted to functions reachable from the root *)
       ( "func",
-        List.filter (Hashtbl.mem reach) (Callgraph.topological_order cg),
+        List.filter (Hashtbl.mem reach) order,
         fun units fname -> func_unit spec costs units (P.find_func prog fname) )
     end
   in

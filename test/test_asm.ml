@@ -111,8 +111,8 @@ let test_parse_errors () =
   check_bool "bad branch target" true
     (bad "f(0 params, 0 frame words):\nB0:\n  jmp B7\n");
   check_bool "orphan block" true (bad "B0:\n  ret\n");
-  (* a numeric field beyond the native range, or malformed, is an error
-     on its line *)
+  (* a numeric field beyond the native range, or malformed, and a second
+     definition of a function are errors on their line *)
   let error_line text =
     match Asm.parse text with
     | _ -> None
@@ -126,7 +126,8 @@ let test_parse_errors () =
       ("immediate", f ^ "B0:\n  ret #" ^ big ^ "\n", 3);
       ("float immediate", f ^ "B0:\n  ret #1.2.3\n", 3);
       ("block id", f ^ "B" ^ big ^ ":\n  ret\n", 2);
-      ("segment size", ".global d @ 0 (" ^ big ^ " words)\n", 1) ]
+      ("segment size", ".global d @ 0 (" ^ big ^ " words)\n", 1);
+      ("function defined twice", f ^ "B0:\n  ret\n" ^ f ^ "B0:\n  ret\n", 4) ]
 
 let test_analyze_from_assembly () =
   (* the cinderella use case: no source, just a listing with line comments *)

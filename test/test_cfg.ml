@@ -154,11 +154,6 @@ let test_recursion_detected () =
   | Error cycle -> check_bool "cycle found" true (List.length cycle >= 2)
   | Ok () -> Alcotest.fail "expected a recursive cycle"
 
-let contains ~needle hay =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let test_dot_export () =
   let cfg = cfg_of while_src "g" in
   let dom = Dominators.compute cfg in
@@ -166,7 +161,8 @@ let test_dot_export () =
   let dot = Ipet_cfg.Dot.cfg_to_dot ~highlight_loops:loops cfg in
   check_bool "has digraph" true
     (String.length dot > 20 && String.sub dot 0 7 = "digraph");
-  check_bool "highlights a back edge" true (contains ~needle:"color=red" dot)
+  check_bool "highlights a back edge" true
+    (Test_lp.contains ~needle:"color=red" dot)
 
 (* property: dominator sets on random structured programs are consistent:
    idom(b) dominates b, and every predecessor path respects dominance *)

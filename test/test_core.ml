@@ -317,13 +317,6 @@ let piksrt_bounded hi =
       [ Annotation.loop ~func:"piksrt" ~line:5 ~lo:9 ~hi:9;
         Annotation.loop ~func:"piksrt" ~line:8 ~lo:0 ~hi ]
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 (* counts and cycles beyond int63 are analysis errors naming what
    overflowed: the first bound overflows a block count, the second only
    the WCET in cycles *)
@@ -333,7 +326,7 @@ let test_int63_overflow () =
     | _ -> Alcotest.failf "bound %d: no analysis error" hi
     | exception Analysis.Analysis_error msg ->
       check_bool (Printf.sprintf "bound %d: %s" hi msg) true
-        (contains msg needle)
+        (Test_lp.contains ~needle msg)
   in
   expect 4611686018427387903 "the count of piksrt block";
   expect 10_000_000_000_000_000 "the WCET in cycles";

@@ -164,10 +164,11 @@ let test_recursive_program_rejected () =
     Frontend.compile_string_exn
       "int f(int n) { if (n == 0) return 1; return n * f(n - 1); }"
   in
-  check_bool "recursion rejected" true
-    (try ignore (Analysis.analyze (Analysis.spec compiled.Compile.prog ~root:"f"));
-       false
-     with Invalid_argument _ -> true)
+  match Analysis.analyze (Analysis.spec compiled.Compile.prog ~root:"f") with
+  | _ -> Alcotest.fail "a recursive program was analyzed"
+  | exception Analysis.Analysis_error msg ->
+    Alcotest.(check string) "an analysis error naming the cycle"
+      "recursive program: f -> f" msg
 
 let test_bad_annotation_rejected () =
   let compiled = Frontend.compile_string_exn "int f() { return 1; }" in

@@ -23,12 +23,7 @@ let check_string = Alcotest.(check string)
 
 (* --- corpus replay ------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
-  content
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* replay metadata lives in leading comment lines: [// cache: SIZE LINE
    PENALTY] selects the cache the failure needed, [// mach: ID] the

@@ -724,6 +724,32 @@ let test_oversized_literal () =
     (Test_lp.contains ~needle:"literal 9223372036854775808 is larger than 10^18"
        err)
 
+(* a recursive program, from MC source or a listing, is an analysis
+   error (exit 1) naming the cycle; a listing that defines a function
+   twice is an input error (exit 2) naming the line *)
+let test_recursive_and_duplicate () =
+  let path, read = cli_fixture () in
+  let run what file text expected_status expected_err =
+    Out_channel.with_open_bin (path file) (fun oc -> output_string oc text);
+    let status =
+      run_cinderella ~stderr_to:(path "err")
+        [ "analyze"; path file; "--root"; "f" ]
+    in
+    check_bool (what ^ ": exit code") true (status = expected_status);
+    check_str (what ^ ": stderr") expected_err (read "err")
+  in
+  let recursive =
+    "cinderella: error: analysis error: recursive program: f -> f\n"
+  in
+  let f = "f(0 params, 0 frame words):\nB0:\n" in
+  run "recursive MC" "r.mc" "int f(int x) { return f(x); }\n" (Unix.WEXITED 1)
+    recursive;
+  run "recursive listing" "r.s" (f ^ "  call f()\n  ret\n") (Unix.WEXITED 1)
+    recursive;
+  run "a function defined twice" "d.s" (f ^ "  ret\n" ^ f ^ "  ret\n")
+    (Unix.WEXITED 2)
+    (path "d.s" ^ ":4: error: redefinition of function f\n")
+
 (* every subcommand's manual renders: cmdliner reports a malformed doc
    string on stderr but still exits 0, so the stderr check is the one
    that catches it *)
@@ -769,4 +795,6 @@ let suite =
     ("a mistyped read of a listing is a runtime error", `Quick,
      test_mistyped_read_in_listing);
     ("an oversized constraint literal is an input error", `Quick,
-     test_oversized_literal) ]
+     test_oversized_literal);
+    ("recursive or doubly defined programs are typed errors", `Quick,
+     test_recursive_and_duplicate) ]

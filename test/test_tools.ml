@@ -12,11 +12,6 @@ module V = Ipet_isa.Value
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let contains ~needle hay =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 (* --- constraint parser ----------------------------------------------------- *)
 
 let roundtrip text = Format.asprintf "%a" F.pp (CP.parse_constraint ~func:"f" text)
@@ -66,7 +61,7 @@ let test_parse_oversized_literals () =
       List.iter
         (fun text ->
           check_bool (text ^ ": names the literal") true
-            (contains ~needle:literal (error text)))
+            (Test_lp.contains ~needle:literal (error text)))
         [ "x5 <= " ^ literal; "x" ^ literal ^ " = 1"; "x@" ^ literal ^ " = 1";
           literal ^ " x5 >= 1" ])
     [ "9223372036854775808"; "4611686018427387904"; "99999999999999999999";
@@ -76,7 +71,8 @@ let test_parse_oversized_literals () =
     "x5 <= " ^ String.concat " + " (List.init 6 (fun _ -> "900000000000000000"))
   in
   check_bool "an overflowing sum names its constraint" true
-    (contains ~needle:("one side of " ^ Printf.sprintf "%S" sum) (error sum));
+    (Test_lp.contains ~needle:("one side of " ^ Printf.sprintf "%S" sum)
+       (error sum));
   check_bool "10^18 itself parses" true
     (roundtrip "x5 + 999999999999999999 <= 1000000000000000000"
      = "x_f_5 + 999999999999999999 <= 1000000000000000000")
@@ -114,8 +110,8 @@ let test_annotated_source () =
   let src = "int f(int p) {\n  if (p)\n    return 1;\n  return 0;\n}\n" in
   let compiled = Frontend.compile_string_exn src in
   let listing = Ipet.Report.annotated_source ~source:src compiled.Compile.prog ~func:"f" in
-  check_bool "labels entry" true (contains ~needle:"x0" listing);
-  check_bool "has line numbers" true (contains ~needle:"|   3|" listing)
+  check_bool "labels entry" true (Test_lp.contains ~needle:"x0" listing);
+  check_bool "has line numbers" true (Test_lp.contains ~needle:"|   3|" listing)
 
 (* --- first-miss refinement --------------------------------------------------- *)
 
